@@ -99,10 +99,11 @@ type Config struct {
 	// runs and every golden number is bit-identical.
 	ConcMark bool
 
-	// JIT enables the msjit template tier: hot methods are compiled
-	// into arrays of pre-specialized closures under the inline caches.
-	// Off by default; compiled code charges the same virtual costs as
-	// the interpreter, so virtual times and goldens are bit-identical
+	// JIT enables the msjit tier: hot methods get straight-line
+	// bytecode runs fused into superinstructions and a cached
+	// activation plan, over the interpreter's one bytecode switch. Off
+	// by default; compiled code charges the same virtual costs as the
+	// interpreter, so virtual times and goldens are bit-identical
 	// either way — only host time changes.
 	JIT bool
 

@@ -6,6 +6,7 @@ import (
 
 	"mst/internal/bytecode"
 	"mst/internal/firefly"
+	"mst/internal/jit"
 	"mst/internal/object"
 	"mst/internal/trace"
 )
@@ -71,15 +72,14 @@ type Interp struct {
 	rec        *trace.Recorder
 	profFrames []string
 
-	// msjit tier state (Config.JIT; see jit.go). jfns is the compiled
-	// code of the executing method (nil = interpret); jcost its
-	// pre-specialized per-bytecode dispatch charge. jitTab is the
+	// msjit tier state (Config.JIT; see jit.go). jfns is the executing
+	// method's pc-indexed fused-group closures (nil = the method is not
+	// compiled; a nil entry = that pc runs step()). jitTab is the
 	// per-processor method-plan table — a direct-mapped replica keyed by
 	// raw method oops, flushed before every scavenge like the method
 	// cache.
 	jitOn  bool
 	jfns   []jitFn
-	jcost  firefly.Time
 	jleft  int // bytecodes left in the running quantum (jit loop only)
 	jitTab []jitEntry
 	// jitKeep persists compiled bodies across scavenges: closures
@@ -199,31 +199,41 @@ func (in *Interp) Quantum() {
 		return
 	}
 	n := in.vm.Cfg.QuantumBytecodes
+	// Both loops charge each bytecode themselves (count, dispatch cost,
+	// bus share) and then make exactly one call, to step() or to a fused
+	// closure. The duplication is measured, not accidental (PR 13, paired
+	// benchmark runs): folding the plain loop into the jleft loop cost
+	// +10% host time on macro_uni and +8% on gc_churn, charging inside a
+	// step() wrapper (two calls per bytecode) +8% on macro_uni, and even
+	// sharing one step() call site between the jit loop's two arms +7% on
+	// macro_fast.
 	if in.jitOn {
-		// Tiered dispatch: compiled methods run their pre-bound
-		// closures (`fns[pc]()`, no decode switch), everything else
-		// falls through to step(). Yield checks, bytecode counting,
-		// and the dispatch + bus charges stay per-bytecode and
-		// identical to the interpreter loop — except inside a fused
-		// group (jitfuse.go), which proves up front that none of its
-		// internal safepoints could fire, batches the identical
-		// charges, and draws the extra bytecodes from jleft so the
-		// quantum covers exactly QuantumBytecodes either way.
+		// A compiled method carries closures only at the head pcs of its
+		// fused groups (jitfuse.go); every other pc runs step(), the one
+		// definition of the singleton bytecodes. A fused group proves up
+		// front that none of its internal safepoints could fire, batches
+		// the identical charges, and draws its extra bytecodes from jleft,
+		// so the quantum covers exactly QuantumBytecodes either way.
 		in.jleft = n
 		for in.jleft > 0 {
 			in.p.CheckYield()
 			if in.p.Stopped() || in.proc == object.Nil {
 				return
 			}
+			in.jleft--
+			in.stats.Bytecodes++
 			if fns := in.jfns; fns != nil {
-				in.jleft--
-				in.stats.Bytecodes++
 				in.stats.JITBytecodes++
-				in.p.Advance(in.jcost)
+				in.p.Advance(in.costs.Bytecode)
 				in.busCharge()
-				fns[in.pc]()
+				if fn := fns[in.pc]; fn != nil {
+					fn()
+				} else {
+					in.step()
+				}
 			} else {
-				in.jleft--
+				in.p.Advance(in.costs.Bytecode)
+				in.busCharge()
 				in.step()
 			}
 		}
@@ -235,6 +245,9 @@ func (in *Interp) Quantum() {
 		if in.p.Stopped() || in.proc == object.Nil {
 			return
 		}
+		in.stats.Bytecodes++
+		in.p.Advance(in.costs.Bytecode)
+		in.busCharge()
 		in.step()
 	}
 	in.p.CheckYield()
@@ -304,22 +317,16 @@ func (in *Interp) popN(n int) {
 	}
 }
 
-// tempIndex maps a temp number to (object, field index): temps of a
-// block context live in its home context.
-func (in *Interp) tempSlot(n int) (object.OOP, int) {
-	if in.isBlock {
-		return in.home, CtxFixed + n
-	}
-	return in.ctx, CtxFixed + n
-}
-
-// step executes one bytecode.
+// step executes the bytecode at pc. It is the only definition of the
+// singleton bytecodes: interpreted and compiled methods both run it, and
+// Quantum has already charged for the bytecode.
+//
+// Temps always live in the home context (home == ctx for a method
+// context, the enclosing method's context for a block), so temp access
+// goes through in.home with no isBlock branch.
 func (in *Interp) step() {
 	vm := in.vm
 	h := vm.H
-	in.stats.Bytecodes++
-	in.p.Advance(in.costs.Bytecode)
-	in.busCharge()
 
 	op := bytecode.Op(in.fetchByte())
 	switch op {
@@ -332,8 +339,7 @@ func (in *Interp) step() {
 	case bytecode.OpPushFalse:
 		in.push(object.False)
 	case bytecode.OpPushTemp:
-		o, idx := in.tempSlot(in.fetchByte())
-		in.push(h.Fetch(o, idx))
+		in.push(h.Fetch(in.home, CtxFixed+in.fetchByte()))
 	case bytecode.OpPushInstVar:
 		in.push(h.Fetch(in.receiver, in.fetchByte()))
 	case bytecode.OpPushLiteral:
@@ -346,22 +352,26 @@ func (in *Interp) step() {
 	case bytecode.OpPushThisContext:
 		in.flushRegisters()
 		in.push(in.ctx)
+		if in.jfns != nil {
+			// Uncommon trap: a reified context couples the method to
+			// interpreter state, so pin it there and leave compiled code.
+			in.jitBlacklist(in.method)
+			in.jitDeopt(jit.DeoptUncommon)
+		}
 	case bytecode.OpDup:
 		in.push(in.stackAt(0))
 	case bytecode.OpPop:
 		in.pop()
 
 	case bytecode.OpStoreTemp:
-		o, idx := in.tempSlot(in.fetchByte())
-		h.Store(in.p, o, idx, in.stackAt(0))
+		h.Store(in.p, in.home, CtxFixed+in.fetchByte(), in.stackAt(0))
 	case bytecode.OpStoreInstVar:
 		h.Store(in.p, in.receiver, in.fetchByte(), in.stackAt(0))
 	case bytecode.OpStoreGlobal:
 		assoc := in.literalAt(in.fetchByte())
 		h.Store(in.p, assoc, AsValue, in.stackAt(0))
 	case bytecode.OpPopTemp:
-		o, idx := in.tempSlot(in.fetchByte())
-		h.Store(in.p, o, idx, in.pop())
+		h.Store(in.p, in.home, CtxFixed+in.fetchByte(), in.pop())
 	case bytecode.OpPopInstVar:
 		h.Store(in.p, in.receiver, in.fetchByte(), in.pop())
 	case bytecode.OpPopGlobal:

@@ -1,21 +1,28 @@
 package interp
 
 import (
-	"mst/internal/bytecode"
-	"mst/internal/firefly"
 	"mst/internal/jit"
 	"mst/internal/object"
 	"mst/internal/trace"
 )
 
-// The msjit execution tier: hot methods are template-compiled (see
-// internal/jit) into pc-indexed arrays of pre-bound Go closures —
-// operands, literal oops, and inline-cache sites resolved once, at
-// compile time — and the quantum loop runs `fns[pc]()` with no
-// fetch/decode switch. Each closure performs exactly what one step()
-// iteration performs and charges exactly what it charges, so virtual
-// times, counters, goldens, and fingerprints are bit-identical between
-// tiers; the payoff is host nanoseconds only.
+// The msjit tier: what a hot method gets on top of the step() switch.
+// The switch in interp.go is the only definition of the singleton
+// bytecodes, and compiled methods keep running it. A method whose
+// contexts have been loaded jit.CompileThreshold times is decoded once
+// (internal/jit) and gains two things:
+//
+//   - fused groups: a pc-indexed array that holds one closure at the
+//     head pc of every profitable straight-line group (jitfuse.go) and
+//     nil everywhere else. The quantum loop charges the bytecode, then
+//     runs fns[pc]() if there is one and step() otherwise;
+//   - an activation plan (jitEntry): everything loadContext and
+//     activateMethod re-derive per send, captured once per method.
+//
+// A fused group charges exactly what its bytecodes charge one by one and
+// commits exactly their net effect, so virtual times, counters, goldens,
+// and fingerprints are bit-identical with the tier on or off; the payoff
+// is host nanoseconds only.
 //
 // The tier state is strictly per-interpreter (the paper's replication
 // discipline): each processor owns its plan table, hotness counters,
@@ -23,32 +30,31 @@ import (
 // The plan table keys by raw method oops and is discarded before every
 // scavenge (vm.go OnPreScavenge), like the method cache. The compiled
 // bodies capture no raw oops at all — operands are indices resolved
-// through the interpreter registers, send sites are host pointers the
-// scavenger updates in place — so they survive scavenges (keyed by the
-// equally durable icMethod instances) and die only at the
+// through the interpreter registers — so they survive scavenges (keyed
+// by the equally durable icMethod instances) and die only at the
 // method-install safepoint that resets the inline caches
 // (flushAllCaches) or on a snapshot.
 //
-// Deopt is trivial by construction: every closure stores the next pc
-// into in.pc before doing anything else, so abandoning compiled code is
-// just `in.jfns = nil` — the interpreter resumes at the next bytecode
-// boundary with no state reconstruction. Reasons: megamorphic IC
-// retirement (icFill), decompiler/debugger attach (PrimDecompile),
-// snapshot (primSnapshot), uncommon bytecodes (thisContext, compiled as
-// a trap), and doesNotUnderstand: (sendDNU).
+// Deopt is trivial by construction: in.pc is the interpreter's own
+// register and a fused group either commits whole or changes nothing, so
+// abandoning compiled code is just `in.jfns = nil` — execution resumes
+// at the next bytecode boundary with no state reconstruction. Reasons:
+// megamorphic IC retirement (icFill), decompiler/debugger attach
+// (PrimDecompile), snapshot (primSnapshot), the uncommon bytecode
+// (thisContext: step() performs the push, then traps), and
+// doesNotUnderstand: (sendDNU).
 
 // jitFrameTag marks profiler frames whose busy ticks accrued while the
-// method ran as compiled closures (selector-profiler tier attribution).
+// method ran compiled (selector-profiler tier attribution).
 const jitFrameTag = trace.JITTag
 
-// jitFn is one compiled bytecode instance, pre-bound to its interpreter.
+// jitFn is one fused group, pre-bound to its interpreter.
 type jitFn func()
 
 // jitCode is one method's compiled form in one interpreter's cache.
 type jitCode struct {
-	fns  []jitFn      // indexed by pc; nil at operand bytes
-	cost firefly.Time // per-bytecode dispatch charge (jit.Program.DispatchCost)
-	n    int          // instruction count (observability)
+	fns []jitFn // indexed by pc; non-nil only at fused-group heads
+	n   int     // instruction count (observability)
 }
 
 // jitTabSize is the per-processor method-plan table size (entries,
@@ -109,7 +115,6 @@ func (in *Interp) jitEnter() {
 		if jc, ok := in.jitKeep[in.icm]; ok {
 			e.jc = jc
 			in.jfns = jc.fns
-			in.jcost = jc.cost
 		}
 	}
 }
@@ -130,7 +135,6 @@ func (in *Interp) jitLoadFast() bool {
 	in.icm = e.icm
 	if jc := e.jc; jc != nil {
 		in.jfns = jc.fns
-		in.jcost = jc.cost
 		return true
 	}
 	in.jfns = nil
@@ -166,7 +170,6 @@ func (in *Interp) jitCompile(e *jitEntry) {
 		if jc, ok := in.jitKeep[e.icm]; ok {
 			e.jc = jc
 			in.jfns = jc.fns
-			in.jcost = jc.cost
 			return
 		}
 	}
@@ -182,7 +185,6 @@ func (in *Interp) jitCompile(e *jitEntry) {
 		in.jitKeep[e.icm] = jc
 	}
 	in.jfns = jc.fns
-	in.jcost = jc.cost
 	in.stats.JITCompiles++
 	if in.rec != nil {
 		h := in.vm.H
@@ -269,7 +271,6 @@ func (in *Interp) jitActivate(method object.OOP, nargs int) bool {
 	in.slotCap = slots
 	if jc := e.jc; jc != nil {
 		in.jfns = jc.fns
-		in.jcost = jc.cost
 	} else {
 		in.jfns = nil
 		if !e.bad {
@@ -286,8 +287,8 @@ func (in *Interp) jitActivate(method object.OOP, nargs int) bool {
 }
 
 // jitDeopt abandons the compiled code the interpreter is currently
-// running. Every closure maintains in.pc at bytecode-boundary
-// precision, so the fallback needs no frame reconstruction.
+// running. Callers are at a bytecode boundary (a fused group never
+// deopts mid-group), so the fallback needs no frame reconstruction.
 func (in *Interp) jitDeopt(reason jit.DeoptReason) {
 	if in.jfns == nil {
 		return
@@ -350,10 +351,9 @@ func (in *Interp) jitForget(method object.OOP) {
 
 // jitFlush discards this interpreter's plan table, called before every
 // scavenge: plans hold raw oops. The compiled bodies in jitKeep hold
-// none (operands are indices, sites are host pointers the scavenger
-// updates in place) and survive — methods re-enter through jitEnter at
-// their next load and resurrect compiled. Cache invalidation is not a
-// deopt: no event, no counter.
+// none (operands are indices) and survive — methods re-enter through
+// jitEnter at their next load and resurrect compiled. Cache
+// invalidation is not a deopt: no event, no counter.
 func (in *Interp) jitFlush() {
 	if !in.jitOn {
 		return
@@ -387,174 +387,21 @@ func (vm *VM) jitDeoptAll(reason jit.DeoptReason) {
 	}
 }
 
-// jitSite resolves a send site's inline cache once, at compile time,
-// replacing the per-send binary search of the interpreter path.
-func (in *Interp) jitSite(pc int) *icSite {
-	if in.icPolicy == ICOff || in.icm == nil {
-		return nil
-	}
-	if si := in.icm.siteIndex(pc); si >= 0 {
-		return &in.icm.sites[si]
-	}
-	return nil
-}
-
-// jitBuild turns a template Program into pre-bound closures. Each
-// closure body replicates the matching step() case exactly — same
-// helpers, same order, same charges — with the fetch/decode work
-// already done. Bodies capture only scavenge-stable state: operand
-// integers, send-site pointers, and the interpreter itself; anything
-// that moves (literals, selectors, globals) is re-read through the
-// registers at run time, which is what lets compiled code outlive
+// jitBuild installs one closure per profitable fused group, at the
+// group's head pc, and nothing else: every other pc stays nil and runs
+// step(), so jumps into the middle of a group, quantum tails, and fused
+// bailouts all execute the one switch. The closures capture only
+// scavenge-stable state — operand integers and the interpreter itself;
+// anything that moves (literals, globals) is re-read through the
+// registers at run time — which is what lets compiled code outlive
 // scavenges.
 func (in *Interp) jitBuild(prog *jit.Program) *jitCode {
-	vm := in.vm
-	h := vm.H
 	fns := make([]jitFn, prog.CodeLen)
-	for i := range prog.Instrs {
-		ins := &prog.Instrs[i]
-		next := ins.Next
-		var fn jitFn
-		switch ins.Op {
-		case bytecode.OpPushSelf:
-			fn = func() { in.pc = next; in.push(in.receiver) }
-		case bytecode.OpPushNil:
-			fn = func() { in.pc = next; in.push(object.Nil) }
-		case bytecode.OpPushTrue:
-			fn = func() { in.pc = next; in.push(object.True) }
-		case bytecode.OpPushFalse:
-			fn = func() { in.pc = next; in.push(object.False) }
-		case bytecode.OpPushTemp:
-			// Temps always live in the home context, and home == ctx
-			// for method contexts, so no isBlock branch survives.
-			idx := CtxFixed + ins.A
-			fn = func() { in.pc = next; in.push(h.Fetch(in.home, idx)) }
-		case bytecode.OpPushInstVar:
-			idx := ins.A
-			fn = func() { in.pc = next; in.push(h.Fetch(in.receiver, idx)) }
-		case bytecode.OpPushLiteral:
-			idx := ins.A
-			fn = func() { in.pc = next; in.push(in.literalAt(idx)) }
-		case bytecode.OpPushGlobal:
-			idx := ins.A
-			fn = func() { in.pc = next; in.push(h.Fetch(in.literalAt(idx), AsValue)) }
-		case bytecode.OpPushInt8:
-			v := object.FromInt(int64(ins.A))
-			fn = func() { in.pc = next; in.push(v) }
-		case bytecode.OpPushThisContext:
-			// Uncommon trap: perform the push exactly as the
-			// interpreter would, then bail out and pin the method —
-			// a reified context couples it to interpreter state.
-			fn = func() {
-				in.pc = next
-				in.flushRegisters()
-				in.push(in.ctx)
-				in.jitBlacklist(in.method)
-				in.jitDeopt(jit.DeoptUncommon)
-			}
-		case bytecode.OpDup:
-			fn = func() { in.pc = next; in.push(in.stackAt(0)) }
-		case bytecode.OpPop:
-			fn = func() { in.pc = next; in.pop() }
-
-		case bytecode.OpStoreTemp:
-			idx := CtxFixed + ins.A
-			fn = func() { in.pc = next; h.Store(in.p, in.home, idx, in.stackAt(0)) }
-		case bytecode.OpStoreInstVar:
-			idx := ins.A
-			fn = func() { in.pc = next; h.Store(in.p, in.receiver, idx, in.stackAt(0)) }
-		case bytecode.OpStoreGlobal:
-			idx := ins.A
-			fn = func() { in.pc = next; h.Store(in.p, in.literalAt(idx), AsValue, in.stackAt(0)) }
-		case bytecode.OpPopTemp:
-			idx := CtxFixed + ins.A
-			fn = func() { in.pc = next; h.Store(in.p, in.home, idx, in.pop()) }
-		case bytecode.OpPopInstVar:
-			idx := ins.A
-			fn = func() { in.pc = next; h.Store(in.p, in.receiver, idx, in.pop()) }
-		case bytecode.OpPopGlobal:
-			idx := ins.A
-			fn = func() { in.pc = next; h.Store(in.p, in.literalAt(idx), AsValue, in.pop()) }
-
-		case bytecode.OpJump:
-			target := ins.Target
-			fn = func() { in.pc = target }
-		case bytecode.OpJumpFalse, bytecode.OpJumpTrue:
-			target := ins.Target
-			want := object.True
-			if ins.Op == bytecode.OpJumpFalse {
-				want = object.False
-			}
-			fn = func() {
-				in.pc = next
-				v := in.pop()
-				if v == want {
-					in.pc = target
-				} else if v != object.True && v != object.False {
-					in.mustBeBoolean(v)
-				}
-			}
-		case bytecode.OpPushBlock:
-			endPC := ins.Target
-			initOop := object.FromInt(int64(next)) // body starts after the operands
-			infoOop := object.FromInt(int64(ins.A) | int64(ins.B)<<8)
-			fn = func() {
-				in.pc = endPC
-				blk := h.Allocate(in.p, vm.Specials.BlockContext,
-					BCtxFixed+BlockCtxSlots, object.FmtPointers)
-				h.StoreNoCheck(blk, BCtxCaller, object.Nil)
-				h.StoreNoCheck(blk, BCtxPC, initOop)
-				h.StoreNoCheck(blk, BCtxSP, object.FromInt(0))
-				h.Store(in.p, blk, BCtxHome, in.home)
-				h.StoreNoCheck(blk, BCtxInfo, infoOop)
-				h.StoreNoCheck(blk, BCtxInitialPC, initOop)
-				in.push(blk)
-			}
-		case bytecode.OpReturnTop:
-			fn = func() { in.pc = next; in.returnValue(in.pop(), true) }
-		case bytecode.OpReturnSelf:
-			fn = func() { in.pc = next; in.returnValue(in.receiver, true) }
-		case bytecode.OpBlockReturn:
-			fn = func() { in.pc = next; in.blockReturn() }
-
-		case bytecode.OpSend, bytecode.OpSendSuper:
-			// The selector is re-fetched from the literal frame per
-			// send (interpreter parity) rather than captured: symbols
-			// move at scavenges, and the body must outlive them.
-			idx := ins.A
-			nargs := ins.B
-			super := ins.Op == bytecode.OpSendSuper
-			site := in.jitSite(ins.PC)
-			fn = func() { in.pc = next; in.sendWithSite(in.literalAt(idx), nargs, super, site) }
-
-		default:
-			// jit.Compile admits only known opcodes, so the rest are
-			// the special-selector sends: selector read from the
-			// (root-updated) interned table, site pre-resolved, fast
-			// path shared with the interpreter.
-			op := ins.Op
-			selIdx := op - bytecode.FirstSpecialSend
-			nargs := bytecode.Special(op).NumArgs
-			site := in.jitSite(ins.PC)
-			fn = func() {
-				in.pc = next
-				if in.specialFast(op) {
-					return
-				}
-				in.sendWithSite(vm.specialSelectors[selIdx], nargs, false, site)
-			}
-		}
-		fns[ins.PC] = fn
-	}
-	// Superinstruction pass: wherever a profitable straight-line group
-	// starts, a fused closure replaces the head singleton (and keeps it
-	// as its fallback). Interior pcs keep their singletons, so jumps
-	// into the middle of a group and fallback resumption stay exact.
 	for i := range prog.Instrs {
 		if f := jit.Fuse(prog, i); f != nil {
 			pc := prog.Instrs[i].PC
-			fns[pc] = in.jitFuseFn(f, fns[pc], fns, pc)
+			fns[pc] = in.jitFuseFn(f, fns, pc)
 		}
 	}
-	return &jitCode{fns: fns, cost: prog.DispatchCost, n: len(prog.Instrs)}
+	return &jitCode{fns: fns, n: len(prog.Instrs)}
 }

@@ -102,7 +102,7 @@ func (in *Interp) fuseLoad(m jit.Micro) object.OOP {
 // count: a proof-free load followed by return-top (^self, ^ivar,
 // ^temp, ^constant). No register file, no micro loop, no stack
 // traffic — the interpreter's push and the return's pop cancel.
-func (in *Interp) jitFuseRetFn(f *jit.Fused, single jitFn) jitFn {
+func (in *Interp) jitFuseRetFn(f *jit.Fused) jitFn {
 	if f.Term != jit.TermReturn || len(f.Prog) != 1 || f.Pops != 0 ||
 		len(f.Push) != 0 || len(f.TempWrites) != 0 || len(f.IVarWrites) != 0 ||
 		!fuseLoadable(f.Prog[0].Kind) || f.Ret != f.Prog[0].Dst {
@@ -115,7 +115,7 @@ func (in *Interp) jitFuseRetFn(f *jit.Fused, single jitFn) jitFn {
 	nextPC := f.NextPC
 	return func() {
 		if !in.fuseAdmit(n1, charge, busDiv) {
-			single()
+			in.step()
 			return
 		}
 		v := in.fuseLoad(m)
@@ -129,7 +129,7 @@ func (in *Interp) jitFuseRetFn(f *jit.Fused, single jitFn) jitFn {
 // a SmallInteger compare, and a conditional jump (the `i <= n` whileTrue
 // and to:do: back edges). The compare result feeds the branch directly,
 // so the Boolean check disappears with the register file.
-func (in *Interp) jitFuseCmpBranchFn(f *jit.Fused, single jitFn, fns []jitFn, pc int) jitFn {
+func (in *Interp) jitFuseCmpBranchFn(f *jit.Fused, fns []jitFn, pc int) jitFn {
 	if f.Term != jit.TermBranch || len(f.Prog) != 3 || f.Pops != 0 ||
 		len(f.Push) != 0 || len(f.TempWrites) != 0 || len(f.IVarWrites) != 0 {
 		return nil
@@ -149,16 +149,16 @@ func (in *Interp) jitFuseCmpBranchFn(f *jit.Fused, single jitFn, fns []jitFn, pc
 	var bails uint32
 	return func() {
 		if !in.fuseAdmit(n1, charge, busDiv) {
-			single()
+			in.step()
 			return
 		}
 		a := in.fuseLoad(ma)
 		b := in.fuseLoad(mb)
 		if !a.IsInt() || !b.IsInt() {
 			if bails++; bails >= fuseBailLimit {
-				fns[pc] = single
+				fns[pc] = nil
 			}
-			single()
+			in.step()
 			return
 		}
 		bails = 0
@@ -171,11 +171,11 @@ func (in *Interp) jitFuseCmpBranchFn(f *jit.Fused, single jitFn, fns []jitFn, pc
 	}
 }
 
-func (in *Interp) jitFuseFn(f *jit.Fused, single jitFn, fns []jitFn, pc int) jitFn {
-	if fn := in.jitFuseRetFn(f, single); fn != nil {
+func (in *Interp) jitFuseFn(f *jit.Fused, fns []jitFn, pc int) jitFn {
+	if fn := in.jitFuseRetFn(f); fn != nil {
 		return fn
 	}
-	if fn := in.jitFuseCmpBranchFn(f, single, fns, pc); fn != nil {
+	if fn := in.jitFuseCmpBranchFn(f, fns, pc); fn != nil {
 		return fn
 	}
 	vm := in.vm
@@ -200,14 +200,14 @@ func (in *Interp) jitFuseFn(f *jit.Fused, single jitFn, fns []jitFn, pc int) jit
 
 	bail := func() {
 		if bails++; bails >= fuseBailLimit {
-			fns[pc] = single
+			fns[pc] = nil
 		}
-		single()
+		in.step()
 	}
 
 	return func() {
 		if in.jleft < n1 {
-			single()
+			in.step()
 			return
 		}
 		bound := charge + wbound
@@ -217,12 +217,12 @@ func (in *Interp) jitFuseFn(f *jit.Fused, single jitFn, fns []jitFn, pc int) jit
 			}
 		}
 		if p.YieldSlack() <= bound {
-			single()
+			in.step()
 			return
 		}
 		ctx := in.ctx
 		if !h.InNewSpace(ctx) && !h.Header(ctx).Remembered() {
-			single()
+			in.step()
 			return
 		}
 

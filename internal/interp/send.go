@@ -155,14 +155,6 @@ func (in *Interp) send(selector object.OOP, nargs int, super bool, sitePC int) {
 			site = &in.icm.sites[si]
 		}
 	}
-	in.sendWithSite(selector, nargs, super, site)
-}
-
-// sendWithSite is the send tail after site resolution. The msjit tier
-// calls it directly with the site pre-resolved at compile time (and the
-// selector pre-fetched from the literal frame), skipping the per-send
-// binary search; the virtual charges are identical either way.
-func (in *Interp) sendWithSite(selector object.OOP, nargs int, super bool, site *icSite) {
 	vm := in.vm
 	in.stats.Sends++
 	if in.rec != nil {
@@ -232,10 +224,10 @@ func (in *Interp) sendDNU(selector object.OOP, nargs int) {
 	vm := in.vm
 	in.stats.DNUs++
 	if in.jitOn && in.jfns != nil {
-		// A doesNotUnderstand: reship is an uncommon path the template
+		// A doesNotUnderstand: reship is an uncommon path the msjit
 		// tier refuses to run compiled: drop the compiled body and let
 		// the interpreter carry the reship (clean bytecode boundary —
-		// the send closure already advanced in.pc).
+		// step() already advanced in.pc past the send).
 		in.jitDiscard(in.method)
 		if e := &in.jitTab[jitTabIndex(in.method)]; e.method == in.method {
 			e.jc = nil
@@ -494,8 +486,7 @@ func (in *Interp) specialSend(op bytecode.Op, sitePC int) {
 
 // specialFast attempts the inline fast path for a special-selector
 // send. It reports whether the send was fully handled; otherwise the
-// caller falls back to a real send. Shared by the interpreter and the
-// msjit tier so both execute the exact same fast paths.
+// caller falls back to a real send.
 func (in *Interp) specialFast(op bytecode.Op) bool {
 	vm := in.vm
 	h := vm.H

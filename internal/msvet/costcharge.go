@@ -7,14 +7,12 @@ import "go/ast"
 // Every virtual-time charge for a compiled bytecode must flow through
 // the interpreter's shared cost table (interp.costTable), so the
 // compiled and interpreted tiers cannot drift apart by construction.
-// Three shapes betray a hand-invented cost in internal/jit:
+// Two shapes betray a hand-invented cost in internal/jit:
 //
 //   - firefly.Time(<integer literal>) with a nonzero literal — a
 //     constant cost conjured outside the table;
 //   - any .Advance(...) call — advancing a clock is the executor's job,
-//     and the executor lives in internal/interp;
-//   - a `Cost: <literal>` composite-literal field — pricing a template
-//     at build time instead of referencing the table.
+//     and the executor lives in internal/interp.
 //
 // Derived quantities like firefly.Time(n-1) * p.DispatchCost are fine:
 // the magnitude still comes from the table.
@@ -30,33 +28,26 @@ var CostchargeAnalyzer = &Analyzer{
 				continue
 			}
 			ast.Inspect(f.AST, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "firefly" &&
+					sel.Sel.Name == "Time" && len(call.Args) == 1 {
+					if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Value != "0" {
+						pass.Reportf(call.Pos(),
+							"firefly.Time(%s) invents a cost outside the shared cost table",
+							lit.Value)
 					}
-					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "firefly" &&
-						sel.Sel.Name == "Time" && len(n.Args) == 1 {
-						if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Value != "0" {
-							pass.Reportf(n.Pos(),
-								"firefly.Time(%s) invents a cost outside the shared cost table",
-								lit.Value)
-						}
-					}
-					if sel.Sel.Name == "Advance" {
-						pass.Reportf(n.Pos(),
-							"%s charges virtual time in internal/jit; charging belongs to the executor in internal/interp",
-							exprString(n.Fun))
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok && id.Name == "Cost" {
-						if lit, ok := n.Value.(*ast.BasicLit); ok && lit.Value != "0" {
-							pass.Reportf(n.Pos(),
-								"Cost: %s prices a template with a literal instead of the shared cost table",
-								lit.Value)
-						}
-					}
+				}
+				if sel.Sel.Name == "Advance" {
+					pass.Reportf(call.Pos(),
+						"%s charges virtual time in internal/jit; charging belongs to the executor in internal/interp",
+						exprString(call.Fun))
 				}
 				return true
 			})

@@ -8,6 +8,7 @@ import (
 
 	"mst/internal/bench"
 	"mst/internal/core"
+	"mst/internal/interp"
 	"mst/internal/trace"
 )
 
@@ -37,9 +38,11 @@ func withJIT(config func() core.Config, jit bool) func() core.Config {
 }
 
 // TestJITDifferentialTable2 sweeps every Table 2 macro benchmark under
-// the production MS config and under MS+ (the tier's designed home,
-// with inline caches), interpreter versus template tier, and demands
-// bit-identical virtual times and a bit-identical Stats snapshot.
+// the production MS config, under MS+ (the tier's designed home, with
+// inline caches), and under the uniprocessor baseline with inline caches
+// (the configuration the benchmark's macro_fast workload times),
+// interpreter versus template tier, and demands bit-identical virtual
+// times and a bit-identical Stats snapshot.
 func TestJITDifferentialTable2(t *testing.T) {
 	configs := []struct {
 		name   string
@@ -47,6 +50,12 @@ func TestJITDifferentialTable2(t *testing.T) {
 	}{
 		{"ms", core.DefaultConfig},
 		{"ms-plus", core.MSPlusConfig},
+		{"baseline-fast", func() core.Config {
+			c := core.BaselineConfig()
+			c.InlineCache = interp.ICPoly
+			c.CacheWays = 2
+			return c
+		}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
