@@ -21,10 +21,10 @@
 //	                           growing live set; the concurrent windows
 //	                           stay bounded while the serial pause grows
 //	msbench -json results.json     machine-readable Table 2 + IC ablation
-//	msbench -jit               include the msjit ablation in -json, -gate,
-//	                           and -fingerprint runs
+//	msbench -jit               include the msjit ablation in -json and
+//	                           -fingerprint runs
 //	msbench -concmark          include the concurrent-marking ablation in
-//	                           -json, -gate, and -fingerprint runs
+//	                           -json and -fingerprint runs
 //	msbench -trace out.json    flight-record one busy benchmark; export
 //	                           Chrome trace-event JSON for ui.perfetto.dev
 //	msbench -profile           selector-level virtual-time profile of the
@@ -47,10 +47,12 @@
 //	                           workload on 1..GOMAXPROCS real goroutine
 //	                           processors, wall-clock speedup vs the
 //	                           deterministic driver
-//	msbench -gate BENCH.json   regression gate: rerun the suite and
-//	                           compare against a checked-in baseline
-//	                           (exact on virtual times and counters,
-//	                           -gate-tolerance on relative host cost)
+//	msbench -gate BENCH.json   regression gate: rerun the suite (with the
+//	                           optional sections the baseline carries) and
+//	                           require every non-host leaf of the report
+//	                           to equal the checked-in baseline's — the
+//	                           two fingerprints must match; host cost is
+//	                           benchmark/'s job, not the gate's
 //	msbench -fingerprint       print the deterministic fingerprint (the
 //	                           json report with host times zeroed); CI
 //	                           runs it twice and diffs the outputs
@@ -75,8 +77,8 @@ func main() {
 	figure2 := flag.Bool("figure2", false, "run Table 2 and print it normalized (Figure 2)")
 	table3 := flag.Bool("table3", false, "print Table 3 (strategy applications)")
 	ablation := flag.String("ablation", "", "run one ablation: freelist|methodcache|alloc|scavenge|inlinecache|parscavenge|jit|serve|concmark")
-	jitFlag := flag.Bool("jit", false, "include the msjit ablation in -json/-gate/-fingerprint runs")
-	concFlag := flag.Bool("concmark", false, "include the concurrent-marking ablation in -json/-gate/-fingerprint runs")
+	jitFlag := flag.Bool("jit", false, "include the msjit ablation in -json/-fingerprint runs (-gate reads it off the baseline)")
+	concFlag := flag.Bool("concmark", false, "include the concurrent-marking ablation in -json/-fingerprint runs (-gate reads it off the baseline)")
 	jsonPath := flag.String("json", "", "write machine-readable results (Table 2 + inline-cache ablation) to this file")
 	sweep := flag.Bool("sweep", false, "processor sweep (extension: busy overhead vs processor count)")
 	micro := flag.Bool("micro", false, "micro benchmark suite (extension: per-operation static costs)")
@@ -90,8 +92,7 @@ func main() {
 	sanFlag := flag.Bool("sanitize", false, "run every state under the mscheck invariant sanitizer and report overhead")
 	lockgraphPath := flag.String("lockgraph", "", "with -sanitize: static lock graph JSON (msvet -lockgraph) to cross-check the observed acquisition order against")
 	parallel := flag.Bool("parallel", false, "run the true-parallel host sweep (goroutine processors, wall-clock speedup)")
-	gatePath := flag.String("gate", "", "compare a fresh run against this baseline json and fail on regression")
-	gateTol := flag.Float64("gate-tolerance", 0.20, "allowed drift in normalized host cost for -gate (fraction)")
+	gatePath := flag.String("gate", "", "rerun the suite and fail unless every non-host leaf equals this baseline json's")
 	fingerprint := flag.Bool("fingerprint", false, "print the deterministic fingerprint (json report, host times zeroed)")
 	all := flag.Bool("all", false, "run everything")
 	flag.Parse()
@@ -238,8 +239,17 @@ func main() {
 
 	// -json, -gate, and -fingerprint all need the same fresh report;
 	// measure once and reuse it.
-	var report *bench.JSONReport
+	var report, baseline *bench.JSONReport
 	if *jsonPath != "" || *gatePath != "" || *fingerprint {
+		// A gate run needs the optional sections its baseline carries.
+		withJIT, withConcMark := *jitFlag, *concFlag
+		if *gatePath != "" {
+			var err error
+			baseline, err = bench.LoadBaseline(*gatePath)
+			check(err)
+			withJIT = withJIT || baseline.JIT != nil
+			withConcMark = withConcMark || baseline.ConcMark != nil
+		}
 		// Open the output first: fail on a bad path before spending
 		// time measuring.
 		var f *os.File
@@ -250,7 +260,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "running json report...")
 		var err error
-		report, err = bench.RunJSONReport(*jitFlag, *concFlag)
+		report, err = bench.RunJSONReport(withJIT, withConcMark)
 		check(err)
 		report.Parallel = par
 		if f != nil {
@@ -262,10 +272,8 @@ func main() {
 	if *fingerprint {
 		check(bench.Fingerprint(report, os.Stdout))
 	}
-	if *gatePath != "" {
-		baseline, err := bench.LoadBaseline(*gatePath)
-		check(err)
-		g := bench.RunGate(baseline, report, *gatePath, *gateTol)
+	if baseline != nil {
+		g := bench.RunGate(baseline, report, *gatePath)
 		fmt.Print(g.Format())
 		if !g.OK() {
 			os.Exit(1)

@@ -5,64 +5,53 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"reflect"
 	"strings"
 
-	"mst/internal/trace"
+	"mst/internal/sanitize"
 )
 
-// The benchmark-regression gate (msbench -gate): compare a fresh run
-// against a checked-in baseline report (BENCH_prN.json). The simulator
-// is deterministic, so virtual times and every interpreter/heap counter
-// must match the baseline EXACTLY — any drift is either a real change
-// (update the baseline deliberately, in the same commit) or a bug.
+// The benchmark-regression gate (msbench -gate) is one rule: a fresh run
+// passes iff its fingerprint equals the fingerprint of the checked-in
+// baseline report (BENCH_prN.json). The simulator is deterministic, so
+// every leaf of the report that is not a host-side measurement — virtual
+// times, interpreter and heap counters, histogram buckets, every
+// ablation column — must match the baseline EXACTLY; any drift is either
+// a real change (update the baseline deliberately, in the same commit)
+// or a bug. Both reports are flattened to leaf path → JSON literal and
+// diffed by the comparison the sanitizer's twin runs use
+// (sanitize.FingerprintDiff), so a new report section is gated the
+// moment it exists.
 //
-// Host-side wall time is the one machine-dependent number in the
-// report, so it cannot be compared directly: CI machines and laptops
-// differ by integer factors. Instead the gate compares each state's
-// *relative* host cost — host ns per virtual ms, summed over the
-// state's benchmarks and normalized by the run-wide median of that
-// ratio. A uniformly slower machine scales every ratio equally and
-// passes; a change that makes one state's host-side execution
-// disproportionately slower moves its normalized ratio and fails. The
-// comparison is per state, not per benchmark: individual benchmarks
-// run for a few host milliseconds, where scheduler noise on a small CI
-// machine routinely exceeds any sensible tolerance. The tolerance
-// (default 0.20) bounds how far a normalized ratio may drift from the
-// baseline's.
+// Which leaves are host-side is declared once, on the report types, by
+// the struct tag `bench:"host"`; eachHost is the one walk that reads it,
+// for the gate (which drops those leaves) and for Fingerprint (which
+// zeroes them). Host cost is not gated here at all: wall time does not
+// compare across machines, and benchmark/ measures it in calibration
+// units with paired runs on every PR.
+//
+// Beside the diff stand the two properties the fresh run must have
+// whatever the baseline says, so a mechanical baseline refresh cannot
+// erode them: the concmark pause bound and the msjit speedup floor.
 
-// GateFinding is one detected regression or mismatch.
-type GateFinding struct {
-	Where  string `json:"where"`
-	Detail string `json:"detail"`
-}
+// maxPrintedFindings caps Format's listing: a drifted histogram is one
+// cause, not a thousand lines.
+const maxPrintedFindings = 40
 
 // GateReport is the outcome of one gate comparison.
 type GateReport struct {
-	BaselinePath string        `json:"baseline"`
-	Tolerance    float64       `json:"tolerance"`
-	Exact        int           `json:"exact_checks"`
-	Host         int           `json:"host_checks"`
-	SkippedHost  int           `json:"host_checks_skipped"`
-	Findings     []GateFinding `json:"findings"`
+	BaselinePath string
+	// Exact is the number of baseline leaves pinned.
+	Exact    int
+	Findings []string
 }
 
 // OK reports whether the fresh run passed the gate.
 func (g *GateReport) OK() bool { return len(g.Findings) == 0 }
 
-func (g *GateReport) fail(where, format string, args ...any) {
-	g.Findings = append(g.Findings, GateFinding{Where: where, Detail: fmt.Sprintf(format, args...)})
-}
-
-// exactly compares one deterministic quantity.
-func gateExact[T comparable](g *GateReport, where, what string, base, fresh T) {
-	g.Exact++
-	if base != fresh {
-		g.fail(where, "%s: baseline %v, got %v", what, base, fresh)
-	}
-}
-
-// LoadBaseline reads a checked-in msbench JSON report.
+// LoadBaseline reads a checked-in msbench JSON report. A key this
+// binary's report no longer has is an error, not a silently dropped
+// check.
 func LoadBaseline(path string) (*JSONReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -70,7 +59,9 @@ func LoadBaseline(path string) (*JSONReport, error) {
 	}
 	defer f.Close()
 	var r JSONReport
-	if err := json.NewDecoder(f).Decode(&r); err != nil {
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("bench: gate baseline %s: %w", path, err)
 	}
 	if len(r.Table2) == 0 {
@@ -79,410 +70,114 @@ func LoadBaseline(path string) (*JSONReport, error) {
 	return &r, nil
 }
 
-// hostRatios returns each state's host-ns-per-virtual-ms (summed over
-// its benchmarks) normalized by the run-wide median, keyed by state
-// name. States too short to time reliably are omitted.
-func hostRatios(r *JSONReport) map[string]float64 {
-	raw := map[string]float64{}
-	var all []float64
-	for _, st := range r.Table2 {
-		var hostNS, virtMS int64
-		for _, b := range st.Benches {
-			hostNS += b.HostNS
-			virtMS += b.VirtualMS
+// eachHost calls visit on every field tagged `bench:"host"` reachable
+// from v, with the field's path as flattenJSON spells it. It does not
+// descend into a host field: tagging a section covers all of it.
+func eachHost(v reflect.Value, path string, visit func(path string, field reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachHost(v.Elem(), path, visit)
 		}
-		if virtMS < 5 || hostNS <= 0 {
-			continue
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachHost(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
 		}
-		v := float64(hostNS) / float64(virtMS)
-		raw[st.State] = v
-		all = append(all, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if f.Tag.Get("bench") == "host" {
+				visit(joinPath(path, name), v.Field(i))
+			} else {
+				eachHost(v.Field(i), joinPath(path, name), visit)
+			}
+		}
 	}
-	if len(all) == 0 {
-		return raw
-	}
-	sort.Float64s(all)
-	med := all[len(all)/2]
-	if med <= 0 {
-		return map[string]float64{}
-	}
-	for k, v := range raw {
-		raw[k] = v / med
-	}
-	return raw
 }
 
-// RunGate compares a fresh report against the baseline. Deterministic
-// quantities (virtual times, interpreter and heap counters, inline-cache
-// ablation) must be bit-equal; normalized host-time ratios may drift by
-// at most tol.
-func RunGate(baseline, fresh *JSONReport, baselinePath string, tol float64) *GateReport {
-	g := &GateReport{BaselinePath: baselinePath, Tolerance: tol}
-
-	gateExact(g, "schema", "schemaVersion", baseline.SchemaVersion, fresh.SchemaVersion)
-
-	freshStates := map[string]*JSONState{}
-	for i := range fresh.Table2 {
-		freshStates[fresh.Table2[i].State] = &fresh.Table2[i]
+// Fingerprint writes the report with every host field zeroed — the
+// deterministic residue. The CI determinism job runs the suite twice
+// and diffs the two fingerprints byte-for-byte; any difference means
+// the simulator leaked host state into virtual results.
+func Fingerprint(r *JSONReport, w io.Writer) error {
+	// Zero a copy: the caller's report still goes to -json and the gate.
+	data, err := json.Marshal(r)
+	if err != nil {
+		return err
 	}
-	for i := range baseline.Table2 {
-		bs := &baseline.Table2[i]
-		fs, ok := freshStates[bs.State]
-		if !ok {
-			g.fail(bs.State, "state missing from fresh run")
-			continue
-		}
-		freshBenches := map[string]JSONBench{}
-		for _, b := range fs.Benches {
-			freshBenches[b.Name] = b
-		}
-		for _, bb := range bs.Benches {
-			where := bs.State + "/" + bb.Name
-			fb, ok := freshBenches[bb.Name]
-			if !ok {
-				g.fail(where, "benchmark missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "virtual_ms", bb.VirtualMS, fb.VirtualMS)
-		}
-		gateMetrics(g, bs.State, &bs.Metrics, &fs.Metrics)
+	var cp JSONReport
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return err
 	}
+	eachHost(reflect.ValueOf(&cp), "", func(_ string, field reflect.Value) { field.SetZero() })
+	return cp.Write(w)
+}
 
-	// Inline-cache ablation rows, keyed by (state, policy).
-	freshIC := map[string]*JSONICRow{}
-	for i := range fresh.InlineCache {
-		r := &fresh.InlineCache[i]
-		freshIC[r.State+"/"+r.Policy] = r
-	}
-	for i := range baseline.InlineCache {
-		br := &baseline.InlineCache[i]
-		where := "ic/" + br.State + "/" + br.Policy
-		fr, ok := freshIC[where[3:]]
-		if !ok {
-			g.fail(where, "ablation row missing from fresh run")
-			continue
-		}
-		gateExact(g, where, "virtual_ms rows", fmt.Sprint(br.Benches), fmt.Sprint(fr.Benches))
-		gateExact(g, where, "ic_fills", br.ICFills, fr.ICFills)
-		gateExact(g, where, "ic_poly_sites", br.ICPolySites, fr.ICPolySites)
-		gateExact(g, where, "ic_mega_sites", br.ICMegaSites, fr.ICMegaSites)
-	}
-
-	// Parallel-scavenge ablation rows, keyed by processor count. Every
-	// column but the derived speedup is deterministic.
-	if baseline.ParScavenge != nil {
-		freshPS := map[int]*ParScavRow{}
-		if fresh.ParScavenge != nil {
-			for i := range fresh.ParScavenge.Rows {
-				r := &fresh.ParScavenge.Rows[i]
-				freshPS[r.Procs] = r
+// fingerprintLeaves is the fingerprint as a map: the report flattened
+// to leaf path → JSON literal, minus the host leaves.
+func fingerprintLeaves(r *JSONReport) map[string]string {
+	out := flatten("", r)
+	eachHost(reflect.ValueOf(r), "", func(path string, _ reflect.Value) {
+		for k := range out {
+			if k == path || strings.HasPrefix(k, path+".") || strings.HasPrefix(k, path+"[") {
+				delete(out, k)
 			}
 		}
-		for i := range baseline.ParScavenge.Rows {
-			br := &baseline.ParScavenge.Rows[i]
-			where := fmt.Sprintf("parscavenge/procs=%d", br.Procs)
-			fr, ok := freshPS[br.Procs]
-			if !ok {
-				g.fail(where, "ablation row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "serial_scavenge_ticks", br.SerialTicks, fr.SerialTicks)
-			gateExact(g, where, "parallel_scavenge_ticks", br.ParallelTicks, fr.ParallelTicks)
-			gateExact(g, where, "scavenges", br.Scavenges, fr.Scavenges)
-			gateExact(g, where, "copied_words", br.CopiedWords, fr.CopiedWords)
-			gateExact(g, where, "steals", br.Steals, fr.Steals)
-			gateExact(g, where, "serial_pause", fmt.Sprint(br.SerialPause), fmt.Sprint(fr.SerialPause))
-			gateExact(g, where, "parallel_pause", fmt.Sprint(br.ParallelPause), fmt.Sprint(fr.ParallelPause))
-		}
-	}
+	})
+	return out
+}
 
-	// The msjit ablation, keyed by workload. The virtual columns are
-	// deterministic and compared exactly; the host-side speedup is
-	// machine-bound, so instead of comparing it to the baseline the
-	// gate holds the fresh run to the absolute floor.
-	if baseline.JIT != nil {
-		freshJIT := map[string]*JITRow{}
-		if fresh.JIT != nil {
-			for i := range fresh.JIT.Rows {
-				r := &fresh.JIT.Rows[i]
-				freshJIT[r.Workload] = r
-			}
-		}
-		for i := range baseline.JIT.Rows {
-			br := &baseline.JIT.Rows[i]
-			where := "jit/" + br.Workload
-			fr, ok := freshJIT[br.Workload]
-			if !ok {
-				g.fail(where, "ablation row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "virtual_ms", br.VirtualMS, fr.VirtualMS)
-			gateExact(g, where, "jit_compiles", br.Compiles, fr.Compiles)
-			gateExact(g, where, "jit_deopts", br.Deopts, fr.Deopts)
-		}
-		if fresh.JIT != nil {
-			g.Host++
-			if fresh.JIT.MedianSpeedup < JITSpeedupFloor {
-				g.fail("jit/median_speedup", "template tier %.2fx, floor %.2fx",
-					fresh.JIT.MedianSpeedup, JITSpeedupFloor)
+// RunGate compares a fresh report against the baseline. The fresh
+// run's own properties lead the findings so Format's cap never hides
+// them; the fingerprint diff follows, sorted by leaf path.
+func RunGate(baseline, fresh *JSONReport, baselinePath string) *GateReport {
+	g := &GateReport{BaselinePath: baselinePath}
+
+	// The pause bound: the concurrent marker's longest stop-the-world
+	// window must undercut the serial full-GC pause on every row.
+	if fresh.ConcMark != nil {
+		for _, r := range fresh.ConcMark.Rows {
+			if r.ConcMaxPause >= r.SerialMaxPause {
+				g.Findings = append(g.Findings, fmt.Sprintf(
+					"concmark/keep=%d: pause bound broken: concurrent max pause %d ticks >= serial max pause %d ticks",
+					r.Keep, r.ConcMaxPause, r.SerialMaxPause))
 			}
 		}
 	}
+	// The template tier's host speedup is machine-bound, so instead of
+	// comparing it to the baseline the fresh run is held to the floor.
+	if fresh.JIT != nil && fresh.JIT.MedianSpeedup < JITSpeedupFloor {
+		g.Findings = append(g.Findings, fmt.Sprintf(
+			"jit/median_speedup: template tier %.2fx, floor %.2fx", fresh.JIT.MedianSpeedup, JITSpeedupFloor))
+	}
 
-	// The concurrent-marking ablation, keyed by live-window size. Every
-	// column is deterministic and compared exactly; on top of that, the
-	// fresh run is held to the pause-bound property itself — the
-	// concurrent marker's longest stop-the-world window must undercut
-	// the serial full-GC pause — so a scheduling change that erodes the
-	// bound fails even if someone refreshes the baseline mechanically.
-	if baseline.ConcMark != nil {
-		freshCM := map[int]*ConcMarkRow{}
-		if fresh.ConcMark != nil {
-			for i := range fresh.ConcMark.Rows {
-				r := &fresh.ConcMark.Rows[i]
-				freshCM[r.Keep] = r
-			}
-		}
-		for i := range baseline.ConcMark.Rows {
-			br := &baseline.ConcMark.Rows[i]
-			where := fmt.Sprintf("concmark/keep=%d", br.Keep)
-			fr, ok := freshCM[br.Keep]
-			if !ok {
-				g.fail(where, "ablation row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "full_collections", br.FullCollects, fr.FullCollects)
-			gateExact(g, where, "serial_full_gc_ticks", br.SerialTicks, fr.SerialTicks)
-			gateExact(g, where, "conc_full_gc_ticks", br.ConcTicks, fr.ConcTicks)
-			gateExact(g, where, "serial_max_pause_ticks", br.SerialMaxPause, fr.SerialMaxPause)
-			gateExact(g, where, "conc_max_pause_ticks", br.ConcMaxPause, fr.ConcMaxPause)
-			gateExact(g, where, "conc_mark_cycles", br.Cycles, fr.Cycles)
-			gateExact(g, where, "conc_mark_slices", br.Slices, fr.Slices)
-			gateExact(g, where, "conc_mark_marked_objects", br.Marked, fr.Marked)
-			gateExact(g, where, "conc_mark_barrier_shades", br.Shaded, fr.Shaded)
-			gateExact(g, where, "conc_reclaimed_old_words", br.ReclaimedWords, fr.ReclaimedWords)
-			gateExact(g, where, "serial_pause", fmt.Sprint(br.SerialPause), fmt.Sprint(fr.SerialPause))
-			gateExact(g, where, "conc_pause", fmt.Sprint(br.ConcPause), fmt.Sprint(fr.ConcPause))
-			gateExact(g, where, "conc_slice", fmt.Sprint(br.ConcSlice), fmt.Sprint(fr.ConcSlice))
+	base := fingerprintLeaves(baseline)
+	for k := range base {
+		if !strings.HasSuffix(k, arrayLen) {
 			g.Exact++
-			if fr.ConcMaxPause >= fr.SerialMaxPause {
-				g.fail(where, "pause bound broken: concurrent max pause %d ticks >= serial max pause %d ticks",
-					fr.ConcMaxPause, fr.SerialMaxPause)
-			}
 		}
 	}
-
-	// The serve benchmark, keyed by (executors, parallel). Counts,
-	// makespan, and the latency summaries are deterministic; the
-	// parallel-equivalence verdict is pinned true.
-	if baseline.Serve != nil {
-		freshServe := map[string]*ServeRow{}
-		if fresh.Serve != nil {
-			for i := range fresh.Serve.Rows {
-				r := &fresh.Serve.Rows[i]
-				freshServe[fmt.Sprintf("%d/%v", r.Executors, r.Parallel)] = r
-			}
-		}
-		for i := range baseline.Serve.Rows {
-			br := &baseline.Serve.Rows[i]
-			key := fmt.Sprintf("%d/%v", br.Executors, br.Parallel)
-			where := "serve/executors=" + key
-			fr, ok := freshServe[key]
-			if !ok {
-				g.fail(where, "serve row missing from fresh run")
-				continue
-			}
-			gateExact(g, where, "offered", br.Offered, fr.Offered)
-			gateExact(g, where, "admitted", br.Admitted, fr.Admitted)
-			gateExact(g, where, "rejected", br.Rejected, fr.Rejected)
-			gateExact(g, where, "rejected_share", br.RejectedShare, fr.RejectedShare)
-			gateExact(g, where, "completed", br.Completed, fr.Completed)
-			gateExact(g, where, "errors", br.Errors, fr.Errors)
-			gateExact(g, where, "makespan_ticks", br.MakespanTicks, fr.MakespanTicks)
-			gateServeHist(g, where, "latency", &br.Latency, &fr.Latency)
-			gateServeHist(g, where, "wait", &br.Wait, &fr.Wait)
-			gateServeHist(g, where, "service", &br.Service, &fr.Service)
-		}
-		if fresh.Serve != nil {
-			gateExact(g, "serve", "parallel_matches_det", true, fresh.Serve.ParallelMatchesDet)
-		}
-	}
-
-	// Host-time drift, on normalized ratios.
-	baseRatio, freshRatio := hostRatios(baseline), hostRatios(fresh)
-	keys := make([]string, 0, len(baseRatio))
-	for k := range baseRatio {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		br := baseRatio[k]
-		fr, ok := freshRatio[k]
-		if !ok || br <= 0 {
-			g.SkippedHost++
-			continue
-		}
-		g.Host++
-		if drift := fr/br - 1; drift > tol {
-			g.fail(k, "normalized host cost +%.0f%% over baseline (ratio %.2f -> %.2f, tolerance %.0f%%)",
-				100*drift, br, fr, 100*tol)
-		}
-	}
+	g.Findings = append(g.Findings, sanitize.FingerprintDiff("baseline", "fresh", base, fingerprintLeaves(fresh))...)
 	return g
-}
-
-// gateMetrics compares the deterministic counters of one state's
-// metrics block. Everything in the registry is virtual-time-derived and
-// schedule-deterministic, so the comparison is exact.
-func gateMetrics(g *GateReport, state string, base, fresh *trace.Metrics) {
-	w := state + "/metrics"
-	gateExact(g, w, "machine.switches", base.Machine.Switches, fresh.Machine.Switches)
-	gateExact(g, w, "machine.virtual_time_ticks", base.Machine.VirtualTimeTicks, fresh.Machine.VirtualTimeTicks)
-	gateExact(g, w, "interp.bytecodes", base.Interp.Bytecodes, fresh.Interp.Bytecodes)
-	gateExact(g, w, "interp.sends", base.Interp.Sends, fresh.Interp.Sends)
-	gateExact(g, w, "interp.cache_hits", base.Interp.CacheHits, fresh.Interp.CacheHits)
-	gateExact(g, w, "interp.cache_misses", base.Interp.CacheMisses, fresh.Interp.CacheMisses)
-	gateExact(g, w, "interp.ic_hits", base.Interp.ICHits, fresh.Interp.ICHits)
-	gateExact(g, w, "interp.ic_misses", base.Interp.ICMisses, fresh.Interp.ICMisses)
-	gateExact(g, w, "interp.dict_probes", base.Interp.DictProbes, fresh.Interp.DictProbes)
-	gateExact(g, w, "interp.primitives", base.Interp.Primitives, fresh.Interp.Primitives)
-	gateExact(g, w, "interp.process_switches", base.Interp.ProcessSwitches, fresh.Interp.ProcessSwitches)
-	// The standard states run with the template tier off, so these pin
-	// the default to zero: a tier that turns itself on shows up here.
-	gateExact(g, w, "interp.jit_compiles", base.Interp.JITCompiles, fresh.Interp.JITCompiles)
-	gateExact(g, w, "interp.jit_deopts", base.Interp.JITDeopts, fresh.Interp.JITDeopts)
-	gateExact(g, w, "interp.jit_bytecodes", base.Interp.JITBytecodes, fresh.Interp.JITBytecodes)
-	gateExact(g, w, "heap.allocations", base.Heap.Allocations, fresh.Heap.Allocations)
-	gateExact(g, w, "heap.allocated_words", base.Heap.AllocatedWords, fresh.Heap.AllocatedWords)
-	gateExact(g, w, "heap.scavenges", base.Heap.Scavenges, fresh.Heap.Scavenges)
-	gateExact(g, w, "heap.store_checks", base.Heap.StoreChecks, fresh.Heap.StoreChecks)
-	gateExact(g, w, "heap.scavenge_ticks", base.Heap.ScavengeTicks, fresh.Heap.ScavengeTicks)
-	gateExact(g, w, "heap.scavenge_max_pause_ticks", base.Heap.ScavengeMaxPause, fresh.Heap.ScavengeMaxPause)
-	gateExact(g, w, "heap.full_gc_max_pause_ticks", base.Heap.FullGCMaxPause, fresh.Heap.FullGCMaxPause)
-	gateLatency(g, w+"/latency", base.Latency, fresh.Latency)
-}
-
-// gateHist pins one histogram exactly: the counts are virtual-time
-// samples dropped into fixed buckets, so in deterministic mode every
-// bucket is bit-reproducible — the derived percentiles follow for free.
-func gateHist(g *GateReport, where, what string, base, fresh *trace.HistSnapshot) {
-	gateExact(g, where, what+".count", base.Count, fresh.Count)
-	gateExact(g, where, what+".sum", base.Sum, fresh.Sum)
-	gateExact(g, where, what+".max", base.Max, fresh.Max)
-	gateExact(g, where, what+".buckets", fmt.Sprint(base.Buckets), fmt.Sprint(fresh.Buckets))
-}
-
-// gateServeHist pins a serve latency summary: the serve rows drop
-// their bucket vectors to keep the report small, so the gate compares
-// the summary columns (which the percentiles are derived from) exactly.
-func gateServeHist(g *GateReport, where, what string, base, fresh *trace.HistSnapshot) {
-	gateExact(g, where, what+".count", base.Count, fresh.Count)
-	gateExact(g, where, what+".sum", base.Sum, fresh.Sum)
-	gateExact(g, where, what+".max", base.Max, fresh.Max)
-	gateExact(g, where, what+".p50", base.P50, fresh.P50)
-	gateExact(g, where, what+".p95", base.P95, fresh.P95)
-	gateExact(g, where, what+".p99", base.P99, fresh.P99)
-}
-
-// gateLatency compares the schema-3 latency section. Either both runs
-// carry it or neither does; an asymmetry means the histograms knob
-// changed, which is itself a regression.
-func gateLatency(g *GateReport, w string, base, fresh *trace.LatencyMetrics) {
-	if base == nil && fresh == nil {
-		return
-	}
-	if base == nil || fresh == nil {
-		g.fail(w, "latency section present=%v in baseline, present=%v in fresh run",
-			base != nil, fresh != nil)
-		return
-	}
-	gateHist(g, w, "scavenge_pause", &base.ScavengePause, &fresh.ScavengePause)
-	gateHist(g, w, "scav_rendezvous", &base.ScavRendezvous, &fresh.ScavRendezvous)
-	gateHist(g, w, "scav_copy", &base.ScavCopy, &fresh.ScavCopy)
-	gateHist(g, w, "scav_term", &base.ScavTerm, &fresh.ScavTerm)
-	gateHist(g, w, "full_gc_pause", &base.FullGCPause, &fresh.FullGCPause)
-	gateHist(g, w, "conc_mark_pause", &base.ConcMarkPause, &fresh.ConcMarkPause)
-	gateHist(g, w, "conc_mark_slice", &base.ConcMarkSlice, &fresh.ConcMarkSlice)
-	gateHist(g, w, "dispatch", &base.Dispatch, &fresh.Dispatch)
-	freshLocks := map[string]*trace.LockWaitSnapshot{}
-	for i := range fresh.LockWait {
-		freshLocks[fresh.LockWait[i].Name] = &fresh.LockWait[i]
-	}
-	gateExact(g, w, "lock_wait series", len(base.LockWait), len(fresh.LockWait))
-	for i := range base.LockWait {
-		bl := &base.LockWait[i]
-		fl, ok := freshLocks[bl.Name]
-		if !ok {
-			g.fail(w, "lock-wait series %q missing from fresh run", bl.Name)
-			continue
-		}
-		gateHist(g, w, "lock_wait/"+bl.Name, &bl.Hist, &fl.Hist)
-	}
-	gateExact(g, w, "critical_paths", fmt.Sprint(base.CriticalPaths), fmt.Sprint(fresh.CriticalPaths))
 }
 
 // Format renders the gate verdict for terminal output.
 func (g *GateReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "bench gate vs %s (tolerance %.0f%%)\n", g.BaselinePath, 100*g.Tolerance)
-	fmt.Fprintf(&b, "  %d exact checks, %d host-ratio checks (%d skipped under noise floor)\n",
-		g.Exact, g.Host, g.SkippedHost)
+	fmt.Fprintf(&b, "bench gate vs %s\n", g.BaselinePath)
+	fmt.Fprintf(&b, "  %d deterministic leaves pinned\n", g.Exact)
 	if g.OK() {
 		b.WriteString("  PASS\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "  FAIL: %d finding(s)\n", len(g.Findings))
-	for _, f := range g.Findings {
-		fmt.Fprintf(&b, "    %-40s %s\n", f.Where, f.Detail)
+	for i, f := range g.Findings {
+		if i == maxPrintedFindings {
+			fmt.Fprintf(&b, "    ... and %d more\n", len(g.Findings)-i)
+			break
+		}
+		fmt.Fprintf(&b, "    %s\n", f)
 	}
 	return b.String()
-}
-
-// Fingerprint writes the report with every host-time field zeroed —
-// the deterministic residue. The CI determinism job runs the suite
-// twice and diffs the two fingerprints byte-for-byte; any difference
-// means the simulator leaked host state into virtual results.
-func Fingerprint(r *JSONReport, w io.Writer) error {
-	cp := *r
-	cp.Table2 = make([]JSONState, len(r.Table2))
-	for i, st := range r.Table2 {
-		cp.Table2[i] = st
-		cp.Table2[i].Benches = make([]JSONBench, len(st.Benches))
-		for j, b := range st.Benches {
-			b.HostNS = 0
-			cp.Table2[i].Benches[j] = b
-		}
-	}
-	if r.Sanitize != nil {
-		san := *r.Sanitize
-		san.Rows = make([]SanitizeRow, len(r.Sanitize.Rows))
-		for i, row := range r.Sanitize.Rows {
-			row.HostPlainNS, row.HostCheckNS, row.OverheadPct = 0, 0, 0
-			san.Rows[i] = row
-		}
-		cp.Sanitize = &san
-	}
-	cp.Parallel = nil // wall-clock by definition
-	// ParScavenge and ConcMark stay: their columns are virtual ticks
-	// and counters, deterministic by construction.
-	if r.JIT != nil {
-		jr := *r.JIT
-		jr.Rows = make([]JITRow, len(r.JIT.Rows))
-		for i, row := range r.JIT.Rows {
-			row.InterpNS, row.JITNS, row.Speedup = 0, 0, 0
-			jr.Rows[i] = row
-		}
-		jr.MedianSpeedup = 0
-		cp.JIT = &jr
-	}
-	if r.Serve != nil {
-		sr := *r.Serve
-		sr.Rows = make([]ServeRow, len(r.Serve.Rows))
-		for i, row := range r.Serve.Rows {
-			row.HostNS = 0
-			sr.Rows[i] = row
-		}
-		cp.Serve = &sr
-	}
-	return cp.Write(w)
 }

@@ -116,19 +116,19 @@ ivarStorm
 // JITRow is one workload measured on both tiers.
 type JITRow struct {
 	Workload  string  `json:"workload"`
-	VirtualMS int64   `json:"virtual_ms"`         // summed over reps; identical on both tiers
-	InterpNS  int64   `json:"interp_host_ns"`     // host time, tier off
-	JITNS     int64   `json:"jit_host_ns"`        // host time, tier on
-	Speedup   float64 `json:"speedup"`            // InterpNS / JITNS
-	Compiles  uint64  `json:"jit_compiles"`       // methods compiled during the workload
-	Deopts    uint64  `json:"jit_deopts"`         // bailouts during the workload
-	JITShare  float64 `json:"jit_bytecode_share"` // fraction of bytecodes run compiled
+	VirtualMS int64   `json:"virtual_ms"`                  // summed over reps; identical on both tiers
+	InterpNS  int64   `json:"interp_host_ns" bench:"host"` // host time, tier off
+	JITNS     int64   `json:"jit_host_ns" bench:"host"`    // host time, tier on
+	Speedup   float64 `json:"speedup" bench:"host"`        // InterpNS / JITNS
+	Compiles  uint64  `json:"jit_compiles"`                // methods compiled during the workload
+	Deopts    uint64  `json:"jit_deopts"`                  // bailouts during the workload
+	JITShare  float64 `json:"jit_bytecode_share"`          // fraction of bytecodes run compiled
 }
 
 // JITReport is the full ablation.
 type JITReport struct {
 	Rows          []JITRow `json:"rows"`
-	MedianSpeedup float64  `json:"median_speedup"`
+	MedianSpeedup float64  `json:"median_speedup" bench:"host"`
 }
 
 func jitTierSystem(jit bool) (*core.System, error) {

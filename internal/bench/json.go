@@ -19,7 +19,7 @@ import (
 type JSONBench struct {
 	Name      string `json:"name"`
 	VirtualMS int64  `json:"virtual_ms"`
-	HostNS    int64  `json:"host_ns"`
+	HostNS    int64  `json:"host_ns" bench:"host"`
 }
 
 // JSONState is one system state's results: per-benchmark times plus the
@@ -60,7 +60,7 @@ type JSONReport struct {
 	// Parallel is additive too: the -parallel host sweep, present only
 	// when it was requested (its wall-clock numbers are machine-bound,
 	// so it never participates in the gate or the fingerprint).
-	Parallel *ParallelReport `json:"parallel,omitempty"`
+	Parallel *ParallelReport `json:"parallel,omitempty" bench:"host"`
 	// ParScavenge is the parallel-scavenging ablation. Unlike the host
 	// sweep it is virtual-time deterministic, so it rides in the gate
 	// and the fingerprint.

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"time"
 
@@ -46,9 +48,9 @@ type SanitizeRow struct {
 	AccessChecks uint64  `json:"access_checks"`
 	BarrierScans uint64  `json:"barrier_scans"`
 	BarrierWords uint64  `json:"barrier_words"`
-	HostPlainNS  int64   `json:"host_plain_ns"`
-	HostCheckNS  int64   `json:"host_checked_ns"`
-	OverheadPct  float64 `json:"host_overhead_pct"`
+	HostPlainNS  int64   `json:"host_plain_ns" bench:"host"`
+	HostCheckNS  int64   `json:"host_checked_ns" bench:"host"`
+	OverheadPct  float64 `json:"host_overhead_pct" bench:"host"`
 }
 
 // SanitizeReport is the full msbench -sanitize result.
@@ -71,7 +73,7 @@ func (r *SanitizeReport) Clean() bool {
 // sanitizeRun boots one state (optionally sanitized), runs the macro
 // benchmarks, and returns the per-benchmark virtual times, the final
 // metrics fingerprint, the checker (nil when off), and host wall time.
-func sanitizeRun(st State, sanitized bool) ([]int64, map[string]int64, *sanitize.Checker, int64, error) {
+func sanitizeRun(st State, sanitized bool) ([]int64, map[string]string, *sanitize.Checker, int64, error) {
 	cfg := st.Config()
 	cfg.Sanitize = sanitized
 	cfg.ExtraSources = append(cfg.ExtraSources, benchmarkSource)
@@ -95,48 +97,61 @@ func sanitizeRun(st State, sanitized bool) ([]int64, map[string]int64, *sanitize
 		ms = append(ms, v)
 	}
 	host := time.Since(t0).Nanoseconds()
-	fp := metricsFingerprint(sys)
+	fp := flatten("metrics", sys.Metrics())
 	return ms, fp, sys.Sanitizer(), host, nil
 }
 
-// metricsFingerprint flattens the system's full metrics registry into
-// counter-name → value, the shape sanitize.FingerprintDiff compares.
-// Floats are scaled to parts-per-million; strings are folded into the
-// key so a changed name shows up as a missing counter.
-func metricsFingerprint(sys *core.System) map[string]int64 {
-	out := map[string]int64{}
-	data, err := json.Marshal(sys.Metrics())
+// flatten marshals v and flattens its JSON tree to leaf path → JSON
+// literal, the shape sanitize.FingerprintDiff compares. Numbers keep
+// their literal text (json.Number), so no float64 round trip can merge
+// two distinct uint64s above 2^53.
+func flatten(root string, v any) map[string]string {
+	var tree any
+	data, err := json.Marshal(v)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		err = dec.Decode(&tree)
+	}
 	if err != nil {
-		out["!marshal-error"] = 1
-		return out
+		return map[string]string{"!json-error": err.Error()}
 	}
-	var v interface{}
-	if err := json.Unmarshal(data, &v); err != nil {
-		out["!unmarshal-error"] = 1
-		return out
-	}
-	flattenJSON("metrics", v, out)
+	out := map[string]string{}
+	flattenJSON(root, tree, out)
 	return out
 }
 
-func flattenJSON(key string, v interface{}, out map[string]int64) {
+// arrayLen suffixes the pseudo-leaf carrying an array's length. It
+// sorts ahead of the array's rows, so a row added or removed reads as
+// a length mismatch first and the cascade of shifted rows after it.
+const arrayLen = "[#]"
+
+func joinPath(key, k string) string {
+	if key == "" {
+		return k
+	}
+	return key + "." + k
+}
+
+func flattenJSON(key string, v any, out map[string]string) {
 	switch v := v.(type) {
-	case map[string]interface{}:
+	case map[string]any:
 		for k, sub := range v {
-			flattenJSON(key+"."+k, sub, out)
+			flattenJSON(joinPath(key, k), sub, out)
 		}
-	case []interface{}:
+	case []any:
+		out[key+arrayLen] = strconv.Itoa(len(v))
 		for i, sub := range v {
 			flattenJSON(fmt.Sprintf("%s[%d]", key, i), sub, out)
 		}
-	case float64:
-		out[key] = int64(v * 1e6)
-	case bool:
-		if v {
-			out[key] = 1
-		}
+	case json.Number:
+		out[key] = v.String()
 	case string:
-		out[key+"="+v] = 1
+		out[key] = strconv.Quote(v)
+	case bool:
+		out[key] = strconv.FormatBool(v)
+	case nil:
+		out[key] = "null"
 	}
 }
 
@@ -189,7 +204,7 @@ func RunSanitizeStatic(staticEdges []string) (*SanitizeReport, error) {
 			row.Divergences = append(row.Divergences,
 				fmt.Sprintf("virtual times: off=%v on=%v", plainMs, checkMs))
 		}
-		row.Divergences = append(row.Divergences, sanitize.FingerprintDiff(plainFP, checkFP)...)
+		row.Divergences = append(row.Divergences, sanitize.FingerprintDiff("off", "on", plainFP, checkFP)...)
 		row.Identical = len(row.Divergences) == 0
 		r.Rows = append(r.Rows, row)
 	}

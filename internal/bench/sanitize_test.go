@@ -30,7 +30,7 @@ func TestSanitizeRunIdenticalAndClean(t *testing.T) {
 	if !reflect.DeepEqual(plainMs, checkMs) {
 		t.Errorf("virtual times diverge: off=%v on=%v", plainMs, checkMs)
 	}
-	if diff := sanitize.FingerprintDiff(plainFP, checkFP); len(diff) != 0 {
+	if diff := sanitize.FingerprintDiff("off", "on", plainFP, checkFP); len(diff) != 0 {
 		t.Errorf("metrics diverge: %v", diff)
 	}
 	if cs := san.Stats(); cs.LockEvents == 0 || cs.AccessChecks == 0 || cs.BarrierScans == 0 {
@@ -65,17 +65,22 @@ func TestSanitizeReportFormat(t *testing.T) {
 }
 
 func TestMetricsFingerprintFlattens(t *testing.T) {
-	out := map[string]int64{}
-	flattenJSON("m", map[string]interface{}{
-		"counts": []interface{}{float64(3), float64(4.5)},
+	out := flatten("m", map[string]any{
+		"counts": []any{3, 4.5, uint64(1<<63 + 1)},
 		"name":   "alloc",
 		"on":     true,
-	}, out)
-	want := map[string]int64{
-		"m.counts[0]":  3_000_000,
-		"m.counts[1]":  4_500_000,
-		"m.name=alloc": 1,
-		"m.on":         1,
+		"off":    false,
+		"none":   nil,
+	})
+	want := map[string]string{
+		"m.counts[#]": "3",
+		"m.counts[0]": "3",
+		"m.counts[1]": "4.5",
+		"m.counts[2]": "9223372036854775809",
+		"m.name":      `"alloc"`,
+		"m.on":        "true",
+		"m.off":       "false",
+		"m.none":      "null",
 	}
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("flatten = %v, want %v", out, want)

@@ -45,7 +45,7 @@ type ServeRow struct {
 	Latency       trace.HistSnapshot `json:"latency"`
 	Wait          trace.HistSnapshot `json:"wait"`
 	Service       trace.HistSnapshot `json:"service"`
-	HostNS        int64              `json:"host_ns"`
+	HostNS        int64              `json:"host_ns" bench:"host"`
 }
 
 // ServeBenchReport is the full serve section.

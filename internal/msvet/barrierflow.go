@@ -5,8 +5,8 @@ import (
 	"go/token"
 )
 
-// barrierflow: flow-based replacement for heapwrite's old file
-// allowlist. The invariant: every store of a word into object memory
+// barrierflow: the heap-store discipline, checked per function over
+// the call graph. The invariant: every store of a word into object memory
 // (`X.mem[i] = v`, `copy(X.mem[...], ...)`, atomic stores/CAS on
 // `&X.mem[i]`) must reach the write barrier's store check — which in
 // this codebase means the store must sit in one of exactly two kinds
@@ -27,6 +27,12 @@ import (
 // message names one such path root, which is the smoking gun for
 // mutator-visible barrier bypass.
 //
+// One file gets no exemption at all: internal/heap/verify.go, the
+// write-barrier *verifier*, is read-only by construction and must stay
+// that way — a write there would let the checker perturb what it
+// checks, and the rules above alone would wave it through (the
+// verifier runs inside the STW window).
+//
 // Soundness: function granularity, not per-store def-use chains — a
 // function that both zeroes fresh memory and stores mutator-visible
 // OOPs would need (and deserve) a split before it could be annotated
@@ -43,6 +49,12 @@ var BarrierflowAnalyzer = &Analyzer{
 		for _, node := range m.Graph().Nodes {
 			stores := rawMemStores(m, node)
 			if len(stores) == 0 {
+				continue
+			}
+			if node.Pkg.Path == "internal/heap" && node.File.Name == "verify.go" {
+				for _, s := range stores {
+					pass.Reportf(s.pos, "write-barrier verifier must stay read-only: %s writes heap memory", s.expr)
+				}
 				continue
 			}
 			if _, ok := m.Ann.HeapWriter[node.Fn]; ok {
@@ -173,4 +185,38 @@ func (m *Module) exportedReach() map[*FuncNode]*FuncNode {
 		}
 	}
 	return roots
+}
+
+// memTarget reports whether e is an index into a `.mem` field
+// (or a local named mem).
+func memTarget(e ast.Expr) bool {
+	idx, ok := e.(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	return isMemExpr(idx.X)
+}
+
+// memSlice reports whether e slices or names heap memory
+// (`X.mem[a:b]`, `X.mem`).
+func memSlice(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SliceExpr:
+		return isMemExpr(e.X)
+	case *ast.IndexExpr:
+		return isMemExpr(e.X)
+	default:
+		return isMemExpr(e)
+	}
+}
+
+func isMemExpr(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		return e.Sel.Name == "mem"
+	case *ast.Ident:
+		return e.Name == "mem"
+	default:
+		return false
+	}
 }

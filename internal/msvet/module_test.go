@@ -2,6 +2,7 @@ package msvet
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -109,6 +110,59 @@ func TestBarrierflowFixtureCleanTwin(t *testing.T) {
 	got := fixtureFindings(t, BarrierflowAnalyzer, "barrierflow_ok")
 	if len(got) != 0 {
 		t.Fatalf("clean twin has findings: %v", got)
+	}
+}
+
+// The write-barrier verifier is the one file with no exemption: its
+// stores are findings even in an annotated funnel (patch) and even via
+// copy, while the same annotated store next door in the collector
+// (scavenge.go) stays legal. The module is written out on the fly
+// because the rule keys on the real path internal/heap/verify.go.
+func TestHeapwriteVerifierStaysReadOnly(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module fixture\n\ngo 1.22\n",
+		"internal/heap/heap.go": `package heap
+
+type Heap struct{ mem []uint64 }
+`,
+		"internal/heap/scavenge.go": `package heap
+
+//msvet:heap-writer collector moving an object wholesale
+func (h *Heap) move(dst, src uint64) { h.mem[dst] = h.mem[src] }
+`,
+		"internal/heap/verify.go": `package heap
+
+//msvet:heap-writer an annotation must not buy the verifier a write
+func (h *Heap) patch(addr, v uint64) {
+	h.mem[addr] = v
+	copy(h.mem[addr:], []uint64{v})
+}
+`,
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := LoadTyped(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunSuite(mod, []*Analyzer{BarrierflowAnalyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %d findings, want 2 (the assignment and the copy): %v", len(got), got)
+	}
+	for _, f := range got {
+		if filepath.Base(f.Pos.Filename) != "verify.go" || !strings.Contains(f.Message, "read-only") {
+			t.Errorf("unexpected finding %v, want only read-only findings in verify.go", f)
+		}
 	}
 }
 

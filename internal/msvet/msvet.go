@@ -12,10 +12,6 @@
 //   - traceguard: trace/sanitize hook emissions are guarded by nil
 //     checks, so detached observers cost one pointer test and can
 //     never panic.
-//   - heapwrite:  fast lexical pre-pass: no raw writes to heap words
-//     (`.mem[...]`) outside internal/heap (and none at all in the
-//     read-only write-barrier verifier); inside internal/heap the
-//     flow-based barrierflow analyzer polices function granularity.
 //   - costcharge: internal/jit never invents a virtual-time cost —
 //     literal firefly.Time values, .Advance calls, and literal Cost
 //     fields are forbidden there; compiled bytecodes must charge
@@ -37,7 +33,10 @@
 //   - barrierflow: every raw store into object memory (`.mem[...]`)
 //     must sit in a //msvet:heap-writer-annotated funnel or in
 //     STW-reachable collector code, so helper-function indirection
-//     cannot smuggle an unbarriered store past the old file allowlist.
+//     cannot smuggle an unbarriered store past a file allowlist — and
+//     none at all in the read-only write-barrier verifier. (Outside
+//     internal/heap the Go compiler already enforces it: Heap.mem is
+//     unexported and never returned.)
 //   - lockorder:   extracts the static lock-acquisition-order graph
 //     across the call graph, reports static cycles, and emits the
 //     graph as deterministic JSON (`msvet -lockgraph`) for mscheck's
@@ -123,7 +122,6 @@ func Analyzers() []*Analyzer {
 		VirttimeAnalyzer,
 		LockpairAnalyzer,
 		TraceguardAnalyzer,
-		HeapwriteAnalyzer,
 		CostchargeAnalyzer,
 		StwsafeAnalyzer,
 		AtomicguardAnalyzer,

@@ -432,88 +432,6 @@ func unguardedSite(h *Heap, id int, words int64) {
 	wantFindings(t, got, 2, "not nil-guarded")
 }
 
-// ---- heapwrite ----
-
-func TestHeapwriteFlagsDirectWrite(t *testing.T) {
-	got := runOn(t, HeapwriteAnalyzer, "internal/interp", map[string]string{
-		"bad.go": `package interp
-func f(h *Heap, addr uint64, v uint64) {
-	h.mem[addr] = v
-	copy(h.mem[addr:], []uint64{v})
-}
-`,
-	})
-	wantFindings(t, got, 2, "store check")
-}
-
-func TestHeapwriteVerifierStaysReadOnly(t *testing.T) {
-	got := runOn(t, HeapwriteAnalyzer, "internal/heap", map[string]string{
-		"verify.go": `package heap
-func (h *Heap) patch(addr uint64, v uint64) {
-	h.mem[addr] = v
-}
-`,
-	})
-	wantFindings(t, got, 1, "read-only")
-}
-
-func TestHeapwriteAllowsCollectorFiles(t *testing.T) {
-	got := runOn(t, HeapwriteAnalyzer, "internal/heap", map[string]string{
-		"scavenge.go": `package heap
-func (h *Heap) move(dst, src uint64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		h.mem[dst+i] = h.mem[src+i]
-	}
-}
-`,
-	})
-	wantFindings(t, got, 0, "")
-}
-
-func TestHeapwriteInsideHeapOnlyVerifierChecked(t *testing.T) {
-	// Since the file allowlist was retired, the lexical pass inside
-	// internal/heap polices only the write-barrier verifier (read-only
-	// by construction); every other collector file is barrierflow's
-	// call-graph-aware job.
-	got := runOn(t, HeapwriteAnalyzer, "internal/heap", map[string]string{
-		"worklist.go": `package heap
-func (w *worklist) stash(h *Heap, addr, v uint64) {
-	h.mem[addr] = v
-}
-`,
-		"verify.go": `package heap
-func (h *Heap) patch(addr, v uint64) {
-	h.mem[addr] = v
-}
-`,
-	})
-	wantFindings(t, got, 1, "read-only")
-	if got[0].Pos.Filename != "verify.go" {
-		t.Errorf("finding in %s, want verify.go", got[0].Pos.Filename)
-	}
-}
-
-func TestHeapwriteHonorsFunnelAnnotation(t *testing.T) {
-	// Outside internal/heap a lexical //msvet:heap-writer doc directive
-	// exempts the function (the flow-based analyzers audit the
-	// annotation's honesty).
-	got := runOn(t, HeapwriteAnalyzer, "internal/interp", map[string]string{
-		"mixed.go": `package interp
-//msvet:heap-writer image loader writing pre-publication memory
-func load(h *Heap, addr, v uint64) {
-	h.mem[addr] = v
-}
-func poke(h *Heap, addr, v uint64) {
-	h.mem[addr] = v
-}
-`,
-	})
-	wantFindings(t, got, 1, "store check")
-	if got[0].Pos.Line != 7 {
-		t.Errorf("finding at line %d, want 7 (the unannotated poke)", got[0].Pos.Line)
-	}
-}
-
 // ---- costcharge ----
 
 func TestCostchargeFlagsInventedCosts(t *testing.T) {
@@ -592,14 +510,14 @@ func TestAnalyzersComplete(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"virttime", "lockpair", "traceguard", "heapwrite", "costcharge",
+		"virttime", "lockpair", "traceguard", "costcharge",
 		"stwsafe", "atomicguard", "barrierflow", "lockorder",
 	} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
 	}
-	if len(names) != 9 {
-		t.Errorf("suite has %d analyzers, want 9", len(names))
+	if len(names) != 8 {
+		t.Errorf("suite has %d analyzers, want 8", len(names))
 	}
 }

@@ -206,16 +206,16 @@ func TestLockOrderCycleDeterminism(t *testing.T) {
 func TestFingerprintDiff(t *testing.T) {
 	a := map[string]int64{"vms": 100, "sends": 500, "scavenges": 3}
 	b := map[string]int64{"vms": 100, "sends": 501, "scavenges": 3}
-	if d := FingerprintDiff(a, a); len(d) != 0 {
+	if d := FingerprintDiff("off", "on", a, a); len(d) != 0 {
 		t.Fatalf("identical fingerprints diff: %v", d)
 	}
-	d := FingerprintDiff(a, b)
+	d := FingerprintDiff("off", "on", a, b)
 	if len(d) != 1 || !strings.Contains(d[0], "sends") {
 		t.Fatalf("diff = %v, want one line naming sends", d)
 	}
 	// Missing keys on either side are reported, deterministically sorted.
 	c := map[string]int64{"vms": 100}
-	d = FingerprintDiff(a, c)
+	d = FingerprintDiff("off", "on", a, c)
 	if len(d) != 2 || !strings.Contains(d[0], "scavenges") || !strings.Contains(d[1], "sends") {
 		t.Fatalf("diff = %v, want sorted lines for scavenges and sends", d)
 	}

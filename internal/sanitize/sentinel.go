@@ -5,32 +5,31 @@ import (
 	"sort"
 )
 
-// FingerprintDiff is the determinism sentinel's comparison primitive:
-// given two named-counter snapshots (virtual times, interpreter and
-// heap counters) from a sanitizer-off and a sanitizer-on run, it
-// returns one line per divergent or missing counter, sorted by name.
-// An empty result means the runs are bit-identical — the checker was
-// pure observation. The golden tests build the fingerprints from
-// core.Stats and the per-benchmark virtual times.
-func FingerprintDiff(off, on map[string]int64) []string {
+// FingerprintDiff is the determinism comparison primitive: given two
+// named-leaf snapshots of runs that must be bit-identical — the
+// sanitizer-off and sanitizer-on twins, or msbench -gate's baseline and
+// fresh reports — it returns one line per divergent or missing leaf,
+// sorted by name. aName and bName label the two sides in the lines. An
+// empty result means the runs are bit-identical.
+func FingerprintDiff[V comparable](aName, bName string, a, b map[string]V) []string {
 	names := map[string]bool{}
-	for k := range off {
+	for k := range a {
 		names[k] = true
 	}
-	for k := range on {
+	for k := range b {
 		names[k] = true
 	}
 	var diffs []string
 	for k := range names {
-		a, aok := off[k]
-		b, bok := on[k]
+		av, aok := a[k]
+		bv, bok := b[k]
 		switch {
 		case !aok:
-			diffs = append(diffs, fmt.Sprintf("%s: missing in sanitizer-off run (on=%d)", k, b))
+			diffs = append(diffs, fmt.Sprintf("%s: missing in %s run (%s=%v)", k, aName, bName, bv))
 		case !bok:
-			diffs = append(diffs, fmt.Sprintf("%s: missing in sanitizer-on run (off=%d)", k, a))
-		case a != b:
-			diffs = append(diffs, fmt.Sprintf("%s: off=%d on=%d", k, a, b))
+			diffs = append(diffs, fmt.Sprintf("%s: missing in %s run (%s=%v)", k, bName, aName, av))
+		case av != bv:
+			diffs = append(diffs, fmt.Sprintf("%s: %s=%v %s=%v", k, aName, av, bName, bv))
 		}
 	}
 	sort.Strings(diffs)
