@@ -1,8 +1,8 @@
 // Command msvet runs the repository's custom vet suite (see
-// internal/msvet): the lexical passes (virttime, lockpair, traceguard,
-// costcharge) and the call-graph-aware module passes (stwsafe,
-// atomicguard, barrierflow, lockorder) over the whole module, and exits
-// non-zero on any finding.
+// internal/msvet): the lexical passes (virttime, lockpair, costcharge)
+// and the call-graph-aware module passes (stwsafe, atomicguard,
+// barrierflow, lockorder) over the whole module, and exits non-zero on
+// any finding.
 //
 // Usage:
 //

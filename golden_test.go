@@ -34,197 +34,166 @@ var goldenStats = map[string]struct {
 	"ms-busy":  {117828, 114769, 3059, 10428},
 }
 
-// TestGoldenTraceInvariance: attaching the flight recorder and the
-// selector profiler must not move virtual time or any counter. Every
-// emission happens host-side behind a nil check; this test is the
-// enforcement — each standard state runs once untraced and once with
-// both observers on, and the virtual times and the complete Stats
-// snapshot must match bit-for-bit.
-func TestGoldenTraceInvariance(t *testing.T) {
+var goldenMacros = []string{"printClassHierarchy", "decompileClass"}
+
+// goldenOutcome is what the invariance tests compare: the virtual
+// times of the two golden macros and the complete Stats snapshot.
+type goldenOutcome struct {
+	vms   []int64
+	stats core.Stats
+}
+
+// runGolden boots st with attach applied to its config, runs the two
+// golden macros, and hands the still-live system to inspect. A nil
+// attach and inspect give the plain run.
+func runGolden(t *testing.T, st bench.State, attach func(*core.Config),
+	inspect func(*testing.T, *core.System, goldenOutcome)) goldenOutcome {
+	if attach != nil {
+		base := st.Config
+		st.Config = func() core.Config {
+			cfg := base()
+			attach(&cfg)
+			return cfg
+		}
+	}
+	sys, err := bench.NewBenchSystem(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	var o goldenOutcome
+	for _, b := range goldenMacros {
+		vms, err := bench.RunMacro(sys, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.vms = append(o.vms, vms)
+	}
+	o.stats = sys.Stats()
+	if inspect != nil {
+		inspect(t, sys, o)
+	}
+	return o
+}
+
+// plainGolden holds each standard state's outcome with no observer
+// attached, run once and shared by every invariance test.
+var plainGolden = map[string]goldenOutcome{}
+
+// observerInvariance is the observers' whole contract: recording
+// happens host-side only, so attaching them must leave the golden
+// virtual times and the complete Stats snapshot bit-identical to the
+// plain run in every standard state. inspect checks that the attached
+// observers actually saw the run.
+func observerInvariance(t *testing.T, what string, attach func(*core.Config),
+	inspect func(*testing.T, *core.System, goldenOutcome)) {
 	for _, st := range bench.StandardStates() {
 		st := st
 		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
+			plain, ok := plainGolden[st.Name]
+			if !ok {
+				plain = runGolden(t, st, nil, nil)
+				plainGolden[st.Name] = plain
 			}
-			run := func(observed bool) outcome {
-				s := st
-				if observed {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.TraceEvents = trace.DefaultRingSize
-						cfg.Profile = true
-						return cfg
-					}
+			observed := runGolden(t, st, attach, inspect)
+			for i, b := range goldenMacros {
+				if want := goldenVMS[st.Name][b]; observed.vms[i] != want {
+					t.Errorf("%s %s with %s on: vms = %d, want golden %d", st.Name, b, what, observed.vms[i], want)
 				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				if observed {
-					if sys.Metrics().Trace.Events == 0 {
-						t.Error("observed run recorded no events")
-					}
-				}
-				return o
 			}
-			plain, observed := run(false), run(true)
 			if !reflect.DeepEqual(plain.vms, observed.vms) {
-				t.Errorf("%s: virtual times diverge with tracing on: %v vs %v",
-					st.Name, plain.vms, observed.vms)
+				t.Errorf("%s: virtual times diverge with %s on: %v vs %v",
+					st.Name, what, plain.vms, observed.vms)
 			}
 			if !reflect.DeepEqual(plain.stats, observed.stats) {
-				t.Errorf("%s: stats diverge with tracing on:\nuntraced: %+v\ntraced:   %+v",
-					st.Name, plain.stats, observed.stats)
+				t.Errorf("%s: stats diverge with %s on:\nplain:    %+v\nobserved: %+v",
+					st.Name, what, plain.stats, observed.stats)
 			}
 		})
 	}
 }
 
-// TestGoldenHistogramInvariance: the latency histograms and the
-// allocation-site profiler must be as invisible as the flight recorder.
-// Every recording site is a nil-guarded host-side observation — pause
-// and phase ticks, dispatch latency, per-lock waits, allocation-site
-// attribution — so turning them all on must leave the virtual times and
-// the complete Stats snapshot bit-identical in every standard state.
-func TestGoldenHistogramInvariance(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func(observed bool) outcome {
-				s := st
-				if observed {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.Histograms = true
-						cfg.AllocProfile = true
-						return cfg
-					}
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				if observed {
-					lat := sys.Metrics().Latency
-					if lat == nil {
-						t.Fatal("observed run has no latency section")
-					}
-					if lat.Dispatch.Count == 0 {
-						t.Error("observed run recorded no dispatch latencies")
-					}
-					if o.stats.Heap.Scavenges > 0 && lat.ScavengePause.Count == 0 {
-						t.Error("scavenges ran but recorded no pause samples")
-					}
-					if rep, err := sys.AllocProfileReport(10); err != nil || rep == "" {
-						t.Errorf("allocation profile unavailable: %v", err)
-					}
-				}
-				return o
-			}
-			plain, observed := run(false), run(true)
-			if !reflect.DeepEqual(plain.vms, observed.vms) {
-				t.Errorf("%s: virtual times diverge with histograms on: %v vs %v",
-					st.Name, plain.vms, observed.vms)
-			}
-			if !reflect.DeepEqual(plain.stats, observed.stats) {
-				t.Errorf("%s: stats diverge with histograms on:\nplain:    %+v\nobserved: %+v",
-					st.Name, plain.stats, observed.stats)
-			}
-		})
+func inspectTrace(t *testing.T, sys *core.System, _ goldenOutcome) {
+	if sys.Metrics().Trace.Events == 0 {
+		t.Error("observed run recorded no events")
 	}
+	if rep, err := sys.ProfileReport(10); err != nil || rep == "" {
+		t.Errorf("selector profile unavailable: %v", err)
+	}
+}
+
+func inspectHistograms(t *testing.T, sys *core.System, o goldenOutcome) {
+	lat := sys.Metrics().Latency
+	if lat == nil {
+		t.Fatal("observed run has no latency section")
+	}
+	if lat.Dispatch.Count == 0 {
+		t.Error("observed run recorded no dispatch latencies")
+	}
+	if o.stats.Heap.Scavenges > 0 && lat.ScavengePause.Count == 0 {
+		t.Error("scavenges ran but recorded no pause samples")
+	}
+	if rep, err := sys.AllocProfileReport(10); err != nil || rep == "" {
+		t.Errorf("allocation profile unavailable: %v", err)
+	}
+}
+
+func inspectSanitizer(t *testing.T, sys *core.System, _ goldenOutcome) {
+	san := sys.Sanitizer()
+	if san == nil {
+		t.Fatal("sanitizer did not attach")
+	}
+	if !san.Clean() {
+		t.Errorf("sanitizer found violations on the real workload:\n%s", san.Report())
+	}
+	if cs := san.Stats(); cs.AccessChecks == 0 || cs.BarrierScans == 0 {
+		t.Errorf("sanitizer did no checking: %+v", cs)
+	}
+}
+
+// TestGoldenTraceInvariance: attaching the flight recorder and the
+// selector profiler must not move virtual time or any counter.
+func TestGoldenTraceInvariance(t *testing.T) {
+	observerInvariance(t, "tracing", func(cfg *core.Config) {
+		cfg.TraceEvents = trace.DefaultRingSize
+		cfg.Profile = true
+	}, inspectTrace)
+}
+
+// TestGoldenHistogramInvariance: the latency histograms (pause and
+// phase ticks, dispatch latency, per-lock waits) and the allocation-site
+// profiler must be as invisible as the flight recorder.
+func TestGoldenHistogramInvariance(t *testing.T) {
+	observerInvariance(t, "histograms", func(cfg *core.Config) {
+		cfg.Histograms = true
+		cfg.AllocProfile = true
+	}, inspectHistograms)
 }
 
 // TestGoldenSanitizeInvariance: the mscheck invariant sanitizer must be
-// as invisible as the flight recorder — sanitizer-on runs leave virtual
-// time and every counter bit-identical — and the real workload must be
+// as invisible as the flight recorder, and the real workload must be
 // violation-free in every standard state (the Table 3 disciplines
 // actually hold).
 func TestGoldenSanitizeInvariance(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func(sanitized bool) outcome {
-				s := st
-				if sanitized {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.Sanitize = true
-						return cfg
-					}
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				if sanitized {
-					san := sys.Sanitizer()
-					if san == nil {
-						t.Fatal("sanitizer did not attach")
-					}
-					if !san.Clean() {
-						t.Errorf("%s: sanitizer found violations on the real workload:\n%s",
-							st.Name, san.Report())
-					}
-					if cs := san.Stats(); cs.AccessChecks == 0 || cs.BarrierScans == 0 {
-						t.Errorf("%s: sanitizer did no checking: %+v", st.Name, cs)
-					}
-				}
-				return o
-			}
-			plain, checked := run(false), run(true)
-			if !reflect.DeepEqual(plain.vms, checked.vms) {
-				t.Errorf("%s: virtual times diverge with the sanitizer on: %v vs %v",
-					st.Name, plain.vms, checked.vms)
-			}
-			if !reflect.DeepEqual(plain.stats, checked.stats) {
-				t.Errorf("%s: stats diverge with the sanitizer on:\noff: %+v\non:  %+v",
-					st.Name, plain.stats, checked.stats)
-			}
-		})
-	}
+	observerInvariance(t, "the sanitizer", func(cfg *core.Config) { cfg.Sanitize = true }, inspectSanitizer)
+}
+
+// TestGoldenAllObserversInvariance: all five observers attached
+// together — every hook site live at once — must still reproduce the
+// golden virtual times and the plain Stats snapshot, with a clean
+// sanitizer and output from each observer.
+func TestGoldenAllObserversInvariance(t *testing.T) {
+	observerInvariance(t, "every observer", func(cfg *core.Config) {
+		cfg.TraceEvents = trace.DefaultRingSize
+		cfg.Profile = true
+		cfg.Histograms = true
+		cfg.AllocProfile = true
+		cfg.Sanitize = true
+	}, func(t *testing.T, sys *core.System, o goldenOutcome) {
+		inspectTrace(t, sys, o)
+		inspectHistograms(t, sys, o)
+		inspectSanitizer(t, sys, o)
+	})
 }
 
 // TestGoldenParScavengeOff: with the parallel scavenger compiled in

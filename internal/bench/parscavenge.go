@@ -108,7 +108,7 @@ func runParScavOnce(procs int, parScav bool) (heap.Stats, trace.HistSnapshot, er
 			"bench: parscavenge (procs=%d par=%v): machine stopped with %v",
 			procs, parScav, r)
 	}
-	snap := lh.ScavengePause.Snapshot()
+	snap := lh.Snapshot().ScavengePause
 	snap.Buckets = nil // the summary columns suffice for the ablation
 	return h.Stats(), snap, nil
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"mst/internal/firefly"
+	"mst/internal/sanitize"
 	"mst/internal/trace"
 )
 
@@ -47,16 +48,21 @@ type Display struct {
 	transcript strings.Builder
 	width      int
 	height     int
+
+	// san is the machine's invariant checker (nil when sanitizing is
+	// off), cached like the heap's. Holding it as a field is also what
+	// makes this package import sanitize directly, without which the
+	// compiler cannot inline the hook wrappers here.
+	san *sanitize.Checker
 }
 
 // NewDisplay creates a display on machine m. locksEnabled selects MS
 // mode; the baseline system runs without the output-queue lock.
 func NewDisplay(m *firefly.Machine, locksEnabled bool) *Display {
-	if s := m.Sanitizer(); s != nil {
-		s.RegisterGuard("display-queue", "display")
-	}
+	m.Sanitizer().RegisterGuard("display-queue", "display")
 	return &Display{
 		lock:   m.NewSpinlock("display", locksEnabled),
+		san:    m.Sanitizer(),
 		width:  80,
 		height: 24,
 	}
@@ -72,14 +78,10 @@ func (d *Display) Height() int { return d.height }
 // under the display lock and charged as one display operation.
 func (d *Display) PostText(p *firefly.Proc, text string, x, y int) {
 	d.lock.Acquire(p)
-	if s := p.Machine().Sanitizer(); s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), "display-queue")
-	}
+	d.san.OnAccess(p.ID(), int64(p.Now()), "display-queue")
 	p.Advance(p.Machine().Costs().DisplayOp)
 	d.commands = append(d.commands, Command{Text: text, X: x, Y: y, At: p.Now()})
-	if r := p.Machine().Recorder(); r != nil {
-		r.Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
-	}
+	p.Machine().Recorder().Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
 	d.lock.Release(p)
 }
 
@@ -87,15 +89,11 @@ func (d *Display) PostText(p *firefly.Proc, text string, x, y int) {
 // serialized output queue.
 func (d *Display) TranscriptShow(p *firefly.Proc, text string) {
 	d.lock.Acquire(p)
-	if s := p.Machine().Sanitizer(); s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), "display-queue")
-	}
+	d.san.OnAccess(p.ID(), int64(p.Now()), "display-queue")
 	p.Advance(p.Machine().Costs().DisplayOp)
 	d.transcript.WriteString(text)
 	d.commands = append(d.commands, Command{Text: text, X: -1, Y: -1, At: p.Now()})
-	if r := p.Machine().Recorder(); r != nil {
-		r.Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
-	}
+	p.Machine().Recorder().Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
 	d.lock.Release(p)
 }
 
@@ -113,15 +111,14 @@ func (d *Display) TranscriptText() string { return d.transcript.String() }
 // events out under the input lock.
 type Sensor struct {
 	lock    *firefly.Spinlock
+	san     *sanitize.Checker
 	pending []Event
 }
 
 // NewSensor creates a sensor on machine m.
 func NewSensor(m *firefly.Machine, locksEnabled bool) *Sensor {
-	if s := m.Sanitizer(); s != nil {
-		s.RegisterGuard("input-queue", "input")
-	}
-	return &Sensor{lock: m.NewSpinlock("input", locksEnabled)}
+	m.Sanitizer().RegisterGuard("input-queue", "input")
+	return &Sensor{lock: m.NewSpinlock("input", locksEnabled), san: m.Sanitizer()}
 }
 
 // Inject adds a device-level event; called from Machine.At callbacks.
@@ -135,18 +132,14 @@ func (s *Sensor) HasPending() bool { return len(s.pending) > 0 }
 // charging one input operation. ok is false when no event is pending.
 func (s *Sensor) Take(p *firefly.Proc) (e Event, ok bool) {
 	s.lock.Acquire(p)
-	if san := p.Machine().Sanitizer(); san != nil {
-		san.OnAccess(p.ID(), int64(p.Now()), "input-queue")
-	}
+	s.san.OnAccess(p.ID(), int64(p.Now()), "input-queue")
 	if len(s.pending) > 0 {
 		e = s.pending[0]
 		copy(s.pending, s.pending[1:])
 		s.pending = s.pending[:len(s.pending)-1]
 		ok = true
 		p.Advance(p.Machine().Costs().InputOp)
-		if r := p.Machine().Recorder(); r != nil {
-			r.Emit(trace.KInputOp, p.ID(), int64(p.Now()), int64(len(s.pending)), 0, "")
-		}
+		p.Machine().Recorder().Emit(trace.KInputOp, p.ID(), int64(p.Now()), int64(len(s.pending)), 0, "")
 	}
 	s.lock.Release(p)
 	return e, ok

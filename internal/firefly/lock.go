@@ -65,21 +65,71 @@ type Spinlock struct {
 func (m *Machine) NewSpinlock(name string, enabled bool) *Spinlock {
 	l := &Spinlock{name: name, enabled: enabled, m: m}
 	m.locks = append(m.locks, l)
-	if s := m.san; s != nil {
-		s.RegisterLock(name, enabled)
-	}
-	if lh := m.lat; lh != nil && enabled {
-		l.waitHist = lh.LockHist(name)
+	m.san.RegisterLock(name, enabled)
+	if enabled {
+		l.waitHist = m.lat.LockHist(name)
 	}
 	return l
 }
 
-// recordWait feeds one acquire's virtual wait (0 when uncontended) to
-// the lock's latency histogram, when one is attached.
-func (l *Spinlock) recordWait(spin Time) {
-	if hh := l.waitHist; hh != nil {
-		hh.Record(int64(spin))
+// spinUntil charges the deterministic mode's virtual spin: an acquirer
+// that finds the lock reserved until horizon — held during
+// [p.clock, horizon) by a processor ahead in virtual time — spins in
+// whole test-and-set + Delay rounds. It returns the ticks spun, 0 when
+// the lock is already free.
+func (l *Spinlock) spinUntil(p *Proc, horizon Time) Time {
+	if p.clock >= horizon {
+		return 0
 	}
+	l.contentions.Add(1)
+	retry := p.m.costs.LockSpinRetry
+	spin := (horizon - p.clock + retry - 1) / retry * retry
+	p.m.rec.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, l.name)
+	p.AdvanceSpin(spin)
+	l.spinTime.Add(int64(spin))
+	return spin
+}
+
+// spinPar is the parallel-host-mode acquire loop: a real
+// compare-and-swap (try) retried with exponential host backoff.
+// Virtual time is charged exactly as the model prescribes — one
+// LockSpinRetry round per failed retry. It returns the ticks spun.
+func (l *Spinlock) spinPar(p *Proc, try func() bool) Time {
+	if try() {
+		return 0
+	}
+	l.contentions.Add(1)
+	retry := p.m.costs.LockSpinRetry
+	var spin Time
+	backoff := 1
+	for {
+		backoff = parBackoff(backoff)
+		p.AdvanceSpin(retry)
+		spin += retry
+		if try() {
+			break
+		}
+	}
+	l.spinTime.Add(int64(spin))
+	p.m.rec.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, l.name)
+	return spin
+}
+
+// acquired is the epilogue of every successful acquire: count it, feed
+// the virtual wait (spin ticks; 0 when uncontended) to the lock's
+// latency histogram, and tell the recorder and the sanitizer.
+// exclusive is 1 for a Spinlock or a write acquire, 0 for a read.
+func (l *Spinlock) acquired(p *Proc, spin Time, exclusive int64) {
+	l.acquisitions.Add(1)
+	l.waitHist.Record(int64(spin))
+	p.m.rec.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, exclusive, l.name)
+	p.m.san.OnAcquire(p.id, int64(p.clock), l.name)
+}
+
+// released is the epilogue of every release.
+func (l *Spinlock) released(p *Proc, exclusive int64) {
+	p.m.rec.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, exclusive, l.name)
+	p.m.san.OnRelease(p.id, int64(p.clock), l.name)
 }
 
 // Acquire takes the lock at the processor's current virtual time,
@@ -88,83 +138,22 @@ func (l *Spinlock) Acquire(p *Proc) {
 	if !l.enabled {
 		return
 	}
+	p.Advance(p.m.costs.LockTAS)
 	if l.m.parallel {
-		l.acquirePar(p)
+		me := int32(p.id) + 1
+		l.acquired(p, l.spinPar(p, func() bool {
+			return l.state.Load() == 0 && l.state.CompareAndSwap(0, me)
+		}), 1)
 		return
 	}
-	c := p.m.costs
-	p.Advance(c.LockTAS)
 	if l.held {
 		panic(fmt.Sprintf("firefly: processor %d acquired lock %q while processor %d is inside the critical section (a critical section must not yield)",
 			p.id, l.name, l.holder))
 	}
-	var spin Time
-	if p.clock < l.freeAt {
-		// The lock is held during [p.clock, freeAt) by a processor
-		// ahead in virtual time: spin in test-and-set + Delay rounds.
-		l.contentions.Add(1)
-		wait := l.freeAt - p.clock
-		rounds := (wait + c.LockSpinRetry - 1) / c.LockSpinRetry
-		spin = rounds * c.LockSpinRetry
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, l.name)
-		}
-		p.AdvanceSpin(spin)
-		l.spinTime.Add(int64(spin))
-	}
+	spin := l.spinUntil(p, l.freeAt)
 	l.held = true
 	l.holder = p.id
-	l.acquisitions.Add(1)
-	l.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), l.name)
-	}
-}
-
-// acquirePar is the parallel-host-mode Acquire: a real CAS loop with
-// exponential host backoff. Virtual time is charged exactly as the
-// model prescribes — one test-and-set, then one LockSpinRetry round
-// per failed retry.
-func (l *Spinlock) acquirePar(p *Proc) {
-	c := p.m.costs
-	p.Advance(c.LockTAS)
-	me := int32(p.id) + 1
-	if l.state.CompareAndSwap(0, me) {
-		l.acquisitions.Add(1)
-		l.recordWait(0)
-		l.emitAcquire(p)
-		return
-	}
-	l.contentions.Add(1)
-	var spin Time
-	backoff := 1
-	for {
-		backoff = parBackoff(backoff)
-		p.AdvanceSpin(c.LockSpinRetry)
-		spin += c.LockSpinRetry
-		if l.state.Load() == 0 && l.state.CompareAndSwap(0, me) {
-			break
-		}
-	}
-	l.spinTime.Add(int64(spin))
-	l.acquisitions.Add(1)
-	l.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, l.name)
-	}
-	l.emitAcquire(p)
-}
-
-func (l *Spinlock) emitAcquire(p *Proc) {
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), l.name)
-	}
+	l.acquired(p, spin, 1)
 }
 
 // TryAcquire takes the lock if it is free at the processor's current
@@ -174,42 +163,26 @@ func (l *Spinlock) TryAcquire(p *Proc) bool {
 	if !l.enabled {
 		return true
 	}
-	if l.m.parallel {
-		p.Advance(p.m.costs.LockTAS)
-		if l.state.CompareAndSwap(0, int32(p.id)+1) {
-			l.acquisitions.Add(1)
-			l.recordWait(0)
-			l.emitAcquire(p)
-			return true
-		}
-		l.contentions.Add(1)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), 0, 0, l.name)
-		}
-		return false
-	}
 	p.Advance(p.m.costs.LockTAS)
-	if l.held {
-		panic(fmt.Sprintf("firefly: processor %d probed lock %q inside processor %d's critical section",
-			p.id, l.name, l.holder))
-	}
-	if p.clock < l.freeAt {
-		l.contentions.Add(1)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), 0, 0, l.name)
+	var ok bool
+	if l.m.parallel {
+		ok = l.state.CompareAndSwap(0, int32(p.id)+1)
+	} else {
+		if l.held {
+			panic(fmt.Sprintf("firefly: processor %d probed lock %q inside processor %d's critical section",
+				p.id, l.name, l.holder))
 		}
+		if ok = p.clock >= l.freeAt; ok {
+			l.held = true
+			l.holder = p.id
+		}
+	}
+	if !ok {
+		l.contentions.Add(1)
+		p.m.rec.Emit(trace.KLockContend, p.id, int64(p.clock), 0, 0, l.name)
 		return false
 	}
-	l.held = true
-	l.holder = p.id
-	l.acquisitions.Add(1)
-	l.recordWait(0)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), l.name)
-	}
+	l.acquired(p, 0, 1)
 	return true
 }
 
@@ -225,26 +198,15 @@ func (l *Spinlock) Release(p *Proc) {
 		}
 		p.Advance(p.m.costs.LockRelease)
 		l.state.Store(0)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 1, l.name)
+	} else {
+		if !l.held || l.holder != p.id {
+			panic(fmt.Sprintf("firefly: processor %d releasing lock %q it does not hold", p.id, l.name))
 		}
-		if s := p.m.san; s != nil {
-			s.OnRelease(p.id, int64(p.clock), l.name)
-		}
-		return
+		l.held = false
+		p.Advance(p.m.costs.LockRelease)
+		l.freeAt = p.clock
 	}
-	if !l.held || l.holder != p.id {
-		panic(fmt.Sprintf("firefly: processor %d releasing lock %q it does not hold", p.id, l.name))
-	}
-	l.held = false
-	p.Advance(p.m.costs.LockRelease)
-	l.freeAt = p.clock
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 1, l.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnRelease(p.id, int64(p.clock), l.name)
-	}
+	l.released(p, 1)
 }
 
 // Held reports whether the lock is currently held (always false when
@@ -290,61 +252,15 @@ func (l *RWSpinlock) AcquireRead(p *Proc) {
 	if !in.enabled {
 		return
 	}
-	c := p.m.costs
+	p.Advance(p.m.costs.LockTAS)
 	if in.m.parallel {
-		p.Advance(c.LockTAS)
-		in.acquisitions.Add(1)
-		contended := false
-		var spin Time
-		backoff := 1
-		for {
-			if v := l.rw.Load(); v >= 0 && l.rw.CompareAndSwap(v, v+1) {
-				break
-			}
-			if !contended {
-				contended = true
-				in.contentions.Add(1)
-			}
-			backoff = parBackoff(backoff)
-			p.AdvanceSpin(c.LockSpinRetry)
-			spin += c.LockSpinRetry
-		}
-		if contended {
-			in.spinTime.Add(int64(spin))
-			if r := p.m.rec; r != nil {
-				r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-			}
-		}
-		in.recordWait(spin)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 0, in.name)
-		}
-		if s := p.m.san; s != nil {
-			s.OnAcquire(p.id, int64(p.clock), in.name)
-		}
+		in.acquired(p, in.spinPar(p, func() bool {
+			v := l.rw.Load()
+			return v >= 0 && l.rw.CompareAndSwap(v, v+1)
+		}), 0)
 		return
 	}
-	p.Advance(c.LockTAS)
-	in.acquisitions.Add(1)
-	var spin Time
-	if p.clock < in.freeAt { // a writer holds the lock until freeAt
-		in.contentions.Add(1)
-		wait := in.freeAt - p.clock
-		rounds := (wait + c.LockSpinRetry - 1) / c.LockSpinRetry
-		spin = rounds * c.LockSpinRetry
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-		}
-		p.AdvanceSpin(spin)
-		in.spinTime.Add(int64(spin))
-	}
-	in.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 0, in.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), in.name)
-	}
+	in.acquired(p, in.spinUntil(p, in.freeAt), 0) // a writer holds the lock until freeAt
 }
 
 // ReleaseRead leaves the read-side section, extending the read horizon
@@ -361,12 +277,7 @@ func (l *RWSpinlock) ReleaseRead(p *Proc) {
 	} else if p.clock > l.readsEnd {
 		l.readsEnd = p.clock
 	}
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 0, l.inner.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnRelease(p.id, int64(p.clock), l.inner.name)
-	}
+	l.inner.released(p, 0)
 }
 
 // AcquireWrite enters the exclusive section: it waits for the previous
@@ -376,62 +287,12 @@ func (l *RWSpinlock) AcquireWrite(p *Proc) {
 	if !in.enabled {
 		return
 	}
-	c := p.m.costs
+	p.Advance(p.m.costs.LockTAS)
 	if in.m.parallel {
-		p.Advance(c.LockTAS)
-		in.acquisitions.Add(1)
-		contended := false
-		var spin Time
-		backoff := 1
-		for !l.rw.CompareAndSwap(0, -1) {
-			if !contended {
-				contended = true
-				in.contentions.Add(1)
-			}
-			backoff = parBackoff(backoff)
-			p.AdvanceSpin(c.LockSpinRetry)
-			spin += c.LockSpinRetry
-		}
-		if contended {
-			in.spinTime.Add(int64(spin))
-			if r := p.m.rec; r != nil {
-				r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-			}
-		}
-		in.recordWait(spin)
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, in.name)
-		}
-		if s := p.m.san; s != nil {
-			s.OnAcquire(p.id, int64(p.clock), in.name)
-		}
+		in.acquired(p, in.spinPar(p, func() bool { return l.rw.CompareAndSwap(0, -1) }), 1)
 		return
 	}
-	p.Advance(c.LockTAS)
-	in.acquisitions.Add(1)
-	horizon := in.freeAt
-	if l.readsEnd > horizon {
-		horizon = l.readsEnd
-	}
-	var spin Time
-	if p.clock < horizon {
-		in.contentions.Add(1)
-		wait := horizon - p.clock
-		rounds := (wait + c.LockSpinRetry - 1) / c.LockSpinRetry
-		spin = rounds * c.LockSpinRetry
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KLockContend, p.id, int64(p.clock), int64(spin), 0, in.name)
-		}
-		p.AdvanceSpin(spin)
-		in.spinTime.Add(int64(spin))
-	}
-	in.recordWait(spin)
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockAcquire, p.id, int64(p.clock), 0, 1, in.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnAcquire(p.id, int64(p.clock), in.name)
-	}
+	in.acquired(p, in.spinUntil(p, max(in.freeAt, l.readsEnd)), 1)
 }
 
 // ReleaseWrite leaves the exclusive section.
@@ -447,10 +308,5 @@ func (l *RWSpinlock) ReleaseWrite(p *Proc) {
 	} else {
 		l.inner.freeAt = p.clock
 	}
-	if r := p.m.rec; r != nil {
-		r.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, 1, l.inner.name)
-	}
-	if s := p.m.san; s != nil {
-		s.OnRelease(p.id, int64(p.clock), l.inner.name)
-	}
+	l.inner.released(p, 1)
 }

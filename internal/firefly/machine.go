@@ -125,9 +125,7 @@ func (p *Proc) AdvanceIdle(c Time) {
 // accounting the gap as garbage-collection stall time.
 func (p *Proc) StallUntil(t Time) {
 	if t > p.clock {
-		if r := p.m.rec; r != nil {
-			r.Emit(trace.KStall, p.id, int64(p.clock), int64(t-p.clock), 0, "")
-		}
+		p.m.rec.Emit(trace.KStall, p.id, int64(p.clock), int64(t-p.clock), 0, "")
 		p.stall += t - p.clock
 		p.clock = t
 	}
@@ -153,9 +151,7 @@ func (p *Proc) Yield() {
 		// observe Stopped and return; don't reschedule.
 		return
 	}
-	if r := m.rec; r != nil {
-		r.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
-	}
+	m.rec.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
 	next, reason, stop := m.schedule()
 	if stop {
 		m.pendingStop = true
@@ -167,9 +163,7 @@ func (p *Proc) Yield() {
 	if next == p {
 		return
 	}
-	if r := m.rec; r != nil {
-		r.Emit(trace.KHandoff, p.id, int64(p.clock), int64(next.id), 0, "")
-	}
+	m.rec.Emit(trace.KHandoff, p.id, int64(p.clock), int64(next.id), 0, "")
 	next.resume <- struct{}{}
 	<-p.resume
 }
@@ -395,10 +389,8 @@ func (m *Machine) Recorder() *trace.Recorder { return m.rec }
 // relative to subsystem construction does not matter.
 func (m *Machine) SetSanitizer(s *sanitize.Checker) {
 	m.san = s
-	if s != nil {
-		for _, l := range m.locks {
-			s.RegisterLock(l.name, l.enabled)
-		}
+	for _, l := range m.locks {
+		s.RegisterLock(l.name, l.enabled)
 	}
 }
 
@@ -412,10 +404,8 @@ func (m *Machine) Sanitizer() *sanitize.Checker { return m.san }
 func (m *Machine) SetLatencyHists(l *trace.LatencyHists) {
 	m.lat = l
 	for _, lk := range m.locks {
-		if l != nil && lk.enabled {
+		if lk.enabled {
 			lk.waitHist = l.LockHist(lk.name)
-		} else {
-			lk.waitHist = nil
 		}
 	}
 }
@@ -526,16 +516,12 @@ func (m *Machine) schedule() (next *Proc, reason StopReason, stop bool) {
 	}
 	second := m.secondClock(p)
 	p.yieldAt = second + m.quantum
-	if lh := m.lat; lh != nil {
-		// Dispatch latency: how far the chosen (minimum-clock) processor
-		// lags the rest of the system when its quantum starts. Purely
-		// derived from the clocks; recording charges nothing.
-		lh.Dispatch.Record(int64(second - p.clock))
-	}
+	// Dispatch latency: how far the chosen (minimum-clock) processor
+	// lags the rest of the system when its quantum starts. Purely
+	// derived from the clocks; recording charges nothing.
+	m.lat.Record(trace.Dispatch, int64(second-p.clock))
 	m.switches.Add(1)
-	if m.rec != nil {
-		m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
-	}
+	m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
 	return p, 0, false
 }
 

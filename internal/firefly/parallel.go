@@ -89,9 +89,7 @@ func (m *Machine) parStop(reason StopReason) {
 // virtual time passes between safepoint checks.
 func (p *Proc) parYield() {
 	m := p.m
-	if r := m.rec; r != nil {
-		r.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
-	}
+	m.rec.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
 	p.yieldAt = p.clock + m.quantum
 	if u := m.until; u != nil && u() {
 		m.parStop(StopUntil)
@@ -106,9 +104,7 @@ func (p *Proc) parYield() {
 			f(p)
 		}
 	}
-	if r := m.rec; r != nil {
-		r.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
-	}
+	m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
 }
 
 // parSlow handles everything the safepoint fast path diverted: park

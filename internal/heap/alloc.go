@@ -151,9 +151,7 @@ func (h *Heap) reserve(p *firefly.Proc, total int) uint64 {
 			return h.reserveOld(p, total)
 		}
 		p.Advance(c.Alloc)
-		if h.rec != nil {
-			h.rec.Emit(trace.KEdenFull, p.ID(), int64(p.Now()), int64(total), 0, "")
-		}
+		h.rec.Emit(trace.KEdenFull, p.ID(), int64(p.Now()), int64(total), 0, "")
 		h.Scavenge(p)
 	}
 }
@@ -161,10 +159,8 @@ func (h *Heap) reserve(p *firefly.Proc, total int) uint64 {
 // reserveTLAB bumps the processor's local chunk, refilling from eden.
 func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 	t := &h.tlabs[p.ID()]
-	if s := h.san; s != nil {
-		// A TLAB is a Table-3 replication row: only its owner bumps it.
-		s.OnOwnedAccess(p.ID(), p.ID(), int64(p.Now()), "tlab")
-	}
+	// A TLAB is a Table-3 replication row: only its owner bumps it.
+	h.san.OnOwnedAccess(p.ID(), p.ID(), int64(p.Now()), "tlab")
 	if t.limit-t.next >= uint64(total) {
 		addr := t.next
 		t.next += uint64(total)
@@ -198,9 +194,7 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 		if attempt > 0 {
 			return h.reserveOld(p, total)
 		}
-		if h.rec != nil {
-			h.rec.Emit(trace.KEdenFull, p.ID(), int64(p.Now()), int64(total), 0, "")
-		}
+		h.rec.Emit(trace.KEdenFull, p.ID(), int64(p.Now()), int64(total), 0, "")
 		h.Scavenge(p)
 	}
 }

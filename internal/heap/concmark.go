@@ -151,9 +151,7 @@ func (cm *concMark) shadeRef(proc int, v object.OOP) bool {
 		}
 		h.SetHeader(v, hd.SetMarked(true))
 	}
-	if san := h.san; san != nil {
-		san.OnMarkGrey(proc, cm.at, a)
-	}
+	h.san.OnMarkGrey(proc, cm.at, a)
 	cm.push(v)
 	return true
 }
@@ -191,7 +189,7 @@ func (h *Heap) deletionBarrier(p *firefly.Proc, idx uint64) {
 			cm.mu.Unlock()
 		}
 	}
-	if san := h.san; san != nil {
+	if san := h.san; san != nil { // skips the header re-read, not a safety test
 		san.OnDeletionBarrier(proc, at, a, object.Header(h.loadWord(a)).Marked())
 	}
 }
@@ -248,9 +246,7 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 		panic("heap: concurrent mark cycle already active")
 	}
 	start := p.Now()
-	if h.rec != nil {
-		h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
-	}
+	h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
 	h.Scavenge(p)
 	for _, f := range h.preGC {
 		f()
@@ -305,14 +301,10 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	if pause > h.stats.FullGCMaxPause {
 		h.stats.FullGCMaxPause = pause
 	}
-	if lh := h.lat; lh != nil {
-		lh.FullGCPause.Record(int64(pause))
-		lh.ConcMarkPause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkBegin, p.ID(), int64(p.Now()), int64(shadedObjs), 0, "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
-	}
+	h.lat.Record(trace.FullGCPause, int64(pause))
+	h.lat.Record(trace.ConcMarkPause, int64(pause))
+	h.rec.Emit(trace.KConcMarkBegin, p.ID(), int64(p.Now()), int64(shadedObjs), 0, "")
+	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 
 	cm.active.Store(true)
 	h.m.SetConcMarkActive(true)
@@ -360,13 +352,9 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int, fromAssist bool) int {
 	cm.work += cost
 	cm.mu.Unlock()
 	if !fromAssist {
-		if lh := h.lat; lh != nil {
-			lh.ConcMarkSlice.Record(int64(cost))
-		}
+		h.lat.Record(trace.ConcMarkSlice, int64(cost))
 	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkSlice, p.ID(), int64(p.Now()), int64(len(batch)), int64(cost), "")
-	}
+	h.rec.Emit(trace.KConcMarkSlice, p.ID(), int64(p.Now()), int64(len(batch)), int64(cost), "")
 	return len(batch)
 }
 
@@ -447,14 +435,10 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	if pause > h.stats.FullGCMaxPause {
 		h.stats.FullGCMaxPause = pause
 	}
-	if lh := h.lat; lh != nil {
-		lh.FullGCPause.Record(int64(pause))
-		lh.ConcMarkPause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkFinal, p.ID(), int64(p.Now()), int64(residual), int64(pause), "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
-	}
+	h.lat.Record(trace.FullGCPause, int64(pause))
+	h.lat.Record(trace.ConcMarkPause, int64(pause))
+	h.rec.Emit(trace.KConcMarkFinal, p.ID(), int64(p.Now()), int64(residual), int64(pause), "")
+	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 
 	// Merge the cycle counters under the stopped world.
 	h.stats.ConcMarkCycles++
@@ -465,9 +449,7 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	for _, f := range h.postGC {
 		f()
 	}
-	if h.san != nil {
-		h.san.ResetMarkClaims()
-	}
+	h.san.ResetMarkClaims()
 }
 
 // clearMark resets o's mark bit for the next cycle. In parallel host
@@ -557,10 +539,8 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 	h.allocLock.Release(p)
 
 	h.stats.ReclaimedOldWords += reclaimedWords
-	if h.rec != nil {
-		h.rec.Emit(trace.KConcMarkSweep, p.ID(), int64(p.Now()),
-			int64(reclaimedObjs), int64(reclaimedWords), "")
-	}
+	h.rec.Emit(trace.KConcMarkSweep, p.ID(), int64(p.Now()),
+		int64(reclaimedObjs), int64(reclaimedWords), "")
 }
 
 // fullCollectConc is FullCollect's ConcMark body: the whole cycle runs
@@ -608,9 +588,7 @@ func (h *Heap) fullCollectConc(p *firefly.Proc) {
 
 	h.stats.FullCollections++
 	h.stats.FullGCTime += cm.work
-	if h.rec != nil {
-		h.rec.Emit(trace.KFullGCEnd, p.ID(), int64(p.Now()), int64(h.stats.ReclaimedOldWords), 0, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	h.rec.Emit(trace.KFullGCEnd, p.ID(), int64(p.Now()), int64(h.stats.ReclaimedOldWords), 0, "")
+	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
+		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 }

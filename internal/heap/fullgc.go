@@ -30,9 +30,7 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 		defer h.m.ResumeTheWorld(p)
 	}
 	start := p.Now()
-	if h.rec != nil {
-		h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
-	}
+	h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
 
 	// Empty eden and one survivor space first, so new space holds only
 	// the past-survivor objects and every other live object is in old
@@ -194,18 +192,14 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 		h.stats.FullGCMaxPause = pause
 	}
 	h.stats.ReclaimedOldWords += reclaimed
-	if lh := h.lat; lh != nil {
-		// The pause includes the nested eden-emptying scavenge, which
-		// also recorded itself in ScavengePause — the distributions
-		// overlap by design, like FullGCTime and ScavengeTime.
-		lh.FullGCPause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KFullGCEnd, p.ID(), int64(p.Now()), int64(reclaimed), 0, "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	// The pause includes the nested eden-emptying scavenge, which
+	// also recorded itself in ScavengePause — the distributions
+	// overlap by design, like FullGCTime and ScavengeTime.
+	h.lat.Record(trace.FullGCPause, int64(pause))
+	h.rec.Emit(trace.KFullGCEnd, p.ID(), int64(p.Now()), int64(reclaimed), 0, "")
+	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
+	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
+		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 
 	for _, f := range h.postGC {
 		f()

@@ -301,13 +301,11 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 
 	h.allocLock = m.NewSpinlock("alloc", cfg.LocksEnabled)
 	h.entryLock = m.NewSpinlock("entry-table", cfg.LocksEnabled)
-	if h.san != nil {
-		// Table-3 serialization rows owned by the heap: the shared
-		// allocation pointers (eden and old space) and the entry table.
-		h.san.RegisterGuard("eden", "alloc")
-		h.san.RegisterGuard("old-space", "alloc")
-		h.san.RegisterGuard("remembered-set", "entry-table")
-	}
+	// Table-3 serialization rows owned by the heap: the shared
+	// allocation pointers (eden and old space) and the entry table.
+	h.san.RegisterGuard("eden", "alloc")
+	h.san.RegisterGuard("old-space", "alloc")
+	h.san.RegisterGuard("remembered-set", "entry-table")
 	h.tlabs = make([]tlab, m.NumProcs())
 	h.handlePools = make([]*handlePool, m.NumProcs())
 	for i := range h.handlePools {
@@ -485,9 +483,7 @@ func (h *Heap) StoreNoCheck(o object.OOP, i int, v object.OOP) {
 // space lock-free, which is the reorganization the paper's rendezvous
 // makes safe.
 func (h *Heap) sanAccess(p *firefly.Proc, structure string) {
-	if s := h.san; s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), structure)
-	}
+	h.san.OnAccess(p.ID(), int64(p.Now()), structure)
 }
 
 func (h *Heap) storeCheck(p *firefly.Proc, o, v object.OOP) {

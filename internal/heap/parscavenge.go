@@ -207,9 +207,7 @@ func (s *parScav) drainDet(h *Heap) {
 			it, _ = victim.wl.steal()
 			w.steals++
 			w.cost += c.ScavengeSteal
-			if h.rec != nil {
-				h.rec.Emit(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
-			}
+			h.rec.Emit(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
 		}
 		h.scanGrey(s, w, it)
 	}
@@ -275,9 +273,7 @@ func (s *parScav) stealHost(h *Heap, w *scavWorker) (greyItem, bool) {
 		if it, ok := victim.wl.steal(); ok {
 			w.steals++
 			w.cost += h.m.Costs().ScavengeSteal
-			if h.rec != nil {
-				h.rec.Emit(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
-			}
+			h.rec.Emit(trace.KScavSteal, w.id, h.gcAt+int64(w.cost), int64(victim.id), 0, "")
 			return it, true
 		}
 	}
@@ -369,25 +365,19 @@ func (h *Heap) parForward(s *parScav, w *scavWorker, o object.OOP) object.OOP {
 		if !atomic.CompareAndSwapUint64(&h.mem[addr], uint64(hd), uint64(scavBusyHeader)) {
 			continue
 		}
-		if san := h.san; san != nil {
-			san.OnGCClaim(w.id, h.gcAt, addr)
-		}
+		h.san.OnGCClaim(w.id, h.gcAt, addr)
 		size := hd.SizeWords()
 		age := hd.Age() + 1
-		if ap := h.alp; ap != nil {
-			// Allocation-site profiling is deterministic-mode only
-			// (enforced by core), where the drain runs on one
-			// goroutine, so the site maps never race.
-			ap.NoteAge(int(age), int64(size))
-		}
+		// Allocation-site profiling is deterministic-mode only
+		// (enforced by core), where the drain runs on one
+		// goroutine, so the site maps never race.
+		h.alp.NoteAge(int(age), int64(size))
 		dst, tenured := w.allocCopy(h, size, age >= h.cfg.TenureAge)
 		if tenured {
 			age = 0
 			w.tenuredObjects++
 			w.tenuredWords += uint64(size)
-			if h.rec != nil {
-				h.rec.Emit(trace.KTenure, w.id, h.gcAt+int64(w.cost), int64(size), 0, "")
-			}
+			h.rec.Emit(trace.KTenure, w.id, h.gcAt+int64(w.cost), int64(size), 0, "")
 			if ap := h.alp; ap != nil {
 				if id, ok := h.siteByAddr[addr]; ok {
 					ap.NoteTenured(id, int64(size))
@@ -408,9 +398,7 @@ func (h *Heap) parForward(s *parScav, w *scavWorker, o object.OOP) object.OOP {
 			nh = nh.SetMarked(true)
 		}
 		h.storeWord(dst, uint64(nh))
-		if san := h.san; san != nil {
-			san.OnGCPublish(w.id, h.gcAt, addr)
-		}
+		h.san.OnGCPublish(w.id, h.gcAt, addr)
 		atomic.StoreUint64(&h.mem[addr+1], dst)
 		atomic.StoreUint64(&h.mem[addr], uint64(hd.SetForwarded()))
 		c := h.m.Costs()
@@ -553,31 +541,25 @@ func (h *Heap) finishParScav(s *parScav, p *firefly.Proc, start firefly.Time) {
 		p.StallUntil(end)
 		h.m.StallOthers(p, end)
 	}
-	if lh := h.lat; lh != nil {
-		// Parallel phase split: rendezvous is the base charge, the copy
-		// phase lasts until the slowest worker (the long pole) finishes,
-		// and the termination barrier is the fixed join cost.
-		lh.ScavRendezvous.Record(int64(c.ScavengeBase))
-		lh.ScavCopy.Record(int64(maxCost))
-		lh.ScavTerm.Record(int64(c.ScavengeTerm))
-		lh.AddCriticalPath(trace.GCCriticalPath{
-			Scavenge:      h.stats.ParScavenges,
-			LongPole:      longPole,
-			LongPoleTicks: int64(maxCost),
-			SumTicks:      int64(sumCost),
-			Workers:       len(s.ws),
-			Steals:        sumSteals,
-		})
-	}
+	// Parallel phase split: rendezvous is the base charge, the copy
+	// phase lasts until the slowest worker (the long pole) finishes,
+	// and the termination barrier is the fixed join cost.
+	h.lat.Record(trace.ScavRendezvous, int64(c.ScavengeBase))
+	h.lat.Record(trace.ScavCopy, int64(maxCost))
+	h.lat.Record(trace.ScavTerm, int64(c.ScavengeTerm))
+	h.lat.AddCriticalPath(trace.GCCriticalPath{
+		Scavenge:      h.stats.ParScavenges,
+		LongPole:      longPole,
+		LongPoleTicks: int64(maxCost),
+		SumTicks:      int64(sumCost),
+		Workers:       len(s.ws),
+		Steals:        sumSteals,
+	})
 
-	if h.rec != nil {
-		for i, w := range s.ws {
-			h.rec.Emit(trace.KScavWorkerBegin, i, h.gcAt, int64(w.steals), 0, "")
-			h.rec.Emit(trace.KScavWorkerEnd, i, h.gcAt+int64(w.cost),
-				int64(w.copiedObjects), int64(w.copiedWords), "")
-		}
+	for i, w := range s.ws {
+		h.rec.Emit(trace.KScavWorkerBegin, i, h.gcAt, int64(w.steals), 0, "")
+		h.rec.Emit(trace.KScavWorkerEnd, i, h.gcAt+int64(w.cost),
+			int64(w.copiedObjects), int64(w.copiedWords), "")
 	}
-	if h.san != nil {
-		h.san.ResetGCClaims()
-	}
+	h.san.ResetGCClaims()
 }

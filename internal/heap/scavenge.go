@@ -38,11 +38,9 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	defer func() { h.inGC = false }()
 
 	start := p.Now()
-	if h.rec != nil {
-		h.rec.Emit(trace.KScavengeBegin, p.ID(), int64(start), 0, 0, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(start),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	h.rec.Emit(trace.KScavengeBegin, p.ID(), int64(start), 0, 0, "")
+	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(start),
+		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 	h.gcProc, h.gcAt = p.ID(), int64(start)
 	for _, f := range h.preGC {
 		f()
@@ -89,15 +87,11 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	if pause > h.stats.ScavengeMaxPause {
 		h.stats.ScavengeMaxPause = pause
 	}
-	if lh := h.lat; lh != nil {
-		lh.ScavengePause.Record(int64(pause))
-	}
-	if h.rec != nil {
-		h.rec.Emit(trace.KScavengeEnd, p.ID(), int64(p.Now()), int64(objs), int64(words), "")
-		h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 0, "")
-		h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
-			int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	}
+	h.lat.Record(trace.ScavengePause, int64(pause))
+	h.rec.Emit(trace.KScavengeEnd, p.ID(), int64(p.Now()), int64(objs), int64(words), "")
+	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 0, "")
+	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
+		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 	h.verifyWriteBarrier(p)
 
 	for _, f := range h.postGC {
@@ -171,14 +165,12 @@ func (h *Heap) serialScavenge(p *firefly.Proc) {
 	c := h.m.Costs()
 	copyTicks := c.ScavengePerObject*firefly.Time(objs) +
 		c.ScavengePerWord*firefly.Time(words)
-	if lh := h.lat; lh != nil {
-		// Serial phase split: the base charge models the rendezvous,
-		// the per-object/word charge is the copy work, and termination
-		// is immediate (one scavenger, nothing to join).
-		lh.ScavRendezvous.Record(int64(c.ScavengeBase))
-		lh.ScavCopy.Record(int64(copyTicks))
-		lh.ScavTerm.Record(0)
-	}
+	// Serial phase split: the base charge models the rendezvous,
+	// the per-object/word charge is the copy work, and termination
+	// is immediate (one scavenger, nothing to join).
+	h.lat.Record(trace.ScavRendezvous, int64(c.ScavengeBase))
+	h.lat.Record(trace.ScavCopy, int64(copyTicks))
+	h.lat.Record(trace.ScavTerm, 0)
 	p.Advance(c.ScavengeBase + copyTicks)
 	h.m.StallOthers(p, p.Now())
 }
@@ -196,9 +188,7 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 	}
 	size := hd.SizeWords()
 	age := hd.Age() + 1
-	if ap := h.alp; ap != nil {
-		ap.NoteAge(int(age), int64(size))
-	}
+	h.alp.NoteAge(int(age), int64(size))
 
 	var dst uint64
 	tenure := age >= h.cfg.TenureAge || h.to.free() < size
@@ -210,9 +200,7 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 		h.old.next += uint64(size)
 		h.stats.TenuredObjects++
 		h.stats.TenuredWords += uint64(size)
-		if h.rec != nil {
-			h.rec.Emit(trace.KTenure, h.gcProc, h.gcAt, int64(size), 0, "")
-		}
+		h.rec.Emit(trace.KTenure, h.gcProc, h.gcAt, int64(size), 0, "")
 		if ap := h.alp; ap != nil {
 			if id, ok := h.siteByAddr[o.Addr()]; ok {
 				ap.NoteTenured(id, int64(size))

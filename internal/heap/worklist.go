@@ -17,9 +17,9 @@ import (
 // deterministic mode the same structure is driven by a single
 // goroutine and the mutex is never contended.
 //
-// This file deliberately contains no h.mem writes (msvet's heapwrite
-// analyzer enforces that): work items carry OOPs and root-slot
-// pointers, never raw heap words.
+// This file deliberately contains no h.mem writes: work items carry
+// OOPs and root-slot pointers, never raw heap words, so there is no raw
+// store here for msvet's barrierflow analyzer to flag.
 
 // greyItem is one unit of scavenge work. Exactly one of the two views
 // is active: a root-slot item (slot != nil) forwards *slot and updates

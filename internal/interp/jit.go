@@ -295,9 +295,7 @@ func (in *Interp) jitDeopt(reason jit.DeoptReason) {
 	}
 	in.jfns = nil
 	in.stats.JITDeopts++
-	if in.rec != nil {
-		in.rec.Emit(trace.KJITDeopt, in.p.ID(), int64(in.p.Now()), int64(reason), 0, reason.String())
-	}
+	in.rec.Emit(trace.KJITDeopt, in.p.ID(), int64(in.p.Now()), int64(reason), 0, reason.String())
 }
 
 // jitBlacklist pins a resident method to the interpreter. A method

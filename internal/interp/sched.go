@@ -32,9 +32,7 @@ func (vm *VM) readyList(priority int) object.OOP {
 // the invariant checker; call it from inside the guarding critical
 // section.
 func (vm *VM) sanAccess(p *firefly.Proc, structure string) {
-	if s := vm.san; s != nil {
-		s.OnAccess(p.ID(), int64(p.Now()), structure)
-	}
+	vm.san.OnAccess(p.ID(), int64(p.Now()), structure)
 }
 
 // listAppend links proc at the tail of list. Caller holds the lock.
@@ -114,11 +112,9 @@ func (vm *VM) findReady(p *firefly.Proc) object.OOP {
 func (in *Interp) switchToProcess(proc object.OOP) {
 	vm := in.vm
 	in.stats.ProcessSwitches++
-	if in.rec != nil {
-		// The raw oop value identifies the Process; IdentityHash would
-		// lazily assign hash bits (a heap mutation) and so is off-limits.
-		in.rec.Emit(trace.KProcessSwitch, in.p.ID(), int64(in.p.Now()), int64(proc), 0, "")
-	}
+	// The raw oop value identifies the Process; IdentityHash would
+	// lazily assign hash bits (a heap mutation) and so is off-limits.
+	in.rec.Emit(trace.KProcessSwitch, in.p.ID(), int64(in.p.Now()), int64(proc), 0, "")
 	in.p.Advance(vm.M.Costs().ProcessSwitch)
 	in.setProc(proc)
 	ctx := vm.H.Fetch(proc, PrSuspendedContext)

@@ -41,11 +41,9 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 		vm.sanAccess(in.p, "shared-method-cache")
 	} else {
 		cache = in.cache
-		if s := vm.san; s != nil {
-			// Replicated caches are a Table-3 replication row: each is
-			// only ever probed by its owning processor.
-			s.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "method-cache-replica")
-		}
+		// Replicated caches are a Table-3 replication row: each is
+		// only ever probed by its owning processor.
+		vm.san.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "method-cache-replica")
 	}
 	idx := cacheIndex(selector, class)
 	in.p.Advance(in.probeCost)
@@ -55,9 +53,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 			vm.cacheLock.ReleaseRead(in.p)
 		}
 		in.stats.CacheHits++
-		if in.rec != nil {
-			in.rec.Emit(trace.KCacheHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-		}
+		in.rec.Emit(trace.KCacheHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 		return m, prim, true
 	}
 	if in.twoWay {
@@ -70,9 +66,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 				vm.cacheLock.ReleaseRead(in.p)
 			}
 			in.stats.CacheHits++
-			if in.rec != nil {
-				in.rec.Emit(trace.KCacheHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-			}
+			in.rec.Emit(trace.KCacheHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 			return m, prim, true
 		}
 	}
@@ -182,9 +176,7 @@ func (in *Interp) send(selector object.OOP, nargs int, super bool, sitePC int) {
 		in.p.Advance(in.costs.ICProbe)
 		if m, p, ok := site.probe(class); ok {
 			in.stats.ICHits++
-			if in.rec != nil {
-				in.rec.Emit(trace.KICHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-			}
+			in.rec.Emit(trace.KICHit, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 			method, prim, hit = m, p, true
 		} else {
 			in.stats.ICMisses++
@@ -207,9 +199,7 @@ func (in *Interp) send(selector object.OOP, nargs int, super bool, sitePC int) {
 	}
 	if prim > 0 {
 		in.stats.Primitives++
-		if in.rec != nil {
-			in.rec.Emit(trace.KPrimitive, in.p.ID(), int64(in.p.Now()), int64(prim), 0, "")
-		}
+		in.rec.Emit(trace.KPrimitive, in.p.ID(), int64(in.p.Now()), int64(prim), 0, "")
 		in.p.Advance(in.costs.PrimBase)
 		if in.callPrimitive(prim, nargs) {
 			return
@@ -400,18 +390,14 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 		vm.sanAccess(in.p, "shared-free-contexts")
 		if len(vm.sharedFreeCtx[which]) < freeListMax {
 			vm.sharedFreeCtx[which] = append(vm.sharedFreeCtx[which], ctx)
-			if in.rec != nil {
-				in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-			}
+			in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 		}
 		vm.freeLock.Release(in.p)
 		return
 	}
-	if s := vm.san; s != nil {
-		// Per-processor free context lists are a Table-3 replication
-		// row (the paper's fix for the 160% worst-case overhead).
-		s.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "free-contexts-replica")
-	}
+	// Per-processor free context lists are a Table-3 replication
+	// row (the paper's fix for the 160% worst-case overhead).
+	vm.san.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "free-contexts-replica")
 	if large {
 		if len(in.freeLarge) < freeListMax {
 			in.freeLarge = append(in.freeLarge, ctx)
@@ -422,9 +408,7 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 		}
 	}
 	in.stats.ContextsRecycled++
-	if in.rec != nil {
-		in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-	}
+	in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 }
 
 // allocContext takes a method context from the free list or the heap.
@@ -465,9 +449,7 @@ func (in *Interp) allocContext(large bool) object.OOP {
 		slots = LargeCtxSlots
 	}
 	in.stats.ContextsAlloc++
-	if in.rec != nil {
-		in.rec.Emit(trace.KCtxAlloc, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-	}
+	in.rec.Emit(trace.KCtxAlloc, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 	return vm.H.Allocate(in.p, vm.Specials.MethodContext,
 		CtxFixed+slots, object.FmtPointers)
 }

@@ -482,18 +482,16 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 	if cfg.MethodCache == CacheSharedLocked {
 		vm.sharedCache = new([cacheSize]mcEntry)
 	}
-	if vm.san != nil {
-		// Table-3 serialization rows owned by the interpreter: the
-		// shared ready queue always; the shared method cache and shared
-		// free context lists only under their serialized policies (the
-		// replicated defaults are validated by ownership hooks instead).
-		vm.san.RegisterGuard("ready-queue", "scheduler")
-		if cfg.MethodCache == CacheSharedLocked {
-			vm.san.RegisterGuard("shared-method-cache", "method-cache")
-		}
-		if cfg.FreeContexts == FreeCtxSharedLocked {
-			vm.san.RegisterGuard("shared-free-contexts", "free-contexts")
-		}
+	// Table-3 serialization rows owned by the interpreter: the
+	// shared ready queue always; the shared method cache and shared
+	// free context lists only under their serialized policies (the
+	// replicated defaults are validated by ownership hooks instead).
+	vm.san.RegisterGuard("ready-queue", "scheduler")
+	if cfg.MethodCache == CacheSharedLocked {
+		vm.san.RegisterGuard("shared-method-cache", "method-cache")
+	}
+	if cfg.FreeContexts == FreeCtxSharedLocked {
+		vm.san.RegisterGuard("shared-free-contexts", "free-contexts")
 	}
 
 	// Register roots.

@@ -9,9 +9,6 @@
 //   - lockpair:   every Spinlock/RWSpinlock acquire is paired with the
 //     matching release — lexically somewhere in the same function, and
 //     (by path simulation) never still definitely held at a return.
-//   - traceguard: trace/sanitize hook emissions are guarded by nil
-//     checks, so detached observers cost one pointer test and can
-//     never panic.
 //   - costcharge: internal/jit never invents a virtual-time cost —
 //     literal firefly.Time values, .Advance calls, and literal Cost
 //     fields are forbidden there; compiled bytecodes must charge
@@ -121,7 +118,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		VirttimeAnalyzer,
 		LockpairAnalyzer,
-		TraceguardAnalyzer,
 		CostchargeAnalyzer,
 		StwsafeAnalyzer,
 		AtomicguardAnalyzer,

@@ -295,143 +295,6 @@ func straightline(m *Machine, p *Proc) {
 	wantFindings(t, got, 0, "")
 }
 
-// ---- traceguard ----
-
-func TestTraceguardFlagsUnguardedHook(t *testing.T) {
-	got := runOn(t, TraceguardAnalyzer, "internal/heap", map[string]string{
-		"bad.go": `package heap
-func f(h *Heap, p *Proc) {
-	h.rec.Emit(trace.KSend, p.ID(), 0, 0, 0, "")
-	h.san.OnAccess(p.ID(), 0, "eden")
-}
-`,
-	})
-	wantFindings(t, got, 2, "not nil-guarded")
-}
-
-func TestTraceguardAcceptsGuardIdioms(t *testing.T) {
-	got := runOn(t, TraceguardAnalyzer, "internal/heap", map[string]string{
-		"ok.go": `package heap
-func enclosing(h *Heap, p *Proc) {
-	if h.rec != nil {
-		h.rec.Emit(trace.KSend, p.ID(), 0, 0, 0, "")
-	}
-}
-func ifInit(h *Heap, p *Proc) {
-	if s := h.san; s != nil {
-		s.OnAccess(p.ID(), 0, "eden")
-	}
-}
-func earlyReturn(h *Heap, p *Proc) {
-	san := h.san
-	if san == nil {
-		return
-	}
-	check := func(o uint64) {
-		san.ReportWriteBarrier(0, 0, "x", "y")
-	}
-	check(0)
-	san.NoteBarrierScan(12)
-}
-func conjoined(h *Heap, p *Proc) {
-	if h.rec != nil && p != nil {
-		h.rec.Emit(trace.KSend, p.ID(), 0, 0, 0, "")
-	}
-}
-func elseOfNil(h *Heap, p *Proc) {
-	if h.san == nil {
-		work()
-	} else {
-		h.san.OnAccess(p.ID(), 0, "eden")
-	}
-}
-`,
-	})
-	wantFindings(t, got, 0, "")
-}
-
-func TestTraceguardIgnoresAssemblerEmit(t *testing.T) {
-	got := runOn(t, TraceguardAnalyzer, "internal/compiler", map[string]string{
-		"ok.go": `package compiler
-func f(g *gen) {
-	g.asm.Emit(bytecode.OpPushSelf, 0)
-}
-`,
-	})
-	wantFindings(t, got, 0, "")
-}
-
-func TestTraceguardGuardDoesNotLeakAcrossBranches(t *testing.T) {
-	got := runOn(t, TraceguardAnalyzer, "internal/heap", map[string]string{
-		"bad.go": `package heap
-func f(h *Heap, p *Proc, cond bool) {
-	if h.san == nil {
-		work() // no return: the guard proves nothing below
-	}
-	h.san.OnAccess(p.ID(), 0, "eden")
-}
-`,
-	})
-	wantFindings(t, got, 1, "not nil-guarded")
-}
-
-func TestTraceguardCoversParallelDriver(t *testing.T) {
-	// The parallel driver (real goroutine processors) emits into the
-	// sharded recorder through the same nil-guarded field; an unguarded
-	// emission in the park/stop paths must still be flagged.
-	got := runOn(t, TraceguardAnalyzer, "internal/firefly", map[string]string{
-		"ok.go": `package firefly
-func parkStop(m *Machine, p *Proc) {
-	if r := m.rec; r != nil {
-		r.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
-	}
-}
-`,
-		"bad.go": `package firefly
-func parSlow(m *Machine, p *Proc) {
-	m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
-}
-`,
-	})
-	wantFindings(t, got, 1, "not nil-guarded")
-}
-
-func TestTraceguardCoversHistogramHooks(t *testing.T) {
-	// PR 7's latency histograms and allocation-site profiler hooks are
-	// optional observers like the recorder: every Record/Note* emission
-	// must be nil-guarded. A guard on a receiver prefix counts — the
-	// histograms are value fields of the guarded *LatencyHists.
-	got := runOn(t, TraceguardAnalyzer, "internal/heap", map[string]string{
-		"ok.go": `package heap
-func pause(h *Heap, ticks int64) {
-	if lh := h.lat; lh != nil {
-		lh.ScavengePause.Record(ticks)
-		lh.AddCriticalPath(cp)
-	}
-}
-func site(h *Heap, id int, words int64) {
-	ap := h.alp
-	if ap == nil {
-		return
-	}
-	ap.RecordAlloc(id, words)
-	ap.NoteSurvived(id, words)
-	ap.NoteTenured(id, words)
-	ap.NoteAge(3, words)
-}
-`,
-		"bad.go": `package heap
-func unguardedPause(h *Heap, ticks int64) {
-	h.lat.ScavengePause.Record(ticks)
-}
-func unguardedSite(h *Heap, id int, words int64) {
-	h.alp.RecordAlloc(id, words)
-}
-`,
-	})
-	wantFindings(t, got, 2, "not nil-guarded")
-}
-
 // ---- costcharge ----
 
 func TestCostchargeFlagsInventedCosts(t *testing.T) {
@@ -510,14 +373,14 @@ func TestAnalyzersComplete(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"virttime", "lockpair", "traceguard", "costcharge",
+		"virttime", "lockpair", "costcharge",
 		"stwsafe", "atomicguard", "barrierflow", "lockorder",
 	} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
 	}
-	if len(names) != 8 {
-		t.Errorf("suite has %d analyzers, want 8", len(names))
+	if len(names) != 7 {
+		t.Errorf("suite has %d analyzers, want 7", len(names))
 	}
 }

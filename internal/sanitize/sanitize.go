@@ -31,10 +31,12 @@
 //
 // Like internal/trace, this package sits below every other layer (it
 // imports nothing from the repository) so that firefly, heap, interp,
-// and display can all feed one checker through nil-checked hook
-// points. A nil *Checker costs each hook site exactly one pointer
-// check. The checker itself never charges virtual time and never
-// touches the simulated heap.
+// and display can all feed one checker. Every hook (the Register, On,
+// Reset, Report and Note methods) accepts a nil *Checker, which is the
+// sanitizer switched off: the per-access and per-object hooks are
+// inlined wrappers, so a detached site costs exactly one pointer test.
+// The checker itself never charges virtual time and never touches the
+// simulated heap.
 package sanitize
 
 import (
@@ -193,6 +195,9 @@ func New() *Checker {
 // structure it guards: the accesses are single-threaded by
 // construction, so the lockset rule does not apply.
 func (c *Checker) RegisterLock(name string, enabled bool) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.locks[name] = enabled
@@ -201,6 +206,9 @@ func (c *Checker) RegisterLock(name string, enabled bool) {
 // RegisterGuard declares that the named shared structure is protected
 // by the named lock (a Table-3 serialization row).
 func (c *Checker) RegisterGuard(structure, lock string) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.guards[structure] = lock
@@ -219,6 +227,12 @@ func (c *Checker) report(v Violation) { c.violations = append(c.violations, v) }
 // OnAcquire records that proc now holds lock, validating against
 // double acquisition and recording pairwise acquisition order.
 func (c *Checker) OnAcquire(proc int, at int64, lock string) {
+	if c != nil {
+		c.onAcquire(proc, at, lock)
+	}
+}
+
+func (c *Checker) onAcquire(proc int, at int64, lock string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lockEvents++
@@ -241,6 +255,12 @@ func (c *Checker) OnAcquire(proc int, at int64, lock string) {
 
 // OnRelease records that proc dropped lock.
 func (c *Checker) OnRelease(proc int, at int64, lock string) {
+	if c != nil {
+		c.onRelease(proc, at, lock)
+	}
+}
+
+func (c *Checker) onRelease(proc int, at int64, lock string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lockEvents++
@@ -259,6 +279,12 @@ func (c *Checker) OnRelease(proc int, at int64, lock string) {
 // the accessing processor must hold the structure's guard, unless the
 // guard is a disabled (baseline) lock.
 func (c *Checker) OnAccess(proc int, at int64, structure string) {
+	if c != nil {
+		c.onAccess(proc, at, structure)
+	}
+}
+
+func (c *Checker) onAccess(proc int, at int64, structure string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.accessChecks++
@@ -284,6 +310,12 @@ func (c *Checker) OnAccess(proc int, at int64, structure string) {
 // OnOwnedAccess validates an access to a replicated (per-processor)
 // structure: only the owning processor may touch it.
 func (c *Checker) OnOwnedAccess(proc, owner int, at int64, structure string) {
+	if c != nil {
+		c.onOwnedAccess(proc, owner, at, structure)
+	}
+}
+
+func (c *Checker) onOwnedAccess(proc, owner int, at int64, structure string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.accessChecks++
@@ -298,6 +330,12 @@ func (c *Checker) OnOwnedAccess(proc, owner int, at int64, structure string) {
 // claim on the object at addr. Two claims on the same address in one
 // scavenge mean the claim CAS failed to serialize the copiers.
 func (c *Checker) OnGCClaim(proc int, at int64, addr uint64) {
+	if c != nil {
+		c.onGCClaim(proc, at, addr)
+	}
+}
+
+func (c *Checker) onGCClaim(proc int, at int64, addr uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.accessChecks++
@@ -315,6 +353,12 @@ func (c *Checker) OnGCClaim(proc int, at int64, addr uint64) {
 // OnGCPublish records that worker proc published the forwarding pointer
 // for the object at addr; it must be the worker that claimed it.
 func (c *Checker) OnGCPublish(proc int, at int64, addr uint64) {
+	if c != nil {
+		c.onGCPublish(proc, at, addr)
+	}
+}
+
+func (c *Checker) onGCPublish(proc int, at int64, addr uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.accessChecks++
@@ -332,6 +376,9 @@ func (c *Checker) OnGCPublish(proc int, at int64, addr uint64) {
 
 // ResetGCClaims clears the claim table at the end of a scavenge.
 func (c *Checker) ResetGCClaims() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcClaims = nil
@@ -342,6 +389,12 @@ func (c *Checker) ResetGCClaims() {
 // on the same address in one cycle mean the claiming CAS failed to
 // serialize the markers.
 func (c *Checker) OnMarkGrey(proc int, at int64, addr uint64) {
+	if c != nil {
+		c.onMarkGrey(proc, at, addr)
+	}
+}
+
+func (c *Checker) onMarkGrey(proc int, at int64, addr uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.accessChecks++
@@ -363,6 +416,9 @@ func (c *Checker) OnMarkGrey(proc int, at int64, addr uint64) {
 // before the old edge is lost). shaded is the referent's mark state as
 // re-read after the barrier ran.
 func (c *Checker) OnDeletionBarrier(proc int, at int64, addr uint64, shaded bool) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.accessChecks++
@@ -376,6 +432,9 @@ func (c *Checker) OnDeletionBarrier(proc int, at int64, addr uint64, shaded bool
 // heap's own scans (the tri-color verifier lives in internal/heap,
 // which owns the memory).
 func (c *Checker) ReportConcMark(proc int, at int64, detail string) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.report(Violation{Kind: KindConcMark, Proc: proc, At: at,
@@ -385,6 +444,9 @@ func (c *Checker) ReportConcMark(proc int, at int64, detail string) {
 // ResetMarkClaims clears the grey-claim table at the end of a
 // concurrent-mark cycle.
 func (c *Checker) ResetMarkClaims() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.markClaims = nil
@@ -393,6 +455,9 @@ func (c *Checker) ResetMarkClaims() {
 // ReportWriteBarrier records one write-barrier verifier finding (the
 // scan itself lives in internal/heap, which owns the memory).
 func (c *Checker) ReportWriteBarrier(proc int, at int64, detail string) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.report(Violation{Kind: KindWriteBarrier, Proc: proc, At: at,
@@ -401,6 +466,9 @@ func (c *Checker) ReportWriteBarrier(proc int, at int64, detail string) {
 
 // NoteBarrierScan accounts one verifier pass over words of old space.
 func (c *Checker) NoteBarrierScan(words uint64) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.barrierScans++

@@ -299,3 +299,51 @@ func TestGCClaimsResetBetweenScavenges(t *testing.T) {
 		t.Fatalf("claims across a reset reported violations: %v", c.Violations())
 	}
 }
+
+// TestHooksNilSafe holds the hook rule where it is decided: a nil
+// *Checker is the sanitizer switched off, and every hook on it returns
+// without panicking and without allocating. A hook is any exported
+// method with no result (the readers all return something), so a hook
+// added later is covered without touching this test.
+func TestHooksNilSafe(t *testing.T) {
+	var c *Checker
+	if n := testing.AllocsPerRun(100, func() {
+		c.RegisterLock("l", true)
+		c.RegisterGuard("s", "l")
+		c.OnAcquire(0, 1, "l")
+		c.OnAccess(0, 2, "s")
+		c.OnOwnedAccess(0, 0, 3, "s")
+		c.OnRelease(0, 4, "l")
+		c.OnGCClaim(0, 5, 64)
+		c.OnGCPublish(0, 6, 64)
+		c.ResetGCClaims()
+		c.OnMarkGrey(0, 7, 64)
+		c.OnDeletionBarrier(0, 8, 64, false)
+		c.ResetMarkClaims()
+		c.ReportConcMark(0, 9, "d")
+		c.ReportWriteBarrier(0, 10, "d")
+		c.NoteBarrierScan(11)
+	}); n != 0 {
+		t.Errorf("hooks on a nil checker allocate %v times per run, want 0", n)
+	}
+
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumMethod(); i++ {
+		m, name := v.Method(i), v.Type().Method(i).Name
+		if m.Type().NumOut() != 0 {
+			continue
+		}
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(m.Type().In(j))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Checker)(nil).%s panics: %v", name, r)
+				}
+			}()
+			m.Call(args)
+		}()
+	}
+}

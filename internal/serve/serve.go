@@ -212,7 +212,7 @@ type execState struct {
 	done       []firefly.Time
 	tenantDone map[int][]firefly.Time
 
-	hists *serveHists
+	latency, wait, service trace.Histogram
 
 	perTenant map[int]*TenantStats
 	admitted  int
@@ -221,15 +221,6 @@ type execState struct {
 	completed int
 	errors    int
 	evalErr   error // first tenant materialization/VM failure, fatal
-}
-
-// serveHists is the executor's latency observer set, held behind one
-// pointer so the recording sites follow the repo-wide nil-guarded hook
-// idiom (traceguard).
-type serveHists struct {
-	latency trace.Histogram
-	wait    trace.Histogram
-	service trace.Histogram
 }
 
 // backlog counts entries of done that are still undone at virtual time
@@ -274,9 +265,7 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 		if backlog(e.done, at) >= s.cfg.QueueDepth {
 			e.rejected++
 			ts.Rejected++
-			if rec != nil {
-				rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 0, "")
-			}
+			rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 0, "")
 			continue
 		}
 		if backlog(e.tenantDone[a.Tenant], at) >= s.cfg.TenantShare {
@@ -284,9 +273,7 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 			e.rejShare++
 			ts.Rejected++
 			ts.RejectedShare++
-			if rec != nil {
-				rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 1, "")
-			}
+			rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 1, "")
 			continue
 		}
 
@@ -323,19 +310,15 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 		e.completed++
 		ts.Completed++
 		lat := doneAt - at
-		if h := e.hists; h != nil {
-			h.latency.Record(int64(lat))
-			h.wait.Record(int64(start - at))
-			h.service.Record(int64(doneAt - start))
-		}
+		e.latency.Record(int64(lat))
+		e.wait.Record(int64(start - at))
+		e.service.Record(int64(doneAt - start))
 		ts.LatencySum += int64(lat)
 		if int64(lat) > ts.LatencyMax {
 			ts.LatencyMax = int64(lat)
 		}
-		if rec != nil {
-			rec.Emit(trace.KServeStart, p.ID(), int64(start), int64(a.Tenant), int64(start-at), kindName)
-			rec.Emit(trace.KServeDone, p.ID(), int64(doneAt), int64(a.Tenant), int64(lat), "")
-		}
+		rec.Emit(trace.KServeStart, p.ID(), int64(start), int64(a.Tenant), int64(start-at), kindName)
+		rec.Emit(trace.KServeDone, p.ID(), int64(doneAt), int64(a.Tenant), int64(lat), "")
 		// Quantum boundary: in the deterministic mode the front-end
 		// driver resumes the executor with the smallest clock next, so
 		// executors interleave in virtual-time order.
@@ -353,7 +336,6 @@ func (s *Server) Run(arrivals []loadgen.Arrival) (*Report, error) {
 		execs[i] = &execState{
 			tenantDone: map[int][]firefly.Time{},
 			perTenant:  map[int]*TenantStats{},
-			hists:      &serveHists{},
 		}
 	}
 	for _, a := range arrivals {
@@ -418,9 +400,9 @@ func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, rec *tra
 		r.RejectedShare += e.rejShare
 		r.Completed += e.completed
 		r.Errors += e.errors
-		latency.Merge(&e.hists.latency)
-		wait.Merge(&e.hists.wait)
-		service.Merge(&e.hists.service)
+		latency.Merge(&e.latency)
+		wait.Merge(&e.wait)
+		service.Merge(&e.service)
 		for id, ts := range e.perTenant {
 			perTenant[id] = ts
 		}

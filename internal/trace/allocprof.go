@@ -34,7 +34,9 @@ type allocSite struct {
 // mutex-guarded: the deterministic mode is single-goroutine, so the
 // lock is uncontended there, and the profiler refuses parallel mode at
 // the config layer anyway (site attribution needs the interpreter's
-// per-processor state mid-bytecode).
+// per-processor state mid-bytecode). The methods the heap calls
+// (RecordAlloc and the Note family) accept a nil profiler, which is
+// profiling switched off.
 type AllocProfiler struct {
 	//msvet:stw-safe profiler table lock: the GC hooks (NoteSurvived/NoteTenured) fire from inside the scavenge window and the lock is held only for bounded map/slice updates; the profiler refuses parallel mode anyway
 	mu    sync.Mutex
@@ -73,6 +75,9 @@ func (a *AllocProfiler) site(id int) *allocSite {
 // RecordAlloc attributes one allocation of the given word size
 // (including the header) to the site.
 func (a *AllocProfiler) RecordAlloc(id int, words int64) {
+	if a == nil {
+		return
+	}
 	a.mu.Lock()
 	if s := a.site(id); s != nil {
 		s.objects++
@@ -84,6 +89,9 @@ func (a *AllocProfiler) RecordAlloc(id int, words int64) {
 // NoteSurvived reports that an eden-born object from the site survived
 // its first scavenge (was copied to a survivor space).
 func (a *AllocProfiler) NoteSurvived(id int, words int64) {
+	if a == nil {
+		return
+	}
 	a.mu.Lock()
 	if s := a.site(id); s != nil {
 		s.survObjects++
@@ -95,6 +103,9 @@ func (a *AllocProfiler) NoteSurvived(id int, words int64) {
 // NoteTenured reports that an object from the site was promoted to old
 // space.
 func (a *AllocProfiler) NoteTenured(id int, words int64) {
+	if a == nil {
+		return
+	}
 	a.mu.Lock()
 	if s := a.site(id); s != nil {
 		s.tenureObject++
@@ -104,8 +115,15 @@ func (a *AllocProfiler) NoteTenured(id int, words int64) {
 }
 
 // NoteAge adds one surviving object of the given age (in scavenges
-// survived) to the demographics census.
+// survived) to the demographics census. The scavenger calls it for
+// every copied object, so the nil test is an inlined wrapper.
 func (a *AllocProfiler) NoteAge(age int, words int64) {
+	if a != nil {
+		a.noteAge(age, words)
+	}
+}
+
+func (a *AllocProfiler) noteAge(age int, words int64) {
 	if age < 0 {
 		age = 0
 	}

@@ -75,8 +75,15 @@ type Histogram struct {
 
 // Record adds one sample. Negative samples are clamped to zero (they
 // cannot occur for well-formed virtual durations, but a clamp keeps the
-// bucket math total).
+// bucket math total). A nil histogram is a detached one: the wrapper
+// inlines, so the site costs one pointer test.
 func (h *Histogram) Record(v int64) {
+	if h != nil {
+		h.record(v)
+	}
+}
+
+func (h *Histogram) record(v int64) {
 	if v < 0 {
 		v = 0
 	}
@@ -222,19 +229,26 @@ func (c GCCriticalPath) Efficiency() float64 {
 	return float64(c.SumTicks) / (float64(c.Workers) * float64(c.LongPoleTicks))
 }
 
+// The fixed series of a LatencyHists: the first argument of Record.
+const (
+	ScavengePause  = iota // full STW pause per scavenge
+	ScavRendezvous        // pause share: stopping/synchronizing processors
+	ScavCopy              // pause share: copying survivors
+	ScavTerm              // pause share: termination detection
+	FullGCPause           // full STW pause per full collection
+	Dispatch              // scheduler dispatch latency per quantum
+	ConcMarkPause         // STW window (snapshot or finalize) per concurrent-mark cycle
+	ConcMarkSlice         // ticks per bounded concurrent mark slice
+	numSeries
+)
+
 // LatencyHists is the registry of virtual-time latency distributions.
-// Attach one to the machine (Machine.SetLatencyHists) before boot;
-// instrumented layers record into it through nil-guarded hooks, so a
-// detached registry costs one pointer test per site.
+// Attach one to the machine (Machine.SetLatencyHists) before boot. The
+// methods instrumented layers call (Record, LockHist, AddCriticalPath)
+// accept a nil registry — histograms switched off — so a recording
+// site needs no guard and costs one pointer test when detached.
 type LatencyHists struct {
-	ScavengePause  Histogram // full STW pause per scavenge
-	ScavRendezvous Histogram // pause share: stopping/synchronizing processors
-	ScavCopy       Histogram // pause share: copying survivors
-	ScavTerm       Histogram // pause share: termination detection
-	FullGCPause    Histogram // full STW pause per full collection
-	Dispatch       Histogram // scheduler dispatch latency per quantum
-	ConcMarkPause  Histogram // STW window (snapshot or finalize) per concurrent-mark cycle
-	ConcMarkSlice  Histogram // ticks per bounded concurrent mark slice
+	series [numSeries]Histogram
 
 	mu        sync.Mutex
 	lockNames []string
@@ -248,10 +262,20 @@ type LatencyHists struct {
 // NewLatencyHists returns an empty registry.
 func NewLatencyHists() *LatencyHists { return &LatencyHists{} }
 
+// Record adds one sample to a fixed series.
+func (l *LatencyHists) Record(series int, v int64) {
+	if l != nil {
+		l.series[series].record(v)
+	}
+}
+
 // LockHist returns the acquire-wait histogram for the named lock,
 // creating it on first use. Locks registered under the same name share
-// one histogram.
+// one histogram. A nil registry hands out nil (detached) histograms.
 func (l *LatencyHists) LockHist(name string) *Histogram {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i, n := range l.lockNames {
@@ -267,6 +291,9 @@ func (l *LatencyHists) LockHist(name string) *Histogram {
 
 // AddCriticalPath appends one parallel scavenge's critical-path record.
 func (l *LatencyHists) AddCriticalPath(c GCCriticalPath) {
+	if l == nil {
+		return
+	}
 	l.cpMu.Lock()
 	l.critPaths = append(l.critPaths, c)
 	l.cpMu.Unlock()
@@ -305,14 +332,14 @@ type LatencyMetrics struct {
 // lock metrics use.
 func (l *LatencyHists) Snapshot() *LatencyMetrics {
 	m := &LatencyMetrics{
-		ScavengePause:  l.ScavengePause.Snapshot(),
-		ScavRendezvous: l.ScavRendezvous.Snapshot(),
-		ScavCopy:       l.ScavCopy.Snapshot(),
-		ScavTerm:       l.ScavTerm.Snapshot(),
-		FullGCPause:    l.FullGCPause.Snapshot(),
-		Dispatch:       l.Dispatch.Snapshot(),
-		ConcMarkPause:  l.ConcMarkPause.Snapshot(),
-		ConcMarkSlice:  l.ConcMarkSlice.Snapshot(),
+		ScavengePause:  l.series[ScavengePause].Snapshot(),
+		ScavRendezvous: l.series[ScavRendezvous].Snapshot(),
+		ScavCopy:       l.series[ScavCopy].Snapshot(),
+		ScavTerm:       l.series[ScavTerm].Snapshot(),
+		FullGCPause:    l.series[FullGCPause].Snapshot(),
+		Dispatch:       l.series[Dispatch].Snapshot(),
+		ConcMarkPause:  l.series[ConcMarkPause].Snapshot(),
+		ConcMarkSlice:  l.series[ConcMarkSlice].Snapshot(),
 		CriticalPaths:  l.CriticalPaths(),
 	}
 	l.mu.Lock()

@@ -178,14 +178,21 @@ func (r *Recorder) Sharded() bool { return r.shards != nil }
 
 // Emit records one event, overwriting the oldest when the ring is full.
 // It never allocates. On a sharded recorder the event goes to the
-// emitting processor's private ring.
+// emitting processor's private ring. A nil recorder is tracing switched
+// off: the wrapper inlines, so a detached site costs one pointer test.
 func (r *Recorder) Emit(k Kind, proc int, at, arg1, arg2 int64, str string) {
+	if r != nil {
+		r.emit(k, proc, at, arg1, arg2, str)
+	}
+}
+
+func (r *Recorder) emit(k Kind, proc int, at, arg1, arg2 int64, str string) {
 	if r.shards != nil {
 		s := r.shards[0]
 		if proc >= 0 && proc < len(r.shards) {
 			s = r.shards[proc]
 		}
-		s.Emit(k, proc, at, arg1, arg2, str)
+		s.emit(k, proc, at, arg1, arg2, str)
 		return
 	}
 	e := &r.buf[r.n&r.mask]

@@ -334,3 +334,31 @@ func TestShardedRecorderConcurrent(t *testing.T) {
 		last[e.Proc] = e.At
 	}
 }
+
+// TestHooksNilSafe holds the hook rule where it is decided: a nil
+// observer is that observer switched off, and every method the
+// instrumented layers call on it returns without panicking and without
+// allocating.
+func TestHooksNilSafe(t *testing.T) {
+	var (
+		r  *Recorder
+		h  *Histogram
+		lh *LatencyHists
+		ap *AllocProfiler
+	)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Emit(KSend, 0, 1, 2, 3, "sel")
+		h.Record(7)
+		for s := 0; s < numSeries; s++ {
+			lh.Record(s, 7)
+		}
+		lh.LockHist("alloc").Record(7)
+		lh.AddCriticalPath(GCCriticalPath{Workers: 2})
+		ap.RecordAlloc(0, 4)
+		ap.NoteSurvived(0, 4)
+		ap.NoteTenured(0, 4)
+		ap.NoteAge(1, 4)
+	}); n != 0 {
+		t.Errorf("hooks on nil observers allocate %v times per run, want 0", n)
+	}
+}
