@@ -76,6 +76,38 @@ func runGolden(t *testing.T, st bench.State, attach func(*core.Config),
 	return o
 }
 
+// eachState runs body once per standard state, as a subtest.
+func eachState(t *testing.T, body func(t *testing.T, st bench.State)) {
+	for _, st := range bench.StandardStates() {
+		t.Run(st.Name, func(t *testing.T) { body(t, st) })
+	}
+}
+
+// wantGoldenVMS checks a run's virtual times against the golden table.
+func wantGoldenVMS(t *testing.T, state, what string, o goldenOutcome) {
+	t.Helper()
+	for i, b := range goldenMacros {
+		if want := goldenVMS[state][b]; o.vms[i] != want {
+			t.Errorf("%s %s%s: vms = %d, want golden %d", state, b, what, o.vms[i], want)
+		}
+	}
+}
+
+// explicitOffMatchesDefault runs st as configured and again with off
+// applied — an explicit "feature off" — and requires both to hit the
+// golden virtual times and to agree on the complete outcome. It returns
+// the default run for the caller's own feature-is-off checks.
+func explicitOffMatchesDefault(t *testing.T, st bench.State, field string, off func(*core.Config)) goldenOutcome {
+	implicit, explicit := runGolden(t, st, nil, nil), runGolden(t, st, off, nil)
+	wantGoldenVMS(t, st.Name, "", implicit)
+	wantGoldenVMS(t, st.Name, "", explicit)
+	if !reflect.DeepEqual(implicit, explicit) {
+		t.Errorf("%s: explicit %s=false diverges from the default:\ndefault:  %+v\nexplicit: %+v",
+			st.Name, field, implicit, explicit)
+	}
+	return implicit
+}
+
 // plainGolden holds each standard state's outcome with no observer
 // attached, run once and shared by every invariance test.
 var plainGolden = map[string]goldenOutcome{}
@@ -87,30 +119,23 @@ var plainGolden = map[string]goldenOutcome{}
 // observers actually saw the run.
 func observerInvariance(t *testing.T, what string, attach func(*core.Config),
 	inspect func(*testing.T, *core.System, goldenOutcome)) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			plain, ok := plainGolden[st.Name]
-			if !ok {
-				plain = runGolden(t, st, nil, nil)
-				plainGolden[st.Name] = plain
-			}
-			observed := runGolden(t, st, attach, inspect)
-			for i, b := range goldenMacros {
-				if want := goldenVMS[st.Name][b]; observed.vms[i] != want {
-					t.Errorf("%s %s with %s on: vms = %d, want golden %d", st.Name, b, what, observed.vms[i], want)
-				}
-			}
-			if !reflect.DeepEqual(plain.vms, observed.vms) {
-				t.Errorf("%s: virtual times diverge with %s on: %v vs %v",
-					st.Name, what, plain.vms, observed.vms)
-			}
-			if !reflect.DeepEqual(plain.stats, observed.stats) {
-				t.Errorf("%s: stats diverge with %s on:\nplain:    %+v\nobserved: %+v",
-					st.Name, what, plain.stats, observed.stats)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		plain, ok := plainGolden[st.Name]
+		if !ok {
+			plain = runGolden(t, st, nil, nil)
+			plainGolden[st.Name] = plain
+		}
+		observed := runGolden(t, st, attach, inspect)
+		wantGoldenVMS(t, st.Name, " with "+what+" on", observed)
+		if !reflect.DeepEqual(plain.vms, observed.vms) {
+			t.Errorf("%s: virtual times diverge with %s on: %v vs %v",
+				st.Name, what, plain.vms, observed.vms)
+		}
+		if !reflect.DeepEqual(plain.stats, observed.stats) {
+			t.Errorf("%s: stats diverge with %s on:\nplain:    %+v\nobserved: %+v",
+				st.Name, what, plain.stats, observed.stats)
+		}
+	})
 }
 
 func inspectTrace(t *testing.T, sys *core.System, _ goldenOutcome) {
@@ -203,56 +228,17 @@ func TestGoldenAllObserversInvariance(t *testing.T) {
 // serial extraction left the modeled machine untouched. An explicit
 // ParScavenge=false config must match the implicit default exactly.
 func TestGoldenParScavengeOff(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func(explicitOff bool) outcome {
-				s := st
-				if explicitOff {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.ParScavenge = false
-						return cfg
-					}
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := goldenVMS[st.Name][b]; vms != want {
-						t.Errorf("%s %s: vms = %d, want golden %d", st.Name, b, vms, want)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				return o
-			}
-			implicit, explicit := run(false), run(true)
-			if !reflect.DeepEqual(implicit, explicit) {
-				t.Errorf("%s: explicit ParScavenge=false diverges from the default:\ndefault:  %+v\nexplicit: %+v",
-					st.Name, implicit, explicit)
-			}
-			if implicit.stats.Heap.Scavenges == 0 {
-				t.Errorf("%s: no scavenges ran; the serial path went unexercised", st.Name)
-			}
-			if implicit.stats.Heap.ParScavenges != 0 {
-				t.Errorf("%s: parallel scavenges ran in a default config (%d); the feature must be off",
-					st.Name, implicit.stats.Heap.ParScavenges)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		hs := explicitOffMatchesDefault(t, st, "ParScavenge",
+			func(cfg *core.Config) { cfg.ParScavenge = false }).stats.Heap
+		if hs.Scavenges == 0 {
+			t.Errorf("%s: no scavenges ran; the serial path went unexercised", st.Name)
+		}
+		if hs.ParScavenges != 0 {
+			t.Errorf("%s: parallel scavenges ran in a default config (%d); the feature must be off",
+				st.Name, hs.ParScavenges)
+		}
+	})
 }
 
 // TestGoldenConcMarkOff: with the SATB concurrent marker compiled in
@@ -262,54 +248,14 @@ func TestGoldenParScavengeOff(t *testing.T) {
 // to be invisible when the feature is off — and an explicit
 // ConcMark=false config must match the implicit default exactly.
 func TestGoldenConcMarkOff(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func(explicitOff bool) outcome {
-				s := st
-				if explicitOff {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.ConcMark = false
-						return cfg
-					}
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := goldenVMS[st.Name][b]; vms != want {
-						t.Errorf("%s %s: vms = %d, want golden %d", st.Name, b, vms, want)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				return o
-			}
-			implicit, explicit := run(false), run(true)
-			if !reflect.DeepEqual(implicit, explicit) {
-				t.Errorf("%s: explicit ConcMark=false diverges from the default:\ndefault:  %+v\nexplicit: %+v",
-					st.Name, implicit, explicit)
-			}
-			hs := implicit.stats.Heap
-			if hs.ConcMarkCycles != 0 || hs.ConcMarkSlices != 0 || hs.ConcMarkShaded != 0 {
-				t.Errorf("%s: concurrent marking ran in a default config (cycles=%d slices=%d shades=%d); the feature must be off",
-					st.Name, hs.ConcMarkCycles, hs.ConcMarkSlices, hs.ConcMarkShaded)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		hs := explicitOffMatchesDefault(t, st, "ConcMark",
+			func(cfg *core.Config) { cfg.ConcMark = false }).stats.Heap
+		if hs.ConcMarkCycles != 0 || hs.ConcMarkSlices != 0 || hs.ConcMarkShaded != 0 {
+			t.Errorf("%s: concurrent marking ran in a default config (cycles=%d slices=%d shades=%d); the feature must be off",
+				st.Name, hs.ConcMarkCycles, hs.ConcMarkSlices, hs.ConcMarkShaded)
+		}
+	})
 }
 
 // TestGoldenConcMarkDeterminism: with the concurrent marker ON under
@@ -318,78 +264,32 @@ func TestGoldenConcMarkOff(t *testing.T) {
 // snapshot, concmark counters included. The mark slices interleave with
 // the mutator at safepoints only, so the whole cycle is replayable.
 func TestGoldenConcMarkDeterminism(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func() outcome {
-				s := st
-				base := s.Config
-				s.Config = func() core.Config {
-					cfg := base()
-					cfg.ConcMark = true
-					return cfg
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				return o
-			}
-			first, second := run(), run()
-			if !reflect.DeepEqual(first, second) {
-				t.Errorf("%s: two -concmark runs diverge:\nfirst:  %+v\nsecond: %+v",
-					st.Name, first, second)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		on := func(cfg *core.Config) { cfg.ConcMark = true }
+		first, second := runGolden(t, st, on, nil), runGolden(t, st, on, nil)
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: two -concmark runs diverge:\nfirst:  %+v\nsecond: %+v",
+				st.Name, first, second)
+		}
+	})
 }
 
 func TestGoldenDeterminism(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			sys, err := bench.NewBenchSystem(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sys.Shutdown()
-			for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-				vms, err := bench.RunMacro(sys, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := goldenVMS[st.Name][b]; vms != want {
-					t.Errorf("%s %s: vms = %d, want golden %d", st.Name, b, vms, want)
-				}
-			}
-			stats := sys.VM.Stats()
-			want := goldenStats[st.Name]
-			if stats.Sends != want.sends || stats.CacheHits != want.hits ||
-				stats.CacheMisses != want.misses || stats.DictProbes != want.dict {
-				t.Errorf("%s counters: sends=%d hits=%d misses=%d dict=%d, want %d/%d/%d/%d",
-					st.Name, stats.Sends, stats.CacheHits, stats.CacheMisses, stats.DictProbes,
-					want.sends, want.hits, want.misses, want.dict)
-			}
-			if stats.ICHits != 0 || stats.ICMisses != 0 || stats.ICFills != 0 {
-				t.Errorf("%s: inline caches active in a default config (hits=%d misses=%d fills=%d); they must be off",
-					st.Name, stats.ICHits, stats.ICMisses, stats.ICFills)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		o := runGolden(t, st, nil, nil)
+		wantGoldenVMS(t, st.Name, "", o)
+		stats, want := o.stats.Interp, goldenStats[st.Name]
+		if stats.Sends != want.sends || stats.CacheHits != want.hits ||
+			stats.CacheMisses != want.misses || stats.DictProbes != want.dict {
+			t.Errorf("%s counters: sends=%d hits=%d misses=%d dict=%d, want %d/%d/%d/%d",
+				st.Name, stats.Sends, stats.CacheHits, stats.CacheMisses, stats.DictProbes,
+				want.sends, want.hits, want.misses, want.dict)
+		}
+		if stats.ICHits != 0 || stats.ICMisses != 0 || stats.ICFills != 0 {
+			t.Errorf("%s: inline caches active in a default config (hits=%d misses=%d fills=%d); they must be off",
+				st.Name, stats.ICHits, stats.ICMisses, stats.ICFills)
+		}
+	})
 }
 
 // TestGoldenJITOff: with the msjit template tier compiled in but
@@ -399,53 +299,14 @@ func TestGoldenDeterminism(t *testing.T) {
 // the tier's hooks (loadContext, send-path split, flush points) left
 // the interpreted machine untouched.
 func TestGoldenJITOff(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func(explicitOff bool) outcome {
-				s := st
-				if explicitOff {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.JIT = false
-						return cfg
-					}
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := goldenVMS[st.Name][b]; vms != want {
-						t.Errorf("%s %s: vms = %d, want golden %d", st.Name, b, vms, want)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				return o
-			}
-			implicit, explicit := run(false), run(true)
-			if !reflect.DeepEqual(implicit, explicit) {
-				t.Errorf("%s: explicit JIT=false diverges from the default:\ndefault:  %+v\nexplicit: %+v",
-					st.Name, implicit, explicit)
-			}
-			if implicit.stats.Interp.JITCompiles != 0 || implicit.stats.Interp.JITBytecodes != 0 {
-				t.Errorf("%s: template tier active in a default config (compiles=%d bytecodes=%d); it must be off",
-					st.Name, implicit.stats.Interp.JITCompiles, implicit.stats.Interp.JITBytecodes)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		is := explicitOffMatchesDefault(t, st, "JIT",
+			func(cfg *core.Config) { cfg.JIT = false }).stats.Interp
+		if is.JITCompiles != 0 || is.JITBytecodes != 0 {
+			t.Errorf("%s: template tier active in a default config (compiles=%d bytecodes=%d); it must be off",
+				st.Name, is.JITCompiles, is.JITBytecodes)
+		}
+	})
 }
 
 // TestGoldenJITOn: the tier's whole contract in one test — with JIT on,
@@ -455,55 +316,22 @@ func TestGoldenJITOff(t *testing.T) {
 // ran). Compiled bytecodes charge through the same cost table at the
 // same points, so nothing else may move.
 func TestGoldenJITOn(t *testing.T) {
-	for _, st := range bench.StandardStates() {
-		st := st
-		t.Run(st.Name, func(t *testing.T) {
-			type outcome struct {
-				vms   []int64
-				stats core.Stats
-			}
-			run := func(jit bool) outcome {
-				s := st
-				if jit {
-					base := s.Config
-					s.Config = func() core.Config {
-						cfg := base()
-						cfg.JIT = true
-						return cfg
-					}
-				}
-				sys, err := bench.NewBenchSystem(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Shutdown()
-				var o outcome
-				for _, b := range []string{"printClassHierarchy", "decompileClass"} {
-					vms, err := bench.RunMacro(sys, b)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := goldenVMS[st.Name][b]; vms != want {
-						t.Errorf("%s %s (jit=%v): vms = %d, want golden %d", st.Name, b, jit, vms, want)
-					}
-					o.vms = append(o.vms, vms)
-				}
-				o.stats = sys.Stats()
-				return o
-			}
-			off, on := run(false), run(true)
-			if on.stats.Interp.JITCompiles == 0 || on.stats.Interp.JITBytecodes == 0 {
-				t.Errorf("%s: JIT run compiled nothing (compiles=%d bytecodes=%d)",
-					st.Name, on.stats.Interp.JITCompiles, on.stats.Interp.JITBytecodes)
-			}
-			neutral := on
-			neutral.stats.Interp.JITCompiles = 0
-			neutral.stats.Interp.JITDeopts = 0
-			neutral.stats.Interp.JITBytecodes = 0
-			if !reflect.DeepEqual(off, neutral) {
-				t.Errorf("%s: JIT on shifts virtual behavior:\noff: vms=%v stats=%+v\non:  vms=%v stats=%+v",
-					st.Name, off.vms, off.stats, on.vms, on.stats)
-			}
-		})
-	}
+	eachState(t, func(t *testing.T, st bench.State) {
+		off := runGolden(t, st, nil, nil)
+		on := runGolden(t, st, func(cfg *core.Config) { cfg.JIT = true }, nil)
+		wantGoldenVMS(t, st.Name, " (jit=false)", off)
+		wantGoldenVMS(t, st.Name, " (jit=true)", on)
+		if on.stats.Interp.JITCompiles == 0 || on.stats.Interp.JITBytecodes == 0 {
+			t.Errorf("%s: JIT run compiled nothing (compiles=%d bytecodes=%d)",
+				st.Name, on.stats.Interp.JITCompiles, on.stats.Interp.JITBytecodes)
+		}
+		neutral := on
+		neutral.stats.Interp.JITCompiles = 0
+		neutral.stats.Interp.JITDeopts = 0
+		neutral.stats.Interp.JITBytecodes = 0
+		if !reflect.DeepEqual(off, neutral) {
+			t.Errorf("%s: JIT on shifts virtual behavior:\noff: vms=%v stats=%+v\non:  vms=%v stats=%+v",
+				st.Name, off.vms, off.stats, on.vms, on.stats)
+		}
+	})
 }

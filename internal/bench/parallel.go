@@ -12,7 +12,7 @@ import (
 // The parallel host sweep (msbench -parallel): the same fixed workload
 // — a pool of sweep-hand-style BusyWorkers splitting a constant number
 // of steps — run at increasing processor counts, once under the
-// deterministic baton driver and once with real goroutine processors,
+// deterministic driver and once with real goroutine processors,
 // measuring host wall-clock time. Virtual time answers the paper's
 // questions; this sweep answers the host's: does giving the simulated
 // processors real cores make the simulation itself faster? Speedup is

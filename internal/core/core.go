@@ -63,8 +63,7 @@ type Config struct {
 	OldWords      int
 	TenureAge     int
 
-	QuantumBytecodes int
-	TimeLimit        firefly.Time // 0: none
+	TimeLimit firefly.Time // 0: none
 
 	// Observability (zero cost when off; never changes virtual time or
 	// any counter when on). TraceEvents is the flight-recorder ring
@@ -236,15 +235,14 @@ func NewSystem(cfg Config) (*System, error) {
 	hcfg.ParScavenge = cfg.ParScavenge
 	hcfg.ConcMark = cfg.ConcMark
 	vcfg := interp.Config{
-		MSMode:           cfg.Mode == ModeMS,
-		MethodCache:      cfg.MethodCache,
-		CacheWays:        cfg.CacheWays,
-		InlineCache:      cfg.InlineCache,
-		FreeContexts:     cfg.FreeContexts,
-		QuantumBytecodes: cfg.QuantumBytecodes,
-		PanicOnVMError:   true,
-		Parallel:         cfg.Parallel,
-		JIT:              cfg.JIT,
+		MSMode:         cfg.Mode == ModeMS,
+		MethodCache:    cfg.MethodCache,
+		CacheWays:      cfg.CacheWays,
+		InlineCache:    cfg.InlineCache,
+		FreeContexts:   cfg.FreeContexts,
+		PanicOnVMError: true,
+		Parallel:       cfg.Parallel,
+		JIT:            cfg.JIT,
 	}
 	m := firefly.New(cfg.Processors, firefly.DefaultCosts())
 	if cfg.TimeLimit > 0 {

@@ -12,15 +12,12 @@
 // hardware, so contention, stalls, and utilization are emergent properties
 // of the workload; only the primitive operation costs are assumed.
 //
-// Each processor's work function runs on its own goroutine, but a baton
-// protocol guarantees that exactly one goroutine (or the driver) executes
-// at any moment, so the simulated machine state needs no host-level
-// synchronization and every run is reproducible. The baton passes from a
-// yielding processor directly to the next scheduled processor (or stays
-// put when the yielder is scheduled again); the driver goroutine is only
-// involved when Run has to return. The scheduling decisions are the same
-// ones a driver-centered loop would make — only the host goroutine that
-// computes them differs — so virtual times are unaffected.
+// Each processor's work function is one runtime coroutine (coro.go), so
+// exactly one of them, or the driver, executes at any moment and the
+// simulated machine state needs no host-level synchronization. Run, the
+// driver, resumes the processor with the minimum clock. Yield decides in
+// place: it returns at once when the yielder is scheduled again and
+// otherwise leaves the decision in the machine and switches to the driver.
 package firefly
 
 import (
@@ -75,17 +72,18 @@ func (r StopReason) String() string {
 }
 
 // Proc is one virtual processor. All methods must be called from the
-// processor's own work function (they run under the machine baton).
+// processor's own work function.
 type Proc struct {
 	id      int
 	m       *Machine
 	clock   Time
 	yieldAt Time
 
-	resume  chan struct{}
-	started bool
-	done    bool
-	active  bool
+	// co resumes the work function's coroutine until its next Yield that
+	// switches, or its return; yield is the other side. nil until Start.
+	co, yield func()
+	done      bool
+	active    bool
 
 	// Statistics, all in ticks of virtual time.
 	busy  Time // productive work
@@ -136,10 +134,9 @@ func (p *Proc) StallUntil(t Time) {
 func (p *Proc) Stopped() bool { return p.m.shutdown.Load() }
 
 // Yield ends this processor's quantum. The next scheduling decision is
-// made right here, on this goroutine: when this processor is scheduled
-// again Yield simply returns; when another is, the baton passes to it
-// directly; only a stop condition (until-predicate, time limit, all
-// done) routes through the driver goroutine so Run can return.
+// made right here: when this processor is scheduled again Yield simply
+// returns; otherwise the decision (another processor, or a stop) is left
+// in the machine for Run, and the coroutine switches back to it.
 func (p *Proc) Yield() {
 	m := p.m
 	if m.parallel {
@@ -152,20 +149,15 @@ func (p *Proc) Yield() {
 		return
 	}
 	m.rec.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
-	next, reason, stop := m.schedule()
-	if stop {
-		m.pendingStop = true
-		m.stopReason = reason
-		m.toDriver <- struct{}{}
-		<-p.resume
-		return
-	}
+	next, reason := m.schedule()
 	if next == p {
 		return
 	}
-	m.rec.Emit(trace.KHandoff, p.id, int64(p.clock), int64(next.id), 0, "")
-	next.resume <- struct{}{}
-	<-p.resume
+	if next != nil {
+		m.rec.Emit(trace.KHandoff, p.id, int64(p.clock), int64(next.id), 0, "")
+	}
+	m.next, m.stopReason = next, reason
+	p.yield()
 }
 
 // CheckYield yields only when this processor has run past its current
@@ -259,16 +251,16 @@ type Machine struct {
 
 	locks []*Spinlock
 
-	toDriver chan struct{}
-	running  bool
-	shutdown atomic.Bool
+	running     bool
+	parReleased bool // parallel mode: coroutines released into free running
+	shutdown    atomic.Bool
 
 	// until is Run's stop predicate, checked between quanta wherever the
-	// scheduling decision happens; pendingStop/stopReason carry a stop
-	// detected on a processor goroutine back to Run.
-	until       func() bool
-	pendingStop bool
-	stopReason  StopReason
+	// scheduling decision happens. next/stopReason are that decision:
+	// the processor Run resumes next, or nil and why Run returns.
+	until      func() bool
+	next       *Proc
+	stopReason StopReason
 
 	switches atomic.Uint64
 
@@ -294,15 +286,14 @@ type Machine struct {
 	activeProcs atomic.Int32
 
 	// Parallel host mode (see parallel.go). parallel is flipped once,
-	// between Runs, while every processor goroutine is parked, so the
-	// plain reads on the hot paths are race-free by happens-before.
+	// between Runs, while every coroutine is suspended, so the plain
+	// reads on the hot paths are race-free by happens-before.
 	parallel bool
 	//msvet:stw-safe rendezvous bookkeeping lock: taken only for bounded counter/cond sections by the stopper and by parked processors, never while holding any simulated lock, so it cannot deadlock against the window
 	parMu       sync.Mutex
 	parCond     *sync.Cond
-	parReleased bool // baton-parked goroutines released into free running
-	parkedStop  int  // procs parked waiting for the next Run
-	parkedSTW   int  // procs parked at a stop-the-world rendezvous
+	parkedStop  int // procs parked waiting for the next Run
+	parkedSTW   int // procs parked at a stop-the-world rendezvous
 	runGen      uint64
 	stopPending bool
 	stwOwner    *Proc
@@ -340,14 +331,10 @@ func New(n int, costs Costs) *Machine {
 	if n < 1 {
 		panic("firefly: machine needs at least one processor")
 	}
-	m := &Machine{
-		costs:    costs,
-		quantum:  200,
-		limit:    1 << 62,
-		toDriver: make(chan struct{}),
-	}
+	m := &Machine{costs: costs, quantum: 200, limit: 1 << 62}
+	m.parCond = sync.NewCond(&m.parMu)
 	for i := 0; i < n; i++ {
-		m.procs = append(m.procs, &Proc{id: i, m: m, resume: make(chan struct{})})
+		m.procs = append(m.procs, &Proc{id: i, m: m})
 	}
 	m.gcAssistSeen = make([]uint64, n)
 	return m
@@ -425,28 +412,26 @@ func (m *Machine) SetConcAssist(fn func(p *Proc)) { m.concAssist = fn }
 // window and clears it before the finalize window.
 func (m *Machine) SetConcMarkActive(on bool) { m.concMarkOn.Store(on) }
 
-// Start installs fn as processor i's work function and starts its
-// goroutine, parked until the driver first schedules it. The function
-// should loop until p.Stopped() reports true.
+// Start installs fn as processor i's work function: a coroutine,
+// suspended until the driver first schedules it. The function should
+// loop until p.Stopped() reports true. A panic in fn marks the processor
+// done and is re-raised in whoever resumed it — Run's caller, in
+// deterministic mode.
 func (m *Machine) Start(i int, fn func(p *Proc)) {
 	p := m.procs[i]
-	if p.started {
+	if p.co != nil {
 		panic(fmt.Sprintf("firefly: processor %d already started", i))
 	}
-	p.started = true
-	go func() {
-		<-p.resume
-		fn(p)
-		if m.parallel {
+	p.co = newCoro(func(yield func()) {
+		p.yield = yield
+		defer func() {
 			m.parMu.Lock()
 			p.done = true
-			m.parCond.Broadcast()
+			m.parCond.Broadcast() // parallel mode: Run and Shutdown count live processors
 			m.parMu.Unlock()
-			return
-		}
-		p.done = true
-		m.toDriver <- struct{}{}
-	}()
+		}()
+		fn(p)
+	})
 }
 
 // At schedules fn to run at virtual time t (from the driver, between
@@ -458,63 +443,52 @@ func (m *Machine) At(t Time, fn func()) {
 	heap.Push(&m.events, &event{at: t, seq: m.eventSeq, fn: fn})
 }
 
-// minClock returns the smallest clock among live processors and that
-// processor, or nil when all processors are done.
-func (m *Machine) minClock() (*Proc, Time) {
-	var best *Proc
-	for _, p := range m.procs {
-		if p.done || !p.started {
-			continue
-		}
-		if best == nil || p.clock < best.clock {
-			best = p
-		}
-	}
-	if best == nil {
-		return nil, 0
-	}
-	return best, best.clock
-}
+// live reports whether the processor has a work function still running.
+func (p *Proc) live() bool { return p.co != nil && !p.done }
 
-// secondClock returns the smallest clock among live processors other
-// than p, or p's own clock when p is the only live processor.
-func (m *Machine) secondClock(p *Proc) Time {
-	best := Time(-1)
-	for _, q := range m.procs {
-		if q == p || q.done || !q.started {
-			continue
-		}
-		if best < 0 || q.clock < best {
-			best = q.clock
+// minClocks returns the live processor with the smallest clock (the
+// lowest-numbered on a tie) and the smallest clock among the other live
+// processors — its own when it is the only one. best is nil when every
+// processor is done.
+func (m *Machine) minClocks() (best *Proc, second Time) {
+	second = -1
+	for _, p := range m.procs {
+		switch {
+		case !p.live():
+		case best == nil:
+			best = p
+		case p.clock < best.clock:
+			best, second = p, best.clock
+		case second < 0 || p.clock < second:
+			second = p.clock
 		}
 	}
-	if best < 0 {
-		return p.clock
+	if best != nil && second < 0 {
+		second = best.clock
 	}
-	return best
+	return best, second
 }
 
 // schedule makes one driver-loop decision: check the stop conditions,
 // deliver external events that are due at or before the current virtual
 // moment, and pick the processor with the smallest clock for its next
-// quantum. It runs on whichever goroutine holds the baton. stop=true
-// means Run must return reason instead of dispatching.
-func (m *Machine) schedule() (next *Proc, reason StopReason, stop bool) {
+// quantum. It runs on the driver or on the yielding processor. A nil
+// next means Run must return reason instead of dispatching.
+func (m *Machine) schedule() (next *Proc, reason StopReason) {
 	if m.until != nil && m.until() {
-		return nil, StopUntil, true
+		return nil, StopUntil
 	}
-	p, min := m.minClock()
+	p, second := m.minClocks()
 	if p == nil {
-		return nil, StopAllDone, true
+		return nil, StopAllDone
 	}
-	for len(m.events) > 0 && m.events[0].at <= min {
+	for len(m.events) > 0 && m.events[0].at <= p.clock {
 		e := heap.Pop(&m.events).(*event)
 		e.fn()
 	}
-	if min > m.limit {
-		return nil, StopTimeLimit, true
+	if p.clock > m.limit {
+		return nil, StopTimeLimit
 	}
-	second := m.secondClock(p)
 	p.yieldAt = second + m.quantum
 	// Dispatch latency: how far the chosen (minimum-clock) processor
 	// lags the rest of the system when its quantum starts. Purely
@@ -522,7 +496,7 @@ func (m *Machine) schedule() (next *Proc, reason StopReason, stop bool) {
 	m.lat.Record(trace.Dispatch, int64(second-p.clock))
 	m.switches.Add(1)
 	m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
-	return p, 0, false
+	return p, 0
 }
 
 // Run drives the machine until the predicate becomes true (checked between
@@ -543,22 +517,17 @@ func (m *Machine) Run(until func() bool) StopReason {
 	m.until = until
 	defer func() { m.until = nil }()
 
-	for {
-		next, reason, stop := m.schedule()
-		if stop {
-			return reason
+	m.next, m.stopReason = m.schedule()
+	for m.next != nil {
+		p := m.next
+		p.co()
+		if p.done {
+			// The work function returned; a Yield would have left the
+			// next decision behind.
+			m.next, m.stopReason = m.schedule()
 		}
-		next.resume <- struct{}{}
-		<-m.toDriver
-		if m.pendingStop {
-			// A processor's Yield detected a stop condition and handed
-			// the baton back.
-			m.pendingStop = false
-			return m.stopReason
-		}
-		// Otherwise a work function returned; dispatch the next
-		// processor from here.
 	}
+	return m.stopReason
 }
 
 // StallOthers advances every processor except p to time t, accounting the
@@ -589,9 +558,8 @@ func (m *Machine) Shutdown() {
 		return
 	}
 	for _, p := range m.procs {
-		for p.started && !p.done {
-			p.resume <- struct{}{}
-			<-m.toDriver
+		if p.live() {
+			p.co() // every Yield now returns at once, so fn runs to its return
 		}
 	}
 }

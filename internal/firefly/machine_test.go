@@ -341,3 +341,40 @@ func TestRWSpinlockDisabledIsFree(t *testing.T) {
 	})
 	m.Run(nil)
 }
+
+// TestWorkPanicReachesRun: a panic in a work function is re-raised in
+// Run's caller, once; the processor counts as done, so Shutdown still
+// returns and the other processors still stop.
+func TestWorkPanicReachesRun(t *testing.T) {
+	m := New(2, DefaultCosts())
+	survivorStopped := false
+	m.Start(0, func(p *Proc) {
+		for !p.Stopped() {
+			p.Advance(10)
+			p.CheckYield()
+		}
+		survivorStopped = true
+	})
+	m.Start(1, func(p *Proc) {
+		for i := 0; i < 50; i++ {
+			p.Advance(10)
+			p.CheckYield()
+		}
+		panic("boom")
+	})
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		m.Run(nil)
+		return nil
+	}()
+	if recovered != "boom" {
+		t.Fatalf("Run's caller recovered %v, want boom", recovered)
+	}
+	if r := m.Run(func() bool { return m.Proc(0).Now() > 5000 }); r != StopUntil {
+		t.Fatalf("Run after the panic returned %v", r)
+	}
+	m.Shutdown()
+	if !survivorStopped {
+		t.Fatal("the surviving processor did not stop")
+	}
+}

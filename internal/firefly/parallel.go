@@ -1,10 +1,11 @@
 // Parallel host mode: the virtual processors run concurrently on real
-// goroutines instead of under the deterministic baton protocol.
+// goroutines instead of one at a time under the deterministic driver.
 //
 // The machine still boots deterministically (image construction is a
 // single-threaded program), then flips once, between Runs, with
-// SetParallel(true). From the first parallel Run on, every live
-// processor goroutine runs freely; virtual time is still charged per
+// SetParallel(true). The first parallel Run resumes every live
+// coroutine under a host goroutine of its own, and from then on none of
+// them switches again: they run freely; virtual time is still charged per
 // processor through the same cost model, but the interleaving is
 // whatever the host scheduler produces, so virtual clocks are no
 // longer reproducible run to run. What is preserved — and what the
@@ -15,10 +16,11 @@
 // Coordination points:
 //
 //   - parYield is the parallel safepoint, reached from the same
-//     Yield/CheckYield sites as the baton scheduler. The fast path is
-//     one atomic flag load; the slow path (parSlow) parks the
-//     processor under parMu for a stop request, a stop-the-world
-//     rendezvous, or shutdown.
+//     Yield/CheckYield sites as the deterministic scheduler. The fast
+//     path is one atomic flag load; the slow path takes parMu and calls
+//     parPark, the one place a processor ever parks: through every
+//     stop-the-world window another processor owns, and through the end
+//     of a stopped Run.
 //   - Run(until) wakes the processors, then sleeps on parCond until
 //     some processor's safepoint sees the predicate become true (or
 //     the time limit pass) and every other processor has parked.
@@ -27,20 +29,23 @@
 //     waits until every other live processor is parked at a
 //     safepoint, runs alone, then releases the world. Waking
 //     processors account the pause against their own clocks as stall
-//     time, mirroring what StallOthers does in the baton mode.
+//     time, mirroring what StallOthers does in the deterministic mode.
+//     The handover rule: a processor that wakes from one window
+//     re-examines stwOwner before it runs any code of its own, because
+//     a third processor may already own the next window and have
+//     counted the sleeper as parked.
 package firefly
 
 import (
 	"runtime"
-	"sync"
 
 	"mst/internal/trace"
 )
 
 // SetParallel flips the machine into parallel host mode. It must be
-// called between Runs (every processor parked); the flip is one-way.
-// The deterministic baton mode stays the default for machines that
-// never call this.
+// called between Runs (every coroutine suspended); the flip is one-way.
+// The deterministic mode stays the default for machines that never
+// call this.
 func (m *Machine) SetParallel(on bool) {
 	if !on || m.parallel {
 		return
@@ -51,18 +56,17 @@ func (m *Machine) SetParallel(on bool) {
 	if m.shutdown.Load() {
 		panic("firefly: SetParallel on a shut-down machine")
 	}
-	m.parCond = sync.NewCond(&m.parMu)
 	m.parallel = true
 }
 
 // Parallel reports whether the machine is in parallel host mode.
 func (m *Machine) Parallel() bool { return m.parallel }
 
-// parLive counts started, not-done processors. Callers hold parMu.
+// parLive counts live processors. Callers hold parMu.
 func (m *Machine) parLive() int {
 	n := 0
 	for _, p := range m.procs {
-		if p.started && !p.done {
+		if p.live() {
 			n++
 		}
 	}
@@ -97,7 +101,9 @@ func (p *Proc) parYield() {
 		m.parStop(StopTimeLimit)
 	}
 	if m.parFlag.Load() {
-		m.parSlow(p)
+		m.parMu.Lock()
+		m.parPark(p, true)
+		m.parMu.Unlock()
 	}
 	if m.concMarkOn.Load() {
 		if f := m.concAssist; f != nil {
@@ -107,52 +113,41 @@ func (p *Proc) parYield() {
 	m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
 }
 
-// parSlow handles everything the safepoint fast path diverted: park
-// for a stop-the-world pause, park for the end of the current Run, or
-// fall through on shutdown (the work function will observe Stopped and
-// return). A processor parked for the Run's end stays parked until the
-// next Run bumps runGen.
-func (m *Machine) parSlow(p *Proc) {
-	m.parMu.Lock()
-	for {
-		if m.shutdownPar {
+// parPark is the one park loop; callers hold parMu. It parks p through
+// every stop-the-world window another processor owns and, when runEnd is
+// set (a safepoint, not a processor waiting to stop the world itself),
+// through the end of a stopped Run, until the next Run bumps runGen. The
+// conditions are re-examined after every wake, so p never runs on while
+// a newer window is open; only shutdown falls through (the work function
+// will observe Stopped and return). It reports whether a window passed:
+// another processor's collection ran meanwhile.
+func (m *Machine) parPark(p *Proc, runEnd bool) (collected bool) {
+	for !m.shutdownPar {
+		stw := m.stwOwner != nil && m.stwOwner != p
+		if !stw && !(runEnd && m.stopPending) {
 			break
 		}
-		if owner := m.stwOwner; owner != nil && owner != p {
-			gen := m.gcGen
-			m.parkedSTW++
-			m.parCond.Broadcast()
-			for m.stwOwner != nil && m.gcGen == gen && !m.shutdownPar {
-				if m.parAssist(p) {
-					continue
-				}
+		parked, gen, was := &m.parkedStop, &m.runGen, m.runGen
+		if stw {
+			parked, gen, was = &m.parkedSTW, &m.gcGen, m.gcGen
+		}
+		*parked++
+		m.parCond.Broadcast()
+		for *gen == was && !m.shutdownPar {
+			if !m.parAssist(p) {
 				m.parCond.Wait()
 			}
-			m.parkedSTW--
-			// The world ran again at stwEnd; the pause was a real GC
-			// stall, accounted on this processor's own clock.
-			if m.stwEnd > p.clock {
-				p.stall += m.stwEnd - p.clock
-				p.clock = m.stwEnd
-			}
-			continue
 		}
-		if m.stopPending {
-			gen := m.runGen
-			m.parkedStop++
-			m.parCond.Broadcast()
-			for m.runGen == gen && !m.shutdownPar {
-				if m.parAssist(p) {
-					continue
-				}
-				m.parCond.Wait()
-			}
-			m.parkedStop--
-			continue
+		*parked--
+		// The world ran again at stwEnd; the pause was a real GC stall,
+		// accounted on this processor's own clock.
+		if stw && m.stwEnd > p.clock {
+			p.stall += m.stwEnd - p.clock
+			p.clock = m.stwEnd
 		}
-		break
+		collected = collected || stw
 	}
-	m.parMu.Unlock()
+	return collected
 }
 
 // runParallel is Run's parallel-mode body: wake every processor, wait
@@ -169,21 +164,9 @@ func (m *Machine) runParallel(until func() bool) StopReason {
 	m.runGen++
 	m.recomputeParFlag()
 	m.parCond.Broadcast()
-	first := !m.parReleased
-	m.parReleased = true
 	m.parMu.Unlock()
 
-	if first {
-		// Every processor goroutine is still parked on its baton
-		// channel (boot ran under the deterministic driver). Release
-		// them into free running; from here on they only ever park on
-		// parCond.
-		for _, p := range m.procs {
-			if p.started && !p.done {
-				p.resume <- struct{}{}
-			}
-		}
-	}
+	m.parRelease()
 
 	m.parMu.Lock()
 	for {
@@ -204,6 +187,23 @@ func (m *Machine) runParallel(until func() bool) StopReason {
 	return reason
 }
 
+// parRelease, once per machine, resumes every live coroutine — suspended
+// since boot ran under the deterministic driver — on a host goroutine of
+// its own. From here on they never switch again and only ever park on
+// parCond; each goroutine ends when its work function returns. Like
+// running, parReleased belongs to Run's and Shutdown's caller alone.
+func (m *Machine) parRelease() {
+	if m.parReleased {
+		return
+	}
+	m.parReleased = true
+	for _, p := range m.procs {
+		if p.live() {
+			go p.co()
+		}
+	}
+}
+
 // recomputeParFlag derives the safepoint flag from the slow-path
 // conditions. Callers hold parMu.
 func (m *Machine) recomputeParFlag() {
@@ -220,9 +220,9 @@ func (m *Machine) shutdownParCheck() {
 // parks it there; on return the calling processor runs alone. It
 // reports false when another processor's collection ran while the
 // caller was waiting its turn — the caller should then skip its own
-// collection and re-examine the heap. In deterministic baton mode the
-// world is always stopped by construction and the call is a no-op
-// returning true.
+// collection and re-examine the heap. In deterministic mode the world
+// is always stopped by construction and the call is a no-op returning
+// true.
 func (m *Machine) StopTheWorld(p *Proc) bool {
 	if !m.parallel {
 		return true
@@ -235,26 +235,11 @@ func (m *Machine) StopTheWorld(p *Proc) bool {
 		m.parMu.Unlock()
 		return true
 	}
-	for m.stwOwner != nil {
-		gen := m.gcGen
-		m.parkedSTW++
-		m.parCond.Broadcast()
-		for m.stwOwner != nil && m.gcGen == gen && !m.shutdownPar {
-			if m.parAssist(p) {
-				continue
-			}
-			m.parCond.Wait()
-		}
-		m.parkedSTW--
-		if m.stwEnd > p.clock {
-			p.stall += m.stwEnd - p.clock
-			p.clock = m.stwEnd
-		}
-		if m.gcGen != gen || m.shutdownPar {
-			m.parCond.Broadcast()
-			m.parMu.Unlock()
-			return false
-		}
+	if m.parPark(p, false) || m.stwOwner != nil {
+		// Lost the race: every window that opened meanwhile has closed
+		// (or the machine is shutting down under another owner).
+		m.parMu.Unlock()
+		return false
 	}
 	m.stwOwner = p
 	m.parFlag.Store(true)
@@ -294,7 +279,7 @@ func (m *Machine) ResumeTheWorld(p *Proc) {
 // parAssist lets a processor parked at a rendezvous join the
 // stop-the-world owner's published worker function (RunStopped) instead
 // of idling through the pause. Called with parMu held from the park
-// loops; returns true after running the function (the caller re-checks
+// loop; returns true after running the function (the caller re-checks
 // its wait condition). Each processor joins a given assist generation
 // at most once.
 func (m *Machine) parAssist(p *Proc) bool {
@@ -321,7 +306,7 @@ func (m *Machine) parAssist(p *Proc) bool {
 // never depend on helpers joining: a processor that reaches its park
 // loop late (or not at all, in deterministic mode) simply never runs
 // fn, and the owner's own invocation must be able to finish the whole
-// job. In deterministic baton mode the world is stopped by
+// job. In deterministic mode the world is stopped by
 // construction and RunStopped is just fn(p).
 func (m *Machine) RunStopped(p *Proc, fn func(q *Proc)) {
 	if !m.parallel {
@@ -356,19 +341,9 @@ func (m *Machine) shutdownParallel() {
 	m.shutdownPar = true
 	m.parFlag.Store(true)
 	m.parCond.Broadcast()
-	released := m.parReleased
-	m.parReleased = true
 	m.parMu.Unlock()
 
-	if !released {
-		// Shutdown before the first parallel Run: the goroutines are
-		// still baton-parked.
-		for _, p := range m.procs {
-			if p.started && !p.done {
-				p.resume <- struct{}{}
-			}
-		}
-	}
+	m.parRelease() // in case Shutdown comes before the first parallel Run
 
 	m.parMu.Lock()
 	for m.parLive() > 0 {

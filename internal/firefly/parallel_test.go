@@ -228,3 +228,53 @@ func TestParallelRWSpinlock(t *testing.T) {
 	}
 	m.Shutdown()
 }
+
+// TestStopTheWorldHandover: the handover rule. Every processor keeps
+// trying to stop the world; inside its window the owner mutates a plain
+// word and an inside flag, and outside one — whether it owned the last
+// window or lost the race for it — every processor reads both between
+// safepoints. A processor that returns from StopTheWorld while another
+// owns a newer window panics on the flag and is a report under -race.
+func TestStopTheWorldHandover(t *testing.T) {
+	const procs, rounds = 4, 400
+	var word int    // written only inside a window; intentionally not atomic
+	var inside bool // likewise
+	var owned, finished atomic.Int32
+	work := func(p *Proc) {
+		seen := 0
+		for i := 0; i < rounds && !p.Stopped(); i++ {
+			if p.m.StopTheWorld(p) {
+				if inside {
+					panic("two processors own the world")
+				}
+				inside = true
+				word++
+				runtime.Gosched() // widen the window
+				inside = false
+				owned.Add(1)
+				p.m.ResumeTheWorld(p)
+			}
+			for j := 0; j < 3; j++ {
+				if inside {
+					panic("processor ran inside another's stop-the-world window")
+				}
+				seen += word
+				p.Advance(100)
+				p.CheckYield()
+			}
+		}
+		finished.Add(1)
+		for !p.Stopped() {
+			p.AdvanceIdle(10)
+			p.Yield()
+		}
+	}
+	m := startParallel(t, procs, work)
+	if r := m.Run(func() bool { return finished.Load() == procs }); r != StopUntil {
+		t.Fatalf("Run returned %v", r)
+	}
+	if owned.Load() == 0 || word != int(owned.Load()) {
+		t.Fatalf("word=%d after %d owned windows", word, owned.Load())
+	}
+	m.Shutdown()
+}

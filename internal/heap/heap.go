@@ -73,7 +73,7 @@ type Config struct {
 	// become host-atomic, allocation statistics are sharded per
 	// processor, identity-hash assignment takes a host mutex, and the
 	// scavenger stops the world through the machine's rendezvous
-	// barrier instead of assuming the baton protocol stopped it.
+	// barrier instead of assuming the deterministic driver stopped it.
 	Parallel bool
 	// ParScavenge enables the parallel generation scavenger: during the
 	// stop-the-world window every processor cooperatively copies

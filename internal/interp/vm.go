@@ -411,7 +411,7 @@ type VM struct {
 	// pendingWork holds Go-side mutating operations (method installs,
 	// evaluation setup) to be executed by interpreter 0 *inside* the
 	// machine loop: heap mutation from the host main goroutine would
-	// race the baton protocol when processors are parked mid-lock.
+	// race the simulated processors when they are suspended mid-lock.
 	pendingWork []func(p *firefly.Proc)
 	dead        bool // an interpreter goroutine died (panic)
 

@@ -142,7 +142,7 @@ type orderWitness struct {
 }
 
 // Checker is the mscheck run-time state. A host-side mutex makes every
-// hook safe to call from any goroutine: the deterministic baton mode
+// hook safe to call from any goroutine: the deterministic mode
 // has a single writer anyway (the lock is never contended there), and
 // parallel host mode feeds the checker from all processors at once.
 // The mutex is pure host machinery — it never charges virtual time, so

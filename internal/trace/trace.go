@@ -29,7 +29,7 @@ const (
 	// Machine-level events (emitted by internal/firefly).
 	KQuantumStart Kind = iota // proc begins a scheduling quantum
 	KQuantumEnd               // proc yields; Arg1 unused
-	KHandoff                  // baton handoff; Arg1 = target proc
+	KHandoff                  // quantum goes to another proc; Arg1 = target proc
 	KLockAcquire              // lock taken; Str = lock name, Arg2 = 1 if exclusive
 	KLockContend              // contended acquire; Arg1 = spin ticks (0: TryAcquire failure)
 	KLockRelease              // lock released; Str = lock name, Arg2 = 1 if exclusive
@@ -127,8 +127,8 @@ type Event struct {
 }
 
 // Recorder is the flight-recorder ring buffer. It is not synchronized:
-// the simulator's baton protocol guarantees a single writer at a time,
-// and readers (export, tests) run while the machine is parked.
+// the simulator runs one processor coroutine at a time, so there is a
+// single writer, and readers (export, tests) run between Runs.
 //
 // In parallel host mode that guarantee disappears, so a recorder can be
 // sharded (NewShardedRecorder): each virtual processor then owns a
