@@ -206,7 +206,9 @@ func BenchmarkAllocPolicy(b *testing.B) {
 // BenchmarkScavenge reproduces the §3.1 scavenging arithmetic: with
 // eden scaled as k·s, the per-benchmark scavenge count stays roughly
 // constant as processors are added; reported as metrics "scavenges" and
-// "gcshare%".
+// "gcshare%". ns/op grows with k because the state has k-1 busy
+// background Processes: "bytecodes/op" is the work all k interpreters
+// did per iteration, the denominator ns/op needs (EXPERIMENTS.md).
 func BenchmarkScavenge(b *testing.B) {
 	for k := 1; k <= 5; k++ {
 		k := k
@@ -225,6 +227,7 @@ func BenchmarkScavenge(b *testing.B) {
 			sys := benchSystem(b, st)
 			var scav uint64
 			var share float64
+			bytecodes := sys.Stats().Interp.Bytecodes
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				before := sys.Stats().Heap
@@ -245,6 +248,7 @@ func BenchmarkScavenge(b *testing.B) {
 			}
 			b.ReportMetric(float64(scav), "scavenges")
 			b.ReportMetric(share, "gcshare%")
+			b.ReportMetric(float64(sys.Stats().Interp.Bytecodes-bytecodes)/float64(b.N), "bytecodes/op")
 		})
 	}
 }

@@ -18,6 +18,10 @@
 // driver, resumes the processor with the minimum clock. Yield decides in
 // place: it returns at once when the yielder is scheduled again and
 // otherwise leaves the decision in the machine and switches to the driver.
+// A processor with nothing to run parks its coroutine once, in Idle, and
+// from then on is an event: whoever makes a scheduling decision that picks
+// it runs its idle quantum right there (settle), and its coroutine is
+// switched to only when the quantum reports work.
 package firefly
 
 import (
@@ -85,6 +89,12 @@ type Proc struct {
 	done      bool
 	active    bool
 
+	// idleFn is the quantum registered by Idle, non-nil exactly while the
+	// coroutine is inside Idle; idlePanic carries a panic out of a quantum
+	// that ran on another coroutine, for Idle to re-raise on this one.
+	idleFn    func() IdleResult
+	idlePanic any
+
 	// Statistics, all in ticks of virtual time.
 	busy  Time // productive work
 	spin  Time // spinning on contended locks
@@ -148,16 +158,83 @@ func (p *Proc) Yield() {
 		// observe Stopped and return; don't reschedule.
 		return
 	}
+	if p.idleFn != nil {
+		panic(fmt.Sprintf("firefly: processor %d yielded inside its idle quantum", p.id))
+	}
 	m.rec.Emit(trace.KQuantumEnd, p.id, int64(p.clock), 0, 0, "")
-	next, reason := m.schedule()
-	if next == p {
+	// The common case stays ahead of the loop: scheduled again, return.
+	if next, reason := m.schedule(); next != p && m.settle(p, next, reason) != p {
+		p.yield()
+	}
+}
+
+// IdleResult is what one idle quantum reports to Idle.
+type IdleResult int
+
+const (
+	// IdleYielded: the quantum is over and the processor is still idle.
+	IdleYielded IdleResult = iota
+	// IdleResume: the processor has work and its quantum is not over;
+	// Idle returns with no scheduling decision in between.
+	IdleResume
+	// IdleResumeYielded: the processor has work and its quantum is over;
+	// Idle returns when the processor is next scheduled.
+	IdleResumeYielded
+)
+
+// Idle is the work loop of a processor with nothing to run: it behaves as
+//
+//	for { r := quantum(); if r != IdleResume { p.Yield() }; if r != IdleYielded { return } }
+//
+// and in parallel host mode is exactly that, on the processor's own
+// goroutine. In deterministic mode the coroutine parks once and quantum
+// becomes the processor's registered work: each time a scheduling decision
+// picks the processor, settle calls quantum in place — on the yielder's
+// coroutine or on the driver — and switches back here only when it reports
+// work. Every quantum still runs, at the same virtual time and with the
+// same events as the loop above; only the coroutine switches around it go.
+// quantum may use everything a work function may except Yield and
+// CheckYield (their deadline test is YieldSlack() <= 0). If it panics, the
+// panic is raised here, on this processor's coroutine.
+func (p *Proc) Idle(quantum func() IdleResult) {
+	m := p.m
+	if m.parallel {
+		for !p.Stopped() {
+			r := quantum()
+			if r != IdleResume {
+				p.parYield()
+			}
+			if r != IdleYielded {
+				return
+			}
+		}
 		return
 	}
-	if next != nil {
-		m.rec.Emit(trace.KHandoff, p.id, int64(p.clock), int64(next.id), 0, "")
+	if m.shutdown.Load() {
+		return
 	}
-	m.next, m.stopReason = next, reason
-	p.yield()
+	p.idleFn = quantum
+	if m.settle(p, p, 0) != p {
+		p.yield()
+	}
+	p.idleFn = nil // still set when Shutdown or parRelease resumed us
+	if e := p.idlePanic; e != nil {
+		p.idlePanic = nil
+		panic(e)
+	}
+}
+
+// idleQuantum runs p's registered quantum on whichever coroutine is making
+// scheduling decisions. A panic must not unwind that one (it would name
+// the wrong processor, or escape Run from the driver): it is kept for Idle
+// to re-raise and reported as "resume me now".
+func (p *Proc) idleQuantum() (r IdleResult) {
+	defer func() {
+		if e := recover(); e != nil {
+			p.idlePanic, r = e, IdleResume
+		}
+	}()
+	return p.idleFn()
 }
 
 // CheckYield yields only when this processor has run past its current
@@ -361,7 +438,9 @@ func (m *Machine) SetQuantum(q Time) {
 // SetTimeLimit caps virtual time; Run returns StopTimeLimit beyond it.
 func (m *Machine) SetTimeLimit(t Time) { m.limit = t }
 
-// Switches returns how many processor resumptions the driver performed.
+// Switches returns how many scheduling decisions picked a processor: one
+// per quantum started, whether the quantum began with a coroutine switch,
+// ran in place (Idle), or went back to the yielder itself.
 func (m *Machine) Switches() uint64 { return m.switches.Load() }
 
 // SetRecorder attaches a flight recorder; nil detaches it. Recording
@@ -469,7 +548,7 @@ func (m *Machine) minClocks() (best *Proc, second Time) {
 	return best, second
 }
 
-// schedule makes one driver-loop decision: check the stop conditions,
+// schedule makes one scheduling decision: check the stop conditions,
 // deliver external events that are due at or before the current virtual
 // moment, and pick the processor with the smallest clock for its next
 // quantum. It runs on the driver or on the yielding processor. A nil
@@ -517,17 +596,55 @@ func (m *Machine) Run(until func() bool) StopReason {
 	m.until = until
 	defer func() { m.until = nil }()
 
-	m.next, m.stopReason = m.schedule()
+	m.decide()
 	for m.next != nil {
 		p := m.next
 		p.co()
 		if p.done {
-			// The work function returned; a Yield would have left the
-			// next decision behind.
-			m.next, m.stopReason = m.schedule()
+			// The work function returned; a Yield or an Idle would have
+			// left the next decision behind.
+			m.decide()
 		}
 	}
 	return m.stopReason
+}
+
+// decide makes a decision of the driver's own: no processor's quantum
+// ended, so nothing is handed off.
+func (m *Machine) decide() {
+	next, reason := m.schedule()
+	m.settle(nil, next, reason)
+}
+
+// settle is the one scheduling loop, shared by Run, Yield and Idle and
+// executed by whichever of them made the decision. It takes a decision
+// (next and reason, as schedule returned them) made when prev's quantum
+// ended — nil for the driver's own decisions, which hand nothing off —
+// and carries it to the point where it needs a coroutine switch or ends
+// the Run: while the chosen processor is idle its quantum runs right
+// here, with the events its own Yield would have emitted, and the next
+// decision is made in its name. The settled decision is left in the
+// machine for Run and its processor returned.
+func (m *Machine) settle(prev, next *Proc, reason StopReason) *Proc {
+	for next != nil {
+		if prev != nil && next != prev {
+			m.rec.Emit(trace.KHandoff, prev.id, int64(prev.clock), int64(next.id), 0, "")
+		}
+		if next.idleFn == nil {
+			break
+		}
+		if r := next.idleQuantum(); r != IdleYielded {
+			next.idleFn = nil // it has work: the next switch to it returns from Idle
+			if r == IdleResume {
+				break
+			}
+		}
+		m.rec.Emit(trace.KQuantumEnd, next.id, int64(next.clock), 0, 0, "")
+		prev = next
+		next, reason = m.schedule()
+	}
+	m.next, m.stopReason = next, reason
+	return next
 }
 
 // StallOthers advances every processor except p to time t, accounting the

@@ -278,3 +278,94 @@ func TestStopTheWorldHandover(t *testing.T) {
 	}
 	m.Shutdown()
 }
+
+// TestIdleParallelReachesRendezvousAndShutdown: the parallel twin of the
+// in-place idle tests. Processors boot deterministically into Idle, are
+// parked there when the machine flips, and from then on run the same
+// quantum function on their own goroutines with a safepoint after every
+// quantum that yields: an idle processor is never stopped mid-quantum,
+// never starts a second quantum with the same stop-the-world request
+// pending, and Shutdown retires it from inside Idle.
+func TestIdleParallelReachesRendezvousAndShutdown(t *testing.T) {
+	const idlers, windows = 2, 300
+	m := New(idlers+1, DefaultCosts())
+	var window int       // written only inside a stop-the-world window; intentionally not atomic
+	var x, y [idlers]int // written only by their idle processor, between safepoints
+	var polls [idlers]atomic.Int64
+	var parPhase, stopperDone atomic.Bool
+	var lateQuanta, returned atomic.Int32
+	m.Start(0, func(p *Proc) {
+		var seen [idlers]int64
+		for !p.Stopped() {
+			if parPhase.Load() && window < windows && m.StopTheWorld(p) {
+				for i := range x {
+					if x[i] != y[i] {
+						panic("idle processor stopped mid-quantum")
+					}
+				}
+				window++
+				p.Advance(50)
+				m.ResumeTheWorld(p)
+				stopperDone.Store(window == windows)
+				// Let every idle processor run a few quanta before the
+				// next window, or they would sleep through most of them.
+				for i := 0; i < idlers && window < windows; i++ {
+					for seen[i] += 3; polls[i].Load() < seen[i]; {
+						runtime.Gosched()
+					}
+					seen[i] = polls[i].Load()
+				}
+			}
+			p.Advance(100)
+			p.Yield()
+		}
+		returned.Add(1)
+	})
+	for i := 0; i < idlers; i++ {
+		m.Start(1+i, func(p *Proc) {
+			sawFlagIn, safepointSince := -1, true
+			quantum := func() IdleResult {
+				n := polls[i].Add(1)
+				if m.parFlag.Load() {
+					if sawFlagIn == window && safepointSince {
+						lateQuanta.Add(1)
+					}
+					sawFlagIn = window
+				}
+				safepointSince = n%7 != 0 // IdleResume goes on without one
+				x[i]++
+				runtime.Gosched() // widen the quantum
+				y[i]++
+				p.AdvanceIdle(10)
+				switch {
+				case n%7 == 0:
+					return IdleResume
+				case n%11 == 0:
+					return IdleResumeYielded
+				}
+				return IdleYielded
+			}
+			for !p.Stopped() {
+				p.Idle(quantum)
+			}
+			returned.Add(1)
+		})
+	}
+	booted := func() bool { return polls[0].Load() >= 20 && polls[1].Load() >= 20 }
+	if r := m.Run(booted); r != StopUntil {
+		t.Fatalf("deterministic Run returned %v", r)
+	}
+	m.SetParallel(true)
+	parPhase.Store(true)
+	if r := m.Run(stopperDone.Load); r != StopUntil {
+		t.Fatalf("parallel Run returned %v", r)
+	}
+	if window != windows || lateQuanta.Load() != 0 {
+		t.Fatalf("%d of %d windows; %d idle quanta started with a stop they had already seen still pending",
+			window, windows, lateQuanta.Load())
+	}
+	m.Shutdown()
+	if returned.Load() != idlers+1 {
+		t.Fatalf("Shutdown retired %d of %d processors", returned.Load(), idlers+1)
+	}
+}

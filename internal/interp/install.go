@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"mst/internal/bytecode"
 	"mst/internal/compiler"
@@ -378,25 +379,18 @@ type EvalResult struct {
 // parked mid-acquisition.
 func (vm *VM) Do(f func(p *firefly.Proc)) error {
 	// done is written by interpreter 0 and read by the stop predicate,
-	// which in parallel host mode runs at every processor's safepoints
-	// — hence the hostMu handshake.
-	done := false
+	// which runs at every scheduling decision and in parallel host mode
+	// at every processor's safepoints — hence atomic, and no mutex.
+	var done atomic.Bool
 	vm.pendingWork = append(vm.pendingWork, func(p *firefly.Proc) {
 		f(p)
-		vm.hostMu.Lock()
-		done = true
-		vm.hostMu.Unlock()
+		done.Store(true)
 	})
-	reason := vm.M.Run(func() bool {
-		vm.hostMu.Lock()
-		d := done || vm.dead
-		vm.hostMu.Unlock()
-		return d
-	})
-	if vm.dead {
+	reason := vm.M.Run(func() bool { return done.Load() || vm.dead.Load() })
+	if vm.dead.Load() {
 		return fmt.Errorf("interp: machine dead: %s", vm.evalFailed)
 	}
-	if !done {
+	if !done.Load() {
 		return fmt.Errorf("interp: queued work did not run: %v", reason)
 	}
 	return nil
@@ -425,7 +419,7 @@ func (vm *VM) Evaluate(source string) (EvalResult, error) {
 		return EvalResult{}, fmt.Errorf("interp: compile DoIt: %w", err)
 	}
 	vm.evalResult = object.Nil
-	vm.evalDone = false
+	vm.evalDone.Store(false)
 	vm.evalFailed = ""
 	if err := vm.Do(func(p *firefly.Proc) {
 		mo := vm.MaterializeMethod(p, m, vm.Specials.UndefinedObject, "doits")
@@ -438,15 +432,10 @@ func (vm *VM) Evaluate(source string) (EvalResult, error) {
 		return EvalResult{}, err
 	}
 
-	reason := vm.M.Run(func() bool {
-		vm.hostMu.Lock()
-		d := vm.evalDone
-		vm.hostMu.Unlock()
-		return d
-	})
+	reason := vm.M.Run(vm.evalDone.Load)
 	res := EvalResult{Value: vm.evalResult, Reason: reason, Failed: vm.evalFailed}
 	vm.evalProc = object.Nil
-	if reason != firefly.StopUntil && !vm.evalDone {
+	if reason != firefly.StopUntil && !vm.evalDone.Load() {
 		return res, fmt.Errorf("interp: evaluation did not complete: %v", reason)
 	}
 	if res.Failed != "" {

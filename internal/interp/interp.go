@@ -89,6 +89,11 @@ type Interp struct {
 	// scavenges by design (rekeyIC). Keyed by host pointer: no rekeying,
 	// never iterated. Cleared with the inline caches (jitInvalidate).
 	jitKeep map[*icMethod]*jitCode
+
+	// idleFn is idleQuantum bound once (a method value allocates);
+	// idleYieldAgain is the one bit it carries from a call to the next.
+	idleFn         func() firefly.IdleResult
+	idleYieldAgain bool
 }
 
 func newInterp(vm *VM, p *firefly.Proc) *Interp {
@@ -120,6 +125,7 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 		in.jitTab = make([]jitEntry, jitTabSize)
 		in.jitKeep = map[*icMethod]*jitCode{}
 	}
+	in.idleFn = in.idleQuantum
 	h := vm.H
 	h.AddRoot(&in.ctx)
 	h.AddRoot(&in.method)
@@ -169,9 +175,9 @@ func (in *Interp) Run() {
 			in.vm.hostMu.Lock()
 			in.vm.errors = append(in.vm.errors, msg)
 			in.vm.evalFailed = msg
-			in.vm.evalDone = true
-			in.vm.dead = true
 			in.vm.hostMu.Unlock()
+			in.vm.dead.Store(true)
+			in.vm.evalDone.Store(true)
 		}
 	}()
 	for !in.p.Stopped() {
@@ -179,19 +185,22 @@ func (in *Interp) Run() {
 	}
 }
 
-// Quantum executes a bounded batch of bytecodes (or an idle poll).
+// Quantum executes a bounded batch of bytecodes or, with no Process to
+// run, idles — however many scheduling quanta that takes — until there is
+// a Process, queued Go-side work, or a shutdown.
 func (in *Interp) Quantum() {
 	// Interpreter 0 drains Go-side work queued by VM.Do.
 	if in == in.vm.Interps[0] && len(in.vm.pendingWork) > 0 {
 		w := in.vm.pendingWork[0]
+		in.vm.pendingWork[0] = nil // don't keep the popped closure reachable
 		in.vm.pendingWork = in.vm.pendingWork[1:]
 		w(in.p)
 	}
-	in.pollDevices()
 	if in.proc == object.Nil {
-		in.idleStep()
+		in.p.Idle(in.idleFn)
 		return
 	}
+	in.pollDevices()
 	// Another processor may have suspended or terminated our Process
 	// asynchronously (the paper's ProcessorScheduler hazards).
 	if st := in.vm.H.Fetch(in.proc, PrState); st.Int() != StateRunning {

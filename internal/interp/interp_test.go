@@ -12,8 +12,17 @@ import (
 )
 
 // testVM boots a VM with a minimal kernel (no image sources) on nprocs
-// virtual processors.
+// virtual processors and starts its interpreters.
 func testVM(t *testing.T, nprocs int, mutate func(*Config, *heap.Config)) *VM {
+	t.Helper()
+	vm := bootTestVM(t, nprocs, mutate)
+	vm.StartInterpreters()
+	return vm
+}
+
+// bootTestVM is testVM before StartInterpreters, for tests that install
+// work functions of their own.
+func bootTestVM(t *testing.T, nprocs int, mutate func(*Config, *heap.Config)) *VM {
 	t.Helper()
 	cfg := DefaultConfig()
 	hcfg := heap.DefaultConfig()
@@ -30,7 +39,6 @@ func testVM(t *testing.T, nprocs int, mutate func(*Config, *heap.Config)) *VM {
 	vm := New(m, h, cfg)
 	vm.Genesis()
 	installMiniKernel(t, vm)
-	vm.StartInterpreters()
 	t.Cleanup(m.Shutdown)
 	return vm
 }

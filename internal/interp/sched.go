@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"math"
 	"runtime"
+	"slices"
 
 	"mst/internal/firefly"
 	"mst/internal/object"
@@ -176,7 +178,7 @@ func (in *Interp) processCompleted(val object.OOP) {
 	vm.hostMu.Lock()
 	if in.proc == vm.evalProc && in.proc != object.Nil {
 		vm.evalResult = val
-		vm.evalDone = true
+		vm.evalDone.Store(true)
 	}
 	vm.hostMu.Unlock()
 	vm.schedLock.Acquire(in.p)
@@ -196,7 +198,7 @@ func (in *Interp) terminateCurrentProcess() {
 	if in.proc == in.vm.evalProc {
 		in.vm.evalFailed = "process terminated by VM error"
 		in.vm.evalResult = object.Nil
-		in.vm.evalDone = true
+		in.vm.evalDone.Store(true)
 	}
 	in.vm.hostMu.Unlock()
 	in.processCompleted(object.Nil)
@@ -357,7 +359,7 @@ func (in *Interp) procTerminate(target object.OOP) bool {
 		vm.hostMu.Lock()
 		if in.proc == vm.evalProc {
 			vm.evalResult = object.Nil
-			vm.evalDone = true
+			vm.evalDone.Store(true)
 		}
 		vm.hostMu.Unlock()
 		in.processCompleted(object.Nil)
@@ -394,30 +396,54 @@ func (in *Interp) canRun(target object.OOP) bool {
 
 // ---- Idle loop and device polling ----
 
-// idleStep runs when this interpreter has no Process: poll the ready
-// queue cheaply, with the V kernel Delay equivalent between polls. In
-// parallel host mode an idle interpreter also yields its OS thread so
+// idleQuantum is one scheduling quantum of an interpreter with no
+// Process — the function Quantum hands to Proc.Idle, which calls it each
+// time this processor is scheduled, in deterministic mode on whichever
+// coroutine made that decision: poll the devices and the ready queue
+// cheaply, with the V kernel Delay equivalent between polls, and report
+// whether the quantum is over and whether there is now something to run.
+// In parallel host mode an idle interpreter also yields its OS thread so
 // busy processors (and single-core hosts) get the cycles.
-func (in *Interp) idleStep() {
+func (in *Interp) idleQuantum() firefly.IdleResult {
 	vm := in.vm
-	if vm.par {
-		runtime.Gosched()
+	if in.idleYieldAgain {
+		// The last poll ended past the deadline and found nothing: the
+		// deadline's yield, then the idle loop's own — two scheduling
+		// decisions before the next poll.
+		in.idleYieldAgain = false
+		return firefly.IdleYielded
 	}
-	in.p.AdvanceIdle(in.costs.IdlePoll)
-	if !vm.schedLock.TryAcquire(in.p) {
-		in.p.CheckYield()
-		return
+	if in == vm.Interps[0] && len(vm.pendingWork) > 0 {
+		return firefly.IdleResume // Quantum drains it on our own coroutine
 	}
-	next := vm.findReady(in.p)
-	if next != object.Nil {
+	for {
+		in.pollDevices()
+		if vm.par {
+			runtime.Gosched()
+		}
+		in.p.AdvanceIdle(in.costs.IdlePoll)
+		if vm.schedLock.TryAcquire(in.p) {
+			break
+		}
+		if in.p.YieldSlack() <= 0 {
+			return firefly.IdleYielded
+		}
+		// Contended below the deadline: poll again, no scheduling decision.
+	}
+	if next := vm.findReady(in.p); next != object.Nil {
 		vm.H.StoreNoCheck(next, PrState, object.FromInt(StateRunning))
 		in.switchToProcess(next)
 	}
 	vm.schedLock.Release(in.p)
-	in.p.CheckYield()
-	if in.proc == object.Nil {
-		in.p.Yield()
+	late := in.p.YieldSlack() <= 0
+	switch {
+	case in.proc == object.Nil:
+		in.idleYieldAgain = late
+		return firefly.IdleYielded
+	case late:
+		return firefly.IdleResumeYielded
 	}
+	return firefly.IdleResume
 }
 
 // pollDevices transfers expired delays and pending input events into
@@ -431,16 +457,17 @@ func (in *Interp) idleStep() {
 func (in *Interp) pollDevices() {
 	vm := in.vm
 	in.p.Advance(in.costs.EventPoll)
-	// Timers.
-	for {
+	// Timers. nextWake is the head of the delay list (max-int when it is
+	// empty), so the common poll — nothing due — touches no host mutex.
+	for vm.nextWake.Load() <= int64(in.p.Now()) {
 		vm.devMu.Lock()
 		if len(vm.delays) == 0 || vm.delays[0].wake > in.p.Now() {
-			vm.devMu.Unlock()
+			vm.devMu.Unlock() // parallel mode: another processor took it
 			break
 		}
 		sem := vm.delays[0].sem
-		copy(vm.delays, vm.delays[1:])
-		vm.delays = vm.delays[:len(vm.delays)-1]
+		vm.delays = slices.Delete(vm.delays, 0, 1) // clears the vacated slot
+		vm.publishNextWake()
 		vm.devMu.Unlock()
 		in.semSignalFromGo(sem)
 	}
@@ -465,5 +492,16 @@ func (vm *VM) registerDelay(wake firefly.Time, sem object.OOP) {
 	for i := len(vm.delays) - 1; i > 0 && vm.delays[i].wake < vm.delays[i-1].wake; i-- {
 		vm.delays[i], vm.delays[i-1] = vm.delays[i-1], vm.delays[i]
 	}
+	vm.publishNextWake()
 	vm.devMu.Unlock()
+}
+
+// publishNextWake republishes the head of the delay list for pollDevices'
+// lock-free test. Caller holds devMu.
+func (vm *VM) publishNextWake() {
+	wake := firefly.Time(math.MaxInt64)
+	if len(vm.delays) > 0 {
+		wake = vm.delays[0].wake
+	}
+	vm.nextWake.Store(int64(wake))
 }

@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 
+	"mst/internal/compiler"
+	"mst/internal/firefly"
 	"mst/internal/heap"
 	"mst/internal/object"
 )
@@ -198,5 +201,129 @@ func TestBusFactorChargesActiveProcessors(t *testing.T) {
 	// the bench package.
 	if elapsed(0) != elapsed(4) {
 		t.Fatal("computation result changed under load")
+	}
+}
+
+// TestIdleQuantumResults calls the idle quantum by hand, as processor 0's
+// work function, and holds each arm to what the idle loop it replaced did
+// at that point: which result, how many polls, and no scheduling decision
+// of its own.
+func TestIdleQuantumResults(t *testing.T) {
+	vm := bootTestVM(t, 2, nil)
+	vm.M.SetQuantum(200)
+	in, costs := vm.Interps[0], vm.M.Costs()
+	contentions := func() uint64 {
+		for _, l := range vm.M.LockStats() {
+			if l.Name == "scheduler" {
+				return l.Contentions
+			}
+		}
+		t.Error("no scheduler lock")
+		return 0
+	}
+	vm.M.Start(0, func(p *firefly.Proc) {
+		// Queued Go-side work: resume at once, nothing polled or charged.
+		vm.pendingWork = append(vm.pendingWork, func(*firefly.Proc) {})
+		before := p.Stats()
+		if r := in.idleQuantum(); r != firefly.IdleResume || p.Stats() != before {
+			t.Errorf("with work queued: result %v, stats %+v -> %+v", r, before, p.Stats())
+		}
+		vm.pendingWork = nil
+
+		// The scheduler lock taken by a processor ahead in virtual time:
+		// every poll below the deadline fails and is repeated with no
+		// scheduling decision; the one that crosses it yields, once.
+		q := vm.M.Proc(1)
+		q.Advance(p.Now() + 10_000)
+		vm.schedLock.Acquire(q)
+		vm.schedLock.Release(q)
+		p.Yield() // a fresh deadline
+		decisions, idle, failed := vm.M.Switches(), p.Stats().Idle, contentions()
+		r := in.idleQuantum()
+		polls := uint64((p.Stats().Idle - idle) / costs.IdlePoll)
+		if r != firefly.IdleYielded || polls < 2 || contentions()-failed != polls ||
+			p.YieldSlack() > 0 || vm.M.Switches() != decisions || in.idleYieldAgain {
+			t.Errorf("contended: result %v after %d polls, %d failed TryAcquires, slack %d, %d decisions, again=%v",
+				r, polls, contentions()-failed, p.YieldSlack(), vm.M.Switches()-decisions, in.idleYieldAgain)
+		}
+
+		// The lock free, nothing ready, and the poll ends past its
+		// deadline: yielded, and yielded again before the next poll.
+		p.Advance(q.Now())
+		p.Yield()
+		p.AdvanceIdle(250)
+		clock := p.Now()
+		if r := in.idleQuantum(); r != firefly.IdleYielded || p.Now() == clock || !in.idleYieldAgain {
+			t.Errorf("late poll: result %v, polled %v, again=%v", r, p.Now() != clock, in.idleYieldAgain)
+		}
+		clock = p.Now()
+		if r := in.idleQuantum(); r != firefly.IdleYielded || p.Now() != clock || in.idleYieldAgain {
+			t.Errorf("second yield: result %v, polled %v, again=%v", r, p.Now() != clock, in.idleYieldAgain)
+		}
+		p.Yield()
+		if r := in.idleQuantum(); r != firefly.IdleYielded || p.Now() == clock || in.idleYieldAgain {
+			t.Errorf("poll in time: result %v, polled %v, again=%v", r, p.Now() != clock, in.idleYieldAgain)
+		}
+
+		// A ready Process: picked up, and the quantum goes on — unless the
+		// poll that found it ran past the deadline.
+		m, err := compiler.CompileExpression("3 + 4", vm.EnvForClass(vm.Specials.UndefinedObject))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		proc := vm.NewProcessForMethod(p, vm.MaterializeMethod(p, m, vm.Specials.UndefinedObject, "doits"),
+			object.Nil, UserPriority)
+		vm.scheduleProcess(p, proc)
+		p.Yield()
+		if r := in.idleQuantum(); r != firefly.IdleResume || in.proc != proc {
+			t.Errorf("found work in time: result %v, running %v", r, in.proc == proc)
+		}
+		vm.H.StoreNoCheck(proc, PrState, object.FromInt(StateReady))
+		in.setProc(object.Nil)
+		p.Yield()
+		p.AdvanceIdle(250)
+		if r := in.idleQuantum(); r != firefly.IdleResumeYielded || in.proc != proc {
+			t.Errorf("found work late: result %v, running %v", r, in.proc == proc)
+		}
+	})
+	if r := vm.M.Run(nil); r != firefly.StopAllDone {
+		t.Fatalf("Run = %v", r)
+	}
+}
+
+// TestIdleInterpreterPanicNamesItself: an idle interpreter's poll runs on
+// whichever coroutine is making scheduling decisions; when it dies there
+// (a VM error in strict mode), the death is still that interpreter's own
+// — its Run recovers it, under its id — and the interpreter whose yield
+// was executing the poll carries on.
+func TestIdleInterpreterPanicNamesItself(t *testing.T) {
+	vm := testVM(t, 2, nil)
+	if got := evalInt(t, vm, "3 + 4"); got != 7 { // both interpreters have run; 1 is parked idle
+		t.Fatalf("3 + 4 = %d", got)
+	}
+	var bad object.OOP
+	finished := false
+	err := vm.Do(func(p *firefly.Proc) {
+		// A ready Process with no context kills whoever switches to it.
+		bad = vm.allocFields(p, vm.Specials.Process, ProcessInstSize)
+		vm.H.StoreNoCheck(bad, PrPriority, object.FromInt(UserPriority))
+		vm.scheduleProcess(p, bad)
+		for !p.Stopped() {
+			p.Advance(100)
+			p.Yield() // interpreter 1 polls in place, under this yield
+		}
+		finished = true
+	})
+	if err == nil || !strings.Contains(err.Error(), "interpreter 1 died") ||
+		!strings.Contains(err.Error(), "no suspended context") {
+		t.Fatalf("Do returned %v, want interpreter 1's death", err)
+	}
+	if vm.Interps[1].proc != bad || vm.Interps[0].proc == bad {
+		t.Errorf("the context-less Process is not on the interpreter that died")
+	}
+	vm.M.Shutdown()
+	if !finished {
+		t.Errorf("interpreter 0's work was unwound with interpreter 1")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"mst/internal/display"
 	"mst/internal/firefly"
@@ -399,13 +400,19 @@ type VM struct {
 	// by the Sensor primitives (device-level data; no oops).
 	inputQueue []display.Event
 
-	// Delay queue: semaphores to signal at virtual times.
-	delays []delayEntry
+	// Delay queue: semaphores to signal at virtual times, sorted by wake
+	// time. nextWake is the head's wake time, max-int when the list is
+	// empty, published under devMu so a poll can test it without.
+	delays   []delayEntry
+	nextWake atomic.Int64
 
-	// Evaluation rendezvous (one evaluation at a time).
+	// Evaluation rendezvous (one evaluation at a time). evalDone (and
+	// dead, below) are what Run's stop predicates read at every scheduling
+	// decision, so they are atomic flags, set after the results they
+	// announce are written.
 	evalProc   object.OOP
 	evalResult object.OOP
-	evalDone   bool
+	evalDone   atomic.Bool
 	evalFailed string
 
 	// pendingWork holds Go-side mutating operations (method installs,
@@ -413,7 +420,7 @@ type VM struct {
 	// machine loop: heap mutation from the host main goroutine would
 	// race the simulated processors when they are suspended mid-lock.
 	pendingWork []func(p *firefly.Proc)
-	dead        bool // an interpreter goroutine died (panic)
+	dead        atomic.Bool // an interpreter died (panic)
 
 	// snapshotFunc writes an image snapshot (installed by the image
 	// layer; used by primitive 139).
@@ -442,7 +449,7 @@ type VM struct {
 	// world, and a processor blocked on a host mutex is not at a
 	// safepoint, so allocating under one would deadlock the rendezvous.
 	par    bool
-	hostMu sync.Mutex // evaluation rendezvous (evalProc/Result/Done/Failed, dead), errors
+	hostMu sync.Mutex // evaluation rendezvous (evalProc/Result/Failed), errors
 	devMu  sync.Mutex // delays, inputQueue
 	symMu  sync.Mutex // symbolList, symbolIdx
 
@@ -479,6 +486,7 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		san:       m.Sanitizer(),
 		par:       cfg.Parallel,
 	}
+	vm.nextWake.Store(math.MaxInt64)
 	if cfg.MethodCache == CacheSharedLocked {
 		vm.sharedCache = new([cacheSize]mcEntry)
 	}
