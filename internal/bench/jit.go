@@ -23,13 +23,20 @@ import (
 
 // JITSpeedupFloor is the minimum acceptable median host speedup of the
 // msjit tier over the interpreter on the ablation workloads; the gate
-// fails a fresh run below it. Both sides run the same step() switch, so
-// the ratio prices exactly what the tier adds — superinstruction fusion
-// and activation plans: ~2.2x on the loop and ivar kernels, ~1.6x on the
-// send storm, ~1.4x on the Table 2 environment macros, where work the
-// two sides share bit-for-bit (allocation, scavenges, primitives)
-// dilutes it. The floor binds the suite median (typically 1.60x).
-const JITSpeedupFloor = 1.5
+// fails a fresh run below it. Both sides run the same step() switch on
+// the same register window (heap.Frame), so the ratio prices exactly
+// what the tier adds — superinstruction fusion and activation plans:
+// 1.7-1.9x on the loop and ivar kernels, ~1.3x on the send storm, 1.0-1.3x
+// on the Table 2 environment macros, where work the two sides share
+// bit-for-bit (allocation, scavenges, primitives) dilutes it. The floor
+// binds the suite median, 1.33x on a quiet machine (1.29-1.37 over ten
+// runs) and down to 1.21x on a loaded one. It stood at 1.5 (median 1.55x,
+// failing unchanged code under load) until the register window made the
+// denominator faster: push, pop and activation cost both engines the
+// same nanoseconds, the interpreter spends a larger share of its time
+// there, and so both absolute columns fell while their ratio shrank
+// (EXPERIMENTS.md, "The active context is a register window").
+const JITSpeedupFloor = 1.1
 
 // jitReps repeats each workload per tier; the host timing takes the
 // fastest repetition, and the virtual times of every repetition must

@@ -210,9 +210,11 @@ func (in *Interp) codeFor(bytes object.OOP) []byte {
 }
 
 // refreshCode re-derives the host-side caches of the executing method
-// after a scavenge moved everything (the register roots were updated by
-// the scavenger; the derived slices and inline-cache pointer were not).
+// after a collection moved everything (the register roots were updated
+// by the collector; the register window, the derived slices and the
+// inline-cache pointer were not).
 func (in *Interp) refreshCode() {
+	in.bindFrames()
 	if in.method == object.Nil {
 		in.code = nil
 		in.lits = object.Nil

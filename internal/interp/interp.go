@@ -6,6 +6,7 @@ import (
 
 	"mst/internal/bytecode"
 	"mst/internal/firefly"
+	"mst/internal/heap"
 	"mst/internal/jit"
 	"mst/internal/object"
 	"mst/internal/trace"
@@ -31,9 +32,14 @@ type Interp struct {
 
 	pc      int // index into the bytecode array
 	sp      int // slots used in the context's slot area (temps included)
-	base    int // first slot field index (CtxFixed or BCtxFixed)
 	slotCap int // total slot fields in ctx
 	isBlock bool
+
+	// The register window (heap.Frame; NOT roots, re-bound by bindFrames
+	// wherever ctx changes and after every collection): stk views ctx's
+	// slot area — the operand stack, below it the temps of a method
+	// context — and tmp views home's temps (== stk unless ctx is a block).
+	stk, tmp heap.Frame
 
 	// busAccum accrues fractional memory-bus contention penalties.
 	busAccum firefly.Time
@@ -61,6 +67,7 @@ type Interp struct {
 	ic        map[object.OOP]*icMethod // method oop → inline caches
 
 	// Configuration and cost constants hoisted out of the dispatch loop.
+	quantum      int // Config.QuantumBytecodes
 	costs        *firefly.Costs
 	probeCost    firefly.Time // per method-cache probe, replication included
 	sharedLocked bool         // MethodCache == CacheSharedLocked
@@ -101,6 +108,7 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 		method: object.Nil, receiver: object.Nil, bytes: object.Nil, home: object.Nil,
 		lits:         object.Nil,
 		codeCache:    map[object.OOP][]byte{},
+		quantum:      vm.Cfg.QuantumBytecodes,
 		costs:        vm.M.Costs(),
 		rec:          vm.M.Recorder(),
 		sharedLocked: vm.Cfg.MethodCache == CacheSharedLocked,
@@ -207,7 +215,7 @@ func (in *Interp) Quantum() {
 		in.abandonCurrent()
 		return
 	}
-	n := in.vm.Cfg.QuantumBytecodes
+	n := in.quantum
 	// Both loops charge each bytecode themselves (count, dispatch cost,
 	// bus share) and then make exactly one call, to step() or to a fused
 	// closure. The duplication is measured, not accidental (PR 13, paired
@@ -287,42 +295,70 @@ func (in *Interp) fetchU16() int {
 	return int(uint16(hi)<<8 | uint16(lo))
 }
 
-// ---- Operand stack. Slots above sp are always nil so the scavenger
-// can scan whole contexts without knowing sp. ----
+// ---- Operand stack: the one place context slots are addressed. Slots
+// above sp are always nil so the scavenger can scan whole contexts
+// without knowing sp. ----
 
+// push: stk spans exactly the slot area, so Poke's bounds test is also
+// the overflow check.
 func (in *Interp) push(v object.OOP) {
+	if in.stk.Poke(in.sp, v) {
+		in.sp++
+	} else {
+		in.pushSlow(v)
+	}
+}
+
+// pushSlow is push where Poke would not store: the stack is full, or the
+// store takes the accessors (a young value into a tenured context;
+// -parallel; ConcMark).
+func (in *Interp) pushSlow(v object.OOP) {
 	if in.sp >= in.slotCap {
 		in.vm.vmError("context stack overflow (sp=%d cap=%d)", in.sp, in.slotCap)
 		in.terminateCurrentProcess()
 		return
 	}
-	in.vm.H.Store(in.p, in.ctx, in.base+in.sp, v)
+	in.stk.Set(in.p, in.sp, v)
 	in.sp++
 }
 
 func (in *Interp) pop() object.OOP {
 	in.sp--
-	idx := in.base + in.sp
-	v := in.vm.H.Fetch(in.ctx, idx)
-	in.vm.H.StoreNoCheck(in.ctx, idx, object.Nil)
+	v := in.stk.Get(in.sp)
+	in.stk.Put(in.sp, object.Nil)
 	return v
 }
 
 // stackAt peeks n slots below the top (0 = top).
 func (in *Interp) stackAt(n int) object.OOP {
-	return in.vm.H.Fetch(in.ctx, in.base+in.sp-1-n)
+	return in.stk.Get(in.sp - 1 - n)
 }
 
-// setStackTop replaces the top of stack.
-func (in *Interp) setStackTop(v object.OOP) {
-	in.vm.H.Store(in.p, in.ctx, in.base+in.sp-1, v)
+// setStackAt replaces the slot n below the top.
+func (in *Interp) setStackAt(n int, v object.OOP) {
+	in.stk.Set(in.p, in.sp-1-n, v)
 }
 
-// popN discards n slots.
+// popN discards n slots, top first.
 func (in *Interp) popN(n int) {
-	for i := 0; i < n; i++ {
+	for ; n > 0; n-- {
 		in.sp--
-		in.vm.H.StoreNoCheck(in.ctx, in.base+in.sp, object.Nil)
+		in.stk.Put(in.sp, object.Nil)
+	}
+}
+
+// bindFrames points the register window at ctx and home. Views go stale
+// when their object moves or is tenured, so this runs wherever ctx is
+// assigned (loadContext, jitActivate, pickNext) and after every
+// collection (refreshCode).
+func (in *Interp) bindFrames() {
+	h := in.vm.H
+	if in.isBlock {
+		in.stk.Bind(h, in.ctx, BCtxFixed, in.slotCap)
+		in.tmp.Bind(h, in.home, CtxFixed, h.FieldCount(in.home)-CtxFixed)
+	} else {
+		in.stk.Bind(h, in.ctx, CtxFixed, in.slotCap)
+		in.tmp = in.stk
 	}
 }
 
@@ -332,7 +368,7 @@ func (in *Interp) popN(n int) {
 //
 // Temps always live in the home context (home == ctx for a method
 // context, the enclosing method's context for a block), so temp access
-// goes through in.home with no isBlock branch.
+// goes through in.tmp with no isBlock branch.
 func (in *Interp) step() {
 	vm := in.vm
 	h := vm.H
@@ -348,7 +384,7 @@ func (in *Interp) step() {
 	case bytecode.OpPushFalse:
 		in.push(object.False)
 	case bytecode.OpPushTemp:
-		in.push(h.Fetch(in.home, CtxFixed+in.fetchByte()))
+		in.push(in.tmp.Get(in.fetchByte()))
 	case bytecode.OpPushInstVar:
 		in.push(h.Fetch(in.receiver, in.fetchByte()))
 	case bytecode.OpPushLiteral:
@@ -373,14 +409,14 @@ func (in *Interp) step() {
 		in.pop()
 
 	case bytecode.OpStoreTemp:
-		h.Store(in.p, in.home, CtxFixed+in.fetchByte(), in.stackAt(0))
+		in.tmp.Set(in.p, in.fetchByte(), in.stackAt(0))
 	case bytecode.OpStoreInstVar:
 		h.Store(in.p, in.receiver, in.fetchByte(), in.stackAt(0))
 	case bytecode.OpStoreGlobal:
 		assoc := in.literalAt(in.fetchByte())
 		h.Store(in.p, assoc, AsValue, in.stackAt(0))
 	case bytecode.OpPopTemp:
-		h.Store(in.p, in.home, CtxFixed+in.fetchByte(), in.pop())
+		in.tmp.Set(in.p, in.fetchByte(), in.pop())
 	case bytecode.OpPopInstVar:
 		h.Store(in.p, in.receiver, in.fetchByte(), in.pop())
 	case bytecode.OpPopGlobal:
@@ -513,12 +549,12 @@ func (in *Interp) loadContext(ctx object.OOP) {
 	in.ctx = ctx
 	cls := h.ClassOf(ctx)
 	in.isBlock = cls == in.vm.Specials.BlockContext
+	base := CtxFixed
 	if in.isBlock {
 		in.home = h.Fetch(ctx, BCtxHome)
-		in.base = BCtxFixed
+		base = BCtxFixed
 	} else {
 		in.home = ctx
-		in.base = CtxFixed
 	}
 	in.method = h.Fetch(in.home, CtxMethod)
 	in.receiver = h.Fetch(in.home, CtxReceiver)
@@ -538,7 +574,8 @@ func (in *Interp) loadContext(ctx object.OOP) {
 	}
 	in.pc = int(h.Fetch(ctx, CtxPC).Int())
 	in.sp = int(h.Fetch(ctx, CtxSP).Int())
-	in.slotCap = h.FieldCount(ctx) - in.base
+	in.slotCap = h.FieldCount(ctx) - base
+	in.bindFrames()
 	if in.vm.prof != nil {
 		in.profSync()
 	}

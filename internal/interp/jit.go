@@ -238,20 +238,7 @@ func (in *Interp) jitActivate(method object.OOP, nargs int) bool {
 	if wm > slots {
 		wm = slots
 	}
-	h.StoreNoCheck(nc, CtxPC, object.FromInt(0))
-	h.StoreNoCheck(nc, CtxSP, object.FromInt(int64(ntemps)))
-	h.Store(in.p, nc, CtxMethod, method)
-	receiver := in.stackAt(nargs)
-	h.Store(in.p, nc, CtxReceiver, receiver)
-	for i := 0; i < nargs; i++ {
-		h.Store(in.p, nc, CtxFixed+i, in.stackAt(nargs-1-i))
-	}
-	for i := nargs; i < wm; i++ {
-		h.StoreNoCheck(nc, CtxFixed+i, object.Nil)
-	}
-	in.popN(nargs + 1)
-	in.flushRegisters()
-	h.Store(in.p, nc, CtxSender, in.ctx)
+	receiver := in.initContext(nc, method, nargs, ntemps, slots, wm)
 
 	// loadContext, with every derivation replaced by the plan (a fresh
 	// method context: pc 0, sp at the temps, slot capacity by size
@@ -259,7 +246,6 @@ func (in *Interp) jitActivate(method object.OOP, nargs int) bool {
 	in.ctx = nc
 	in.isBlock = false
 	in.home = nc
-	in.base = CtxFixed
 	in.method = method
 	in.receiver = receiver
 	in.bytes = e.bytes
@@ -269,6 +255,7 @@ func (in *Interp) jitActivate(method object.OOP, nargs int) bool {
 	in.pc = 0
 	in.sp = ntemps
 	in.slotCap = slots
+	in.bindFrames()
 	if jc := e.jc; jc != nil {
 		in.jfns = jc.fns
 	} else {

@@ -59,8 +59,7 @@ func (in *Interp) fuseAdmit(n1 int, bound firefly.Time, busDiv firefly.Time) boo
 	if in.p.YieldSlack() <= bound {
 		return false
 	}
-	h := in.vm.H
-	return h.InNewSpace(in.ctx) || h.Header(in.ctx).Remembered()
+	return in.stk.Unchecked()
 }
 
 // fuseCharge is the shared batched accounting: identical totals to n1
@@ -88,7 +87,7 @@ func fuseLoadable(k jit.MicroKind) bool {
 func (in *Interp) fuseLoad(m jit.Micro) object.OOP {
 	switch m.Kind {
 	case jit.MLoadTemp:
-		return in.vm.H.Fetch(in.home, CtxFixed+int(m.A))
+		return in.tmp.Get(int(m.A))
 	case jit.MLoadIVar:
 		return in.vm.H.Fetch(in.receiver, int(m.A))
 	case jit.MLoadSelf:
@@ -178,8 +177,7 @@ func (in *Interp) jitFuseFn(f *jit.Fused, fns []jitFn, pc int) jitFn {
 	if fn := in.jitFuseCmpBranchFn(f, fns, pc); fn != nil {
 		return fn
 	}
-	vm := in.vm
-	h := vm.H
+	h := in.vm.H
 	p := in.p
 	n1 := f.N - 1
 	charge := f.Charge
@@ -206,37 +204,20 @@ func (in *Interp) jitFuseFn(f *jit.Fused, fns []jitFn, pc int) jitFn {
 	}
 
 	return func() {
-		if in.jleft < n1 {
-			in.step()
-			return
-		}
-		bound := charge + wbound
-		if busDiv > 0 {
-			if k := vm.M.ActiveProcs() - 1; k > 0 {
-				bound += (in.busAccum+firefly.Time(n1)*firefly.Time(k))/busDiv + 1
-			}
-		}
-		if p.YieldSlack() <= bound {
-			in.step()
-			return
-		}
-		ctx := in.ctx
-		if !h.InNewSpace(ctx) && !h.Header(ctx).Remembered() {
+		if !in.fuseAdmit(n1, charge+wbound, busDiv) {
 			in.step()
 			return
 		}
 
 		// Phase 1: pure evaluation.
 		var regs [16]object.OOP
-		base := in.base
-		sp := in.sp
 		for pi := range prog {
 			m := &prog[pi]
 			switch m.Kind {
 			case jit.MLoadTemp:
-				regs[m.Dst] = h.Fetch(in.home, CtxFixed+int(m.A))
+				regs[m.Dst] = in.tmp.Get(int(m.A))
 			case jit.MLoadStack:
-				regs[m.Dst] = h.Fetch(ctx, base+sp-1-int(m.A))
+				regs[m.Dst] = in.stackAt(int(m.A))
 			case jit.MLoadIVar:
 				regs[m.Dst] = h.Fetch(in.receiver, int(m.A))
 			case jit.MLoadLit:
@@ -302,26 +283,20 @@ func (in *Interp) jitFuseFn(f *jit.Fused, fns []jitFn, pc int) jitFn {
 
 		// Phase 2: accounting, then commit.
 		bails = 0
-		in.jleft -= n1
-		in.stats.Bytecodes += uint64(n1)
-		in.stats.JITBytecodes += uint64(n1)
-		p.Advance(charge)
-		in.busChargeN(n1)
+		in.fuseCharge(n1, charge)
 		for i := range tw {
-			h.Store(p, in.home, CtxFixed+int(tw[i].Slot), regs[tw[i].Reg])
+			in.tmp.Set(p, int(tw[i].Slot), regs[tw[i].Reg])
 		}
 		for i := range iw {
 			h.Store(p, in.receiver, int(iw[i].Slot), regs[iw[i].Reg])
 		}
-		bot := base + sp - pops
+		sp := in.sp
+		in.sp -= pops
 		for i := range push {
-			h.StoreNoCheck(ctx, bot+i, regs[push[i]])
+			in.stk.Put(in.sp, regs[push[i]])
+			in.sp++
 		}
-		newSP := sp - pops + len(push)
-		for i := base + newSP; i < base+sp; i++ {
-			h.StoreNoCheck(ctx, i, object.Nil)
-		}
-		in.sp = newSP
+		in.stk.Clear(in.sp, sp)
 		switch term {
 		case jit.TermFall:
 			in.pc = nextPC

@@ -91,8 +91,7 @@ func (in *Interp) primPerform(nargs int) bool {
 	k := nargs - 1 // real argument count
 	// Shift arguments down over the selector.
 	for i := 0; i < k; i++ {
-		v := in.stackAt(k - 1 - i)
-		in.vm.H.Store(in.p, in.ctx, in.base+in.sp-nargs+i, v)
+		in.setStackAt(nargs-1-i, in.stackAt(k-1-i))
 	}
 	in.popN(1)
 	in.send(sel, k, false, -1)

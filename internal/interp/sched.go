@@ -144,6 +144,8 @@ func (in *Interp) pickNext() {
 	if next == object.Nil {
 		in.setProc(object.Nil)
 		in.ctx = object.Nil
+		in.slotCap = 0
+		in.bindFrames()
 		if in.vm.prof != nil {
 			in.profIdle()
 		}

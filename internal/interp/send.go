@@ -3,6 +3,7 @@ package interp
 import (
 	"mst/internal/bytecode"
 	"mst/internal/firefly"
+	"mst/internal/heap"
 	"mst/internal/jit"
 	"mst/internal/object"
 	"mst/internal/trace"
@@ -289,32 +290,40 @@ func (in *Interp) activateMethod(method object.OOP, nargs int) {
 	method = mh.Get()
 	hs.Close()
 
-	// Initialize the fresh context. Everything read from the caller's
-	// stack happens after the allocation, via the (GC-updated) ctx root.
 	slots := SmallCtxSlots
 	if large {
 		slots = LargeCtxSlots
 	}
-	h.StoreNoCheck(nc, CtxPC, object.FromInt(0))
-	h.StoreNoCheck(nc, CtxSP, object.FromInt(int64(ntemps)))
-	h.Store(in.p, nc, CtxMethod, method)
+	// Recycled contexts hold stale values anywhere in the slot area.
+	in.initContext(nc, method, nargs, ntemps, slots, slots)
+	in.loadContext(nc)
+}
+
+// initContext fills the fresh or recycled method context nc for an
+// activation of method, whose receiver and nargs arguments are on the
+// caller's stack, pops them, and links nc to the caller; it returns the
+// receiver. Everything is read from the caller's stack here, after the
+// allocation, via the (GC-updated) ctx root. dirty bounds the slots that
+// may hold a non-nil value: arguments go into the first temps and
+// [nargs, dirty) is nilled, because the scavenger scans the whole slot
+// area.
+func (in *Interp) initContext(nc, method object.OOP, nargs, ntemps, slots, dirty int) object.OOP {
+	var f heap.Frame // over all of nc, fixed fields included
+	f.Bind(in.vm.H, nc, 0, CtxFixed+slots)
+	f.Put(CtxPC, object.FromInt(0))
+	f.Put(CtxSP, object.FromInt(int64(ntemps)))
+	f.Set(in.p, CtxMethod, method)
 	receiver := in.stackAt(nargs)
-	h.Store(in.p, nc, CtxReceiver, receiver)
-	// Arguments into the first temps; remaining temps nil; the rest of
-	// the slot area must be nil for the scavenger (recycled contexts
-	// hold stale values).
+	f.Set(in.p, CtxReceiver, receiver)
 	for i := 0; i < nargs; i++ {
-		h.Store(in.p, nc, CtxFixed+i, in.stackAt(nargs-1-i))
+		f.Set(in.p, CtxFixed+i, in.stackAt(nargs-1-i))
 	}
-	for i := nargs; i < slots; i++ {
-		h.StoreNoCheck(nc, CtxFixed+i, object.Nil)
-	}
-	// Pop receiver+args, link, and switch.
+	f.Clear(CtxFixed+nargs, CtxFixed+dirty)
+	// Pop receiver+args and link.
 	in.popN(nargs + 1)
 	in.flushRegisters()
-	h.Store(in.p, nc, CtxSender, in.ctx)
-
-	in.loadContext(nc)
+	f.Set(in.p, CtxSender, in.ctx)
+	return receiver
 }
 
 // returnValue implements ^-returns. For a block context this is a
@@ -379,7 +388,7 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 		// and nil-fills everything regardless.
 		vm.H.StoreNoCheck(ctx, CtxSP, object.FromInt(int64(in.sp)))
 	}
-	large := vm.H.FieldCount(ctx)-CtxFixed > SmallCtxSlots
+	large := in.slotCap > SmallCtxSlots // ctx is the active context
 	const freeListMax = 64
 	if vm.Cfg.FreeContexts == FreeCtxSharedLocked {
 		which := 0
@@ -521,11 +530,11 @@ func (in *Interp) specialFast(op bytecode.Op) bool {
 	case bytecode.OpSendNot:
 		v := in.stackAt(0)
 		if v == object.True {
-			in.setStackTop(object.False)
+			in.setStackAt(0, object.False)
 			return true
 		}
 		if v == object.False {
-			in.setStackTop(object.True)
+			in.setStackAt(0, object.True)
 			return true
 		}
 	case bytecode.OpSendAt:
@@ -548,7 +557,7 @@ func (in *Interp) specialFast(op bytecode.Op) bool {
 	case bytecode.OpSendSize:
 		recv := in.stackAt(0)
 		if n, ok := in.basicSize(recv); ok {
-			in.setStackTop(object.FromInt(int64(n)))
+			in.setStackAt(0, object.FromInt(int64(n)))
 			return true
 		}
 	case bytecode.OpSendValue:
@@ -779,10 +788,11 @@ func (in *Interp) blockValue(blk object.OOP, nargs int) bool {
 	if wantArgs != nargs {
 		return false
 	}
-	home := h.Fetch(blk, BCtxHome)
 	// Block arguments live in the home context's temporaries.
+	var args heap.Frame
+	args.Bind(h, h.Fetch(blk, BCtxHome), CtxFixed+firstArg, nargs)
 	for i := 0; i < nargs; i++ {
-		h.Store(in.p, home, CtxFixed+firstArg+i, in.stackAt(nargs-1-i))
+		args.Set(in.p, i, in.stackAt(nargs-1-i))
 	}
 	in.popN(nargs + 1)
 	in.flushRegisters()

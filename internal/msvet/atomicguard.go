@@ -49,8 +49,8 @@ var AtomicguardAnalyzer = &Analyzer{
 }
 
 // atomicFields maps every struct field passed by address to a
-// sync/atomic function to the position of its first (in deterministic
-// load order) atomic access.
+// sync/atomic function, and every field that aliases one, to the
+// position of its first (in deterministic load order) atomic access.
 func (m *Module) atomicFields() map[*types.Var]token.Pos {
 	tracked := map[*types.Var]token.Pos{}
 	for _, pkg := range m.Pkgs {
@@ -78,6 +78,13 @@ func (m *Module) atomicFields() map[*types.Var]token.Pos {
 				}
 				return true
 			})
+		}
+	}
+	// A field holding a slice of a tracked field is the same words under
+	// another name (heap.Frame's views of h.mem): track it too.
+	for dst, src := range m.sliceAliases() {
+		if pos, ok := tracked[src]; ok {
+			tracked[dst] = pos
 		}
 	}
 	return tracked

@@ -3,18 +3,24 @@ package msvet
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // barrierflow: the heap-store discipline, checked per function over
 // the call graph. The invariant: every store of a word into object memory
 // (`X.mem[i] = v`, `copy(X.mem[...], ...)`, atomic stores/CAS on
-// `&X.mem[i]`) must reach the write barrier's store check — which in
-// this codebase means the store must sit in one of exactly two kinds
-// of function:
+// `&X.mem[i]`) must reach the write barrier's store check, and so must
+// every slice of it that outlives its expression (`f.w = X.mem[a:b]`:
+// whoever holds the slice can store with no funnel in sight; a field
+// assigned one is object memory under another name, and stores through
+// it count like stores through `.mem`) — which in this codebase means
+// the store or the slicing must sit in one of exactly two kinds of
+// function:
 //
 //   - a `//msvet:heap-writer` funnel: storeWord (the barrier API's
 //     single exit point), the allocator writing fresh unpublished
-//     words, the CAS-claimed header updater, the snapshot restorer;
+//     words, the CAS-claimed header updater, the snapshot restorer,
+//     the register window (heap.Frame: Bind and its in-place stores);
 //   - STW-reachable collector code (Module.STWReachable): while the
 //     world is stopped there are no concurrent mutators and the
 //     collector moves objects wholesale.
@@ -46,8 +52,9 @@ var BarrierflowAnalyzer = &Analyzer{
 		m := pass.Mod
 		stw := m.STWReachable()
 		roots := m.exportedReach()
+		mem := memFields{m, m.sliceAliases()}
 		for _, node := range m.Graph().Nodes {
-			stores := rawMemStores(m, node)
+			stores := mem.rawStores(node)
 			if len(stores) == 0 {
 				continue
 			}
@@ -87,31 +94,47 @@ type rawStore struct {
 	expr string
 }
 
-// rawMemStores collects every raw object-memory store in one function:
-// plain writes, increments, wholesale copies, and atomic stores/CAS
-// targeting `&X.mem[i]`.
-func rawMemStores(m *Module, node *FuncNode) []rawStore {
+// memFields decides which expressions name object memory: a field or
+// local called mem, or a field that aliases one (sliceAliases).
+type memFields struct {
+	m       *Module
+	aliases map[*types.Var]*types.Var
+}
+
+// rawStores collects every raw object-memory store in one function:
+// plain writes, increments, wholesale copies, atomic stores/CAS
+// targeting `&X.mem[i]`, and slices of memory that escape the
+// expression they are built in.
+func (mf memFields) rawStores(node *FuncNode) []rawStore {
 	var out []rawStore
+	consumed := map[ast.Expr]bool{} // slices that copy/append use up on the spot
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if memTarget(lhs) {
+				if mf.target(lhs) {
 					out = append(out, rawStore{lhs.Pos(), exprString(lhs)})
 				}
 			}
 		case *ast.IncDecStmt:
-			if memTarget(n.X) {
+			if mf.target(n.X) {
 				out = append(out, rawStore{n.Pos(), exprString(n.X)})
 			}
+		case *ast.SliceExpr:
+			if mf.is(n.X) && !consumed[n] {
+				out = append(out, rawStore{n.Pos(), "alias " + exprString(n)})
+			}
 		case *ast.CallExpr:
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" && len(n.Args) > 0 {
-				if memSlice(n.Args[0]) {
+			if id, ok := unparen(n.Fun).(*ast.Ident); ok && (id.Name == "copy" || id.Name == "append") && len(n.Args) > 0 {
+				for _, arg := range n.Args {
+					consumed[unparen(arg)] = true
+				}
+				if id.Name == "copy" && mf.slice(n.Args[0]) {
 					out = append(out, rawStore{n.Pos(), "copy(" + exprString(n.Args[0]) + ", ...)"})
 				}
 				return true
 			}
-			if m.isAtomicCall(n) {
+			if mf.m.isAtomicCall(n) {
 				sel := unparen(n.Fun).(*ast.SelectorExpr)
 				name := sel.Sel.Name
 				if !atomicStoresArg(name) {
@@ -122,7 +145,7 @@ func rawMemStores(m *Module, node *FuncNode) []rawStore {
 					if !ok || u.Op != token.AND {
 						continue
 					}
-					if memTarget(u.X) {
+					if mf.target(u.X) {
 						out = append(out, rawStore{arg.Pos(), "atomic " + name + "(" + exprString(arg) + ")"})
 					}
 					break // only the address argument can be the target
@@ -187,36 +210,67 @@ func (m *Module) exportedReach() map[*FuncNode]*FuncNode {
 	return roots
 }
 
-// memTarget reports whether e is an index into a `.mem` field
-// (or a local named mem).
-func memTarget(e ast.Expr) bool {
+// target reports whether e is an index into object memory.
+func (mf memFields) target(e ast.Expr) bool {
 	idx, ok := e.(*ast.IndexExpr)
-	if !ok {
-		return false
-	}
-	return isMemExpr(idx.X)
+	return ok && mf.is(idx.X)
 }
 
-// memSlice reports whether e slices or names heap memory
+// slice reports whether e slices or names object memory
 // (`X.mem[a:b]`, `X.mem`).
-func memSlice(e ast.Expr) bool {
-	switch e := e.(type) {
+func (mf memFields) slice(e ast.Expr) bool {
+	switch x := e.(type) {
 	case *ast.SliceExpr:
-		return isMemExpr(e.X)
+		e = x.X
 	case *ast.IndexExpr:
-		return isMemExpr(e.X)
-	default:
-		return isMemExpr(e)
+		e = x.X
 	}
+	return mf.is(e)
 }
 
-func isMemExpr(e ast.Expr) bool {
+func (mf memFields) is(e ast.Expr) bool {
 	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		return e.Sel.Name == "mem"
 	case *ast.Ident:
 		return e.Name == "mem"
-	default:
-		return false
+	case *ast.SelectorExpr:
+		src := mf.aliases[mf.m.selectedVar(e)]
+		return e.Sel.Name == "mem" || src != nil && src.Name() == "mem"
 	}
+	return false
+}
+
+// sliceAliases maps each struct field that is assigned a slice of another
+// field (`f.w = h.mem[a:b]`, `T{w: h.mem[a:b]}`) to that field: the same
+// memory under another name, which barrierflow and atomicguard must hold
+// to the rules of the original. One level only: a slice of an alias is
+// flagged where it is built, like any other, but not followed further.
+func (m *Module) sliceAliases() map[*types.Var]*types.Var {
+	out := map[*types.Var]*types.Var{}
+	note := func(lhs, rhs ast.Expr) {
+		if s, ok := unparen(rhs).(*ast.SliceExpr); ok {
+			dst, src := m.selectedVar(lhs), m.selectedVar(s.X)
+			if dst != nil && src != nil && dst.IsField() && src.IsField() {
+				out[dst] = src
+			}
+		}
+	}
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			if f.Test {
+				continue
+			}
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
+						note(n.Lhs[i], n.Rhs[i])
+					}
+				case *ast.KeyValueExpr:
+					note(n.Key, n.Value)
+				}
+				return true
+			})
+		}
+	}
+	return out
 }

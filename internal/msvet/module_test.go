@@ -113,6 +113,43 @@ func TestBarrierflowFixtureCleanTwin(t *testing.T) {
 	}
 }
 
+// ---- memory aliases (barrierflow + atomicguard) ----
+
+// A slice of object memory stored in a struct field, and a store
+// through that field, are raw-access sites for both analyzers even
+// though neither spells `.mem[i]`: Bind (line 24) aliases, Poke (line
+// 29) writes through the alias.
+func TestMemAliasFixtureFlagsViewAndStoreThroughIt(t *testing.T) {
+	for _, tc := range []struct {
+		a    *Analyzer
+		want map[int]string // line → message fragment
+	}{
+		{BarrierflowAnalyzer, map[int]string{24: "alias h.mem[...]", 29: "raw heap store v.w[...]"}},
+		{AtomicguardAnalyzer, map[int]string{24: "plain access to", 29: "plain access to v.w"}},
+	} {
+		got := fixtureFindings(t, tc.a, "memalias_bad")
+		seen := map[int]bool{}
+		for _, f := range got {
+			frag, ok := tc.want[f.Pos.Line]
+			if !ok || !strings.Contains(f.Message, frag) {
+				t.Errorf("%s: unexpected finding %v", tc.a.Name, f)
+			}
+			seen[f.Pos.Line] = true
+		}
+		if len(seen) != len(tc.want) {
+			t.Errorf("%s: findings on lines %v, want one on each of %v", tc.a.Name, seen, tc.want)
+		}
+	}
+}
+
+func TestMemAliasFixtureCleanTwin(t *testing.T) {
+	for _, a := range []*Analyzer{BarrierflowAnalyzer, AtomicguardAnalyzer} {
+		if got := fixtureFindings(t, a, "memalias_ok"); len(got) != 0 {
+			t.Errorf("%s: clean twin has findings: %v", a.Name, got)
+		}
+	}
+}
+
 // The write-barrier verifier is the one file with no exemption: its
 // stores are findings even in an annotated funnel (patch) and even via
 // copy, while the same annotated store next door in the collector
@@ -231,7 +268,7 @@ func TestAnnotationsCollected(t *testing.T) {
 // ---- full suite over the clean twins ----
 
 func TestFullSuiteCleanOnOkFixtures(t *testing.T) {
-	for _, fixture := range []string{"stwsafe_ok", "atomicguard_ok", "barrierflow_ok", "lockorder_ok"} {
+	for _, fixture := range []string{"stwsafe_ok", "atomicguard_ok", "barrierflow_ok", "memalias_ok", "lockorder_ok"} {
 		findings, err := RunSuite(loadFixture(t, fixture), Analyzers())
 		if err != nil {
 			t.Fatalf("RunSuite(%s): %v", fixture, err)

@@ -259,6 +259,78 @@ func TestJITDifferentialParallel(t *testing.T) {
 	}
 }
 
+// TestFramesMatchAccessors holds the interpreter's two slot paths to
+// equality with no hook: a deterministic system runs its operand stack,
+// temps and activations on the register window (heap.Frame views), a
+// Parallel one gets no views and takes the word accessors everywhere.
+// With one processor the parallel host mode is deterministic too, so the
+// same programs must give the same answers, the same virtual clock and
+// the same interpreter and heap statistics, field for field, on both
+// engines — on the default heap, and on the scavenge-storm heap of
+// frame_test.go, where most stores go into tenured contexts and the
+// window has to tell a store that needs the check from one that does not.
+func TestFramesMatchAccessors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		jit   bool
+		storm bool
+	}{{"switch", false, false}, {"msjit", true, false}, {"switch-storm", false, true}, {"msjit-storm", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				answers []string
+				clock   int64
+				stats   core.Stats
+			}
+			run := func(parallel bool) outcome {
+				cfg := core.MSPlusConfig()
+				cfg.Processors = 1
+				cfg.JIT = tc.jit
+				cfg.Parallel = parallel
+				corpus, source := jitExampleCorpus, primeCounterSource
+				if tc.storm {
+					cfg.EdenWords, cfg.SurvivorWords, cfg.OldWords, cfg.TenureAge = 1024, 512, 4<<20, 1
+					corpus, source = frameStormPrograms, frameStormSource
+				}
+				sys, err := core.NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Shutdown()
+				if err := sys.FileIn("corpus.st", source); err != nil {
+					t.Fatal(err)
+				}
+				var o outcome
+				for i, expr := range corpus {
+					out, err := sys.Evaluate(expr)
+					if err != nil {
+						t.Fatalf("corpus[%d] (parallel=%v): %v", i, parallel, err)
+					}
+					o.answers = append(o.answers, out)
+				}
+				o.clock = int64(sys.VirtualTime())
+				o.stats = sys.Stats()
+				return o
+			}
+			frames, accessors := run(false), run(true)
+			if !reflect.DeepEqual(frames.answers, accessors.answers) {
+				t.Errorf("answers diverge:\nframes:    %q\naccessors: %q", frames.answers, accessors.answers)
+			}
+			if frames.clock != accessors.clock {
+				t.Errorf("virtual clock diverges: frames %d, accessors %d", frames.clock, accessors.clock)
+			}
+			if !reflect.DeepEqual(frames.stats.Interp, accessors.stats.Interp) {
+				t.Errorf("interp.Stats diverge:\nframes:    %+v\naccessors: %+v", frames.stats.Interp, accessors.stats.Interp)
+			}
+			if !reflect.DeepEqual(frames.stats.Heap, accessors.stats.Heap) {
+				t.Errorf("heap.Stats diverge:\nframes:    %+v\naccessors: %+v", frames.stats.Heap, accessors.stats.Heap)
+			}
+			if tc.jit && frames.stats.Interp.JITBytecodes == 0 {
+				t.Error("tier never ran")
+			}
+		})
+	}
+}
+
 // jitFaultSystem boots the tier with the flight recorder attached, so
 // each fault-injection test can assert both the deopt counter and the
 // recorded reason.
