@@ -31,8 +31,7 @@
 //	                                 short stop-the-world windows and a
 //	                                 lazy free-list sweep
 //	mst -jit -e "..."                msjit tier: hot methods run fused
-//	                                 superinstructions and cached
-//	                                 activation plans (virtual times
+//	                                 superinstructions (virtual times
 //	                                 and results are bit-identical to
 //	                                 the interpreter)
 //	echo "Smalltalk allClasses size" | mst
@@ -65,7 +64,7 @@ func main() {
 	parallel := flag.Bool("parallel", false, "true-parallel host mode: run virtual processors on real goroutines (wall-clock scheduling; virtual times become host-schedule-dependent)")
 	parScav := flag.Bool("parscavenge", false, "cooperative parallel scavenging: all processors copy survivors during the stop-the-world window (works in both the deterministic and -parallel modes)")
 	concMark := flag.Bool("concmark", false, "concurrent old-space marking: full collections run as SATB marking cycles with bounded stop-the-world windows and a lazy free-list sweep (works in both the deterministic and -parallel modes)")
-	jitFlag := flag.Bool("jit", false, "msjit tier: fuse hot methods' straight-line bytecode runs and cache their activation plans (bit-identical virtual behavior)")
+	jitFlag := flag.Bool("jit", false, "msjit tier: fuse hot methods' straight-line bytecode runs into superinstructions (bit-identical virtual behavior)")
 	flag.Parse()
 
 	cfg := mst.DefaultConfig()

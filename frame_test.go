@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mst/internal/core"
+	"mst/internal/interp"
 )
 
 // The interpreter's register window (heap.Frame) is a direct view of the
@@ -51,16 +52,28 @@ var frameStormPrograms = []string{
 // TestFrameRebindUnderScavengeStorm runs the programs on a heap whose
 // eden holds a few dozen contexts and whose survivors are tenured at
 // their second scavenge, so the active context and the block homes move
-// and are tenured mid-activation many times a request — for both engines.
+// and are tenured mid-activation many times a request — for both engines,
+// both free-context policies, and the fused tier over inline caches. The
+// free lists are emptied at every scavenge, so activateMethod's
+// allocating fallback and its mid-activation GC (the plan is re-fetched
+// after it) run constantly.
 // The answers must equal the default geometry's, the sanitizer's
 // write-barrier verifier (run after every scavenge) must stay clean, and
 // the recursion must have taken store checks: a young value pushed on a
 // tenured context goes through the checked Store, not the view.
 func TestFrameRebindUnderScavengeStorm(t *testing.T) {
-	for _, jit := range []bool{false, true} {
+	for _, row := range []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"interp", func(*core.Config) {}},
+		{"jit", func(c *core.Config) { c.JIT = true }},
+		{"shared-locked free contexts", func(c *core.Config) { c.FreeContexts = interp.FreeCtxSharedLocked }},
+		{"jit+pic", func(c *core.Config) { c.JIT, c.InlineCache = true, interp.ICPoly }},
+	} {
 		run := func(storm bool) (answers []string, checks, scavenges uint64) {
 			cfg := core.BaselineConfig()
-			cfg.JIT = jit
+			row.set(&cfg)
 			if storm {
 				cfg.EdenWords, cfg.SurvivorWords, cfg.OldWords, cfg.TenureAge = 1024, 512, 4<<20, 1
 				cfg.Sanitize = true
@@ -77,12 +90,12 @@ func TestFrameRebindUnderScavengeStorm(t *testing.T) {
 			for _, src := range frameStormPrograms {
 				out, err := sys.Evaluate(src)
 				if err != nil {
-					t.Fatalf("jit=%v storm=%v %q: %v", jit, storm, src, err)
+					t.Fatalf("%s storm=%v %q: %v", row.name, storm, src, err)
 				}
 				answers = append(answers, out)
 			}
 			if san := sys.Sanitizer(); storm && !san.Clean() {
-				t.Errorf("jit=%v: sanitizer found violations under the storm:\n%s", jit, san.Report())
+				t.Errorf("%s: sanitizer found violations under the storm:\n%s", row.name, san.Report())
 			}
 			after := sys.Stats().Heap
 			return answers, after.StoreChecks - before.StoreChecks, after.Scavenges - before.Scavenges
@@ -91,14 +104,14 @@ func TestFrameRebindUnderScavengeStorm(t *testing.T) {
 		got, checks, scavenges := run(true)
 		for i, src := range frameStormPrograms {
 			if got[i] != want[i] {
-				t.Errorf("jit=%v %q: answered %s under the storm, %s on the default heap", jit, src, got[i], want[i])
+				t.Errorf("%s %q: answered %s under the storm, %s on the default heap", row.name, src, got[i], want[i])
 			}
 		}
 		if want[9] != "1500" {
-			t.Errorf("jit=%v: recursion answered %s, want 1500", jit, want[9])
+			t.Errorf("%s: recursion answered %s, want 1500", row.name, want[9])
 		}
 		if scavenges < 50 || checks < 1000 {
-			t.Errorf("jit=%v: storm too mild to prove anything: %d scavenges, %d store checks", jit, scavenges, checks)
+			t.Errorf("%s: storm too mild to prove anything: %d scavenges, %d store checks", row.name, scavenges, checks)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -21,22 +23,25 @@ import (
 // the host nanoseconds and speedups are machine-bound and are zeroed
 // in the fingerprint like every other host time.
 
-// JITSpeedupFloor is the minimum acceptable median host speedup of the
-// msjit tier over the interpreter on the ablation workloads; the gate
-// fails a fresh run below it. Both sides run the same step() switch on
-// the same register window (heap.Frame), so the ratio prices exactly
-// what the tier adds — superinstruction fusion and activation plans:
-// 1.7-1.9x on the loop and ivar kernels, ~1.3x on the send storm, 1.0-1.3x
-// on the Table 2 environment macros, where work the two sides share
-// bit-for-bit (allocation, scavenges, primitives) dilutes it. The floor
-// binds the suite median, 1.33x on a quiet machine (1.29-1.37 over ten
-// runs) and down to 1.21x on a loaded one. It stood at 1.5 (median 1.55x,
-// failing unchanged code under load) until the register window made the
-// denominator faster: push, pop and activation cost both engines the
-// same nanoseconds, the interpreter spends a larger share of its time
-// there, and so both absolute columns fell while their ratio shrank
-// (EXPERIMENTS.md, "The active context is a register window").
-const JITSpeedupFloor = 1.1
+// JITSpeedupFloor is the minimum acceptable host speedup of the msjit
+// tier over the interpreter on the two kernels built for it
+// (jitFusionKernels); the gate fails a fresh run below it. Both sides run
+// the same step() switch on the same register window and activate through
+// the same per-method plans, so the ratio prices exactly what the tier
+// adds: superinstruction fusion, alone. That pays where straight-line
+// arithmetic and ivar traffic dominate — 1.4-2.1x on intLoops, 1.5-2.1x
+// on ivarStorm, the lower of the two 1.41-1.82x over twenty runs on a
+// shared box — and nowhere else by design: sendStorm is the control and
+// reads about 1.0x, the Table 2 environment macros 0.9-1.3x, so the suite
+// median (still reported, median_speedup) hovers near 1.2x and binds
+// nothing. The floor stood at 1.5 and then 1.1 on the suite median while
+// activation plans were the tier's too; they are every engine's now
+// (EXPERIMENTS.md, "One plan per method").
+const JITSpeedupFloor = 1.3
+
+// jitFusionKernels are the rows JITSpeedupFloor binds: the lower of
+// their speedups is the fresh run's FusionSpeedup.
+var jitFusionKernels = []string{"intLoops", "ivarStorm"}
 
 // jitReps repeats each workload per tier; the host timing takes the
 // fastest repetition, and the virtual times of every repetition must
@@ -44,11 +49,10 @@ const JITSpeedupFloor = 1.1
 const jitReps = 7
 
 // jitWorkloads are the ablation's shapes: three Table 2 macro
-// benchmarks plus three kernels aimed at the tier's mechanisms — a
-// dynamic-dispatch storm (the BenchmarkSendDispatch loop as a macro
-// benchmark), a counted-loop integer kernel for the superinstruction
-// fuser, and an instance-variable loop for the fused ivar read/write
-// paths.
+// benchmarks, a dynamic-dispatch storm (the BenchmarkSendDispatch loop
+// as a macro benchmark) as the control fusion cannot help, and the two
+// kernels aimed at the fuser — a counted-loop integer kernel and an
+// instance-variable loop for the fused ivar read/write paths.
 var jitWorkloads = []string{
 	"printClassHierarchy",
 	"findAllImplementors",
@@ -140,8 +144,8 @@ type JITReport struct {
 
 func jitTierSystem(jit bool) (*core.System, error) {
 	// The tier runs in its designed configuration — under the inline
-	// caches (MSPlus): jitKeep persistence and the megamorphic gate key
-	// off per-method IC state, so without ICs every scavenge forces
+	// caches (MSPlus): fused bodies persist on, and the megamorphic gate
+	// keys off, per-method IC state, so without ICs every scavenge forces
 	// wholesale recompilation and the measurement is mostly compile
 	// churn. Both tiers get the identical configuration, so the virtual
 	// cross-check below still binds them bit-for-bit.
@@ -246,6 +250,18 @@ func RunJITAblation() (*JITReport, error) {
 	return r, nil
 }
 
+// FusionSpeedup is the lower of the fusion kernels' speedups: the number
+// JITSpeedupFloor binds.
+func (r *JITReport) FusionSpeedup() float64 {
+	low := math.Inf(1)
+	for _, row := range r.Rows {
+		if slices.Contains(jitFusionKernels, row.Workload) {
+			low = min(low, row.Speedup)
+		}
+	}
+	return low
+}
+
 // Format renders the ablation for terminal output.
 func (r *JITReport) Format() string {
 	var b strings.Builder
@@ -257,6 +273,7 @@ func (r *JITReport) Format() string {
 			row.Workload, row.VirtualMS, row.InterpNS, row.JITNS, row.Speedup,
 			row.Compiles, row.Deopts, 100*row.JITShare)
 	}
-	fmt.Fprintf(&b, "\nmedian speedup: %.2fx (gate floor %.2fx)\n", r.MedianSpeedup, JITSpeedupFloor)
+	fmt.Fprintf(&b, "\nfusion speedup (lower of %s): %.2fx (gate floor %.2fx); suite median speedup: %.2fx\n",
+		strings.Join(jitFusionKernels, ", "), r.FusionSpeedup(), JITSpeedupFloor, r.MedianSpeedup)
 	return b.String()
 }

@@ -99,11 +99,11 @@ type Config struct {
 	ConcMark bool
 
 	// JIT enables the msjit tier: hot methods get straight-line
-	// bytecode runs fused into superinstructions and a cached
-	// activation plan, over the interpreter's one bytecode switch. Off
-	// by default; compiled code charges the same virtual costs as the
-	// interpreter, so virtual times and goldens are bit-identical
-	// either way — only host time changes.
+	// bytecode runs fused into superinstructions, over the
+	// interpreter's one bytecode switch. Off by default; fused code
+	// charges the same virtual costs as the interpreter, so virtual
+	// times and goldens are bit-identical either way — only host time
+	// changes.
 	JIT bool
 
 	// Parallel runs the virtual processors on real goroutines after a

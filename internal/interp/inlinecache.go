@@ -48,11 +48,14 @@ func (s *icSite) probe(class object.OOP) (object.OOP, int, bool) {
 
 // icMethod holds the inline caches of one compiled method: the sorted
 // pcs of its send opcodes and one icSite per send site. The method oop
-// is kept so the structure can be re-keyed after a scavenge.
+// is kept so the structure can be re-keyed after a scavenge. jc is the
+// method's msjit body once it has been fused (jit.go): it binds to these
+// sites and captures no oops, so it lives exactly as long as they do.
 type icMethod struct {
 	method object.OOP
 	pcs    []int32
 	sites  []icSite
+	jc     *jitCode
 }
 
 // siteIndex maps a send opcode's pc to its site index (binary search
@@ -120,17 +123,15 @@ func (in *Interp) icFill(site *icSite, class, method object.OOP, prim int) {
 	site.mega = true
 	site.n = 0
 	in.stats.ICMegaSites++
-	if in.jitOn {
-		// The compiled body baked in "probe this site"; retirement
-		// changes the site's send protocol, so the template tier bails
-		// to the interpreter and refuses to recompile this method.
-		in.jitBlacklist(in.method)
-		in.jitDeopt(jit.DeoptMegamorphic)
-	}
+	// The compiled body baked in "probe this site"; retirement changes
+	// the site's send protocol, so the template tier bails to the
+	// interpreter and refuses to recompile this method.
+	in.jitDemote(in.method, jit.DeoptMegamorphic)
 }
 
 // flushIC drops every inline-cache binding (a method install made class
-// →method bindings stale). Unlike the method caches, inline caches
+// →method bindings stale) and with it every fused body, which bakes in
+// the site identities. Unlike the method caches, inline caches
 // survive scavenges: their oops are registered as root slots (see
 // icVisitRoots) and re-keyed afterwards (rekeyIC), the way production
 // VMs patch inline caches during GC instead of discarding them.
@@ -187,43 +188,4 @@ func (in *Interp) rekeyIC() {
 		fresh[m.method] = m
 	}
 	in.ic = fresh
-}
-
-// flushCode drops the decoded-bytecode cache (keyed by raw bytes oops).
-func (in *Interp) flushCode() {
-	for k := range in.codeCache {
-		delete(in.codeCache, k)
-	}
-	in.code = nil
-}
-
-// codeFor returns the decoded code bytes of a method's bytecode object,
-// caching the copy so the dispatch loop reads a Go slice instead of
-// going through the heap per byte.
-func (in *Interp) codeFor(bytes object.OOP) []byte {
-	if c, ok := in.codeCache[bytes]; ok {
-		return c
-	}
-	c := in.vm.H.Bytes(bytes)
-	in.codeCache[bytes] = c
-	return c
-}
-
-// refreshCode re-derives the host-side caches of the executing method
-// after a collection moved everything (the register roots were updated
-// by the collector; the register window, the derived slices and the
-// inline-cache pointer were not).
-func (in *Interp) refreshCode() {
-	in.bindFrames()
-	if in.method == object.Nil {
-		in.code = nil
-		in.lits = object.Nil
-		in.icm = nil
-		return
-	}
-	in.lits = in.vm.H.Fetch(in.method, CMLiterals)
-	in.code = in.codeFor(in.bytes)
-	if in.icPolicy != ICOff {
-		in.icm = in.icFor(in.method, in.code)
-	}
 }

@@ -229,14 +229,11 @@ func (vm *VM) flushAllCaches() {
 	for _, in := range vm.Interps {
 		in.flushCache()
 		// Inline caches bind class→method; a (re)definition makes any
-		// of them stale. The decoded-code cache stays: bytecode objects
-		// are immutable once installed.
+		// of them stale. Fused bodies bake in IC-site identities and go
+		// with them, and the plans point at both.
 		in.flushIC()
+		in.flushPlans()
 		in.refreshCode()
-		// Compiled templates bake in IC-site identities; a method
-		// install resets the inline-cache state they bind to, so the
-		// whole tier — plans and persistent bodies — goes with it.
-		in.jitInvalidate()
 	}
 }
 

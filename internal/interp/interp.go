@@ -45,26 +45,28 @@ type Interp struct {
 	busAccum firefly.Time
 
 	// Per-processor replicas (paper §3.2).
-	cache     *[cacheSize]mcEntry // method cache (CacheReplicated)
-	freeSmall []object.OOP        // free context lists (FreeCtxPerProcessor);
-	freeLarge []object.OOP        // NOT roots: flushed at every scavenge
+	cache *[cacheSize]mcEntry // method cache (CacheReplicated)
+	// free holds the small and large free context lists
+	// (FreeCtxPerProcessor); NOT roots: flushed at every scavenge.
+	free [2][]object.OOP
 
 	// stats are this interpreter's activity counters — replicated like
 	// the caches so parallel host mode counts without contention (or
 	// races); VM.Stats() sums them.
 	stats Stats
 
-	// Host-side caches of the executing method, derived from the
-	// register roots (NOT roots themselves: re-derived after scavenges
-	// via refreshCode, flushed with the method caches). code is the
-	// decoded bytecode slice, lits the literal frame, icm the method's
-	// inline-cache state (nil when ICs are off).
+	// Host-side caches of the executing method, installed from its plan
+	// (NOT roots themselves: re-installed after scavenges via
+	// refreshCode). code is the decoded bytecode slice, lits the literal
+	// frame, icm the method's inline-cache state (nil when ICs are off).
 	code []byte
 	lits object.OOP
 	icm  *icMethod
 
-	codeCache map[object.OOP][]byte    // bytes oop → decoded code
-	ic        map[object.OOP]*icMethod // method oop → inline caches
+	// ic is the per-processor inline-cache state by method oop: rooted,
+	// re-keyed after every scavenge, dropped at installs. With the plan
+	// table below it is all the per-method host state there is.
+	ic map[object.OOP]*icMethod
 
 	// Configuration and cost constants hoisted out of the dispatch loop.
 	quantum      int // Config.QuantumBytecodes
@@ -81,33 +83,28 @@ type Interp struct {
 
 	// msjit tier state (Config.JIT; see jit.go). jfns is the executing
 	// method's pc-indexed fused-group closures (nil = the method is not
-	// compiled; a nil entry = that pc runs step()). jitTab is the
-	// per-processor method-plan table — a direct-mapped replica keyed by
-	// raw method oops, flushed before every scavenge like the method
-	// cache.
-	jitOn  bool
-	jfns   []jitFn
-	jleft  int // bytecodes left in the running quantum (jit loop only)
-	jitTab []jitEntry
-	// jitKeep persists compiled bodies across scavenges: closures
-	// capture no raw oops (operands are indices resolved through the
-	// registers at run time), so a compiled body stays valid as long as
-	// its inline-cache state does — and the icMethod instances survive
-	// scavenges by design (rekeyIC). Keyed by host pointer: no rekeying,
-	// never iterated. Cleared with the inline caches (jitInvalidate).
-	jitKeep map[*icMethod]*jitCode
+	// compiled; a nil entry = that pc runs step()).
+	jitOn bool
+	jfns  []jitFn
+	jleft int // bytecodes left in the running quantum (jit loop only)
 
 	// idleFn is idleQuantum bound once (a method value allocates);
 	// idleYieldAgain is the one bit it carries from a call to the next.
 	idleFn         func() firefly.IdleResult
 	idleYieldAgain bool
+
+	// The per-processor plan table (plan.go; raw oops, flushed with the
+	// method cache). planUsed lists the occupied slots, so a flush visits
+	// only those.
+	planUsed []uint16
+	plans    [planTabSize]plan
 }
 
 func newInterp(vm *VM, p *firefly.Proc) *Interp {
 	in := &Interp{vm: vm, p: p, proc: object.Nil, ctx: object.Nil,
 		method: object.Nil, receiver: object.Nil, bytes: object.Nil, home: object.Nil,
 		lits:         object.Nil,
-		codeCache:    map[object.OOP][]byte{},
+		jitOn:        vm.Cfg.JIT,
 		quantum:      vm.Cfg.QuantumBytecodes,
 		costs:        vm.M.Costs(),
 		rec:          vm.M.Recorder(),
@@ -127,11 +124,6 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 	if in.icPolicy != ICOff {
 		in.ic = map[object.OOP]*icMethod{}
 		vm.H.AddRootFunc(in.icVisitRoots)
-	}
-	if vm.Cfg.JIT {
-		in.jitOn = true
-		in.jitTab = make([]jitEntry, jitTabSize)
-		in.jitKeep = map[*icMethod]*jitCode{}
 	}
 	in.idleFn = in.idleQuantum
 	h := vm.H
@@ -168,8 +160,8 @@ func (in *Interp) flushCache() {
 }
 
 func (in *Interp) flushFreeContexts() {
-	in.freeSmall = in.freeSmall[:0]
-	in.freeLarge = in.freeLarge[:0]
+	in.free[0] = in.free[0][:0]
+	in.free[1] = in.free[1][:0]
 }
 
 // Run is the interpreter's work function: quanta until shutdown. A
@@ -271,7 +263,7 @@ func (in *Interp) Quantum() {
 }
 
 // fetchByte reads the next code byte (from the decoded host-side copy
-// of the method's bytecode; see codeFor).
+// of the method's bytecode; see planFor).
 func (in *Interp) fetchByte() int {
 	b := in.code[in.pc]
 	in.pc++
@@ -349,7 +341,7 @@ func (in *Interp) popN(n int) {
 
 // bindFrames points the register window at ctx and home. Views go stale
 // when their object moves or is tenured, so this runs wherever ctx is
-// assigned (loadContext, jitActivate, pickNext) and after every
+// assigned (loadContext, activateMethod, pickNext) and after every
 // collection (refreshCode).
 func (in *Interp) bindFrames() {
 	h := in.vm.H
@@ -400,8 +392,7 @@ func (in *Interp) step() {
 		if in.jfns != nil {
 			// Uncommon trap: a reified context couples the method to
 			// interpreter state, so pin it there and leave compiled code.
-			in.jitBlacklist(in.method)
-			in.jitDeopt(jit.DeoptUncommon)
+			in.jitDemote(in.method, jit.DeoptUncommon)
 		}
 	case bytecode.OpDup:
 		in.push(in.stackAt(0))
@@ -558,20 +549,7 @@ func (in *Interp) loadContext(ctx object.OOP) {
 	}
 	in.method = h.Fetch(in.home, CtxMethod)
 	in.receiver = h.Fetch(in.home, CtxReceiver)
-	// With the tier on, a resident plan replaces the whole derivation
-	// below (the literal-frame fetches and two map probes) with a few
-	// field copies; the values installed are identical by construction.
-	if !in.jitOn || !in.jitLoadFast() {
-		in.bytes = h.Fetch(in.method, CMBytes)
-		in.lits = h.Fetch(in.method, CMLiterals)
-		in.code = in.codeFor(in.bytes)
-		if in.icPolicy != ICOff {
-			in.icm = in.icFor(in.method, in.code)
-		}
-		if in.jitOn {
-			in.jitEnter()
-		}
-	}
+	in.enter(in.planFor(in.method))
 	in.pc = int(h.Fetch(ctx, CtxPC).Int())
 	in.sp = int(h.Fetch(ctx, CtxSP).Int())
 	in.slotCap = h.FieldCount(ctx) - base

@@ -47,11 +47,11 @@ func compiledBody(t *testing.T, vm *VM, selector string) (*jitCode, []byte) {
 		if sel := h.Fetch(m, CMSelector); vm.SymbolName(sel) != selector {
 			continue
 		}
-		jc := in.jitKeep[icm]
+		jc := icm.jc
 		if jc == nil {
 			t.Fatalf("%s never compiled", selector)
 		}
-		return jc, in.codeFor(h.Fetch(m, CMBytes))
+		return jc, h.Bytes(h.Fetch(m, CMBytes))
 	}
 	t.Fatalf("%s has no inline-cache state: it never ran", selector)
 	return nil, nil

@@ -5,6 +5,7 @@ import (
 
 	"mst/internal/bytecode"
 	"mst/internal/firefly"
+	"mst/internal/jit"
 	"mst/internal/object"
 )
 
@@ -469,7 +470,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		}
 		// Decompiler/debugger attach: the method must run interpreted
 		// from here on (per-processor tier — peers keep their copies).
-		in.jitForget(recv)
+		in.jitDemote(recv, jit.DeoptDecompile)
 		s := vm.NewString(in.p, vm.Disassemble(recv))
 		return in.primReturn(nargs, s)
 

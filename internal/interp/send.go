@@ -2,7 +2,6 @@ package interp
 
 import (
 	"mst/internal/bytecode"
-	"mst/internal/firefly"
 	"mst/internal/heap"
 	"mst/internal/jit"
 	"mst/internal/object"
@@ -214,17 +213,12 @@ func (in *Interp) send(selector object.OOP, nargs int, super bool, sitePC int) {
 func (in *Interp) sendDNU(selector object.OOP, nargs int) {
 	vm := in.vm
 	in.stats.DNUs++
-	if in.jitOn && in.jfns != nil {
+	if in.jfns != nil {
 		// A doesNotUnderstand: reship is an uncommon path the msjit
 		// tier refuses to run compiled: drop the compiled body and let
 		// the interpreter carry the reship (clean bytecode boundary —
 		// step() already advanced in.pc past the send).
-		in.jitDiscard(in.method)
-		if e := &in.jitTab[jitTabIndex(in.method)]; e.method == in.method {
-			e.jc = nil
-			e.count = 0
-		}
-		in.jitDeopt(jit.DeoptDNU)
+		in.jitDemote(in.method, jit.DeoptDNU)
 	}
 	vm.hostMu.Lock()
 	if len(vm.errors) < 100 { // diagnostic log; DNU may be handled deliberately
@@ -267,36 +261,53 @@ func (in *Interp) sendDNU(selector object.OOP, nargs int) {
 }
 
 // activateMethod builds (or recycles) a context for method and makes it
-// active. The receiver and nargs arguments are on the caller's stack.
+// active: the one activation, for every engine under either FreeContexts
+// policy. The receiver and nargs arguments are on the caller's stack.
 func (in *Interp) activateMethod(method object.OOP, nargs int) {
-	if in.jitOn && in.jitActivate(method, nargs) {
-		return
-	}
 	vm := in.vm
 	h := vm.H
-	hdr := h.Fetch(method, CMHeader)
-	ntemps := headerNumTemps(hdr)
-	need := ntemps + headerMaxStack(hdr) + 2
-	large := need > SmallCtxSlots
-	if need > LargeCtxSlots {
-		vm.vmError("method %s needs %d context slots", vm.DescribeOOP(method), need)
+	p := in.planFor(method)
+	slots := p.slots
+	if slots > LargeCtxSlots {
+		vm.vmError("method %s needs %d context slots", vm.DescribeOOP(method), slots)
 		in.terminateCurrentProcess()
 		return
 	}
-
-	hs := h.Handles(in.p)
-	mh := hs.Add(method)
-	nc := in.allocContext(large) // MAY GC
-	method = mh.Get()
-	hs.Close()
-
-	slots := SmallCtxSlots
-	if large {
-		slots = LargeCtxSlots
+	// A recycled context may hold stale values only below its watermark
+	// (recycleContext); a fresh one has its whole slot area nilled.
+	dirty := slots
+	nc := in.popFreeContext(slots > SmallCtxSlots)
+	if nc != object.Invalid {
+		if wm := int(h.Fetch(nc, CtxSP).Int()); wm < dirty {
+			dirty = wm
+		}
+	} else {
+		hs := h.Handles(in.p)
+		mh := hs.Add(method)
+		in.stats.ContextsAlloc++
+		in.rec.Emit(trace.KCtxAlloc, in.p.ID(), int64(in.p.Now()), 0, 0, "")
+		nc = h.Allocate(in.p, vm.Specials.MethodContext, CtxFixed+slots, object.FmtPointers) // MAY GC
+		method = mh.Get()
+		hs.Close()
+		p = in.planFor(method) // a scavenge moved the method and flushed the table
 	}
-	// Recycled contexts hold stale values anywhere in the slot area.
-	in.initContext(nc, method, nargs, ntemps, slots, slots)
-	in.loadContext(nc)
+	receiver := in.initContext(nc, method, nargs, p.ntemps, slots, dirty)
+
+	// The registers, straight from the plan — what loading nc would read
+	// back from the heap: a fresh method context at pc 0, sp at the temps.
+	in.ctx = nc
+	in.isBlock = false
+	in.home = nc
+	in.method = method
+	in.receiver = receiver
+	in.enter(p)
+	in.pc = 0
+	in.sp = p.ntemps
+	in.slotCap = slots
+	in.bindFrames()
+	if vm.prof != nil {
+		in.profSync()
+	}
 }
 
 // initContext fills the fresh or recycled method context nc for an
@@ -378,27 +389,19 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 		// thisContext; let the scavenger reclaim it.
 		return
 	}
-	if in.jitOn {
-		// Nil-watermark for jitActivate: the pop discipline keeps every
-		// slot at or above sp nil, so the dead frame's sp tells the next
-		// fast activation how much of the slot area still needs
-		// nil-filling ([nargs, sp) — the rest is already clean). The
-		// frame is dead and unreachable, so the stash is invisible to
-		// the scavenger and to the generic path, which overwrites CtxSP
-		// and nil-fills everything regardless.
-		vm.H.StoreNoCheck(ctx, CtxSP, object.FromInt(int64(in.sp)))
-	}
-	large := in.slotCap > SmallCtxSlots // ctx is the active context
+	// The nil watermark for activateMethod: the pop discipline keeps every
+	// slot at or above sp nil, so the dead frame's sp tells the next
+	// activation how much of the slot area still needs nil-filling
+	// ([nargs, sp) — the rest is already clean). The frame is dead and
+	// unreachable, so the stash is invisible to the scavenger.
+	vm.H.StoreNoCheck(ctx, CtxSP, object.FromInt(int64(in.sp)))
+	list := in.freeContexts(in.slotCap > SmallCtxSlots) // ctx is the active context
 	const freeListMax = 64
 	if vm.Cfg.FreeContexts == FreeCtxSharedLocked {
-		which := 0
-		if large {
-			which = 1
-		}
 		vm.freeLock.Acquire(in.p)
 		vm.sanAccess(in.p, "shared-free-contexts")
-		if len(vm.sharedFreeCtx[which]) < freeListMax {
-			vm.sharedFreeCtx[which] = append(vm.sharedFreeCtx[which], ctx)
+		if len(*list) < freeListMax {
+			*list = append(*list, ctx)
 			in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 		}
 		vm.freeLock.Release(in.p)
@@ -407,60 +410,50 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 	// Per-processor free context lists are a Table-3 replication
 	// row (the paper's fix for the 160% worst-case overhead).
 	vm.san.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "free-contexts-replica")
-	if large {
-		if len(in.freeLarge) < freeListMax {
-			in.freeLarge = append(in.freeLarge, ctx)
-		}
-	} else {
-		if len(in.freeSmall) < freeListMax {
-			in.freeSmall = append(in.freeSmall, ctx)
-		}
+	if len(*list) < freeListMax {
+		*list = append(*list, ctx)
 	}
 	in.stats.ContextsRecycled++
 	in.rec.Emit(trace.KCtxRecycle, in.p.ID(), int64(in.p.Now()), 0, 0, "")
 }
 
-// allocContext takes a method context from the free list or the heap.
-// MAY GC when the free list is empty.
-func (in *Interp) allocContext(large bool) object.OOP {
+// freeContexts returns the free list of one context size class under the
+// configured policy. With FreeCtxSharedLocked the caller takes
+// vm.freeLock around any use of it.
+func (in *Interp) freeContexts(large bool) *[]object.OOP {
+	which := 0
+	if large {
+		which = 1
+	}
+	if in.vm.Cfg.FreeContexts == FreeCtxSharedLocked {
+		return &in.vm.sharedFreeCtx[which]
+	}
+	return &in.free[which]
+}
+
+// popFreeContext takes a recycled method context of the given size class
+// off the free list, or returns Invalid when the list is empty. It never
+// allocates, so it cannot GC.
+func (in *Interp) popFreeContext(large bool) object.OOP {
 	vm := in.vm
-	c := in.costs
-	if vm.Cfg.FreeContexts == FreeCtxSharedLocked {
-		which := 0
-		if large {
-			which = 1
-		}
+	list := in.freeContexts(large)
+	shared := vm.Cfg.FreeContexts == FreeCtxSharedLocked
+	if shared {
 		vm.freeLock.Acquire(in.p)
 		vm.sanAccess(in.p, "shared-free-contexts")
-		list := vm.sharedFreeCtx[which]
-		if n := len(list); n > 0 {
-			ctx := list[n-1]
-			vm.sharedFreeCtx[which] = list[:n-1]
-			vm.freeLock.Release(in.p)
-			in.p.Advance(c.FreeListPop)
-			return ctx
-		}
+	}
+	ctx := object.Invalid
+	if n := len(*list); n > 0 {
+		ctx = (*list)[n-1]
+		*list = (*list)[:n-1]
+	}
+	if shared {
 		vm.freeLock.Release(in.p)
-	} else {
-		list := &in.freeSmall
-		if large {
-			list = &in.freeLarge
-		}
-		if n := len(*list); n > 0 {
-			ctx := (*list)[n-1]
-			*list = (*list)[:n-1]
-			in.p.Advance(c.FreeListPop)
-			return ctx
-		}
 	}
-	slots := SmallCtxSlots
-	if large {
-		slots = LargeCtxSlots
+	if ctx != object.Invalid {
+		in.p.Advance(in.costs.FreeListPop)
 	}
-	in.stats.ContextsAlloc++
-	in.rec.Emit(trace.KCtxAlloc, in.p.ID(), int64(in.p.Now()), 0, 0, "")
-	return vm.H.Allocate(in.p, vm.Specials.MethodContext,
-		CtxFixed+slots, object.FmtPointers)
+	return ctx
 }
 
 // specialSend executes a special-selector send, with inline fast paths
@@ -803,5 +796,3 @@ func (in *Interp) blockValue(blk object.OOP, nargs int) bool {
 	in.p.Advance(in.costs.SendExtra)
 	return true
 }
-
-var _ = firefly.Time(0) // keep firefly imported for future use

@@ -112,9 +112,9 @@ type Config struct {
 	FreeContexts FreeCtxPolicy
 	// QuantumBytecodes bounds one interpreter quantum.
 	QuantumBytecodes int
-	// JIT enables the template-compiled execution tier (msjit, an
-	// extension; off by default): hot methods are compiled into arrays
-	// of pre-specialized closures that charge the identical virtual
+	// JIT enables the msjit tier (an extension; off by default): the
+	// profitable straight-line bytecode runs of hot methods are fused
+	// into superinstruction closures that charge the identical virtual
 	// costs through the same cost table, so every virtual time and
 	// counter is bit-identical — only host time changes.
 	JIT bool
@@ -521,9 +521,8 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		visitSpecials(&vm.Specials, visit)
 	})
 	h.OnPreScavenge(func() {
-		// Method caches, inline caches, and decoded-code caches hold
-		// raw oops keyed by address: flush. The free context lists are
-		// not roots; drop them too.
+		// Method caches and plan tables hold raw oops keyed by address:
+		// flush. The free context lists are not roots; drop them too.
 		if vm.sharedCache != nil {
 			for i := range vm.sharedCache {
 				vm.sharedCache[i] = mcEntry{}
@@ -531,15 +530,14 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		}
 		for _, in := range vm.Interps {
 			in.flushCache()
-			in.flushCode()
-			in.jitFlush()
+			in.flushPlans()
 		}
 		vm.sharedFreeCtx[0] = vm.sharedFreeCtx[0][:0]
 		vm.sharedFreeCtx[1] = vm.sharedFreeCtx[1][:0]
 	})
 	h.OnPostScavenge(func() {
 		// The interpreters' register roots were updated by the move:
-		// re-key the (persistent) inline caches and re-decode the code
+		// re-key the (persistent) inline caches and re-plan the method
 		// each interpreter is currently executing.
 		for _, in := range vm.Interps {
 			in.rekeyIC()
