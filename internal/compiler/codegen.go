@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"mst/internal/bytecode"
 )
@@ -23,17 +25,27 @@ type Lit struct {
 	Arr  []Lit
 }
 
-func (l Lit) key() string {
-	switch l.Kind {
-	case LitArray:
-		k := "a("
-		for _, e := range l.Arr {
-			k += e.key() + " "
-		}
-		return k + ")"
-	default:
-		return fmt.Sprintf("%d:%d:%g:%q:%c", l.Kind, l.Int, l.Flt, l.Str, l.Rune)
+// litKey identifies a literal for sharing within one literal frame. It is
+// comparable, so the index needs no built string per literal reference; a
+// float is keyed by its bits (as a float64, 0.0 and -0.0 would merge and a
+// NaN never equal itself), an array by its elements' rendered keys in Str.
+type litKey struct {
+	Kind LitKind
+	Int  int64
+	Flt  uint64
+	Str  string
+	Rune rune
+}
+
+func (l Lit) key() litKey {
+	if l.Kind != LitArray {
+		return litKey{l.Kind, l.Int, math.Float64bits(l.Flt), l.Str, l.Rune}
 	}
+	var b strings.Builder
+	for _, e := range l.Arr {
+		fmt.Fprintf(&b, "%#v", e.key()) // Go syntax: strings quoted, so unambiguous
+	}
+	return litKey{Kind: LitArray, Str: b.String()}
 }
 
 // Method is a compiled method, ready to be materialized into the image.
@@ -109,7 +121,7 @@ type gen struct {
 	scopes []map[string]int // name -> temp slot, innermost last
 	nTemps int
 	lits   []Lit
-	litIdx map[string]int
+	litIdx map[litKey]int
 
 	usesBlocks bool
 	usesCtx    bool
@@ -125,7 +137,7 @@ func Generate(m *MethodNode, env Env, source string) (out *Method, err error) {
 			out, err = nil, fmt.Errorf("compiler: %s: %v", m.Selector, r)
 		}
 	}()
-	g := &gen{env: env, litIdx: map[string]int{}}
+	g := &gen{env: env, litIdx: map[litKey]int{}}
 	top := map[string]int{}
 	for _, p := range m.Params {
 		if _, dup := top[p]; dup {

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -266,6 +267,28 @@ func TestGenLiteralDeduplication(t *testing.T) {
 	}
 	if syms != 1 || strs != 1 {
 		t.Fatalf("literals not deduplicated: %+v", m.Literals)
+	}
+
+	// Every kind shares with its equal and with nothing else: same text
+	// in another kind, nested arrays that differ in one leaf.
+	m = compileM(t, `test ^Object with: 2.5 with: 2.5 with: 'bar' with: #bar with: $b
+		with: #(1 $a (2 3)) with: #(1 $a (2 3)) with: #(1 $a (2 4)) with: #(1 #a (2 3)) with: 1000 with: 1000`)
+	kinds := map[LitKind]int{}
+	for _, l := range m.Literals {
+		kinds[l.Kind]++
+	}
+	want := map[LitKind]int{LitFloat: 1, LitString: 1, LitSymbol: 2, LitChar: 1, LitArray: 3, LitInt: 1, LitGlobal: 1}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("literal kinds %v, want %v: %+v", kinds, want, m.Literals)
+	}
+	// A float is keyed by its bits: the two zeros stay apart, a NaN
+	// shares with itself.
+	zero, nan := Lit{Kind: LitFloat}, Lit{Kind: LitFloat, Flt: math.NaN()}
+	if negZero := (Lit{Kind: LitFloat, Flt: math.Copysign(0, -1)}); zero.key() == negZero.key() {
+		t.Fatal("0.0 and -0.0 share a literal slot")
+	}
+	if nan.key() != nan.key() {
+		t.Fatal("a NaN literal never shares")
 	}
 }
 

@@ -44,7 +44,8 @@ type Event struct {
 // Display is the virtual display controller plus the Transcript sink.
 type Display struct {
 	lock       *firefly.Spinlock
-	commands   []Command
+	commands   []Command // the latest, at most maxCommands
+	posted     int       // all ever posted
 	transcript strings.Builder
 	width      int
 	height     int
@@ -54,6 +55,19 @@ type Display struct {
 	// makes this package import sanitize directly, without which the
 	// compiler cannot inline the hook wrappers here.
 	san *sanitize.Checker
+}
+
+// maxCommands bounds the output queue, so Processes that post for hours
+// do not grow the host heap. post drops the older half of a full queue.
+const maxCommands = 4096
+
+func (d *Display) post(p *firefly.Proc, c Command) {
+	if len(d.commands) == maxCommands {
+		d.commands = d.commands[:copy(d.commands, d.commands[maxCommands/2:])]
+	}
+	d.commands = append(d.commands, c)
+	d.posted++
+	p.Machine().Recorder().Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(d.posted), 0, "")
 }
 
 // NewDisplay creates a display on machine m. locksEnabled selects MS
@@ -80,8 +94,7 @@ func (d *Display) PostText(p *firefly.Proc, text string, x, y int) {
 	d.lock.Acquire(p)
 	d.san.OnAccess(p.ID(), int64(p.Now()), "display-queue")
 	p.Advance(p.Machine().Costs().DisplayOp)
-	d.commands = append(d.commands, Command{Text: text, X: x, Y: y, At: p.Now()})
-	p.Machine().Recorder().Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
+	d.post(p, Command{Text: text, X: x, Y: y, At: p.Now()})
 	d.lock.Release(p)
 }
 
@@ -92,16 +105,15 @@ func (d *Display) TranscriptShow(p *firefly.Proc, text string) {
 	d.san.OnAccess(p.ID(), int64(p.Now()), "display-queue")
 	p.Advance(p.Machine().Costs().DisplayOp)
 	d.transcript.WriteString(text)
-	d.commands = append(d.commands, Command{Text: text, X: -1, Y: -1, At: p.Now()})
-	p.Machine().Recorder().Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(len(d.commands)), 0, "")
+	d.post(p, Command{Text: text, X: -1, Y: -1, At: p.Now()})
 	d.lock.Release(p)
 }
 
-// Commands returns every command posted so far.
+// Commands returns the latest commands posted, at most maxCommands.
 func (d *Display) Commands() []Command { return d.commands }
 
 // CommandCount returns the number of commands posted so far.
-func (d *Display) CommandCount() int { return len(d.commands) }
+func (d *Display) CommandCount() int { return d.posted }
 
 // TranscriptText returns everything shown on the Transcript.
 func (d *Display) TranscriptText() string { return d.transcript.String() }

@@ -87,3 +87,27 @@ func TestTakeOnEmptySensor(t *testing.T) {
 	})
 	m.Run(nil)
 }
+
+func TestOutputQueueIsBounded(t *testing.T) {
+	m := firefly.New(1, firefly.DefaultCosts())
+	d := NewDisplay(m, false)
+	const n = 2*maxCommands + 10
+	m.Start(0, func(p *firefly.Proc) {
+		for k := 0; k < n; k++ {
+			d.PostText(p, "x", k, 0)
+		}
+	})
+	m.Run(nil)
+	if d.CommandCount() != n {
+		t.Fatalf("CommandCount = %d, want %d: dropping old commands must not lose the count", d.CommandCount(), n)
+	}
+	got := d.Commands()
+	if len(got) > maxCommands || len(got) < maxCommands/2 {
+		t.Fatalf("queue holds %d commands, want between %d and %d", len(got), maxCommands/2, maxCommands)
+	}
+	for i, c := range got {
+		if want := n - len(got) + i; c.X != want {
+			t.Fatalf("queue[%d].X = %d, want %d: the queue must hold the latest commands in order", i, c.X, want)
+		}
+	}
+}

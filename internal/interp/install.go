@@ -28,6 +28,9 @@ func (vm *VM) EnvForClass(class object.OOP) compiler.Env {
 // InstVarNamesOf returns the full (superclass-first) instance variable
 // list of class.
 func (vm *VM) InstVarNamesOf(class object.OOP) []string {
+	if size, _ := DecodeFormat(vm.H.Fetch(class, ClsFormat)); size == 0 {
+		return nil // no named fields anywhere up the chain (every doIt's class)
+	}
 	var chain []object.OOP
 	for c := class; c != object.Nil && c != object.Invalid; c = vm.H.Fetch(c, ClsSuperclass) {
 		chain = append(chain, c)
@@ -388,6 +391,9 @@ func (vm *VM) Do(f func(p *firefly.Proc)) error {
 		return fmt.Errorf("interp: machine dead: %s", vm.evalFailed)
 	}
 	if !done.Load() {
+		// Run stopped (time limit) first. A closure interpreter 0 never
+		// reached is still queued, alone (only Do appends): drop it.
+		vm.pendingWork = nil
 		return fmt.Errorf("interp: queued work did not run: %v", reason)
 	}
 	return nil
@@ -411,7 +417,7 @@ func (vm *VM) InstallSource(class object.OOP, source, category string) error {
 // Processes spawned earlier keep running during the evaluation. Only one
 // Evaluate may be active at a time.
 func (vm *VM) Evaluate(source string) (EvalResult, error) {
-	m, err := compiler.CompileExpression(source, vm.EnvForClass(vm.Specials.UndefinedObject))
+	m, err := vm.compileDoIt(source)
 	if err != nil {
 		return EvalResult{}, fmt.Errorf("interp: compile DoIt: %w", err)
 	}
@@ -439,6 +445,92 @@ func (vm *VM) Evaluate(source string) (EvalResult, error) {
 		return res, fmt.Errorf("interp: %s", res.Failed)
 	}
 	return res, nil
+}
+
+// ---- The doIt memo ----
+//
+// A compiled doIt is immutable host data and a pure function of its
+// source and of the answers its compile got from the compiler.Env, so a VM
+// keeps them: a later Evaluate of the same source re-asks the recorded
+// questions of the live image and, every answer unchanged, skips the
+// lex/parse/generate. Re-asking keeps the memo exact with no invalidation
+// hook (image code can rewrite the system dictionary without passing
+// through Go). Replicated state: per VM, so a tenant's one executor needs
+// no host lock; empty in a clone, absent from a snapshot.
+
+// doitMemoMax bounds the memo: at the bound the whole map is dropped, so
+// a long-lived VM fed unique sources cannot grow without limit.
+const doitMemoMax = 256
+
+// envAsk is one question a compile put to its Env — IsGlobal(name) when
+// global, else InstVarIndex(name) — and the answer it got.
+type envAsk struct {
+	name   string
+	global bool
+	idx    int
+	ok     bool
+}
+
+// askedEnv records the questions a compile asks of env, in order.
+type askedEnv struct {
+	env  compiler.Env
+	asks []envAsk
+}
+
+func (e *askedEnv) InstVarIndex(name string) (int, bool) {
+	idx, ok := e.env.InstVarIndex(name)
+	e.asks = append(e.asks, envAsk{name: name, idx: idx, ok: ok})
+	return idx, ok
+}
+
+func (e *askedEnv) IsGlobal(name string) bool {
+	ok := e.env.IsGlobal(name)
+	e.asks = append(e.asks, envAsk{name: name, global: true, ok: ok})
+	return ok
+}
+
+// doit is one memoized compile.
+type doit struct {
+	m    *compiler.Method // shared by every materialization; never mutated
+	asks []envAsk
+}
+
+// current reports whether env still answers every recorded question alike.
+func (d doit) current(env compiler.Env) bool {
+	for _, a := range d.asks {
+		if a.global {
+			if env.IsGlobal(a.name) != a.ok {
+				return false
+			}
+		} else if idx, ok := env.InstVarIndex(a.name); idx != a.idx || ok != a.ok {
+			return false
+		}
+	}
+	return true
+}
+
+type doitMemo map[string]doit
+
+// compile answers source compiled as a doIt against env, from the memo
+// when env's answers allow. A compile error is never memoized.
+func (c doitMemo) compile(source string, env compiler.Env) (*compiler.Method, error) {
+	if d, ok := c[source]; ok && d.current(env) {
+		return d.m, nil
+	}
+	asked := askedEnv{env: env}
+	m, err := compiler.CompileExpression(source, &asked)
+	if err != nil {
+		return nil, err
+	}
+	if len(c) >= doitMemoMax {
+		clear(c)
+	}
+	c[source] = doit{m, asked.asks}
+	return m, nil
+}
+
+func (vm *VM) compileDoIt(source string) (*compiler.Method, error) {
+	return vm.doits.compile(source, vm.EnvForClass(vm.Specials.UndefinedObject))
 }
 
 // StartInterpreters installs every interpreter's run loop on its

@@ -415,6 +415,9 @@ type VM struct {
 	evalDone   atomic.Bool
 	evalFailed string
 
+	// doits memoizes compiled doIts by source (install.go).
+	doits doitMemo
+
 	// pendingWork holds Go-side mutating operations (method installs,
 	// evaluation setup) to be executed by interpreter 0 *inside* the
 	// machine loop: heap mutation from the host main goroutine would
@@ -483,6 +486,7 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		cacheLock: m.NewRWSpinlock("method-cache", cfg.MSMode && cfg.MethodCache == CacheSharedLocked),
 		freeLock:  m.NewSpinlock("free-contexts", cfg.MSMode && cfg.FreeContexts == FreeCtxSharedLocked),
 		symbolIdx: map[string]int{},
+		doits:     doitMemo{},
 		san:       m.Sanitizer(),
 		par:       cfg.Parallel,
 	}
