@@ -11,9 +11,13 @@ import (
 // reclaimed its old space with offline compaction; MS inherits the
 // design — the world is stopped either way).
 //
-// The compactor is a classic sliding (Lisp-2 style) collector with the
-// forwarding table held outside the heap. Everything below old space
-// (the immortal nil/true/false area) never moves.
+// The compactor is a classic sliding (Lisp-2 style) collector whose
+// forwarding table is indexed by address (slide): the marked objects
+// below the first dead one stay where they are and cost a reference to
+// them one compare; above it, the table has an entry per two words.
+// Every loop looks at an object through refWords and tests a word
+// before it calls on it. Everything below old space (the immortal
+// nil/true/false area) never moves.
 func (h *Heap) FullCollect(p *firefly.Proc) {
 	if h.cfg.ConcMark {
 		// Concurrent marking replaces the stop-the-world mark-compact:
@@ -43,47 +47,41 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 	defer func() { h.inGC = false }()
 
 	// ---- Mark phase: trace the full graph from the registered roots.
-	var stack []object.OOP
-	markValue := func(o object.OOP) {
-		if !o.IsPtr() || o == object.Invalid || o.Addr() < h.old.base {
-			return
-		}
-		hd := h.Header(o)
-		if hd.Marked() {
-			return
-		}
-		h.SetHeader(o, hd.SetMarked(true))
-		stack = append(stack, o)
-	}
-	visit := func(slot *object.OOP) { markValue(*slot) }
-	h.visitAllRoots(visit)
+	h.visitAllRoots(h.markRoot)
 	marked := uint64(0)
-	for len(stack) > 0 {
-		o := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	base := h.old.base
+	for n := len(h.markStack); n > 0; n = len(h.markStack) {
+		a := h.markStack[n-1]
+		h.markStack = h.markStack[:n-1]
 		marked++
-		addr := o.Addr()
-		markValue(object.OOP(h.mem[addr+1])) // class
-		hd := h.Header(o)
-		if hd.Format() == object.FmtPointers {
-			for i := 0; i < hd.BodyWords(); i++ {
-				markValue(object.OOP(h.mem[addr+object.HeaderWords+uint64(i)]))
+		for _, w := range h.refWords(a) {
+			if w&1 == 0 && w >= base {
+				h.mark(w)
 			}
 		}
 	}
 
-	// ---- Plan phase: compute sliding forwarding addresses for marked
-	// old-space objects. The table lives outside the heap.
-	forwarding := map[uint64]uint64{}
-	dst := h.old.base
+	// ---- Plan phase: the marked prefix of old space stays put; every
+	// marked object above it gets its sliding address in the table.
+	end := h.old.next
+	first := h.old.base
+	for first < end && object.Header(h.mem[first]).Marked() {
+		first += uint64(object.Header(h.mem[first]).SizeWords())
+	}
+	if need := int(end-first) / 2; need > cap(h.plan.to) {
+		h.plan.to = make([]uint32, need)
+	} else {
+		h.plan.to = h.plan.to[:need]
+	}
+	h.plan.first = first
+	s := h.plan
+	dst := first
 	reclaimed := uint64(0)
-	for a := h.old.base; a < h.old.next; {
+	for a := first; a < end; {
 		hd := object.Header(h.mem[a])
 		size := uint64(hd.SizeWords())
 		if hd.Marked() {
-			if dst != a {
-				forwarding[a] = dst
-			}
+			s.to[(a-first)>>1] = uint32(dst)
 			dst += size
 		} else {
 			reclaimed += size
@@ -91,55 +89,31 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 		a += size
 	}
 
-	fwd := func(o object.OOP) object.OOP {
-		if !o.IsPtr() || o == object.Invalid {
-			return o
-		}
-		if na, ok := forwarding[o.Addr()]; ok {
-			return object.FromAddr(na)
-		}
-		return o
-	}
-
-	// ---- Fixup phase: update every reference — roots, live old-space
-	// objects, and everything in the surviving new space. In new space,
-	// a reference to an *unmarked* old object can only occur inside a
-	// dead survivor (one kept alive by the last scavenge's remembered
-	// set through a now-dead old object); such references are nilled so
-	// they never dangle into compacted-over memory.
-	h.visitAllRoots(func(slot *object.OOP) { *slot = fwd(*slot) })
-	fixWord := func(idx uint64, nilDead bool) {
-		o := object.OOP(h.mem[idx])
-		if !o.IsPtr() || o == object.Invalid {
-			return
-		}
-		if nilDead && o.Addr() >= h.old.base && o.Addr() < h.old.next &&
-			!object.Header(h.mem[o.Addr()]).Marked() {
-			h.mem[idx] = uint64(object.Nil)
-			return
-		}
-		h.mem[idx] = uint64(fwd(o))
-	}
-	fixObject := func(a uint64, nilDead bool) {
-		hd := object.Header(h.mem[a])
-		fixWord(a+1, nilDead)
-		if hd.Format() == object.FmtPointers {
-			for i := 0; i < hd.BodyWords(); i++ {
-				fixWord(a+object.HeaderWords+uint64(i), nilDead)
-			}
-		}
-	}
-	for a := h.old.base; a < h.old.next; {
-		hd := object.Header(h.mem[a])
-		if hd.Marked() {
-			fixObject(a, false)
-		}
-		a += uint64(hd.SizeWords())
-	}
+	// ---- Fixup phase: update every reference — roots, the surviving
+	// new space, the entry table, and (below) live old-space objects.
+	// In new space, a reference to an *unmarked* old object can only
+	// occur inside a dead survivor (one kept alive by the last
+	// scavenge's remembered set through a now-dead old object); such
+	// references are nilled so they never dangle into compacted-over
+	// memory. Nothing below first is dead, so only a reference the plan
+	// covers needs the test. The survivors' own mark bits go here too.
+	h.visitAllRoots(h.slideRoot)
 	past := &h.surv[h.past]
 	for a := past.base; a < past.next; {
-		fixObject(a, true)
-		a += uint64(object.Header(h.mem[a]).SizeWords())
+		ws := h.refWords(a)
+		for i, w := range ws {
+			if !s.covers(w) {
+				continue
+			}
+			if object.Header(h.mem[w]).Marked() {
+				ws[i] = s.of(w)
+			} else {
+				ws[i] = uint64(object.Nil)
+			}
+		}
+		hd := object.Header(h.mem[a])
+		h.mem[a] = uint64(hd.SetMarked(false))
+		a += uint64(hd.SizeWords())
 	}
 
 	// The remembered set references old objects: forward the entries
@@ -148,34 +122,33 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 	kept := h.remembered[:0]
 	for _, o := range h.remembered {
 		if h.Header(o).Marked() {
-			kept = append(kept, fwd(o))
+			kept = append(kept, object.OOP(s.of(uint64(o))))
 		}
 	}
 	h.remembered = kept
 
-	// ---- Move phase: slide marked objects down, clearing mark bits.
-	for a := h.old.base; a < h.old.next; {
+	// ---- Move phase: re-point each marked object's references, clear
+	// its mark bit and slide it down. A slide overwrites only words
+	// below the object, all of them dead or already moved.
+	for a := h.old.base; a < end; {
 		hd := object.Header(h.mem[a])
 		size := uint64(hd.SizeWords())
 		if hd.Marked() {
-			target := a
-			if na, ok := forwarding[a]; ok {
-				target = na
+			ws := h.refWords(a)
+			for i, w := range ws {
+				if nw := s.of(w); nw != w {
+					ws[i] = nw
+				}
 			}
-			h.mem[target] = uint64(hd.SetMarked(false))
-			copy(h.mem[target+1:target+size], h.mem[a+1:a+size])
-			a += size
-			continue
+			h.mem[a] = uint64(hd.SetMarked(false))
+			if a >= first {
+				t := uint64(s.to[(a-first)>>1])
+				copy(h.mem[t:t+size], h.mem[a:a+size])
+			}
 		}
 		a += size
 	}
 	h.old.next = dst
-	// Clear mark bits in the surviving new space too.
-	for a := past.base; a < past.next; {
-		hd := object.Header(h.mem[a])
-		h.mem[a] = uint64(hd.SetMarked(false))
-		a += uint64(hd.SizeWords())
-	}
 
 	// Accounting: a full collection costs per live object and word,
 	// and stalls every other processor.
@@ -203,6 +176,40 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 
 	for _, f := range h.postGC {
 		f()
+	}
+}
+
+// slide is the compactor's plan for one full collection: the object at
+// first+2i moves to to[i], and nothing below first moves. Only the
+// entries of marked objects are written, and only those are read: every
+// reference that survives to the fix-up names a marked object.
+type slide struct {
+	first uint64
+	to    []uint32
+}
+
+// covers reports whether w is a reference into the moved extent.
+func (s slide) covers(w uint64) bool {
+	return w&1 == 0 && (w-s.first)>>1 < uint64(len(s.to))
+}
+
+// of answers where the plan puts the object that w refers to; w itself
+// when w is not a reference into the moved extent.
+func (s slide) of(w uint64) uint64 {
+	if s.covers(w) {
+		return uint64(s.to[(w-s.first)>>1])
+	}
+	return w
+}
+
+// mark greys the object at address w, old or new: sets its mark bit and
+// stacks it for tracing, once. The caller has tested that w is a
+// reference at or above old space (immediates, the absent marker and the
+// immortals are not marked).
+func (h *Heap) mark(w uint64) {
+	if hd := object.Header(h.mem[w]); !hd.Marked() {
+		h.mem[w] = uint64(hd.SetMarked(true))
+		h.markStack = append(h.markStack, w)
 	}
 }
 

@@ -83,7 +83,7 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 			h.concMarkSlice(p, 8, false)
 		}
 		switch r := rng.Intn(100); {
-		case r < 42: // allocate a young object, wiring some edges
+		case r < 36: // allocate a young object, wiring some edges
 			fields := 2 + rng.Intn(5)
 			o := stamp(h.Allocate(p, object.Nil, fields, object.FmtPointers))
 			for i := 1; i < fields; i++ {
@@ -92,18 +92,18 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 				}
 			}
 			young = append(young, o)
-		case r < 55: // young→young edge
+		case r < 47: // young→young edge
 			if len(young) >= 2 {
 				a := young[rng.Intn(len(young))]
 				b := young[rng.Intn(len(young))]
 				h.Store(p, a, 1+rng.Intn(h.FieldCount(a)-1), b)
 			}
-		case r < 63: // drop a young root: the subgraph may become garbage
+		case r < 55: // drop a young root: the subgraph may become garbage
 			if len(young) > 0 {
 				k := rng.Intn(len(young))
 				young = append(young[:k], young[k+1:]...)
 			}
-		case r < 72: // allocate an old object referencing new space
+		case r < 64: // allocate an old object referencing new space
 			fields := 2 + rng.Intn(3)
 			o := stamp(h.AllocateNoGC(object.Nil, fields, object.FmtPointers))
 			if len(young) > 0 {
@@ -119,7 +119,7 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 			} else {
 				olds = append(olds, o)
 			}
-		case r < 80: // old→young edge (or severing one with nil)
+		case r < 72: // old→young edge (or severing one with nil)
 			if len(olds) > 0 && len(young) > 0 {
 				o := olds[rng.Intn(len(olds))]
 				v := young[rng.Intn(len(young))]
@@ -128,7 +128,7 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 				}
 				h.Store(p, o, 1+rng.Intn(h.FieldCount(o)-1), v)
 			}
-		case r < 88: // old→old edge, or deleting one: the SATB hard case
+		case r < 80: // old→old edge, or deleting one: the SATB hard case
 			if len(olds) >= 2 {
 				o := olds[rng.Intn(len(olds))]
 				v := olds[rng.Intn(len(olds))]
@@ -137,12 +137,14 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 				}
 				h.Store(p, o, 1+rng.Intn(h.FieldCount(o)-1), v)
 			}
-		case r < 94: // drop an old anchor: old-space garbage for the
+		case r < 86: // drop an old anchor: old-space garbage for the
 			// sweep (or the compactor) to reclaim
 			if len(olds) > 0 {
 				k := rng.Intn(len(olds))
 				olds = append(olds[:k], olds[k+1:]...)
 			}
+		case r < 94: // an edge a collector must leave alone, or a raw body
+			fuzzExotic(h, p, rng, &nextID, young, olds)
 		default: // explicit scavenge, including between mark slices
 			h.Scavenge(p)
 		}

@@ -43,12 +43,15 @@ func fuzzConfig() Config {
 	}
 }
 
-// canonObj is one live object in address-free form.
+// canonObj is one live object in address-free form. Raw holds the body
+// of a FmtBytes/FmtWords object past its ID word, bit for bit.
 type canonObj struct {
 	Old        bool
 	Age        int
 	Remembered bool
+	Class      string
 	Fields     []string
+	Raw        []uint64
 }
 
 // fuzzResult is one run's surviving state in address-free form.
@@ -81,7 +84,7 @@ func fuzzOps(h *Heap, p *firefly.Proc, seed int64) (young, olds []object.OOP) {
 	n := 150 + rng.Intn(151)
 	for op := 0; op < n; op++ {
 		switch r := rng.Intn(100); {
-		case r < 50: // allocate a young object, wiring some edges
+		case r < 42: // allocate a young object, wiring some edges
 			fields := 2 + rng.Intn(5)
 			o := stamp(h.Allocate(p, object.Nil, fields, object.FmtPointers))
 			for i := 1; i < fields; i++ {
@@ -90,25 +93,25 @@ func fuzzOps(h *Heap, p *firefly.Proc, seed int64) (young, olds []object.OOP) {
 				}
 			}
 			young = append(young, o)
-		case r < 65: // young→young edge
+		case r < 55: // young→young edge
 			if len(young) >= 2 {
 				a := young[rng.Intn(len(young))]
 				b := young[rng.Intn(len(young))]
 				h.Store(p, a, 1+rng.Intn(h.FieldCount(a)-1), b)
 			}
-		case r < 75: // drop a root: the subgraph may become garbage
+		case r < 63: // drop a root: the subgraph may become garbage
 			if len(young) > 0 {
 				k := rng.Intn(len(young))
 				young = append(young[:k], young[k+1:]...)
 			}
-		case r < 85: // allocate an old object referencing new space
+		case r < 73: // allocate an old object referencing new space
 			fields := 2 + rng.Intn(3)
 			o := stamp(h.AllocateNoGC(object.Nil, fields, object.FmtPointers))
 			if len(young) > 0 {
 				h.Store(p, o, 1+rng.Intn(fields-1), young[rng.Intn(len(young))])
 			}
 			olds = append(olds, o)
-		case r < 95: // old→young edge (or severing one with nil)
+		case r < 83: // old→young edge (or severing one with nil)
 			if len(olds) > 0 && len(young) > 0 {
 				o := olds[rng.Intn(len(olds))]
 				v := young[rng.Intn(len(young))]
@@ -117,6 +120,8 @@ func fuzzOps(h *Heap, p *firefly.Proc, seed int64) (young, olds []object.OOP) {
 				}
 				h.Store(p, o, 1+rng.Intn(h.FieldCount(o)-1), v)
 			}
+		case r < 95: // an edge a collector must leave alone, or a raw body
+			fuzzExotic(h, p, rng, &nextID, young, olds)
 		default: // explicit scavenge mid-build
 			h.Scavenge(p)
 		}
@@ -135,15 +140,81 @@ func fuzzOps(h *Heap, p *firefly.Proc, seed int64) (young, olds []object.OOP) {
 	return young, olds
 }
 
+// fuzzExotic performs one operation of the kinds a collector's per-word
+// filter has to get right, on objects picked from the two live lists: a
+// young→old edge, a young→immortal edge (true/false), a class word that
+// refers to a young object (on a young or an old holder — the latter a
+// store check through SetClass), or a FmtBytes/FmtWords object whose raw
+// body words look like new-space references and must come through every
+// collection unscanned. A raw object carries its ID in body word 0 and
+// fuzzRawWord(h, id, i) in word i, so canonicalize can check the bits
+// with no record of what was written; it is reachable only through the
+// pointer field it is stored into.
+func fuzzExotic(h *Heap, p *firefly.Proc, rng *rand.Rand, nextID *int64, young, olds []object.OOP) {
+	if len(young) == 0 {
+		return
+	}
+	holder := young[rng.Intn(len(young))]
+	field := 1 + rng.Intn(h.FieldCount(holder)-1)
+	switch rng.Intn(4) {
+	case 0:
+		if len(olds) > 0 {
+			h.Store(p, holder, field, olds[rng.Intn(len(olds))])
+		}
+	case 1:
+		h.Store(p, holder, field, object.FromBool(rng.Intn(2) == 0))
+	case 2:
+		class := young[rng.Intn(len(young))]
+		if len(olds) > 0 && rng.Intn(2) == 0 {
+			holder = olds[rng.Intn(len(olds))]
+		}
+		h.SetClass(p, holder, class)
+	case 3:
+		words := 2 + 2*rng.Intn(3)
+		var raw object.OOP
+		switch rng.Intn(3) {
+		case 0:
+			raw = h.Allocate(p, object.Nil, words, object.FmtWords)
+		case 1:
+			raw = h.Allocate(p, object.Nil, words*8, object.FmtBytes)
+		default:
+			raw = h.AllocateNoGC(object.Nil, words, object.FmtWords)
+		}
+		// No collection between the allocation and the store below.
+		h.StoreWord(raw, 0, uint64(*nextID))
+		for i := 1; i < words; i++ {
+			h.StoreWord(raw, i, fuzzRawWord(h, *nextID, i))
+		}
+		*nextID++
+		h.Store(p, holder, field, raw)
+	}
+}
+
+// fuzzRawWord is body word i of raw object id: an even word inside new
+// space, a pure function of the heap's geometry.
+func fuzzRawWord(h *Heap, id int64, i int) uint64 {
+	span := (h.eden.limit - h.newBase) / 2
+	return h.newBase + 2*((uint64(id)*31+uint64(i)*17)%span)
+}
+
 // canonicalize walks the surviving graph breadth-first from the roots
 // and the old-space anchors, keying every object by its field-0 ID.
 func canonicalize(t *testing.T, h *Heap, young, olds []object.OOP) fuzzResult {
 	t.Helper()
-	idOf := func(o object.OOP) int64 { return h.Fetch(o, 0).Int() }
+	idOf := func(o object.OOP) int64 {
+		if h.Header(o).Format() != object.FmtPointers {
+			return int64(h.FetchWord(o, 0))
+		}
+		return h.Fetch(o, 0).Int()
+	}
 	enc := func(v object.OOP) string {
 		switch {
 		case v == object.Nil:
 			return "nil"
+		case v == object.True:
+			return "true"
+		case v == object.False:
+			return "false"
 		case v.IsInt():
 			return fmt.Sprintf("i%d", v.Int())
 		case !v.IsPtr():
@@ -156,7 +227,7 @@ func canonicalize(t *testing.T, h *Heap, young, olds []object.OOP) fuzzResult {
 	var queue []object.OOP
 	seen := map[object.OOP]bool{}
 	push := func(o object.OOP) {
-		if o.IsPtr() && o != object.Nil && !seen[o] {
+		if o.IsPtr() && o.Addr() >= object.FirstFreeAddress && !seen[o] {
 			seen[o] = true
 			queue = append(queue, o)
 		}
@@ -176,13 +247,26 @@ func canonicalize(t *testing.T, h *Heap, young, olds []object.OOP) fuzzResult {
 			Old:        h.InOldSpace(o),
 			Age:        hd.Age(),
 			Remembered: hd.Remembered(),
+			Class:      enc(h.ClassOf(o)),
 		}
-		for i := 1; i < h.FieldCount(o); i++ {
-			v := h.Fetch(o, i)
-			co.Fields = append(co.Fields, enc(v))
-			push(v)
-		}
+		push(h.ClassOf(o))
 		id := idOf(o)
+		if hd.Format() == object.FmtPointers {
+			for i := 1; i < h.FieldCount(o); i++ {
+				v := h.Fetch(o, i)
+				co.Fields = append(co.Fields, enc(v))
+				push(v)
+			}
+		} else {
+			for i := 1; i < hd.BodyWords(); i++ {
+				w := h.FetchWord(o, i)
+				if w != fuzzRawWord(h, id, i) {
+					t.Fatalf("raw object %d word %d = %#x, written as %#x: a collector scanned a raw body",
+						id, i, w, fuzzRawWord(h, id, i))
+				}
+				co.Raw = append(co.Raw, w)
+			}
+		}
 		if _, dup := res.Objs[id]; dup {
 			t.Fatalf("duplicate live object ID %d: an object was copied twice", id)
 		}
@@ -232,6 +316,7 @@ func TestScavengeFuzzDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = 25
 	}
+	var raws, classes int
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		serial := runScavFuzzDet(t, seed, false)
 		parallel := runScavFuzzDet(t, seed, true)
@@ -239,6 +324,18 @@ func TestScavengeFuzzDifferential(t *testing.T) {
 			t.Fatalf("seed %d: serial and parallel scavengers diverge\nserial:   %+v\nparallel: %+v",
 				seed, serial, parallel)
 		}
+		for _, o := range serial.Objs {
+			if o.Raw != nil {
+				raws++
+			}
+			if o.Class != "nil" {
+				classes++
+			}
+		}
+	}
+	if raws == 0 || classes == 0 {
+		t.Fatalf("survivors across %d seeds: %d raw bodies, %d young class words; fuzzExotic went unexercised",
+			seeds, raws, classes)
 	}
 }
 

@@ -14,6 +14,7 @@ package heap
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -255,6 +256,17 @@ type Heap struct {
 	siteNext    map[uint64]int
 
 	stats Stats
+
+	// Collector host scratch, kept from one collection to the next and
+	// part of no snapshot: the three root visitors (built once, so that
+	// handing one to a root function allocates no closure), the mark
+	// stack, and the compactor's plan with its forwarding table, which
+	// the first full collection allocates and later ones grow. Last in
+	// the struct on purpose: among the fields above, it moved gc_churn's
+	// request median by 4 %.
+	fwdRoot, markRoot, slideRoot func(*object.OOP)
+	markStack                    []uint64
+	plan                         slide
 }
 
 // OOMError is thrown (as a panic) when old space is exhausted; the virtual
@@ -278,6 +290,10 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 		panic("heap: configuration too small")
 	}
 	total := object.FirstFreeAddress + cfg.OldWords + 2*cfg.SurvivorWords + cfg.EdenWords
+	if uint64(total) > math.MaxUint32+1 {
+		// A forwarding-table entry (slide.to) holds a word address.
+		panic("heap: configuration too large")
+	}
 	h := &Heap{
 		cfg: cfg,
 		m:   m,
@@ -298,6 +314,13 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 	h.eden = space{base: a, limit: a + uint64(cfg.EdenWords), next: a}
 	h.newBase = h.surv[0].base
 	h.past = 0
+	h.fwdRoot = func(slot *object.OOP) { *slot = h.forward(*slot) }
+	h.markRoot = func(slot *object.OOP) {
+		if w := uint64(*slot); w&1 == 0 && w >= h.old.base {
+			h.mark(w)
+		}
+	}
+	h.slideRoot = func(slot *object.OOP) { *slot = object.OOP(h.plan.of(uint64(*slot))) }
 
 	h.allocLock = m.NewSpinlock("alloc", cfg.LocksEnabled)
 	h.entryLock = m.NewSpinlock("entry-table", cfg.LocksEnabled)
@@ -379,6 +402,23 @@ func (h *Heap) InNewSpace(o object.OOP) bool {
 // immortal area.
 func (h *Heap) InOldSpace(o object.OOP) bool {
 	return o.IsPtr() && o != object.Invalid && o.Addr() < h.newBase
+}
+
+// refWords returns the reference-holding words of the object at addr, as
+// a view of object memory: the class word, followed by the body when the
+// body holds pointers. It is the collectors' and the verifiers' one
+// definition of "the words of an object the GC looks at"; a caller that
+// stores through the view is moving or re-pointing objects with the
+// world stopped.
+//
+//msvet:heap-writer the view is handed only to stop-the-world collector loops (scavenge scan, mark, compactor fix-up) and to the read-only walks of verify.go and CheckInvariants; no mutator path can reach it
+//msvet:atomic-excluded every caller runs with the world stopped or on a caller-quiesced heap
+func (h *Heap) refWords(addr uint64) []uint64 {
+	n := uint64(object.HeaderWords)
+	if hd := object.Header(h.mem[addr]); hd.Format() == object.FmtPointers {
+		n = uint64(hd.SizeWords())
+	}
+	return h.mem[addr+1 : addr+n]
 }
 
 // loadWord/storeWord are the two memory primitives every accessor

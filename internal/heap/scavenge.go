@@ -110,18 +110,7 @@ func (h *Heap) serialScavenge(p *firefly.Proc) {
 	h.oldScan = h.old.next
 
 	// Phase 1: forward the roots.
-	visit := func(slot *object.OOP) { *slot = h.forward(*slot) }
-	for _, slot := range h.rootSlots {
-		visit(slot)
-	}
-	for _, f := range h.rootFuncs {
-		f(visit)
-	}
-	for _, hp := range h.handlePools {
-		for i := range hp.slots {
-			visit(&hp.slots[i])
-		}
-	}
+	h.visitAllRoots(h.fwdRoot)
 
 	// Phase 2: scan the entry table. Remembered old objects may hold
 	// the only references to live new objects. After scanning, an
@@ -244,29 +233,21 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 }
 
 // scanObject forwards the class word and every pointer field of o,
-// reporting whether o still references new space afterwards.
+// reporting whether o still references new space afterwards. Only a
+// reference into new space is worth the call: it always moves (or has),
+// and always leaves o referencing new space unless it was tenured.
 func (h *Heap) scanObject(o object.OOP) bool {
 	refsNew := false
-	addr := o.Addr()
-	cls := object.OOP(h.mem[addr+1])
-	cls = h.forward(cls)
-	h.mem[addr+1] = uint64(cls)
-	if h.InNewSpace(cls) {
-		refsNew = true
-	}
-	hd := object.Header(h.mem[addr])
-	if hd.Format() == object.FmtPointers {
-		body := hd.BodyWords()
-		for i := 0; i < body; i++ {
-			f := object.OOP(h.mem[addr+object.HeaderWords+uint64(i)])
-			if !f.IsPtr() || f == object.Invalid {
-				continue
-			}
-			f = h.forward(f)
-			h.mem[addr+object.HeaderWords+uint64(i)] = uint64(f)
-			if h.InNewSpace(f) {
-				refsNew = true
-			}
+	newBase := h.newBase
+	ws := h.refWords(o.Addr())
+	for i, w := range ws {
+		if w&1 != 0 || w < newBase {
+			continue
+		}
+		nw := uint64(h.forward(object.OOP(w)))
+		ws[i] = nw
+		if nw >= newBase {
+			refsNew = true
 		}
 	}
 	return refsNew
@@ -288,17 +269,10 @@ func (h *Heap) CheckInvariants() {
 			if hd.Forwarded() {
 				panic(fmt.Sprintf("heap: forwarded object at %d in %s outside scavenge", a, name))
 			}
-			if hd.Format() == object.FmtPointers {
-				for i := 0; i < hd.BodyWords(); i++ {
-					f := object.OOP(h.mem[a+object.HeaderWords+uint64(i)])
-					if f.IsPtr() && f != object.Invalid {
-						h.checkPointer(name, a, f)
-					}
+			for _, w := range h.refWords(a) {
+				if f := object.OOP(w); f.IsPtr() && f != object.Invalid {
+					h.checkPointer(name, a, f)
 				}
-			}
-			cls := object.OOP(h.mem[a+1])
-			if cls.IsPtr() && cls != object.Invalid {
-				h.checkPointer(name, a, cls)
 			}
 			a += uint64(size)
 		}

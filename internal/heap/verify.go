@@ -17,10 +17,10 @@ import (
 // reference such a bypass leaves behind once the target is collected or
 // moved. Violations go to the checker; nothing in the heap is written.
 //
-// This file is intentionally read-only (it never assigns to h.mem);
-// msvet's barrierflow analyzer keeps it that way with a per-file rule:
-// any raw store in verify.go is a finding, annotation or
-// stop-the-world cover notwithstanding.
+// This file is intentionally read-only (it never assigns to h.mem, and
+// only reads the views refWords hands it); msvet's barrierflow analyzer
+// keeps it that way with a per-file rule: any raw store in verify.go is
+// a finding, annotation or stop-the-world cover notwithstanding.
 //
 // The early return is a work gate (it skips the whole rescan), not a
 // safety test: the checker's Report hooks accept a nil receiver.
@@ -61,11 +61,17 @@ func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
 	at := int64(p.Now())
 	words := h.old.next - h.old.base
 
-	checkField := func(o object.OOP, what string, v object.OOP) bool {
+	// checkField takes the word's index in refWords: 0 is the class word,
+	// i > 0 is field i-1.
+	checkField := func(o object.OOP, i int, v object.OOP) bool {
 		if !v.IsPtr() || v == object.Invalid || v.Addr() < h.newBase {
 			return false
 		}
 		if !liveNew(v.Addr()) {
+			what := "class word"
+			if i > 0 {
+				what = fmt.Sprintf("field %d", i-1)
+			}
 			san.ReportWriteBarrier(p.ID(), at, fmt.Sprintf(
 				"old object %#x %s points into reclaimed new space (%#x): a store bypassed the store check",
 				o.Addr(), what, v.Addr()))
@@ -75,15 +81,11 @@ func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
 	}
 
 	scan := func(o object.OOP) {
-		addr := o.Addr()
-		hd := object.Header(h.mem[addr])
-		refsNew := checkField(o, "class word", object.OOP(h.mem[addr+1]))
-		if hd.Format() == object.FmtPointers {
-			for i := 0; i < hd.BodyWords(); i++ {
-				v := object.OOP(h.mem[addr+object.HeaderWords+uint64(i)])
-				if checkField(o, fmt.Sprintf("field %d", i), v) {
-					refsNew = true
-				}
+		hd := object.Header(h.mem[o.Addr()])
+		refsNew := false
+		for i, w := range h.refWords(o.Addr()) {
+			if checkField(o, i, object.OOP(w)) {
+				refsNew = true
 			}
 		}
 		if refsNew && !inTable[o] {
@@ -164,12 +166,8 @@ func (h *Heap) verifyTriColor(p *firefly.Proc) {
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		hd := object.Header(h.mem[a])
-		visit(object.OOP(h.mem[a+1]))
-		if hd.Format() == object.FmtPointers {
-			for i := 0; i < hd.BodyWords(); i++ {
-				visit(object.OOP(h.mem[a+object.HeaderWords+uint64(i)]))
-			}
+		for _, w := range h.refWords(a) {
+			visit(object.OOP(w))
 		}
 	}
 }
