@@ -1,8 +1,7 @@
 // Command msvet runs the repository's custom vet suite (see
-// internal/msvet): the lexical passes (virttime, lockpair, costcharge)
-// and the call-graph-aware module passes (stwsafe, atomicguard,
-// barrierflow, lockorder) over the whole module, and exits non-zero on
-// any finding.
+// internal/msvet): seven analyzers (virttime, lockpair, costcharge,
+// stwsafe, atomicguard, barrierflow, lockorder), each applied once to
+// the whole type-checked module, and exits non-zero on any finding.
 //
 // Usage:
 //

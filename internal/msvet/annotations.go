@@ -16,8 +16,8 @@ import (
 //
 //	//msvet:stw-entry [why]        (func)  the function body runs inside
 //	                                       the STW window even though no
-//	                                       lexical StopTheWorld call
-//	                                       dominates it; stwsafe seeds
+//	                                       StopTheWorld in its own body
+//	                                       opens one; stwsafe seeds
 //	                                       its reachability walk here.
 //	//msvet:stw-safe [why]         (func)  audited by hand: safe to call
 //	                                       from inside the STW window;

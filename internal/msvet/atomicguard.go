@@ -136,7 +136,7 @@ func scanPlainUses(pass *ModulePass, node *FuncNode, tracked map[*types.Var]toke
 	})
 	report := func(e ast.Expr, v *types.Var) {
 		if m.STWCovered(node, e.Pos()) {
-			// Inside the function's own lexical STW window (FullCollect,
+			// Inside the function's own STW window (FullCollect,
 			// Scavenge): the world is stopped, plain access is the point.
 			return
 		}

@@ -76,8 +76,8 @@ var BarrierflowAnalyzer = &Analyzer{
 			}
 			for _, s := range stores {
 				if m.STWCovered(node, s.pos) {
-					// The store sits inside the function's own lexical
-					// STW window (FullCollect, Scavenge).
+					// The store sits inside the function's own STW
+					// window (FullCollect, Scavenge).
 					continue
 				}
 				pass.Reportf(s.pos,

@@ -19,38 +19,40 @@ import "go/ast"
 var CostchargeAnalyzer = &Analyzer{
 	Name: "costcharge",
 	Doc:  "internal/jit charges virtual time only through the shared cost table",
-	Run: func(pass *Pass) error {
-		if pass.Path != "internal/jit" {
-			return nil
-		}
-		for _, f := range pass.Files {
-			if f.Test {
+	RunModule: func(pass *ModulePass) error {
+		for _, pkg := range pass.Mod.Pkgs {
+			if pkg.Path != "internal/jit" {
 				continue
 			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+			for _, f := range pkg.Files {
+				if f.Test {
+					continue
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "firefly" &&
-					sel.Sel.Name == "Time" && len(call.Args) == 1 {
-					if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Value != "0" {
-						pass.Reportf(call.Pos(),
-							"firefly.Time(%s) invents a cost outside the shared cost table",
-							lit.Value)
+				ast.Inspect(f.AST, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
 					}
-				}
-				if sel.Sel.Name == "Advance" {
-					pass.Reportf(call.Pos(),
-						"%s charges virtual time in internal/jit; charging belongs to the executor in internal/interp",
-						exprString(call.Fun))
-				}
-				return true
-			})
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "firefly" &&
+						sel.Sel.Name == "Time" && len(call.Args) == 1 {
+						if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Value != "0" {
+							pass.Reportf(call.Pos(),
+								"firefly.Time(%s) invents a cost outside the shared cost table",
+								lit.Value)
+						}
+					}
+					if sel.Sel.Name == "Advance" {
+						pass.Reportf(call.Pos(),
+							"%s charges virtual time in internal/jit; charging belongs to the executor in internal/interp",
+							exprString(call.Fun))
+					}
+					return true
+				})
+			}
 		}
 		return nil
 	},

@@ -14,9 +14,9 @@ import (
 
 // Module is the whole type-checked module: every package's parsed
 // files (from LoadModule), one shared go/types universe across them,
-// the //msvet: annotation table, and — built lazily because only the
-// module analyzers need them — the callee-resolution call graph and
-// the STW-reachable set.
+// the //msvet: annotation table, and — built lazily, once, for the
+// analyzers that need them — the callee-resolution call graph, each
+// function's hold walk, the STW-reachable set and the lock-order graph.
 //
 // The loader is stdlib-only: intra-module imports resolve against the
 // packages type-checked earlier in dependency order, and everything
@@ -31,7 +31,7 @@ type Module struct {
 
 	// Types maps Package.Path (module-relative dir, "." for root) to
 	// the type-checked package. Only non-test files are type-checked;
-	// the module analyzers skip test files for the same reason.
+	// the analyzers skip test files for the same reason.
 	Types map[string]*types.Package
 	// Info is one shared type-checker fact table across all packages.
 	Info *types.Info
@@ -39,6 +39,7 @@ type Module struct {
 	Ann *Annotations
 
 	graph *CallGraph
+	holds map[*FuncNode]*heldFacts
 	stw   *stwResult
 	lockg *lockGraph
 }

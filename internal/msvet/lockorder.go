@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"mst/internal/sanitize"
 )
 
 // lockorder: the static lock-acquisition-order graph, extracted across
@@ -16,38 +18,40 @@ import (
 // Lock identity is registration-based: a lock is a struct field (or
 // variable) assigned from `m.NewSpinlock("name", ...)` or
 // `m.NewRWSpinlock("name", ...)` with a literal name — exactly the
-// names mscheck's runtime lockset checker sees in OnAcquire. Hold
-// regions are lexical, from an Acquire/TryAcquire/AcquireRead/
-// AcquireWrite to the first matching release on the same receiver (to
-// the end of the function for deferred releases) — sound because the
-// lockpair analyzer separately guarantees no spinlock outlives its
-// acquiring function. Edges are held-lock -> acquired-lock, both for
-// direct acquisitions inside a region and, interprocedurally, for
-// calls to functions that may transitively acquire a lock (a fixpoint
-// over the call graph). The result is a superset of any order the
-// runtime can exhibit through static calls; mscheck cross-checks the
-// observed order is a subgraph (Checker.StaticOrderViolations).
+// names mscheck's runtime lockset checker sees in OnAcquire. A lock is
+// held over its region from the hold walk (held.go): from the acquire
+// along every path until a release on that path, to the end of the
+// function for a deferred release. Edges are held-lock -> acquired-lock,
+// both for direct acquisitions inside a region and, interprocedurally,
+// for calls to functions that may transitively acquire a lock (a
+// fixpoint over the call graph). The result is a superset of any order
+// the runtime can exhibit through static calls; mscheck cross-checks
+// the observed order is a subgraph (Checker.StaticOrderViolations).
 //
 // Soundness: acquisitions reached only through dynamic calls
 // (interface methods, stored closures) are invisible, as are locks
-// registered with computed names. TryAcquire regions are included even
-// though the failure path never holds the lock — a superset, which is
-// the direction the subgraph cross-check needs.
+// registered with computed names. A TryAcquire's region includes the
+// code the walk cannot prove runs without the lock — a superset, which
+// is the direction the subgraph cross-check needs.
 //
-// The analyzer reports static cycles; `msvet -lockgraph` emits the
-// graph as deterministic JSON (nodes sorted, edges sorted, first
+// The analyzer reports static cycles, found and rendered exactly as
+// mscheck renders its runtime ones (sanitize.Cycles), at the edge that
+// closes back into the cycle's smallest lock; `msvet -lockgraph` emits
+// the graph as deterministic JSON (nodes sorted, edges sorted, first
 // witness positions from a deterministic walk).
 var LockorderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "the static lock-acquisition-order graph must be acyclic",
 	RunModule: func(pass *ModulePass) error {
 		lg := pass.Mod.LockGraph()
-		for _, cyc := range lg.cycles() {
-			pass.report(Finding{
-				Analyzer: pass.Analyzer.Name,
-				Pos:      pass.Mod.Fset.Position(cyc.pos),
-				Message:  "static lock-order cycle: " + cyc.desc + " (deadlock if the paths interleave; pick one global order)",
-			})
+		edges := make([][2]string, 0, len(lg.edges))
+		for e := range lg.edges {
+			edges = append(edges, e)
+		}
+		for _, cyc := range sanitize.Cycles(edges) {
+			locks := strings.Split(cyc, " -> ")
+			pass.Reportf(lg.edges[[2]string{locks[len(locks)-2], locks[0]}],
+				"static lock-order cycle: %s (deadlock if the paths interleave; pick one global order)", cyc)
 		}
 		return nil
 	},
@@ -87,17 +91,9 @@ func (lg *LockGraphData) JSON() []byte {
 	return append(b, '\n')
 }
 
-var lockReleaseFor = map[string]string{
-	"Acquire":      "Release",
-	"TryAcquire":   "Release",
-	"AcquireRead":  "ReleaseRead",
-	"AcquireWrite": "ReleaseWrite",
-}
-
 type lockGraph struct {
 	data  *LockGraphData
 	edges map[[2]string]token.Pos // first witness in deterministic walk order
-	names []string
 }
 
 // LockGraph extracts (once) the static lock-order graph.
@@ -108,96 +104,27 @@ func (m *Module) LockGraph() *lockGraph {
 	lg := &lockGraph{edges: map[[2]string]token.Pos{}}
 	g := m.Graph()
 	lockVars := m.lockRegistrations()
+	lockName := func(a acquireSite) string { return lockVars[m.selectedVar(a.recv)] }
 
 	nameSet := map[string]bool{}
 	for _, name := range lockVars {
 		nameSet[name] = true
 	}
+	data := &LockGraphData{}
 	for name := range nameSet {
-		lg.names = append(lg.names, name)
+		data.Nodes = append(data.Nodes, name)
 	}
-	sort.Strings(lg.names)
-
-	// acquire events and lexical hold regions, per function.
-	type acqEvent struct {
-		name string
-		pos  token.Pos
-		r    posRange
-	}
-	events := map[*FuncNode][]acqEvent{}
-	for _, node := range g.Nodes {
-		var acqs []acqEvent
-		type relEvent struct {
-			method string
-			recv   string
-			pos    token.Pos
-		}
-		var rels []relEvent
-		deferred := map[*ast.CallExpr]bool{}
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok {
-				deferred[d.Call] = true
-			}
-			return true
-		})
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			method := sel.Sel.Name
-			if _, isAcq := lockReleaseFor[method]; isAcq {
-				v := m.selectedVar(sel.X)
-				if name := lockVars[v]; name != "" {
-					acqs = append(acqs, acqEvent{name: name, pos: call.Pos()})
-					// region filled below once releases are known
-				}
-			}
-			if !deferred[call] && isReleaseMethod(method) {
-				rels = append(rels, relEvent{method, exprString(sel.X), call.Pos()})
-			}
-			return true
-		})
-		// Pair each acquire with the first matching non-deferred
-		// release after it; deferred or missing -> to end of function.
-		i := 0
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || i >= len(acqs) {
-				return true
-			}
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || call.Pos() != acqs[i].pos {
-				return true
-			}
-			want := lockReleaseFor[sel.Sel.Name]
-			recv := exprString(sel.X)
-			end := node.Decl.Body.End()
-			for _, rel := range rels {
-				if rel.pos > call.Pos() && rel.pos < end && rel.method == want && rel.recv == recv {
-					end = rel.pos
-				}
-			}
-			acqs[i].r = posRange{call.End(), end}
-			i++
-			return true
-		})
-		if len(acqs) > 0 {
-			events[node] = acqs
-		}
-	}
+	sort.Strings(data.Nodes)
 
 	// Fixpoint: the set of lock names a function may acquire, directly
 	// or through static callees.
 	acquiredIn := map[*FuncNode]map[string]bool{}
 	for _, node := range g.Nodes {
 		set := map[string]bool{}
-		for _, a := range events[node] {
-			set[a.name] = true
+		for _, a := range m.heldIn(node).acquires {
+			if name := lockName(a); name != "" {
+				set[name] = true
+			}
 		}
 		acquiredIn[node] = set
 	}
@@ -226,16 +153,21 @@ func (m *Module) LockGraph() *lockGraph {
 		}
 	}
 
-	// Edges: inside each hold region, direct acquires of other locks
+	// Edges: inside each lock's region, direct acquires of other locks
 	// and calls into functions that may acquire.
 	for _, node := range g.Nodes {
-		for _, held := range events[node] {
-			for _, other := range events[node] {
-				if other.pos != held.pos && held.r.contains(other.pos) {
-					addEdge(held.name, other.name, other.pos)
+		f := m.heldIn(node)
+		for _, held := range f.acquires {
+			from := lockName(held)
+			if from == "" {
+				continue
+			}
+			r := f.regions[held.key]
+			for _, other := range f.acquires {
+				if to := lockName(other); to != "" && r.contains(other.call.Pos()) {
+					addEdge(from, to, other.call.Pos())
 				}
 			}
-			r := held.r
 			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok || !r.contains(call.Pos()) {
@@ -251,14 +183,13 @@ func (m *Module) LockGraph() *lockGraph {
 				}
 				sort.Strings(acquired)
 				for _, name := range acquired {
-					addEdge(held.name, name, call.Pos())
+					addEdge(from, name, call.Pos())
 				}
 				return true
 			})
 		}
 	}
 
-	data := &LockGraphData{Nodes: lg.names}
 	var keys [][2]string
 	for k := range lg.edges {
 		keys = append(keys, k)
@@ -279,14 +210,6 @@ func (m *Module) LockGraph() *lockGraph {
 
 // Data returns the JSON-shaped graph.
 func (lg *lockGraph) Data() *LockGraphData { return lg.data }
-
-func isReleaseMethod(name string) bool {
-	switch name {
-	case "Release", "ReleaseRead", "ReleaseWrite":
-		return true
-	}
-	return false
-}
 
 // lockRegistrations maps each lock-holding variable to its registered
 // name: `x.field = m.NewSpinlock("name", ...)` and the composite-
@@ -347,74 +270,4 @@ func (m *Module) lockRegistrations() map[*types.Var]string {
 		}
 	}
 	return out
-}
-
-// cycle is one static lock-order cycle.
-type lockCycle struct {
-	desc string
-	pos  token.Pos
-}
-
-// cycles finds every elementary cycle reachable in the edge set via a
-// deterministic DFS, canonicalized (rotated to start at the lexically
-// smallest lock) and deduplicated — the same presentation mscheck uses
-// for its runtime lock-order cycles.
-func (lg *lockGraph) cycles() []lockCycle {
-	adj := map[string][]string{}
-	for k := range lg.edges {
-		adj[k[0]] = append(adj[k[0]], k[1])
-	}
-	for _, outs := range adj {
-		sort.Strings(outs)
-	}
-	seen := map[string]bool{}
-	var out []lockCycle
-	var stack []string
-	onStack := map[string]bool{}
-	var visit func(n string)
-	visit = func(n string) {
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, next := range adj[n] {
-			if onStack[next] {
-				// Extract stack[i:] where stack[i] == next.
-				i := 0
-				for stack[i] != next {
-					i++
-				}
-				cyc := append(append([]string{}, stack[i:]...), next)
-				desc := canonicalLockCycle(cyc)
-				if !seen[desc] {
-					seen[desc] = true
-					out = append(out, lockCycle{desc: desc, pos: lg.edges[[2]string{n, next}]})
-				}
-				continue
-			}
-			visit(next)
-		}
-		stack = stack[:len(stack)-1]
-		onStack[n] = false
-	}
-	for _, n := range lg.names {
-		if !onStack[n] {
-			visit(n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].desc < out[j].desc })
-	return out
-}
-
-// canonicalLockCycle rotates a cycle (first == last) so it starts at
-// the lexically smallest lock, and renders "a -> b -> a".
-func canonicalLockCycle(cyc []string) string {
-	body := cyc[:len(cyc)-1]
-	min := 0
-	for i := range body {
-		if body[i] < body[min] {
-			min = i
-		}
-	}
-	rot := append(append([]string{}, body[min:]...), body[:min]...)
-	rot = append(rot, rot[0])
-	return strings.Join(rot, " -> ")
 }

@@ -2,7 +2,6 @@ package msvet
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,9 +54,50 @@ func wantFixtureFinding(t *testing.T, got []Finding, line, col int, fragments ..
 
 func TestStwsafeFixtureFlagsReachableAllocation(t *testing.T) {
 	got := fixtureFindings(t, StwsafeAnalyzer, "stwsafe_bad")
+	if len(got) != 2 {
+		t.Fatalf("got %d findings, want 2: %v", len(got), got)
+	}
 	// The allocation is one call away from the window: the finding is
 	// inside refill, proving the check follows the call graph.
-	wantFixtureFinding(t, got, 27, 9, "allocation h.Allocate", "STW window")
+	wantFixtureFinding(t, got[:1], 27, 9, "allocation h.Allocate", "STW window")
+	// Finalize's window is opened by spinning on StopTheWorld under a
+	// guard, and closed under the same guard.
+	wantFixtureFinding(t, got[1:], 46, 2, "allocation h.Allocate", "STW window")
+}
+
+// The hole both pairing shortcuts shared: a release on an early-out
+// branch ended the hold for the rest of the function. Each fixture
+// passes clean if the region stops at the first release after the
+// acquire, and draws exactly one finding from the whole suite here.
+func TestEarlyReleaseFixtures(t *testing.T) {
+	for _, tc := range []struct {
+		fixture   string
+		line, col int
+		fragment  string
+	}{
+		{"lockorder_earlyout", 46, 2, "static lock-order cycle: alpha -> beta -> alpha"},
+		{"stwsafe_earlyresume", 33, 2, "allocation h.Allocate inside the STW window"},
+	} {
+		got, err := RunSuite(loadFixture(t, tc.fixture), Analyzers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFixtureFinding(t, got, tc.line, tc.col, tc.fragment)
+	}
+}
+
+// The concurrent collector's two idioms, in the clean twin's Cycle: the
+// guard closes the first window at the guarded resume (the allocation
+// between the windows is not in one — TestStwsafeFixtureCleanTwin), and
+// the spin on StopTheWorld opens the second, so finish is in the STW set.
+func TestStwsafeFixtureIdioms(t *testing.T) {
+	mod := loadFixture(t, "stwsafe_ok")
+	for node := range mod.STWReachable() {
+		if node.Decl.Name.Name == "finish" {
+			return
+		}
+	}
+	t.Errorf("finish, called in the window the StopTheWorld spin opens, is not STW-reachable")
 }
 
 func TestStwsafeFixtureCleanTwin(t *testing.T) {
@@ -157,7 +197,7 @@ func TestMemAliasFixtureCleanTwin(t *testing.T) {
 // because the rule keys on the real path internal/heap/verify.go.
 func TestHeapwriteVerifierStaysReadOnly(t *testing.T) {
 	root := t.TempDir()
-	for name, src := range map[string]string{
+	writeModule(t, root, map[string]string{
 		"go.mod": "module fixture\n\ngo 1.22\n",
 		"internal/heap/heap.go": `package heap
 
@@ -176,15 +216,7 @@ func (h *Heap) patch(addr, v uint64) {
 	copy(h.mem[addr:], []uint64{v})
 }
 `,
-	} {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	mod, err := LoadTyped(root)
 	if err != nil {
 		t.Fatal(err)

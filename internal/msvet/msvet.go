@@ -1,28 +1,26 @@
 // Package msvet is a custom vet suite enforcing the host-code
 // discipline this repository's virtual-time simulation depends on.
+// Every analyzer runs once over the whole type-checked module (go/types
+// over every package, one loader, one callee-resolution call graph and
+// one hold walk — see loader.go, callgraph.go, annotations.go, held.go):
 //
-// Lexical single-file analyzers:
-//
-//   - virttime:   no time.Now / math/rand in virtual-time packages —
-//     host wall-clock or host randomness anywhere in the simulated
+//   - virttime:    no time / math/rand imports in virtual-time packages
+//     — host wall-clock or host randomness anywhere in the simulated
 //     machine would break bit-identical determinism.
-//   - lockpair:   every Spinlock/RWSpinlock acquire is paired with the
-//     matching release — lexically somewhere in the same function, and
-//     (by path simulation) never still definitely held at a return.
-//   - costcharge: internal/jit never invents a virtual-time cost —
-//     literal firefly.Time values, .Advance calls, and literal Cost
-//     fields are forbidden there; compiled bytecodes must charge
-//     through the interpreter's shared cost table.
-//
-// Call-graph-aware module analyzers (type-checked via go/types over
-// the whole module, sharing one loader and one callee-resolution call
-// graph — see loader.go, callgraph.go, annotations.go):
-//
+//   - lockpair:    every Spinlock/RWSpinlock acquire and StopTheWorld is
+//     paired with the matching release — some call in the same function
+//     releases it, and by the hold walk it is never still definitely
+//     held at a return.
+//   - costcharge:  internal/jit never invents a virtual-time cost —
+//     nonzero literal firefly.Time values and .Advance calls are
+//     forbidden there; compiled bytecodes must charge through the
+//     interpreter's shared cost table.
 //   - stwsafe:     computes the set of functions reachable from inside
-//     the stop-the-world window (the region between a StopTheWorld
-//     call and its matching ResumeTheWorld, plus //msvet:stw-entry
-//     roots) and reports any reachable allocation, channel operation,
-//     or acquisition of a lock not annotated //msvet:stw-safe.
+//     the stop-the-world window (the world's region in the hold walk,
+//     from a StopTheWorld along every path to its ResumeTheWorld, plus
+//     //msvet:stw-entry roots) and reports any reachable allocation,
+//     channel operation, or acquisition of a lock not annotated
+//     //msvet:stw-safe.
 //   - atomicguard: any struct field accessed through sync/atomic
 //     anywhere in the module must be accessed atomically everywhere —
 //     plain reads/writes are flagged outside STW-reachable code and
@@ -35,16 +33,16 @@
 //     internal/heap the Go compiler already enforces it: Heap.mem is
 //     unexported and never returned.)
 //   - lockorder:   extracts the static lock-acquisition-order graph
-//     across the call graph, reports static cycles, and emits the
-//     graph as deterministic JSON (`msvet -lockgraph`) for mscheck's
-//     runtime subgraph cross-check.
+//     from the lock regions of the hold walk across the call graph,
+//     reports static cycles, and emits the graph as deterministic JSON
+//     (`msvet -lockgraph`) for mscheck's runtime subgraph cross-check.
 //
 // The suite is intentionally stdlib-only (go/ast + go/parser +
 // go/types with the source importer): the build environment has no
 // module proxy access, so the golang.org/x/tools go/analysis driver
 // (and the `go vet -vettool` unitchecker protocol that requires it)
-// is unavailable. The Analyzer and Pass types mirror the go/analysis
-// API shape so the analyzers could be ported to real
+// is unavailable. The Analyzer and ModulePass types mirror the
+// go/analysis API shape so the analyzers could be ported to real
 // analysis.Analyzers by swapping the driver.
 // Run it as: go run ./cmd/msvet ./...
 package msvet
@@ -60,28 +58,12 @@ import (
 	"strings"
 )
 
-// Analyzer is one static check, go/analysis style. Lexical analyzers
-// set Run and are applied per package; call-graph-aware analyzers set
-// RunModule and are applied once to the type-checked module. An
-// analyzer sets exactly one of the two.
+// Analyzer is one static check, go/analysis style, applied once to the
+// type-checked module.
 type Analyzer struct {
 	Name      string
 	Doc       string
-	Run       func(*Pass) error
 	RunModule func(*ModulePass) error
-}
-
-// Pass carries one package's worth of parsed files into an analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Path is the package's import path relative to the module root
-	// (e.g. "internal/firefly"; "." for the root package).
-	Path string
-	// Files maps each parsed file to its file name (base name only).
-	Files []*File
-
-	report func(Finding)
 }
 
 // File is one parsed source file.
@@ -89,15 +71,6 @@ type File struct {
 	Name string // base name, e.g. "lock.go"
 	Test bool   // *_test.go
 	AST  *ast.File
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.report(Finding{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // Finding is one reported problem.
@@ -112,8 +85,7 @@ func (f Finding) String() string {
 		f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Analyzers returns the full suite in a fixed order: the fast lexical
-// passes first, then the call-graph-aware module passes.
+// Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		VirttimeAnalyzer,
@@ -184,31 +156,6 @@ func LoadModule(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// RunAnalyzers applies every analyzer to every package and returns the
-// findings sorted by position.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	var findings []Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Path:     pkg.Path,
-				Files:    pkg.Files,
-				report:   func(f Finding) { findings = append(findings, f) },
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("msvet: %s on %s: %v", a.Name, pkg.Path, err)
-			}
-		}
-	}
-	sortFindings(findings)
-	return findings, nil
-}
-
 // ModulePass carries the whole type-checked module into a
 // call-graph-aware analyzer.
 type ModulePass struct {
@@ -227,34 +174,12 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...interface{}) 
 	})
 }
 
-// RunSuite applies the full suite — lexical analyzers per package,
-// module analyzers once — and returns the merged findings sorted by
-// position.
+// RunSuite applies the analyzers to the module and returns their
+// findings sorted by position.
 func RunSuite(mod *Module, analyzers []*Analyzer) ([]Finding, error) {
 	var findings []Finding
-	report := func(f Finding) { findings = append(findings, f) }
-	for _, pkg := range mod.Pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Path:     pkg.Path,
-				Files:    pkg.Files,
-				report:   report,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("msvet: %s on %s: %v", a.Name, pkg.Path, err)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		pass := &ModulePass{Analyzer: a, Mod: mod, report: report}
+		pass := &ModulePass{Analyzer: a, Mod: mod, report: func(f Finding) { findings = append(findings, f) }}
 		if err := a.RunModule(pass); err != nil {
 			return nil, fmt.Errorf("msvet: %s: %v", a.Name, err)
 		}

@@ -1,39 +1,90 @@
 package msvet
 
 import (
-	"go/parser"
-	"go/token"
+	"fmt"
+	"os"
+	"path"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// runOn parses the given sources (name → content) as one package at
-// pkgPath and runs a single analyzer over it.
+// stubSrc is what the analyzer tests' sources lean on: the firefly
+// types the analyzers key on, stubbed in the package under test.
+const stubSrc = `package %s
+
+import "fixture/internal/firefly"
+
+type Proc struct{}
+
+func (p *Proc) CheckYield()            {}
+func (p *Proc) Advance(d firefly.Time) {}
+
+type Spinlock struct{}
+
+func (l *Spinlock) Acquire(p *Proc)         {}
+func (l *Spinlock) TryAcquire(p *Proc) bool { return true }
+func (l *Spinlock) Release(p *Proc)         {}
+
+type RWSpinlock struct{}
+
+func (l *RWSpinlock) AcquireRead(p *Proc)  {}
+func (l *RWSpinlock) ReleaseRead(p *Proc)  {}
+func (l *RWSpinlock) AcquireWrite(p *Proc) {}
+func (l *RWSpinlock) ReleaseWrite(p *Proc) {}
+
+type Machine struct{}
+
+func (m *Machine) StopTheWorld(p *Proc) bool  { return true }
+func (m *Machine) ResumeTheWorld(p *Proc)     {}
+func (m *Machine) Start(i int, f func(*Proc)) {}
+
+type Program struct{ DispatchCost firefly.Time }
+
+type Interp struct{ p *Proc }
+
+func work() {}
+`
+
+// writeModule writes files (slash path → content) under root.
+func writeModule(t *testing.T, root string, files map[string]string) {
+	t.Helper()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runOn writes the given sources (name → content) as the package at
+// pkgPath of a throwaway module — next to the stubs, with a minimal
+// internal/firefly — and runs a single analyzer over it through the
+// typed loader, exactly like the real msvet run.
 func runOn(t *testing.T, a *Analyzer, pkgPath string, sources map[string]string) []Finding {
 	t.Helper()
-	fset := token.NewFileSet()
-	var files []*File
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                      "module fixture\n\ngo 1.22\n",
+		"internal/firefly/firefly.go": "package firefly\n\ntype Time int64\n",
+	}
+	if pkgPath != "internal/firefly" {
+		files[pkgPath+"/stub.go"] = fmt.Sprintf(stubSrc, path.Base(pkgPath))
+	}
 	for name, src := range sources {
-		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		files = append(files, &File{
-			Name: name,
-			Test: strings.HasSuffix(name, "_test.go"),
-			AST:  f,
-		})
+		files[pkgPath+"/"+name] = src
 	}
-	var findings []Finding
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     fset,
-		Path:     pkgPath,
-		Files:    files,
-		report:   func(f Finding) { findings = append(findings, f) },
+	writeModule(t, root, files)
+	mod, err := LoadTyped(root)
+	if err != nil {
+		t.Fatalf("LoadTyped: %v", err)
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
+	findings, err := RunSuite(mod, []*Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return findings
 }
@@ -98,9 +149,9 @@ func f(l *Spinlock, p *Proc) {
 }
 `,
 	})
-	// Both the lexical check and the path simulation fire.
+	// Both the pairing check and the hold walk's exit check fire.
 	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2 (lexical + path): %v", len(got), got)
+		t.Fatalf("got %d findings, want 2 (pairing + exit): %v", len(got), got)
 	}
 	if !strings.Contains(got[0].Message, "never released") {
 		t.Errorf("first finding: %q", got[0].Message)
@@ -211,7 +262,7 @@ func f(l *RWSpinlock, p *Proc) {
 `,
 	})
 	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2 (lexical + path): %v", len(got), got)
+		t.Fatalf("got %d findings, want 2 (pairing + exit): %v", len(got), got)
 	}
 }
 
@@ -237,7 +288,7 @@ func f(l *Spinlock, m *Machine) {
 }
 `,
 	})
-	// Lexical check (whole decl) and the literal's own path simulation.
+	// The pairing check (whole decl) and the literal's own walk.
 	if len(got) != 2 {
 		t.Fatalf("got %d findings, want 2: %v", len(got), got)
 	}
@@ -252,7 +303,7 @@ func f(m *Machine, p *Proc) {
 }
 `,
 	})
-	// Lexical only: the bool result makes the path state maybe-held.
+	// Pairing only: the bool result makes the walk's state maybe-held.
 	wantFindings(t, got, 1, "never released")
 }
 
@@ -300,6 +351,7 @@ func straightline(m *Machine, p *Proc) {
 func TestCostchargeFlagsInventedCosts(t *testing.T) {
 	got := runOn(t, CostchargeAnalyzer, "internal/jit", map[string]string{
 		"bad.go": `package jit
+import "fixture/internal/firefly"
 func price(p *Proc) {
 	c := firefly.Time(3)
 	p.Advance(c)
@@ -319,6 +371,7 @@ func price(p *Proc) {
 func TestCostchargeAllowsTableDerivedCharges(t *testing.T) {
 	got := runOn(t, CostchargeAnalyzer, "internal/jit", map[string]string{
 		"ok.go": `package jit
+import "fixture/internal/firefly"
 func plan(p *Program, n int) firefly.Time {
 	return firefly.Time(n-1) * p.DispatchCost
 }
@@ -333,6 +386,7 @@ func zero() firefly.Time {
 func TestCostchargeScopedToJITPackage(t *testing.T) {
 	got := runOn(t, CostchargeAnalyzer, "internal/interp", map[string]string{
 		"ok.go": `package interp
+import "fixture/internal/firefly"
 func charge(in *Interp) {
 	in.p.Advance(firefly.Time(1))
 }
@@ -344,26 +398,23 @@ func charge(in *Interp) {
 // ---- framework ----
 
 func TestFindingsSortedAndFormatted(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "b.go", `package x
+	findings := runOn(t, VirttimeAnalyzer, "internal/firefly", map[string]string{
+		"b.go": `package firefly
 import "time"
 var t0 = time.Now()
-`, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &Package{Path: "internal/firefly", Fset: fset,
-		Files: []*File{{Name: "b.go", AST: f}}}
-	findings, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{VirttimeAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 {
+`,
+		"a.go": `package firefly
+
+import "math/rand"
+var x = rand.Int()
+`,
+	})
+	if len(findings) != 2 {
 		t.Fatalf("findings: %v", findings)
 	}
-	s := findings[0].String()
-	if !strings.HasPrefix(s, "b.go:2:") || !strings.Contains(s, "[virttime]") {
-		t.Errorf("formatting: %q", s)
+	a, b := findings[0].String(), findings[1].String()
+	if !strings.Contains(a, "a.go:3:") || !strings.Contains(b, "b.go:2:") || !strings.Contains(b, "[virttime]") {
+		t.Errorf("sorting or formatting: %q, %q", a, b)
 	}
 }
 

@@ -11,19 +11,21 @@ import (
 // allocate, touch a channel, or take a lock that is not explicitly
 // marked safe for the window.
 //
-// The window is lexical: from a `StopTheWorld` call to its matching
-// `ResumeTheWorld` in the same function (to the end of the function
-// when the resume is deferred — the canonical
+// The window is the world's region from the hold walk (held.go): the
+// code that runs between a `StopTheWorld` and a `ResumeTheWorld` on the
+// same receiver along every path — to the end of the function when the
+// resume is deferred (the canonical
 // `if !h.m.StopTheWorld(p) { return }; defer h.m.ResumeTheWorld(p)`
-// shape). Every function statically callable from inside a window
-// (plus `//msvet:stw-entry` roots) is STW-reachable in its entirety;
-// the walk is a fixpoint over the module call graph.
+// shape), and past a resume on an early-out branch for the paths that
+// do not take it. Every function statically callable from inside a
+// window (plus `//msvet:stw-entry` roots) is STW-reachable in its
+// entirety; the walk is a fixpoint over the module call graph.
 //
 // Soundness: dynamic calls (interface methods, function-typed fields
 // such as the heap's preGC/postGC hooks, stored closures) are not in
 // the call graph, so code reachable only through them is not checked —
 // the hook registrars are the audit points for those. Conversely the
-// lexical window over-approximates det-mode runs (where StopTheWorld
+// window over-approximates det-mode runs (where StopTheWorld
 // is a no-op): code on the det-only side of an `h.par` branch inside
 // the window is still held to the STW rules, which is what we want —
 // the same code runs in parallel mode.
@@ -43,18 +45,14 @@ var StwsafeAnalyzer = &Analyzer{
 	},
 }
 
-type posRange struct{ start, end token.Pos }
-
-func (r posRange) contains(p token.Pos) bool { return p >= r.start && p < r.end }
-
 type stwFinding struct {
 	pos token.Pos
 	msg string
 }
 
 type stwResult struct {
-	whole    map[*FuncNode]bool       // functions STW-reachable in their entirety
-	windows  map[*FuncNode][]posRange // lexical STW windows per function
+	whole    map[*FuncNode]bool   // functions STW-reachable in their entirety
+	windows  map[*FuncNode]region // each function's own STW window
 	findings []stwFinding
 }
 
@@ -63,19 +61,16 @@ type stwResult struct {
 // the world is stopped.
 var allocMethods = map[string]bool{"Allocate": true, "AllocateNoGC": true}
 
-// lockBoundaryMethods are the synchronization entry points the walk
-// treats as opaque: acquires are checked against //msvet:stw-safe at
-// the call site, and the implementations (firefly's spinlock loops,
-// the rendezvous itself) are their own audit domain.
-var acquireMethods = map[string]bool{
-	"Acquire": true, "TryAcquire": true, "AcquireRead": true, "AcquireWrite": true,
-}
 var hostAcquireMethods = map[string]bool{"Lock": true, "RLock": true}
-var noDescendMethods = map[string]bool{
-	"Acquire": true, "TryAcquire": true, "AcquireRead": true, "AcquireWrite": true,
-	"Release": true, "ReleaseRead": true, "ReleaseWrite": true,
-	"Lock": true, "RLock": true, "Unlock": true, "RUnlock": true,
-	"StopTheWorld": true, "ResumeTheWorld": true,
+
+// noDescend names the synchronization entry points — releaseFor's
+// acquires and releases, and sync.Mutex/RWMutex's — the walk treats as
+// opaque: acquires are checked against //msvet:stw-safe at the call
+// site, and the implementations (firefly's spinlock loops, the
+// rendezvous itself) are their own audit domain.
+func noDescend(name string) bool {
+	return isAcquire(name) || isRelease(name) || hostAcquireMethods[name] ||
+		name == "Unlock" || name == "RUnlock"
 }
 
 // STWReachable returns the set of functions whose whole body is
@@ -89,20 +84,11 @@ func (m *Module) STWReachable() map[*FuncNode]bool {
 
 // STWCovered reports whether a position in node's body runs with the
 // world stopped: the whole function is STW-reachable, or the position
-// sits inside one of the function's own lexical windows (FullCollect
-// and Scavenge contain their windows rather than being called from
-// one).
+// sits inside the function's own window (FullCollect and Scavenge
+// contain their windows rather than being called from one).
 func (m *Module) STWCovered(node *FuncNode, pos token.Pos) bool {
 	res := m.stwCompute()
-	if res.whole[node] {
-		return true
-	}
-	for _, r := range res.windows[node] {
-		if r.contains(pos) {
-			return true
-		}
-	}
-	return false
+	return res.whole[node] || res.windows[node].contains(pos)
 }
 
 func (m *Module) stwCompute() *stwResult {
@@ -110,7 +96,7 @@ func (m *Module) stwCompute() *stwResult {
 		return m.stw
 	}
 	g := m.Graph()
-	res := &stwResult{whole: map[*FuncNode]bool{}, windows: map[*FuncNode][]posRange{}}
+	res := &stwResult{whole: map[*FuncNode]bool{}, windows: map[*FuncNode]region{}}
 
 	var queue []*FuncNode
 	enqueue := func(n *FuncNode) {
@@ -120,17 +106,17 @@ func (m *Module) stwCompute() *stwResult {
 		}
 	}
 
-	// descendCallees walks calls in one lexical range of node's body
-	// and enqueues every statically-resolved callee the STW rules
-	// follow into.
-	descendCallees := func(node *FuncNode, r posRange) {
+	// descendCallees walks the calls in one region of node's body and
+	// enqueues every statically-resolved callee the STW rules follow
+	// into.
+	descendCallees := func(node *FuncNode, r region) {
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !r.contains(call.Pos()) {
 				return true
 			}
 			name := calleeSelName(call)
-			if noDescendMethods[name] || allocMethods[name] {
+			if noDescend(name) || allocMethods[name] {
 				return true
 			}
 			callee := g.ByFunc[m.Callee(call)]
@@ -145,48 +131,39 @@ func (m *Module) stwCompute() *stwResult {
 		})
 	}
 
-	// Seeds: //msvet:stw-entry roots and every lexical window.
+	// Seeds: //msvet:stw-entry roots and every function's own window.
 	for _, node := range g.Nodes {
 		if _, ok := m.Ann.StwEntry[node.Fn]; ok {
 			enqueue(node)
 		}
 	}
-	type seededRange struct {
-		node *FuncNode
-		r    posRange
-	}
-	var windows []seededRange
 	for _, node := range g.Nodes {
-		for _, r := range stwWindows(node) {
-			windows = append(windows, seededRange{node, r})
-			res.windows[node] = append(res.windows[node], r)
-			descendCallees(node, r)
+		if w := m.heldIn(node).world(); len(w) > 0 {
+			res.windows[node] = w
+			descendCallees(node, w)
 		}
 	}
 	for len(queue) > 0 {
 		node := queue[0]
 		queue = queue[1:]
-		descendCallees(node, posRange{node.Decl.Body.Pos(), node.Decl.Body.End()})
+		descendCallees(node, wholeBody(node))
 	}
 
-	// Violation scan: whole bodies once, then windows of functions not
-	// already covered whole.
+	// Violation scan: whole bodies, and the windows of functions not
+	// covered whole.
 	for _, node := range g.Nodes {
 		if res.whole[node] {
-			m.stwScan(res, node, posRange{node.Decl.Body.Pos(), node.Decl.Body.End()})
-		}
-	}
-	for _, w := range windows {
-		if !res.whole[w.node] {
-			m.stwScan(res, w.node, w.r)
+			m.stwScan(res, node, wholeBody(node))
+		} else if w := res.windows[node]; w != nil {
+			m.stwScan(res, node, w)
 		}
 	}
 	m.stw = res
 	return res
 }
 
-// stwScan reports every STW violation inside one lexical range.
-func (m *Module) stwScan(res *stwResult, node *FuncNode, r posRange) {
+// stwScan reports every STW violation inside one region.
+func (m *Module) stwScan(res *stwResult, node *FuncNode, r region) {
 	report := func(pos token.Pos, format string, args ...interface{}) {
 		res.findings = append(res.findings, stwFinding{pos, fmt.Sprintf(format, args...)})
 	}
@@ -212,11 +189,13 @@ func (m *Module) stwScan(res *stwResult, node *FuncNode, r posRange) {
 					return true
 				}
 			}
+			// A StopTheWorld in the window takes no lock: the rendezvous
+			// nests (FullCollect scavenges inside its window).
 			switch {
 			case allocMethods[name]:
 				report(n.Pos(), "allocation %s.%s inside the STW window (GC must not allocate; mark the callee //msvet:stw-safe only after auditing)",
 					exprString(sel.X), name)
-			case acquireMethods[name], hostAcquireMethods[name] && m.isSyncMutex(sel.X):
+			case isAcquire(name) && name != "StopTheWorld", hostAcquireMethods[name] && m.isSyncMutex(sel.X):
 				if v := m.selectedVar(sel.X); v != nil {
 					if _, safe := m.Ann.StwSafeField[v]; safe {
 						return true
@@ -284,47 +263,4 @@ func calleeSelName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// stwWindows finds the lexical stop-the-world windows in one function:
-// each StopTheWorld call opens a window that closes at the first
-// following non-deferred ResumeTheWorld, or at the end of the function
-// when the resume is deferred (or missing — conservative).
-func stwWindows(node *FuncNode) []posRange {
-	body := node.Decl.Body
-	var stops []token.Pos   // End() of each StopTheWorld call
-	var resumes []token.Pos // Pos() of each non-deferred ResumeTheWorld call
-	deferred := map[*ast.CallExpr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch calleeSelName(call) {
-		case "StopTheWorld":
-			stops = append(stops, call.End())
-		case "ResumeTheWorld":
-			if !deferred[call] {
-				resumes = append(resumes, call.Pos())
-			}
-		}
-		return true
-	})
-	var out []posRange
-	for _, start := range stops {
-		end := body.End()
-		for _, r := range resumes {
-			if r > start && r < end {
-				end = r
-			}
-		}
-		out = append(out, posRange{start, end})
-	}
-	return out
 }

@@ -34,3 +34,17 @@ func (h *Heap) Collect(p *Proc) {
 	defer h.m.ResumeTheWorld(p)
 	h.refill(p)
 }
+
+// Finalize allocates inside the concurrent collector's second window:
+// the spin on StopTheWorld opens it under par, and the allocation comes
+// before the resume under the same guard.
+func (h *Heap) Finalize(p *Proc, par bool) {
+	if par {
+		for !h.m.StopTheWorld(p) {
+		}
+	}
+	h.Allocate(p, 8)
+	if par {
+		h.m.ResumeTheWorld(p)
+	}
+}

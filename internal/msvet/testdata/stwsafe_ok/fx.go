@@ -1,6 +1,7 @@
 // Package fixture is the clean twin of stwsafe_bad: the helper called
-// from the window does not allocate, and the one lock acquired inside
-// the window carries a //msvet:stw-safe annotation.
+// from the window does not allocate, the one lock acquired inside the
+// window carries a //msvet:stw-safe annotation, and Cycle allocates
+// between two windows, in neither.
 package fixture
 
 type Proc struct{ id int }
@@ -19,6 +20,7 @@ func (l *Spinlock) Release(p *Proc) {}
 
 type Heap struct {
 	m    *Machine
+	par  bool
 	next uint64
 	//msvet:stw-safe collector bookkeeping lock: taken only by the collector inside the window, never held by a parked mutator
 	gcMu *Spinlock
@@ -28,6 +30,12 @@ func NewHeap(m *Machine) *Heap {
 	h := &Heap{m: m}
 	h.gcMu = NewSpinlock("gc", m)
 	return h
+}
+
+func (h *Heap) Allocate(p *Proc, words uint64) uint64 {
+	a := h.next
+	h.next += words
+	return a
 }
 
 // refill bumps the scan pointer without allocating.
@@ -44,4 +52,34 @@ func (h *Heap) Collect(p *Proc) {
 	h.gcMu.Acquire(p)
 	h.refill(p)
 	h.gcMu.Release(p)
+}
+
+// finish runs only in Cycle's second window, which the spin on
+// StopTheWorld opens.
+func (h *Heap) finish(p *Proc) {
+	h.next = 0
+}
+
+// Cycle is the concurrent collector's shape: a window opened and closed
+// under h.par, an allocation between the windows, and a second window
+// opened by spinning until StopTheWorld succeeds.
+func (h *Heap) Cycle(p *Proc) {
+	if h.par {
+		if !h.m.StopTheWorld(p) {
+			return
+		}
+	}
+	h.refill(p)
+	if h.par {
+		h.m.ResumeTheWorld(p)
+	}
+	h.Allocate(p, 8)
+	if h.par {
+		for !h.m.StopTheWorld(p) {
+		}
+	}
+	h.finish(p)
+	if h.par {
+		h.m.ResumeTheWorld(p)
+	}
 }

@@ -41,19 +41,21 @@ var forbiddenImports = map[string]string{
 var VirttimeAnalyzer = &Analyzer{
 	Name: "virttime",
 	Doc:  "forbid host time/randomness imports in virtual-time packages",
-	Run: func(pass *Pass) error {
-		if !virtualTimePackages[pass.Path] {
-			return nil
-		}
-		for _, f := range pass.Files {
-			if f.Test {
+	RunModule: func(pass *ModulePass) error {
+		for _, pkg := range pass.Mod.Pkgs {
+			if !virtualTimePackages[pkg.Path] {
 				continue
 			}
-			for _, imp := range f.AST.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if why, bad := forbiddenImports[path]; bad {
-					pass.Reportf(imp.Pos(), "virtual-time package %s imports %q: %s",
-						pass.Path, path, why)
+			for _, f := range pkg.Files {
+				if f.Test {
+					continue
+				}
+				for _, imp := range f.AST.Imports {
+					path := strings.Trim(imp.Path.Value, `"`)
+					if why, bad := forbiddenImports[path]; bad {
+						pass.Reportf(imp.Pos(), "virtual-time package %s imports %q: %s",
+							pkg.Path, path, why)
+					}
 				}
 			}
 		}

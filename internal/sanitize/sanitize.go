@@ -534,33 +534,47 @@ func (c *Checker) StaticOrderViolations(staticEdges []string) []string {
 }
 
 func (c *Checker) lockOrderCycles() []string {
-	// Adjacency with sorted neighbor lists for deterministic DFS.
-	adj := map[string][]string{}
-	nodes := map[string]bool{}
+	edges := make([][2]string, 0, len(c.edges))
 	for e := range c.edges {
-		adj[e.a] = append(adj[e.a], e.b)
-		nodes[e.a], nodes[e.b] = true, true
+		edges = append(edges, [2]string{e.a, e.b})
 	}
-	var names []string
-	for n := range nodes {
+	return Cycles(edges)
+}
+
+// Cycles returns every elementary cycle of a directed graph once, as a
+// "a -> b -> a" string rotated to start at its lexically smallest node,
+// in sorted order — the same strings whatever the order of edges. The
+// checker renders its runtime acquisition-order cycles with it and
+// msvet's lockorder its static ones, so the two graphs that are
+// cross-checked name a cycle the same way.
+func Cycles(edges [][2]string) []string {
+	adj := map[string][]string{}
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+	}
+	var names []string // only a node with an out-edge can be on a cycle
+	for n, outs := range adj {
 		names = append(names, n)
+		sort.Strings(outs)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		sort.Strings(adj[n])
-	}
 
-	seen := map[string]bool{} // canonical cycle strings
+	seen := map[string]bool{}
 	var cycles []string
 	var stack []string
 	onStack := map[string]int{} // name → index in stack
-
 	var dfs func(n string)
 	dfs = func(n string) {
 		if idx, ok := onStack[n]; ok {
-			cyc := append([]string(nil), stack[idx:]...)
-			canon := canonicalCycle(cyc)
-			if !seen[canon] {
+			cyc := stack[idx:]
+			min := 0
+			for i := range cyc {
+				if cyc[i] < cyc[min] {
+					min = i
+				}
+			}
+			rot := append(append(append([]string(nil), cyc[min:]...), cyc[:min]...), cyc[min])
+			if canon := strings.Join(rot, " -> "); !seen[canon] {
 				seen[canon] = true
 				cycles = append(cycles, canon)
 			}
@@ -579,20 +593,6 @@ func (c *Checker) lockOrderCycles() []string {
 	}
 	sort.Strings(cycles)
 	return cycles
-}
-
-// canonicalCycle rotates a cycle so its lexically smallest lock comes
-// first and renders it "a -> b -> a".
-func canonicalCycle(cyc []string) string {
-	min := 0
-	for i := range cyc {
-		if cyc[i] < cyc[min] {
-			min = i
-		}
-	}
-	rot := append(append([]string(nil), cyc[min:]...), cyc[:min]...)
-	rot = append(rot, rot[0])
-	return strings.Join(rot, " -> ")
 }
 
 // Clean reports whether the run finished with no violations and no

@@ -203,6 +203,23 @@ func TestLockOrderCycleDeterminism(t *testing.T) {
 	}
 }
 
+// Cycles is the one cycle renderer mscheck and msvet's lockorder share:
+// every elementary cycle once, rotated to its smallest node, sorted,
+// whatever order the edges come in.
+func TestCyclesCanonicalAndOrderFree(t *testing.T) {
+	edges := [][2]string{{"c", "a"}, {"a", "b"}, {"b", "c"}, {"b", "a"}, {"c", "d"}, {"a", "b"}}
+	want := []string{"a -> b -> a", "a -> b -> c -> a"}
+	for i := 0; i < len(edges); i++ {
+		rot := append(append([][2]string(nil), edges[i:]...), edges[:i]...)
+		if got := Cycles(rot); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rotation %d: Cycles = %v, want %v", i, got, want)
+		}
+	}
+	if got := Cycles([][2]string{{"a", "b"}, {"b", "c"}}); len(got) != 0 {
+		t.Errorf("acyclic graph: Cycles = %v", got)
+	}
+}
+
 func TestFingerprintDiff(t *testing.T) {
 	a := map[string]int64{"vms": 100, "sends": 500, "scavenges": 3}
 	b := map[string]int64{"vms": 100, "sends": 501, "scavenges": 3}
