@@ -110,8 +110,9 @@ func (in *Interp) jitDeopt(reason jit.DeoptReason) {
 // jitDemote takes method out of compiled code on this interpreter only
 // (the tier state is per-processor, so this stays race-free in parallel
 // mode): its resident plan loses the fused body and its hotness
-// restarts, and if it is the running method the interpreter leaves
-// compiled code at this bytecode boundary. The reason decides the rest:
+// restarts but keeps any pin (a doIt's, set in planFor), and if it is
+// the running method the interpreter leaves compiled code at this
+// bytecode boundary. The reason decides the rest:
 //
 //	megamorphic, uncommon — the method changed protocol or reified its
 //	    context: the durable body goes too and the plan is pinned to the
@@ -128,7 +129,7 @@ func (in *Interp) jitDemote(method object.OOP, reason jit.DeoptReason) {
 	if p := &in.plans[planIndex(method)]; p.method == method {
 		p.jc = nil
 		p.count = 0
-		p.bad = reason == jit.DeoptMegamorphic || reason == jit.DeoptUncommon
+		p.bad = p.bad || reason == jit.DeoptMegamorphic || reason == jit.DeoptUncommon
 	}
 	if reason != jit.DeoptDecompile {
 		if icm := in.ic[method]; icm != nil {

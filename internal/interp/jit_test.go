@@ -127,12 +127,25 @@ func TestJITClosuresOnlyAtFuseHeads(t *testing.T) {
 }
 
 // TestCompileThresholdCountsContextLoads pins what jit.CompileThreshold
-// counts: context loads, not invocations. A doIt runs once, yet it is
-// compiled as soon as anything it calls returns into it (the return
-// reloads its context); only a doIt that is never re-entered stays
-// interpreted.
+// counts: context loads of a method, not invocations. A method invoked
+// once is compiled as soon as anything it calls returns into it (the
+// return reloads its context) or it evaluates a block twice; only a
+// method that is never re-entered stays interpreted. The doIt calling
+// them is exempt however often it is loaded.
 func TestCompileThresholdCountsContextLoads(t *testing.T) {
 	vm := jitTestVM(t, true)
+	p := vm.Interps[0].p
+	cls := vm.CreateClass(p, "LoadProbe", vm.Specials.Object, nil, KindFixed, "Tests")
+	for _, src := range []string{
+		"straight ^3 + 4",
+		"viaReturn ^self leaf",
+		"leaf ^3",
+		"viaBlock | b | b := [:x | x + 1]. ^(b value: 1) + (b value: 2)",
+	} {
+		if _, err := vm.CompileAndInstall(p, cls, src, "tests"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	compiles := func(source string, want int64) uint64 {
 		t.Helper()
 		before := vm.Stats().JITCompiles
@@ -142,18 +155,22 @@ func TestCompileThresholdCountsContextLoads(t *testing.T) {
 		return vm.Stats().JITCompiles - before
 	}
 	// Straight-line special sends: loaded once, never re-entered.
-	if n := compiles("3 + 4", 7); n != 0 {
-		t.Errorf("a doIt that is never re-entered compiled %d methods, want 0", n)
+	if n := compiles("LoadProbe new straight", 7); n != 0 {
+		t.Errorf("a method that is never re-entered compiled %d methods, want 0", n)
 	}
-	// One real send: #yourself is activated for the first time (load 1
-	// of its own plan, not compiled); the return into the doIt is the
-	// doIt's second load.
-	if n := compiles("3 yourself", 3); n != 1 {
-		t.Errorf("a doIt re-entered by one return compiled %d methods, want 1 (the doIt itself)", n)
+	// One real send: #leaf is activated for the first time (load 1 of
+	// its own plan, not compiled); the return into #viaReturn is that
+	// method's second load.
+	if n := compiles("LoadProbe new viaReturn", 3); n != 1 {
+		t.Errorf("a method re-entered by one return compiled %d methods, want 1 (viaReturn)", n)
 	}
-	// One block evaluated twice: each evaluation loads a context of the
-	// doIt method, so it is compiled although it is invoked once.
-	if n := compiles("| b | b := [:x | x + 1]. (b value: 1) + (b value: 2)", 5); n != 1 {
-		t.Errorf("a doIt evaluating one block twice compiled %d methods, want 1", n)
+	// One block evaluated twice: each evaluation loads a context of
+	// #viaBlock, so it is compiled although it is invoked once.
+	if n := compiles("LoadProbe new viaBlock", 5); n != 1 {
+		t.Errorf("a method evaluating one block twice compiled %d methods, want 1 (viaBlock)", n)
+	}
+	// The same block in a doIt: five loads of the doIt, no compile.
+	if n := compiles("| b | b := [:x | x + 1]. (b value: 1) + (b value: 2)", 5); n != 0 {
+		t.Errorf("a doIt evaluating one block twice compiled %d methods, want 0", n)
 	}
 }

@@ -47,7 +47,7 @@ type plan struct {
 	slots int
 
 	count uint32   // context loads seen, toward jit.CompileThreshold
-	bad   bool     // ineligible for fusion (undecodable, megamorphic, trapped)
+	bad   bool     // ineligible for fusion (a doIt, undecodable, megamorphic, trapped)
 	jc    *jitCode // fused body; nil until hot
 }
 
@@ -81,6 +81,11 @@ func (in *Interp) planFor(method object.OOP) *plan {
 		code:   h.Bytes(bytes),
 		ntemps: ntemps,
 		slots:  slots,
+	}
+	// A doIt is materialized, run once and dropped: fusing it is a
+	// template compile per request that nothing reuses.
+	if in.jitOn && h.Fetch(method, CMSelector) == in.vm.Specials.SymDoIt {
+		p.bad = true
 	}
 	if in.icPolicy != ICOff {
 		p.icm = in.icFor(method, p.code)

@@ -154,6 +154,20 @@ func TestPlanCollisionsAndFlushes(t *testing.T) {
 			if third < 0 {
 				t.Fatalf("no two of %d methods share one of %d slots", probes, planTabSize)
 			}
+			// fresh gets hot only after the scavenge: the compile that shows
+			// the tier still compiles where third's body is resurrected.
+			fresh := -1
+			for k := 0; k < probes && fresh < 0; k++ {
+				if i := planIndex(methods[k]); i != planIndex(methods[a]) && i != planIndex(methods[third]) {
+					fresh = k
+				}
+			}
+			heat := func(when string) {
+				t.Helper()
+				if got := evalInt(t, vm, fmt.Sprintf("PlanProbe new m%d; m%d", fresh, fresh)); got != int64(fresh+1) {
+					t.Errorf("%s: m%d = %d, want %d", when, fresh, got, fresh+1)
+				}
+			}
 
 			// The collision, directly: one slot, each method derived as itself,
 			// the slot listed once however often it changes hands.
@@ -187,10 +201,12 @@ func TestPlanCollisionsAndFlushes(t *testing.T) {
 			compiles := vm.Stats().JITCompiles
 			do(func(p *firefly.Proc) { h.Scavenge(p) })
 			check("after a scavenge")
+			heat("after a scavenge")
 			if n := vm.Stats().JITCompiles - compiles; c.jit && n != 1 {
 				// The probes' fused bodies hang off their icMethods and come
-				// back with the re-derived plans; only the new doIt compiles.
-				t.Errorf("%d methods compiled after a scavenge, want 1 (the doIt)", n)
+				// back with the re-derived plans; only m<fresh>, never run
+				// before, compiles. (A doIt never does.)
+				t.Errorf("%d methods compiled after a scavenge, want 1 (m%d)", n, fresh)
 			}
 
 			compiles = vm.Stats().JITCompiles
@@ -201,11 +217,12 @@ func TestPlanCollisionsAndFlushes(t *testing.T) {
 			})
 			refreshed("after a method install")
 			check("after a method install")
+			heat("after a method install")
 			if n := vm.Stats().JITCompiles - compiles; c.jit && n != 2 {
 				// The install dropped every fused body with the inline caches.
 				// (The colliding pair never gets hot: each load of one evicts
 				// the other's plan and its count with it.)
-				t.Errorf("%d methods compiled after an install, want 2 (m%d and the doIt, again)", n, third)
+				t.Errorf("%d methods compiled after an install, want 2 (m%d and m%d, again)", n, third, fresh)
 			}
 
 			snapshots := 0

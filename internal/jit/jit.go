@@ -26,12 +26,14 @@ import (
 // count advances every time one of the method's contexts becomes the
 // running context while its plan is resident — an activation, but also
 // every return into the method and every process switch back to it — so
-// it is not an invocation count: a doIt that evaluates one block twice
+// it is not an invocation count: a method that evaluates one block twice
 // has been loaded more than twice and is compiled. Compilation is a
 // one-time cost per method (compiled bodies capture no heap addresses
 // and persist across scavenges), so the threshold is deliberately
 // aggressive; what it keeps interpreted is straight-line code that is
-// never re-entered.
+// never re-entered. DoIts are exempt however often they are loaded: one
+// is materialized, run once and dropped, so nothing would reuse its
+// compile.
 const CompileThreshold = 2
 
 // DeoptReason says why compiled code was abandoned mid-method and
