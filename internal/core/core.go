@@ -40,7 +40,9 @@ func (m Mode) String() string {
 	return "MS"
 }
 
-// Config configures a complete system.
+// Config configures a complete system. Processors, Parallel and the
+// observers are chosen per instance; every other field is fixed by the
+// image, and a clone or a load runs the image's (DESIGN.md §13).
 type Config struct {
 	Mode       Mode
 	Processors int // the Firefly had five
@@ -54,6 +56,7 @@ type Config struct {
 	// and a 2-way set-associative method cache. Both off/1 in
 	// DefaultConfig and BaselineConfig so the reproduced Table 2 /
 	// Figure 2 numbers are bit-identical to the paper-faithful system.
+	// CacheWays is 1 or 2.
 	InlineCache interp.ICPolicy
 	CacheWays   int
 
@@ -62,8 +65,6 @@ type Config struct {
 	SurvivorWords int
 	OldWords      int
 	TenureAge     int
-
-	TimeLimit firefly.Time // 0: none
 
 	// Observability (zero cost when off; never changes virtual time or
 	// any counter when on). TraceEvents is the flight-recorder ring
@@ -128,6 +129,7 @@ func DefaultConfig() Config {
 		MethodCache:   interp.CacheReplicated,
 		FreeContexts:  interp.FreeCtxPerProcessor,
 		Alloc:         heap.AllocSerialized,
+		CacheWays:     1,
 		EdenWords:     16 << 10, // ~128 KB: near the paper's 80 KB eden
 		SurvivorWords: 4 << 10,
 		OldWords:      4 << 20,
@@ -204,54 +206,33 @@ setTicks
 
 // NewSystem boots a system under cfg.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.Processors < 1 {
-		return nil, fmt.Errorf("core: need at least one processor")
-	}
-	if cfg.Mode == ModeBaseline && cfg.Processors != 1 {
-		return nil, fmt.Errorf("core: baseline BS is single-threaded; use one processor")
-	}
-	if cfg.Parallel && cfg.Profile {
-		// The profiler's name caches are unsynchronized host maps keyed
-		// by oops; profile deterministic runs instead.
-		return nil, fmt.Errorf("core: -profile requires the deterministic mode (drop -parallel)")
-	}
-	if cfg.Parallel && cfg.AllocProfile {
-		// Site attribution reads the per-processor interpreter state
-		// mid-bytecode and keeps unsynchronized address maps.
-		return nil, fmt.Errorf("core: -allocprofile requires the deterministic mode (drop -parallel)")
-	}
-	hcfg := heap.Config{
-		OldWords:      cfg.OldWords,
-		EdenWords:     cfg.EdenWords,
-		SurvivorWords: cfg.SurvivorWords,
-		TenureAge:     cfg.TenureAge,
-		Policy:        cfg.Alloc,
-	}
-	if hcfg.OldWords == 0 {
-		hcfg = heap.DefaultConfig()
-		hcfg.Policy = cfg.Alloc
-	}
-	hcfg.Parallel = cfg.Parallel
-	hcfg.ParScavenge = cfg.ParScavenge
-	hcfg.ConcMark = cfg.ConcMark
-	vcfg := interp.Config{
-		MSMode:         cfg.Mode == ModeMS,
-		MethodCache:    cfg.MethodCache,
-		CacheWays:      cfg.CacheWays,
-		InlineCache:    cfg.InlineCache,
-		FreeContexts:   cfg.FreeContexts,
-		PanicOnVMError: true,
-		Parallel:       cfg.Parallel,
-		JIT:            cfg.JIT,
+	sources := append([]string{busyWorkerSource}, cfg.ExtraSources...)
+	return assemble(cfg, func(m *firefly.Machine) (*interp.VM, error) {
+		return image.BootOn(m, cfg.heapConfig(), interp.Config{
+			MSMode:         cfg.Mode == ModeMS,
+			MethodCache:    cfg.MethodCache,
+			CacheWays:      cfg.CacheWays,
+			InlineCache:    cfg.InlineCache,
+			FreeContexts:   cfg.FreeContexts,
+			PanicOnVMError: true,
+			Parallel:       cfg.Parallel,
+			JIT:            cfg.JIT,
+		}, sources...)
+	})
+}
+
+// assemble builds every System: it validates cfg, makes the machine,
+// attaches the observers, lets build construct the image on it, then
+// enables the profilers and, last, parallel host mode.
+func assemble(cfg Config, build func(*firefly.Machine) (*interp.VM, error)) (*System, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	m := firefly.New(cfg.Processors, firefly.DefaultCosts())
-	if cfg.TimeLimit > 0 {
-		m.SetTimeLimit(cfg.TimeLimit)
-	}
 	if cfg.TraceEvents > 0 {
-		// Attach before boot so every layer caches the recorder. In
-		// parallel mode each processor gets a private ring, merged by
-		// virtual time at export.
+		// Attach before the image exists so every layer caches the
+		// recorder. In parallel mode each processor gets a private ring,
+		// merged by virtual time at export.
 		if cfg.Parallel {
 			m.SetRecorder(trace.NewShardedRecorder(cfg.TraceEvents, cfg.Processors))
 		} else {
@@ -259,17 +240,16 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 	}
 	if cfg.Sanitize {
-		// Likewise before boot: heap and VM cache the checker and
-		// register their guarded structures during construction.
+		// Likewise: heap and VM cache the checker and register their
+		// guarded structures during construction.
 		m.SetSanitizer(sanitize.New())
 	}
 	if cfg.Histograms {
-		// Likewise before boot: the heap caches the registry and locks
-		// pick up their wait histograms as they are registered.
+		// Likewise: the heap caches the registry and locks pick up their
+		// wait histograms as they are registered.
 		m.SetLatencyHists(trace.NewLatencyHists())
 	}
-	sources := append([]string{busyWorkerSource}, cfg.ExtraSources...)
-	vm, err := image.BootOn(m, hcfg, vcfg, sources...)
+	vm, err := build(m)
 	if err != nil {
 		return nil, err
 	}
@@ -280,11 +260,71 @@ func NewSystem(cfg Config) (*System, error) {
 		vm.EnableAllocProfiler()
 	}
 	if cfg.Parallel {
-		// Boot (image construction) ran deterministically; from here on
-		// the processors run on real goroutines.
+		// Image construction ran deterministically; from here on the
+		// processors run on real goroutines.
 		m.SetParallel(true)
 	}
 	return &System{Cfg: cfg, VM: vm}, nil
+}
+
+// validate rejects a Config no constructor may run.
+func (c Config) validate() error {
+	switch {
+	case c.Processors < 1:
+		return fmt.Errorf("core: need at least one processor")
+	case c.Mode == ModeBaseline && c.Processors != 1:
+		return fmt.Errorf("core: baseline BS is single-threaded; use one processor")
+	case c.CacheWays != 1 && c.CacheWays != 2:
+		return fmt.Errorf("core: the method cache is 1- or 2-way, not %d", c.CacheWays)
+	case c.Parallel && c.Profile:
+		// The profiler's name caches are unsynchronized host maps keyed
+		// by oops; profile deterministic runs instead.
+		return fmt.Errorf("core: -profile requires the deterministic mode (drop -parallel)")
+	case c.Parallel && c.AllocProfile:
+		// Site attribution reads the per-processor interpreter state
+		// mid-bytecode and keeps unsynchronized address maps.
+		return fmt.Errorf("core: -allocprofile requires the deterministic mode (drop -parallel)")
+	}
+	return c.heapConfig().Validate()
+}
+
+// heapConfig is the heap's half of c.
+func (c Config) heapConfig() heap.Config {
+	return heap.Config{
+		OldWords:      c.OldWords,
+		EdenWords:     c.EdenWords,
+		SurvivorWords: c.SurvivorWords,
+		TenureAge:     c.TenureAge,
+		Policy:        c.Alloc,
+		Parallel:      c.Parallel,
+		ParScavenge:   c.ParScavenge,
+		ConcMark:      c.ConcMark,
+	}
+}
+
+// imageConfig reads the image-fixed fields of a Config back off the
+// configurations s records; the per-instance ones are left zero.
+func imageConfig(s *image.State) Config {
+	h, v := s.Heap.Config, s.VMCfg
+	mode := ModeMS
+	if !v.MSMode {
+		mode = ModeBaseline
+	}
+	return Config{
+		Mode:          mode,
+		MethodCache:   v.MethodCache,
+		FreeContexts:  v.FreeContexts,
+		Alloc:         h.Policy,
+		InlineCache:   v.InlineCache,
+		CacheWays:     v.CacheWays,
+		EdenWords:     h.EdenWords,
+		SurvivorWords: h.SurvivorWords,
+		OldWords:      h.OldWords,
+		TenureAge:     h.TenureAge,
+		ParScavenge:   h.ParScavenge,
+		ConcMark:      h.ConcMark,
+		JIT:           v.JIT,
+	}
 }
 
 // Evaluate runs source as a user-priority Process to completion and
@@ -542,15 +582,11 @@ func (s *System) TranscriptText() string { return s.VM.Disp.TranscriptText() }
 // continues afterwards. Smalltalk code can snapshot itself with
 // `Smalltalk snapshotTo: 'path'`.
 func (s *System) SaveImage(w io.Writer) error {
-	var snapErr error
-	err := s.VM.Do(func(p *firefly.Proc) {
-		s.VM.ParkAllProcesses(p)
-		snapErr = image.WriteSnapshot(s.VM, w)
-	})
+	cp, err := s.Checkpoint()
 	if err != nil {
 		return err
 	}
-	return snapErr
+	return cp.state.Encode(w)
 }
 
 // Checkpoint is an in-memory snapshot of a booted system, reusable as
@@ -578,44 +614,30 @@ func (s *System) Checkpoint() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// NewFromCheckpoint boots an independent system from a checkpoint on a
-// fresh machine with the given processor count. Like LoadImage, but
-// without a serialization round trip: the clone copies the checkpoint's
-// heap words directly, so cloning N tenants from one checkpoint costs N
-// heap copies and no gob decode.
+// NewFromCheckpoint boots an independent, deterministic system under
+// the checkpoint's Config, observers included, on a fresh machine with
+// the given processor count. The clone copies the checkpoint's heap
+// words directly, so cloning N tenants from one checkpoint costs N heap
+// copies and no gob decode.
 func NewFromCheckpoint(processors int, cp *Checkpoint) (*System, error) {
-	if processors < 1 {
-		return nil, fmt.Errorf("core: need at least one processor")
-	}
-	m := firefly.New(processors, firefly.DefaultCosts())
-	vm, err := image.CloneVM(m, cp.state)
-	if err != nil {
-		return nil, err
-	}
 	cfg := cp.cfg
-	cfg.Processors = processors
-	cfg.Parallel = false
-	return &System{Cfg: cfg, VM: vm}, nil
+	cfg.Processors, cfg.Parallel = processors, false
+	return assemble(cfg, func(m *firefly.Machine) (*interp.VM, error) {
+		return image.CloneVM(m, cp.state)
+	})
 }
 
-// LoadImage boots a system from a snapshot on a fresh machine with the
-// given processor count. Processes that were on the ready queue at
-// snapshot time resume when evaluation next drives the machine.
+// LoadImage boots a snapshot on the given processor count: a clone of
+// the decoded image under the configuration it records, with no
+// observers, so a baseline image loads on one processor only. Processes
+// that were on the ready queue at snapshot time resume when evaluation
+// next drives the machine.
 func LoadImage(processors int, r io.Reader) (*System, error) {
-	if processors < 1 {
-		return nil, fmt.Errorf("core: need at least one processor")
-	}
-	m := firefly.New(processors, firefly.DefaultCosts())
-	vm, err := image.ReadSnapshot(m, r)
+	s, err := image.DecodeState(r)
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultConfig()
-	cfg.Processors = processors
-	if !vm.Cfg.MSMode {
-		cfg.Mode = ModeBaseline
-	}
-	return &System{Cfg: cfg, VM: vm}, nil
+	return NewFromCheckpoint(processors, &Checkpoint{state: s, cfg: imageConfig(s)})
 }
 
 // Shutdown stops the machine; the system is unusable afterwards.

@@ -13,7 +13,6 @@ func smallConfig(mutate func(*Config)) Config {
 	c.EdenWords = 16 << 10
 	c.SurvivorWords = 4 << 10
 	c.OldWords = 2 << 20
-	c.TimeLimit = 1 << 40
 	if mutate != nil {
 		mutate(&c)
 	}
@@ -49,6 +48,24 @@ func TestBaselineConfigRejectsMultipleProcessors(t *testing.T) {
 	c.Processors = 3
 	if _, err := NewSystem(c); err == nil {
 		t.Fatal("baseline with 3 processors accepted")
+	}
+}
+
+func TestNewSystemRejectsWhatCannotRun(t *testing.T) {
+	for _, c := range []struct {
+		what   string
+		mutate func(*Config)
+	}{
+		{"no processors", func(c *Config) { c.Processors = 0 }},
+		{"a 3-way cache", func(c *Config) { c.CacheWays = 3 }},
+		{"no old space", func(c *Config) { c.OldWords = 0 }},
+		{"an eden too small", func(c *Config) { c.EdenWords = 16 }},
+		{"addresses past a uint32", func(c *Config) { c.OldWords = 1 << 32 }},
+		{"a parallel profile", func(c *Config) { c.Parallel, c.Profile = true, true }},
+	} {
+		if _, err := NewSystem(smallConfig(c.mutate)); err == nil {
+			t.Errorf("%s accepted", c.what)
+		}
 	}
 }
 

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"mst/internal/heap"
+	"mst/internal/interp"
 )
 
 func TestSaveAndLoadImage(t *testing.T) {
@@ -129,5 +133,165 @@ func TestSnapshotPreservesBackgroundProcesses(t *testing.T) {
 func TestLoadImageRejectsGarbage(t *testing.T) {
 	if _, err := LoadImage(1, bytes.NewReader([]byte("not an image"))); err == nil {
 		t.Fatal("garbage accepted as image")
+	}
+}
+
+// saveImage snapshots s into a fresh buffer.
+func saveImage(t *testing.T, s *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.SaveImage(&buf); err != nil {
+		t.Fatalf("SaveImage: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadImageValidatesLikeBoot: a load runs the configuration its
+// snapshot records, so a baseline image is refused on more processors
+// than NewSystem would boot it on.
+func TestLoadImageValidatesLikeBoot(t *testing.T) {
+	img := saveImage(t, newSystem(t, func(c *Config) { c.Mode, c.Processors = ModeBaseline, 1 }))
+	if loaded, err := LoadImage(3, bytes.NewReader(img)); err == nil {
+		loaded.Shutdown()
+		t.Fatal("baseline image loaded on 3 processors")
+	}
+	loaded, err := LoadImage(1, bytes.NewReader(img))
+	if err != nil {
+		t.Fatalf("LoadImage(1): %v", err)
+	}
+	defer loaded.Shutdown()
+	if loaded.Cfg.Mode != ModeBaseline {
+		t.Errorf("loaded mode = %v", loaded.Cfg.Mode)
+	}
+	if out, err := loaded.Evaluate("(1 to: 10) inject: 0 into: [:a :b | a + b]"); err != nil || out != "55" {
+		t.Fatalf("loaded eval = %q, %v", out, err)
+	}
+}
+
+// imageFixed keeps the fields an image fixes: it zeroes what a System
+// chooses per instance (processors, host mode, observers) and the
+// boot-only ExtraSources.
+func imageFixed(c Config) Config {
+	c.Processors, c.Parallel = 0, false
+	c.TraceEvents, c.Profile, c.Histograms, c.AllocProfile, c.Sanitize = 0, false, false, false, false
+	c.ExtraSources = nil
+	return c
+}
+
+// TestLoadedConfigIsTheImages: the Config a clone runs (its
+// checkpoint's) and the one a load derives from the snapshot agree on
+// every image-fixed field, and the loaded VM runs what its Cfg states.
+// A Config field that imageConfig does not derive fails here.
+func TestLoadedConfigIsTheImages(t *testing.T) {
+	msplus := func(c *Config) {
+		c.InlineCache, c.CacheWays = interp.ICPoly, 2
+		c.JIT, c.ConcMark = true, true
+	}
+	everything := func(c *Config) {
+		msplus(c)
+		c.ParScavenge = true
+		c.Alloc, c.FreeContexts = heap.AllocPerProcessor, interp.FreeCtxSharedLocked
+		c.MethodCache, c.InlineCache = interp.CacheSharedLocked, interp.ICMono
+		c.EdenWords, c.SurvivorWords, c.OldWords, c.TenureAge = 8<<10, 2<<10, 1<<20, 3
+	}
+	for _, row := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"default", nil},
+		{"baseline", func(c *Config) { c.Mode, c.Processors = ModeBaseline, 1 }},
+		{"msplus-jit-concmark", msplus},
+		{"every image-fixed field off its default", everything},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSystem(t, row.mutate)
+			cp, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := imageFixed(s.Cfg)
+			if got := imageFixed(imageConfig(cp.state)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("imageConfig = %+v\nwant         %+v", got, want)
+			}
+			loaded, err := LoadImage(1, bytes.NewReader(saveImage(t, s)))
+			if err != nil {
+				t.Fatalf("LoadImage: %v", err)
+			}
+			defer loaded.Shutdown()
+			if got := imageFixed(loaded.Cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("loaded Cfg = %+v\nwant        %+v", got, want)
+			}
+			if loaded.VM.Cfg != s.VM.Cfg || loaded.VM.H.Config() != s.VM.H.Config() {
+				t.Fatalf("loaded VM runs %+v over heap %+v, saved one %+v over %+v",
+					loaded.VM.Cfg, loaded.VM.H.Config(), s.VM.Cfg, s.VM.H.Config())
+			}
+			if n, err := loaded.EvaluateInt("(1 to: 10) inject: 0 into: [:a :b | a + b]"); err != nil || n != 55 {
+				t.Fatalf("loaded eval = %d, %v", n, err)
+			}
+		})
+	}
+}
+
+// TestCloneKeepsObservers: a clone runs its checkpoint's Config, so a
+// base booted with the recorder and the histograms gives every clone
+// both.
+func TestCloneKeepsObservers(t *testing.T) {
+	s := newSystem(t, func(c *Config) {
+		c.Processors = 1
+		c.TraceEvents, c.Histograms = 1<<12, true
+	})
+	cp, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := NewFromCheckpoint(1, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Shutdown()
+	if clone.VM.M.Recorder() == nil || clone.VM.M.LatencyHists() == nil {
+		t.Fatalf("clone of an observed base: recorder %v, histograms %v",
+			clone.VM.M.Recorder() != nil, clone.VM.M.LatencyHists() != nil)
+	}
+	if _, err := clone.EvaluateInt("3 + 4"); err != nil {
+		t.Fatal(err)
+	}
+	if mt := clone.Metrics(); mt.Trace.Events == 0 || mt.Latency == nil {
+		t.Fatalf("clone observed nothing: %d events, latency %v", mt.Trace.Events, mt.Latency != nil)
+	}
+}
+
+// TestImageRecordsNoHostMode: an image saved or checkpointed from a
+// parallel system restores deterministic, in every layer.
+func TestImageRecordsNoHostMode(t *testing.T) {
+	s := newSystem(t, func(c *Config) {
+		c.Processors = 2
+		c.Parallel = true
+	})
+	if _, err := s.EvaluateRaw("Smalltalk at: 'Marker' put: 77"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadImage(2, bytes.NewReader(saveImage(t, s)))
+	if err != nil {
+		t.Fatalf("LoadImage: %v", err)
+	}
+	defer loaded.Shutdown()
+	cp, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := NewFromCheckpoint(1, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Shutdown()
+	for name, r := range map[string]*System{"loaded": loaded, "clone": clone} {
+		if r.Cfg.Parallel || r.VM.Cfg.Parallel || r.VM.H.Config().Parallel {
+			t.Errorf("%s: Cfg.Parallel=%v VM.Cfg.Parallel=%v heap Parallel=%v", name,
+				r.Cfg.Parallel, r.VM.Cfg.Parallel, r.VM.H.Config().Parallel)
+		}
+		if n, err := r.EvaluateInt("Marker"); err != nil || n != 77 {
+			t.Errorf("%s marker = %d, %v", name, n, err)
+		}
 	}
 }

@@ -111,6 +111,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// words is the size of the heap's address range: the immortal objects,
+// old space, both survivor spaces and eden.
+func (c Config) words() int {
+	return object.FirstFreeAddress + c.OldWords + 2*c.SurvivorWords + c.EdenWords
+}
+
+// Validate reports a geometry New refuses: a space too small to be
+// usable, or an address range past what a forwarding-table entry
+// (slide.to, a uint32 word address) can hold.
+func (c Config) Validate() error {
+	if c.OldWords < 1024 || c.EdenWords < 256 || c.SurvivorWords < 128 {
+		return fmt.Errorf("heap: configuration too small")
+	}
+	if uint64(c.words()) > math.MaxUint32+1 {
+		return fmt.Errorf("heap: configuration too large")
+	}
+	return nil
+}
+
 type space struct {
 	base, limit uint64 // word indices; [base, limit)
 	next        uint64
@@ -286,19 +305,14 @@ func (e OOMError) Error() string {
 //msvet:heap-writer single-threaded construction: the immortal-object words are written before the heap pointer escapes to any processor
 //msvet:atomic-excluded no goroutine but the constructor can reach h.mem until New returns
 func New(m *firefly.Machine, cfg Config) *Heap {
-	if cfg.OldWords < 1024 || cfg.EdenWords < 256 || cfg.SurvivorWords < 128 {
-		panic("heap: configuration too small")
-	}
-	total := object.FirstFreeAddress + cfg.OldWords + 2*cfg.SurvivorWords + cfg.EdenWords
-	if uint64(total) > math.MaxUint32+1 {
-		// A forwarding-table entry (slide.to) holds a word address.
-		panic("heap: configuration too large")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	h := &Heap{
 		cfg: cfg,
 		m:   m,
 		par: cfg.Parallel,
-		mem: make([]uint64, total),
+		mem: make([]uint64, cfg.words()),
 		rec: m.Recorder(),
 		san: m.Sanitizer(),
 		lat: m.LatencyHists(),

@@ -36,16 +36,10 @@ func KernelSources() []struct{ Name, Source string } {
 	return out
 }
 
-// Boot builds a complete virtual image: a machine with nprocs
-// processors, heap, VM, genesis, and the full kernel library filed in.
-// Extra sources (benchmarks, applications) are filed in afterwards.
-func Boot(nprocs int, hcfg heap.Config, vcfg interp.Config, extraSources ...string) (*interp.VM, error) {
-	m := firefly.New(nprocs, firefly.DefaultCosts())
-	return BootOn(m, hcfg, vcfg, extraSources...)
-}
-
-// BootOn builds the image on an existing machine (so callers can
-// configure quantum, time limits, or costs first).
+// BootOn builds a complete virtual image on m: heap, VM, genesis, and
+// the full kernel library filed in. Extra sources (benchmarks,
+// applications) are filed in afterwards. The caller owns the machine,
+// so it can attach observers or set costs first.
 func BootOn(m *firefly.Machine, hcfg heap.Config, vcfg interp.Config, extraSources ...string) (*interp.VM, error) {
 	hcfg.LocksEnabled = vcfg.MSMode
 	h := heap.New(m, hcfg)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mst/internal/firefly"
 	"mst/internal/heap"
 	"mst/internal/interp"
 )
@@ -15,9 +16,9 @@ func testImage(t *testing.T, nprocs int) *interp.VM {
 	hcfg.EdenWords = 32 << 10
 	hcfg.SurvivorWords = 8 << 10
 	vcfg := interp.DefaultConfig()
-	vm, err := Boot(nprocs, hcfg, vcfg)
+	vm, err := BootOn(firefly.New(nprocs, firefly.DefaultCosts()), hcfg, vcfg)
 	if err != nil {
-		t.Fatalf("Boot: %v", err)
+		t.Fatalf("BootOn: %v", err)
 	}
 	vm.M.SetTimeLimit(1 << 40)
 	t.Cleanup(vm.M.Shutdown)
@@ -34,9 +35,9 @@ func sharedImage(t *testing.T) *interp.VM {
 		hcfg.OldWords = 2 << 20
 		hcfg.EdenWords = 32 << 10
 		hcfg.SurvivorWords = 8 << 10
-		vm, err := Boot(2, hcfg, interp.DefaultConfig())
+		vm, err := BootOn(firefly.New(2, firefly.DefaultCosts()), hcfg, interp.DefaultConfig())
 		if err != nil {
-			t.Fatalf("Boot: %v", err)
+			t.Fatalf("BootOn: %v", err)
 		}
 		sharedVM = vm
 	}

@@ -14,8 +14,8 @@ import (
 // snapshotMagic identifies MS image files.
 const snapshotMagic = "MS-IMAGE-1"
 
-// snapshotFile is the on-disk image: the heap, the VM tables, and the
-// VM configuration the image was running under.
+// snapshotFile is the on-disk image: a State behind the magic. Its type
+// and field names are part of the gob encoding, so they stay as they are.
 type snapshotFile struct {
 	Magic  string
 	Heap   *heap.SnapshotState
@@ -23,25 +23,14 @@ type snapshotFile struct {
 	VMCfg  interp.Config
 }
 
-// WriteSnapshot serializes a quiesced image to w. Callers inside the
-// machine (the snapshot primitive) have already parked every Process;
-// Go-side callers should use core.System.SaveImage, which quiesces
-// first.
-func WriteSnapshot(vm *interp.VM, w io.Writer) error {
-	f := snapshotFile{
-		Magic:  snapshotMagic,
-		Heap:   vm.H.SnapshotState(),
-		Tables: vm.SnapshotTables(),
-		VMCfg:  vm.Cfg,
-	}
-	return gob.NewEncoder(w).Encode(&f)
+// Encode writes s to w in the format DecodeState reads.
+func (s *State) Encode(w io.Writer) error {
+	return gob.NewEncoder(w).Encode(&snapshotFile{snapshotMagic, s.Heap, s.Tables, s.VMCfg})
 }
 
-// ReadSnapshot rebuilds an image from r on a fresh machine with nprocs
-// processors. The loaded image's ready queue (background Processes, and
-// the snapshotting Process if the snapshot was taken from Smalltalk)
-// resumes when the machine runs.
-func ReadSnapshot(m *firefly.Machine, r io.Reader) (*interp.VM, error) {
+// DecodeState reads an image written by Encode. It only decodes:
+// CloneVM materializes the result.
+func DecodeState(r io.Reader) (*State, error) {
 	var f snapshotFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("image: corrupt snapshot: %w", err)
@@ -49,24 +38,13 @@ func ReadSnapshot(m *firefly.Machine, r io.Reader) (*interp.VM, error) {
 	if f.Magic != snapshotMagic {
 		return nil, fmt.Errorf("image: not an MS image (magic %q)", f.Magic)
 	}
-	h, err := heap.RestoreHeap(m, f.Heap)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := interp.RestoreVM(m, h, f.VMCfg, f.Tables)
-	if err != nil {
-		return nil, err
-	}
-	installSnapshotPrim(vm)
-	return vm, nil
+	return &State{f.Heap, f.Tables, f.VMCfg}, nil
 }
 
-// State is an in-memory image snapshot: the same three pieces the
-// on-disk format serializes, held as live structures instead of gob
-// bytes. One State can seed any number of clones — the multi-tenant
-// image server captures the booted base image once and materializes a
-// private copy per tenant session (the copy happens at CloneVM; until
-// then every tenant shares the single immutable State).
+// State is an image snapshot held as live structures: the heap, the VM
+// tables, and the configurations the image runs under. One immutable
+// State can seed any number of clones (the multi-tenant image server
+// captures its base image once); the copy happens at CloneVM.
 type State struct {
 	Heap   *heap.SnapshotState
 	Tables *interp.VMTables
@@ -76,20 +54,24 @@ type State struct {
 // CaptureState snapshots a quiesced image in memory. Callers must have
 // parked every Process first (core.System.Checkpoint does); the
 // captured slices are private copies, so the running image may continue
-// mutating afterwards.
+// mutating afterwards. An image records no host mode: whatever restores
+// it starts deterministic.
 func CaptureState(vm *interp.VM) *State {
-	return &State{
+	s := &State{
 		Heap:   vm.H.SnapshotState(),
 		Tables: vm.SnapshotTables(),
 		VMCfg:  vm.Cfg,
 	}
+	s.Heap.Config.Parallel = false
+	s.VMCfg.Parallel = false
+	return s
 }
 
-// CloneVM materializes an independent VM from a captured State on a
-// fresh machine. The State is read-only here: the heap restore and the
-// table restore copy every word, so clones of the same State share
-// nothing mutable — one clone's stores, scavenges, and full collections
-// cannot reach a sibling.
+// CloneVM is the one restore: it materializes an independent VM from a
+// State on a fresh machine. The heap and table restores copy every
+// word, so clones of one State share nothing mutable — one clone's
+// stores and collections cannot reach a sibling. Processes on the
+// image's ready queue resume when the machine runs.
 func CloneVM(m *firefly.Machine, s *State) (*interp.VM, error) {
 	h, err := heap.RestoreHeap(m, s.Heap)
 	if err != nil {
@@ -111,7 +93,7 @@ func installSnapshotPrim(vm *interp.VM) {
 			return err
 		}
 		defer out.Close()
-		if err := WriteSnapshot(vm, out); err != nil {
+		if err := CaptureState(vm).Encode(out); err != nil {
 			return err
 		}
 		return out.Close()

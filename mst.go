@@ -131,10 +131,13 @@ func BaselineConfig() Config { return core.BaselineConfig() }
 func MSPlusConfig() Config { return core.MSPlusConfig() }
 
 // LoadImage boots a system from a snapshot written by System.SaveImage
-// or by `Smalltalk snapshotTo: 'path'`. Processes on the snapshotted
-// ready queue — including the snapshotting Process, per the paper's
-// activeProcess protocol — resume when evaluation next drives the
-// machine.
+// or by `Smalltalk snapshotTo: 'path'`, on the given number of
+// processors, under the configuration the snapshot records (mode,
+// caches, heap geometry, collectors, JIT) with no observers attached.
+// A baseline image loads on one processor only. Processes on the
+// snapshotted ready queue — including the snapshotting Process, per the
+// paper's activeProcess protocol — resume when evaluation next drives
+// the machine.
 func LoadImage(processors int, r io.Reader) (*System, error) {
 	return core.LoadImage(processors, r)
 }
