@@ -252,65 +252,3 @@ func BenchmarkScavenge(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkInterpreter measures raw simulator throughput (host-side):
-// bytecodes per host second while running a compute-bound workload.
-func BenchmarkInterpreter(b *testing.B) {
-	sys := benchSystem(b, bench.StandardStates()[0])
-	b.ResetTimer()
-	var bytecodes uint64
-	for i := 0; i < b.N; i++ {
-		before := sys.Stats().Interp.Bytecodes
-		if _, err := sys.EvaluateInt("| s | s := 0. 1 to: 20000 do: [:i | s := s + i]. s"); err != nil {
-			b.Fatal(err)
-		}
-		bytecodes += sys.Stats().Interp.Bytecodes - before
-	}
-	b.ReportMetric(float64(bytecodes)/b.Elapsed().Seconds(), "bytecodes/s")
-}
-
-// BenchmarkSendDispatch measures the host-side cost of the send fast
-// path: a tight loop of dynamically-dispatched sends, reported with
-// allocation counts (the dispatch path itself must not allocate). Run
-// for the default config and for MS+ (inline caches + 2-way cache) to
-// see the host cost of each lookup organization.
-func BenchmarkSendDispatch(b *testing.B) {
-	configs := []struct {
-		name   string
-		config func() core.Config
-	}{
-		{"default", core.DefaultConfig},
-		{"msplus", core.MSPlusConfig},
-	}
-	const src = `| r s |
-		r := DispatchProbe new.
-		s := 0.
-		1 to: 2000 do: [:i | s := s + (r one) + (r two)].
-		s`
-	for _, cfg := range configs {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			sys := benchSystem(b, bench.State{Name: cfg.name, Config: cfg.config})
-			for _, setup := range []string{
-				"Object subclass: 'DispatchProbe' instanceVariableNames: '' category: 'Bench'",
-				"DispatchProbe compile: 'one ^1' classified: 'bench'",
-				"DispatchProbe compile: 'two ^2' classified: 'bench'",
-			} {
-				if _, err := sys.Evaluate(setup); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var sends uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				before := sys.Stats().Interp.Sends
-				if _, err := sys.EvaluateInt(src); err != nil {
-					b.Fatal(err)
-				}
-				sends += sys.Stats().Interp.Sends - before
-			}
-			b.ReportMetric(float64(sends)/b.Elapsed().Seconds(), "sends/s")
-		})
-	}
-}

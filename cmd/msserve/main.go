@@ -12,8 +12,9 @@
 //	                                          lines, one response per line
 //
 // The run report on stdout is purely virtual-time derived: two runs
-// with the same flags produce byte-identical stdout (the serve-smoke CI
-// job diffs it). Host-side timings go to stderr.
+// with the same flags produce byte-identical stdout (TestDetReportStable
+// holds it, and TestParallelMatchesDet holds -parallel to the same
+// numbers). Host-side timings go to stderr.
 package main
 
 import (
@@ -92,8 +93,8 @@ func main() {
 	}
 	runHost := time.Since(t1)
 
-	// Deterministic report on stdout; host-side wall times on stderr so
-	// the CI byte-diff sees only virtual numbers.
+	// Deterministic report on stdout; host-side wall times on stderr, so
+	// stdout is the byte-stable report TestDetReportStable checks.
 	fmt.Print(rep.Format())
 	fmt.Fprintf(os.Stderr, "host: boot %v, run %v\n", bootHost.Round(time.Microsecond), runHost.Round(time.Microsecond))
 

@@ -2,6 +2,9 @@
 // internal/msvet): seven analyzers (virttime, lockpair, costcharge,
 // stwsafe, atomicguard, barrierflow, lockorder), each applied once to
 // the whole type-checked module, and exits non-zero on any finding.
+// A structural rule is a //msvet: annotation, not a source grep:
+// //msvet:defined-once <callee> names the one function that may call
+// <callee>, and lockpair holds it.
 //
 // Usage:
 //

@@ -49,10 +49,11 @@ var jitFusionKernels = []string{"intLoops", "ivarStorm"}
 const jitReps = 7
 
 // jitWorkloads are the ablation's shapes: three Table 2 macro
-// benchmarks, a dynamic-dispatch storm (the BenchmarkSendDispatch loop
-// as a macro benchmark) as the control fusion cannot help, and the two
-// kernels aimed at the fuser — a counted-loop integer kernel and an
-// instance-variable loop for the fused ivar read/write paths.
+// benchmarks, a dynamic-dispatch storm (the send loop benchmark/'s
+// interp.send_ns times, as a macro benchmark) as the control fusion
+// cannot help, and the two kernels aimed at the fuser — a counted-loop
+// integer kernel and an instance-variable loop for the fused ivar
+// read/write paths.
 var jitWorkloads = []string{
 	"printClassHierarchy",
 	"findAllImplementors",

@@ -8,6 +8,8 @@ import "iter"
 // next calls the yield it was handed, or returns; a panic in body is
 // re-raised in resume's caller. The switch is direct: it never visits
 // the Go scheduler and never crosses threads.
+//
+//msvet:defined-once iter.Pull processors are coroutines, and this is the one place a coroutine is made
 func newCoro(body func(yield func())) (resume func()) {
 	next, _ := iter.Pull(func(y func(struct{}) bool) {
 		body(func() { y(struct{}{}) })

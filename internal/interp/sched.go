@@ -406,6 +406,8 @@ func (in *Interp) canRun(target object.OOP) bool {
 // whether the quantum is over and whether there is now something to run.
 // In parallel host mode an idle interpreter also yields its OS thread so
 // busy processors (and single-core hosts) get the cycles.
+//
+//msvet:defined-once firefly.(*Spinlock).TryAcquire the idle poll's lock sequence (TryAcquire the scheduler lock, scan, Release) exists once, for det and -parallel mode; a second TryAcquire site is a second idle loop
 func (in *Interp) idleQuantum() firefly.IdleResult {
 	vm := in.vm
 	if in.idleYieldAgain {

@@ -36,11 +36,19 @@ import (
 //	                                       the barrier funnel itself, or
 //	                                       a writer of fresh unpublished
 //	                                       memory.
+//	//msvet:defined-once <callee> [why]
+//	                               (func)  this function is the one
+//	                                       non-test caller of <callee>,
+//	                                       written as funcDisplayName
+//	                                       renders it ("iter.Pull",
+//	                                       "firefly.(*Spinlock).TryAcquire");
+//	                                       lockpair checks it.
 const (
 	annStwEntry       = "stw-entry"
 	annStwSafe        = "stw-safe"
 	annAtomicExcluded = "atomic-excluded"
 	annHeapWriter     = "heap-writer"
+	annDefinedOnce    = "defined-once"
 )
 
 // Annotation is one parsed //msvet: directive.
@@ -59,7 +67,16 @@ type Annotations struct {
 	StwSafeField   map[*types.Var]string
 	AtomicExcluded map[*types.Func]string
 	HeapWriter     map[*types.Func]string
-	All            []Annotation // sorted by position, for -v
+	DefinedOnce    []DefinedOnce // in position order
+	All            []Annotation  // sorted by position, for -v
+}
+
+// DefinedOnce is one //msvet:defined-once directive: Carrier is the one
+// function allowed to call Callee.
+type DefinedOnce struct {
+	Carrier *types.Func
+	Callee  string
+	Pos     token.Pos
 }
 
 // parseDirective splits a "//msvet:kind justification" comment line.
@@ -90,6 +107,7 @@ func collectAnnotations(m *Module) *Annotations {
 			if !ok {
 				continue
 			}
+			target := funcDisplayName(fn)
 			switch kind {
 			case annStwEntry:
 				ann.StwEntry[fn] = just
@@ -99,12 +117,17 @@ func collectAnnotations(m *Module) *Annotations {
 				ann.AtomicExcluded[fn] = just
 			case annHeapWriter:
 				ann.HeapWriter[fn] = just
+			case annDefinedOnce:
+				callee, why, _ := strings.Cut(just, " ")
+				just = strings.TrimSpace(why)
+				ann.DefinedOnce = append(ann.DefinedOnce, DefinedOnce{Carrier: fn, Callee: callee, Pos: c.Pos()})
+				target = callee + " in " + target
 			default:
 				continue
 			}
 			ann.All = append(ann.All, Annotation{
 				Kind: kind, Pos: c.Pos(),
-				Target: funcDisplayName(fn), Justification: just,
+				Target: target, Justification: just,
 			})
 		}
 	}
@@ -152,7 +175,62 @@ func collectAnnotations(m *Module) *Annotations {
 		}
 	}
 	sort.Slice(ann.All, func(i, j int) bool { return ann.All[i].Pos < ann.All[j].Pos })
+	sort.Slice(ann.DefinedOnce, func(i, j int) bool { return ann.DefinedOnce[i].Pos < ann.DefinedOnce[j].Pos })
 	return ann
+}
+
+// checkDefinedOnce holds every //msvet:defined-once pairing over the
+// call graph, where a closure's calls are its declaring function's and
+// test files are absent. Each is a finding: a second carrier for one
+// callee, a call to the callee from a function that does not carry it,
+// and a carrier that no longer calls it.
+func checkDefinedOnce(pass *ModulePass) {
+	type pairing struct {
+		carrier *types.Func
+		callee  string
+	}
+	owner := map[string]*types.Func{} // callee → its first carrier
+	called := map[pairing]bool{}      // every pairing; true once its call is seen
+	for _, d := range pass.Mod.Ann.DefinedOnce {
+		called[pairing{d.Carrier, d.Callee}] = false
+		if first, dup := owner[d.Callee]; dup {
+			pass.Reportf(d.Pos, "second //msvet:defined-once for %s: %s already carries it",
+				d.Callee, funcDisplayName(first))
+		} else {
+			owner[d.Callee] = d.Carrier
+		}
+	}
+	for _, node := range pass.Mod.Graph().Nodes {
+		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := pass.Mod.Callee(call)
+			if fn == nil {
+				return true
+			}
+			callee := funcDisplayName(fn.Origin())
+			first, annotated := owner[callee]
+			if !annotated {
+				return true
+			}
+			p := pairing{node.Fn, callee}
+			if _, carrier := called[p]; carrier {
+				called[p] = true
+			} else {
+				pass.Reportf(call.Pos(), "%s is called in %s; //msvet:defined-once gives it to %s alone",
+					callee, funcDisplayName(node.Fn), funcDisplayName(first))
+			}
+			return true
+		})
+	}
+	for _, d := range pass.Mod.Ann.DefinedOnce {
+		if !called[pairing{d.Carrier, d.Callee}] {
+			pass.Reportf(d.Pos, "%s carries //msvet:defined-once %s but never calls it",
+				funcDisplayName(d.Carrier), d.Callee)
+		}
+	}
 }
 
 func commentList(g *ast.CommentGroup) []*ast.Comment {
@@ -166,8 +244,11 @@ func commentList(g *ast.CommentGroup) []*ast.Comment {
 func funcDisplayName(fn *types.Func) string {
 	name := fn.Name()
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		name = types.TypeString(t, func(p *types.Package) string { return "" }) + "." + name
+		recv := types.TypeString(sig.Recv().Type(), func(p *types.Package) string { return "" })
+		if strings.HasPrefix(recv, "*") {
+			recv = "(" + recv + ")"
+		}
+		name = recv + "." + name
 		name = strings.TrimPrefix(name, ".")
 	}
 	if fn.Pkg() != nil {

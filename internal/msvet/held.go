@@ -509,10 +509,11 @@ func (f *heldFacts) cases(state holdState, init ast.Stmt, header token.Pos, body
 // (the conditional acquire patterns the walk cannot correlate) are not
 // reported — a false positive would teach people to ignore the tool.
 // Test files are not in the call graph: fault-injection tests acquire
-// without releasing on purpose.
+// without releasing on purpose. It also pairs every //msvet:defined-once
+// callee with its one carrier (checkDefinedOnce).
 var LockpairAnalyzer = &Analyzer{
 	Name: "lockpair",
-	Doc:  "every Spinlock acquire must pair with its release on all paths",
+	Doc:  "every Spinlock acquire must pair with its release on all paths, and every defined-once callee with its one caller",
 	RunModule: func(pass *ModulePass) error {
 		for _, node := range pass.Mod.Graph().Nodes {
 			f := pass.Mod.heldIn(node)
@@ -526,6 +527,7 @@ var LockpairAnalyzer = &Analyzer{
 				pass.Reportf(l.pos, "%s is still held when the function returns on this path", l.recv)
 			}
 		}
+		checkDefinedOnce(pass)
 		return nil
 	},
 }

@@ -143,7 +143,7 @@ func TestBarrierflowFixtureFlagsLaunderedStore(t *testing.T) {
 	// The store hides in unexported poke; the message names the
 	// exported entry point it is reachable from.
 	wantFixtureFinding(t, got, 21, 2,
-		"raw heap store h.mem[...]", "reachable from exported fixture.*Heap.Tweak")
+		"raw heap store h.mem[...]", "reachable from exported fixture.(*Heap).Tweak")
 }
 
 func TestBarrierflowFixtureCleanTwin(t *testing.T) {
@@ -264,15 +264,41 @@ func TestLockorderFixtureInterproceduralEdge(t *testing.T) {
 	}
 }
 
+// The fixture and the real module (what `msvet -lockgraph` emits for
+// mscheck's cross-check): two loads, the same bytes.
 func TestLockGraphJSONDeterministic(t *testing.T) {
-	a := loadFixture(t, "lockorder_bad").LockGraph().Data().JSON()
-	b := loadFixture(t, "lockorder_bad").LockGraph().Data().JSON()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("lock graph JSON differs across loads:\n%s\n---\n%s", a, b)
+	for _, root := range []string{filepath.Join("testdata", "lockorder_bad"), filepath.Join("..", "..")} {
+		var runs [2][]byte
+		for i := range runs {
+			mod, err := LoadTyped(root)
+			if err != nil {
+				t.Fatalf("LoadTyped(%s): %v", root, err)
+			}
+			runs[i] = mod.LockGraph().Data().JSON()
+		}
+		if !bytes.Equal(runs[0], runs[1]) {
+			t.Fatalf("%s: lock graph JSON differs across loads:\n%s\n---\n%s", root, runs[0], runs[1])
+		}
+		if !bytes.HasSuffix(runs[0], []byte("\n")) {
+			t.Errorf("%s: lock graph JSON is not newline-terminated", root)
+		}
 	}
-	if !bytes.HasSuffix(a, []byte("\n")) {
-		t.Errorf("lock graph JSON is not newline-terminated")
+}
+
+// ---- defined-once ----
+
+// Each way a pairing breaks, at its exact position: the second caller
+// at its call (inside a closure: it counts as Skip's), the second
+// carrier and the carrier that no longer calls at their directives.
+func TestDefinedOnceFixtureFindings(t *testing.T) {
+	got := fixtureFindings(t, LockpairAnalyzer, "definedonce_bad")
+	if len(got) != 3 {
+		t.Fatalf("got %d findings, want 3: %v", len(got), got)
 	}
+	wantFixtureFinding(t, got[:1], 27, 6,
+		"fixture.(*Spinlock).TryAcquire is called in fixture.(*Sched).Skip", "fixture.(*Sched).poll alone")
+	wantFixtureFinding(t, got[1:2], 38, 1, "second //msvet:defined-once for fixture.step", "fixture.first")
+	wantFixtureFinding(t, got[2:], 43, 1, "fixture.Flush carries //msvet:defined-once fixture.drain but never calls it")
 }
 
 // ---- annotations ----
@@ -295,12 +321,23 @@ func TestAnnotationsCollected(t *testing.T) {
 	if !strings.Contains(gotFunc, "after every worker goroutine has joined") {
 		t.Errorf("atomic-excluded justification = %q", gotFunc)
 	}
+
+	// defined-once: the callee is the first word, the rest is what -v
+	// echoes.
+	mod = loadFixture(t, "definedonce_ok")
+	if d := mod.Ann.DefinedOnce; len(d) != 1 || d[0].Callee != "iter.Pull" || d[0].Carrier.Name() != "newCoro" {
+		t.Errorf("defined-once directives = %+v, want iter.Pull carried by newCoro", d)
+	}
+	if all := mod.Ann.All; len(all) != 1 || all[0].Kind != "defined-once" ||
+		all[0].Target != "iter.Pull in fixture.newCoro" || all[0].Justification != "the one coroutine constructor" {
+		t.Errorf("-v table = %+v", all)
+	}
 }
 
 // ---- full suite over the clean twins ----
 
 func TestFullSuiteCleanOnOkFixtures(t *testing.T) {
-	for _, fixture := range []string{"stwsafe_ok", "atomicguard_ok", "barrierflow_ok", "memalias_ok", "lockorder_ok"} {
+	for _, fixture := range []string{"stwsafe_ok", "atomicguard_ok", "barrierflow_ok", "memalias_ok", "lockorder_ok", "definedonce_ok"} {
 		findings, err := RunSuite(loadFixture(t, fixture), Analyzers())
 		if err != nil {
 			t.Fatalf("RunSuite(%s): %v", fixture, err)

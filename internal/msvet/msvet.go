@@ -10,7 +10,10 @@
 //   - lockpair:    every Spinlock/RWSpinlock acquire and StopTheWorld is
 //     paired with the matching release — some call in the same function
 //     releases it, and by the hold walk it is never still definitely
-//     held at a return.
+//     held at a return. It also holds //msvet:defined-once: the one
+//     function carrying `//msvet:defined-once <callee>` calls <callee>,
+//     and no other non-test function does (the idle poll's TryAcquire,
+//     the coroutine constructor's iter.Pull).
 //   - costcharge:  internal/jit never invents a virtual-time cost —
 //     nonzero literal firefly.Time values and .Advance calls are
 //     forbidden there; compiled bytecodes must charge through the

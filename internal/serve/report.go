@@ -75,7 +75,8 @@ func (r *Report) WriteTrace(w io.Writer) error {
 
 // Format renders the report as deterministic text: every number is
 // virtual, so two runs of the same schedule in the same mode render
-// byte-identical reports (the serve-smoke CI job diffs exactly this).
+// byte-identical reports (TestDetReportStable and TestParallelMatchesDet
+// check exactly this).
 func (r *Report) Format() string {
 	var b strings.Builder
 	mode := "det"
