@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 
 	"mst/internal/sanitize"
@@ -175,6 +176,21 @@ func (g *GateReport) Format() string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "  FAIL: %d finding(s)\n", len(g.Findings))
+	// Per top-level section first, so a refresh confined to one section
+	// reads off one run whatever the cap hides.
+	perSection := map[string]int{}
+	for _, f := range g.Findings {
+		perSection[section(f)]++
+	}
+	names := make([]string, 0, len(perSection))
+	for name := range perSection {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		names[i] = fmt.Sprintf("%s: %d", name, perSection[name])
+	}
+	fmt.Fprintf(&b, "  by section: %s\n", strings.Join(names, ", "))
 	for i, f := range g.Findings {
 		if i == maxPrintedFindings {
 			fmt.Fprintf(&b, "    ... and %d more\n", len(g.Findings)-i)
@@ -183,4 +199,13 @@ func (g *GateReport) Format() string {
 		fmt.Fprintf(&b, "    %s\n", f)
 	}
 	return b.String()
+}
+
+// section is the top-level report key a finding names: the leaf path's
+// first element, or the property's prefix ("concmark/keep=…").
+func section(finding string) string {
+	if i := strings.IndexAny(finding, ".[/:"); i >= 0 {
+		return finding[:i]
+	}
+	return finding
 }

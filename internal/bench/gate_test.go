@@ -244,8 +244,30 @@ func TestGateFormatCapsFindings(t *testing.T) {
 	}
 	g := RunGate(sampleReport(), fresh, "sample.json")
 	out := g.Format()
-	if len(g.Findings) != 101 || strings.Count(out, "\n") != 3+maxPrintedFindings+1 ||
+	if len(g.Findings) != 101 || strings.Count(out, "\n") != 4+maxPrintedFindings+1 ||
 		!strings.Contains(out, "FAIL: 101 finding(s)") || !strings.Contains(out, "... and 61 more") {
 		t.Errorf("%d findings, format:\n%s", len(g.Findings), out)
+	}
+}
+
+// The per-section counts sit above the capped list and count what the
+// cap hides: property findings under their prefix, leaves under their
+// first path element.
+func TestGateFormatCountsPerSection(t *testing.T) {
+	base, fresh := sampleReport(), sampleReport()
+	for i := 0; i < 100; i++ {
+		fresh.Sanitize.Benches = append(fresh.Sanitize.Benches, "extra")
+	}
+	fresh.Serve.Rows[0].Completed++
+	fresh.Serve.Rows[0].Latency.P50++
+	fresh.Table2[0].Benches[0].VirtualMS++
+	base.ConcMark.Rows[0].ConcMaxPause = 900
+	fresh.ConcMark.Rows[0].ConcMaxPause = 900
+	g := RunGate(base, fresh, "sample.json")
+	out := g.Format()
+	want := "  by section: concmark: 1, sanitize: 101, serve: 2, table2: 1\n"
+	i, j := strings.Index(out, want), strings.Index(out, "    concmark/keep=1000")
+	if len(g.Findings) != 105 || i < 0 || j < 0 || i > j {
+		t.Errorf("%d findings, want the line %q above the list:\n%s", len(g.Findings), want, out)
 	}
 }

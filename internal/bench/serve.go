@@ -45,6 +45,7 @@ type ServeRow struct {
 	Latency       trace.HistSnapshot `json:"latency"`
 	Wait          trace.HistSnapshot `json:"wait"`
 	Service       trace.HistSnapshot `json:"service"`
+	TenantHeap    serve.HeapWork     `json:"tenant_heap"`
 	HostNS        int64              `json:"host_ns" bench:"host"`
 }
 
@@ -96,6 +97,7 @@ func runServeOnce(cp *core.Checkpoint, executors int, parallel bool, arrivals []
 		Latency:       rep.Latency,
 		Wait:          rep.Wait,
 		Service:       rep.Service,
+		TenantHeap:    rep.TenantHeap,
 		HostNS:        time.Since(t0).Nanoseconds(),
 	}
 	// The summary columns (count/sum/max/percentiles) suffice for the
@@ -147,6 +149,14 @@ func RunServeBench() (*ServeBenchReport, error) {
 	return r, nil
 }
 
+// name labels the row in Format's tables.
+func (row *ServeRow) name() string {
+	if row.Parallel {
+		return fmt.Sprintf("%d (par)", row.Executors)
+	}
+	return fmt.Sprintf("%d", row.Executors)
+}
+
 // Format renders the serve section as the throughput/latency table the
 // experiment log quotes.
 func (r *ServeBenchReport) Format() string {
@@ -156,13 +166,18 @@ func (r *ServeBenchReport) Format() string {
 	fmt.Fprintf(&b, "  %-10s %9s %9s %10s %12s %8s %8s %8s %8s\n",
 		"executors", "admitted", "rejected", "completed", "throughput", "p50", "p95", "p99", "max")
 	for _, row := range r.Rows {
-		name := fmt.Sprintf("%d", row.Executors)
-		if row.Parallel {
-			name += " (par)"
-		}
 		fmt.Fprintf(&b, "  %-10s %9d %9d %10d %10.1f/s %8d %8d %8d %8d\n",
-			name, row.Admitted, row.Rejected, row.Completed, row.ThroughputRPS,
+			row.name(), row.Admitted, row.Rejected, row.Completed, row.ThroughputRPS,
 			row.Latency.P50, row.Latency.P95, row.Latency.P99, row.Latency.Max)
+	}
+	b.WriteString("  tenant heap work over the run\n")
+	fmt.Fprintf(&b, "  %-10s %9s %10s %10s %8s %11s %12s\n",
+		"executors", "scavenges", "copied", "tenured", "full-gc", "copied/req", "tenured/req")
+	for _, row := range r.Rows {
+		h, n := row.TenantHeap, float64(max(row.Completed, 1))
+		fmt.Fprintf(&b, "  %-10s %9d %10d %10d %8d %11.1f %12.1f\n",
+			row.name(), h.Scavenges, h.CopiedWords, h.TenuredWords, h.FullCollections,
+			float64(h.CopiedWords)/n, float64(h.TenuredWords)/n)
 	}
 	fmt.Fprintf(&b, "  parallel matches det: %v\n", r.ParallelMatchesDet)
 	return b.String()

@@ -600,12 +600,15 @@ type Checkpoint struct {
 }
 
 // Checkpoint captures the system in memory after parking every Process
-// (the same quiesce SaveImage performs); the running system continues
-// afterwards.
+// (the same quiesce SaveImage performs) and tenuring every live young
+// object, so a checkpoint holds no young objects and a clone's
+// scavenges copy only its own survivors (DESIGN.md §13). The running
+// system continues afterwards.
 func (s *System) Checkpoint() (*Checkpoint, error) {
 	cp := &Checkpoint{cfg: s.Cfg}
 	err := s.VM.Do(func(p *firefly.Proc) {
 		s.VM.ParkAllProcesses(p)
+		s.VM.H.TenureAll(p)
 		cp.state = image.CaptureState(s.VM)
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mst/internal/heap"
+	"mst/internal/image"
 	"mst/internal/interp"
 )
 
@@ -178,11 +179,12 @@ func imageFixed(c Config) Config {
 	return c
 }
 
-// TestLoadedConfigIsTheImages: the Config a clone runs (its
-// checkpoint's) and the one a load derives from the snapshot agree on
-// every image-fixed field, and the loaded VM runs what its Cfg states.
-// A Config field that imageConfig does not derive fails here.
-func TestLoadedConfigIsTheImages(t *testing.T) {
+// imageConfigRows are four images that between them set every
+// image-fixed Config field off its default.
+func imageConfigRows() []struct {
+	name   string
+	mutate func(*Config)
+} {
 	msplus := func(c *Config) {
 		c.InlineCache, c.CacheWays = interp.ICPoly, 2
 		c.JIT, c.ConcMark = true, true
@@ -194,7 +196,7 @@ func TestLoadedConfigIsTheImages(t *testing.T) {
 		c.MethodCache, c.InlineCache = interp.CacheSharedLocked, interp.ICMono
 		c.EdenWords, c.SurvivorWords, c.OldWords, c.TenureAge = 8<<10, 2<<10, 1<<20, 3
 	}
-	for _, row := range []struct {
+	return []struct {
 		name   string
 		mutate func(*Config)
 	}{
@@ -202,7 +204,15 @@ func TestLoadedConfigIsTheImages(t *testing.T) {
 		{"baseline", func(c *Config) { c.Mode, c.Processors = ModeBaseline, 1 }},
 		{"msplus-jit-concmark", msplus},
 		{"every image-fixed field off its default", everything},
-	} {
+	}
+}
+
+// TestLoadedConfigIsTheImages: the Config a clone runs (its
+// checkpoint's) and the one a load derives from the snapshot agree on
+// every image-fixed field, and the loaded VM runs what its Cfg states.
+// A Config field that imageConfig does not derive fails here.
+func TestLoadedConfigIsTheImages(t *testing.T) {
+	for _, row := range imageConfigRows() {
 		t.Run(row.name, func(t *testing.T) {
 			s := newSystem(t, row.mutate)
 			cp, err := s.Checkpoint()
@@ -229,6 +239,85 @@ func TestLoadedConfigIsTheImages(t *testing.T) {
 				t.Fatalf("loaded eval = %d, %v", n, err)
 			}
 		})
+	}
+}
+
+// TestCheckpointHoldsNoYoungObjects: a checkpoint of a system with live
+// young objects tenures them first, so the image it captures, and the
+// one SaveImage writes, has an empty eden and past-survivor space; the
+// base system keeps answering afterwards.
+func TestCheckpointHoldsNoYoungObjects(t *testing.T) {
+	for _, row := range imageConfigRows() {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSystem(t, row.mutate)
+			if _, err := s.EvaluateRaw("Smalltalk at: 'Young' put: ((1 to: 300) collect: [:i | Array new: (i rem: 7)])"); err != nil {
+				t.Fatal(err)
+			}
+			if h := s.Stats().Heap; h.EdenWordsInUse == 0 {
+				t.Fatal("no young objects before the checkpoint")
+			}
+			cp, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := cp.state.Heap; len(h.EdenUsed) != 0 || len(h.PastUsed) != 0 {
+				t.Fatalf("checkpoint holds %d eden and %d past-survivor words", len(h.EdenUsed), len(h.PastUsed))
+			}
+			if n, err := s.EvaluateInt("(Young at: 300) size + Young size"); err != nil || n != 306 {
+				t.Fatalf("base after the checkpoint = %d, %v", n, err)
+			}
+			img := saveImage(t, s)
+			st, err := image.DecodeState(bytes.NewReader(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Heap.EdenUsed) != 0 || len(st.Heap.PastUsed) != 0 {
+				t.Fatalf("saved image holds %d eden and %d past-survivor words", len(st.Heap.EdenUsed), len(st.Heap.PastUsed))
+			}
+			loaded, err := LoadImage(1, bytes.NewReader(img))
+			if err != nil {
+				t.Fatalf("LoadImage: %v", err)
+			}
+			defer loaded.Shutdown()
+			if h := loaded.Stats().Heap; h.EdenWordsInUse != 0 {
+				t.Fatalf("loaded image starts with %d eden words", h.EdenWordsInUse)
+			}
+			if n, err := loaded.EvaluateInt("(Young at: 300) size + Young size"); err != nil || n != 306 {
+				t.Fatalf("loaded = %d, %v", n, err)
+			}
+		})
+	}
+}
+
+// TestCloneInternsItsSymbols: a clone's symbol index, rebuilt from the
+// checkpoint's symbol list, answers every name with that very symbol,
+// without allocating in the heap or in Go.
+func TestCloneInternsItsSymbols(t *testing.T) {
+	cp, err := newSystem(t, func(c *Config) { c.Processors = 1 }).Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := NewFromCheckpoint(1, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Shutdown()
+	syms := clone.VM.SnapshotTables().SymbolList
+	names := make([]string, len(syms))
+	for i, sym := range syms {
+		names[i] = clone.VM.SymbolName(sym)
+	}
+	heapAllocs := clone.Stats().Heap.Allocations
+	goAllocs := testing.AllocsPerRun(10, func() {
+		for i, name := range names {
+			if got := clone.VM.InternSymbol(nil, name); got != syms[i] {
+				t.Fatalf("InternSymbol(%q) = %v, the clone's symbol %d is %v", name, got, i, syms[i])
+			}
+		}
+	})
+	if goAllocs != 0 || clone.Stats().Heap.Allocations != heapAllocs {
+		t.Fatalf("interning %d known names: %.0f Go allocations, %d heap allocations",
+			len(names), goAllocs, clone.Stats().Heap.Allocations-heapAllocs)
 	}
 }
 

@@ -23,6 +23,29 @@ type SnapshotState struct {
 	HashSeed   uint32
 }
 
+// TenureAll empties new space: TenureAge+1 ordinary scavenges on p take
+// every live young object past its tenure age, so on return eden and
+// the past-survivor space hold nothing. A checkpoint calls it so that
+// its clones' scavenges copy only their own survivors. The caller must
+// have quiesced the mutators; in parallel host mode the world stays
+// stopped across the whole series.
+func (h *Heap) TenureAll(p *firefly.Proc) {
+	if h.par {
+		for !h.m.StopTheWorld(p) {
+			// Another processor collected while we waited; its scavenge
+			// does not replace ours.
+		}
+		defer h.m.ResumeTheWorld(p)
+	}
+	for i := 0; i <= h.cfg.TenureAge; i++ {
+		h.Scavenge(p)
+	}
+	if past := &h.surv[h.past]; h.eden.next != h.eden.base || past.next != past.base {
+		panic(fmt.Sprintf("heap: new space not empty after tenuring: eden %d words, past survivor %d words",
+			h.eden.next-h.eden.base, past.next-past.base))
+	}
+}
+
 // SnapshotState captures the heap for serialization. The caller must
 // have quiesced the mutators (all interpreter registers flushed into
 // heap objects).

@@ -39,6 +39,7 @@ func RestoreVM(m *firefly.Machine, h *heap.Heap, cfg Config, t *VMTables) (*VM, 
 	vm.symbolList = append([]object.OOP(nil), t.SymbolList...)
 	vm.charTable = append([]object.OOP(nil), t.CharTable...)
 	vm.specialSelectors = append([]object.OOP(nil), t.SpecialSelectors...)
+	vm.symbolIdx = make(map[string]int, len(vm.symbolList))
 	for i, sym := range vm.symbolList {
 		if !sym.IsPtr() || sym == object.Nil {
 			return nil, fmt.Errorf("interp: snapshot symbol %d is not an object", i)

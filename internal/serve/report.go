@@ -10,16 +10,44 @@ import (
 
 // TenantStats is one tenant's request accounting for a run.
 type TenantStats struct {
-	Tenant        int   `json:"tenant"`
-	Executor      int   `json:"executor"`
-	Offered       int   `json:"offered"`
-	Admitted      int   `json:"admitted"`
-	Rejected      int   `json:"rejected"`
-	RejectedShare int   `json:"rejected_share"`
-	Completed     int   `json:"completed"`
-	Errors        int   `json:"errors"`
-	LatencySum    int64 `json:"latency_sum_ticks"`
-	LatencyMax    int64 `json:"latency_max_ticks"`
+	Tenant        int      `json:"tenant"`
+	Executor      int      `json:"executor"`
+	Offered       int      `json:"offered"`
+	Admitted      int      `json:"admitted"`
+	Rejected      int      `json:"rejected"`
+	RejectedShare int      `json:"rejected_share"`
+	Completed     int      `json:"completed"`
+	Errors        int      `json:"errors"`
+	LatencySum    int64    `json:"latency_sum_ticks"`
+	LatencyMax    int64    `json:"latency_max_ticks"`
+	Heap          HeapWork `json:"heap"`
+}
+
+// HeapWork is the collection work of tenant heaps over one Run: the
+// difference of heap.Stats read when the run starts and when it ends
+// (from zero for a tenant materialized during the run).
+type HeapWork struct {
+	Scavenges       uint64 `json:"scavenges"`
+	CopiedWords     uint64 `json:"copied_words"`
+	TenuredWords    uint64 `json:"tenured_words"`
+	FullCollections uint64 `json:"full_collections"`
+}
+
+func (w *HeapWork) add(o HeapWork) {
+	w.Scavenges += o.Scavenges
+	w.CopiedWords += o.CopiedWords
+	w.TenuredWords += o.TenuredWords
+	w.FullCollections += o.FullCollections
+}
+
+// since is the work done between the readings start and w.
+func (w HeapWork) since(start HeapWork) HeapWork {
+	return HeapWork{
+		Scavenges:       w.Scavenges - start.Scavenges,
+		CopiedWords:     w.CopiedWords - start.CopiedWords,
+		TenuredWords:    w.TenuredWords - start.TenuredWords,
+		FullCollections: w.FullCollections - start.FullCollections,
+	}
 }
 
 // Report is the outcome of serving one open-loop schedule. Every field
@@ -47,6 +75,9 @@ type Report struct {
 	Latency trace.HistSnapshot `json:"latency"`
 	Wait    trace.HistSnapshot `json:"wait"`
 	Service trace.HistSnapshot `json:"service"`
+
+	// TenantHeap sums the tenants' heap work over the run.
+	TenantHeap HeapWork `json:"tenant_heap"`
 
 	PerTenant []TenantStats `json:"per_tenant"`
 
@@ -95,6 +126,9 @@ func (r *Report) Format() string {
 	b.WriteString(histRow("latency", r.Latency))
 	b.WriteString(histRow("wait", r.Wait))
 	b.WriteString(histRow("service", r.Service))
+	h := r.TenantHeap
+	fmt.Fprintf(&b, "  tenant heap: %d scavenges  %d words copied  %d words tenured  %d full collections\n",
+		h.Scavenges, h.CopiedWords, h.TenuredWords, h.FullCollections)
 	b.WriteString("  per tenant\n")
 	fmt.Fprintf(&b, "  %-8s %4s %8s %9s %9s %10s %7s %12s\n",
 		"tenant", "exec", "offered", "admitted", "rejected", "completed", "errors", "max-lat")

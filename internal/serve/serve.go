@@ -346,6 +346,11 @@ func (s *Server) Run(arrivals []loadgen.Arrival) (*Report, error) {
 		x.arrivals = append(x.arrivals, a)
 	}
 
+	heapAtStart := make([]HeapWork, s.cfg.Tenants)
+	for i := range heapAtStart {
+		heapAtStart[i] = s.heapWork(i)
+	}
+
 	// The front-end machine: one simulated processor per executor. A
 	// fresh machine per run keeps Run re-entrant (processor work
 	// functions are one-shot); the tenant sessions — the expensive part
@@ -377,11 +382,29 @@ func (s *Server) Run(arrivals []loadgen.Arrival) (*Report, error) {
 			return nil, e.evalErr
 		}
 	}
-	return s.report(arrivals, execs, rec), nil
+	return s.report(arrivals, execs, heapAtStart, rec), nil
 }
 
-// report merges the executor-local accumulators into one Report.
-func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, rec *trace.Recorder) *Report {
+// heapWork reads tenant i's cumulative heap counters. A tenant with no
+// session yet has done no work, so one materialized during a run counts
+// from zero.
+func (s *Server) heapWork(i int) HeapWork {
+	sys := s.ten[i].sys
+	if sys == nil {
+		return HeapWork{}
+	}
+	h := sys.VM.H.Stats()
+	return HeapWork{
+		Scavenges:       h.Scavenges,
+		CopiedWords:     h.CopiedWords,
+		TenuredWords:    h.TenuredWords,
+		FullCollections: h.FullCollections,
+	}
+}
+
+// report merges the executor-local accumulators into one Report, and
+// the tenants' heap work since heapAtStart.
+func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, heapAtStart []HeapWork, rec *trace.Recorder) *Report {
 	r := &Report{
 		Tenants:     s.cfg.Tenants,
 		Executors:   s.cfg.Executors,
@@ -421,6 +444,8 @@ func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, rec *tra
 			ts = &TenantStats{Tenant: i}
 		}
 		ts.Executor = s.ExecutorFor(i)
+		ts.Heap = s.heapWork(i).since(heapAtStart[i])
+		r.TenantHeap.add(ts.Heap)
 		r.PerTenant = append(r.PerTenant, *ts)
 	}
 	return r

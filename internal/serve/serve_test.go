@@ -134,6 +134,31 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestCloneStartsWithEmptyNewSpace: the checkpoint holds no young
+// objects, so a clone's scavenges copy only its own requests'
+// survivors, and requests that keep nothing tenure nothing. (A
+// checkpoint that kept the base image's young set made these 500
+// evaluations tenure ~12 K words of it.)
+func TestCloneStartsWithEmptyNewSpace(t *testing.T) {
+	clone, err := core.NewFromCheckpoint(1, testCheckpoint(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clone.Shutdown()
+	if h := clone.Stats().Heap; h.EdenWordsInUse != 0 {
+		t.Fatalf("clone starts with %d eden words in use", h.EdenWordsInUse)
+	}
+	for i := 0; i < 500; i++ {
+		if n, err := clone.EvaluateInt("3"); err != nil || n != 3 {
+			t.Fatalf("evaluation %d: %d, %v", i, n, err)
+		}
+	}
+	if h := clone.Stats().Heap; h.Scavenges == 0 || h.TenuredWords != 0 {
+		t.Fatalf("500 evaluations of 3: %d scavenges tenured %d words, want some scavenges and none",
+			h.Scavenges, h.TenuredWords)
+	}
+}
+
 // overloadSchedule is a schedule hot enough to overflow small queues:
 // arrivals come much faster than the ~thousands-of-ticks service
 // times.
