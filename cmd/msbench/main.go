@@ -20,11 +20,9 @@
 //	                           vs the stop-the-world mark-compact over a
 //	                           growing live set; the concurrent windows
 //	                           stay bounded while the serial pause grows
-//	msbench -json results.json     machine-readable Table 2 + IC ablation
-//	msbench -jit               include the msjit ablation in -json and
-//	                           -fingerprint runs
-//	msbench -concmark          include the concurrent-marking ablation in
-//	                           -json and -fingerprint runs
+//	msbench -json results.json     machine-readable Table 2, sanitizer
+//	                           twins, and the parscavenge, serve, jit,
+//	                           concmark and inline-cache ablations
 //	msbench -trace out.json    flight-record one busy benchmark; export
 //	                           Chrome trace-event JSON for ui.perfetto.dev
 //	msbench -profile           selector-level virtual-time profile of the
@@ -47,8 +45,7 @@
 //	                           workload on 1..GOMAXPROCS real goroutine
 //	                           processors, wall-clock speedup vs the
 //	                           deterministic driver
-//	msbench -gate BENCH.json   regression gate: rerun the suite (with the
-//	                           optional sections the baseline carries) and
+//	msbench -gate BENCH.json   regression gate: rerun the suite and
 //	                           require every non-host leaf of the report
 //	                           to equal the checked-in baseline's — the
 //	                           two fingerprints must match; host cost is
@@ -77,9 +74,7 @@ func main() {
 	figure2 := flag.Bool("figure2", false, "run Table 2 and print it normalized (Figure 2)")
 	table3 := flag.Bool("table3", false, "print Table 3 (strategy applications)")
 	ablation := flag.String("ablation", "", "run one ablation: freelist|methodcache|alloc|scavenge|inlinecache|parscavenge|jit|serve|concmark")
-	jitFlag := flag.Bool("jit", false, "include the msjit ablation in -json/-fingerprint runs (-gate reads it off the baseline)")
-	concFlag := flag.Bool("concmark", false, "include the concurrent-marking ablation in -json/-fingerprint runs (-gate reads it off the baseline)")
-	jsonPath := flag.String("json", "", "write machine-readable results (Table 2 + inline-cache ablation) to this file")
+	jsonPath := flag.String("json", "", "write machine-readable results (Table 2 and the ablations) to this file")
 	sweep := flag.Bool("sweep", false, "processor sweep (extension: busy overhead vs processor count)")
 	micro := flag.Bool("micro", false, "micro benchmark suite (extension: per-operation static costs)")
 	paradigms := flag.Bool("paradigms", false, "concurrent-programming style comparison (extension)")
@@ -241,14 +236,12 @@ func main() {
 	// measure once and reuse it.
 	var report, baseline *bench.JSONReport
 	if *jsonPath != "" || *gatePath != "" || *fingerprint {
-		// A gate run needs the optional sections its baseline carries.
-		withJIT, withConcMark := *jitFlag, *concFlag
+		// Load the baseline first: fail on a bad one before spending
+		// time measuring.
 		if *gatePath != "" {
 			var err error
 			baseline, err = bench.LoadBaseline(*gatePath)
 			check(err)
-			withJIT = withJIT || baseline.JIT != nil
-			withConcMark = withConcMark || baseline.ConcMark != nil
 		}
 		// Open the output first: fail on a bad path before spending
 		// time measuring.
@@ -260,7 +253,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "running json report...")
 		var err error
-		report, err = bench.RunJSONReport(withJIT, withConcMark)
+		report, err = bench.RunJSONReport()
 		check(err)
 		report.Parallel = par
 		if f != nil {

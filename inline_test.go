@@ -18,6 +18,10 @@ import (
 //   - The interpreter runs the active context's slots through heap.Frame
 //     views: a frame access that costs a call gives the register
 //     window's gain back (DESIGN §4).
+//   - Three collectors look at an object through (*Heap).refWords, and
+//     the TLABs and the parallel scavenger's copy buffers bump through
+//     one type: a call there would slow every collector at once
+//     (DESIGN §4, the kernel table).
 var mustInline = map[string][]string{
 	"internal/trace": {"(*Recorder).Emit", "(*Histogram).Record"},
 	"internal/sanitize": {
@@ -26,7 +30,10 @@ var mustInline = map[string][]string{
 		"(*Checker).OnMarkGrey",
 	},
 	"internal/interp": {"(*Interp).stackAt"},
-	"internal/heap":   {"(*Frame).Get", "(*Frame).Set", "(*Frame).Put", "(*Frame).Poke"},
+	"internal/heap": {
+		"(*Frame).Get", "(*Frame).Set", "(*Frame).Put", "(*Frame).Poke",
+		"(*Heap).refWords", "(*bump).fits", "(*bump).take",
+	},
 }
 
 // mustInlineInto lists, by file, callees that must be inlined into it.
@@ -34,7 +41,11 @@ var mustInline = map[string][]string{
 // inliner's 80 nodes. What is held is that the frame's fast path is
 // inlined into them, so nothing else is called on the way.
 var mustInlineInto = map[string][]string{
-	"internal/interp/interp.go": {"heap.(*Frame).Poke", "heap.(*Frame).Get", "heap.(*Frame).Put"},
+	"internal/interp/interp.go":    {"heap.(*Frame).Poke", "heap.(*Frame).Get", "heap.(*Frame).Put"},
+	"internal/heap/scavenge.go":    {"(*Heap).refWords"},
+	"internal/heap/fullgc.go":      {"(*Heap).refWords"},
+	"internal/heap/parscavenge.go": {"(*Heap).refWords", "(*bump).fits", "(*bump).take"},
+	"internal/heap/alloc.go":       {"(*bump).fits", "(*bump).take"},
 }
 
 // TestMustInline builds the four packages once with -gcflags=-m, using

@@ -65,17 +65,16 @@ type JSONReport struct {
 	// sweep it is virtual-time deterministic, so it rides in the gate
 	// and the fingerprint.
 	ParScavenge *ParScavReport `json:"parscavenge,omitempty"`
-	// JIT is the msjit ablation (msbench -jit): present only when
-	// requested. Its virtual columns (virtual_ms, compiles, deopts,
-	// compiled-bytecode share) are deterministic and ride in the gate
-	// and the fingerprint; the host nanoseconds and speedups are zeroed
-	// in the fingerprint like every other host time.
+	// JIT is the msjit ablation. Its virtual columns (virtual_ms,
+	// compiles, deopts, compiled-bytecode share) are deterministic and
+	// ride in the gate and the fingerprint; the host nanoseconds and
+	// speedups are zeroed in the fingerprint like every other host time.
 	JIT *JITReport `json:"jit,omitempty"`
-	// ConcMark is the concurrent-marking ablation (msbench -concmark):
-	// present only when requested. Every column is virtual-time
-	// deterministic, so the rows ride in the gate and the fingerprint;
-	// the gate additionally holds the fresh run to the pause-bound
-	// property (concurrent max pause strictly below the serial one).
+	// ConcMark is the concurrent-marking ablation. Every column is
+	// virtual-time deterministic, so the rows ride in the gate and the
+	// fingerprint; the gate additionally holds the fresh run to the
+	// pause-bound property (concurrent max pause strictly below the
+	// serial one).
 	ConcMark *ConcMarkReport `json:"concmark,omitempty"`
 	// Serve is the multi-tenant image-server benchmark (cmd/msserve):
 	// one open-loop schedule at 1/2/4/8 executors plus the parallel
@@ -84,11 +83,10 @@ type JSONReport struct {
 }
 
 // RunJSONReport measures the Table 2 matrix (virtual ms plus host wall
-// time per benchmark, counters per state) and the inline-cache
-// ablation. includeJIT adds the msjit ablation (msbench -jit);
-// includeConcMark adds the concurrent-marking ablation (msbench
-// -concmark).
-func RunJSONReport(includeJIT, includeConcMark bool) (*JSONReport, error) {
+// time per benchmark, counters per state), the sanitizer twins, and the
+// parallel-scavenging, serve, msjit, concurrent-marking and inline-cache
+// ablations.
+func RunJSONReport() (*JSONReport, error) {
 	r := &JSONReport{
 		Schema:        fmt.Sprintf("msbench/%d", trace.MetricsSchemaVersion),
 		SchemaVersion: trace.MetricsSchemaVersion,
@@ -145,21 +143,17 @@ func RunJSONReport(includeJIT, includeConcMark bool) (*JSONReport, error) {
 	}
 	r.Serve = sv
 
-	if includeJIT {
-		jr, err := RunJITAblation()
-		if err != nil {
-			return nil, err
-		}
-		r.JIT = jr
+	jr, err := RunJITAblation()
+	if err != nil {
+		return nil, err
 	}
+	r.JIT = jr
 
-	if includeConcMark {
-		cr, err := RunConcMarkAblation()
-		if err != nil {
-			return nil, err
-		}
-		r.ConcMark = cr
+	cr, err := RunConcMarkAblation()
+	if err != nil {
+		return nil, err
 	}
+	r.ConcMark = cr
 
 	ic, err := RunInlineCacheAblation()
 	if err != nil {

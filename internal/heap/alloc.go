@@ -95,14 +95,7 @@ func (h *Heap) AllocateNoGC(class object.OOP, bodyWords int, f object.Format) ob
 		words, slack = object.BodyWordsForFields(bodyWords)
 	}
 	total := words + object.HeaderWords
-	addr, ok := h.carveOldFree(total)
-	if !ok {
-		if h.old.free() < total {
-			panic(OOMError{NeedWords: total})
-		}
-		addr = h.old.next
-		h.old.next += uint64(total)
-	}
+	addr := h.takeOld(total)
 	hd := object.MakeHeader(total, f, slack)
 	if h.allocBlack(addr) {
 		hd = hd.SetMarked(true)
@@ -161,10 +154,8 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 	t := &h.tlabs[p.ID()]
 	// A TLAB is a Table-3 replication row: only its owner bumps it.
 	h.san.OnOwnedAccess(p.ID(), p.ID(), int64(p.Now()), "tlab")
-	if t.limit-t.next >= uint64(total) {
-		addr := t.next
-		t.next += uint64(total)
-		return addr
+	if t.fits(total) {
+		return t.take(total)
 	}
 	c := h.m.Costs()
 	chunk := h.cfg.EdenWords / (8 * len(h.tlabs))
@@ -180,15 +171,12 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 			if n > h.eden.free() {
 				n = h.eden.free() &^ 1
 			}
-			t.next = h.eden.next
-			t.limit = h.eden.next + uint64(n)
+			*t = bump{next: h.eden.next, limit: h.eden.next + uint64(n)}
 			h.eden.next = t.limit
 			h.allocLock.Release(p)
 			p.Advance(c.TLABRefill)
 			h.allocShards[p.ID()].tlabRefills.Add(1)
-			addr := t.next
-			t.next += uint64(total)
-			return addr
+			return t.take(total)
 		}
 		h.allocLock.Release(p)
 		if attempt > 0 {
@@ -199,30 +187,33 @@ func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 	}
 }
 
-// reserveOld allocates directly in old space (large objects). Under
-// ConcMark the sweep's free list is consulted first-fit before the
-// bump pointer, so reclaimed old space is reused without compaction.
+// reserveOld allocates directly in old space (large objects) under the
+// allocation lock.
 func (h *Heap) reserveOld(p *firefly.Proc, total int) uint64 {
 	h.allocLock.Acquire(p)
+	defer h.allocLock.Release(p)
 	h.sanAccess(p, "old-space")
+	return h.takeOld(total)
+}
+
+// takeOld reserves total words of old space for reserveOld and
+// AllocateNoGC, which serialize it: first-fit from the ConcMark sweep's
+// free list, so reclaimed old space is reused without compaction, else
+// the bump pointer; an exhausted old space panics with OOMError.
+func (h *Heap) takeOld(total int) uint64 {
 	if addr, ok := h.carveOldFree(total); ok {
-		h.allocLock.Release(p)
 		return addr
 	}
 	if h.old.free() < total {
-		h.allocLock.Release(p)
 		panic(OOMError{NeedWords: total})
 	}
 	addr := h.old.next
 	h.old.next += uint64(total)
-	h.allocLock.Release(p)
 	return addr
 }
 
 // ResetTLABs invalidates every processor's local chunk (after a scavenge
 // emptied eden).
 func (h *Heap) resetTLABs() {
-	for i := range h.tlabs {
-		h.tlabs[i] = tlab{}
-	}
+	clear(h.tlabs)
 }

@@ -49,13 +49,8 @@ const concMarkSliceObjects = 64
 // between safepoints.
 const concMarkSweepBatch = 256
 
-// maxFillerWords is the largest dead run one filler header can cover
-// (header sizes must be even); longer runs are split into several
-// fillers.
-const maxFillerWords = object.MaxObjectWords - 1
-
 // freeSpan is one sweep-reclaimed run of dead old-space words, capped
-// by a filler pseudo-object so old space stays linearly walkable. The
+// by fillers (fillGap) so old space stays linearly walkable. The
 // old-space allocators carve from spans first-fit before bumping.
 type freeSpan struct {
 	base  uint64
@@ -218,11 +213,9 @@ func (h *Heap) carveOldFree(total int) (uint64, bool) {
 			continue
 		}
 		base := s.base
-		rest := s.words - total
-		if rest > 0 {
+		if rest := s.words - total; rest > 0 {
 			// Re-cap the tail so the space stays linearly walkable.
-			h.storeWord(base+uint64(total), uint64(object.MakeHeader(rest, object.FmtWords, 0)))
-			h.storeWord(base+uint64(total)+1, uint64(object.Invalid))
+			h.fillGap(base+uint64(total), base+uint64(s.words))
 			s.base, s.words = base+uint64(total), rest
 		} else {
 			h.oldFree = append(h.oldFree[:i], h.oldFree[i+1:]...)
@@ -248,9 +241,7 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	start := p.Now()
 	h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
 	h.Scavenge(p)
-	for _, f := range h.preGC {
-		f()
-	}
+	runHooks(h.preGC)
 
 	cm.mu.Lock()
 	cm.grey = cm.grey[:0]
@@ -258,73 +249,57 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	cm.mu.Unlock()
 	cm.proc, cm.at = p.ID(), int64(start)
 
-	shadedObjs := uint64(0)
-	shade := func(v object.OOP) {
-		if cm.shadeRef(p.ID(), v) {
-			shadedObjs++
+	shaded, words := 0, 0
+	h.visitAllRoots(func(slot *object.OOP) {
+		if cm.shadeRef(p.ID(), *slot) {
+			shaded++
 		}
+	})
+	shadeFrom := func(o object.OOP) {
+		n, s := h.scanBlack(p.ID(), o)
+		words, shaded = words+n, shaded+s
 	}
-	h.visitAllRoots(func(slot *object.OOP) { shade(*slot) })
-
 	// The immortal objects never move and are never collected, but
 	// their class words (and nil's fields) reference old space.
-	walkObj := func(a uint64) uint64 {
-		hd := object.Header(h.loadWord(a))
-		shade(object.OOP(h.loadWord(a + 1)))
-		if hd.Format() == object.FmtPointers {
-			for i := 0; i < hd.BodyWords(); i++ {
-				shade(object.OOP(h.loadWord(a + object.HeaderWords + uint64(i))))
-			}
-		}
-		return uint64(hd.SizeWords())
-	}
-	words := uint64(0)
 	for _, fixed := range []object.OOP{object.Nil, object.True, object.False} {
-		words += walkObj(fixed.Addr())
+		shadeFrom(fixed)
 	}
 	past := &h.surv[h.past]
-	for a := past.base; a < past.next; {
-		if h.isScavFiller(a) {
-			a += uint64(object.Header(h.loadWord(a)).SizeWords())
-			continue
+	for a := past.base; a < past.next; a += uint64(object.Header(h.loadWord(a)).SizeWords()) {
+		if !h.isFiller(a) {
+			shadeFrom(object.FromAddr(a))
 		}
-		n := walkObj(a)
-		words += n
-		a += n
 	}
 
 	c := h.m.Costs()
-	p.Advance(c.ConcMarkBegin + c.ConcMarkPerWord*firefly.Time(words))
-	h.m.StallOthers(p, p.Now())
-	pause := p.Now() - start
-	cm.work += pause
-	if pause > h.stats.FullGCMaxPause {
-		h.stats.FullGCMaxPause = pause
-	}
-	h.lat.Record(trace.FullGCPause, int64(pause))
-	h.lat.Record(trace.ConcMarkPause, int64(pause))
-	h.rec.Emit(trace.KConcMarkBegin, p.ID(), int64(p.Now()), int64(shadedObjs), 0, "")
+	pause := h.closeConcWindow(p, start, c.ConcMarkBegin+c.ConcMarkPerWord*firefly.Time(words))
+	h.rec.Emit(trace.KConcMarkBegin, p.ID(), int64(p.Now()), int64(shaded), 0, "")
 	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 
 	cm.active.Store(true)
 	h.m.SetConcMarkActive(true)
 }
 
-// scanBlack blackens one grey old object: its class word and pointer
-// fields are read (atomically in parallel host mode — the mutators are
-// running) and their old-space referents shaded. Returns the object's
-// size in words for cost accounting.
-func (h *Heap) scanBlack(proc int, o object.OOP) int {
-	cm := h.cm
+// scanBlack blackens one grey old object — or, in the snapshot window,
+// walks an immortal or a past survivor: the old-space referents of the
+// words refWords would hand out are shaded. It loads them one at a time
+// through loadWord instead of taking the refWords view because in
+// parallel host mode the mutators run while it marks, so every load
+// must be atomic. Returns the object's size in words, for cost
+// accounting, and how many objects this call shaded.
+func (h *Heap) scanBlack(proc int, o object.OOP) (words, shaded int) {
 	addr := o.Addr()
 	hd := object.Header(h.loadWord(addr))
-	cm.shadeRef(proc, object.OOP(h.loadWord(addr+1)))
+	end := addr + object.HeaderWords
 	if hd.Format() == object.FmtPointers {
-		for i := 0; i < hd.BodyWords(); i++ {
-			cm.shadeRef(proc, object.OOP(h.loadWord(addr+object.HeaderWords+uint64(i))))
+		end = addr + uint64(hd.SizeWords())
+	}
+	for a := addr + 1; a < end; a++ {
+		if h.cm.shadeRef(proc, object.OOP(h.loadWord(a))) {
+			shaded++
 		}
 	}
-	return hd.SizeWords()
+	return hd.SizeWords(), shaded
 }
 
 // concMarkSlice drains up to budget grey objects as one bounded slice,
@@ -340,7 +315,8 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int, fromAssist bool) int {
 	}
 	words := 0
 	for _, o := range batch {
-		words += h.scanBlack(p.ID(), o)
+		n, _ := h.scanBlack(p.ID(), o)
+		words += n
 	}
 	c := h.m.Costs()
 	cost := c.ConcMarkPerObject*firefly.Time(len(batch)) +
@@ -392,7 +368,8 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 			break
 		}
 		for _, o := range batch {
-			words += h.scanBlack(p.ID(), o)
+			n, _ := h.scanBlack(p.ID(), o)
+			words += n
 		}
 		residual += len(batch)
 	}
@@ -426,17 +403,9 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	h.oldFree = h.oldFree[:0]
 
 	c := h.m.Costs()
-	p.Advance(c.ConcMarkFinal +
-		c.ConcMarkPerObject*firefly.Time(residual) +
+	pause := h.closeConcWindow(p, start, c.ConcMarkFinal+
+		c.ConcMarkPerObject*firefly.Time(residual)+
 		c.ConcMarkPerWord*firefly.Time(words))
-	h.m.StallOthers(p, p.Now())
-	pause := p.Now() - start
-	cm.work += pause
-	if pause > h.stats.FullGCMaxPause {
-		h.stats.FullGCMaxPause = pause
-	}
-	h.lat.Record(trace.FullGCPause, int64(pause))
-	h.lat.Record(trace.ConcMarkPause, int64(pause))
 	h.rec.Emit(trace.KConcMarkFinal, p.ID(), int64(p.Now()), int64(residual), int64(pause), "")
 	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 
@@ -446,10 +415,25 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	h.stats.ConcMarkMarked += cm.marked
 	h.stats.ConcMarkShaded += cm.shaded
 
-	for _, f := range h.postGC {
-		f()
-	}
+	runHooks(h.postGC)
 	h.san.ResetMarkClaims()
+}
+
+// closeConcWindow ends a stop-the-world window of the marking cycle
+// opened at start: p pays cost, every other processor stalls to p's
+// clock, and the window is recorded as one full-GC pause, which it
+// returns for the caller's trace events.
+func (h *Heap) closeConcWindow(p *firefly.Proc, start, cost firefly.Time) firefly.Time {
+	p.Advance(cost)
+	h.m.StallOthers(p, p.Now())
+	pause := p.Now() - start
+	h.cm.work += pause
+	if pause > h.stats.FullGCMaxPause {
+		h.stats.FullGCMaxPause = pause
+	}
+	h.lat.Record(trace.FullGCPause, int64(pause))
+	h.lat.Record(trace.ConcMarkPause, int64(pause))
+	return pause
 }
 
 // clearMark resets o's mark bit for the next cycle. In parallel host
@@ -481,16 +465,10 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 	reclaimedWords, reclaimedObjs := uint64(0), uint64(0)
 	runBase, runLen := uint64(0), uint64(0)
 	flush := func() {
-		for runLen > 0 {
-			n := runLen
-			if n > maxFillerWords {
-				n = maxFillerWords
-			}
-			h.storeWord(runBase, uint64(object.MakeHeader(int(n), object.FmtWords, 0)))
-			h.storeWord(runBase+1, uint64(object.Invalid))
-			spans = append(spans, freeSpan{base: runBase, words: int(n)})
-			runBase += n
-			runLen -= n
+		if runLen > 0 {
+			h.fillGap(runBase, runBase+runLen)
+			spans = append(spans, freeSpan{base: runBase, words: int(runLen)})
+			runLen = 0
 		}
 	}
 
@@ -506,7 +484,7 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 				runBase = a
 			}
 			runLen += size
-			if !h.isScavFiller(a) {
+			if !h.isFiller(a) {
 				reclaimedWords += size
 				reclaimedObjs++
 			}

@@ -40,9 +40,7 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 	// the past-survivor objects and every other live object is in old
 	// space.
 	h.Scavenge(p)
-	for _, f := range h.preGC {
-		f()
-	}
+	runHooks(h.preGC)
 	h.inGC = true
 	defer func() { h.inGC = false }()
 
@@ -173,10 +171,7 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
 		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-
-	for _, f := range h.postGC {
-		f()
-	}
+	runHooks(h.postGC)
 }
 
 // slide is the compactor's plan for one full collection: the object at

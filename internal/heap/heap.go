@@ -138,10 +138,13 @@ type space struct {
 func (s *space) contains(a uint64) bool { return a >= s.base && a < s.limit }
 func (s *space) free() int              { return int(s.limit - s.next) }
 
-// tlab is a per-processor allocation chunk carved from eden.
-type tlab struct {
-	next, limit uint64
-}
+// bump is a chunk its one owner bump-allocates from: a processor's TLAB
+// carved from eden, or a scavenge worker's copy buffer carved from the
+// future survivor space or old space.
+type bump struct{ next, limit uint64 }
+
+func (b *bump) fits(n int) bool   { return b.limit-b.next >= uint64(n) }
+func (b *bump) take(n int) uint64 { a := b.next; b.next += uint64(n); return a }
 
 // Stats counts heap activity since creation.
 type Stats struct {
@@ -187,7 +190,7 @@ type Heap struct {
 
 	allocLock *firefly.Spinlock
 	entryLock *firefly.Spinlock
-	tlabs     []tlab
+	tlabs     []bump
 
 	// remembered is the entry table: old objects that may hold
 	// references into new space.
@@ -343,7 +346,7 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 	h.san.RegisterGuard("eden", "alloc")
 	h.san.RegisterGuard("old-space", "alloc")
 	h.san.RegisterGuard("remembered-set", "entry-table")
-	h.tlabs = make([]tlab, m.NumProcs())
+	h.tlabs = make([]bump, m.NumProcs())
 	h.handlePools = make([]*handlePool, m.NumProcs())
 	for i := range h.handlePools {
 		h.handlePools[i] = &handlePool{}
@@ -425,14 +428,40 @@ func (h *Heap) InOldSpace(o object.OOP) bool {
 // stores through the view is moving or re-pointing objects with the
 // world stopped.
 //
-//msvet:heap-writer the view is handed only to stop-the-world collector loops (scavenge scan, mark, compactor fix-up) and to the read-only walks of verify.go and CheckInvariants; no mutator path can reach it
-//msvet:atomic-excluded every caller runs with the world stopped or on a caller-quiesced heap
+//msvet:heap-writer the view is handed only to stop-the-world collector loops (serial and parallel scavenge scans, mark, compactor fix-up) and to the read-only walks of verify.go and CheckInvariants; no mutator path can reach it
+//msvet:atomic-excluded every caller runs with the world stopped or on a caller-quiesced heap; in a host-parallel scavenge a grey object is scanned by exactly one worker, the one that copied it or was seeded with it (or a thief that stole its item, ordered after the copy by the deque lock), and other workers touch only from-space headers and forwarding words
 func (h *Heap) refWords(addr uint64) []uint64 {
 	n := uint64(object.HeaderWords)
 	if hd := object.Header(h.mem[addr]); hd.Format() == object.FmtPointers {
 		n = uint64(hd.SizeWords())
 	}
 	return h.mem[addr+1 : addr+n]
+}
+
+// maxFillerWords is the largest gap one filler header can cover (header
+// sizes must be even); fillGap splits a longer gap into several fillers.
+const maxFillerWords = object.MaxObjectWords - 1
+
+// fillGap caps the unused words [base, limit) with filler pseudo-objects
+// — raw-words format, Invalid class — so the space stays linearly
+// walkable by CheckInvariants, the verifiers, the collectors and
+// snapshots. It is the one filler writer: a retired copy buffer's tail,
+// the rest of a carved free span and a swept dead run all go through
+// it. Object sizes are even, so a gap is an even word count >=
+// HeaderWords, or zero.
+func (h *Heap) fillGap(base, limit uint64) {
+	for base < limit {
+		n := min(limit-base, maxFillerWords)
+		h.storeWord(base, uint64(object.MakeHeader(int(n), object.FmtWords, 0)))
+		h.storeWord(base+1, uint64(object.Invalid))
+		base += n
+	}
+}
+
+// isFiller reports whether the object at a is a filler fillGap wrote.
+func (h *Heap) isFiller(a uint64) bool {
+	return object.OOP(h.loadWord(a+1)) == object.Invalid &&
+		object.Header(h.loadWord(a)).Format() == object.FmtWords
 }
 
 // loadWord/storeWord are the two memory primitives every accessor
@@ -685,3 +714,10 @@ func (h *Heap) OnPreScavenge(f func()) { h.preGC = append(h.preGC, f) }
 
 // OnPostScavenge registers a hook run after each scavenge.
 func (h *Heap) OnPostScavenge(f func()) { h.postGC = append(h.postGC, f) }
+
+// runHooks runs a collection's pre- or post-hooks in registration order.
+func runHooks(hooks []func()) {
+	for _, f := range hooks {
+		f()
+	}
+}

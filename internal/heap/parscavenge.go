@@ -59,15 +59,12 @@ var scavBusyHeader = object.Header(0).SetForwarded()
 // on a claim that will never be published.
 var errParScavAbort = errors.New("heap: parallel scavenge aborted")
 
-// scavBuf is one worker's bump region inside a shared space.
-type scavBuf struct{ next, limit uint64 }
-
 // scavWorker is one processor's share of a parallel scavenge.
 type scavWorker struct {
 	id  int
 	wl  worklist
-	to  scavBuf // copy buffer in the future survivor space
-	old scavBuf // copy buffer in old space (tenuring)
+	to  bump // copy buffer in the future survivor space
+	old bump // copy buffer in old space (tenuring)
 
 	cost           firefly.Time // virtual copy + coordination cost
 	steals         uint64
@@ -291,52 +288,38 @@ func (s *parScav) anyWork() bool {
 }
 
 // scanGrey processes one work item: forward a root slot in place, or
-// scan a grey object's class word and pointer fields, maintaining
-// entry-table membership for old objects (remembered entries and
-// fresh tenurees alike).
+// scan a grey object as scanObject does (through refWords, forwarding
+// each word that references new space), maintaining entry-table
+// membership for old objects (remembered entries and fresh tenurees
+// alike).
 func (h *Heap) scanGrey(s *parScav, w *scavWorker, it greyItem) {
 	if it.slot != nil {
 		*it.slot = h.parForward(s, w, *it.slot)
 		return
 	}
-	addr := it.obj.Addr()
-	hd := object.Header(h.loadWord(addr))
 	refsNew := false
-	cls := object.OOP(h.loadWord(addr + 1))
-	if ncls := h.parForward(s, w, cls); ncls != cls {
-		h.storeWord(addr+1, uint64(ncls))
-		cls = ncls
-	}
-	if h.InNewSpace(cls) {
-		refsNew = true
-	}
-	if hd.Format() == object.FmtPointers {
-		body := hd.BodyWords()
-		for i := 0; i < body; i++ {
-			fa := addr + object.HeaderWords + uint64(i)
-			f := object.OOP(h.loadWord(fa))
-			if !f.IsPtr() || f == object.Invalid {
-				continue
-			}
-			if nf := h.parForward(s, w, f); nf != f {
-				h.storeWord(fa, uint64(nf))
-				f = nf
-			}
-			if h.InNewSpace(f) {
-				refsNew = true
-			}
+	newBase := h.newBase
+	ws := h.refWords(it.obj.Addr())
+	for i, wd := range ws {
+		if wd&1 != 0 || wd < newBase {
+			continue
+		}
+		nw := uint64(h.parForward(s, w, object.OOP(wd)))
+		ws[i] = nw
+		if nw >= newBase {
+			refsNew = true
 		}
 	}
-	if addr >= h.newBase {
+	if it.obj.Addr() >= newBase {
 		return
 	}
-	if refsNew {
+	if hd := h.Header(it.obj); refsNew {
 		if !hd.Remembered() {
-			h.SetHeader(it.obj, h.Header(it.obj).SetRemembered(true))
+			h.SetHeader(it.obj, hd.SetRemembered(true))
 		}
 		w.remembered = append(w.remembered, it.obj)
 	} else if hd.Remembered() {
-		h.SetHeader(it.obj, h.Header(it.obj).SetRemembered(false))
+		h.SetHeader(it.obj, hd.SetRemembered(false))
 	}
 }
 
@@ -368,28 +351,18 @@ func (h *Heap) parForward(s *parScav, w *scavWorker, o object.OOP) object.OOP {
 		h.san.OnGCClaim(w.id, h.gcAt, addr)
 		size := hd.SizeWords()
 		age := hd.Age() + 1
-		// Allocation-site profiling is deterministic-mode only
-		// (enforced by core), where the drain runs on one
-		// goroutine, so the site maps never race.
-		h.alp.NoteAge(int(age), int64(size))
 		dst, tenured := w.allocCopy(h, size, age >= h.cfg.TenureAge)
+		if h.alp != nil {
+			// Allocation-site profiling is deterministic-mode only
+			// (enforced by core), where the drain runs on one
+			// goroutine, so the site maps never race.
+			h.noteCopy(addr, dst, size, age, tenured)
+		}
 		if tenured {
 			age = 0
 			w.tenuredObjects++
 			w.tenuredWords += uint64(size)
 			h.rec.Emit(trace.KTenure, w.id, h.gcAt+int64(w.cost), int64(size), 0, "")
-			if ap := h.alp; ap != nil {
-				if id, ok := h.siteByAddr[addr]; ok {
-					ap.NoteTenured(id, int64(size))
-				}
-			}
-		} else if ap := h.alp; ap != nil {
-			if id, ok := h.siteByAddr[addr]; ok {
-				if addr >= h.eden.base {
-					ap.NoteSurvived(id, int64(size))
-				}
-				h.siteNext[dst] = id
-			}
 		}
 		copy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])
 		nh := hd.SetAge(age).SetRemembered(false)
@@ -417,36 +390,20 @@ func (h *Heap) parForward(s *parScav, w *scavWorker, o object.OOP) object.OOP {
 // in the serial scavenger); old-space exhaustion is fatal, exactly as
 // in the serial path.
 func (w *scavWorker) allocCopy(h *Heap, size int, tenure bool) (dst uint64, inOld bool) {
-	if !tenure {
-		if int(w.to.limit-w.to.next) >= size {
-			dst = w.to.next
-			w.to.next += uint64(size)
-			return dst, false
-		}
-		if h.carveChunk(w, &w.to, h.to, size) {
-			dst = w.to.next
-			w.to.next += uint64(size)
-			return dst, false
-		}
+	if !tenure && (w.to.fits(size) || h.carveChunk(w, &w.to, h.to, size)) {
+		return w.to.take(size), false
 	}
-	if int(w.old.limit-w.old.next) >= size {
-		dst = w.old.next
-		w.old.next += uint64(size)
-		return dst, true
-	}
-	if !h.carveChunk(w, &w.old, &h.old, size) {
+	if !w.old.fits(size) && !h.carveChunk(w, &w.old, &h.old, size) {
 		panic(OOMError{NeedWords: size})
 	}
-	dst = w.old.next
-	w.old.next += uint64(size)
-	return dst, true
+	return w.old.take(size), true
 }
 
 // carveChunk retires the worker's current buffer (capping its unused
 // tail with a filler) and carves a fresh chunk of at least size words
 // from the shared space. The host mutex serializes only the carve;
 // the virtual cost is the ScavengeChunk charge.
-func (h *Heap) carveChunk(w *scavWorker, buf *scavBuf, sp *space, size int) bool {
+func (h *Heap) carveChunk(w *scavWorker, buf *bump, sp *space, size int) bool {
 	h.gcMu.Lock()
 	free := int(sp.limit - sp.next)
 	if free < size {
@@ -461,35 +418,12 @@ func (h *Heap) carveChunk(w *scavWorker, buf *scavBuf, sp *space, size int) bool
 		n = free
 	}
 	h.fillGap(buf.next, buf.limit)
-	buf.next = sp.next
-	buf.limit = sp.next + uint64(n)
+	*buf = bump{next: sp.next, limit: sp.next + uint64(n)}
 	sp.next = buf.limit
 	h.gcMu.Unlock()
 	w.chunks++
 	w.cost += h.m.Costs().ScavengeChunk
 	return true
-}
-
-// fillGap caps a retired buffer's unused tail [next, limit) with a
-// filler pseudo-object — raw-words format, Invalid class — so the
-// containing space remains linearly walkable by CheckInvariants, the
-// write-barrier verifier, the full collector (which reclaims unmarked
-// fillers), and snapshots. Allocation sizes are even, so any gap is
-// an even word count >= HeaderWords (or zero).
-func (h *Heap) fillGap(base, limit uint64) {
-	if limit <= base {
-		return
-	}
-	gap := int(limit - base)
-	h.mem[base] = uint64(object.MakeHeader(gap, object.FmtWords, 0))
-	h.mem[base+1] = uint64(object.Invalid)
-}
-
-// isScavFiller reports whether the object starting at a is a retired
-// copy-buffer filler.
-func (h *Heap) isScavFiller(a uint64) bool {
-	return object.OOP(h.mem[a+1]) == object.Invalid &&
-		object.Header(h.mem[a]).Format() == object.FmtWords
 }
 
 // finishParScav retires every worker's buffers, merges worker results

@@ -42,9 +42,7 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(start),
 		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 	h.gcProc, h.gcAt = p.ID(), int64(start)
-	for _, f := range h.preGC {
-		f()
-	}
+	runHooks(h.preGC)
 	if h.alp != nil {
 		// The copy pass re-keys each surviving object's allocation site
 		// from its old address to its new one.
@@ -93,10 +91,7 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(p.Now()),
 		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
 	h.verifyWriteBarrier(p)
-
-	for _, f := range h.postGC {
-		f()
-	}
+	runHooks(h.postGC)
 }
 
 // serialScavenge is the paper's single-scavenger path: phases 1–3 of
@@ -177,7 +172,6 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 	}
 	size := hd.SizeWords()
 	age := hd.Age() + 1
-	h.alp.NoteAge(int(age), int64(size))
 
 	var dst uint64
 	tenure := age >= h.cfg.TenureAge || h.to.free() < size
@@ -190,25 +184,13 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 		h.stats.TenuredObjects++
 		h.stats.TenuredWords += uint64(size)
 		h.rec.Emit(trace.KTenure, h.gcProc, h.gcAt, int64(size), 0, "")
-		if ap := h.alp; ap != nil {
-			if id, ok := h.siteByAddr[o.Addr()]; ok {
-				ap.NoteTenured(id, int64(size))
-			}
-		}
 		age = 0
 	} else {
 		dst = h.to.next
 		h.to.next += uint64(size)
-		if ap := h.alp; ap != nil {
-			if id, ok := h.siteByAddr[o.Addr()]; ok {
-				if o.Addr() >= h.eden.base {
-					// First scavenge for an eden-born object: it
-					// survived.
-					ap.NoteSurvived(id, int64(size))
-				}
-				h.siteNext[dst] = id
-			}
-		}
+	}
+	if h.alp != nil {
+		h.noteCopy(o.Addr(), dst, size, hd.Age()+1, tenure)
 	}
 
 	copy(h.mem[dst:dst+uint64(size)], h.mem[o.Addr():o.Addr()+uint64(size)])
@@ -230,6 +212,27 @@ func (h *Heap) forward(o object.OOP) object.OOP {
 	h.stats.CopiedObjects++
 	h.stats.CopiedWords += uint64(size)
 	return object.FromAddr(dst)
+}
+
+// noteCopy tells the allocation-site profiler that a scavenger copied
+// the size-word object at from to dst at the given age: the age census,
+// then, for an object whose site is known, its tenure or — on an
+// eden-born object's first copy — its survival; a survivor's site moves
+// with it to dst. Both scavengers call it, only when the profiler is on.
+func (h *Heap) noteCopy(from, dst uint64, size, age int, tenured bool) {
+	h.alp.NoteAge(age, int64(size))
+	id, ok := h.siteByAddr[from]
+	if !ok {
+		return
+	}
+	if tenured {
+		h.alp.NoteTenured(id, int64(size))
+		return
+	}
+	if from >= h.eden.base {
+		h.alp.NoteSurvived(id, int64(size))
+	}
+	h.siteNext[dst] = id
 }
 
 // scanObject forwards the class word and every pointer field of o,

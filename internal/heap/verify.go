@@ -46,7 +46,7 @@ func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
 		if size < object.HeaderWords {
 			break // corrupt header; CheckInvariants reports the details
 		}
-		if !h.isScavFiller(a) {
+		if !h.isFiller(a) {
 			starts[a] = true
 		}
 		a += uint64(size)

@@ -52,17 +52,16 @@ func seedSurvivors(h *Heap, p *firefly.Proc, roots *[]object.OOP) {
 	h.Scavenge(p)
 }
 
-// findFillerGap locates a retired copy-buffer filler in the live
-// survivor space.
-func findFillerGap(h *Heap) (uint64, bool) {
-	live := h.surv[h.past]
-	for a := live.base; a < live.next; {
-		if h.isScavFiller(a) {
-			return a, true
+// findFillers walks [base, next) and returns the address of every
+// filler in it.
+func findFillers(h *Heap, base, next uint64) []uint64 {
+	var fillers []uint64
+	for a := base; a < next; a += uint64(object.Header(h.mem[a]).SizeWords()) {
+		if h.isFiller(a) {
+			fillers = append(fillers, a)
 		}
-		a += uint64(object.Header(h.mem[a]).SizeWords())
 	}
-	return 0, false
+	return fillers
 }
 
 func barrierViolations(san *sanitize.Checker, substr string) int {
@@ -82,10 +81,12 @@ func TestVerifierCatchesPointerIntoCopyBufferGap(t *testing.T) {
 	san := parSanHeap(t, func(h *Heap, p *firefly.Proc) {
 		var roots []object.OOP
 		seedSurvivors(h, p, &roots)
-		gap, ok := findFillerGap(h)
-		if !ok {
+		live := h.surv[h.past]
+		gaps := findFillers(h, live.base, live.next)
+		if len(gaps) == 0 {
 			t.Fatal("no copy-buffer filler in survivor space; workload too small")
 		}
+		gap := gaps[0]
 		old := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
 		// FAULT: a pointer into the filler gap, planted behind the
 		// barrier's back (test-only reach into the representation).
@@ -161,5 +162,93 @@ func TestVerifierCleanOnParallelScavengeHeap(t *testing.T) {
 	})
 	if vs := san.Violations(); len(vs) != 0 {
 		t.Fatalf("clean parallel-scavenge workload reported violations:\n%s", san.Report())
+	}
+}
+
+// Every filler writer leaves old space walkable: a retired copy
+// buffer's tail, the rest of a carved free span, and a swept dead run
+// longer than one filler header can cover. For each, isFiller
+// recognizes the fillers, CheckInvariants walks across them, and the
+// write-barrier verifier skips their bodies — which still hold the dead
+// words they cover, here a planted pointer into reclaimed new space.
+func TestEveryFillerWriterIsWalkable(t *testing.T) {
+	concConfig := func(oldWords int) Config {
+		cfg := smallConfig()
+		cfg.OldWords = oldWords
+		cfg.ConcMark = true
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, fn func(h *Heap, p *firefly.Proc)) *sanitize.Checker
+		// fill makes the writer write and returns the fillers it left.
+		fill func(t *testing.T, h *Heap, p *firefly.Proc) []uint64
+	}{
+		{"copy-buffer tail", parSanHeap, func(t *testing.T, h *Heap, p *firefly.Proc) []uint64 {
+			var roots []object.OOP
+			seedSurvivors(h, p, &roots)
+			for h.InNewSpace(roots[0]) {
+				h.Scavenge(p) // tenure them through the workers' old-space buffers
+			}
+			return findFillers(h, h.old.base, h.old.next)
+		}},
+		{"carved free-span remainder", func(t *testing.T, fn func(h *Heap, p *firefly.Proc)) *sanitize.Checker {
+			return sanHeap(t, concConfig(8192), fn)
+		}, func(t *testing.T, h *Heap, p *firefly.Proc) []uint64 {
+			var keep object.OOP
+			h.AddRoot(&keep)
+			keep = h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
+			dead := h.AllocateNoGC(object.Nil, 30, object.FmtPointers)
+			h.FullCollect(p) // sweeps dead's 32 words into a free span
+			if o := h.AllocateNoGC(object.Nil, 6, object.FmtPointers); o != dead {
+				t.Fatalf("allocation at %d did not carve the swept span at %d", o.Addr(), dead.Addr())
+			}
+			return []uint64{dead.Addr() + 8}
+		}},
+		{"swept run longer than maxFillerWords", func(t *testing.T, fn func(h *Heap, p *firefly.Proc)) *sanitize.Checker {
+			return sanHeap(t, concConfig(maxFillerWords+4096), fn)
+		}, func(t *testing.T, h *Heap, p *firefly.Proc) []uint64 {
+			// Two dead objects written by hand, so that none of the
+			// 128 MB of address space they span is ever touched.
+			a, b := h.old.base, h.old.base+1<<23
+			h.mem[a] = uint64(object.MakeHeader(1<<23, object.FmtWords, 0))
+			h.mem[a+1] = uint64(object.Nil)
+			h.mem[b] = uint64(object.MakeHeader(1<<23+64, object.FmtWords, 0))
+			h.mem[b+1] = uint64(object.Nil)
+			h.old.next = b + 1<<23 + 64
+			var keep object.OOP
+			h.AddRoot(&keep)
+			keep = h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
+			h.FullCollect(p)
+			fillers := findFillers(h, h.old.base, keep.Addr())
+			if len(fillers) != 2 || fillers[1] != a+maxFillerWords {
+				t.Fatalf("swept run of %d words left fillers at %v, want at %d and %d",
+					keep.Addr()-a, fillers, a, a+maxFillerWords)
+			}
+			return fillers
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			san := tc.run(t, func(h *Heap, p *firefly.Proc) {
+				fillers := tc.fill(t, h, p)
+				if len(fillers) == 0 {
+					t.Fatal("the writer left no filler")
+				}
+				stale := uint64(object.FromAddr(h.eden.base + 64))
+				for _, a := range fillers {
+					if !h.isFiller(a) {
+						t.Fatalf("no filler at %d", a)
+					}
+					if object.Header(h.mem[a]).SizeWords() > object.HeaderWords {
+						h.mem[a+object.HeaderWords] = stale
+					}
+				}
+				h.CheckInvariants()
+				h.verifyWriteBarrier(p)
+			})
+			if vs := san.Violations(); len(vs) != 0 {
+				t.Fatalf("verifier reported a filler:\n%s", san.Report())
+			}
+		})
 	}
 }

@@ -215,11 +215,6 @@ type execState struct {
 	latency, wait, service trace.Histogram
 
 	perTenant map[int]*TenantStats
-	admitted  int
-	rejected  int
-	rejShare  int
-	completed int
-	errors    int
 	evalErr   error // first tenant materialization/VM failure, fatal
 }
 
@@ -263,21 +258,17 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 		// (or the tenant's share of it) is full. A shed request never
 		// occupies the executor.
 		if backlog(e.done, at) >= s.cfg.QueueDepth {
-			e.rejected++
 			ts.Rejected++
 			rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 0, "")
 			continue
 		}
 		if backlog(e.tenantDone[a.Tenant], at) >= s.cfg.TenantShare {
-			e.rejected++
-			e.rejShare++
 			ts.Rejected++
 			ts.RejectedShare++
 			rec.Emit(trace.KServeReject, p.ID(), a.At, int64(a.Tenant), 1, "")
 			continue
 		}
 
-		e.admitted++
 		ts.Admitted++
 		if p.Now() < at {
 			// Open-loop: the executor idles until the next arrival.
@@ -295,7 +286,6 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 		}
 		vt0 := sys.VirtualTime()
 		if _, err := sys.Evaluate(source); err != nil {
-			e.errors++
 			ts.Errors++
 		}
 		// The session ran on its own single-processor machine; its
@@ -307,7 +297,6 @@ func (s *Server) runExecutor(p *firefly.Proc, e *execState, rec *trace.Recorder)
 
 		e.done = append(e.done, doneAt)
 		e.tenantDone[a.Tenant] = append(e.tenantDone[a.Tenant], doneAt)
-		e.completed++
 		ts.Completed++
 		lat := doneAt - at
 		e.latency.Record(int64(lat))
@@ -402,8 +391,9 @@ func (s *Server) heapWork(i int) HeapWork {
 	}
 }
 
-// report merges the executor-local accumulators into one Report, and
-// the tenants' heap work since heapAtStart.
+// report merges the executor-local accumulators into one Report, with
+// the request totals summed from the per-tenant counts, and the
+// tenants' heap work since heapAtStart.
 func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, heapAtStart []HeapWork, rec *trace.Recorder) *Report {
 	r := &Report{
 		Tenants:     s.cfg.Tenants,
@@ -418,11 +408,6 @@ func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, heapAtSt
 	var latency, wait, service trace.Histogram
 	perTenant := map[int]*TenantStats{}
 	for _, e := range execs {
-		r.Admitted += e.admitted
-		r.Rejected += e.rejected
-		r.RejectedShare += e.rejShare
-		r.Completed += e.completed
-		r.Errors += e.errors
 		latency.Merge(&e.latency)
 		wait.Merge(&e.wait)
 		service.Merge(&e.service)
@@ -444,6 +429,11 @@ func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, heapAtSt
 			ts = &TenantStats{Tenant: i}
 		}
 		ts.Executor = s.ExecutorFor(i)
+		r.Admitted += ts.Admitted
+		r.Rejected += ts.Rejected
+		r.RejectedShare += ts.RejectedShare
+		r.Completed += ts.Completed
+		r.Errors += ts.Errors
 		ts.Heap = s.heapWork(i).since(heapAtStart[i])
 		r.TenantHeap.add(ts.Heap)
 		r.PerTenant = append(r.PerTenant, *ts)
