@@ -175,7 +175,7 @@ func RunScavengeExperiment() ([]ScavengeRow, error) {
 		cfg.Processors = k
 		cfg.EdenWords = edenPerProc * k
 		cfg.SurvivorWords = (2 << 10) * k
-		cfg.ExtraSources = append(cfg.ExtraSources, benchmarkSource)
+		cfg.ExtraSources = append(cfg.ExtraSources, MacroSource)
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err

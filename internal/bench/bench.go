@@ -53,7 +53,7 @@ func StandardStates() []State {
 // in for the given state, with its background Processes running.
 func NewBenchSystem(st State) (*core.System, error) {
 	cfg := st.Config()
-	cfg.ExtraSources = append(cfg.ExtraSources, benchmarkSource)
+	cfg.ExtraSources = append(cfg.ExtraSources, MacroSource)
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: boot %s: %w", st.Name, err)

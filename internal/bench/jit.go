@@ -156,7 +156,7 @@ func jitTierSystem(jit bool) (*core.System, error) {
 	// time on both tiers and dilute the measured ratio toward 1.
 	cfg.Processors = 1
 	cfg.JIT = jit
-	cfg.ExtraSources = append(cfg.ExtraSources, benchmarkSource, jitStormSource)
+	cfg.ExtraSources = append(cfg.ExtraSources, MacroSource, jitStormSource)
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: jit ablation boot (jit=%v): %w", jit, err)

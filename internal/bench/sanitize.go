@@ -76,7 +76,7 @@ func (r *SanitizeReport) Clean() bool {
 func sanitizeRun(st State, sanitized bool) ([]int64, map[string]string, *sanitize.Checker, int64, error) {
 	cfg := st.Config()
 	cfg.Sanitize = sanitized
-	cfg.ExtraSources = append(cfg.ExtraSources, benchmarkSource)
+	cfg.ExtraSources = append(cfg.ExtraSources, MacroSource)
 	t0 := time.Now()
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

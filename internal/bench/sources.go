@@ -4,12 +4,12 @@
 // policy, scavenge behaviour).
 package bench
 
-// benchmarkSource defines the macro-benchmark workloads in Smalltalk.
+// MacroSource defines the macro-benchmark workloads in Smalltalk.
 // They are analogues of the Smalltalk-80 "macro" benchmarks (McCall's
 // chapter of "Smalltalk-80: Bits of History, Words of Advice") the paper
 // uses: typical programming-environment activities over the live image's
 // metaobjects.
-const benchmarkSource = `
+const MacroSource = `
 "The eight macro benchmarks. Each answers its elapsed virtual time in
  milliseconds, measured by the running Process's own clock."!
 

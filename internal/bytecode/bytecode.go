@@ -139,8 +139,8 @@ func IsSend(op Op) bool {
 }
 
 // SendSites scans code and returns the pc of every send instruction, in
-// ascending order. The compiler uses it to count a method's send sites;
-// the interpreter's inline-cache layer uses it to index them.
+// ascending order. The interpreter's inline-cache layer uses it to index
+// a method's send sites.
 func SendSites(code []byte) []int {
 	var pcs []int
 	for pc := 0; pc < len(code); {
@@ -151,6 +151,20 @@ func SendSites(code []byte) []int {
 		pc += 1 + OperandLen(op)
 	}
 	return pcs
+}
+
+// CountSendSites is len(SendSites(code)), without the list: the compiler
+// counts a method's send sites with it.
+func CountSendSites(code []byte) int {
+	n := 0
+	for pc := 0; pc < len(code); {
+		op := Op(code[pc])
+		if IsSend(op) {
+			n++
+		}
+		pc += 1 + OperandLen(op)
+	}
+	return n
 }
 
 // Special returns the selector/arity of a special send opcode.
@@ -205,6 +219,15 @@ func (a *Assembler) Code() []byte { return a.code }
 
 // Len returns the current code length (the pc of the next instruction).
 func (a *Assembler) Len() int { return len(a.code) }
+
+// Grow makes room for n more bytes of code.
+func (a *Assembler) Grow(n int) {
+	if cap(a.code)-len(a.code) < n {
+		code := make([]byte, len(a.code), len(a.code)+n)
+		copy(code, a.code)
+		a.code = code
+	}
+}
 
 // Emit appends an opcode with no operands.
 func (a *Assembler) Emit(op Op) { a.code = append(a.code, byte(op)) }

@@ -13,8 +13,11 @@ import (
 // Block bodies are analyzed from depth 0 (they run on their own
 // context's stack); their depth is folded into the result, which makes
 // the caller's context sizing conservative.
-func maxStack(code []byte, start, end, startDepth int) (int, error) {
-	depths := map[int]int{}
+//
+// depths, as long as code and zero on the first call, records the depth
+// on entry to each visited pc plus one. A block body's pcs are visited
+// only by its own analysis, so one table serves every nesting level.
+func maxStack(code []byte, start, end, startDepth int, depths []int32) (int, error) {
 	max := startDepth
 	type item struct{ pc, d int }
 	work := []item{{start, startDepth}}
@@ -30,13 +33,13 @@ func maxStack(code []byte, start, end, startDepth int) (int, error) {
 			if pc < start || pc > end {
 				return fmt.Errorf("pc %d escapes range [%d,%d)", pc, start, end)
 			}
-			if prev, seen := depths[pc]; seen {
+			if prev := int(depths[pc]) - 1; prev >= 0 {
 				if prev != d {
 					return fmt.Errorf("inconsistent stack depth at pc %d: %d vs %d", pc, prev, d)
 				}
 				return nil
 			}
-			depths[pc] = d
+			depths[pc] = int32(d + 1)
 
 			op := bytecode.Op(code[pc])
 			opnd := pc + 1
@@ -69,7 +72,7 @@ func maxStack(code []byte, start, end, startDepth int) (int, error) {
 				continue
 			case op == bytecode.OpPushBlock:
 				bodyLen := bytecode.U16(code, opnd+2)
-				sub, err := maxStack(code, next, next+bodyLen, 0)
+				sub, err := maxStack(code, next, next+bodyLen, 0, depths)
 				if err != nil {
 					return err
 				}

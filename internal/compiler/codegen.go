@@ -116,15 +116,23 @@ func CompileExpression(src string, env Env) (*Method, error) {
 
 // gen is the code generator state for one method.
 type gen struct {
-	asm    bytecode.Assembler
-	env    Env
-	scopes []map[string]int // name -> temp slot, innermost last
+	asm bytecode.Assembler
+	env Env
+	// names binds temporaries to slots, innermost scope last; a lookup
+	// takes the last binding of a name. A method has few temporaries and
+	// literals, so scans beat a map per scope and one per literal frame.
+	names  []binding
 	nTemps int
 	lits   []Lit
-	litIdx map[litKey]int
 
 	usesBlocks bool
 	usesCtx    bool
+}
+
+// binding is one temporary's name and slot.
+type binding struct {
+	name string
+	slot int
 }
 
 // Generate compiles a parsed method against env.
@@ -137,23 +145,18 @@ func Generate(m *MethodNode, env Env, source string) (out *Method, err error) {
 			out, err = nil, fmt.Errorf("compiler: %s: %v", m.Selector, r)
 		}
 	}()
-	g := &gen{env: env, litIdx: map[litKey]int{}}
-	top := map[string]int{}
+	g := &gen{env: env}
+	g.asm.Grow(32) // most methods' code fits: one allocation, not three
 	for _, p := range m.Params {
-		if _, dup := top[p]; dup {
+		if !g.declare(0, p) {
 			return nil, fmt.Errorf("compiler: duplicate argument %q", p)
 		}
-		top[p] = g.nTemps
-		g.nTemps++
 	}
 	for _, t := range m.Temps {
-		if _, dup := top[t]; dup {
+		if !g.declare(0, t) {
 			return nil, fmt.Errorf("compiler: duplicate temporary %q", t)
 		}
-		top[t] = g.nTemps
-		g.nTemps++
 	}
-	g.scopes = append(g.scopes, top)
 
 	if err := g.genMethodBody(m.Body); err != nil {
 		return nil, err
@@ -165,7 +168,7 @@ func Generate(m *MethodNode, env Env, source string) (out *Method, err error) {
 		return nil, fmt.Errorf("compiler: method %s has too many literals", m.Selector)
 	}
 	code := g.asm.Code()
-	maxD, err := maxStack(code, 0, len(code), 0)
+	maxD, err := maxStack(code, 0, len(code), 0, make([]int32, len(code)))
 	if err != nil {
 		return nil, fmt.Errorf("compiler: %s: %v", m.Selector, err)
 	}
@@ -176,7 +179,7 @@ func Generate(m *MethodNode, env Env, source string) (out *Method, err error) {
 		Primitive:    m.Primitive,
 		Clean:        !g.usesBlocks && !g.usesCtx,
 		MaxStack:     maxD,
-		NumSendSites: len(bytecode.SendSites(code)),
+		NumSendSites: bytecode.CountSendSites(code),
 		Code:         code,
 		Literals:     g.lits,
 		Source:       source,
@@ -188,10 +191,27 @@ func (g *gen) errf(n Node, format string, args ...interface{}) error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
+// declare binds name to the next temporary slot in the scope whose
+// bindings start at names[scope], unless that scope already binds it.
+func (g *gen) declare(scope int, name string) bool {
+	for _, b := range g.names[scope:] {
+		if b.name == name {
+			return false
+		}
+	}
+	g.bind(name, g.nTemps)
+	g.nTemps++
+	return true
+}
+
+func (g *gen) bind(name string, slot int) {
+	g.names = append(g.names, binding{name, slot})
+}
+
 func (g *gen) lookupTemp(name string) (int, bool) {
-	for i := len(g.scopes) - 1; i >= 0; i-- {
-		if idx, ok := g.scopes[i][name]; ok {
-			return idx, true
+	for i := len(g.names) - 1; i >= 0; i-- {
+		if g.names[i].name == name {
+			return g.names[i].slot, true
 		}
 	}
 	return 0, false
@@ -199,13 +219,13 @@ func (g *gen) lookupTemp(name string) (int, bool) {
 
 func (g *gen) literal(l Lit) int {
 	k := l.key()
-	if i, ok := g.litIdx[k]; ok {
-		return i
+	for i, have := range g.lits {
+		if have.Kind == l.Kind && have.key() == k {
+			return i
+		}
 	}
-	i := len(g.lits)
 	g.lits = append(g.lits, l)
-	g.litIdx[k] = i
-	return i
+	return len(g.lits) - 1
 }
 
 // genMethodBody emits statements; falls off the end with returnSelf.
@@ -409,28 +429,23 @@ func (g *gen) genCascade(x *CascadeNode) error {
 // temporaries live in the home method's frame, Smalltalk-80 style.
 func (g *gen) genBlock(x *BlockNode) error {
 	g.usesBlocks = true
-	scope := map[string]int{}
+	scope := len(g.names)
 	firstArg := g.nTemps
 	for _, p := range x.Params {
-		if _, dup := scope[p]; dup {
+		if !g.declare(scope, p) {
 			return g.errf(x, "duplicate block argument %q", p)
 		}
-		scope[p] = g.nTemps
-		g.nTemps++
 	}
 	for _, t := range x.Temps {
-		if _, dup := scope[t]; dup {
+		if !g.declare(scope, t) {
 			return g.errf(x, "duplicate block temporary %q", t)
 		}
-		scope[t] = g.nTemps
-		g.nTemps++
 	}
 	patch := g.asm.EmitPushBlock(len(x.Params), firstArg)
-	g.scopes = append(g.scopes, scope)
 	if err := g.genBlockBody(x.Body); err != nil {
 		return err
 	}
-	g.scopes = g.scopes[:len(g.scopes)-1]
+	g.names = g.names[:scope]
 	g.asm.PatchBlock(patch)
 	return nil
 }
@@ -473,13 +488,12 @@ func (g *gen) genBlockBody(body []Stmt) error {
 // of the last statement on the stack (nil for an empty block). The
 // block's parameters/temps (if any) must already be bound by the caller.
 func (g *gen) genInlineValue(b *BlockNode) error {
-	scope := map[string]int{}
+	scope := len(g.names)
 	for _, t := range b.Temps {
-		scope[t] = g.nTemps
+		g.bind(t, g.nTemps)
 		g.nTemps++
 	}
-	g.scopes = append(g.scopes, scope)
-	defer func() { g.scopes = g.scopes[:len(g.scopes)-1] }()
+	defer func() { g.names = g.names[:scope] }()
 	if len(b.Body) == 0 {
 		g.asm.Emit(bytecode.OpPushNil)
 		return nil
@@ -678,11 +692,8 @@ func (g *gen) genToDo(start, limit Expr, step int64, body *BlockNode) error {
 	g.nTemps++
 	limitVar := g.nTemps
 	g.nTemps++
-	scope := map[string]int{body.Params[0]: iVar}
-	for _, t := range body.Temps {
-		scope[t] = g.nTemps
-		g.nTemps++
-	}
+	firstTemp := g.nTemps
+	g.nTemps += len(body.Temps)
 
 	if err := g.genExpr(start); err != nil {
 		return err
@@ -704,23 +715,29 @@ func (g *gen) genToDo(start, limit Expr, step int64, body *BlockNode) error {
 	}
 	exit := g.asm.EmitJump(bytecode.OpJumpFalse)
 
-	g.scopes = append(g.scopes, scope)
+	// The loop's names are bound around its body only: the start and
+	// limit expressions see the enclosing scopes.
+	scope := len(g.names)
+	g.bind(body.Params[0], iVar)
+	for i, t := range body.Temps {
+		g.bind(t, firstTemp+i)
+	}
 	for _, s := range body.Body {
 		switch s := s.(type) {
 		case *ReturnStmt:
 			if err := g.genExpr(s.X); err != nil {
-				g.scopes = g.scopes[:len(g.scopes)-1]
+				g.names = g.names[:scope]
 				return err
 			}
 			g.asm.Emit(bytecode.OpReturnTop)
 		case *ExprStmt:
 			if err := g.genForEffect(s.X); err != nil {
-				g.scopes = g.scopes[:len(g.scopes)-1]
+				g.names = g.names[:scope]
 				return err
 			}
 		}
 	}
-	g.scopes = g.scopes[:len(g.scopes)-1]
+	g.names = g.names[:scope]
 
 	g.asm.EmitU8(bytecode.OpPushTemp, iVar)
 	g.asm.EmitI8(bytecode.OpPushInt8, int(step))

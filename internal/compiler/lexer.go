@@ -8,8 +8,10 @@ package compiler
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokKind classifies tokens.
@@ -38,7 +40,10 @@ const (
 	TokBlockArg // :name
 )
 
-// Token is one lexeme with its source position.
+// Token is one lexeme with its source position. Text is a substring of
+// the source wherever the lexeme's text appears there verbatim; only a
+// string or symbol with a doubled quote (or invalid UTF-8) and an
+// integer not written in canonical decimal get a string of their own.
 type Token struct {
 	Kind TokKind
 	Text string
@@ -70,15 +75,73 @@ func (e *Error) Error() string {
 
 const binaryChars = "+-*/~<>=&|@%,?!\\"
 
-func isBinaryChar(r rune) bool { return strings.ContainsRune(binaryChars, r) }
+// The character classes answer as unicode's do. ASCII is a lookup in
+// asciiClass, which is built from unicode; above it, unicode is asked.
+const (
+	classIdentStart = 1 << iota
+	classIdentPart
+	classDigit
+	classSpace
+	classBinary
+)
 
-func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
-func isIdentPart(r rune) bool  { return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' }
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		r := rune(c)
+		if unicode.IsLetter(r) || r == '_' {
+			t[c] |= classIdentStart | classIdentPart
+		}
+		if unicode.IsDigit(r) {
+			t[c] |= classIdentPart | classDigit
+		}
+		if unicode.IsSpace(r) {
+			t[c] |= classSpace
+		}
+		if strings.ContainsRune(binaryChars, r) {
+			t[c] |= classBinary
+		}
+	}
+	return t
+}()
 
-// Lexer tokenizes Smalltalk source.
+func isBinaryChar(r rune) bool {
+	return r < utf8.RuneSelf && asciiClass[r]&classBinary != 0
+}
+
+func isIdentStart(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classIdentStart != 0
+	}
+	return unicode.IsLetter(r)
+}
+
+func isIdentPart(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classIdentPart != 0
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+func isDigit(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classDigit != 0
+	}
+	return unicode.IsDigit(r)
+}
+
+func isSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return asciiClass[r]&classSpace != 0
+	}
+	return unicode.IsSpace(r)
+}
+
+// Lexer tokenizes Smalltalk source. It walks the source by byte and
+// decodes a rune only at a byte at or above utf8.RuneSelf; Line and Col
+// count runes, as an editor does.
 type Lexer struct {
-	src  []rune
-	pos  int
+	src  string
+	pos  int // byte offset of the next rune
 	line int
 	col  int
 	prev TokKind // previous significant token, for negative-number context
@@ -91,66 +154,159 @@ type Lexer struct {
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: []rune(src), line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
 func (l *Lexer) errf(format string, args ...interface{}) *Error {
 	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *Lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
+func (l *Lexer) peek() rune { return l.peekAt(0) }
 
-func (l *Lexer) peekAt(n int) rune {
-	if l.pos+n >= len(l.src) {
+// peekAt returns the rune off bytes past the next one, 0 past the end.
+// Callers only look past ASCII runes, so off bytes is off runes.
+func (l *Lexer) peekAt(off int) rune {
+	i := l.pos + off
+	if i >= len(l.src) {
 		return 0
 	}
-	return l.src[l.pos+n]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(l.src[i:])
+	return r
 }
 
 func (l *Lexer) advance() rune {
-	r := l.src[l.pos]
+	c := l.src[l.pos]
+	if c >= utf8.RuneSelf {
+		r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+		l.pos += w
+		l.col++
+		return r
+	}
 	l.pos++
-	if r == '\n' {
+	if c == '\n' {
 		l.line++
 		l.col = 1
 	} else {
 		l.col++
 	}
-	return r
+	return rune(c)
+}
+
+// skipTo advances to byte end, which must start a rune.
+func (l *Lexer) skipTo(end int) {
+	seg := l.src[l.pos:end]
+	if i := strings.LastIndexByte(seg, '\n'); i >= 0 {
+		l.line += strings.Count(seg, "\n")
+		l.col = 1
+		seg = seg[i+1:]
+	}
+	l.col += utf8.RuneCountInString(seg)
+	l.pos = end
+}
+
+// skipIdent consumes identifier characters.
+func (l *Lexer) skipIdent() {
+	for l.pos < len(l.src) {
+		if c := l.src[l.pos]; c < utf8.RuneSelf {
+			if asciiClass[c]&classIdentPart == 0 {
+				return
+			}
+			l.pos++
+			l.col++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentPart(r) {
+			return
+		}
+		l.pos += w
+		l.col++
+	}
+}
+
+// digits consumes a run of digits and returns it.
+func (l *Lexer) digits() string {
+	start := l.pos
+	for l.pos < len(l.src) && isDigit(l.peek()) {
+		l.advance()
+	}
+	return l.src[start:l.pos]
 }
 
 // skipBlanks consumes whitespace and comments ("..." with doubled quotes).
 func (l *Lexer) skipBlanks() error {
 	for l.pos < len(l.src) {
 		r := l.peek()
-		if unicode.IsSpace(r) {
+		if isSpace(r) {
 			l.advance()
 			continue
 		}
-		if r == '"' {
-			l.advance()
-			for {
-				if l.pos >= len(l.src) {
-					return l.errf("unterminated comment")
-				}
-				if l.advance() == '"' {
-					if l.peek() == '"' {
-						l.advance() // doubled quote inside comment
-						continue
-					}
-					break
-				}
+		if r != '"' {
+			break
+		}
+		l.advance()
+		for {
+			end := strings.IndexByte(l.src[l.pos:], '"')
+			if end < 0 {
+				l.skipTo(len(l.src))
+				return l.errf("unterminated comment")
 			}
-			continue
+			l.skipTo(l.pos + end + 1)
+			if l.peek() != '"' {
+				break
+			}
+			l.advance() // doubled quote inside comment
 		}
-		break
 	}
 	return nil
+}
+
+// quoted consumes the body of a string or quoted symbol up to and past
+// its closing quote (the opening one is already consumed) and returns it
+// with doubled quotes undone. It is a substring of the source unless a
+// quote was doubled or a byte was not UTF-8: those are rebuilt rune by
+// rune, an invalid byte becoming utf8.RuneError.
+func (l *Lexer) quoted(what string) (string, error) {
+	start := l.pos
+	plain := true
+	for {
+		end := strings.IndexByte(l.src[l.pos:], '\'')
+		if end < 0 {
+			l.skipTo(len(l.src))
+			return "", l.errf("unterminated %s", what)
+		}
+		end += l.pos
+		plain = plain && utf8.ValidString(l.src[l.pos:end])
+		l.skipTo(end + 1)
+		if l.peek() != '\'' {
+			s := l.src[start:end]
+			if !plain {
+				s = unquote(s)
+			}
+			return s, nil
+		}
+		l.advance()
+		plain = false
+	}
+}
+
+// unquote undoes doubled quotes in s and replaces invalid bytes.
+func unquote(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	second := false
+	for _, r := range s {
+		if r == '\'' && second {
+			second = false
+			continue
+		}
+		second = r == '\''
+		b.WriteRune(r)
+	}
+	return b.String()
 }
 
 // operandEnd reports whether the previous token could end an operand, in
@@ -174,6 +330,13 @@ func (l *Lexer) Next() (Token, error) {
 	return t, err
 }
 
+// punct maps each one-character punctuation token to its kind, and every
+// other ASCII character to TokEOF.
+var punct = [utf8.RuneSelf]TokKind{
+	'(': TokLParen, ')': TokRParen, '[': TokLBracket, ']': TokRBracket,
+	'.': TokDot, ';': TokSemi, '^': TokCaret,
+}
+
 func (l *Lexer) next() (Token, error) {
 	if err := l.skipBlanks(); err != nil {
 		return Token{}, err
@@ -183,28 +346,23 @@ func (l *Lexer) next() (Token, error) {
 		tok.Kind = TokEOF
 		return tok, nil
 	}
+	start := l.pos
 	r := l.peek()
 	switch {
 	case isIdentStart(r):
-		start := l.pos
-		for l.pos < len(l.src) && isIdentPart(l.peek()) {
-			l.advance()
-		}
-		text := string(l.src[start:l.pos])
+		l.skipIdent()
+		tok.Kind = TokIdent
 		if l.peek() == ':' && l.peekAt(1) != '=' {
 			l.advance()
 			tok.Kind = TokKeyword
-			tok.Text = text + ":"
-			return tok, nil
 		}
-		tok.Kind = TokIdent
-		tok.Text = text
+		tok.Text = l.src[start:l.pos]
 		return tok, nil
 
-	case unicode.IsDigit(r):
+	case isDigit(r):
 		return l.lexNumber(tok, false)
 
-	case r == '-' && unicode.IsDigit(l.peekAt(1)) && (l.arrayDepth > 0 || !operandEnd(l.prev)):
+	case r == '-' && isDigit(l.peekAt(1)) && (l.arrayDepth > 0 || !operandEnd(l.prev)):
 		l.advance()
 		return l.lexNumber(tok, true)
 
@@ -215,127 +373,66 @@ func (l *Lexer) next() (Token, error) {
 		}
 		tok.Kind = TokChar
 		tok.Rune = l.advance()
-		tok.Text = "$" + string(tok.Rune)
+		tok.Text = l.src[start:l.pos]
+		if tok.Rune == utf8.RuneError {
+			tok.Text = "$" + string(utf8.RuneError) // not the byte that was not UTF-8
+		}
 		return tok, nil
 
 	case r == '\'':
 		l.advance()
-		var b strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return tok, l.errf("unterminated string")
-			}
-			c := l.advance()
-			if c == '\'' {
-				if l.peek() == '\'' {
-					l.advance()
-					b.WriteRune('\'')
-					continue
-				}
-				break
-			}
-			b.WriteRune(c)
+		text, err := l.quoted("string")
+		if err != nil {
+			return tok, err
 		}
 		tok.Kind = TokString
-		tok.Text = b.String()
+		tok.Text = text
 		return tok, nil
 
 	case r == '#':
 		l.advance()
-		switch {
-		case l.peek() == '(':
+		tok.Kind = TokSymbol
+		switch next := l.peek(); {
+		case next == '(':
 			l.advance()
 			tok.Kind = TokArrayStart
 			tok.Text = "#("
 			return tok, nil
-		case l.peek() == '\'':
+		case next == '\'':
 			l.advance()
-			var b strings.Builder
-			for {
-				if l.pos >= len(l.src) {
-					return tok, l.errf("unterminated symbol")
-				}
-				c := l.advance()
-				if c == '\'' {
-					if l.peek() == '\'' {
-						l.advance()
-						b.WriteRune('\'')
-						continue
-					}
-					break
-				}
-				b.WriteRune(c)
+			text, err := l.quoted("symbol")
+			if err != nil {
+				return tok, err
 			}
-			tok.Kind = TokSymbol
-			tok.Text = b.String()
+			tok.Text = text
 			return tok, nil
-		case isIdentStart(l.peek()):
-			var b strings.Builder
+		case isIdentStart(next):
 			for {
-				start := l.pos
-				for l.pos < len(l.src) && isIdentPart(l.peek()) {
-					l.advance()
-				}
-				b.WriteString(string(l.src[start:l.pos]))
+				l.skipIdent()
 				if l.peek() == ':' {
 					l.advance()
-					b.WriteByte(':')
 					if isIdentStart(l.peek()) {
 						continue // multi-keyword symbol
 					}
 				}
 				break
 			}
-			tok.Kind = TokSymbol
-			tok.Text = b.String()
-			return tok, nil
-		case isBinaryChar(l.peek()):
-			var b strings.Builder
+		case isBinaryChar(next):
 			for l.pos < len(l.src) && isBinaryChar(l.peek()) {
-				b.WriteRune(l.advance())
+				l.advance()
 			}
-			tok.Kind = TokSymbol
-			tok.Text = b.String()
-			return tok, nil
 		default:
 			return tok, l.errf("malformed symbol after #")
 		}
+		tok.Text = l.src[start+1 : l.pos]
+		return tok, nil
 
-	case r == '(':
+	case r < utf8.RuneSelf && punct[r] != TokEOF:
 		l.advance()
-		tok.Kind = TokLParen
-		tok.Text = "("
+		tok.Kind = punct[r]
+		tok.Text = l.src[start:l.pos]
 		return tok, nil
-	case r == ')':
-		l.advance()
-		tok.Kind = TokRParen
-		tok.Text = ")"
-		return tok, nil
-	case r == '[':
-		l.advance()
-		tok.Kind = TokLBracket
-		tok.Text = "["
-		return tok, nil
-	case r == ']':
-		l.advance()
-		tok.Kind = TokRBracket
-		tok.Text = "]"
-		return tok, nil
-	case r == '.':
-		l.advance()
-		tok.Kind = TokDot
-		tok.Text = "."
-		return tok, nil
-	case r == ';':
-		l.advance()
-		tok.Kind = TokSemi
-		tok.Text = ";"
-		return tok, nil
-	case r == '^':
-		l.advance()
-		tok.Kind = TokCaret
-		tok.Text = "^"
-		return tok, nil
+
 	case r == ':':
 		l.advance()
 		if l.peek() == '=' {
@@ -345,29 +442,22 @@ func (l *Lexer) next() (Token, error) {
 			return tok, nil
 		}
 		if isIdentStart(l.peek()) {
-			start := l.pos
-			for l.pos < len(l.src) && isIdentPart(l.peek()) {
-				l.advance()
-			}
+			l.skipIdent()
 			tok.Kind = TokBlockArg
-			tok.Text = string(l.src[start:l.pos])
+			tok.Text = l.src[start+1 : l.pos]
 			return tok, nil
 		}
 		return tok, l.errf("unexpected ':'")
 
 	case isBinaryChar(r):
-		var b strings.Builder
 		for l.pos < len(l.src) && isBinaryChar(l.peek()) {
-			b.WriteRune(l.advance())
-		}
-		text := b.String()
-		if text == "|" {
-			tok.Kind = TokPipe
-			tok.Text = "|"
-			return tok, nil
+			l.advance()
 		}
 		tok.Kind = TokBinary
-		tok.Text = text
+		tok.Text = l.src[start:l.pos]
+		if tok.Text == "|" {
+			tok.Kind = TokPipe
+		}
 		return tok, nil
 
 	default:
@@ -378,14 +468,8 @@ func (l *Lexer) next() (Token, error) {
 // lexNumber scans an integer or float, with optional radix (16rFF) and
 // exponent (1.5e3). neg applies a leading minus already consumed.
 func (l *Lexer) lexNumber(tok Token, neg bool) (Token, error) {
-	digits := func(valid func(rune) bool) string {
-		start := l.pos
-		for l.pos < len(l.src) && valid(l.peek()) {
-			l.advance()
-		}
-		return string(l.src[start:l.pos])
-	}
-	intPart := digits(unicode.IsDigit)
+	start := l.pos
+	intPart := l.digits()
 
 	// Radix integer: 16rFF, 2r1010.
 	if l.peek() == 'r' {
@@ -397,13 +481,13 @@ func (l *Lexer) lexNumber(tok Token, neg bool) (Token, error) {
 			return tok, l.errf("bad radix %s", intPart)
 		}
 		l.advance()
-		start := l.pos
+		digitsAt := l.pos
 		var v int64
 		for l.pos < len(l.src) {
 			c := l.peek()
 			var d int64 = -1
 			switch {
-			case unicode.IsDigit(c):
+			case isDigit(c):
 				d = int64(c - '0')
 			case c >= 'A' && c <= 'Z':
 				d = int64(c-'A') + 10
@@ -414,7 +498,7 @@ func (l *Lexer) lexNumber(tok Token, neg bool) (Token, error) {
 			v = v*radix + d
 			l.advance()
 		}
-		if l.pos == start {
+		if l.pos == digitsAt {
 			return tok, l.errf("missing digits after radix")
 		}
 		if neg {
@@ -422,39 +506,32 @@ func (l *Lexer) lexNumber(tok Token, neg bool) (Token, error) {
 		}
 		tok.Kind = TokInt
 		tok.Int = v
-		tok.Text = fmt.Sprintf("%d", v)
+		tok.Text = strconv.FormatInt(v, 10)
 		return tok, nil
 	}
 
 	isFloat := false
-	fracPart := ""
-	if l.peek() == '.' && unicode.IsDigit(l.peekAt(1)) {
+	if l.peek() == '.' && isDigit(l.peekAt(1)) {
 		l.advance()
 		isFloat = true
-		fracPart = digits(unicode.IsDigit)
+		l.digits()
 	}
-	expPart := ""
-	if l.peek() == 'e' && (unicode.IsDigit(l.peekAt(1)) ||
-		(l.peekAt(1) == '-' && unicode.IsDigit(l.peekAt(2)))) {
+	if l.peek() == 'e' && (isDigit(l.peekAt(1)) ||
+		(l.peekAt(1) == '-' && isDigit(l.peekAt(2)))) {
 		l.advance()
 		isFloat = true
 		if l.peek() == '-' {
 			l.advance()
-			expPart = "-"
 		}
-		expPart += digits(unicode.IsDigit)
+		l.digits()
 	}
 
 	if isFloat {
-		var f float64
-		text := intPart
-		if fracPart != "" {
-			text += "." + fracPart
-		}
-		if expPart != "" {
-			text += "e" + expPart
-		}
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		// The text is intPart[.frac][e[-]exp], which the source spells
+		// out verbatim after any minus.
+		text := l.src[start:l.pos]
+		f, err := parseFloat(text)
+		if err != nil {
 			return tok, l.errf("bad float %q", text)
 		}
 		if neg {
@@ -475,6 +552,42 @@ func (l *Lexer) lexNumber(tok Token, neg bool) (Token, error) {
 	}
 	tok.Kind = TokInt
 	tok.Int = v
-	tok.Text = fmt.Sprintf("%d", v)
+	switch {
+	case !canonicalDecimal(intPart, neg):
+		tok.Text = strconv.FormatInt(v, 10)
+	case neg:
+		tok.Text = l.src[start-1 : l.pos]
+	default:
+		tok.Text = intPart
+	}
 	return tok, nil
+}
+
+// canonicalDecimal reports whether digits, after an optional minus, read
+// exactly as strconv.FormatInt renders their value: ASCII, no leading
+// zero, no negative zero, and too short to overflow an int64.
+func canonicalDecimal(digits string, neg bool) bool {
+	if len(digits) > 18 || digits[0] == '0' && (len(digits) > 1 || neg) {
+		return false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// parseFloat converts a float token's text. fmt's %g scanner reads the
+// longest float prefix of the text, which is all of it unless a
+// non-ASCII digit is in it; only that case needs the scanner.
+func parseFloat(text string) (float64, error) {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			var f float64
+			_, err := fmt.Sscanf(text, "%g", &f)
+			return f, err
+		}
+	}
+	return strconv.ParseFloat(text, 64)
 }

@@ -1,6 +1,12 @@
 package compiler
 
-import "testing"
+import (
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func lexAll(t *testing.T, src string) []Token {
 	t.Helper()
@@ -184,4 +190,78 @@ func TestLexLineTracking(t *testing.T) {
 	if toks[0].Line != 1 || toks[1].Line != 2 || toks[2].Line != 3 || toks[2].Col != 3 {
 		t.Fatalf("positions: %v", toks)
 	}
+}
+
+// kernelChunks returns every chunk of the kernel library's sources, read
+// from disk: the image package files them in, so this package cannot
+// import it.
+func kernelChunks(tb testing.TB) []string {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "image", "st", "*.st"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("kernel sources: %v (%d files)", err, len(files))
+	}
+	var chunks []string
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, c := range strings.Split(strings.ReplaceAll(string(src), "!!", "\x00"), "!") {
+			chunks = append(chunks, strings.ReplaceAll(c, "\x00", "!"))
+		}
+	}
+	return chunks
+}
+
+func sameToken(a, b Token) bool {
+	fa, fb := math.Float64bits(a.Flt), math.Float64bits(b.Flt)
+	a.Flt, b.Flt = 0, 0
+	return a == b && fa == fb
+}
+
+// FuzzLexerMatchesReference holds the byte lexer to the rune lexer it
+// replaced (lexer_ref_test.go): the same tokens, field for field, and the
+// same error at the same place, inside a literal array or out of one.
+func FuzzLexerMatchesReference(f *testing.F) {
+	for _, c := range kernelChunks(f) {
+		f.Add(c, false)
+	}
+	for _, s := range []string{
+		"'unterminated", `"unterminated`, "#'unterminated", "$", "x $",
+		"'héllo'", "$é", "héllo := $é", "#wörld:dé:", `"ça" ok`,
+		"#+", "#at:put:", "#'a''b'", "#(3 -4)", "#(a: b: #c $d 'e' (f -1.5))",
+		"3-4", "3 -4", "x-4", "(3)-4", "#a -4",
+		"16rFF", "2r102", "36rZZ", "37r1", "3r", "-16r1F", "1.5e-3", "1e400", "1e-400", "2.e3", "3e-x",
+		"x:=1", "a::b", "[:a :b | a]", "^self", "a; b. c",
+		"0", "-0", "007", "-007", "9223372036854775807", "99999999999999999999", "-9223372036854775808",
+		"٣", "1٣.5", "-٣", "2r1٣", "\xff", "'a\xffb'", "$\xff", "#'\xff'", "'it''s'", "a\x00b",
+		"x\u00a0y", "x\u0085y", "a\r\nb\tc\vd\fe",
+	} {
+		f.Add(s, false)
+		f.Add(s, true)
+	}
+	f.Fuzz(func(t *testing.T, src string, inArray bool) {
+		l, ref := NewLexer(src), newRefLexer(src)
+		if inArray {
+			l.arrayDepth, ref.arrayDepth = 1, 1
+		}
+		for i := 0; ; i++ {
+			got, gotErr := l.Next()
+			want, wantErr := ref.Next()
+			if (gotErr == nil) != (wantErr == nil) ||
+				gotErr != nil && *gotErr.(*Error) != *wantErr.(*Error) {
+				t.Fatalf("%q token %d: error %v, reference %v", src, i, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			if !sameToken(got, want) {
+				t.Fatalf("%q token %d:\n got %+v\nwant %+v", src, i, got, want)
+			}
+			if want.Kind == TokEOF {
+				return
+			}
+		}
+	})
 }

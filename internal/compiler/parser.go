@@ -4,13 +4,13 @@ import "fmt"
 
 // Parser builds an AST from Smalltalk source.
 type Parser struct {
-	lex *Lexer
+	lex Lexer
 	cur Token
 }
 
 // NewParser returns a parser over src.
 func NewParser(src string) (*Parser, error) {
-	p := &Parser{lex: NewLexer(src)}
+	p := &Parser{lex: *NewLexer(src)}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -249,7 +249,7 @@ func (p *Parser) parseStatements(end TokKind) ([]Stmt, error) {
 func (p *Parser) parseExpr() (Expr, error) {
 	if p.at(TokIdent) {
 		// Possible assignment: ident ':=' expr.
-		save := *p.lex
+		save := p.lex
 		name := p.cur
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -265,7 +265,7 @@ func (p *Parser) parseExpr() (Expr, error) {
 			return &AssignNode{pos: p.posOf(name), Name: name.Text, Value: val}, nil
 		}
 		// Not an assignment: rewind the lexer and reparse.
-		*p.lex = save
+		p.lex = save
 		p.cur = name
 	}
 	return p.parseCascade()

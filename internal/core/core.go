@@ -165,10 +165,10 @@ type System struct {
 	background int // background Processes spawned
 }
 
-// busyWorkerSource defines the paper's "busy" competitor: modeled on the
+// BusyWorkerSource defines the paper's "busy" competitor: modeled on the
 // sweep-hand background Process, "it includes message sends and object
 // allocations, and also contends for the display."
-const busyWorkerSource = `
+const BusyWorkerSource = `
 Object subclass: #BusyWorker
 	instanceVariableNames: 'ticks'
 	category: 'Benchmarks'!
@@ -206,7 +206,7 @@ setTicks
 
 // NewSystem boots a system under cfg.
 func NewSystem(cfg Config) (*System, error) {
-	sources := append([]string{busyWorkerSource}, cfg.ExtraSources...)
+	sources := append([]string{BusyWorkerSource}, cfg.ExtraSources...)
 	return assemble(cfg, func(m *firefly.Machine) (*interp.VM, error) {
 		return image.BootOn(m, cfg.heapConfig(), interp.Config{
 			MSMode:         cfg.Mode == ModeMS,

@@ -8,6 +8,7 @@ package image
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"mst/internal/compiler"
 	"mst/internal/firefly"
@@ -26,16 +27,24 @@ import (
 // Class-definition expressions (`Super subclass: #Name ...`) are
 // interpreted structurally; all other expression chunks are evaluated
 // as DoIts.
+//
+// Every byte the reader looks for is ASCII, which no byte of a multi-byte
+// UTF-8 rune can equal, so it scans bytes and a chunk is a substring of
+// the source; only a chunk with a "!!" is built.
 
 type chunkReader struct {
-	src []rune
+	src string
 	pos int
 	// line tracks the 1-based line of pos for error messages.
 	line int
 }
 
 func newChunkReader(src string) *chunkReader {
-	return &chunkReader{src: []rune(src), line: 1}
+	if !utf8.ValidString(src) {
+		// Read runes as text: each byte that is not UTF-8 becomes U+FFFD.
+		src = string([]rune(src))
+	}
+	return &chunkReader{src: src, line: 1}
 }
 
 // next returns the next top-level chunk, whether it was introduced by
@@ -72,30 +81,40 @@ func (r *chunkReader) nextRaw() (string, bool) {
 	if r.pos >= len(r.src) {
 		return "", false
 	}
-	var b strings.Builder
-	for r.pos < len(r.src) {
-		c := r.src[r.pos]
-		if c == '\n' {
-			r.line++
+	var b strings.Builder // the chunk so far, once a "!!" is in it
+	escaped := false
+	start := r.pos
+	for {
+		end := strings.IndexByte(r.src[r.pos:], '!')
+		if end < 0 {
+			end = len(r.src)
+		} else {
+			end += r.pos
 		}
-		if c == '!' {
-			if r.pos+1 < len(r.src) && r.src[r.pos+1] == '!' {
-				b.WriteRune('!')
-				r.pos += 2
-				continue
-			}
-			r.pos++
-			return b.String(), true
+		r.line += strings.Count(r.src[r.pos:end], "\n")
+		r.pos = end
+		if end+1 < len(r.src) && r.src[end+1] == '!' {
+			b.WriteString(r.src[start : end+1]) // the text and one bang
+			escaped = true
+			r.pos += 2
+			start = r.pos
+			continue
 		}
-		b.WriteRune(c)
-		r.pos++
+		s := r.src[start:end]
+		if escaped {
+			b.WriteString(s)
+			s = b.String()
+		}
+		if end < len(r.src) {
+			r.pos++ // past the bang
+			return s, true
+		}
+		// Trailing text without a bang: a final chunk (or nothing).
+		if strings.TrimSpace(s) == "" {
+			return "", false
+		}
+		return s, true
 	}
-	// Trailing text without a bang: a final chunk (or nothing).
-	s := b.String()
-	if strings.TrimSpace(s) == "" {
-		return "", false
-	}
-	return s, true
 }
 
 // FileIn reads Smalltalk source in chunk format into the image. name is
@@ -131,6 +150,10 @@ func fileInMethods(vm *interp.VM, r *chunkReader, name, header string) error {
 	if err != nil {
 		return err
 	}
+	// One environment serves the section: it holds the class's instance
+	// variable names as Go strings, which no method chunk changes and no
+	// scavenge moves.
+	env := vm.EnvForClass(class)
 	for {
 		startLine := r.line
 		chunk, ok := r.nextRaw()
@@ -141,7 +164,7 @@ func fileInMethods(vm *interp.VM, r *chunkReader, name, header string) error {
 		if body == "" {
 			return nil
 		}
-		if err := vm.InstallSource(class, body, category); err != nil {
+		if err := vm.InstallSource(class, env, body, category); err != nil {
 			return fmt.Errorf("%s:%d: %w", name, startLine, err)
 		}
 	}
@@ -200,7 +223,8 @@ var classDefSelectors = map[string]interp.ClassKind{
 }
 
 // fileInExpression evaluates one expression chunk: class definitions
-// are interpreted structurally, everything else runs as a DoIt.
+// are interpreted structurally, everything else runs as a DoIt generated
+// from the one parse. A chunk runs once, so it stays out of the doIt memo.
 func fileInExpression(vm *interp.VM, name string, line int, body string) error {
 	node, err := compiler.ParseExpression(body)
 	if err != nil {
@@ -212,7 +236,11 @@ func fileInExpression(vm *interp.VM, name string, line int, body string) error {
 		}
 		return nil
 	}
-	if _, err := vm.Evaluate(body); err != nil {
+	m, err := compiler.Generate(node, vm.EnvForClass(vm.Specials.UndefinedObject), body)
+	if err != nil {
+		return fmt.Errorf("%s:%d: compile DoIt: %w", name, line, err)
+	}
+	if _, err := vm.RunDoIt(m); err != nil {
 		return fmt.Errorf("%s:%d: %w", name, line, err)
 	}
 	return nil

@@ -3,7 +3,9 @@ package image
 import (
 	"embed"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"mst/internal/firefly"
 	"mst/internal/heap"
@@ -16,6 +18,12 @@ var kernelFS embed.FS
 
 // KernelSources returns the embedded kernel source files in load order.
 func KernelSources() []struct{ Name, Source string } {
+	return slices.Clone(kernelSources())
+}
+
+// kernelSources reads the embedded files once: every boot files in the
+// same text.
+var kernelSources = sync.OnceValue(func() []struct{ Name, Source string } {
 	entries, err := kernelFS.ReadDir("st")
 	if err != nil {
 		panic("image: embedded sources missing: " + err.Error())
@@ -34,7 +42,7 @@ func KernelSources() []struct{ Name, Source string } {
 		out = append(out, struct{ Name, Source string }{n, string(b)})
 	}
 	return out
-}
+})
 
 // BootOn builds a complete virtual image on m: heap, VM, genesis, and
 // the full kernel library filed in. Extra sources (benchmarks,
@@ -46,7 +54,7 @@ func BootOn(m *firefly.Machine, hcfg heap.Config, vcfg interp.Config, extraSourc
 	vm := interp.New(m, h, vcfg)
 	vm.Genesis()
 	vm.StartInterpreters()
-	for _, src := range KernelSources() {
+	for _, src := range kernelSources() {
 		if err := FileIn(vm, src.Name, src.Source); err != nil {
 			return nil, fmt.Errorf("image: kernel file-in: %w", err)
 		}

@@ -181,7 +181,8 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 	if _, err := vm.Evaluate(src); err == nil {
 		t.Fatal("compiled an undeclared variable")
 	}
-	if err := vm.InstallSource(vm.Specials.SystemDictionary, "at: key put: value <primitive: 131> ^value", "mini"); err != nil {
+	sd := vm.Specials.SystemDictionary
+	if err := vm.InstallSource(sd, vm.EnvForClass(sd), "at: key put: value <primitive: 131> ^value", "mini"); err != nil {
 		t.Fatal(err)
 	}
 	const define = "Smalltalk at: #answer put: 41"

@@ -70,3 +70,18 @@ func TestDoItMemoTwinSystems(t *testing.T) {
 		t.Fatalf("heap images differ (%d and %d bytes)", imgA.Len(), imgB.Len())
 	}
 }
+
+// TestBootLeavesTheDoItMemoEmpty: file-in runs each expression chunk from
+// the one parse it already made, so a boot memoizes none of them.
+func TestBootLeavesTheDoItMemoEmpty(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.OldWords = 128 << 10
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	if n := sys.VM.DoItMemoLen(); n != 0 {
+		t.Fatalf("a boot left %d doIts in the memo", n)
+	}
+}

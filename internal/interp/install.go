@@ -8,6 +8,7 @@ import (
 	"mst/internal/bytecode"
 	"mst/internal/compiler"
 	"mst/internal/firefly"
+	"mst/internal/heap"
 	"mst/internal/object"
 )
 
@@ -133,10 +134,16 @@ func (vm *VM) materializeLit(p *firefly.Proc, l compiler.Lit) object.OOP {
 // CompileAndInstall compiles source as a method of class and installs it
 // in the class's method dictionary, flushing the method caches. MAY GC.
 func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, category string) (object.OOP, error) {
+	return vm.compileAndInstall(p, class, vm.EnvForClass(class), source, category)
+}
+
+// compileAndInstall is CompileAndInstall against env, which must be
+// class's (EnvForClass). MAY GC.
+func (vm *VM) compileAndInstall(p *firefly.Proc, class object.OOP, env compiler.Env, source, category string) (object.OOP, error) {
 	hs := vm.H.Handles(p)
 	defer hs.Close()
 	ch := hs.Add(class)
-	m, err := compiler.CompileMethod(source, vm.EnvForClass(class))
+	m, err := compiler.CompileMethod(source, env)
 	if err != nil {
 		return object.Nil, err
 	}
@@ -150,7 +157,7 @@ func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, categ
 // (growing if needed) under its selector, then flushes every cache.
 // Both the class and the method arrive as handles because growing the
 // dictionary can scavenge.
-func (vm *VM) installInDict(p *firefly.Proc, classH, moH heap2Handle) {
+func (vm *VM) installInDict(p *firefly.Proc, classH, moH heap.Handle) {
 	h := vm.H
 	dict := h.Fetch(classH.Get(), ClsMethodDict)
 	keys := h.Fetch(dict, MDKeys)
@@ -183,10 +190,6 @@ func (vm *VM) installInDict(p *firefly.Proc, classH, moH heap2Handle) {
 	}
 	vm.vmError("method dictionary full after grow")
 }
-
-// heap2Handle is the heap handle interface used by installInDict (it
-// must survive the allocations in growMethodDict).
-type heap2Handle interface{ Get() object.OOP }
 
 func (vm *VM) growMethodDict(p *firefly.Proc, class object.OOP) {
 	h := vm.H
@@ -266,7 +269,7 @@ func (vm *VM) CreateClass(p *firefly.Proc, name string, super object.OOP,
 	metaH := hs.Add(vm.allocFields(p, vm.Specials.Metaclass, ClassInstSize))
 	h.SetClass(p, clsH.Get(), metaH.Get())
 
-	fill := func(target heap2Handle, nameStr string, isMeta bool) {
+	fill := func(target heap.Handle, nameStr string, isMeta bool) {
 		nm := vm.InternSymbol(p, nameStr)
 		h.Store(p, target.Get(), ClsName, nm)
 		d := vm.newMethodDict(p)
@@ -399,12 +402,13 @@ func (vm *VM) Do(f func(p *firefly.Proc)) error {
 	return nil
 }
 
-// InstallSource compiles and installs method source into class, safely
-// from Go, through the machine loop.
-func (vm *VM) InstallSource(class object.OOP, source, category string) error {
+// InstallSource compiles method source against env, class's environment
+// (EnvForClass; file-in builds one per methodsFor: section), and
+// installs it into class, safely from Go, through the machine loop.
+func (vm *VM) InstallSource(class object.OOP, env compiler.Env, source, category string) error {
 	var installErr error
 	err := vm.Do(func(p *firefly.Proc) {
-		_, installErr = vm.CompileAndInstall(p, class, source, category)
+		_, installErr = vm.compileAndInstall(p, class, env, source, category)
 	})
 	if err != nil {
 		return err
@@ -421,6 +425,13 @@ func (vm *VM) Evaluate(source string) (EvalResult, error) {
 	if err != nil {
 		return EvalResult{}, fmt.Errorf("interp: compile DoIt: %w", err)
 	}
+	return vm.RunDoIt(m)
+}
+
+// RunDoIt runs a compiled DoIt as Evaluate does, past the doIt memo: for
+// a caller that generated m from a parse it already had (file-in), against
+// the DoIt environment (EnvForClass of UndefinedObject).
+func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
 	vm.evalResult = object.Nil
 	vm.evalDone.Store(false)
 	vm.evalFailed = ""

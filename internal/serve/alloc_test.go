@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"mst/internal/compiler"
+)
 
 // TestEvalHostAllocations pins the Go allocations of one request on a
 // warm tenant — clone materialized, every catalog source compiled once —
@@ -31,5 +35,56 @@ func TestEvalHostAllocations(t *testing.T) {
 		if got > bound {
 			t.Errorf("%s: %.0f Go allocations per request, bound %.0f", k.Name, got, bound)
 		}
+	}
+}
+
+// makeRoomFront is OrderedCollection>>makeRoomFront from the kernel
+// library: temporaries, instance variables, one keyword send over three
+// lines.
+const makeRoomFront = `makeRoomFront
+	| bigger n |
+	n := self size.
+	bigger := Array new: (elements size * 2 max: 4).
+	bigger replaceFrom: elements size + firstIndex
+		to: elements size + firstIndex + n - 1
+		with: elements startingAt: firstIndex.
+	firstIndex := elements size + firstIndex.
+	lastIndex := firstIndex + n - 1.
+	elements := bigger`
+
+// TestCompileHostAllocations pins the Go allocations of compiling each
+// catalog source as a doIt, which a cold request pays, and one kernel
+// method, which a boot pays some five hundred times, against a MapEnv as
+// the benchmark's compiler probes use. The bounds are the measured counts:
+// what is left is the AST's nodes and lists, the code and literal frame as
+// they grow, and the Method. A change that copies the source or builds a
+// token's text again fails here before it shows in setup_s.
+func TestCompileHostAllocations(t *testing.T) {
+	env := compiler.MapEnv{
+		InstVars: []string{"elements", "firstIndex", "lastIndex"},
+		Globals:  map[string]bool{"Session": true, "Array": true},
+	}
+	bounds := map[string]float64{"bump": 13, "digest": 13, "note": 17, "sum": 31, "alloc": 47}
+	for _, k := range Catalog {
+		bound, ok := bounds[k.Name]
+		if !ok {
+			t.Fatalf("catalog kind %q has no allocation bound", k.Name)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := compiler.CompileExpression(k.Source, env); err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+		})
+		if got > bound {
+			t.Errorf("%s: %.0f Go allocations per compile, bound %.0f", k.Name, got, bound)
+		}
+	}
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := compiler.CompileMethod(makeRoomFront, env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := 82.0; got > bound {
+		t.Errorf("makeRoomFront: %.0f Go allocations per compile, bound %.0f", got, bound)
 	}
 }

@@ -87,7 +87,7 @@ func BootCheckpoint() (*core.Checkpoint, error) {
 	cfg := core.DefaultConfig()
 	cfg.Processors = 1
 	cfg.OldWords = 128 << 10
-	cfg.ExtraSources = []string{sessionSource}
+	cfg.ExtraSources = []string{SessionSource}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: base boot: %w", err)

@@ -13,8 +13,8 @@ package serve
 // state, so a tenant's virtual service time is a pure function of its
 // request history.
 
-// sessionSource is the chunk-format source filed into the base image.
-const sessionSource = `
+// SessionSource is the chunk-format source filed into the base image.
+const SessionSource = `
 Object subclass: #ServeSession
 	instanceVariableNames: 'hits notes'
 	category: 'Server'!
