@@ -643,5 +643,10 @@ func LoadImage(processors int, r io.Reader) (*System, error) {
 	return NewFromCheckpoint(processors, &Checkpoint{state: s, cfg: imageConfig(s)})
 }
 
-// Shutdown stops the machine; the system is unusable afterwards.
-func (s *System) Shutdown() { s.VM.M.Shutdown() }
+// Shutdown stops the machine, then releases the heap's array to the next
+// system of the same geometry (DESIGN.md §4); the system is unusable
+// afterwards. A second call does nothing.
+func (s *System) Shutdown() {
+	s.VM.M.Shutdown() // in parallel mode, returns once no processor goroutine is live
+	s.VM.H.Release()
+}

@@ -146,6 +146,7 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 		}
 		a += size
 	}
+	h.oldHigh = max(h.oldHigh, h.old.next)
 	h.old.next = dst
 
 	// Accounting: a full collection costs per live object and word,

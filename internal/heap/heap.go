@@ -289,6 +289,57 @@ type Heap struct {
 	fwdRoot, markRoot, slideRoot func(*object.OOP)
 	markStack                    []uint64
 	plan                         slide
+
+	// oldHigh is the highest value old.next has reached, raised where the
+	// compactor lowers it: old space is written only below
+	// max(oldHigh, old.next), which is what Release re-zeroes.
+	oldHigh uint64
+}
+
+// released is the free list of backing arrays that Release handed back,
+// by length, for New to reuse. Every array on it is all zero, so a heap
+// built on one cannot be told from a fresh one. It holds at most the
+// peak number of heaps of each geometry that were live at once.
+var released = struct {
+	sync.Mutex
+	byLen map[int][][]uint64
+}{byLen: make(map[int][][]uint64)}
+
+// newMem returns an all-zero array of n words: a released one if there
+// is one, else a fresh make.
+func newMem(n int) []uint64 {
+	released.Lock()
+	defer released.Unlock()
+	free := released.byLen[n]
+	if len(free) == 0 {
+		return make([]uint64, n)
+	}
+	mem := free[len(free)-1]
+	free[len(free)-1] = nil
+	released.byLen[n] = free[:len(free)-1]
+	return mem
+}
+
+// Release hands h's backing array to the next New of the same geometry.
+// It re-zeroes exactly the words h could have written — old space up to
+// its high-water mark, and all of new space — and leaves h without
+// memory, so any later access panics instead of reaching another heap's
+// words. The caller must have stopped every processor of h's machine;
+// a second call does nothing.
+//
+//msvet:heap-writer the machine is shut down: no processor can reach h.mem, and the words cleared here are handed to no one until the push below
+//msvet:atomic-excluded every processor goroutine has returned before Release is called
+func (h *Heap) Release() {
+	mem := h.mem
+	if mem == nil {
+		return
+	}
+	h.mem = nil
+	clear(mem[:max(h.oldHigh, h.old.next)])
+	clear(mem[h.newBase:])
+	released.Lock()
+	defer released.Unlock()
+	released.byLen[len(mem)] = append(released.byLen[len(mem)], mem)
 }
 
 // OOMError is thrown (as a panic) when old space is exhausted; the virtual
@@ -315,7 +366,7 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 		cfg: cfg,
 		m:   m,
 		par: cfg.Parallel,
-		mem: make([]uint64, cfg.words()),
+		mem: newMem(cfg.words()),
 		rec: m.Recorder(),
 		san: m.Sanitizer(),
 		lat: m.LatencyHists(),

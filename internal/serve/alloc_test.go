@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 
 	"mst/internal/compiler"
+	"mst/internal/core"
+	"mst/internal/object"
 )
 
 // TestEvalHostAllocations pins the Go allocations of one request on a
@@ -35,6 +38,37 @@ func TestEvalHostAllocations(t *testing.T) {
 		if got > bound {
 			t.Errorf("%s: %.0f Go allocations per request, bound %.0f", k.Name, got, bound)
 		}
+	}
+}
+
+// TestCloneReusesReleasedHeap holds a tenant clone to the released heap
+// array: once a clone of the checkpoint has been shut down, the next one
+// takes its array instead of making (and zeroing) a new one, so the Go
+// allocation of a clone is its tables and interpreter state — under an
+// eighth of the heap it would otherwise allocate.
+func TestCloneReusesReleasedHeap(t *testing.T) {
+	cp := testCheckpoint(t)
+	warm, err := core.NewFromCheckpoint(1, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := warm.VM.H.Config()
+	heapBytes := 8 * uint64(object.FirstFreeAddress+hc.OldWords+2*hc.SurvivorWords+hc.EdenWords)
+	warm.Shutdown()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := core.NewFromCheckpoint(1, cp)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("clone: %d bytes allocated, heap %d bytes", got, heapBytes)
+	if got >= heapBytes/8 {
+		t.Errorf("a clone after a shut-down clone allocated %d bytes; want under %d (an eighth of its %d-byte heap)",
+			got, heapBytes/8, heapBytes)
 	}
 }
 
