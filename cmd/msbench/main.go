@@ -22,7 +22,8 @@
 //	                           stay bounded while the serial pause grows
 //	msbench -json results.json     machine-readable Table 2, sanitizer
 //	                           twins, and the parscavenge, serve, jit,
-//	                           concmark and inline-cache ablations
+//	                           concmark and inline-cache ablations; every
+//	                           leaf is exact, so two runs are byte-identical
 //	msbench -trace out.json    flight-record one busy benchmark; export
 //	                           Chrome trace-event JSON for ui.perfetto.dev
 //	msbench -profile           selector-level virtual-time profile of the
@@ -36,23 +37,15 @@
 //	                           -parscavenge for the critical-path table
 //	msbench -sanitize          run every state plain and under the mscheck
 //	                           invariant sanitizer; report violations,
-//	                           bit-identity, and host-side checker cost;
+//	                           bit-identity, and checker work;
 //	                           add -lockgraph GRAPH.json (the output of
 //	                           msvet -lockgraph) to verify the observed
 //	                           acquisition order is a subgraph of the
 //	                           static lock-order graph
-//	msbench -parallel          true-parallel host sweep: the same fixed
-//	                           workload on 1..GOMAXPROCS real goroutine
-//	                           processors, wall-clock speedup vs the
-//	                           deterministic driver
 //	msbench -gate BENCH.json   regression gate: rerun the suite and
-//	                           require every non-host leaf of the report
-//	                           to equal the checked-in baseline's — the
-//	                           two fingerprints must match; host cost is
+//	                           require every leaf of the report to equal
+//	                           the checked-in baseline's; host cost is
 //	                           benchmark/'s job, not the gate's
-//	msbench -fingerprint       print the deterministic fingerprint (the
-//	                           json report with host times zeroed); CI
-//	                           runs it twice and diffs the outputs
 //	msbench -all               everything above
 //
 // All times are virtual milliseconds on the simulated Firefly; runs are
@@ -84,15 +77,13 @@ func main() {
 	allocProf := flag.Bool("allocprofile", false, "print the allocation-site profile of a busy benchmark (objects/words per Class>>selector, survivor and tenure rates)")
 	gcReport := flag.Bool("gcreport", false, "print the GC latency rollup of a busy benchmark (pause/phase percentiles, lock waits, allocation sites)")
 	parScav := flag.Bool("parscavenge", false, "use the cooperative parallel scavenger for the -gcreport run (adds the critical-path table)")
-	sanFlag := flag.Bool("sanitize", false, "run every state under the mscheck invariant sanitizer and report overhead")
+	sanFlag := flag.Bool("sanitize", false, "run every state under the mscheck invariant sanitizer and report violations and bit-identity")
 	lockgraphPath := flag.String("lockgraph", "", "with -sanitize: static lock graph JSON (msvet -lockgraph) to cross-check the observed acquisition order against")
-	parallel := flag.Bool("parallel", false, "run the true-parallel host sweep (goroutine processors, wall-clock speedup)")
-	gatePath := flag.String("gate", "", "rerun the suite and fail unless every non-host leaf equals this baseline json's")
-	fingerprint := flag.Bool("fingerprint", false, "print the deterministic fingerprint (json report, host times zeroed)")
+	gatePath := flag.String("gate", "", "rerun the suite and fail unless every leaf equals this baseline json's")
 	all := flag.Bool("all", false, "run everything")
 	flag.Parse()
 
-	if !*table2 && !*figure2 && !*table3 && *ablation == "" && *jsonPath == "" && !*sweep && !*contention && !*micro && !*paradigms && *tracePath == "" && !*profile && !*allocProf && !*gcReport && !*sanFlag && !*parallel && *gatePath == "" && !*fingerprint && !*all {
+	if !*table2 && !*figure2 && !*table3 && *ablation == "" && *jsonPath == "" && !*sweep && !*contention && !*micro && !*paradigms && *tracePath == "" && !*profile && !*allocProf && !*gcReport && !*sanFlag && *gatePath == "" && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -223,19 +214,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var par *bench.ParallelReport
-	if *parallel || *all {
-		fmt.Fprintln(os.Stderr, "running parallel host sweep (goroutine processors)...")
-		var err error
-		par, err = bench.RunParallelSweep()
-		check(err)
-		fmt.Println(bench.FormatParallel(par))
-	}
-
-	// -json, -gate, and -fingerprint all need the same fresh report;
-	// measure once and reuse it.
+	// -json and -gate both need the same fresh report; measure once and
+	// reuse it.
 	var report, baseline *bench.JSONReport
-	if *jsonPath != "" || *gatePath != "" || *fingerprint {
+	if *jsonPath != "" || *gatePath != "" {
 		// Load the baseline first: fail on a bad one before spending
 		// time measuring.
 		if *gatePath != "" {
@@ -255,15 +237,11 @@ func main() {
 		var err error
 		report, err = bench.RunJSONReport()
 		check(err)
-		report.Parallel = par
 		if f != nil {
 			check(report.Write(f))
 			check(f.Close())
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 		}
-	}
-	if *fingerprint {
-		check(bench.Fingerprint(report, os.Stdout))
 	}
 	if baseline != nil {
 		g := bench.RunGate(baseline, report, *gatePath)

@@ -19,7 +19,7 @@ import (
 // grows with the live set, while the concurrent marker's longest
 // stop-the-world window (snapshot or finalize) stays bounded.
 // Everything is virtual-time deterministic, so the rows participate in
-// the regression gate and the determinism fingerprint.
+// the regression gate.
 
 const (
 	concMarkRounds = 6 // alloc/scavenge rounds; every second one full-collects

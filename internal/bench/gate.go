@@ -3,9 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -13,23 +11,14 @@ import (
 )
 
 // The benchmark-regression gate (msbench -gate) is one rule: a fresh run
-// passes iff its fingerprint equals the fingerprint of the checked-in
-// baseline report (BENCH_prN.json). The simulator is deterministic, so
-// every leaf of the report that is not a host-side measurement — virtual
-// times, interpreter and heap counters, histogram buckets, every
-// ablation column — must match the baseline EXACTLY; any drift is either
-// a real change (update the baseline deliberately, in the same commit)
-// or a bug. Both reports are flattened to leaf path → JSON literal and
-// diffed by the comparison the sanitizer's twin runs use
-// (sanitize.FingerprintDiff), so a new report section is gated the
-// moment it exists.
-//
-// Which leaves are host-side is declared once, on the report types, by
-// the struct tag `bench:"host"`; eachHost is the one walk that reads it,
-// for the gate (which drops those leaves) and for Fingerprint (which
-// zeroes them). Host cost is not gated here at all: wall time does not
-// compare across machines, and benchmark/ measures it in calibration
-// units with paired runs on every PR.
+// passes iff its report equals the checked-in baseline (BENCH_pr10.json)
+// leaf for leaf. Every leaf is exact — virtual times, interpreter and
+// heap counters, histogram buckets, every ablation column — so any
+// drift is either a real change (update the baseline deliberately, in
+// the same commit) or a bug. Both reports are flattened to leaf path →
+// JSON literal and diffed by the comparison the sanitizer's twin runs
+// use (sanitize.FingerprintDiff), so a new report section is gated the
+// moment it exists. Host cost is benchmark/'s, in calibration units.
 //
 // Beside the diff stand the two properties the fresh run must have
 // whatever the baseline says, so a mechanical baseline refresh cannot
@@ -71,67 +60,9 @@ func LoadBaseline(path string) (*JSONReport, error) {
 	return &r, nil
 }
 
-// eachHost calls visit on every field tagged `bench:"host"` reachable
-// from v, with the field's path as flattenJSON spells it. It does not
-// descend into a host field: tagging a section covers all of it.
-func eachHost(v reflect.Value, path string, visit func(path string, field reflect.Value)) {
-	switch v.Kind() {
-	case reflect.Pointer:
-		if !v.IsNil() {
-			eachHost(v.Elem(), path, visit)
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			eachHost(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			f := v.Type().Field(i)
-			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-			if f.Tag.Get("bench") == "host" {
-				visit(joinPath(path, name), v.Field(i))
-			} else {
-				eachHost(v.Field(i), joinPath(path, name), visit)
-			}
-		}
-	}
-}
-
-// Fingerprint writes the report with every host field zeroed — the
-// deterministic residue. The CI determinism job runs the suite twice
-// and diffs the two fingerprints byte-for-byte; any difference means
-// the simulator leaked host state into virtual results.
-func Fingerprint(r *JSONReport, w io.Writer) error {
-	// Zero a copy: the caller's report still goes to -json and the gate.
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	var cp JSONReport
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return err
-	}
-	eachHost(reflect.ValueOf(&cp), "", func(_ string, field reflect.Value) { field.SetZero() })
-	return cp.Write(w)
-}
-
-// fingerprintLeaves is the fingerprint as a map: the report flattened
-// to leaf path → JSON literal, minus the host leaves.
-func fingerprintLeaves(r *JSONReport) map[string]string {
-	out := flatten("", r)
-	eachHost(reflect.ValueOf(r), "", func(path string, _ reflect.Value) {
-		for k := range out {
-			if k == path || strings.HasPrefix(k, path+".") || strings.HasPrefix(k, path+"[") {
-				delete(out, k)
-			}
-		}
-	})
-	return out
-}
-
 // RunGate compares a fresh report against the baseline. The fresh
 // run's own properties lead the findings so Format's cap never hides
-// them; the fingerprint diff follows, sorted by leaf path.
+// them; the leaf diff follows, sorted by leaf path.
 func RunGate(baseline, fresh *JSONReport, baselinePath string) *GateReport {
 	g := &GateReport{BaselinePath: baselinePath}
 
@@ -156,13 +87,13 @@ func RunGate(baseline, fresh *JSONReport, baselinePath string) *GateReport {
 		}
 	}
 
-	base := fingerprintLeaves(baseline)
+	base := flatten("", baseline)
 	for k := range base {
 		if !strings.HasSuffix(k, arrayLen) {
 			g.Exact++
 		}
 	}
-	g.Findings = append(g.Findings, sanitize.FingerprintDiff("baseline", "fresh", base, fingerprintLeaves(fresh))...)
+	g.Findings = append(g.Findings, sanitize.FingerprintDiff("baseline", "fresh", base, flatten("", fresh))...)
 	return g
 }
 

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -13,8 +10,8 @@ import (
 )
 
 // sampleReport is a small synthetic report touching every section the
-// gate has to understand: host leaves of every kind, a float leaf, a
-// uint64 above 2^53, omitempty sections, nested arrays.
+// gate has to understand: a float leaf, a uint64 above 2^53, omitempty
+// sections, nested arrays, and the jit speedup only the floor reads.
 func sampleReport() *JSONReport {
 	r := &JSONReport{
 		Schema:        "msbench/3",
@@ -22,8 +19,8 @@ func sampleReport() *JSONReport {
 		Table2: []JSONState{{
 			State: "ms",
 			Benches: []JSONBench{
-				{Name: "printClassDefinition", VirtualMS: 148, HostNS: 1_000_000},
-				{Name: "compileMethod", VirtualMS: 310, HostNS: 2_000_000},
+				{Name: "printClassDefinition", VirtualMS: 148},
+				{Name: "compileMethod", VirtualMS: 310},
 			},
 		}},
 		ICBenches:    []string{"compileMethod"},
@@ -34,15 +31,13 @@ func sampleReport() *JSONReport {
 		Sanitize: &SanitizeReport{
 			Benches: []string{"compileMethod"},
 			Rows: []SanitizeRow{
-				{State: "ms", VirtualMS: []int64{310}, Identical: true, LockEvents: 1 << 53,
-					HostPlainNS: 100, HostCheckNS: 130, OverheadPct: 30},
+				{State: "ms", VirtualMS: []int64{310}, Identical: true, LockEvents: 1 << 53},
 			},
 		},
 		JIT: &JITReport{
 			Rows: []JITRow{
-				{Workload: "intLoops", VirtualMS: 40, InterpNS: 900, JITNS: 450, Speedup: 2, Compiles: 7, JITShare: 0.8},
+				{Workload: "intLoops", VirtualMS: 40, Speedup: 2, Compiles: 7, JITShare: 0.8},
 			},
-			MedianSpeedup: 2,
 		},
 		ConcMark: &ConcMarkReport{
 			Rows: []ConcMarkRow{{Keep: 1000, FullCollects: 2, SerialMaxPause: 900, ConcMaxPause: 120}},
@@ -51,7 +46,7 @@ func sampleReport() *JSONReport {
 			Tenants: 4,
 			Seed:    1988,
 			Rows: []ServeRow{
-				{Executors: 1, Offered: 10, Completed: 10, ThroughputRPS: 12.5, HostNS: 5000,
+				{Executors: 1, Offered: 10, Completed: 10, ThroughputRPS: 12.5,
 					Latency: trace.HistSnapshot{Count: 10, Sum: 700, Max: 90, P50: 64}},
 			},
 			ParallelMatchesDet: true,
@@ -62,16 +57,9 @@ func sampleReport() *JSONReport {
 	return r
 }
 
-// The issue's "plain tree walk": every scalar leaf of the report's JSON
-// that does not sit under one of the eight host keys. The sample has no
-// parscavenge section, so `speedup` names only the jit rows' host column.
+// A plain tree walk: every scalar leaf of the report's JSON.
 func plainLeafCount(t *testing.T, r *JSONReport) int {
 	t.Helper()
-	host := map[string]bool{
-		"host_ns": true, "interp_host_ns": true, "jit_host_ns": true, "speedup": true,
-		"host_plain_ns": true, "host_checked_ns": true, "host_overhead_pct": true,
-		"median_speedup": true,
-	}
 	data, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +73,8 @@ func plainLeafCount(t *testing.T, r *JSONReport) int {
 		n := 0
 		switch v := v.(type) {
 		case map[string]any:
-			for k, sub := range v {
-				if !host[k] {
-					n += count(sub)
-				}
+			for _, sub := range v {
+				n += count(sub)
 			}
 		case []any:
 			for _, sub := range v {
@@ -109,7 +95,7 @@ func TestGateIdenticalPinsEveryLeaf(t *testing.T) {
 		t.Fatalf("identical reports fail the gate:\n%s", g.Format())
 	}
 	if want := plainLeafCount(t, base); g.Exact != want {
-		t.Errorf("Exact = %d, plain walk counts %d non-host leaves", g.Exact, want)
+		t.Errorf("Exact = %d, plain walk counts %d leaves", g.Exact, want)
 	}
 	if out := g.Format(); !strings.Contains(out, "PASS") || !strings.Contains(out, "sample.json") {
 		t.Errorf("format:\n%s", out)
@@ -171,69 +157,6 @@ func TestGateFindings(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// Every host leaf perturbed alone passes: host cost is not the gate's.
-func TestGateIgnoresEveryHostLeaf(t *testing.T) {
-	perturb := map[string]func(f *JSONReport){
-		"table2 host_ns":      func(f *JSONReport) { f.Table2[0].Benches[0].HostNS *= 10 },
-		"host_plain_ns":       func(f *JSONReport) { f.Sanitize.Rows[0].HostPlainNS *= 10 },
-		"host_checked_ns":     func(f *JSONReport) { f.Sanitize.Rows[0].HostCheckNS *= 10 },
-		"host_overhead_pct":   func(f *JSONReport) { f.Sanitize.Rows[0].OverheadPct *= 10 },
-		"interp_host_ns":      func(f *JSONReport) { f.JIT.Rows[0].InterpNS *= 10 },
-		"jit_host_ns":         func(f *JSONReport) { f.JIT.Rows[0].JITNS *= 10 },
-		"jit row speedup":     func(f *JSONReport) { f.JIT.Rows[0].Speedup *= 10 },
-		"median_speedup":      func(f *JSONReport) { f.JIT.MedianSpeedup *= 10 },
-		"serve host_ns":       func(f *JSONReport) { f.Serve.Rows[0].HostNS *= 10 },
-		"parallel host sweep": func(f *JSONReport) { f.Parallel = &ParallelReport{NumCPU: 8, Rows: []ParallelRow{{Procs: 2}}} },
-	}
-	// The table above must cover the declaration: one entry per tagged
-	// field reachable from the sample.
-	seen := map[string]bool{}
-	full := sampleReport()
-	full.Parallel = &ParallelReport{}
-	index := regexp.MustCompile(`\[\d+\]`)
-	eachHost(reflect.ValueOf(full), "", func(path string, _ reflect.Value) {
-		seen[index.ReplaceAllString(path, "[]")] = true
-	})
-	if len(seen) != len(perturb) {
-		t.Errorf("%d host fields tagged, %d perturbed: %v", len(seen), len(perturb), seen)
-	}
-	for name, p := range perturb {
-		fresh := sampleReport()
-		p(fresh)
-		if g := RunGate(sampleReport(), fresh, "sample.json"); !g.OK() {
-			t.Errorf("%s perturbed alone fails the gate: %v", name, g.Findings)
-		}
-	}
-}
-
-// The same declaration serves -fingerprint: host fields zeroed, the
-// parallel sweep dropped, the caller's report untouched.
-func TestFingerprintZeroesHostLeavesOnACopy(t *testing.T) {
-	r := sampleReport()
-	r.Parallel = &ParallelReport{NumCPU: 8}
-	var buf bytes.Buffer
-	if err := Fingerprint(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	want := sampleReport()
-	want.Parallel = &ParallelReport{NumCPU: 8}
-	if !reflect.DeepEqual(r, want) {
-		t.Error("Fingerprint modified the caller's report")
-	}
-	var fp JSONReport
-	if err := json.Unmarshal(buf.Bytes(), &fp); err != nil {
-		t.Fatal(err)
-	}
-	eachHost(reflect.ValueOf(&fp), "", func(path string, field reflect.Value) {
-		if !field.IsZero() {
-			t.Errorf("fingerprint kept host field %s = %v", path, field)
-		}
-	})
-	if !reflect.DeepEqual(fingerprintLeaves(r), fingerprintLeaves(&fp)) || fp.Table2[0].Benches[1].VirtualMS != 310 {
-		t.Error("fingerprint lost deterministic leaves")
 	}
 }
 

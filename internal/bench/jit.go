@@ -19,9 +19,10 @@ import (
 // runner enforces that: any divergence is an error, which makes the
 // ablation double as a differential correctness check. The virtual
 // columns (virtual ms, compile and deopt counts, compiled-bytecode
-// share) are deterministic and ride in the gate and the fingerprint;
-// the host nanoseconds and speedups are machine-bound and are zeroed
-// in the fingerprint like every other host time.
+// share) are deterministic and are the jit section of msbench -json.
+// The host nanoseconds and speedups are machine-bound: they stay off
+// the report, and the gate holds only the fresh run's FusionSpeedup to
+// the floor. They are the one host timing left in this package.
 
 // JITSpeedupFloor is the minimum acceptable host speedup of the msjit
 // tier over the interpreter on the two kernels built for it
@@ -128,19 +129,19 @@ ivarStorm
 // JITRow is one workload measured on both tiers.
 type JITRow struct {
 	Workload  string  `json:"workload"`
-	VirtualMS int64   `json:"virtual_ms"`                  // summed over reps; identical on both tiers
-	InterpNS  int64   `json:"interp_host_ns" bench:"host"` // host time, tier off
-	JITNS     int64   `json:"jit_host_ns" bench:"host"`    // host time, tier on
-	Speedup   float64 `json:"speedup" bench:"host"`        // InterpNS / JITNS
-	Compiles  uint64  `json:"jit_compiles"`                // methods compiled during the workload
-	Deopts    uint64  `json:"jit_deopts"`                  // bailouts during the workload
-	JITShare  float64 `json:"jit_bytecode_share"`          // fraction of bytecodes run compiled
+	VirtualMS int64   `json:"virtual_ms"`         // summed over reps; identical on both tiers
+	InterpNS  int64   `json:"-"`                  // host time, tier off
+	JITNS     int64   `json:"-"`                  // host time, tier on
+	Speedup   float64 `json:"-"`                  // InterpNS / JITNS
+	Compiles  uint64  `json:"jit_compiles"`       // methods compiled during the workload
+	Deopts    uint64  `json:"jit_deopts"`         // bailouts during the workload
+	JITShare  float64 `json:"jit_bytecode_share"` // fraction of bytecodes run compiled
 }
 
 // JITReport is the full ablation.
 type JITReport struct {
 	Rows          []JITRow `json:"rows"`
-	MedianSpeedup float64  `json:"median_speedup" bench:"host"`
+	MedianSpeedup float64  `json:"-"`
 }
 
 func jitTierSystem(jit bool) (*core.System, error) {

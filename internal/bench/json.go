@@ -4,22 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"mst/internal/core"
 	"mst/internal/trace"
 )
 
 // Machine-readable benchmark results (msbench -json): one file captures
-// the Table 2 matrix with interpreter counters and host-side wall time,
-// plus the inline-cache ablation, so successive PRs leave a comparable
-// perf trajectory (BENCH_*.json).
+// the Table 2 matrix with its metrics registries, the sanitizer twins
+// and the ablations. Every leaf is exact — virtual times and counters,
+// no host time — so the file is its own determinism fingerprint and the
+// gate diffs it whole against the checked-in baseline (BENCH_pr10.json).
 
 // JSONBench is one benchmark on one state.
 type JSONBench struct {
 	Name      string `json:"name"`
 	VirtualMS int64  `json:"virtual_ms"`
-	HostNS    int64  `json:"host_ns" bench:"host"`
 }
 
 // JSONState is one system state's results: per-benchmark times plus the
@@ -54,36 +53,25 @@ type JSONReport struct {
 	ICIterations  int         `json:"inline_cache_iterations"`
 	InlineCache   []JSONICRow `json:"inline_cache"`
 	// Sanitize is additive (schema msbench/3 readers tolerate its
-	// absence): the mscheck verdict and host-side checker overhead per
-	// state.
+	// absence): the mscheck verdict and checker work per state.
 	Sanitize *SanitizeReport `json:"sanitize,omitempty"`
-	// Parallel is additive too: the -parallel host sweep, present only
-	// when it was requested (its wall-clock numbers are machine-bound,
-	// so it never participates in the gate or the fingerprint).
-	Parallel *ParallelReport `json:"parallel,omitempty" bench:"host"`
-	// ParScavenge is the parallel-scavenging ablation. Unlike the host
-	// sweep it is virtual-time deterministic, so it rides in the gate
-	// and the fingerprint.
+	// ParScavenge is the parallel-scavenging ablation.
 	ParScavenge *ParScavReport `json:"parscavenge,omitempty"`
-	// JIT is the msjit ablation. Its virtual columns (virtual_ms,
-	// compiles, deopts, compiled-bytecode share) are deterministic and
-	// ride in the gate and the fingerprint; the host nanoseconds and
-	// speedups are zeroed in the fingerprint like every other host time.
+	// JIT is the msjit ablation: its virtual columns only; the host
+	// timings behind the fusion floor stay off the report.
 	JIT *JITReport `json:"jit,omitempty"`
-	// ConcMark is the concurrent-marking ablation. Every column is
-	// virtual-time deterministic, so the rows ride in the gate and the
-	// fingerprint; the gate additionally holds the fresh run to the
-	// pause-bound property (concurrent max pause strictly below the
-	// serial one).
+	// ConcMark is the concurrent-marking ablation; the gate also holds
+	// the fresh run to its pause bound (concurrent max pause strictly
+	// below the serial one).
 	ConcMark *ConcMarkReport `json:"concmark,omitempty"`
 	// Serve is the multi-tenant image-server benchmark (cmd/msserve):
 	// one open-loop schedule at 1/2/4/8 executors plus the parallel
-	// equivalence row. Virtual columns ride the gate and fingerprint.
+	// equivalence row.
 	Serve *ServeBenchReport `json:"serve,omitempty"`
 }
 
-// RunJSONReport measures the Table 2 matrix (virtual ms plus host wall
-// time per benchmark, counters per state), the sanitizer twins, and the
+// RunJSONReport measures the Table 2 matrix (virtual ms per benchmark,
+// metrics per state), the sanitizer twins, and the
 // parallel-scavenging, serve, msjit, concurrent-marking and inline-cache
 // ablations.
 func RunJSONReport() (*JSONReport, error) {
@@ -108,17 +96,12 @@ func RunJSONReport() (*JSONReport, error) {
 		}
 		js := JSONState{State: st.Name}
 		for _, b := range MacroBenchmarks {
-			t0 := time.Now()
 			ms, err := RunMacro(sys, b.Selector)
 			if err != nil {
 				sys.Shutdown()
 				return nil, fmt.Errorf("bench: json %s/%s: %w", st.Name, b.Selector, err)
 			}
-			js.Benches = append(js.Benches, JSONBench{
-				Name:      b.Selector,
-				VirtualMS: ms,
-				HostNS:    time.Since(t0).Nanoseconds(),
-			})
+			js.Benches = append(js.Benches, JSONBench{Name: b.Selector, VirtualMS: ms})
 		}
 		js.Metrics = sys.Metrics()
 		sys.Shutdown()

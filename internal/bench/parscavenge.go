@@ -17,8 +17,7 @@ import (
 // the cooperative parallel one. Everything is virtual-time
 // deterministic (the parallel scavenger's simulated schedule is a pure
 // function of the heap), so the rows participate in the regression
-// gate and the determinism fingerprint, unlike the host-bound
-// -parallel sweep.
+// gate.
 
 const (
 	parScavRounds = 4    // explicit scavenges

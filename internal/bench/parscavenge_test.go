@@ -44,7 +44,7 @@ func TestParScavengeAblationScales(t *testing.T) {
 
 // The ablation is virtual-time deterministic: two runs produce
 // identical rows (speedup included), so the gate may compare them
-// exactly and the fingerprint may retain them.
+// exactly.
 func TestParScavengeAblationDeterministic(t *testing.T) {
 	a, err := RunParScavengeAblation()
 	if err != nil {

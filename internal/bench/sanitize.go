@@ -7,22 +7,21 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"time"
 
 	"mst/internal/core"
 	"mst/internal/sanitize"
 )
 
 // msbench -sanitize: run every standard state's macro benchmarks twice,
-// without and with the mscheck invariant sanitizer, and report three
+// without and with the mscheck invariant sanitizer, and report two
 // things per state:
 //
 //   - the verdict: zero violations on the real workload;
 //   - the determinism sentinel: the sanitized run's virtual times and
 //     full metrics registry are bit-identical to the plain run (the
-//     checker observes, never perturbs);
-//   - the host-side cost of checking (the only place the sanitizer is
-//     allowed to cost anything).
+//     checker observes, never perturbs).
+//
+// The checker's host cost is benchmark/'s sanitize.overhead_share.
 
 // SanitizeRow is one state's sanitized-versus-plain comparison.
 type SanitizeRow struct {
@@ -43,14 +42,11 @@ type SanitizeRow struct {
 	// the static lock graph (msvet -lockgraph) when one was supplied —
 	// the static analysis missed an acquire path.
 	OrderViolations []string `json:"order_violations,omitempty"`
-	// Checker work volume and host-side cost.
-	LockEvents   uint64  `json:"lock_events"`
-	AccessChecks uint64  `json:"access_checks"`
-	BarrierScans uint64  `json:"barrier_scans"`
-	BarrierWords uint64  `json:"barrier_words"`
-	HostPlainNS  int64   `json:"host_plain_ns" bench:"host"`
-	HostCheckNS  int64   `json:"host_checked_ns" bench:"host"`
-	OverheadPct  float64 `json:"host_overhead_pct" bench:"host"`
+	// Checker work volume.
+	LockEvents   uint64 `json:"lock_events"`
+	AccessChecks uint64 `json:"access_checks"`
+	BarrierScans uint64 `json:"barrier_scans"`
+	BarrierWords uint64 `json:"barrier_words"`
 }
 
 // SanitizeReport is the full msbench -sanitize result.
@@ -72,33 +68,31 @@ func (r *SanitizeReport) Clean() bool {
 
 // sanitizeRun boots one state (optionally sanitized), runs the macro
 // benchmarks, and returns the per-benchmark virtual times, the final
-// metrics fingerprint, the checker (nil when off), and host wall time.
-func sanitizeRun(st State, sanitized bool) ([]int64, map[string]string, *sanitize.Checker, int64, error) {
+// metrics fingerprint, and the checker (nil when off).
+func sanitizeRun(st State, sanitized bool) ([]int64, map[string]string, *sanitize.Checker, error) {
 	cfg := st.Config()
 	cfg.Sanitize = sanitized
 	cfg.ExtraSources = append(cfg.ExtraSources, MacroSource)
-	t0 := time.Now()
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("bench: sanitize boot %s: %w", st.Name, err)
+		return nil, nil, nil, fmt.Errorf("bench: sanitize boot %s: %w", st.Name, err)
 	}
 	defer sys.Shutdown()
 	if st.Background != nil {
 		if err := st.Background(sys); err != nil {
-			return nil, nil, nil, 0, fmt.Errorf("bench: sanitize background %s: %w", st.Name, err)
+			return nil, nil, nil, fmt.Errorf("bench: sanitize background %s: %w", st.Name, err)
 		}
 	}
 	var ms []int64
 	for _, b := range MacroBenchmarks {
 		v, err := RunMacro(sys, b.Selector)
 		if err != nil {
-			return nil, nil, nil, 0, fmt.Errorf("bench: sanitize %s/%s: %w", st.Name, b.Selector, err)
+			return nil, nil, nil, fmt.Errorf("bench: sanitize %s/%s: %w", st.Name, b.Selector, err)
 		}
 		ms = append(ms, v)
 	}
-	host := time.Since(t0).Nanoseconds()
 	fp := flatten("metrics", sys.Metrics())
-	return ms, fp, sys.Sanitizer(), host, nil
+	return ms, fp, sys.Sanitizer(), nil
 }
 
 // flatten marshals v and flattens its JSON tree to leaf path → JSON
@@ -170,11 +164,11 @@ func RunSanitizeStatic(staticEdges []string) (*SanitizeReport, error) {
 		r.Benches = append(r.Benches, b.Selector)
 	}
 	for _, st := range StandardStates() {
-		plainMs, plainFP, _, plainHost, err := sanitizeRun(st, false)
+		plainMs, plainFP, _, err := sanitizeRun(st, false)
 		if err != nil {
 			return nil, err
 		}
-		checkMs, checkFP, san, checkHost, err := sanitizeRun(st, true)
+		checkMs, checkFP, san, err := sanitizeRun(st, true)
 		if err != nil {
 			return nil, err
 		}
@@ -182,12 +176,10 @@ func RunSanitizeStatic(staticEdges []string) (*SanitizeReport, error) {
 			return nil, fmt.Errorf("bench: sanitize %s: checker did not attach", st.Name)
 		}
 		row := SanitizeRow{
-			State:       st.Name,
-			VirtualMS:   checkMs,
-			Violations:  len(san.Violations()),
-			Cycles:      san.LockOrderCycles(),
-			HostPlainNS: plainHost,
-			HostCheckNS: checkHost,
+			State:      st.Name,
+			VirtualMS:  checkMs,
+			Violations: len(san.Violations()),
+			Cycles:     san.LockOrderCycles(),
 		}
 		if staticEdges != nil {
 			row.OrderViolations = san.StaticOrderViolations(staticEdges)
@@ -197,9 +189,6 @@ func RunSanitizeStatic(staticEdges []string) (*SanitizeReport, error) {
 		row.AccessChecks = cs.AccessChecks
 		row.BarrierScans = cs.BarrierScans
 		row.BarrierWords = cs.BarrierWords
-		if plainHost > 0 {
-			row.OverheadPct = 100 * float64(checkHost-plainHost) / float64(plainHost)
-		}
 		if !reflect.DeepEqual(plainMs, checkMs) {
 			row.Divergences = append(row.Divergences,
 				fmt.Sprintf("virtual times: off=%v on=%v", plainMs, checkMs))
@@ -215,16 +204,15 @@ func RunSanitizeStatic(staticEdges []string) (*SanitizeReport, error) {
 func (r *SanitizeReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mscheck sanitizer over the standard states (%d macro benchmarks each)\n", len(r.Benches))
-	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s %9s %10s %9s\n",
-		"state", "violations", "lock-events", "accesses", "barrier-wds", "identical", "host-ms", "overhead")
+	fmt.Fprintf(&b, "%-10s %10s %12s %12s %12s %9s\n",
+		"state", "violations", "lock-events", "accesses", "barrier-wds", "identical")
 	for _, row := range r.Rows {
 		ident := "yes"
 		if !row.Identical {
 			ident = "NO"
 		}
-		fmt.Fprintf(&b, "%-10s %10d %12d %12d %12d %9s %10.1f %8.1f%%\n",
-			row.State, row.Violations, row.LockEvents, row.AccessChecks, row.BarrierWords,
-			ident, float64(row.HostCheckNS)/1e6, row.OverheadPct)
+		fmt.Fprintf(&b, "%-10s %10d %12d %12d %12d %9s\n",
+			row.State, row.Violations, row.LockEvents, row.AccessChecks, row.BarrierWords, ident)
 	}
 	for _, row := range r.Rows {
 		for _, c := range row.Cycles {

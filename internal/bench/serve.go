@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"mst/internal/core"
 	"mst/internal/serve"
@@ -14,9 +13,7 @@ import (
 // The msserve benchmark (the `serve` section of msbench -json): one
 // fixed open-loop schedule against the multi-tenant image server at
 // 1/2/4/8 executors, plus a parallel-host equivalence row. Every column
-// is virtual-time derived, so the rows ride the exact regression gate
-// and the determinism fingerprint; host wall time is zeroed in the
-// fingerprint like every other host number.
+// is virtual-time derived, so the rows ride the exact regression gate.
 
 const (
 	serveBenchTenants  = 8
@@ -46,7 +43,6 @@ type ServeRow struct {
 	Wait          trace.HistSnapshot `json:"wait"`
 	Service       trace.HistSnapshot `json:"service"`
 	TenantHeap    serve.HeapWork     `json:"tenant_heap"`
-	HostNS        int64              `json:"host_ns" bench:"host"`
 }
 
 // ServeBenchReport is the full serve section.
@@ -78,7 +74,6 @@ func runServeOnce(cp *core.Checkpoint, executors int, parallel bool, arrivals []
 		return ServeRow{}, nil, err
 	}
 	defer srv.Shutdown()
-	t0 := time.Now()
 	rep, err := srv.Run(arrivals)
 	if err != nil {
 		return ServeRow{}, nil, fmt.Errorf("bench: serve (executors=%d par=%v): %w", executors, parallel, err)
@@ -98,7 +93,6 @@ func runServeOnce(cp *core.Checkpoint, executors int, parallel bool, arrivals []
 		Wait:          rep.Wait,
 		Service:       rep.Service,
 		TenantHeap:    rep.TenantHeap,
-		HostNS:        time.Since(t0).Nanoseconds(),
 	}
 	// The summary columns (count/sum/max/percentiles) suffice for the
 	// gate; the full bucket vectors would dominate the report size.
