@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mst/internal/serve"
 	"mst/internal/trace"
 )
 
@@ -23,10 +24,10 @@ func sampleReport() *JSONReport {
 				{Name: "compileMethod", VirtualMS: 310},
 			},
 		}},
-		ICBenches:    []string{"compileMethod"},
-		ICIterations: 3,
-		InlineCache: []JSONICRow{
-			{State: "ms", Policy: "pic", Benches: []int64{300}, ICHitRate: 0.9375, ICFills: 12},
+		ICAblation: ICAblation{
+			Benches: []string{"compileMethod"},
+			Iters:   3,
+			Rows:    []ICRow{{State: "ms", Policy: "pic", Ms: []int64{300}, ICHitRate: 0.9375, ICFills: 12}},
 		},
 		Sanitize: &SanitizeReport{
 			Benches: []string{"compileMethod"},
@@ -45,7 +46,7 @@ func sampleReport() *JSONReport {
 		Serve: &ServeBenchReport{
 			Tenants: 4,
 			Seed:    1988,
-			Rows: []ServeRow{
+			Rows: []*serve.Report{
 				{Executors: 1, Offered: 10, Completed: 10, ThroughputRPS: 12.5,
 					Latency: trace.HistSnapshot{Count: 10, Sum: 700, Max: 90, P50: 64}},
 			},
@@ -115,7 +116,7 @@ func TestGateFindings(t *testing.T) {
 			1, "table2[0].benches[1].virtual_ms: baseline=310 fresh=311", ""},
 		{"counter deep in the metrics registry", func(_, f *JSONReport) { f.Table2[0].Metrics.Interp.Sends++ },
 			1, "table2[0].metrics.interp.sends: baseline=4242 fresh=4243", ""},
-		{"float leaf changed", func(_, f *JSONReport) { f.InlineCache[0].ICHitRate = 0.9376 },
+		{"float leaf changed", func(_, f *JSONReport) { f.ICAblation.Rows[0].ICHitRate = 0.9376 },
 			1, "inline_cache[0].ic_hit_rate: baseline=0.9375 fresh=0.9376", ""},
 		{"string leaf changed", func(_, f *JSONReport) { f.Table2[0].Benches[0].Name = "renamed" },
 			1, `table2[0].benches[0].name: baseline="printClassDefinition" fresh="renamed"`, ""},

@@ -23,45 +23,32 @@ var ICPolicies = []struct {
 	{"pic", interp.ICPoly},
 }
 
-// ICRow is one (state, policy) measurement.
+// ICRow is one (state, policy) measurement, as msbench -json writes it.
 type ICRow struct {
-	State  string
-	Policy string
-	Ms     []int64 // per ablation benchmark, virtual milliseconds
+	State  string  `json:"state"`
+	Policy string  `json:"policy"`
+	Ms     []int64 `json:"virtual_ms"` // per ablation benchmark
 
-	Sends       uint64
-	ICHits      uint64
-	ICMisses    uint64
-	ICFills     uint64
-	ICPolySites uint64
-	ICMegaSites uint64
-	CacheHits   uint64
-	CacheMisses uint64
+	ICHitRate    float64 `json:"ic_hit_rate"`    // hits over inline-cache probes (0 when ICs are off)
+	CacheHitRate float64 `json:"cache_hit_rate"` // hits over method-cache probes
+	ICFills      uint64  `json:"ic_fills"`
+	ICPolySites  uint64  `json:"ic_poly_sites"`
+	ICMegaSites  uint64  `json:"ic_mega_sites"`
 }
 
-// ICHitRate is hits over inline-cache probes (0 when ICs are off).
-func (r *ICRow) ICHitRate() float64 {
-	t := r.ICHits + r.ICMisses
-	if t == 0 {
+// hitRate is hits over hits+misses, 0 with no probes.
+func hitRate(hits, misses uint64) float64 {
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(r.ICHits) / float64(t)
-}
-
-// CacheHitRate is hits over method-cache probes.
-func (r *ICRow) CacheHitRate() float64 {
-	t := r.CacheHits + r.CacheMisses
-	if t == 0 {
-		return 0
-	}
-	return float64(r.CacheHits) / float64(t)
+	return float64(hits) / float64(hits+misses)
 }
 
 // ICAblation is the full matrix.
 type ICAblation struct {
-	Benches []string
-	Iters   int
-	Rows    []ICRow
+	Benches []string `json:"inline_cache_benches"`
+	Iters   int      `json:"inline_cache_iterations"`
+	Rows    []ICRow  `json:"inline_cache"`
 }
 
 // icIters runs each benchmark several times per system: inline caches
@@ -104,11 +91,9 @@ func RunInlineCacheAblation() (*ICAblation, error) {
 			}
 			s := sys.Stats().Interp
 			sys.Shutdown()
-			row.Sends = s.Sends
-			row.ICHits, row.ICMisses = s.ICHits, s.ICMisses
-			row.ICFills, row.ICPolySites = s.ICFills, s.ICPolySites
-			row.ICMegaSites = s.ICMegaSites
-			row.CacheHits, row.CacheMisses = s.CacheHits, s.CacheMisses
+			row.ICHitRate = hitRate(s.ICHits, s.ICMisses)
+			row.CacheHitRate = hitRate(s.CacheHits, s.CacheMisses)
+			row.ICFills, row.ICPolySites, row.ICMegaSites = s.ICFills, s.ICPolySites, s.ICMegaSites
 			a.Rows = append(a.Rows, row)
 		}
 	}
@@ -136,9 +121,9 @@ func (a *ICAblation) Format() string {
 		if r.Policy == "ic-off" {
 			fmt.Fprintf(&b, "%10s", "—")
 		} else {
-			fmt.Fprintf(&b, "%9.1f%%", r.ICHitRate()*100)
+			fmt.Fprintf(&b, "%9.1f%%", r.ICHitRate*100)
 		}
-		fmt.Fprintf(&b, "%9.1f%% %10d %10d %6d\n", r.CacheHitRate()*100, r.ICFills, r.ICPolySites, r.ICMegaSites)
+		fmt.Fprintf(&b, "%9.1f%% %10d %10d %6d\n", r.CacheHitRate*100, r.ICFills, r.ICPolySites, r.ICMegaSites)
 	}
 	return b.String()
 }

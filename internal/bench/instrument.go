@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"mst/internal/core"
-	"mst/internal/firefly"
-	"mst/internal/trace"
 )
 
 // The paper's §6 plans "to add sufficient instrumentation to MS to
@@ -80,7 +78,7 @@ func FormatSweep(rows []SweepRow) string {
 // share of that processor's own clock.
 type ContentionReport struct {
 	States  []string
-	Metrics []trace.Metrics // one snapshot per state, same order
+	Metrics []core.Metrics // one snapshot per state, same order
 }
 
 // Locks returns the lock registration names (identical across states;
@@ -136,7 +134,7 @@ func (r *ContentionReport) Format() string {
 		for si := range r.States {
 			l := r.Metrics[si].Locks[li]
 			cell := fmt.Sprintf("%d/%d/%s",
-				l.Acquisitions, l.Contentions, firefly.Time(l.SpinTicks))
+				l.Acquisitions, l.Contentions, l.SpinTime)
 			fmt.Fprintf(&b, "%28s", cell)
 		}
 		b.WriteString("\n")

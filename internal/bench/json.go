@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"mst/internal/core"
-	"mst/internal/trace"
 )
 
 // Machine-readable benchmark results (msbench -json): one file captures
@@ -26,32 +25,20 @@ type JSONBench struct {
 // run (boot + all benchmarks). The metrics block replaced the ad-hoc
 // counters struct in schema msbench/2.
 type JSONState struct {
-	State   string        `json:"state"`
-	Benches []JSONBench   `json:"benches"`
-	Metrics trace.Metrics `json:"metrics"`
-}
-
-// JSONICRow mirrors ICRow with hit rates precomputed.
-type JSONICRow struct {
-	State        string  `json:"state"`
-	Policy       string  `json:"policy"`
-	Benches      []int64 `json:"virtual_ms"`
-	ICHitRate    float64 `json:"ic_hit_rate"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	ICFills      uint64  `json:"ic_fills"`
-	ICPolySites  uint64  `json:"ic_poly_sites"`
-	ICMegaSites  uint64  `json:"ic_mega_sites"`
+	State   string       `json:"state"`
+	Benches []JSONBench  `json:"benches"`
+	Metrics core.Metrics `json:"metrics"`
 }
 
 // JSONReport is the full machine-readable result set. SchemaVersion
-// tracks trace.MetricsSchemaVersion; Schema is its human-readable twin.
+// tracks core.MetricsSchemaVersion; Schema is its human-readable twin.
 type JSONReport struct {
 	Schema        string      `json:"schema"`
 	SchemaVersion int         `json:"schemaVersion"`
 	Table2        []JSONState `json:"table2"`
-	ICBenches     []string    `json:"inline_cache_benches"`
-	ICIterations  int         `json:"inline_cache_iterations"`
-	InlineCache   []JSONICRow `json:"inline_cache"`
+	// ICAblation is the inline-cache ablation, its fields inlined under
+	// the inline_cache* keys.
+	ICAblation
 	// Sanitize is additive (schema msbench/3 readers tolerate its
 	// absence): the mscheck verdict and checker work per state.
 	Sanitize *SanitizeReport `json:"sanitize,omitempty"`
@@ -76,8 +63,8 @@ type JSONReport struct {
 // ablations.
 func RunJSONReport() (*JSONReport, error) {
 	r := &JSONReport{
-		Schema:        fmt.Sprintf("msbench/%d", trace.MetricsSchemaVersion),
-		SchemaVersion: trace.MetricsSchemaVersion,
+		Schema:        fmt.Sprintf("msbench/%d", core.MetricsSchemaVersion),
+		SchemaVersion: core.MetricsSchemaVersion,
 	}
 	for _, st := range StandardStates() {
 		// The latency registry rides every standard state: histograms
@@ -142,21 +129,7 @@ func RunJSONReport() (*JSONReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.ICBenches = ic.Benches
-	r.ICIterations = ic.Iters
-	for i := range ic.Rows {
-		row := &ic.Rows[i]
-		r.InlineCache = append(r.InlineCache, JSONICRow{
-			State:        row.State,
-			Policy:       row.Policy,
-			Benches:      row.Ms,
-			ICHitRate:    row.ICHitRate(),
-			CacheHitRate: row.CacheHitRate(),
-			ICFills:      row.ICFills,
-			ICPolySites:  row.ICPolySites,
-			ICMegaSites:  row.ICMegaSites,
-		})
-	}
+	r.ICAblation = *ic
 	return r, nil
 }
 

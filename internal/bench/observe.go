@@ -16,7 +16,7 @@ type ObserveResult struct {
 	State        string
 	Benchmark    string
 	VirtualMS    int64
-	Metrics      trace.Metrics
+	Metrics      core.Metrics
 	Profile      string // empty unless profiling was requested
 	AllocProfile string // empty unless allocation profiling was requested
 }

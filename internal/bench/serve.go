@@ -7,7 +7,6 @@ import (
 	"mst/internal/core"
 	"mst/internal/serve"
 	"mst/internal/serve/loadgen"
-	"mst/internal/trace"
 )
 
 // The msserve benchmark (the `serve` section of msbench -json): one
@@ -27,33 +26,15 @@ const (
 // and latency collapsing as executors absorb the conflict classes.
 var serveExecCounts = []int{1, 2, 4, 8}
 
-// ServeRow is one front-end configuration's results.
-type ServeRow struct {
-	Executors     int                `json:"executors"`
-	Parallel      bool               `json:"parallel"`
-	Offered       int                `json:"offered"`
-	Admitted      int                `json:"admitted"`
-	Rejected      int                `json:"rejected"`
-	RejectedShare int                `json:"rejected_share"`
-	Completed     int                `json:"completed"`
-	Errors        int                `json:"errors"`
-	MakespanTicks int64              `json:"makespan_ticks"`
-	ThroughputRPS float64            `json:"throughput_rps"` // virtual req/s, derived
-	Latency       trace.HistSnapshot `json:"latency"`
-	Wait          trace.HistSnapshot `json:"wait"`
-	Service       trace.HistSnapshot `json:"service"`
-	TenantHeap    serve.HeapWork     `json:"tenant_heap"`
-}
-
 // ServeBenchReport is the full serve section.
 type ServeBenchReport struct {
-	Tenants      int        `json:"tenants"`
-	Requests     int        `json:"requests"`
-	MeanGapTicks int64      `json:"mean_gap_ticks"`
-	Seed         uint64     `json:"seed"`
-	QueueDepth   int        `json:"queue_depth"`
-	TenantShare  int        `json:"tenant_share"`
-	Rows         []ServeRow `json:"rows"`
+	Tenants      int             `json:"tenants"`
+	Requests     int             `json:"requests"`
+	MeanGapTicks int64           `json:"mean_gap_ticks"`
+	Seed         uint64          `json:"seed"`
+	QueueDepth   int             `json:"queue_depth"`
+	TenantShare  int             `json:"tenant_share"`
+	Rows         []*serve.Report `json:"rows"`
 	// ParallelMatchesDet records the early-scheduling equivalence check:
 	// the 4-executor schedule served by real goroutines rendered a
 	// report identical (modulo the mode banner) to the deterministic
@@ -62,8 +43,8 @@ type ServeBenchReport struct {
 }
 
 // runServeOnce serves the schedule on a fresh server (sharing the
-// booted checkpoint) and flattens the report into a row.
-func runServeOnce(cp *core.Checkpoint, executors int, parallel bool, arrivals []loadgen.Arrival) (ServeRow, *serve.Report, error) {
+// booted checkpoint): one row of the section.
+func runServeOnce(cp *core.Checkpoint, executors int, parallel bool, arrivals []loadgen.Arrival) (*serve.Report, error) {
 	srv, err := serve.NewServer(serve.Config{
 		Tenants:    serveBenchTenants,
 		Executors:  executors,
@@ -71,33 +52,17 @@ func runServeOnce(cp *core.Checkpoint, executors int, parallel bool, arrivals []
 		Checkpoint: cp,
 	})
 	if err != nil {
-		return ServeRow{}, nil, err
+		return nil, err
 	}
 	defer srv.Shutdown()
 	rep, err := srv.Run(arrivals)
 	if err != nil {
-		return ServeRow{}, nil, fmt.Errorf("bench: serve (executors=%d par=%v): %w", executors, parallel, err)
-	}
-	row := ServeRow{
-		Executors:     executors,
-		Parallel:      parallel,
-		Offered:       rep.Offered,
-		Admitted:      rep.Admitted,
-		Rejected:      rep.Rejected,
-		RejectedShare: rep.RejectedShare,
-		Completed:     rep.Completed,
-		Errors:        rep.Errors,
-		MakespanTicks: rep.MakespanTicks,
-		ThroughputRPS: rep.ThroughputRPS(),
-		Latency:       rep.Latency,
-		Wait:          rep.Wait,
-		Service:       rep.Service,
-		TenantHeap:    rep.TenantHeap,
+		return nil, fmt.Errorf("bench: serve (executors=%d par=%v): %w", executors, parallel, err)
 	}
 	// The summary columns (count/sum/max/percentiles) suffice for the
 	// gate; the full bucket vectors would dominate the report size.
-	row.Latency.Buckets, row.Wait.Buckets, row.Service.Buckets = nil, nil, nil
-	return row, rep, nil
+	rep.Latency.Buckets, rep.Wait.Buckets, rep.Service.Buckets = nil, nil, nil
+	return rep, nil
 }
 
 // RunServeBench measures the serve section: the executor sweep in
@@ -125,26 +90,26 @@ func RunServeBench() (*ServeBenchReport, error) {
 	}
 	var det4 *serve.Report
 	for _, ex := range serveExecCounts {
-		row, rep, err := runServeOnce(cp, ex, false, arrivals)
+		rep, err := runServeOnce(cp, ex, false, arrivals)
 		if err != nil {
 			return nil, err
 		}
 		if ex == 4 {
 			det4 = rep
 		}
-		r.Rows = append(r.Rows, row)
+		r.Rows = append(r.Rows, rep)
 	}
-	parRow, parRep, err := runServeOnce(cp, 4, true, arrivals)
+	parRep, err := runServeOnce(cp, 4, true, arrivals)
 	if err != nil {
 		return nil, err
 	}
-	r.Rows = append(r.Rows, parRow)
+	r.Rows = append(r.Rows, parRep)
 	r.ParallelMatchesDet = strings.Replace(det4.Format(), "(det)", "(parallel)", 1) == parRep.Format()
 	return r, nil
 }
 
-// name labels the row in Format's tables.
-func (row *ServeRow) name() string {
+// serveRowName labels a row in Format's tables.
+func serveRowName(row *serve.Report) string {
 	if row.Parallel {
 		return fmt.Sprintf("%d (par)", row.Executors)
 	}
@@ -161,7 +126,7 @@ func (r *ServeBenchReport) Format() string {
 		"executors", "admitted", "rejected", "completed", "throughput", "p50", "p95", "p99", "max")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-10s %9d %9d %10d %10.1f/s %8d %8d %8d %8d\n",
-			row.name(), row.Admitted, row.Rejected, row.Completed, row.ThroughputRPS,
+			serveRowName(row), row.Admitted, row.Rejected, row.Completed, row.ThroughputRPS,
 			row.Latency.P50, row.Latency.P95, row.Latency.P99, row.Latency.Max)
 	}
 	b.WriteString("  tenant heap work over the run\n")
@@ -170,7 +135,7 @@ func (r *ServeBenchReport) Format() string {
 	for _, row := range r.Rows {
 		h, n := row.TenantHeap, float64(max(row.Completed, 1))
 		fmt.Fprintf(&b, "  %-10s %9d %10d %10d %8d %11.1f %12.1f\n",
-			row.name(), h.Scavenges, h.CopiedWords, h.TenuredWords, h.FullCollections,
+			serveRowName(row), h.Scavenges, h.CopiedWords, h.TenuredWords, h.FullCollections,
 			float64(h.CopiedWords)/n, float64(h.TenuredWords)/n)
 	}
 	fmt.Fprintf(&b, "  parallel matches det: %v\n", r.ParallelMatchesDet)

@@ -389,122 +389,6 @@ func (s *System) SpawnBusyProcesses(n int) error {
 // BackgroundProcesses returns how many background Processes were spawned.
 func (s *System) BackgroundProcesses() int { return s.background }
 
-// Stats aggregates every layer's statistics.
-type Stats struct {
-	Heap   heap.Stats
-	Interp interp.Stats
-	Locks  []firefly.LockStats
-	Procs  []firefly.ProcStats
-}
-
-// Stats returns a snapshot of the system's statistics.
-func (s *System) Stats() Stats {
-	m := s.VM.M
-	procs := make([]firefly.ProcStats, m.NumProcs())
-	for i := range procs {
-		procs[i] = m.Proc(i).Stats()
-	}
-	return Stats{
-		Heap:   s.VM.H.Stats(),
-		Interp: s.VM.Stats(),
-		Locks:  m.LockStats(),
-		Procs:  procs,
-	}
-}
-
-// Metrics assembles the unified metrics registry: every layer's
-// counters in one typed, versioned snapshot with derived percentages.
-// All reports (msbench -json, -contention, mst -stats) read from it.
-func (s *System) Metrics() trace.Metrics {
-	m := s.VM.M
-	hs := s.VM.H.Stats()
-	is := s.VM.Stats()
-	var mt trace.Metrics
-	mt.Machine = trace.MachineMetrics{
-		NumProcs:         m.NumProcs(),
-		Switches:         m.Switches(),
-		VirtualTimeTicks: int64(s.VirtualTime()),
-	}
-	for i := 0; i < m.NumProcs(); i++ {
-		ps := m.Proc(i).Stats()
-		mt.Procs = append(mt.Procs, trace.ProcMetrics{
-			Proc:       i,
-			BusyTicks:  int64(ps.Busy),
-			SpinTicks:  int64(ps.Spin),
-			StallTicks: int64(ps.Stall),
-			IdleTicks:  int64(ps.Idle),
-			ClockTicks: int64(ps.Clock),
-		})
-	}
-	for _, l := range m.LockStats() {
-		mt.Locks = append(mt.Locks, trace.LockMetrics{
-			Name:         l.Name,
-			Acquisitions: l.Acquisitions,
-			Contentions:  l.Contentions,
-			SpinTicks:    int64(l.SpinTime),
-		})
-	}
-	mt.Heap = trace.HeapMetrics{
-		Allocations:       hs.Allocations,
-		AllocatedWords:    hs.AllocatedWords,
-		TLABRefills:       hs.TLABRefills,
-		Scavenges:         hs.Scavenges,
-		CopiedObjects:     hs.CopiedObjects,
-		CopiedWords:       hs.CopiedWords,
-		TenuredObjects:    hs.TenuredObjects,
-		TenuredWords:      hs.TenuredWords,
-		StoreChecks:       hs.StoreChecks,
-		ParScavenges:      hs.ParScavenges,
-		ScavengeSteals:    hs.ScavengeSteals,
-		ScavengeTicks:     int64(hs.ScavengeTime),
-		ScavengeMaxPause:  int64(hs.ScavengeMaxPause),
-		LastSurvivors:     hs.LastSurvivors,
-		RememberedPeak:    hs.RememberedPeak,
-		OldWordsInUse:     hs.OldWordsInUse,
-		EdenWordsInUse:    hs.EdenWordsInUse,
-		FullCollections:   hs.FullCollections,
-		FullGCTicks:       int64(hs.FullGCTime),
-		FullGCMaxPause:    int64(hs.FullGCMaxPause),
-		ReclaimedOldWords: hs.ReclaimedOldWords,
-		ConcMarkCycles:    hs.ConcMarkCycles,
-		ConcMarkSlices:    hs.ConcMarkSlices,
-		ConcMarkMarked:    hs.ConcMarkMarked,
-		ConcMarkShaded:    hs.ConcMarkShaded,
-	}
-	mt.Interp = trace.InterpMetrics{
-		Bytecodes:        is.Bytecodes,
-		Sends:            is.Sends,
-		CacheHits:        is.CacheHits,
-		CacheMisses:      is.CacheMisses,
-		ICHits:           is.ICHits,
-		ICMisses:         is.ICMisses,
-		ICFills:          is.ICFills,
-		ICPolySites:      is.ICPolySites,
-		ICMegaSites:      is.ICMegaSites,
-		DictProbes:       is.DictProbes,
-		DNUs:             is.DNUs,
-		Primitives:       is.Primitives,
-		PrimFailures:     is.PrimFailures,
-		ContextsAlloc:    is.ContextsAlloc,
-		ContextsRecycled: is.ContextsRecycled,
-		ProcessSwitches:  is.ProcessSwitches,
-		SemWaits:         is.SemWaits,
-		SemSignals:       is.SemSignals,
-		VMErrors:         is.VMErrors,
-		JITCompiles:      is.JITCompiles,
-		JITDeopts:        is.JITDeopts,
-		JITBytecodes:     is.JITBytecodes,
-	}
-	if r := m.Recorder(); r != nil {
-		mt.Trace = trace.TraceMetrics{Events: r.Total(), Dropped: r.Dropped()}
-	}
-	if lh := m.LatencyHists(); lh != nil {
-		mt.Latency = lh.Snapshot()
-	}
-	mt.Derive()
-	return mt
-}
-
 // WriteTrace exports the flight recorder's contents as Chrome
 // trace-event / Perfetto JSON. It errors when tracing was not enabled.
 func (s *System) WriteTrace(w io.Writer) error {

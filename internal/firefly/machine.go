@@ -256,13 +256,13 @@ func (p *Proc) CheckYield() {
 // without per-bytecode safepoints.
 func (p *Proc) YieldSlack() Time { return p.yieldAt - p.clock }
 
-// Stats is a snapshot of one processor's time accounting.
+// ProcStats is a snapshot of one processor's time accounting.
 type ProcStats struct {
-	Busy  Time
-	Spin  Time
-	Stall Time
-	Idle  Time
-	Clock Time
+	Busy  Time `json:"busy_ticks"`
+	Spin  Time `json:"spin_ticks"`
+	Stall Time `json:"stall_ticks"`
+	Idle  Time `json:"idle_ticks"`
+	Clock Time `json:"clock_ticks"`
 }
 
 // Stats returns the processor's current time accounting.
@@ -683,10 +683,10 @@ func (m *Machine) Shutdown() {
 
 // LockStats describes one virtual spinlock's history.
 type LockStats struct {
-	Name         string
-	Acquisitions uint64
-	Contentions  uint64
-	SpinTime     Time
+	Name         string `json:"name"`
+	Acquisitions uint64 `json:"acquisitions"`
+	Contentions  uint64 `json:"contentions"`
+	SpinTime     Time   `json:"spin_ticks"`
 }
 
 // LockStats returns statistics for every registered lock, in registration

@@ -148,31 +148,31 @@ func (b *bump) take(n int) uint64 { a := b.next; b.next += uint64(n); return a }
 
 // Stats counts heap activity since creation.
 type Stats struct {
-	Allocations       uint64
-	AllocatedWords    uint64
-	TLABRefills       uint64
-	Scavenges         uint64
-	CopiedObjects     uint64
-	CopiedWords       uint64
-	TenuredObjects    uint64
-	TenuredWords      uint64
-	StoreChecks       uint64 // taken store checks (entry-table recordings)
-	ParScavenges      uint64 // scavenges run by the parallel scavenger
-	ScavengeSteals    uint64 // grey objects stolen between scavenge workers
-	ScavengeTime      firefly.Time
-	ScavengeMaxPause  firefly.Time // longest single stop-the-world scavenge
-	LastSurvivors     uint64       // words surviving the most recent scavenge
-	RememberedPeak    int
-	OldWordsInUse     uint64
-	EdenWordsInUse    uint64
-	FullCollections   uint64
-	FullGCTime        firefly.Time
-	FullGCMaxPause    firefly.Time // longest single full collection (under ConcMark: longest STW window)
-	ReclaimedOldWords uint64
-	ConcMarkCycles    uint64 // completed concurrent marking cycles
-	ConcMarkSlices    uint64 // bounded mark slices drained outside the pauses
-	ConcMarkMarked    uint64 // old objects blackened by the concurrent marker
-	ConcMarkShaded    uint64 // old objects shaded grey by the deletion barrier
+	Allocations       uint64       `json:"allocations"`
+	AllocatedWords    uint64       `json:"allocated_words"`
+	TLABRefills       uint64       `json:"tlab_refills"`
+	Scavenges         uint64       `json:"scavenges"`
+	CopiedObjects     uint64       `json:"copied_objects"`
+	CopiedWords       uint64       `json:"copied_words"`
+	TenuredObjects    uint64       `json:"tenured_objects"`
+	TenuredWords      uint64       `json:"tenured_words"`
+	StoreChecks       uint64       `json:"store_checks"`    // taken store checks (entry-table recordings)
+	ParScavenges      uint64       `json:"par_scavenges"`   // scavenges run by the parallel scavenger
+	ScavengeSteals    uint64       `json:"scavenge_steals"` // grey objects stolen between scavenge workers
+	ScavengeTime      firefly.Time `json:"scavenge_ticks"`
+	ScavengeMaxPause  firefly.Time `json:"scavenge_max_pause_ticks"` // longest single stop-the-world scavenge
+	LastSurvivors     uint64       `json:"last_survivors"`           // words surviving the most recent scavenge
+	RememberedPeak    int          `json:"remembered_peak"`
+	OldWordsInUse     uint64       `json:"old_words_in_use"`
+	EdenWordsInUse    uint64       `json:"eden_words_in_use"`
+	FullCollections   uint64       `json:"full_collections"`
+	FullGCTime        firefly.Time `json:"full_gc_ticks"`
+	FullGCMaxPause    firefly.Time `json:"full_gc_max_pause_ticks"` // longest single full collection (under ConcMark: longest STW window)
+	ReclaimedOldWords uint64       `json:"reclaimed_old_words"`
+	ConcMarkCycles    uint64       `json:"conc_mark_cycles"`         // completed concurrent marking cycles
+	ConcMarkSlices    uint64       `json:"conc_mark_slices"`         // bounded mark slices drained outside the pauses
+	ConcMarkMarked    uint64       `json:"conc_mark_marked_objects"` // old objects blackened by the concurrent marker
+	ConcMarkShaded    uint64       `json:"conc_mark_barrier_shades"` // old objects shaded grey by the deletion barrier
 }
 
 // Heap is the shared object memory.

@@ -319,28 +319,28 @@ type Specials struct {
 
 // Stats counts interpreter activity.
 type Stats struct {
-	Bytecodes        uint64
-	Sends            uint64
-	CacheHits        uint64
-	CacheMisses      uint64
-	ICHits           uint64 // inline-cache hits (per-send-site, extension)
-	ICMisses         uint64 // inline-cache misses (cold, conflict, or class change)
-	ICFills          uint64 // inline-cache entry (re)bindings
-	ICPolySites      uint64 // sites upgraded monomorphic → polymorphic
-	ICMegaSites      uint64 // polymorphic sites retired as megamorphic
-	DictProbes       uint64
-	DNUs             uint64
-	Primitives       uint64
-	PrimFailures     uint64
-	ContextsAlloc    uint64
-	ContextsRecycled uint64
-	ProcessSwitches  uint64
-	SemWaits         uint64
-	SemSignals       uint64
-	VMErrors         uint64
-	JITCompiles      uint64 // methods template-compiled into the msjit tier
-	JITDeopts        uint64 // mid-method bailouts back to the interpreter
-	JITBytecodes     uint64 // bytecodes executed as compiled closures
+	Bytecodes        uint64 `json:"bytecodes"`
+	Sends            uint64 `json:"sends"`
+	CacheHits        uint64 `json:"cache_hits"`
+	CacheMisses      uint64 `json:"cache_misses"`
+	ICHits           uint64 `json:"ic_hits"`       // inline-cache hits (per-send-site, extension)
+	ICMisses         uint64 `json:"ic_misses"`     // inline-cache misses (cold, conflict, or class change)
+	ICFills          uint64 `json:"ic_fills"`      // inline-cache entry (re)bindings
+	ICPolySites      uint64 `json:"ic_poly_sites"` // sites upgraded monomorphic → polymorphic
+	ICMegaSites      uint64 `json:"ic_mega_sites"` // polymorphic sites retired as megamorphic
+	DictProbes       uint64 `json:"dict_probes"`
+	DNUs             uint64 `json:"dnus"`
+	Primitives       uint64 `json:"primitives"`
+	PrimFailures     uint64 `json:"prim_failures"`
+	ContextsAlloc    uint64 `json:"contexts_alloc"`
+	ContextsRecycled uint64 `json:"contexts_recycled"`
+	ProcessSwitches  uint64 `json:"process_switches"`
+	SemWaits         uint64 `json:"sem_waits"`
+	SemSignals       uint64 `json:"sem_signals"`
+	VMErrors         uint64 `json:"vm_errors"`
+	JITCompiles      uint64 `json:"jit_compiles"`  // methods template-compiled into the msjit tier
+	JITDeopts        uint64 `json:"jit_deopts"`    // mid-method bailouts back to the interpreter
+	JITBytecodes     uint64 `json:"jit_bytecodes"` // bytecodes executed as compiled closures
 }
 
 // add accumulates o into s (used to sum the per-interpreter counters).

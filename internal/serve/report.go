@@ -54,11 +54,14 @@ func (w HeapWork) since(start HeapWork) HeapWork {
 // is virtual-time-derived and deterministic (host wall time is measured
 // by callers that care, outside this package), so the serve benchmark
 // gates these columns exactly.
+//
+// Its JSON form is one row of msbench's serve section: the server
+// geometry and the per-tenant table stay out of it.
 type Report struct {
-	Tenants       int  `json:"tenants"`
+	Tenants       int  `json:"-"`
 	Executors     int  `json:"executors"`
-	QueueDepth    int  `json:"queue_depth"`
-	TenantShare   int  `json:"tenant_share"`
+	QueueDepth    int  `json:"-"`
+	TenantShare   int  `json:"-"`
 	Parallel      bool `json:"parallel"`
 	Offered       int  `json:"offered"`
 	Admitted      int  `json:"admitted"`
@@ -68,6 +71,9 @@ type Report struct {
 	Errors        int  `json:"errors"`
 	// MakespanTicks is the virtual time of the last completion.
 	MakespanTicks int64 `json:"makespan_ticks"`
+	// ThroughputRPS is the served throughput in requests per virtual
+	// second (ticks are virtual microseconds).
+	ThroughputRPS float64 `json:"throughput_rps"`
 
 	// Request-latency distributions in virtual ticks (the PR 7
 	// histogram substrate): end-to-end latency (completion - arrival),
@@ -79,19 +85,10 @@ type Report struct {
 	// TenantHeap sums the tenants' heap work over the run.
 	TenantHeap HeapWork `json:"tenant_heap"`
 
-	PerTenant []TenantStats `json:"per_tenant"`
+	PerTenant []TenantStats `json:"-"`
 
 	recorder *trace.Recorder
 	numProcs int
-}
-
-// ThroughputRPS is the served throughput in requests per virtual
-// second (ticks are virtual microseconds).
-func (r *Report) ThroughputRPS() float64 {
-	if r.MakespanTicks <= 0 {
-		return 0
-	}
-	return float64(r.Completed) * 1e6 / float64(r.MakespanTicks)
 }
 
 // WriteTrace exports the run's front-end flight recording (request
@@ -119,7 +116,7 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "  offered %d  admitted %d  rejected %d (%d by tenant share)  completed %d  errors %d\n",
 		r.Offered, r.Admitted, r.Rejected, r.RejectedShare, r.Completed, r.Errors)
 	fmt.Fprintf(&b, "  makespan %d ticks  throughput %.1f req/s (virtual)\n",
-		r.MakespanTicks, r.ThroughputRPS())
+		r.MakespanTicks, r.ThroughputRPS)
 	b.WriteString("  request latency (virtual ticks)\n")
 	fmt.Fprintf(&b, "  %-10s %8s %10s %8s %8s %8s %8s\n",
 		"series", "count", "mean", "p50", "p95", "p99", "max")

@@ -438,5 +438,9 @@ func (s *Server) report(arrivals []loadgen.Arrival, execs []*execState, heapAtSt
 		r.TenantHeap.add(ts.Heap)
 		r.PerTenant = append(r.PerTenant, *ts)
 	}
+	// After the loop: Completed is summed from the tenants above.
+	if r.MakespanTicks > 0 {
+		r.ThroughputRPS = float64(r.Completed) * 1e6 / float64(r.MakespanTicks)
+	}
 	return r
 }

@@ -284,6 +284,12 @@ func TestDetReportStable(t *testing.T) {
 	if a.Latency.Max < a.Latency.P99 {
 		t.Fatalf("latency max %d below p99 %d", a.Latency.Max, a.Latency.P99)
 	}
+	// Throughput is derived from the totals report() sums over the
+	// tenants: set before the sum, it would read 0.
+	if want := float64(a.Completed) * 1e6 / float64(a.MakespanTicks); a.ThroughputRPS != want || want == 0 {
+		t.Fatalf("ThroughputRPS = %v, want %v (completed %d, makespan %d)",
+			a.ThroughputRPS, want, a.Completed, a.MakespanTicks)
+	}
 }
 
 // TestParallelMatchesDet: executors own disjoint tenant sets, so the

@@ -2,8 +2,9 @@
 // buffer of events emitted from the hot paths of the simulator (machine
 // scheduling, locks, GC, interpreter, devices), plus the host-side
 // consumers built on it — a Perfetto/Chrome trace-event exporter, a
-// selector-level virtual-time profiler, and the unified metrics
-// registry.
+// selector-level virtual-time profiler, the latency histograms, and
+// the allocation-site profiler. The unified metrics registry lives in
+// package core, over the layers' own Stats types.
 //
 // The package sits below every other layer (it imports nothing from the
 // repository) so that firefly, heap, interp, and display can all emit

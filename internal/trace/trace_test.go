@@ -246,34 +246,6 @@ func TestProfilerRecursion(t *testing.T) {
 	}
 }
 
-func TestMetricsDerive(t *testing.T) {
-	m := Metrics{
-		Machine: MachineMetrics{NumProcs: 2, VirtualTimeTicks: 5500},
-		Procs: []ProcMetrics{
-			{Proc: 0, BusyTicks: 50, SpinTicks: 25, StallTicks: 25, ClockTicks: 100},
-			{Proc: 1, ClockTicks: 0},
-		},
-		Locks:  []LockMetrics{{Name: "alloc", Acquisitions: 200, Contentions: 50}},
-		Interp: InterpMetrics{CacheHits: 90, CacheMisses: 10},
-	}
-	m.Derive()
-	if m.SchemaVersion != MetricsSchemaVersion {
-		t.Fatalf("SchemaVersion = %d", m.SchemaVersion)
-	}
-	if m.Machine.VirtualTimeMS != 5 {
-		t.Fatalf("VirtualTimeMS = %d", m.Machine.VirtualTimeMS)
-	}
-	if m.Procs[0].SpinPct != 25 || m.Procs[0].StallPct != 25 || m.Procs[0].BusyPct != 50 {
-		t.Fatalf("proc pct = %+v", m.Procs[0])
-	}
-	if m.Locks[0].ContentionPct != 25 {
-		t.Fatalf("ContentionPct = %f", m.Locks[0].ContentionPct)
-	}
-	if m.Interp.CacheHitPct != 90 {
-		t.Fatalf("CacheHitPct = %f", m.Interp.CacheHitPct)
-	}
-}
-
 func TestShardedRecorder(t *testing.T) {
 	r := NewShardedRecorder(8192, 4)
 	if !r.Sharded() {

@@ -97,14 +97,15 @@ type Time = firefly.Time
 // TicksPerMS is the number of virtual ticks in one virtual millisecond.
 const TicksPerMS = firefly.TicksPerMS
 
-// Metrics is the unified metrics registry snapshot: every machine,
-// lock, heap, and interpreter counter in one versioned struct (see
-// System.Metrics).
-type Metrics = trace.Metrics
+// Metrics is the unified metrics registry snapshot: Stats (every
+// processor, lock, heap, and interpreter counter, declared once in the
+// layer that counts it) plus the machine, flight-recorder and latency
+// sections, in one versioned struct (see System.Metrics).
+type Metrics = core.Metrics
 
 // MetricsSchemaVersion versions the Metrics struct and the msbench
 // -json schema built on it.
-const MetricsSchemaVersion = trace.MetricsSchemaVersion
+const MetricsSchemaVersion = core.MetricsSchemaVersion
 
 // DefaultTraceEvents is the default flight-recorder ring capacity for
 // Config.TraceEvents.
