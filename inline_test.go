@@ -41,11 +41,10 @@ var mustInline = map[string][]string{
 // inliner's 80 nodes. What is held is that the frame's fast path is
 // inlined into them, so nothing else is called on the way.
 var mustInlineInto = map[string][]string{
-	"internal/interp/interp.go":    {"heap.(*Frame).Poke", "heap.(*Frame).Get", "heap.(*Frame).Put"},
-	"internal/heap/scavenge.go":    {"(*Heap).refWords"},
-	"internal/heap/fullgc.go":      {"(*Heap).refWords"},
-	"internal/heap/parscavenge.go": {"(*Heap).refWords", "(*bump).fits", "(*bump).take"},
-	"internal/heap/alloc.go":       {"(*bump).fits", "(*bump).take"},
+	"internal/interp/interp.go": {"heap.(*Frame).Poke", "heap.(*Frame).Get", "heap.(*Frame).Put"},
+	"internal/heap/scavenge.go": {"(*Heap).refWords", "(*bump).fits", "(*bump).take"},
+	"internal/heap/fullgc.go":   {"(*Heap).refWords"},
+	"internal/heap/alloc.go":    {"(*bump).fits", "(*bump).take"},
 }
 
 // TestMustInline builds the four packages once with -gcflags=-m, using

@@ -9,7 +9,8 @@ import (
 // The ablation's headline claim: with the cooperative scavenger on,
 // total scavenge virtual time strictly decreases from 1 to 4 simulated
 // processors (and keeps decreasing at 8 on this workload), while the
-// serial scavenger's time is processor-count-independent.
+// serial scavenger's time is processor-count-independent — and on one
+// processor the two are the same scavenger.
 func TestParScavengeAblationScales(t *testing.T) {
 	r, err := RunParScavengeAblation()
 	if err != nil {
@@ -28,6 +29,10 @@ func TestParScavengeAblationScales(t *testing.T) {
 		if row.SerialTicks != r.Rows[0].SerialTicks {
 			t.Errorf("serial scavenge time varies with processor count: %d at procs=%d vs %d at procs=1",
 				row.SerialTicks, row.Procs, r.Rows[0].SerialTicks)
+		}
+		if i == 0 && row.ParallelTicks != row.SerialTicks {
+			t.Errorf("procs=1: parallel scavenger %d ticks, serial %d; one worker is the serial scavenger",
+				row.ParallelTicks, row.SerialTicks)
 		}
 		if i > 0 {
 			prev := r.Rows[i-1]

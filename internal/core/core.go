@@ -87,8 +87,8 @@ type Config struct {
 	// ParScavenge enables the cooperative parallel scavenger: during the
 	// stop-the-world window every processor copies survivors through a
 	// per-worker buffer, feeding a work-stealing grey deque. Off by
-	// default; with it off the serial paper-faithful scavenger runs and
-	// every golden number is bit-identical.
+	// default; off, or on one processor, the scavenger has one worker:
+	// the paper's serial scavenge, which every golden number pins.
 	ParScavenge bool
 
 	// ConcMark enables the concurrent old-space marker: full

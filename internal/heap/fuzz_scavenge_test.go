@@ -1,6 +1,9 @@
 package heap
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -405,6 +408,68 @@ func TestParScavengeScheduleIndependence(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("schedule %d (delays %v): surviving graph diverges from serial\nwant: %+v\ngot:  %+v",
 				i, delays, want, got)
+		}
+	}
+}
+
+// layoutDigest runs fuzzOps for seeds [0, seeds) on a deterministic
+// machine of procs processors, each seed on a fresh heap of cfg, and
+// returns the sha256 of every run's old space, past-survivor space,
+// entry table and statistics but the entry table's peak, plus the words
+// tenured over all seeds.
+func layoutDigest(t *testing.T, cfg Config, procs int, seeds int64) (string, uint64) {
+	t.Helper()
+	sum := sha256.New()
+	var tenured uint64
+	for seed := int64(0); seed < seeds; seed++ {
+		m := firefly.New(procs, firefly.DefaultCosts())
+		h := New(m, cfg)
+		m.Start(0, func(p *firefly.Proc) { fuzzOps(h, p, seed) })
+		if r := m.Run(nil); r != firefly.StopAllDone {
+			t.Fatalf("seed %d: machine stopped with %v", seed, r)
+		}
+		past := &h.surv[h.past]
+		for _, ws := range [][]uint64{h.mem[h.old.base:h.old.next], h.mem[past.base:past.next]} {
+			binary.Write(sum, binary.LittleEndian, ws)
+		}
+		binary.Write(sum, binary.LittleEndian, h.remembered)
+		st := h.Stats()
+		st.RememberedPeak = 0 // pinned by TestRememberedPeakCountsScavengeEntries
+		fmt.Fprintf(sum, "%+v", st)
+		tenured += st.TenuredWords
+	}
+	return hex.EncodeToString(sum.Sum(nil)), tenured
+}
+
+// TestScavengeLayoutDigest pins the exact heap layout — where every
+// survivor lands, which objects tenure, the entry table's order — that
+// the one-worker scavenger produces, and that of a four-worker parallel
+// scavenge, on a survivor space small enough that overflow tenuring
+// fires (the case the differential fuzzer excludes by construction).
+// The serial digest is the same on one processor and on four: the
+// other processors only stall.
+func TestScavengeLayoutDigest(t *testing.T) {
+	const seeds = 8
+	cfg := fuzzConfig()
+	cfg.SurvivorWords = 128
+	_, roomy := layoutDigest(t, fuzzConfig(), 1, seeds)
+	for _, row := range []struct {
+		procs   int
+		parScav bool
+		want    string
+	}{
+		{1, false, "c3c447563f6e7e89af54db4ac010f391f4a0b8bd95a1a4457837f110f526eb8c"},
+		{4, false, "c3c447563f6e7e89af54db4ac010f391f4a0b8bd95a1a4457837f110f526eb8c"},
+		{4, true, "542645ef52de6f5b80a9a23301107f361de005c528fdd0628fcd8a5ec0741e1b"},
+	} {
+		cfg.ParScavenge = row.parScav
+		got, tenured := layoutDigest(t, cfg, row.procs, seeds)
+		if got != row.want {
+			t.Errorf("procs=%d parscavenge=%v: layout digest %s, want %s", row.procs, row.parScav, got, row.want)
+		}
+		if tenured <= roomy {
+			t.Errorf("procs=%d parscavenge=%v: %d words tenured, %d with a roomy survivor space; overflow tenuring never fired",
+				row.procs, row.parScav, tenured, roomy)
 		}
 	}
 }

@@ -15,6 +15,7 @@ package heap
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -83,7 +84,8 @@ type Config struct {
 	// In deterministic mode the parallel scan is simulated (scavenge
 	// wall time = max over workers of their charged copy costs); in
 	// parallel host mode the deques and the forwarding CAS are real.
-	// Off by default: the paper serializes GC (Table 3).
+	// Off by default, or on one processor, one worker scavenges: the
+	// paper serializes GC (Table 3).
 	ParScavenge bool
 	// ConcMark enables the concurrent old-space marker: FullCollect
 	// becomes a snapshot-at-the-beginning marking cycle whose tracing
@@ -204,9 +206,7 @@ type Heap struct {
 	handlePools []*handlePool
 
 	// scavenge working state
-	inGC    bool
-	to      *space
-	oldScan uint64
+	inGC bool
 
 	// cm is the concurrent old-space marker (nil unless cfg.ConcMark);
 	// the pointer-store funnels consult it for the deletion barrier.
@@ -246,12 +246,11 @@ type Heap struct {
 	allocShards []allocShard
 
 	// rec is the machine's flight recorder (nil when tracing is off),
-	// cached here so hot allocation paths pay one pointer check. gcProc
-	// and gcAt identify the in-progress scavenge for events emitted from
-	// deep inside forward(), which has no processor parameter.
-	rec    *trace.Recorder
-	gcProc int
-	gcAt   int64
+	// cached here so hot allocation paths pay one pointer check. gcAt is
+	// the in-progress scavenge's start, for the events and sanitizer
+	// hooks the copy function fires.
+	rec  *trace.Recorder
+	gcAt int64
 
 	// san is the machine's invariant checker (nil when sanitizing is
 	// off), cached like rec. Access hooks fire inside the locked
@@ -286,14 +285,18 @@ type Heap struct {
 	// the first full collection allocates and later ones grow. Last in
 	// the struct on purpose: among the fields above, it moved gc_churn's
 	// request median by 4 %.
-	fwdRoot, markRoot, slideRoot func(*object.OOP)
-	markStack                    []uint64
-	plan                         slide
+	seedRoot, markRoot, slideRoot func(*object.OOP)
+	markStack                     []uint64
+	plan                          slide
 
 	// oldHigh is the highest value old.next has reached, raised where the
 	// compactor lowers it: old space is written only below
 	// max(oldHigh, old.next), which is what Release re-zeroes.
 	oldHigh uint64
+
+	// scav is the scavenger's workers and drain state, host scratch
+	// like the above.
+	scav parScav
 }
 
 // released is the free list of backing arrays that Release handed back,
@@ -305,14 +308,37 @@ var released = struct {
 	byLen map[int][][]uint64
 }{byLen: make(map[int][][]uint64)}
 
+// pacerFloor is the Go runtime's smallest heap goal (GOGC=100): a heap
+// array at least this large can start a collection by itself.
+const pacerFloor = 4 << 20
+
 // newMem returns an all-zero array of n words: a released one if there
-// is one, else a fresh make.
+// is one, else a fresh make. A large fresh array can grow the Go heap
+// several times over at once, and the collection that allocation starts
+// is timed by the runtime's pacer against whatever the caller allocates
+// next, within a few hundred microseconds; that one estimate then sets
+// where later collections start, and so the process's peak resident
+// set, by up to a fifth. Finishing the cycle here, before anything else
+// is allocated, leaves the pacer nothing to time.
 func newMem(n int) []uint64 {
+	if mem := reuseMem(n); mem != nil {
+		return mem
+	}
+	mem := make([]uint64, n)
+	if 8*n >= pacerFloor {
+		runtime.GC()
+	}
+	return mem
+}
+
+// reuseMem takes a released array of n words off the free list, or
+// returns nil.
+func reuseMem(n int) []uint64 {
 	released.Lock()
 	defer released.Unlock()
 	free := released.byLen[n]
 	if len(free) == 0 {
-		return make([]uint64, n)
+		return nil
 	}
 	mem := free[len(free)-1]
 	free[len(free)-1] = nil
@@ -382,7 +408,13 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 	h.eden = space{base: a, limit: a + uint64(cfg.EdenWords), next: a}
 	h.newBase = h.surv[0].base
 	h.past = 0
-	h.fwdRoot = func(slot *object.OOP) { *slot = h.forward(*slot) }
+	h.seedRoot = func(slot *object.OOP) {
+		if s := &h.scav; s.shared {
+			s.deal(h, slot)
+		} else {
+			*slot = h.parForward(s.ws[0], *slot)
+		}
+	}
 	h.markRoot = func(slot *object.OOP) {
 		if w := uint64(*slot); w&1 == 0 && w >= h.old.base {
 			h.mark(w)

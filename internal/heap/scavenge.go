@@ -2,6 +2,9 @@ package heap
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
+	"unsafe"
 
 	"mst/internal/firefly"
 	"mst/internal/object"
@@ -9,9 +12,11 @@ import (
 )
 
 // Scavenge performs one stop-the-world generation scavenge on processor
-// p, which acts as the single scavenger (the paper applies serialization
-// to garbage collection: "all of the processes are synchronized with a
-// global flag and the V interprocess communication mechanism").
+// p. By default p is the single scavenger (the paper applies
+// serialization to garbage collection: "all of the processes are
+// synchronized with a global flag and the V interprocess communication
+// mechanism"); with Config.ParScavenge every processor is a scavenge
+// worker (parscavenge.go).
 //
 // Live new-space objects are copied to the future survivor space (or
 // tenured into old space once they have survived TenureAge scavenges, or
@@ -41,7 +46,7 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	h.rec.Emit(trace.KScavengeBegin, p.ID(), int64(start), 0, 0, "")
 	h.rec.Emit(trace.KHeapOccupancy, p.ID(), int64(start),
 		int64(h.eden.next-h.eden.base), int64(h.old.next-h.old.base), "")
-	h.gcProc, h.gcAt = p.ID(), int64(start)
+	h.gcAt = int64(start)
 	runHooks(h.preGC)
 	if h.alp != nil {
 		// The copy pass re-keys each surviving object's allocation site
@@ -52,17 +57,32 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	objsBefore := h.stats.CopiedObjects
 	wordsBefore := h.stats.CopiedWords
 
-	to := &h.surv[1-h.past]
-	to.next = to.base
-	h.to = to
-
-	// Phases 1–3 and their cost accounting: serial Cheney scan, or the
-	// cooperative parallel copy (parscavenge.go).
-	if h.cfg.ParScavenge {
-		h.parScavenge(p, start)
-	} else {
-		h.serialScavenge(p)
+	// Phases 1–3: seed the workers from the roots and the entry table,
+	// drain them, and charge the copy.
+	s := &h.scav
+	s.start(h, p)
+	w := s.ws[0]
+	toScan, oldScan := w.to.next, w.old.next // where a lone worker's Cheney scan starts
+	s.seed(h)
+	switch {
+	case !s.shared:
+		s.cheney(h, w, toScan, oldScan)
+	case h.par:
+		h.m.RunStopped(p, func(q *firefly.Proc) {
+			w := s.ws[q.ID()]
+			if h.scavDelay != nil {
+				h.scavDelay(w.id)
+			}
+			s.drainHost(h, w)
+			q.Advance(w.cost)
+		})
+		if s.err != nil {
+			panic(s.err)
+		}
+	default:
+		s.drainDet(h)
 	}
+	h.finishScavenge(s, p, start)
 
 	objs := h.stats.CopiedObjects - objsBefore
 	words := h.stats.CopiedWords - wordsBefore
@@ -72,7 +92,6 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	h.surv[h.past].next = h.surv[h.past].base
 	h.past = 1 - h.past
 	h.resetTLABs()
-	h.to = nil
 	if h.alp != nil {
 		h.siteByAddr = h.siteNext
 		h.siteNext = nil
@@ -94,131 +113,323 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	runHooks(h.postGC)
 }
 
-// serialScavenge is the paper's single-scavenger path: phases 1–3 of
-// the collection plus the cost accounting (the scavenger pays base +
-// per-object + per-word; every other processor stalls until it
-// finishes). The caller has already reset h.to.
-func (h *Heap) serialScavenge(p *firefly.Proc) {
-	objsBefore := h.stats.CopiedObjects
-	wordsBefore := h.stats.CopiedWords
-	to := h.to
-	h.oldScan = h.old.next
-
-	// Phase 1: forward the roots.
-	h.visitAllRoots(h.fwdRoot)
-
-	// Phase 2: scan the entry table. Remembered old objects may hold
-	// the only references to live new objects. After scanning, an
-	// object stays in the table only if it still refers to new space.
-	kept := h.remembered[:0]
-	for _, o := range h.remembered {
-		if h.scanObject(o) {
-			kept = append(kept, o)
-		} else {
-			h.SetHeader(o, h.Header(o).SetRemembered(false))
-		}
+// start readies the workers for one scavenge: one per processor under
+// ParScavenge, else the paper's single scavenger, processor p. A lone
+// worker's copy buffers are the whole free part of the future survivor
+// space and of old space, so it never carves a chunk; finishScavenge
+// moves the spaces' next pointers past what it used.
+func (s *parScav) start(h *Heap, p *firefly.Proc) {
+	nw := 1
+	if h.cfg.ParScavenge {
+		nw = h.m.NumProcs()
 	}
-	h.remembered = kept
+	for len(s.crew) < nw {
+		s.crew = append(s.crew, new(scavWorker))
+	}
+	s.ws, s.shared, s.dealt = s.crew[:nw], nw > 1, 0
+	s.to = &h.surv[1-h.past]
+	s.to.next = s.to.base
+	s.active.Store(0)
+	s.done.Store(false)
+	s.aborted.Store(false)
+	s.err = nil
+	for i, w := range s.ws {
+		w.id, w.to, w.old, w.tally = i, bump{}, bump{}, tally{}
+		w.wl.head, w.wl.buf = 0, w.wl.buf[:0]
+		w.remembered = w.remembered[:0]
+	}
+	if !s.shared {
+		w := s.ws[0]
+		w.id = p.ID()
+		w.to = bump{next: s.to.next, limit: s.to.limit}
+		w.old = bump{next: h.old.next, limit: h.old.limit}
+	}
+}
 
-	// Phase 3: Cheney scan of the future survivor space and of objects
-	// tenured during this scavenge, until both frontiers are exhausted.
-	scan := to.base
-	for scan < to.next || h.oldScan < h.old.next {
-		for scan < to.next {
-			o := object.FromAddr(scan)
-			h.scanObject(o)
-			scan += uint64(h.Header(o).SizeWords())
-		}
-		for h.oldScan < h.old.next {
-			o := object.FromAddr(h.oldScan)
-			h.oldScan += uint64(h.Header(o).SizeWords())
-			if h.scanObject(o) {
-				// A tenured object still referencing new space
-				// enters the entry table.
-				hd := h.Header(o)
-				if !hd.Remembered() {
-					h.SetHeader(o, hd.SetRemembered(true))
-					h.remembered = append(h.remembered, o)
-				}
+// seed deals every reference into new space from outside it to the
+// workers, in registration order: root slots, root functions (the
+// interpreter's inline-cache visitor visits in sorted-oop order), the
+// handle pools, then the entry table. Root slots and entry-table
+// objects go round-robin; each handle pool goes to the worker whose
+// processor owns it (a replication row). The entry table is rebuilt
+// from the workers' kept lists when the scavenge finishes.
+func (s *parScav) seed(h *Heap) {
+	for _, slot := range h.rootSlots {
+		h.seedRoot(slot)
+	}
+	for _, f := range h.rootFuncs {
+		f(h.seedRoot)
+	}
+	for pi, hp := range h.handlePools {
+		w := s.ws[pi%len(s.ws)]
+		for i := range hp.slots {
+			if v := hp.slots[i]; v.IsPtr() && v.Addr() >= h.newBase {
+				s.give(h, w, greyItem{slot: &hp.slots[i]})
 			}
 		}
 	}
-
-	objs := h.stats.CopiedObjects - objsBefore
-	words := h.stats.CopiedWords - wordsBefore
-	c := h.m.Costs()
-	copyTicks := c.ScavengePerObject*firefly.Time(objs) +
-		c.ScavengePerWord*firefly.Time(words)
-	// Serial phase split: the base charge models the rendezvous,
-	// the per-object/word charge is the copy work, and termination
-	// is immediate (one scavenger, nothing to join).
-	h.lat.Record(trace.ScavRendezvous, int64(c.ScavengeBase))
-	h.lat.Record(trace.ScavCopy, int64(copyTicks))
-	h.lat.Record(trace.ScavTerm, 0)
-	p.Advance(c.ScavengeBase + copyTicks)
-	h.m.StallOthers(p, p.Now())
+	for i, o := range h.remembered {
+		s.give(h, s.ws[i%len(s.ws)], greyItem{obj: o})
+	}
+	h.remembered = h.remembered[:0]
 }
 
-// forward returns the new location of o, copying it out of from-space if
-// this is its first visit. Non-pointers and old/immortal objects are
-// returned unchanged.
-func (h *Heap) forward(o object.OOP) object.OOP {
-	if !o.IsPtr() || o.Addr() < h.newBase {
+// deal queues one root slot that refers to new space with the next
+// worker, round-robin. A lone worker forwards its root slots on the
+// spot instead (New builds the visitor that picks).
+func (s *parScav) deal(h *Heap, slot *object.OOP) {
+	if v := *slot; !v.IsPtr() || v.Addr() < h.newBase {
+		return
+	}
+	s.ws[s.dealt].wl.push(greyItem{slot: slot})
+	s.dealt = (s.dealt + 1) % len(s.ws)
+}
+
+// give hands w one seed. A lone worker processes it on the spot, which
+// is the first two phases of Cheney's algorithm; workers that share the
+// drain queue it.
+func (s *parScav) give(h *Heap, w *scavWorker, it greyItem) {
+	if s.shared {
+		w.wl.push(it)
+		return
+	}
+	h.scanGrey(w, it)
+}
+
+// cheney is a lone worker's drain: two scan pointers chase the copy
+// frontiers of its survivor and old-space buffers until both stop.
+func (s *parScav) cheney(h *Heap, w *scavWorker, toScan, oldScan uint64) {
+	for toScan < w.to.next || oldScan < w.old.next {
+		for toScan < w.to.next {
+			o := object.FromAddr(toScan)
+			toScan += uint64(h.Header(o).SizeWords())
+			h.scanGrey(w, greyItem{obj: o})
+		}
+		for oldScan < w.old.next {
+			o := object.FromAddr(oldScan)
+			oldScan += uint64(h.Header(o).SizeWords())
+			h.scanGrey(w, greyItem{obj: o})
+		}
+	}
+}
+
+// scanGrey processes one work item: forward a root slot or handle in
+// place, or scan a grey object through refWords, forwarding each word
+// that references new space and keeping an old object in the entry
+// table exactly while it still references new space.
+func (h *Heap) scanGrey(w *scavWorker, it greyItem) {
+	if it.slot != nil {
+		// A slot registered twice is dealt twice, perhaps to two host
+		// workers at once; both store the one address it was copied to.
+		slot := (*uint64)(unsafe.Pointer(it.slot))
+		atomic.StoreUint64(slot, uint64(h.parForward(w, object.OOP(atomic.LoadUint64(slot)))))
+		return
+	}
+	refsNew := false
+	newBase := h.newBase
+	ws := h.refWords(it.obj.Addr())
+	for i, wd := range ws {
+		if wd&1 != 0 || wd < newBase {
+			continue
+		}
+		nw := uint64(h.parForward(w, object.OOP(wd)))
+		ws[i] = nw
+		if nw >= newBase {
+			refsNew = true
+		}
+	}
+	if it.obj.Addr() >= newBase {
+		return
+	}
+	if hd := h.Header(it.obj); refsNew {
+		if !hd.Remembered() {
+			h.SetHeader(it.obj, hd.SetRemembered(true))
+		}
+		w.remembered = append(w.remembered, it.obj)
+	} else if hd.Remembered() {
+		h.SetHeader(it.obj, hd.SetRemembered(false))
+	}
+}
+
+// parForward returns o's new location for worker w, copying it out of
+// from-space on its first visit (an address already in the future
+// survivor space is a copy: a root slot registered twice). A lone worker
+// claims nothing and leaves the copy to its Cheney scan; workers that
+// share the drain claim the header by CAS and queue the copy.
+func (h *Heap) parForward(w *scavWorker, o object.OOP) object.OOP {
+	addr := o.Addr()
+	if !o.IsPtr() || addr < h.newBase {
 		return o
 	}
-	hd := h.Header(o)
+	hd := object.Header(atomic.LoadUint64(&h.mem[addr]))
 	if hd.Forwarded() {
-		return object.OOP(h.mem[o.Addr()+1])
+		return object.OOP(atomic.LoadUint64(&h.mem[addr+1]))
+	}
+	s := &h.scav
+	if s.to.contains(addr) {
+		return o
+	}
+	if s.shared {
+		if hd = h.claim(w, addr); hd.Forwarded() {
+			return object.OOP(atomic.LoadUint64(&h.mem[addr+1]))
+		}
 	}
 	size := hd.SizeWords()
 	age := hd.Age() + 1
-
+	tenured := age >= h.cfg.TenureAge
+	if !tenured && !w.to.fits(size) {
+		// Overflow tenuring, unless a shared drain carves another chunk.
+		tenured = !(s.shared && h.carveChunk(w, &w.to, s.to, size))
+	}
 	var dst uint64
-	tenure := age >= h.cfg.TenureAge || h.to.free() < size
-	if tenure {
-		if h.old.free() < size {
-			panic(OOMError{NeedWords: size})
+	switch {
+	case !tenured:
+		dst = w.to.take(size)
+	case w.old.fits(size) || s.shared && h.carveChunk(w, &w.old, &h.old, size):
+		dst = w.old.take(size)
+	default:
+		panic(OOMError{NeedWords: size})
+	}
+	if h.alp != nil { // deterministic mode only (core enforces it): the site maps never race
+		h.noteCopy(addr, dst, size, age, tenured)
+	}
+	if tenured {
+		at := h.gcAt
+		if s.shared {
+			at += int64(w.cost)
 		}
-		dst = h.old.next
-		h.old.next += uint64(size)
-		h.stats.TenuredObjects++
-		h.stats.TenuredWords += uint64(size)
-		h.rec.Emit(trace.KTenure, h.gcProc, h.gcAt, int64(size), 0, "")
 		age = 0
-	} else {
-		dst = h.to.next
-		h.to.next += uint64(size)
+		w.tenuredObjects++
+		w.tenuredWords += uint64(size)
+		h.rec.Emit(trace.KTenure, w.id, at, int64(size), 0, "")
 	}
-	if h.alp != nil {
-		h.noteCopy(o.Addr(), dst, size, hd.Age()+1, tenure)
-	}
-
-	copy(h.mem[dst:dst+uint64(size)], h.mem[o.Addr():o.Addr()+uint64(size)])
-	// The copy starts life unremembered and unforwarded at its new age.
 	nh := hd.SetAge(age).SetRemembered(false)
-	if tenure && h.allocBlack(dst) {
-		// Tenured into old space while the concurrent marker is active:
-		// born black. Its old-space referents are already shaded — the
-		// object was young at the snapshot, so the begin window (or the
-		// deletion barrier since) captured them.
+	if tenured && h.allocBlack(dst) {
+		// Born black under an active concurrent mark: its old-space
+		// referents were shaded while it was young (concmark.go).
 		nh = nh.SetMarked(true)
 	}
+	w.copiedObjects++
+	w.copiedWords += uint64(size)
+	if !s.shared { // its cost is charged from these counts when it finishes
+		copy(h.mem[dst:dst+uint64(size)], h.mem[addr:addr+uint64(size)])
+		h.mem[dst], h.mem[addr+1], h.mem[addr] = uint64(nh), dst, uint64(hd.SetForwarded())
+		return object.FromAddr(dst)
+	}
+	// The claimed header reads busy: copy the body, then publish the
+	// forwarding pointer and then the forwarded header.
+	c := h.m.Costs()
+	w.cost += c.ScavengePerObject + c.ScavengePerWord*firefly.Time(size)
+	copy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])
 	h.mem[dst] = uint64(nh)
-
-	// Leave a forwarding pointer in the old copy.
-	h.mem[o.Addr()] = uint64(hd.SetForwarded())
-	h.mem[o.Addr()+1] = dst
-
-	h.stats.CopiedObjects++
-	h.stats.CopiedWords += uint64(size)
+	h.san.OnGCPublish(w.id, h.gcAt, addr)
+	atomic.StoreUint64(&h.mem[addr+1], dst)
+	atomic.StoreUint64(&h.mem[addr], uint64(hd.SetForwarded()))
+	w.wl.push(greyItem{obj: object.FromAddr(dst)})
 	return object.FromAddr(dst)
 }
 
-// noteCopy tells the allocation-site profiler that a scavenger copied
+// claim swaps the header at addr for the busy sentinel and returns the
+// header it replaced, or the forwarded header of the worker that got
+// there first; a loser spins while the winner copies (host mode only —
+// the deterministic simulation never contends).
+func (h *Heap) claim(w *scavWorker, addr uint64) object.Header {
+	for {
+		hd := object.Header(atomic.LoadUint64(&h.mem[addr]))
+		switch {
+		case hd == scavBusyHeader:
+			if h.scav.aborted.Load() {
+				panic(errParScavAbort)
+			}
+			runtime.Gosched()
+		case hd.Forwarded():
+			return hd
+		case atomic.CompareAndSwapUint64(&h.mem[addr], uint64(hd), uint64(scavBusyHeader)):
+			h.san.OnGCClaim(w.id, h.gcAt, addr)
+			return hd
+		}
+	}
+}
+
+// finishScavenge retires the copy buffers, merges the workers' results
+// into the statistics and the rebuilt entry table (worker order), and
+// charges ScavengeBase + max(worker costs) + ScavengeTerm, each worker's
+// processor paying its own cost (in host mode, inside RunStopped). A
+// lone worker pays no termination barrier: base + per-object +
+// per-word, the paper's serial scavenge.
+func (h *Heap) finishScavenge(s *parScav, p *firefly.Proc, start firefly.Time) {
+	c := h.m.Costs()
+	longPole, maxCost := 0, firefly.Time(0)
+	var sumCost firefly.Time
+	var sumSteals uint64
+	for i, w := range s.ws {
+		if s.shared {
+			h.fillGap(w.to.next, w.to.limit)
+			h.fillGap(w.old.next, w.old.limit)
+		} else {
+			s.to.next, h.old.next = w.to.next, w.old.next
+			w.cost = c.ScavengePerObject*firefly.Time(w.copiedObjects) +
+				c.ScavengePerWord*firefly.Time(w.copiedWords)
+		}
+		h.stats.CopiedObjects += w.copiedObjects
+		h.stats.CopiedWords += w.copiedWords
+		h.stats.TenuredObjects += w.tenuredObjects
+		h.stats.TenuredWords += w.tenuredWords
+		h.stats.ScavengeSteals += w.steals
+		h.remembered = append(h.remembered, w.remembered...)
+		if w.cost > maxCost {
+			longPole, maxCost = i, w.cost
+		}
+		sumCost += w.cost
+		sumSteals += w.steals
+	}
+	if len(h.remembered) > h.stats.RememberedPeak {
+		h.stats.RememberedPeak = len(h.remembered)
+	}
+
+	term := firefly.Time(0)
+	if s.shared {
+		term = c.ScavengeTerm
+	}
+	if h.par && s.shared {
+		p.Advance(c.ScavengeBase + term)
+	} else {
+		for _, w := range s.ws {
+			h.m.Proc(w.id).Advance(w.cost)
+		}
+		p.Advance(c.ScavengeBase + term)
+		p.StallUntil(start + c.ScavengeBase + maxCost + term)
+		h.m.StallOthers(p, p.Now())
+	}
+	// Phase split: rendezvous, copy until the long pole, termination.
+	h.lat.Record(trace.ScavRendezvous, int64(c.ScavengeBase))
+	h.lat.Record(trace.ScavCopy, int64(maxCost))
+	h.lat.Record(trace.ScavTerm, int64(term))
+	if !s.shared {
+		return
+	}
+	h.stats.ParScavenges++
+	h.lat.AddCriticalPath(trace.GCCriticalPath{
+		Scavenge:      h.stats.ParScavenges,
+		LongPole:      longPole,
+		LongPoleTicks: int64(maxCost),
+		SumTicks:      int64(sumCost),
+		Workers:       len(s.ws),
+		Steals:        sumSteals,
+	})
+	for i, w := range s.ws {
+		h.rec.Emit(trace.KScavWorkerBegin, i, h.gcAt, int64(w.steals), 0, "")
+		h.rec.Emit(trace.KScavWorkerEnd, i, h.gcAt+int64(w.cost),
+			int64(w.copiedObjects), int64(w.copiedWords), "")
+	}
+	h.san.ResetGCClaims()
+}
+
+// noteCopy tells the allocation-site profiler that the scavenger copied
 // the size-word object at from to dst at the given age: the age census,
 // then, for an object whose site is known, its tenure or — on an
 // eden-born object's first copy — its survival; a survivor's site moves
-// with it to dst. Both scavengers call it, only when the profiler is on.
+// with it to dst. Called only when the profiler is on.
 func (h *Heap) noteCopy(from, dst uint64, size, age int, tenured bool) {
 	h.alp.NoteAge(age, int64(size))
 	id, ok := h.siteByAddr[from]
@@ -233,27 +444,6 @@ func (h *Heap) noteCopy(from, dst uint64, size, age int, tenured bool) {
 		h.alp.NoteSurvived(id, int64(size))
 	}
 	h.siteNext[dst] = id
-}
-
-// scanObject forwards the class word and every pointer field of o,
-// reporting whether o still references new space afterwards. Only a
-// reference into new space is worth the call: it always moves (or has),
-// and always leaves o referencing new space unless it was tenured.
-func (h *Heap) scanObject(o object.OOP) bool {
-	refsNew := false
-	newBase := h.newBase
-	ws := h.refWords(o.Addr())
-	for i, w := range ws {
-		if w&1 != 0 || w < newBase {
-			continue
-		}
-		nw := uint64(h.forward(object.OOP(w)))
-		ws[i] = nw
-		if nw >= newBase {
-			refsNew = true
-		}
-	}
-	return refsNew
 }
 
 // CheckInvariants walks the heap verifying structural invariants; it is

@@ -153,8 +153,8 @@ func (in *Interp) flushIC() {
 // hashing and hence virtual timing. Go map iteration order would make
 // every IC-enabled run differ (the determinism CI job caught this).
 //
-// The parallel scavenger leans on the same contract: newParScav
-// (internal/heap/parscavenge.go) deals root slots round-robin across
+// The parallel scavenger leans on the same contract: seed
+// (internal/heap/scavenge.go) deals root slots round-robin across
 // its worker deques in visit order, so a stable visit order is what
 // makes the deterministic-mode work partition — and the simulated
 // scavenge times derived from it — reproducible.

@@ -60,7 +60,8 @@ const (
 	KInputOp   // input event transferred from the sensor
 
 	// Parallel-scavenge worker events (emitted by internal/heap when
-	// Config.ParScavenge is on). Proc is the worker's processor.
+	// Config.ParScavenge is on and there is more than one processor).
+	// Proc is the worker's processor.
 	KScavWorkerBegin // worker joins the cooperative copy; Arg1 = steals
 	KScavWorkerEnd   // worker done; Arg1 = copied objects, Arg2 = copied words
 	KScavSteal       // worker stole a grey object; Arg1 = victim worker
