@@ -20,24 +20,30 @@
 //	                           vs the stop-the-world mark-compact over a
 //	                           growing live set; the concurrent windows
 //	                           stay bounded while the serial pause grows
-//	msbench -json results.json     machine-readable Table 2, sanitizer
-//	                           twins, and the parscavenge, serve, jit,
+//	msbench -json results.json     machine-readable Table 2, the sanitizer
+//	                           check, and the parscavenge, serve, jit,
 //	                           concmark and inline-cache ablations; every
 //	                           leaf is exact, so two runs are byte-identical
-//	msbench -trace out.json    flight-record one busy benchmark; export
-//	                           Chrome trace-event JSON for ui.perfetto.dev
-//	msbench -profile           selector-level virtual-time profile of the
-//	                           same run (combine with -trace for both)
-//	msbench -allocprofile      allocation-site profile of the same run:
-//	                           objects/words per Class>>selector, survivor
-//	                           and tenure rates, object-age census
-//	msbench -gcreport          GC latency rollup of a busy benchmark:
-//	                           pause/phase percentiles, dispatch latency,
-//	                           lock waits, allocation sites; combine with
-//	                           -parscavenge for the critical-path table
-//	msbench -sanitize          run every state plain and under the mscheck
+//
+// The observers share one flight-recorded run of a busy benchmark;
+// combine them freely:
+//
+//	msbench -trace out.json    export Chrome trace-event JSON for
+//	                           ui.perfetto.dev
+//	msbench -profile           selector-level virtual-time profile
+//	msbench -allocprofile      allocation-site profile: objects/words per
+//	                           Class>>selector, survivor and tenure rates,
+//	                           object-age census
+//	msbench -gcreport          GC latency rollup: pause/phase percentiles,
+//	                           dispatch latency, lock waits, allocation
+//	                           sites; add -parscavenge for the
+//	                           critical-path table
+//
+// Table 2 is measured once per invocation and shared:
+//
+//	msbench -sanitize          rerun every state under the mscheck
 //	                           invariant sanitizer; report violations,
-//	                           bit-identity, and checker work;
+//	                           bit-identity with Table 2, and checker work;
 //	                           add -lockgraph GRAPH.json (the output of
 //	                           msvet -lockgraph) to verify the observed
 //	                           acquisition order is a subgraph of the
@@ -76,7 +82,7 @@ func main() {
 	profile := flag.Bool("profile", false, "print the selector-level virtual-time profile of a busy benchmark")
 	allocProf := flag.Bool("allocprofile", false, "print the allocation-site profile of a busy benchmark (objects/words per Class>>selector, survivor and tenure rates)")
 	gcReport := flag.Bool("gcreport", false, "print the GC latency rollup of a busy benchmark (pause/phase percentiles, lock waits, allocation sites)")
-	parScav := flag.Bool("parscavenge", false, "use the cooperative parallel scavenger for the -gcreport run (adds the critical-path table)")
+	parScav := flag.Bool("parscavenge", false, "use the cooperative parallel scavenger for the observed run (adds the critical-path table to -gcreport)")
 	sanFlag := flag.Bool("sanitize", false, "run every state under the mscheck invariant sanitizer and report violations and bit-identity")
 	lockgraphPath := flag.String("lockgraph", "", "with -sanitize: static lock graph JSON (msvet -lockgraph) to cross-check the observed acquisition order against")
 	gatePath := flag.String("gate", "", "rerun the suite and fail unless every leaf equals this baseline json's")
@@ -88,9 +94,31 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Load the gate's baseline, open the -json output and read the lock
+	// graph first: fail on a bad one before spending time measuring.
+	var baseline *bench.JSONReport
+	if *gatePath != "" {
+		var err error
+		baseline, err = bench.LoadBaseline(*gatePath)
+		check(err)
+	}
+	var out *os.File
+	if *jsonPath != "" {
+		var err error
+		out, err = os.Create(*jsonPath)
+		check(err)
+	}
+	var staticEdges []string
+	if *lockgraphPath != "" {
+		data, err := os.ReadFile(*lockgraphPath)
+		check(err)
+		var g msvet.LockGraphData
+		check(json.Unmarshal(data, &g))
+		staticEdges = g.EdgeStrings()
+	}
+
 	var t2 *bench.Table2
-	needT2 := *table2 || *figure2 || *all
-	if needT2 {
+	if *table2 || *figure2 || *all || *sanFlag || *jsonPath != "" || *gatePath != "" {
 		fmt.Fprintln(os.Stderr, "running the four system states × eight macro benchmarks...")
 		var err error
 		t2, err = bench.RunTable2()
@@ -182,66 +210,40 @@ func main() {
 		check(err)
 		fmt.Println(r.Format())
 	}
-	if *tracePath != "" || *profile || *allocProf {
+	if *tracePath != "" || *profile || *allocProf || *gcReport || *all {
 		fmt.Fprintln(os.Stderr, "running observed benchmark (flight recorder on)...")
-		r, err := bench.RunObserved(*tracePath, *profile, *allocProf)
+		r, err := bench.RunObserved(bench.Observers{
+			TracePath:    *tracePath,
+			Profile:      *profile,
+			AllocProfile: *allocProf,
+			GCReport:     *gcReport || *all,
+			ParScavenge:  *parScav,
+		})
 		check(err)
 		r.Format(os.Stdout)
 		if *tracePath != "" {
 			fmt.Fprintf(os.Stderr, "wrote %s (open in ui.perfetto.dev)\n", *tracePath)
 		}
 	}
-	if *gcReport || *all {
-		fmt.Fprintln(os.Stderr, "running gc report (histograms + allocation profiler on)...")
-		rep, err := bench.RunGCReport(*parScav)
-		check(err)
-		fmt.Print(rep)
-	}
 	if *sanFlag || *all {
-		fmt.Fprintln(os.Stderr, "running sanitized states (plain + mscheck each)...")
-		var staticEdges []string
-		if *lockgraphPath != "" {
-			data, err := os.ReadFile(*lockgraphPath)
-			check(err)
-			var g msvet.LockGraphData
-			check(json.Unmarshal(data, &g))
-			staticEdges = g.EdgeStrings()
-		}
-		r, err := bench.RunSanitizeStatic(staticEdges)
+		fmt.Fprintln(os.Stderr, "running sanitized states (mscheck on, held to Table 2)...")
+		r, err := bench.RunSanitize(t2, staticEdges)
 		check(err)
 		fmt.Println(r.Format())
 		if !r.Clean() {
 			os.Exit(1)
 		}
 	}
-	// -json and -gate both need the same fresh report; measure once and
-	// reuse it.
-	var report, baseline *bench.JSONReport
-	if *jsonPath != "" || *gatePath != "" {
-		// Load the baseline first: fail on a bad one before spending
-		// time measuring.
-		if *gatePath != "" {
-			var err error
-			baseline, err = bench.LoadBaseline(*gatePath)
-			check(err)
-		}
-		// Open the output first: fail on a bad path before spending
-		// time measuring.
-		var f *os.File
-		if *jsonPath != "" {
-			var err error
-			f, err = os.Create(*jsonPath)
-			check(err)
-		}
-		fmt.Fprintln(os.Stderr, "running json report...")
-		var err error
-		report, err = bench.RunJSONReport()
-		check(err)
-		if f != nil {
-			check(report.Write(f))
-			check(f.Close())
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
+	if out == nil && baseline == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "running json report...")
+	report, err := bench.RunJSONReport(t2)
+	check(err)
+	if out != nil {
+		check(report.Write(out))
+		check(out.Close())
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 	}
 	if baseline != nil {
 		g := bench.RunGate(baseline, report, *gatePath)

@@ -28,38 +28,27 @@ type Ablation struct {
 	Ms [][]int64
 }
 
-type ablationCase struct {
-	label  string
-	config func() core.Config
-	busy   int
+// busyCase is the ms-busy state under label, its configuration
+// edited by edit.
+func busyCase(label string, edit func(*core.Config)) State {
+	st := StandardStates()[3].with(edit)
+	st.Name = label
+	return st
 }
 
-func runAblation(name, claim string, cases []ablationCase) (*Ablation, error) {
+// unedited keeps a case's configuration as its state builds it.
+func unedited(*core.Config) {}
+
+// runAblation measures baseline BS and then each case, one labelled
+// State apiece.
+func runAblation(name, claim string, cases []State) (*Ablation, error) {
 	a := &Ablation{Name: name, Claim: claim, Benches: ablationBenches}
-	all := append([]ablationCase{{label: "baseline BS", config: core.BaselineConfig}}, cases...)
-	for _, c := range all {
-		st := State{Name: c.label, Config: c.config}
-		sys, err := NewBenchSystem(st)
+	for _, c := range append([]State{{Name: "baseline BS", Config: core.BaselineConfig}}, cases...) {
+		row, err := runState(c, ablationBenches, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bench: ablation %s: %w", name, err)
 		}
-		if c.busy > 0 {
-			if err := sys.SpawnBusyProcesses(c.busy); err != nil {
-				sys.Shutdown()
-				return nil, err
-			}
-		}
-		row := make([]int64, 0, len(ablationBenches))
-		for _, b := range ablationBenches {
-			ms, err := RunMacro(sys, b)
-			if err != nil {
-				sys.Shutdown()
-				return nil, fmt.Errorf("bench: ablation %s/%s/%s: %w", name, c.label, b, err)
-			}
-			row = append(row, ms)
-		}
-		sys.Shutdown()
-		a.Labels = append(a.Labels, c.label)
+		a.Labels = append(a.Labels, c.Name)
 		a.Ms = append(a.Ms, row)
 	}
 	return a, nil
@@ -110,13 +99,9 @@ func RunFreeListAblation() (*Ablation, error) {
 	return runAblation(
 		"free context list (busy state)",
 		"replication reduced worst-case overhead from 160% to 65%",
-		[]ablationCase{
-			{label: "MS + 4 busy, shared locked list", busy: 4, config: func() core.Config {
-				c := core.DefaultConfig()
-				c.FreeContexts = interp.FreeCtxSharedLocked
-				return c
-			}},
-			{label: "MS + 4 busy, replicated lists", busy: 4, config: core.DefaultConfig},
+		[]State{
+			busyCase("MS + 4 busy, shared locked list", func(c *core.Config) { c.FreeContexts = interp.FreeCtxSharedLocked }),
+			busyCase("MS + 4 busy, replicated lists", unedited),
 		})
 }
 
@@ -127,13 +112,9 @@ func RunMethodCacheAblation() (*Ablation, error) {
 	return runAblation(
 		"method cache (busy state)",
 		"the serialized cache caused the system to run much too slowly; replication solved it",
-		[]ablationCase{
-			{label: "MS + 4 busy, shared locked cache", busy: 4, config: func() core.Config {
-				c := core.DefaultConfig()
-				c.MethodCache = interp.CacheSharedLocked
-				return c
-			}},
-			{label: "MS + 4 busy, replicated caches", busy: 4, config: core.DefaultConfig},
+		[]State{
+			busyCase("MS + 4 busy, shared locked cache", func(c *core.Config) { c.MethodCache = interp.CacheSharedLocked }),
+			busyCase("MS + 4 busy, replicated caches", unedited),
 		})
 }
 
@@ -143,13 +124,9 @@ func RunAllocAblation() (*Ablation, error) {
 	return runAblation(
 		"allocation area (busy state)",
 		"future work: replicating the new-object space should have significant benefits",
-		[]ablationCase{
-			{label: "MS + 4 busy, serialized allocation", busy: 4, config: core.DefaultConfig},
-			{label: "MS + 4 busy, per-processor areas", busy: 4, config: func() core.Config {
-				c := core.DefaultConfig()
-				c.Alloc = heap.AllocPerProcessor
-				return c
-			}},
+		[]State{
+			busyCase("MS + 4 busy, serialized allocation", unedited),
+			busyCase("MS + 4 busy, per-processor areas", func(c *core.Config) { c.Alloc = heap.AllocPerProcessor }),
 		})
 }
 

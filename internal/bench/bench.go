@@ -75,38 +75,82 @@ func RunMacro(sys *core.System, selector string) (int64, error) {
 	return sys.EvaluateInt(fmt.Sprintf("MacroBenchmark new run: #%s", selector))
 }
 
+// with returns st with edit applied to every configuration it builds.
+func (st State) with(edit func(*core.Config)) State {
+	base := st.Config
+	st.Config = func() core.Config {
+		cfg := base()
+		edit(&cfg)
+		return cfg
+	}
+	return st
+}
+
+// histograms turns the latency registry on. It is pure observation
+// (TestGoldenHistogramInvariance): times and counters are unchanged.
+func histograms(cfg *core.Config) { cfg.Histograms = true }
+
+// runState is every experiment's state runner: it boots st, runs the
+// macro benchmarks named by selectors in order, hands the live system
+// to observe (when non-nil), and shuts the system down whatever
+// happens. It answers each benchmark's virtual milliseconds.
+func runState(st State, selectors []string, observe func(*core.System) error) ([]int64, error) {
+	sys, err := NewBenchSystem(st)
+	if err != nil {
+		return nil, err
+	}
+	defer sys.Shutdown()
+	ms := make([]int64, len(selectors))
+	for i, sel := range selectors {
+		if ms[i], err = RunMacro(sys, sel); err != nil {
+			return nil, fmt.Errorf("bench: %s/%s: %w", st.Name, sel, err)
+		}
+	}
+	if observe != nil {
+		if err := observe(sys); err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
+}
+
+// macroSelectors answers the Table 2 benchmarks' selectors in column
+// order.
+func macroSelectors() []string {
+	sels := make([]string, len(MacroBenchmarks))
+	for i, b := range MacroBenchmarks {
+		sels[i] = b.Selector
+	}
+	return sels
+}
+
 // Table2 holds the measured matrix: Ms[state][bench] in virtual
-// milliseconds.
+// milliseconds, and each state's metrics registry after its run.
 type Table2 struct {
 	States  []State
 	Benches []string // paper display names
 	Ms      [][]int64
+	Metrics []core.Metrics
 }
 
-// RunTable2 boots each state and runs the eight macro benchmarks,
-// reproducing the paper's Table 2.
+// RunTable2 runs the eight macro benchmarks on each standard state,
+// reproducing the paper's Table 2. The latency histograms ride every
+// state, so the metrics carry the pause, dispatch and lock-wait
+// buckets the gate pins.
 func RunTable2() (*Table2, error) {
-	states := StandardStates()
-	t := &Table2{States: states}
+	t := &Table2{States: StandardStates()}
 	for _, b := range MacroBenchmarks {
 		t.Benches = append(t.Benches, b.Paper)
 	}
-	for _, st := range states {
-		sys, err := NewBenchSystem(st)
+	for _, st := range t.States {
+		row, err := runState(st.with(histograms), macroSelectors(), func(sys *core.System) error {
+			t.Metrics = append(t.Metrics, sys.Metrics())
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		row := make([]int64, 0, len(MacroBenchmarks))
-		for _, b := range MacroBenchmarks {
-			ms, err := RunMacro(sys, b.Selector)
-			if err != nil {
-				sys.Shutdown()
-				return nil, fmt.Errorf("bench: %s/%s: %w", st.Name, b.Selector, err)
-			}
-			row = append(row, ms)
-		}
 		t.Ms = append(t.Ms, row)
-		sys.Shutdown()
 	}
 	return t, nil
 }

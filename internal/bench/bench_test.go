@@ -38,21 +38,33 @@ func TestMacroBenchmarksRunIndividually(t *testing.T) {
 }
 
 func TestBenchmarksDeterministic(t *testing.T) {
-	run := func() int64 {
-		sys, err := NewBenchSystem(StandardStates()[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Shutdown()
-		ms, err := RunMacro(sys, "printClassHierarchy")
+	run := func() []int64 {
+		ms, err := runState(StandardStates()[1], []string{"printClassHierarchy"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ms
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("benchmark not deterministic: %d vs %d", a, b)
+	if a, b := run(), run(); a[0] != b[0] {
+		t.Fatalf("benchmark not deterministic: %d vs %d", a[0], b[0])
+	}
+}
+
+// TestRunStateNamesTheFailure: the runner answers an error naming the
+// state and the benchmark, still hands nothing to its observer, and
+// shuts the system down.
+func TestRunStateNamesTheFailure(t *testing.T) {
+	observed := false
+	_, err := runState(StandardStates()[1], []string{"printClassHierarchy", "noSuchBenchmark"},
+		func(*core.System) error {
+			observed = true
+			return nil
+		})
+	if err == nil || !strings.Contains(err.Error(), "ms/noSuchBenchmark") {
+		t.Fatalf("err = %v, want one naming ms/noSuchBenchmark", err)
+	}
+	if observed {
+		t.Error("the observer ran after a failed benchmark")
 	}
 }
 
@@ -61,16 +73,11 @@ func TestStateOrderingHolds(t *testing.T) {
 	// baseline <= MS <= MS+idle <= MS+busy.
 	var times []int64
 	for _, st := range StandardStates() {
-		sys, err := NewBenchSystem(st)
+		ms, err := runState(st, []string{"printClassHierarchy"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := RunMacro(sys, "printClassHierarchy")
-		sys.Shutdown()
-		if err != nil {
-			t.Fatal(err)
-		}
-		times = append(times, ms)
+		times = append(times, ms[0])
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] < times[i-1] {

@@ -63,34 +63,31 @@ const icIters = 3
 // are compared on equal footing.
 func RunInlineCacheAblation() (*ICAblation, error) {
 	a := &ICAblation{Benches: ablationBenches, Iters: icIters}
+	var sels []string
+	for _, b := range ablationBenches {
+		for it := 0; it < icIters; it++ {
+			sels = append(sels, b)
+		}
+	}
 	for _, st := range StandardStates() {
 		for _, pol := range ICPolicies {
-			st, pol := st, pol
-			wrapped := st
-			wrapped.Config = func() core.Config {
-				c := st.Config()
-				c.InlineCache = pol.Policy
-				return c
-			}
-			sys, err := NewBenchSystem(wrapped)
-			if err != nil {
-				return nil, err
-			}
 			row := ICRow{State: st.Name, Policy: pol.Name}
-			for _, b := range ablationBenches {
+			var s core.InterpStats
+			ms, err := runState(st.with(func(c *core.Config) { c.InlineCache = pol.Policy }), sels,
+				func(sys *core.System) error {
+					s = sys.Stats().Interp
+					return nil
+				})
+			if err != nil {
+				return nil, fmt.Errorf("bench: inlinecache %s: %w", pol.Name, err)
+			}
+			for i := 0; i < len(ms); i += icIters {
 				var total int64
-				for it := 0; it < icIters; it++ {
-					ms, err := RunMacro(sys, b)
-					if err != nil {
-						sys.Shutdown()
-						return nil, fmt.Errorf("bench: inlinecache %s/%s/%s: %w", st.Name, pol.Name, b, err)
-					}
-					total += ms
+				for _, v := range ms[i : i+icIters] {
+					total += v
 				}
 				row.Ms = append(row.Ms, total)
 			}
-			s := sys.Stats().Interp
-			sys.Shutdown()
 			row.ICHitRate = hitRate(s.ICHits, s.ICMisses)
 			row.CacheHitRate = hitRate(s.CacheHits, s.CacheMisses)
 			row.ICFills, row.ICPolySites, row.ICMegaSites = s.ICFills, s.ICPolySites, s.ICMegaSites

@@ -29,25 +29,14 @@ func RunProcessorSweep() ([]SweepRow, error) {
 	var rows []SweepRow
 	var base int64
 	for k := 1; k <= 5; k++ {
-		k := k
-		cfg := core.DefaultConfig()
-		cfg.Processors = k
-		st := State{
-			Name:   fmt.Sprintf("ms-%dproc", k),
-			Config: func() core.Config { return cfg },
-			Background: func(s *core.System) error {
-				return s.SpawnBusyProcesses(k - 1)
-			},
-		}
-		sys, err := NewBenchSystem(st)
+		st := StandardStates()[1].with(func(c *core.Config) { c.Processors = k })
+		st.Name = fmt.Sprintf("ms-%dproc", k)
+		st.Background = func(s *core.System) error { return s.SpawnBusyProcesses(k - 1) }
+		row, err := runState(st, []string{"printClassHierarchy"}, nil)
 		if err != nil {
 			return nil, err
 		}
-		ms, err := RunMacro(sys, "printClassHierarchy")
-		sys.Shutdown()
-		if err != nil {
-			return nil, err
-		}
+		ms := row[0]
 		if k == 1 {
 			base = ms
 		}
@@ -100,18 +89,14 @@ func (r *ContentionReport) Locks() []string {
 func RunContentionReport() (*ContentionReport, error) {
 	r := &ContentionReport{}
 	for _, st := range StandardStates() {
-		sys, err := NewBenchSystem(st)
+		_, err := runState(st, []string{"readWriteClassOrganization"}, func(sys *core.System) error {
+			r.Metrics = append(r.Metrics, sys.Metrics())
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if _, err := RunMacro(sys, "readWriteClassOrganization"); err != nil {
-			sys.Shutdown()
-			return nil, err
-		}
-		m := sys.Metrics()
-		sys.Shutdown()
 		r.States = append(r.States, st.Name)
-		r.Metrics = append(r.Metrics, m)
 	}
 	return r, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Machine-readable benchmark results (msbench -json): one file captures
-// the Table 2 matrix with its metrics registries, the sanitizer twins
+// the Table 2 matrix with its metrics registries, the sanitizer check
 // and the ablations. Every leaf is exact — virtual times and counters,
 // no host time — so the file is its own determinism fingerprint and the
 // gate diffs it whole against the checked-in baseline (BENCH_pr10.json).
@@ -57,45 +57,24 @@ type JSONReport struct {
 	Serve *ServeBenchReport `json:"serve,omitempty"`
 }
 
-// RunJSONReport measures the Table 2 matrix (virtual ms per benchmark,
-// metrics per state), the sanitizer twins, and the
-// parallel-scavenging, serve, msjit, concurrent-marking and inline-cache
-// ablations.
-func RunJSONReport() (*JSONReport, error) {
+// RunJSONReport reports the measured Table 2 matrix t (virtual ms per
+// benchmark, metrics per state) and measures the sanitizer against it
+// and the parallel-scavenging, serve, msjit, concurrent-marking and
+// inline-cache ablations.
+func RunJSONReport(t *Table2) (*JSONReport, error) {
 	r := &JSONReport{
 		Schema:        fmt.Sprintf("msbench/%d", core.MetricsSchemaVersion),
 		SchemaVersion: core.MetricsSchemaVersion,
 	}
-	for _, st := range StandardStates() {
-		// The latency registry rides every standard state: histograms
-		// are pure observation (TestGoldenHistogramInvariance), so the
-		// Table 2 numbers are unchanged and the gate can pin the pause,
-		// dispatch, and lock-wait bucket counts exactly.
-		base := st.Config
-		st.Config = func() core.Config {
-			cfg := base()
-			cfg.Histograms = true
-			return cfg
+	for i, st := range t.States {
+		js := JSONState{State: st.Name, Metrics: t.Metrics[i]}
+		for j, ms := range t.Ms[i] {
+			js.Benches = append(js.Benches, JSONBench{Name: MacroBenchmarks[j].Selector, VirtualMS: ms})
 		}
-		sys, err := NewBenchSystem(st)
-		if err != nil {
-			return nil, err
-		}
-		js := JSONState{State: st.Name}
-		for _, b := range MacroBenchmarks {
-			ms, err := RunMacro(sys, b.Selector)
-			if err != nil {
-				sys.Shutdown()
-				return nil, fmt.Errorf("bench: json %s/%s: %w", st.Name, b.Selector, err)
-			}
-			js.Benches = append(js.Benches, JSONBench{Name: b.Selector, VirtualMS: ms})
-		}
-		js.Metrics = sys.Metrics()
-		sys.Shutdown()
 		r.Table2 = append(r.Table2, js)
 	}
 
-	san, err := RunSanitize()
+	san, err := RunSanitize(t, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,23 +18,19 @@ import (
 func latencyRun(t *testing.T, parallel bool) (*trace.LatencyMetrics, uint64) {
 	t.Helper()
 	states := StandardStates()
-	st := states[len(states)-1] // ms-busy
-	base := st.Config
-	st.Config = func() core.Config {
-		cfg := base()
+	st := states[len(states)-1].with(func(cfg *core.Config) { // ms-busy
 		cfg.Histograms = true
 		cfg.Parallel = parallel
-		return cfg
-	}
-	sys, err := NewBenchSystem(st)
-	if err != nil {
+	})
+	var lat *trace.LatencyMetrics
+	var scavenges uint64
+	if _, err := runState(st, []string{"printClassHierarchy"}, func(sys *core.System) error {
+		lat, scavenges = sys.Metrics().Latency, sys.Stats().Heap.Scavenges
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Shutdown()
-	if _, err := RunMacro(sys, "printClassHierarchy"); err != nil {
-		t.Fatal(err)
-	}
-	return sys.Metrics().Latency, sys.Stats().Heap.Scavenges
+	return lat, scavenges
 }
 
 // TestLatencyBucketsScheduleIndependent: in deterministic mode the
@@ -88,22 +87,45 @@ func TestLatencyParallelHostSane(t *testing.T) {
 	}
 }
 
-// TestGCReportRenders: the msbench -gcreport rollup carries every
+// TestGCReportRenders: one observed run with every observer writes the
+// trace and renders all four reports; the GC rollup carries every
 // section end-to-end — distributions with percentiles, lock waits, the
 // critical-path table (parallel scavenger on), the allocation-site
 // table, and the age census.
 func TestGCReportRenders(t *testing.T) {
-	rep, err := RunGCReport(true)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	r, err := RunObserved(Observers{
+		TracePath: path, Profile: true, AllocProfile: true, GCReport: true, ParScavenge: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Profile == "" || r.GCReport == "" || r.AllocProfile == "" {
+		t.Fatalf("a report is missing: %+v", r)
+	}
+	var b strings.Builder
+	r.Format(&b)
+	rep := b.String()
 	for _, want := range []string{
-		"latency distributions", "scavenge.pause", "p50", "p99",
+		"flight recorder", "latency distributions", "scavenge.pause", "p50", "p99",
 		"lock acquire-wait", "parallel scavenge critical path",
 		"allocation sites", "object demographics",
 	} {
 		if !strings.Contains(rep, want) {
-			t.Errorf("gc report missing %q:\n%s", want, rep)
+			t.Errorf("observed report missing %q:\n%s", want, rep)
 		}
+	}
+	if r.Metrics.Trace.Events == 0 {
+		t.Error("flight recorder emitted no events")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &tr); err != nil || len(tr.TraceEvents) == 0 {
+		t.Errorf("trace file holds no events (%d bytes, err %v)", len(data), err)
 	}
 }

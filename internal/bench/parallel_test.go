@@ -106,34 +106,29 @@ func TestParallelCrossCheck(t *testing.T) {
 		c := c
 		t.Run(fmt.Sprintf("%s-procs%d", c.state.Name, c.procs), func(t *testing.T) {
 			run := func(parallel bool) (val int64, sends uint64, scavenges uint64) {
-				st := c.state
-				base := st.Config
-				st.Config = func() core.Config {
-					cfg := base()
+				st := c.state.with(func(cfg *core.Config) {
 					cfg.Processors = c.procs
 					cfg.Parallel = parallel
-					return cfg
-				}
-				sys, err := NewBenchSystem(st)
+				})
+				_, err := runState(st, []string{"decompileClass"}, func(sys *core.System) (err error) {
+					val, err = sys.EvaluateInt(checksumSource)
+					if err != nil {
+						return err
+					}
+					// The heap must be structurally sound after the run
+					// (CheckInvariants panics on corruption).
+					sys.VM.H.CheckInvariants()
+					if errs := sys.VM.Errors(); len(errs) != 0 {
+						return fmt.Errorf("parallel=%v: VM errors: %v", parallel, errs)
+					}
+					st2 := sys.Stats()
+					sends, scavenges = st2.Interp.Sends, st2.Heap.Scavenges
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer sys.Shutdown()
-				if _, err := RunMacro(sys, "decompileClass"); err != nil {
-					t.Fatal(err)
-				}
-				val, err = sys.EvaluateInt(checksumSource)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The heap must be structurally sound after the run
-				// (CheckInvariants panics on corruption).
-				sys.VM.H.CheckInvariants()
-				if errs := sys.VM.Errors(); len(errs) != 0 {
-					t.Fatalf("parallel=%v: VM errors: %v", parallel, errs)
-				}
-				st2 := sys.Stats()
-				return val, st2.Interp.Sends, st2.Heap.Scavenges
+				return val, sends, scavenges
 			}
 			detVal, detSends, _ := run(false)
 			parVal, parSends, parScav := run(true)

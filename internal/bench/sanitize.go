@@ -12,13 +12,12 @@ import (
 	"mst/internal/sanitize"
 )
 
-// msbench -sanitize: run every standard state's macro benchmarks twice,
-// without and with the mscheck invariant sanitizer, and report two
-// things per state:
+// msbench -sanitize: rerun every state of a measured Table 2 with the
+// mscheck invariant sanitizer on, and report two things per state:
 //
 //   - the verdict: zero violations on the real workload;
 //   - the determinism sentinel: the sanitized run's virtual times and
-//     full metrics registry are bit-identical to the plain run (the
+//     full metrics registry are bit-identical to the Table 2 run (the
 //     checker observes, never perturbs).
 //
 // The checker's host cost is benchmark/'s sanitize.overhead_share.
@@ -26,12 +25,11 @@ import (
 // SanitizeRow is one state's sanitized-versus-plain comparison.
 type SanitizeRow struct {
 	State string `json:"state"`
-	// VirtualMS is the per-benchmark virtual times (identical in both
-	// runs whenever Identical is true).
+	// VirtualMS is the sanitized run's per-benchmark virtual times
+	// (the Table 2 row whenever Identical is true).
 	VirtualMS []int64 `json:"virtual_ms"`
 	// Identical reports the determinism sentinel: virtual times and
-	// the whole metrics registry match between plain and sanitized
-	// runs. Divergences lists what differed (empty when Identical).
+	// the whole metrics registry match the Table 2 run. Divergences lists what differed (empty when Identical).
 	Identical   bool     `json:"identical"`
 	Divergences []string `json:"divergences,omitempty"`
 	// Violations and Cycles are the checker's findings on the real
@@ -56,7 +54,7 @@ type SanitizeReport struct {
 }
 
 // Clean reports whether every state ran violation-free, cycle-free, and
-// bit-identical to its unsanitized twin.
+// bit-identical to its Table 2 run.
 func (r *SanitizeReport) Clean() bool {
 	for _, row := range r.Rows {
 		if row.Violations != 0 || len(row.Cycles) != 0 || len(row.OrderViolations) != 0 || !row.Identical {
@@ -64,35 +62,6 @@ func (r *SanitizeReport) Clean() bool {
 		}
 	}
 	return true
-}
-
-// sanitizeRun boots one state (optionally sanitized), runs the macro
-// benchmarks, and returns the per-benchmark virtual times, the final
-// metrics fingerprint, and the checker (nil when off).
-func sanitizeRun(st State, sanitized bool) ([]int64, map[string]string, *sanitize.Checker, error) {
-	cfg := st.Config()
-	cfg.Sanitize = sanitized
-	cfg.ExtraSources = append(cfg.ExtraSources, MacroSource)
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: sanitize boot %s: %w", st.Name, err)
-	}
-	defer sys.Shutdown()
-	if st.Background != nil {
-		if err := st.Background(sys); err != nil {
-			return nil, nil, nil, fmt.Errorf("bench: sanitize background %s: %w", st.Name, err)
-		}
-	}
-	var ms []int64
-	for _, b := range MacroBenchmarks {
-		v, err := RunMacro(sys, b.Selector)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bench: sanitize %s/%s: %w", st.Name, b.Selector, err)
-		}
-		ms = append(ms, v)
-	}
-	fp := flatten("metrics", sys.Metrics())
-	return ms, fp, sys.Sanitizer(), nil
 }
 
 // flatten marshals v and flattens its JSON tree to leaf path → JSON
@@ -149,51 +118,48 @@ func flattenJSON(key string, v any, out map[string]string) {
 	}
 }
 
-// RunSanitize measures every standard state plain and sanitized.
-func RunSanitize() (*SanitizeReport, error) {
-	return RunSanitizeStatic(nil)
-}
-
-// RunSanitizeStatic is RunSanitize plus the static cross-check: when
-// staticEdges is non-nil (the "a -> b" strings of msvet -lockgraph),
-// every state's observed acquisition-order edges are verified to be a
-// subgraph of the static graph.
-func RunSanitizeStatic(staticEdges []string) (*SanitizeReport, error) {
-	r := &SanitizeReport{}
-	for _, b := range MacroBenchmarks {
-		r.Benches = append(r.Benches, b.Selector)
-	}
-	for _, st := range StandardStates() {
-		plainMs, plainFP, _, err := sanitizeRun(st, false)
+// RunSanitize reruns every state of t with the sanitizer on (and the
+// histograms, as in t) and holds each run to t's times and metrics.
+// When staticEdges is non-nil (the "a -> b" strings of msvet
+// -lockgraph), every state's observed acquisition-order edges are also
+// verified to be a subgraph of the static graph.
+func RunSanitize(t *Table2, staticEdges []string) (*SanitizeReport, error) {
+	r := &SanitizeReport{Benches: macroSelectors()}
+	for i, st := range t.States {
+		row := SanitizeRow{State: st.Name}
+		var m core.Metrics
+		sanitized := st.with(func(cfg *core.Config) {
+			cfg.Histograms = true
+			cfg.Sanitize = true
+		})
+		ms, err := runState(sanitized, r.Benches, func(sys *core.System) error {
+			san := sys.Sanitizer()
+			if san == nil {
+				return fmt.Errorf("bench: sanitize %s: checker did not attach", st.Name)
+			}
+			row.Violations = len(san.Violations())
+			row.Cycles = san.LockOrderCycles()
+			if staticEdges != nil {
+				row.OrderViolations = san.StaticOrderViolations(staticEdges)
+			}
+			cs := san.Stats()
+			row.LockEvents = cs.LockEvents
+			row.AccessChecks = cs.AccessChecks
+			row.BarrierScans = cs.BarrierScans
+			row.BarrierWords = cs.BarrierWords
+			m = sys.Metrics()
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		checkMs, checkFP, san, err := sanitizeRun(st, true)
-		if err != nil {
-			return nil, err
-		}
-		if san == nil {
-			return nil, fmt.Errorf("bench: sanitize %s: checker did not attach", st.Name)
-		}
-		row := SanitizeRow{
-			State:      st.Name,
-			VirtualMS:  checkMs,
-			Violations: len(san.Violations()),
-			Cycles:     san.LockOrderCycles(),
-		}
-		if staticEdges != nil {
-			row.OrderViolations = san.StaticOrderViolations(staticEdges)
-		}
-		cs := san.Stats()
-		row.LockEvents = cs.LockEvents
-		row.AccessChecks = cs.AccessChecks
-		row.BarrierScans = cs.BarrierScans
-		row.BarrierWords = cs.BarrierWords
-		if !reflect.DeepEqual(plainMs, checkMs) {
+		row.VirtualMS = ms
+		if !reflect.DeepEqual(t.Ms[i], ms) {
 			row.Divergences = append(row.Divergences,
-				fmt.Sprintf("virtual times: off=%v on=%v", plainMs, checkMs))
+				fmt.Sprintf("virtual times: off=%v on=%v", t.Ms[i], ms))
 		}
-		row.Divergences = append(row.Divergences, sanitize.FingerprintDiff("off", "on", plainFP, checkFP)...)
+		row.Divergences = append(row.Divergences, sanitize.FingerprintDiff("off", "on",
+			flatten("metrics", t.Metrics[i]), flatten("metrics", m))...)
 		row.Identical = len(row.Divergences) == 0
 		r.Rows = append(r.Rows, row)
 	}

@@ -5,36 +5,40 @@ import (
 	"strings"
 	"testing"
 
-	"mst/internal/sanitize"
+	"mst/internal/core"
 )
 
-// One state's plain/sanitized pair: clean checker, identical virtual
-// times, identical metrics fingerprint (the cheap slice of what
-// msbench -sanitize and TestGoldenSanitizeInvariance run in full).
+// One state's Table 2 run and its sanitized rerun: clean checker,
+// identical virtual times, identical metrics fingerprint (the cheap
+// slice of what msbench -sanitize and TestGoldenSanitizeInvariance run
+// in full).
 func TestSanitizeRunIdenticalAndClean(t *testing.T) {
 	st := StandardStates()[1] // ms
-	plainMs, plainFP, _, err := sanitizeRun(st, false)
+	t2 := &Table2{States: []State{st}}
+	row, err := runState(st.with(histograms), macroSelectors(), func(sys *core.System) error {
+		t2.Metrics = append(t2.Metrics, sys.Metrics())
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMs, checkFP, san, err := sanitizeRun(st, true)
+	t2.Ms = append(t2.Ms, row)
+	r, err := RunSanitize(t2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if san == nil {
-		t.Fatal("sanitizer did not attach")
+	got := r.Rows[0]
+	if got.Violations != 0 || len(got.Cycles) != 0 {
+		t.Errorf("violations on the real workload: %d, cycles %v", got.Violations, got.Cycles)
 	}
-	if !san.Clean() {
-		t.Errorf("violations on the real workload:\n%s", san.Report())
+	if !got.Identical || !r.Clean() {
+		t.Errorf("sanitized run diverges from the Table 2 run: %v", got.Divergences)
 	}
-	if !reflect.DeepEqual(plainMs, checkMs) {
-		t.Errorf("virtual times diverge: off=%v on=%v", plainMs, checkMs)
+	if !reflect.DeepEqual(got.VirtualMS, row) {
+		t.Errorf("virtual times: off=%v on=%v", row, got.VirtualMS)
 	}
-	if diff := sanitize.FingerprintDiff("off", "on", plainFP, checkFP); len(diff) != 0 {
-		t.Errorf("metrics diverge: %v", diff)
-	}
-	if cs := san.Stats(); cs.LockEvents == 0 || cs.AccessChecks == 0 || cs.BarrierScans == 0 {
-		t.Errorf("checker did no work: %+v", cs)
+	if got.LockEvents == 0 || got.AccessChecks == 0 || got.BarrierScans == 0 {
+		t.Errorf("checker did no work: %+v", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"mst/internal/firefly"
@@ -208,4 +209,48 @@ func TestDeterministicVirtualTime(t *testing.T) {
 	if a != b {
 		t.Fatalf("virtual times differ across identical runs: %v vs %v", a, b)
 	}
+}
+
+// TestSmallIntegerEdgesAgree: SmallInteger arithmetic has one
+// definition, so for edge operands the special-selector send and
+// perform: (the primitive) answer the same thing or both fail, and no
+// failure kills the interpreter: the system answers 3 + 4 afterwards.
+// The two out-of-range results once died inside the VM: MinSmallInt //
+// -1 (and quo: -1) and a Float truncated past the SmallInteger range.
+func TestSmallIntegerEdgesAgree(t *testing.T) {
+	s := newSystem(t, nil)
+	stillAlive := func(after string) {
+		t.Helper()
+		if got, err := s.Evaluate("3 + 4"); got != "7" || err != nil {
+			t.Fatalf("after %s: 3 + 4 = %q, %v", after, got, err)
+		}
+	}
+	for _, src := range []string{
+		"| m | m := -4611686018427387903 - 1. (m // -1) > 0",
+		"| m | m := -4611686018427387903 - 1. m quo: -1",
+		"1.0e30 truncated",
+		"(1.0e300 * 1.0e300) truncated",
+		"(0.0 - (1.0e300 * 1.0e300)) truncated",
+		"((1.0e300 * 1.0e300) - (1.0e300 * 1.0e300)) truncated",
+	} {
+		if got, err := s.Evaluate(src); err == nil {
+			t.Errorf("%s = %q, want a Smalltalk-level failure", src, got)
+		}
+		stillAlive(src)
+	}
+	operands := []string{"(-4611686018427387903 - 1)", "4611686018427387903", "-1", "0", "1"}
+	for _, op := range []string{"+", "-", "*", "//", "\\\\", "bitShift:", "<", "="} {
+		for _, a := range operands {
+			for _, b := range operands {
+				special := fmt.Sprintf("%s %s %s", a, op, b)
+				perform := fmt.Sprintf("%s perform: #%s with: %s", a, op, b)
+				got, err := s.Evaluate(special)
+				want, werr := s.Evaluate(perform)
+				if got != want || (err == nil) != (werr == nil) {
+					t.Errorf("%s = %q, %v; %s = %q, %v", special, got, err, perform, want, werr)
+				}
+			}
+		}
+	}
+	stillAlive("the edge operands")
 }

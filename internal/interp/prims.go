@@ -109,6 +109,22 @@ const (
 	PrimSysDictAssoc = 134
 )
 
+// intPrimOps maps each SmallInteger arithmetic and comparison primitive
+// to the special-selector bytecode whose fast path (intArith,
+// intCompare) defines it, so the special send, the primitive and msjit
+// share one definition. PrimDiv is floor division once callPrimitive has
+// found it exact.
+var intPrimOps = [...]bytecode.Op{
+	PrimAdd: bytecode.OpSendAdd, PrimSub: bytecode.OpSendSub,
+	PrimMul: bytecode.OpSendMul, PrimDiv: bytecode.OpSendIntDiv,
+	PrimMod: bytecode.OpSendMod, PrimIntDiv: bytecode.OpSendIntDiv,
+	PrimBitAnd: bytecode.OpSendBitAnd, PrimBitOr: bytecode.OpSendBitOr,
+	PrimBitXor: bytecode.OpSendBitXor, PrimBitShift: bytecode.OpSendBitShift,
+	PrimLT: bytecode.OpSendLT, PrimGT: bytecode.OpSendGT,
+	PrimLE: bytecode.OpSendLE, PrimGE: bytecode.OpSendGE,
+	PrimEq: bytecode.OpSendEq, PrimNE: bytecode.OpSendNE,
+}
+
 // primReturn pops the receiver and nargs arguments and pushes v.
 func (in *Interp) primReturn(nargs int, v object.OOP) bool {
 	in.popN(nargs + 1)
@@ -131,72 +147,20 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !recv.IsInt() || !arg.IsInt() {
 			return false
 		}
-		a, b := recv.Int(), arg.Int()
-		var r int64
-		switch prim {
-		case PrimAdd:
-			r = a + b
-		case PrimSub:
-			r = a - b
-		case PrimMul:
-			r = a * b
-			if a != 0 && r/a != b {
-				return false
-			}
-		case PrimDiv:
-			if b == 0 || a%b != 0 {
-				return false // non-exact division fails over to Fraction/Float code
-			}
-			r = a / b
-		case PrimMod:
-			if b == 0 {
-				return false
-			}
-			r = a - floorDiv(a, b)*b
-		case PrimIntDiv:
-			if b == 0 {
-				return false
-			}
-			r = floorDiv(a, b)
-		case PrimBitAnd:
-			r = a & b
-		case PrimBitOr:
-			r = a | b
-		case PrimBitXor:
-			r = a ^ b
-		case PrimBitShift:
-			if v, ok := intArith(bytecode.OpSendBitShift, a, b); ok {
-				return in.primReturn(nargs, v)
-			}
-			return false
+		if prim == PrimDiv && (arg.Int() == 0 || recv.Int()%arg.Int() != 0) {
+			return false // non-exact division fails over to Fraction/Float code
 		}
-		if r > object.MaxSmallInt || r < object.MinSmallInt {
-			return false
+		if v, ok := intArith(intPrimOps[prim], recv.Int(), arg.Int()); ok {
+			return in.primReturn(nargs, v)
 		}
-		return in.primReturn(nargs, object.FromInt(r))
+		return false
 
 	case PrimLT, PrimGT, PrimLE, PrimGE, PrimEq, PrimNE:
 		arg := in.stackAt(0)
 		if !recv.IsInt() || !arg.IsInt() {
 			return false
 		}
-		a, b := recv.Int(), arg.Int()
-		var r bool
-		switch prim {
-		case PrimLT:
-			r = a < b
-		case PrimGT:
-			r = a > b
-		case PrimLE:
-			r = a <= b
-		case PrimGE:
-			r = a >= b
-		case PrimEq:
-			r = a == b
-		case PrimNE:
-			r = a != b
-		}
-		return in.primReturn(nargs, object.FromBool(r))
+		return in.primReturn(nargs, object.FromBool(intCompare(intPrimOps[prim], recv.Int(), arg.Int())))
 
 	case PrimAsFloat:
 		if !recv.IsInt() {
@@ -248,8 +212,13 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isFloat(recv) {
 			return false
 		}
-		v := int64(vm.FloatValue(recv))
-		return in.primReturn(nargs, object.FromInt(v))
+		// Written so that NaN fails too: the image's fallback code runs
+		// for any value outside the SmallInteger range.
+		f := vm.FloatValue(recv)
+		if !(f >= object.MinSmallInt && f < -object.MinSmallInt) {
+			return false
+		}
+		return in.primReturn(nargs, object.FromInt(int64(f)))
 
 	case PrimFloatPrint:
 		if !in.isFloat(recv) {

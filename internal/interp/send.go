@@ -592,8 +592,8 @@ func intArith(op bytecode.Op, a, b int64) (object.OOP, bool) {
 		}
 		return object.FromInt(r), true
 	case bytecode.OpSendIntDiv:
-		if b == 0 {
-			return 0, false
+		if b == 0 || a == object.MinSmallInt && b == -1 {
+			return 0, false // the one quotient past MaxSmallInt
 		}
 		return object.FromInt(floorDiv(a, b)), true
 	case bytecode.OpSendMod:

@@ -134,6 +134,34 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestTenantSurvivesArithmeticFailures: requests whose SmallInteger
+// results fall out of range fail at the Smalltalk level; the tenant
+// keeps serving and its sibling is untouched.
+func TestTenantSurvivesArithmeticFailures(t *testing.T) {
+	s := newTestServer(t, Config{Tenants: 2})
+	if _, err := s.Eval(1, "Session bump"); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"| m | m := -4611686018427387903 - 1. (m // -1) > 0",
+		"1.0e30 truncated",
+		"(1.0e300 * 1.0e300) truncated",
+	} {
+		if got, err := s.Eval(0, src); err == nil {
+			t.Errorf("tenant 0 Eval(%q) = %q, want a failure", src, got)
+		}
+		if _, err := s.Eval(0, "Session bump"); err != nil {
+			t.Fatalf("tenant 0 after %q: %v", src, err)
+		}
+	}
+	if got, err := s.Eval(0, "Session hits"); got != "3" || err != nil {
+		t.Errorf("tenant 0 hits = %q, %v; want 3", got, err)
+	}
+	if got, err := s.Eval(1, "Session hits"); got != "1" || err != nil {
+		t.Errorf("tenant 1 hits = %q, %v; want 1", got, err)
+	}
+}
+
 // TestCloneStartsWithEmptyNewSpace: the checkpoint holds no young
 // objects, so a clone's scavenges copy only its own requests'
 // survivors, and requests that keep nothing tenure nothing. (A
