@@ -13,11 +13,13 @@
 package heap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mst/internal/firefly"
 	"mst/internal/object"
@@ -709,25 +711,59 @@ func (h *Heap) StoreByte(o object.OOP, i int, b byte) {
 // ByteLen returns the logical byte length of a FmtBytes object.
 func (h *Heap) ByteLen(o object.OOP) int { return h.Header(o).ByteLen() }
 
-// Bytes copies out the contents of a FmtBytes object.
+// Bytes copies out the contents of a FmtBytes object, a word at a time.
 func (h *Heap) Bytes(o object.OOP) []byte {
-	n := h.ByteLen(o)
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = h.FetchByte(o, i)
+	out := make([]byte, h.ByteLen(o))
+	base := o.Addr() + object.HeaderWords
+	i := 0
+	for ; i+8 <= len(out); i += 8 {
+		binary.LittleEndian.PutUint64(out[i:], h.loadWord(base+uint64(i>>3)))
+	}
+	if i < len(out) {
+		for w := h.loadWord(base + uint64(i>>3)); i < len(out); i++ {
+			out[i] = byte(w)
+			w >>= 8
+		}
 	}
 	return out
 }
 
+// String answers the contents of a FmtBytes object as a Go string,
+// copied out of the heap once.
+func (h *Heap) String(o object.OOP) string {
+	b := h.Bytes(o)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is never written again
+}
+
 // WriteBytes fills a FmtBytes object from b (which must fit exactly or be
 // shorter than the object).
-func (h *Heap) WriteBytes(o object.OOP, b []byte) {
+func (h *Heap) WriteBytes(o object.OOP, b []byte) { writeBytes(h, o, b) }
+
+// WriteString is WriteBytes from a string, with no intermediate copy.
+func (h *Heap) WriteString(o object.OOP, s string) { writeBytes(h, o, s) }
+
+// writeBytes stores b into o a word at a time, little-endian as FetchByte
+// reads it. The last partial word is a read-modify-write that keeps the
+// object's bytes past len(b).
+func writeBytes[T string | []byte](h *Heap, o object.OOP, b T) {
 	if len(b) > h.ByteLen(o) {
 		panic("heap: WriteBytes overflow")
 	}
-	for i, c := range b {
-		h.StoreByte(o, i, c)
+	base := o.Addr() + object.HeaderWords
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		h.storeWord(base+uint64(i>>3), uint64(b[i])|uint64(b[i+1])<<8|uint64(b[i+2])<<16|uint64(b[i+3])<<24|
+			uint64(b[i+4])<<32|uint64(b[i+5])<<40|uint64(b[i+6])<<48|uint64(b[i+7])<<56)
 	}
+	if i == len(b) {
+		return
+	}
+	idx := base + uint64(i>>3)
+	w := h.loadWord(idx)
+	for shift := uint(0); i < len(b); i, shift = i+1, shift+8 {
+		w = w&^(0xFF<<shift) | uint64(b[i])<<shift
+	}
+	h.storeWord(idx, w)
 }
 
 // FetchWord returns raw word i of a FmtWords object.

@@ -74,6 +74,60 @@ func TestAllocateBytes(t *testing.T) {
 	})
 }
 
+// TestByteCopiesMatchByteAccessors holds the word-at-a-time copies —
+// Bytes, String, WriteBytes, WriteString — to FetchByte and StoreByte:
+// every length from 0 to 17, UTF-8 text, and a short write into a longer
+// object, which must keep the bytes past its end.
+func TestByteCopiesMatchByteAccessors(t *testing.T) {
+	const text = "héllo, wörld ✓ ok" // 17 runes, 21 bytes
+	testHeap(t, smallConfig(), func(h *Heap, p *firefly.Proc) {
+		for n := 0; n <= 17; n++ {
+			src := text[:n]
+			o := h.Allocate(p, object.Nil, n, object.FmtBytes)
+			h.WriteString(o, src)
+			for i := 0; i < n; i++ {
+				if got := h.FetchByte(o, i); got != src[i] {
+					t.Fatalf("WriteString len %d: byte %d = %#x, want %#x", n, i, got, src[i])
+				}
+			}
+			for i := 0; i < n; i++ {
+				h.StoreByte(o, i, byte(0xF0-i))
+			}
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = h.FetchByte(o, i)
+			}
+			if got := h.Bytes(o); string(got) != string(want) || len(got) != n {
+				t.Fatalf("Bytes len %d = %x, want %x", n, got, want)
+			}
+			if got := h.String(o); got != string(want) {
+				t.Fatalf("String len %d = %q, want %q", n, got, want)
+			}
+			h.WriteBytes(o, []byte(src))
+			if got := h.String(o); got != src {
+				t.Fatalf("WriteBytes len %d read back %q, want %q", n, got, src)
+			}
+		}
+		const long = 17
+		for n := 0; n <= long; n++ {
+			o := h.Allocate(p, object.Nil, long, object.FmtBytes)
+			for i := 0; i < long; i++ {
+				h.StoreByte(o, i, 0xAA)
+			}
+			h.WriteString(o, text[:n])
+			for i := 0; i < long; i++ {
+				want := byte(0xAA)
+				if i < n {
+					want = text[i]
+				}
+				if got := h.FetchByte(o, i); got != want {
+					t.Fatalf("write of %d into %d bytes: byte %d = %#x, want %#x", n, long, i, got, want)
+				}
+			}
+		}
+	})
+}
+
 func TestAllocateWords(t *testing.T) {
 	testHeap(t, smallConfig(), func(h *Heap, p *firefly.Proc) {
 		o := h.Allocate(p, object.Nil, 2, object.FmtWords)

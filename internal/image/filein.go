@@ -170,48 +170,46 @@ func fileInMethods(vm *interp.VM, r *chunkReader, name, header string) error {
 	}
 }
 
-// parseMethodsFor interprets `Name methodsFor: 'cat'` and
-// `Name class methodsFor: 'cat'`.
+// parseMethodsFor reads `Name methodsFor: 'cat'` and
+// `Name class methodsFor: 'cat'` with the lexer: four tokens at most.
 func parseMethodsFor(vm *interp.VM, header string) (object.OOP, string, error) {
-	node, err := compiler.ParseExpression(header)
-	if err != nil {
-		return object.Nil, "", fmt.Errorf("bad methodsFor header %q: %v", header, err)
+	var buf [4]compiler.Token
+	toks := buf[:0]
+	lx := compiler.NewLexer(header)
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return object.Nil, "", fmt.Errorf("bad methodsFor header %q: %v", header, err)
+		}
+		if t.Kind == compiler.TokEOF {
+			break
+		}
+		if len(toks) == len(buf) {
+			return object.Nil, "", fmt.Errorf("bad methodsFor header %q", header)
+		}
+		toks = append(toks, t)
 	}
-	if len(node.Body) != 1 {
-		return object.Nil, "", fmt.Errorf("bad methodsFor header %q", header)
+	meta := len(toks) == 4 && toks[1].Kind == compiler.TokIdent && toks[1].Text == "class"
+	if meta {
+		toks = append(toks[:1], toks[2:]...)
 	}
-	ret, okRet := node.Body[0].(*compiler.ReturnStmt)
-	if !okRet {
-		return object.Nil, "", fmt.Errorf("bad methodsFor header %q", header)
-	}
-	send, okSend := ret.X.(*compiler.SendNode)
-	if !okSend || send.Selector != "methodsFor:" || len(send.Args) != 1 {
+	if len(toks) != 3 || toks[1].Kind != compiler.TokKeyword || toks[1].Text != "methodsFor:" {
 		return object.Nil, "", fmt.Errorf("expected `Class methodsFor: 'category'`, got %q", header)
 	}
-	lit, okLit := send.Args[0].(*compiler.LiteralNode)
-	if !okLit || lit.Kind != compiler.LitString {
+	if toks[2].Kind != compiler.TokString {
 		return object.Nil, "", fmt.Errorf("methodsFor: category must be a string in %q", header)
 	}
-	category := lit.Str
-
-	meta := false
-	recv := send.Receiver
-	if inner, okInner := recv.(*compiler.SendNode); okInner && inner.Selector == "class" && len(inner.Args) == 0 {
-		meta = true
-		recv = inner.Receiver
-	}
-	v, okVar := recv.(*compiler.VarNode)
-	if !okVar {
+	if toks[0].Kind != compiler.TokIdent {
 		return object.Nil, "", fmt.Errorf("bad class reference in %q", header)
 	}
-	cls := vm.SysDictAt(v.Name)
+	cls := vm.SysDictAt(toks[0].Text)
 	if cls == object.Invalid || cls == object.Nil {
-		return object.Nil, "", fmt.Errorf("unknown class %q", v.Name)
+		return object.Nil, "", fmt.Errorf("unknown class %q", toks[0].Text)
 	}
 	if meta {
 		cls = vm.H.ClassOf(cls)
 	}
-	return cls, category, nil
+	return cls, toks[2].Text, nil
 }
 
 // classDefSelectors maps class-definition message selectors to layouts.

@@ -7,6 +7,7 @@ import (
 	"mst/internal/firefly"
 	"mst/internal/heap"
 	"mst/internal/interp"
+	"mst/internal/object"
 )
 
 func testImage(t *testing.T, nprocs int) *interp.VM {
@@ -281,6 +282,42 @@ func TestClassOrganization(t *testing.T) {
 	vm := sharedImage(t)
 	wantPrint(t, vm, "(Array categories includes: 'printing')", "true")
 	wantPrint(t, vm, "Array category", "'Kernel'")
+}
+
+// TestParseMethodsFor: the header reader takes exactly `Name
+// methodsFor: 'cat'` and `Name class methodsFor: 'cat'`, and names what
+// is wrong with anything else.
+func TestParseMethodsFor(t *testing.T) {
+	vm := sharedImage(t)
+	obj := vm.SysDictAt("Object")
+	for _, c := range []struct {
+		header string
+		cls    object.OOP
+		cat    string
+	}{
+		{"Object methodsFor: 'a b'", obj, "a b"},
+		{"Object class methodsFor: 'it''s'", vm.H.ClassOf(obj), "it's"},
+	} {
+		cls, cat, err := parseMethodsFor(vm, c.header)
+		if err != nil || cls != c.cls || cat != c.cat {
+			t.Errorf("%q: %v %q %v, want %v %q", c.header, cls, cat, err, c.cls, c.cat)
+		}
+	}
+	for header, want := range map[string]string{
+		"Object methodsFor: 'x":               "bad methodsFor header",
+		"Object methodsFor: 'x' . 3":          "bad methodsFor header",
+		"Object methodsFor 'x'":               "expected `Class methodsFor:",
+		"Object class class methodsFor: 'x'":  "bad methodsFor header",
+		"Object at: 'x'":                      "expected `Class methodsFor:",
+		"Object methodsFor: #x":               "category must be a string",
+		"3 methodsFor: 'x'":                   "bad class reference",
+		"NoSuchClass methodsFor: 'x'":         "unknown class",
+		"Object class methodsFor: 'x' extras": "bad methodsFor header",
+	} {
+		if _, _, err := parseMethodsFor(vm, header); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: %v, want an error with %q", header, err, want)
+		}
+	}
 }
 
 func TestFileInErrors(t *testing.T) {

@@ -39,7 +39,7 @@ func TestDoItMemoReasksTheEnv(t *testing.T) {
 		ivars:   map[string]int{"count": 0},
 		globals: map[string]bool{"Limit": true, "Other": true},
 	}
-	memo := doitMemo{}
+	memo := &memo{gen: compiler.CompileExpression, one: true, max: doitMemoMax}
 	const src = "count := count + Limit. Other"
 	compile := func() *compiler.Method {
 		t.Helper()
@@ -52,9 +52,9 @@ func TestDoItMemoReasksTheEnv(t *testing.T) {
 	first := compile()
 	// count (store target and operand), Limit and Other: each name asks
 	// InstVarIndex, the two globals then IsGlobal.
-	asks := len(memo[src].asks)
+	asks := len(memo.latest(src).asks)
 	if asks != 6 {
-		t.Fatalf("recorded %d questions, want 6: %+v", asks, memo[src].asks)
+		t.Fatalf("recorded %d questions, want 6: %+v", asks, memo.latest(src).asks)
 	}
 	for i := 0; i < 3; i++ {
 		env.asked = 0
@@ -115,6 +115,98 @@ func TestDoItMemoReasksTheEnv(t *testing.T) {
 	}
 }
 
+// TestMethodMemoKeepsEveryShape: the method memo keeps one compile per
+// distinct answer list, so a flip and its undo each answer a compile
+// already made — no recompile — while a flip to answers not seen before
+// compiles; a compile error is counted, never kept, and leaves the kept
+// compiles answering; and a miss at the bound drops the table.
+func TestMethodMemoKeepsEveryShape(t *testing.T) {
+	env := &scriptedEnv{ivars: map[string]int{"slot": 0}, globals: map[string]bool{"Limit": true}}
+	c := &memo{gen: compiler.CompileMethod, max: 3}
+	const src = "get ^slot + Limit"
+	compile := func() *compiler.Method {
+		t.Helper()
+		m, err := c.compile(src, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	narrow := compile()
+	env.ivars["slot"] = 1
+	wide := compile()
+	if wide == narrow || c.misses != 2 {
+		t.Fatalf("a moved instance variable: same method %v, %d compiles", wide == narrow, c.misses)
+	}
+	for i := 0; i < 2; i++ {
+		env.ivars["slot"] = 0
+		if compile() != narrow {
+			t.Fatal("the first shape was recompiled")
+		}
+		env.ivars["slot"] = 1
+		if compile() != wide {
+			t.Fatal("the second shape was recompiled")
+		}
+	}
+	if c.misses != 2 || len(c.table[src]) != 2 {
+		t.Fatalf("%d compiles, %d kept; want 2 and 2", c.misses, len(c.table[src]))
+	}
+
+	delete(env.globals, "Limit") // Limit undeclared: the source no longer compiles
+	for i := 0; i < 2; i++ {
+		if m, err := c.compile(src, env); err == nil {
+			t.Fatalf("compiled an undeclared variable: %+v", m)
+		}
+	}
+	if c.misses != 4 || len(c.table[src]) != 2 {
+		t.Fatalf("after two errors: %d compiles, %d kept; want 4 and 2", c.misses, len(c.table[src]))
+	}
+	env.globals["Limit"] = true
+	if compile() != wide {
+		t.Fatal("after the errors, the kept compile did not answer")
+	}
+
+	for _, other := range []string{"a ^1", "b ^2"} {
+		if _, err := c.compile(other, env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.table) != 1 || c.n != 1 || c.table[src] != nil {
+		t.Fatalf("a miss at the bound kept %d sources, %d compiles", len(c.table), c.n)
+	}
+}
+
+// TestMethodMemoAccessorInTwoShapes: one accessor source installed in two
+// classes that hold the variable at different field indices answers the
+// right field in each, and installing it again in either compiles nothing.
+func TestMethodMemoAccessorInTwoShapes(t *testing.T) {
+	vm := testVM(t, 1, nil)
+	p := vm.Interps[0].p
+	narrow := vm.CreateClass(p, "Narrow", vm.Specials.Object, []string{"value"}, KindFixed, "Tests")
+	wide := vm.CreateClass(p, "Wide", vm.Specials.Object, []string{"pad", "value"}, KindFixed, "Tests")
+	install := func() {
+		t.Helper()
+		for _, cls := range []object.OOP{narrow, wide, narrow, wide} {
+			for _, src := range []string{"value ^value", "value: v value := v"} {
+				if _, err := vm.CompileAndInstall(p, cls, src, "tests"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	install()
+	misses := MethodMemoMisses()
+	install()
+	if n := MethodMemoMisses() - misses; n != 0 {
+		t.Fatalf("reinstalling compiled %d methods", n)
+	}
+	const src = "| n w | n := Narrow new. w := Wide new. n value: 3. w value: 4. " +
+		"(n value * 1000) + (w value * 100) + ((n instVarAt: 1) * 10) + (w instVarAt: 2)"
+	if got := evalInt(t, vm, src); got != 3434 {
+		t.Fatalf("%s = %d, want 3434", src, got)
+	}
+}
+
 // TestDoItMemoSharedMethodIsNeverMutated: every materialization reads
 // the one memoized *compiler.Method; a hundred of them, with scavenges
 // in between, leave it deep-equal to a private compile.
@@ -131,7 +223,7 @@ func TestDoItMemoSharedMethodIsNeverMutated(t *testing.T) {
 		if got := evalInt(t, vm, src); got != 1000006 {
 			t.Fatalf("run %d = %d", i, got)
 		}
-		if m := vm.doits[src].m; shared == nil {
+		if m := vm.doits.latest(src).m; shared == nil {
 			shared = m
 		} else if m != shared {
 			t.Fatalf("run %d recompiled", i)
@@ -156,11 +248,11 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 		if got := evalInt(t, vm, fmt.Sprintf("%d + 1", i+1000)); got != int64(i+1001) {
 			t.Fatalf("source %d = %d", i, got)
 		}
-		if len(vm.doits) > doitMemoMax {
-			t.Fatalf("memo holds %d entries after %d sources, bound %d", len(vm.doits), i+1, doitMemoMax)
+		if len(vm.doits.table) > doitMemoMax {
+			t.Fatalf("memo holds %d entries after %d sources, bound %d", len(vm.doits.table), i+1, doitMemoMax)
 		}
 	}
-	if n := len(vm.doits); n != 1 {
+	if n := len(vm.doits.table); n != 1 {
 		t.Fatalf("memo holds %d entries after the drop, want 1", n)
 	}
 	if got := evalInt(t, vm, "1000 + 1"); got != 1001 {
@@ -172,7 +264,7 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 			t.Fatalf("bad source, run %d: %v", i, err)
 		}
 	}
-	if _, ok := vm.doits["3 + + 4"]; ok {
+	if vm.doits.latest("3 + + 4").m != nil {
 		t.Fatal("a compile error was memoized")
 	}
 
@@ -192,7 +284,7 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 			t.Fatalf("%s, run %d = %d", src, i, got)
 		}
 	}
-	if vm.doits[src].m == nil || vm.doits[define].m == nil {
+	if vm.doits.latest(src).m == nil || vm.doits.latest(define).m == nil {
 		t.Fatal("the sources were not memoized")
 	}
 }

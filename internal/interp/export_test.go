@@ -1,8 +1,38 @@
 package interp
 
+// drop empties c, as a miss at its bound does.
+func (c *memo) drop() {
+	c.mu.Lock()
+	c.table, c.n = nil, 0
+	c.mu.Unlock()
+}
+
+// latest answers the compile c last kept for source (zero when none).
+func (c *memo) latest(source string) compiled {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds := c.table[source]
+	if len(ds) == 0 {
+		return compiled{}
+	}
+	return ds[len(ds)-1]
+}
+
 // DropDoItMemo empties the doIt memo, for the external twin test that
 // holds a memoizing system against one that compiles every request.
-func (vm *VM) DropDoItMemo() { clear(vm.doits) }
+func (vm *VM) DropDoItMemo() { vm.doits.drop() }
 
 // DoItMemoLen reports how many compiled doIts the VM holds.
-func (vm *VM) DoItMemoLen() int { return len(vm.doits) }
+func (vm *VM) DoItMemoLen() int { return len(vm.doits.table) }
+
+// DropMethodMemo empties the process-wide method memo, so that the next
+// boot compiles every method: the cold half of a cold-vs-warm twin.
+func DropMethodMemo() { methods.drop() }
+
+// MethodMemoMisses reports how many compiles the method memo has run in
+// this process, failed ones included.
+func MethodMemoMisses() int {
+	methods.mu.Lock()
+	defer methods.mu.Unlock()
+	return methods.misses
+}

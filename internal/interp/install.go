@@ -2,7 +2,9 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"mst/internal/bytecode"
@@ -57,7 +59,7 @@ func (e classEnv) InstVarIndex(name string) (int, bool) {
 }
 
 func (e classEnv) IsGlobal(name string) bool {
-	if e.vm.SysDictAt(name) != object.Invalid || e.vm.sysDictFind(name) != object.Invalid {
+	if e.vm.sysDictFind(name) != object.Invalid {
 		return true
 	}
 	// Capitalized names auto-declare (forward references during file-in).
@@ -143,7 +145,7 @@ func (vm *VM) compileAndInstall(p *firefly.Proc, class object.OOP, env compiler.
 	hs := vm.H.Handles(p)
 	defer hs.Close()
 	ch := hs.Add(class)
-	m, err := compiler.CompileMethod(source, env)
+	m, err := methods.compile(source, env)
 	if err != nil {
 		return object.Nil, err
 	}
@@ -458,27 +460,41 @@ func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
 	return res, nil
 }
 
-// ---- The doIt memo ----
+// ---- The compile memos ----
 //
-// A compiled doIt is immutable host data and a pure function of its
-// source and of the answers its compile got from the compiler.Env, so a VM
-// keeps them: a later Evaluate of the same source re-asks the recorded
-// questions of the live image and, every answer unchanged, skips the
-// lex/parse/generate. Re-asking keeps the memo exact with no invalidation
-// hook (image code can rewrite the system dictionary without passing
-// through Go). Replicated state: per VM, so a tenant's one executor needs
-// no host lock; empty in a clone, absent from a snapshot.
+// A compile is immutable host data and a pure function of its source and
+// of the answers it got from its compiler.Env, so it is kept: a later
+// compile of the same source re-asks the recorded questions of the live
+// image and, every answer unchanged, skips the lex/parse/generate.
+// Re-asking keeps a memo exact with no invalidation hook (image code can
+// rewrite the system dictionary without passing through Go). The memo has
+// two instances (Table 3's terms):
+//   - vm.doits holds the doIts Evaluate compiles. Replicated: per VM, so
+//     a tenant's one executor never contends for its lock; empty in a
+//     clone, absent from a snapshot.
+//   - methods holds the methods compileAndInstall installs (file-in,
+//     compile:classified:). Serialized: one per process, so every boot
+//     after the first compiles nothing. A source keeps one compile per
+//     distinct answer list: an accessor such as `value ^value` compiles
+//     to a different field index in each class of a different shape.
 
-// doitMemoMax bounds the memo: at the bound the whole map is dropped, so
-// a long-lived VM fed unique sources cannot grow without limit.
-const doitMemoMax = 256
+// doitMemoMax and methodMemoMax bound the memos: a miss at the bound
+// drops the whole table, so a process fed unique sources cannot grow
+// without limit. The kernel, macro and session sources are some 540.
+const (
+	doitMemoMax   = 256
+	methodMemoMax = 4096
+)
+
+// methods is the process-wide memo of installed methods.
+var methods = memo{gen: compiler.CompileMethod, max: methodMemoMax}
 
 // envAsk is one question a compile put to its Env — IsGlobal(name) when
 // global, else InstVarIndex(name) — and the answer it got.
 type envAsk struct {
 	name   string
-	global bool
 	idx    int
+	global bool
 	ok     bool
 }
 
@@ -500,14 +516,14 @@ func (e *askedEnv) IsGlobal(name string) bool {
 	return ok
 }
 
-// doit is one memoized compile.
-type doit struct {
+// compiled is one memoized compile.
+type compiled struct {
 	m    *compiler.Method // shared by every materialization; never mutated
 	asks []envAsk
 }
 
 // current reports whether env still answers every recorded question alike.
-func (d doit) current(env compiler.Env) bool {
+func (d compiled) current(env compiler.Env) bool {
 	for _, a := range d.asks {
 		if a.global {
 			if env.IsGlobal(a.name) != a.ok {
@@ -520,23 +536,54 @@ func (d doit) current(env compiler.Env) bool {
 	return true
 }
 
-type doitMemo map[string]doit
+// memo maps source text to the compiles gen made from it. mu guards the
+// table, never an Env: a lookup copies a source's entry list out and asks
+// its questions unlocked, and a list is never written once published.
+type memo struct {
+	gen    func(source string, env compiler.Env) (*compiler.Method, error)
+	one    bool // a source keeps only its latest compile
+	max    int
+	mu     sync.Mutex
+	table  map[string][]compiled
+	n      int // compiles in table
+	misses int // compiles gen has run, errors included
+}
 
-// compile answers source compiled as a doIt against env, from the memo
-// when env's answers allow. A compile error is never memoized.
-func (c doitMemo) compile(source string, env compiler.Env) (*compiler.Method, error) {
-	if d, ok := c[source]; ok && d.current(env) {
-		return d.m, nil
+// compile answers source compiled against env, from the memo when env's
+// answers allow. A compile error is never memoized.
+func (c *memo) compile(source string, env compiler.Env) (*compiler.Method, error) {
+	c.mu.Lock()
+	ds := c.table[source]
+	c.mu.Unlock()
+	for _, d := range ds {
+		if d.current(env) {
+			return d.m, nil
+		}
 	}
 	asked := askedEnv{env: env}
-	m, err := compiler.CompileExpression(source, &asked)
+	m, err := c.gen(source, &asked)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.misses++
 	if err != nil {
 		return nil, err
 	}
-	if len(c) >= doitMemoMax {
-		clear(c)
+	d := compiled{m, asked.asks}
+	ds = c.table[source]
+	switch {
+	case c.one:
+		c.n -= len(ds)
+		ds = nil
+	case slices.ContainsFunc(ds, func(o compiled) bool { return slices.Equal(o.asks, d.asks) }):
+		return m, nil // a concurrent miss got here first
 	}
-	c[source] = doit{m, asked.asks}
+	if c.n >= c.max || c.table == nil {
+		c.table = map[string][]compiled{}
+		c.n = 0
+		ds = nil
+	}
+	c.table[source] = append(ds[:len(ds):len(ds)], d)
+	c.n++
 	return m, nil
 }
 

@@ -89,7 +89,7 @@ func (in *Interp) jitCompile(p *plan) {
 		name := ""
 		if sel := h.Fetch(p.method, CMSelector); sel != object.Nil && sel.IsPtr() &&
 			h.Header(sel).Format() == object.FmtBytes {
-			name = string(h.Bytes(sel))
+			name = h.String(sel)
 		}
 		in.rec.Emit(trace.KJITCompile, in.p.ID(), int64(in.p.Now()), int64(p.jc.n), 0, name)
 	}

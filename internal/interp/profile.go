@@ -134,12 +134,12 @@ func (vm *VM) methodName(method object.OOP) string {
 		cls := h.Fetch(method, CMMethodClass)
 		selName := "?"
 		if sel != object.Nil && h.Header(sel).Format() == object.FmtBytes {
-			selName = string(h.Bytes(sel))
+			selName = h.String(sel)
 		}
 		clsName := "?"
 		if cls != object.Nil && cls.IsPtr() {
 			if cn := h.Fetch(cls, ClsName); cn != object.Nil && h.Header(cn).Format() == object.FmtBytes {
-				clsName = string(h.Bytes(cn))
+				clsName = h.String(cn)
 			}
 		}
 		name = clsName + ">>" + selName

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mst/internal/compiler"
 	"mst/internal/display"
 	"mst/internal/firefly"
 	"mst/internal/heap"
@@ -416,7 +417,7 @@ type VM struct {
 	evalFailed string
 
 	// doits memoizes compiled doIts by source (install.go).
-	doits doitMemo
+	doits memo
 
 	// pendingWork holds Go-side mutating operations (method installs,
 	// evaluation setup) to be executed by interpreter 0 *inside* the
@@ -486,7 +487,7 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		cacheLock: m.NewRWSpinlock("method-cache", cfg.MSMode && cfg.MethodCache == CacheSharedLocked),
 		freeLock:  m.NewSpinlock("free-contexts", cfg.MSMode && cfg.FreeContexts == FreeCtxSharedLocked),
 		symbolIdx: map[string]int{},
-		doits:     doitMemo{},
+		doits:     memo{gen: compiler.CompileExpression, one: true, max: doitMemoMax},
 		san:       m.Sanitizer(),
 		par:       cfg.Parallel,
 	}
@@ -646,18 +647,17 @@ func (vm *VM) InternSymbol(p *firefly.Proc, name string) object.OOP {
 
 // SymbolName returns the Go string of a Symbol (or String).
 func (vm *VM) SymbolName(sym object.OOP) string {
-	return string(vm.H.Bytes(sym))
+	return vm.H.String(sym)
 }
 
 func (vm *VM) allocString(p *firefly.Proc, class object.OOP, s string) object.OOP {
-	b := []byte(s)
 	var o object.OOP
 	if p == nil {
-		o = vm.H.AllocateNoGC(class, len(b), object.FmtBytes)
+		o = vm.H.AllocateNoGC(class, len(s), object.FmtBytes)
 	} else {
-		o = vm.H.Allocate(p, class, len(b), object.FmtBytes)
+		o = vm.H.Allocate(p, class, len(s), object.FmtBytes)
 	}
-	vm.H.WriteBytes(o, b)
+	vm.H.WriteString(o, s)
 	return o
 }
 
@@ -707,7 +707,7 @@ func (vm *VM) CharValueOf(c object.OOP) rune {
 }
 
 // GoString renders a String/Symbol oop as a Go string.
-func (vm *VM) GoString(o object.OOP) string { return string(vm.H.Bytes(o)) }
+func (vm *VM) GoString(o object.OOP) string { return vm.H.String(o) }
 
 // ---- System dictionary (globals) ----
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -88,7 +89,8 @@ const makeRoomFront = `makeRoomFront
 
 // TestCompileHostAllocations pins the Go allocations of compiling each
 // catalog source as a doIt, which a cold request pays, and one kernel
-// method, which a boot pays some five hundred times, against a MapEnv as
+// method, which the first boot in a process pays some five hundred times
+// (later boots take every method from the method memo), against a MapEnv as
 // the benchmark's compiler probes use. The bounds are the measured counts:
 // what is left is the AST's nodes and lists, the code and literal frame as
 // they grow, and the Method. A change that copies the source or builds a
@@ -120,5 +122,33 @@ func TestCompileHostAllocations(t *testing.T) {
 	})
 	if bound := 82.0; got > bound {
 		t.Errorf("makeRoomFront: %.0f Go allocations per compile, bound %.0f", got, bound)
+	}
+}
+
+// TestBootHostAllocations pins the Go allocations of a warm
+// BootCheckpoint, every method already in the process-wide method memo,
+// as TestCompileHostAllocations pins a compile: the bound is the measured
+// count. Most of what is left is each install's InstallSource and Do
+// closures, and the Go strings the Env reads back out of the image
+// (instance variable names, global names) to answer a compile's
+// questions again. Some boots allocate a few objects more, depending on
+// when the Go GC ran (with GOGC=off nearly every boot reads the floor),
+// so the pinned count is the fewest of thirty.
+func TestBootHostAllocations(t *testing.T) {
+	if _, err := BootCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < 30; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := BootCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	if bound := uint64(6390); fewest > bound {
+		t.Errorf("warm BootCheckpoint: %d Go allocations, bound %d", fewest, bound)
 	}
 }
