@@ -33,13 +33,17 @@ func (e *scriptedEnv) IsGlobal(name string) bool {
 // TestDoItMemoReasksTheEnv: a hit costs exactly the recorded questions
 // and answers the very *Method the miss built; any one flipped answer —
 // a global gone, an instance variable moved or appeared — recompiles, and
-// flipping it back does not resurrect the old entry by accident.
+// flipping it back answers the first compile again without a recompile.
 func TestDoItMemoReasksTheEnv(t *testing.T) {
 	env := &scriptedEnv{
 		ivars:   map[string]int{"count": 0},
 		globals: map[string]bool{"Limit": true, "Other": true},
 	}
-	memo := &memo{gen: compiler.CompileExpression, one: true, max: doitMemoMax}
+	compiles := 0
+	memo := &memo{gen: func(source string, env compiler.Env) (*compiler.Method, error) {
+		compiles++
+		return compiler.CompileExpression(source, env)
+	}, max: doitMemoMax}
 	const src = "count := count + Limit. Other"
 	compile := func() *compiler.Method {
 		t.Helper()
@@ -75,25 +79,20 @@ func TestDoItMemoReasksTheEnv(t *testing.T) {
 		{"global becomes an instance variable", func() { env.ivars["Limit"] = 2 }, func() { delete(env.ivars, "Limit") }},
 		{"another global becomes an instance variable", func() { env.ivars["Other"] = 3 }, func() { delete(env.ivars, "Other") }},
 	}
-	cur := first
 	for _, f := range flips {
 		f.flip()
 		flipped := compile()
-		if flipped == cur {
+		if flipped == first {
 			t.Fatalf("%s: stale method reused", f.name)
 		}
 		if compile() != flipped {
 			t.Fatalf("%s: recompile was not memoized", f.name)
 		}
 		f.undo()
-		back := compile()
-		if back == flipped || back == cur {
-			t.Fatalf("%s: undone, but an old method came back", f.name)
+		before := compiles
+		if back := compile(); back != first || compiles != before {
+			t.Fatalf("%s: undone, first method back %v, %d recompiles", f.name, back == first, compiles-before)
 		}
-		if !reflect.DeepEqual(back, first) {
-			t.Fatalf("%s: undone, compile differs from the first:\n%+v\n%+v", f.name, back, first)
-		}
-		cur = back
 	}
 
 	// A flip that makes the source uncompilable: the error is returned
@@ -110,8 +109,8 @@ func TestDoItMemoReasksTheEnv(t *testing.T) {
 		}
 	}
 	env.globals["Limit"] = true
-	if back := compile(); !reflect.DeepEqual(back, first) {
-		t.Fatalf("after the error, compile differs from the first:\n%+v\n%+v", back, first)
+	if back := compile(); back != first {
+		t.Fatalf("after the error, the first method did not answer:\n%+v\n%+v", back, first)
 	}
 }
 
@@ -122,7 +121,11 @@ func TestDoItMemoReasksTheEnv(t *testing.T) {
 // compiles answering; and a miss at the bound drops the table.
 func TestMethodMemoKeepsEveryShape(t *testing.T) {
 	env := &scriptedEnv{ivars: map[string]int{"slot": 0}, globals: map[string]bool{"Limit": true}}
-	c := &memo{gen: compiler.CompileMethod, max: 3}
+	compiles := 0
+	c := &memo{gen: func(source string, env compiler.Env) (*compiler.Method, error) {
+		compiles++
+		return compiler.CompileMethod(source, env)
+	}, max: 3}
 	const src = "get ^slot + Limit"
 	compile := func() *compiler.Method {
 		t.Helper()
@@ -135,8 +138,8 @@ func TestMethodMemoKeepsEveryShape(t *testing.T) {
 	narrow := compile()
 	env.ivars["slot"] = 1
 	wide := compile()
-	if wide == narrow || c.misses != 2 {
-		t.Fatalf("a moved instance variable: same method %v, %d compiles", wide == narrow, c.misses)
+	if wide == narrow || compiles != 2 {
+		t.Fatalf("a moved instance variable: same method %v, %d compiles", wide == narrow, compiles)
 	}
 	for i := 0; i < 2; i++ {
 		env.ivars["slot"] = 0
@@ -148,8 +151,8 @@ func TestMethodMemoKeepsEveryShape(t *testing.T) {
 			t.Fatal("the second shape was recompiled")
 		}
 	}
-	if c.misses != 2 || len(c.table[src]) != 2 {
-		t.Fatalf("%d compiles, %d kept; want 2 and 2", c.misses, len(c.table[src]))
+	if compiles != 2 || len(c.table[src]) != 2 {
+		t.Fatalf("%d compiles, %d kept; want 2 and 2", compiles, len(c.table[src]))
 	}
 
 	delete(env.globals, "Limit") // Limit undeclared: the source no longer compiles
@@ -158,8 +161,8 @@ func TestMethodMemoKeepsEveryShape(t *testing.T) {
 			t.Fatalf("compiled an undeclared variable: %+v", m)
 		}
 	}
-	if c.misses != 4 || len(c.table[src]) != 2 {
-		t.Fatalf("after two errors: %d compiles, %d kept; want 4 and 2", c.misses, len(c.table[src]))
+	if compiles != 4 || len(c.table[src]) != 2 {
+		t.Fatalf("after two errors: %d compiles, %d kept; want 4 and 2", compiles, len(c.table[src]))
 	}
 	env.globals["Limit"] = true
 	if compile() != wide {

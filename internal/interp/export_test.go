@@ -1,5 +1,11 @@
 package interp
 
+import (
+	"sync/atomic"
+
+	"mst/internal/compiler"
+)
+
 // drop empties c, as a miss at its bound does.
 func (c *memo) drop() {
 	c.mu.Lock()
@@ -29,10 +35,19 @@ func (vm *VM) DoItMemoLen() int { return len(vm.doits.table) }
 // boot compiles every method: the cold half of a cold-vs-warm twin.
 func DropMethodMemo() { methods.drop() }
 
+// methodCompiles counts the compiles the method memo has run in this
+// test process, failed ones included: every one passes through the
+// counting gen installed below.
+var methodCompiles atomic.Int64
+
+func init() {
+	gen := methods.gen
+	methods.gen = func(source string, env compiler.Env) (*compiler.Method, error) {
+		methodCompiles.Add(1)
+		return gen(source, env)
+	}
+}
+
 // MethodMemoMisses reports how many compiles the method memo has run in
 // this process, failed ones included.
-func MethodMemoMisses() int {
-	methods.mu.Lock()
-	defer methods.mu.Unlock()
-	return methods.misses
-}
+func MethodMemoMisses() int { return int(methodCompiles.Load()) }

@@ -467,16 +467,17 @@ func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
 // compile of the same source re-asks the recorded questions of the live
 // image and, every answer unchanged, skips the lex/parse/generate.
 // Re-asking keeps a memo exact with no invalidation hook (image code can
-// rewrite the system dictionary without passing through Go). The memo has
-// two instances (Table 3's terms):
+// rewrite the system dictionary without passing through Go). A source
+// keeps one compile per distinct answer list: an accessor such as
+// `value ^value` compiles to a different field index in each class of a
+// different shape, and a global defined and removed again answers the
+// compile made before. The memo has two instances (Table 3's terms):
 //   - vm.doits holds the doIts Evaluate compiles. Replicated: per VM, so
 //     a tenant's one executor never contends for its lock; empty in a
 //     clone, absent from a snapshot.
 //   - methods holds the methods compileAndInstall installs (file-in,
 //     compile:classified:). Serialized: one per process, so every boot
-//     after the first compiles nothing. A source keeps one compile per
-//     distinct answer list: an accessor such as `value ^value` compiles
-//     to a different field index in each class of a different shape.
+//     after the first compiles nothing.
 
 // doitMemoMax and methodMemoMax bound the memos: a miss at the bound
 // drops the whole table, so a process fed unique sources cannot grow
@@ -540,13 +541,11 @@ func (d compiled) current(env compiler.Env) bool {
 // table, never an Env: a lookup copies a source's entry list out and asks
 // its questions unlocked, and a list is never written once published.
 type memo struct {
-	gen    func(source string, env compiler.Env) (*compiler.Method, error)
-	one    bool // a source keeps only its latest compile
-	max    int
-	mu     sync.Mutex
-	table  map[string][]compiled
-	n      int // compiles in table
-	misses int // compiles gen has run, errors included
+	gen   func(source string, env compiler.Env) (*compiler.Method, error)
+	max   int
+	mu    sync.Mutex
+	table map[string][]compiled
+	n     int // compiles in table
 }
 
 // compile answers source compiled against env, from the memo when env's
@@ -562,19 +561,14 @@ func (c *memo) compile(source string, env compiler.Env) (*compiler.Method, error
 	}
 	asked := askedEnv{env: env}
 	m, err := c.gen(source, &asked)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.misses++
 	if err != nil {
 		return nil, err
 	}
 	d := compiled{m, asked.asks}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	ds = c.table[source]
-	switch {
-	case c.one:
-		c.n -= len(ds)
-		ds = nil
-	case slices.ContainsFunc(ds, func(o compiled) bool { return slices.Equal(o.asks, d.asks) }):
+	if slices.ContainsFunc(ds, func(o compiled) bool { return slices.Equal(o.asks, d.asks) }) {
 		return m, nil // a concurrent miss got here first
 	}
 	if c.n >= c.max || c.table == nil {

@@ -487,7 +487,7 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		cacheLock: m.NewRWSpinlock("method-cache", cfg.MSMode && cfg.MethodCache == CacheSharedLocked),
 		freeLock:  m.NewSpinlock("free-contexts", cfg.MSMode && cfg.FreeContexts == FreeCtxSharedLocked),
 		symbolIdx: map[string]int{},
-		doits:     memo{gen: compiler.CompileExpression, one: true, max: doitMemoMax},
+		doits:     memo{gen: compiler.CompileExpression, max: doitMemoMax},
 		san:       m.Sanitizer(),
 		par:       cfg.Parallel,
 	}
