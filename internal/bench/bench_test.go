@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -288,5 +290,59 @@ func TestParadigmsAgreeAndComplete(t *testing.T) {
 	}
 	if out := r.Format(); !strings.Contains(out, "SharedQueue") {
 		t.Errorf("format:\n%s", out)
+	}
+}
+
+// TestMacroPassHostAllocations pins the Go allocations of one warm pass
+// of the eight macros, exactly-or-lower, on the baseline and the busy
+// state. Each pass's garbage stays resident until the Go collector next
+// runs, and with the simulated heap counted as live that is seldom, so a
+// workload's peak RSS grows with the passes it runs by about this much
+// per pass. Re-measure and lower the pins when a change lowers them.
+// The fewest of four passes counts, as in TestBootHostAllocations: Go
+// GC timing adds a few allocations to some passes. Bytes are pinned to
+// the KiB above the measurement.
+func TestMacroPassHostAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own and runs the macros some thirty times slower")
+	}
+	for _, c := range []struct {
+		state          int
+		mallocs, bytes uint64 // per pass
+	}{
+		{0, 2877, 56 << 10},
+		{3, 29626, 274 << 10},
+	} {
+		st := StandardStates()[c.state]
+		t.Run(st.Name, func(t *testing.T) {
+			sys, err := NewBenchSystem(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Shutdown()
+			pass := func() {
+				for _, b := range MacroBenchmarks {
+					if _, err := RunMacro(sys, b.Selector); err != nil {
+						t.Fatalf("%s: %v", b.Selector, err)
+					}
+				}
+			}
+			pass()
+			pass()
+			mallocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for range 4 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				pass()
+				runtime.ReadMemStats(&m1)
+				mallocs = min(mallocs, m1.Mallocs-m0.Mallocs)
+				bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+			}
+			t.Logf("%d mallocs, %d bytes", mallocs, bytes)
+			if mallocs > c.mallocs || bytes > c.bytes {
+				t.Errorf("%d Go allocations, %d bytes per warm pass; measured %d, %d",
+					mallocs, bytes, c.mallocs, c.bytes)
+			}
+		})
 	}
 }

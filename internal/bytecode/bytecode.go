@@ -8,7 +8,7 @@ package bytecode
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Op is an opcode.
@@ -332,43 +332,51 @@ type LiteralResolver func(i int) string
 // nil, in which case literal indices print numerically. This is the
 // engine behind the "decompile class" macro benchmark.
 func Disassemble(code []byte, resolve LiteralResolver) string {
-	var b strings.Builder
-	lit := func(i int) string {
+	return string(AppendDisassembly(nil, code, func(dst []byte, i int) []byte {
 		if resolve == nil {
-			return fmt.Sprintf("literal %d", i)
+			return strconv.AppendInt(append(dst, "literal "...), int64(i), 10)
 		}
-		return resolve(i)
-	}
+		return append(dst, resolve(i)...)
+	}))
+}
+
+// AppendDisassembly appends Disassemble's text for code to dst; lit
+// appends the rendering of literal frame entry i. Into a reused dst it
+// makes no Go garbage.
+func AppendDisassembly(dst, code []byte, lit func(dst []byte, i int) []byte) []byte {
+	num := func(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
 	pc := 0
 	for pc < len(code) {
 		op := Op(code[pc])
-		fmt.Fprintf(&b, "%4d  ", pc)
+		for d := 1000; d > 1 && pc < d; d /= 10 { // "%4d"
+			dst = append(dst, ' ')
+		}
+		dst = append(num(dst, pc), "  "...)
 		opnd := pc + 1
 		pc = opnd + OperandLen(op)
-		switch op {
-		case OpPushTemp, OpStoreTemp, OpPopTemp:
-			fmt.Fprintf(&b, "%s %d", op.Name(), U8(code, opnd))
-		case OpPushInstVar, OpStoreInstVar, OpPopInstVar:
-			fmt.Fprintf(&b, "%s %d", op.Name(), U8(code, opnd))
-		case OpPushLiteral:
-			fmt.Fprintf(&b, "%s %s", op.Name(), lit(U8(code, opnd)))
-		case OpPushGlobal, OpStoreGlobal, OpPopGlobal:
-			fmt.Fprintf(&b, "%s %s", op.Name(), lit(U8(code, opnd)))
-		case OpPushInt8:
-			fmt.Fprintf(&b, "%s %d", op.Name(), I8(code, opnd))
-		case OpJump, OpJumpFalse, OpJumpTrue:
-			fmt.Fprintf(&b, "%s -> %d", op.Name(), pc+I16(code, opnd))
-		case OpPushBlock:
-			nargs := U8(code, opnd)
-			ntemps := U8(code, opnd+1)
-			body := U16(code, opnd+2)
-			fmt.Fprintf(&b, "%s nargs=%d ntemps=%d end=%d", op.Name(), nargs, ntemps, pc+body)
-		case OpSend, OpSendSuper:
-			fmt.Fprintf(&b, "%s %s (%d args)", op.Name(), lit(U8(code, opnd)), U8(code, opnd+1))
-		default:
-			b.WriteString(op.Name())
+		if IsSpecialSend(op) {
+			dst = append(append(dst, "send "...), Special(op).Selector...)
+		} else {
+			dst = append(dst, op.Name()...)
 		}
-		b.WriteByte('\n')
+		switch op {
+		case OpPushTemp, OpStoreTemp, OpPopTemp, OpPushInstVar, OpStoreInstVar, OpPopInstVar:
+			dst = num(append(dst, ' '), U8(code, opnd))
+		case OpPushLiteral, OpPushGlobal, OpStoreGlobal, OpPopGlobal:
+			dst = lit(append(dst, ' '), U8(code, opnd))
+		case OpPushInt8:
+			dst = num(append(dst, ' '), I8(code, opnd))
+		case OpJump, OpJumpFalse, OpJumpTrue:
+			dst = num(append(dst, " -> "...), pc+I16(code, opnd))
+		case OpPushBlock:
+			dst = num(append(dst, " nargs="...), U8(code, opnd))
+			dst = num(append(dst, " ntemps="...), U8(code, opnd+1))
+			dst = num(append(dst, " end="...), pc+U16(code, opnd+2))
+		case OpSend, OpSendSuper:
+			dst = lit(append(dst, ' '), U8(code, opnd))
+			dst = append(num(append(dst, " ("...), U8(code, opnd+1)), " args)"...)
+		}
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
 }

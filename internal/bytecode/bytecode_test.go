@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -180,4 +181,62 @@ func TestOpNames(t *testing.T) {
 	if NumOps.Name() == "" {
 		t.Fatal("unknown op has empty name")
 	}
+}
+
+// TestAppendDisassemblyMatchesFormatted holds the append-style
+// disassembler to the fmt-formatted rendering it replaced, over every
+// opcode with several operand patterns, pcs past 9, 99 and 999 (the %4d
+// column), negative offsets, and both resolvers.
+func TestAppendDisassemblyMatchesFormatted(t *testing.T) {
+	var code []byte
+	for rep := 0; rep < 40; rep++ {
+		for op := Op(0); op < NumOps; op++ {
+			code = append(code, byte(op))
+			for k := 0; k < OperandLen(op); k++ {
+				code = append(code, byte(rep*37+k*101))
+			}
+		}
+	}
+	resolve := func(i int) string { return fmt.Sprintf("#lit%d", i) }
+	for _, r := range []LiteralResolver{resolve, nil} {
+		if got, want := Disassemble(code, r), disassembleFormatted(code, r); got != want {
+			t.Fatalf("Disassemble differs from the formatted rendering:\n%s\nwant:\n%s", got, want)
+		}
+	}
+}
+
+// disassembleFormatted is the fmt-based rendering Disassemble must match.
+func disassembleFormatted(code []byte, resolve LiteralResolver) string {
+	var b strings.Builder
+	lit := func(i int) string {
+		if resolve == nil {
+			return fmt.Sprintf("literal %d", i)
+		}
+		return resolve(i)
+	}
+	pc := 0
+	for pc < len(code) {
+		op := Op(code[pc])
+		fmt.Fprintf(&b, "%4d  ", pc)
+		opnd := pc + 1
+		pc = opnd + OperandLen(op)
+		switch op {
+		case OpPushTemp, OpStoreTemp, OpPopTemp, OpPushInstVar, OpStoreInstVar, OpPopInstVar:
+			fmt.Fprintf(&b, "%s %d", op.Name(), U8(code, opnd))
+		case OpPushLiteral, OpPushGlobal, OpStoreGlobal, OpPopGlobal:
+			fmt.Fprintf(&b, "%s %s", op.Name(), lit(U8(code, opnd)))
+		case OpPushInt8:
+			fmt.Fprintf(&b, "%s %d", op.Name(), I8(code, opnd))
+		case OpJump, OpJumpFalse, OpJumpTrue:
+			fmt.Fprintf(&b, "%s -> %d", op.Name(), pc+I16(code, opnd))
+		case OpPushBlock:
+			fmt.Fprintf(&b, "%s nargs=%d ntemps=%d end=%d", op.Name(), U8(code, opnd), U8(code, opnd+1), pc+U16(code, opnd+2))
+		case OpSend, OpSendSuper:
+			fmt.Fprintf(&b, "%s %s (%d args)", op.Name(), lit(U8(code, opnd)), U8(code, opnd+1))
+		default:
+			b.WriteString(op.Name())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -13,9 +13,11 @@
 package heap
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -711,9 +713,27 @@ func (h *Heap) StoreByte(o object.OOP, i int, b byte) {
 // ByteLen returns the logical byte length of a FmtBytes object.
 func (h *Heap) ByteLen(o object.OOP) int { return h.Header(o).ByteLen() }
 
-// Bytes copies out the contents of a FmtBytes object, a word at a time.
+// Bytes copies out the contents of a FmtBytes object.
 func (h *Heap) Bytes(o object.OOP) []byte {
 	out := make([]byte, h.ByteLen(o))
+	h.readBytes(o, out)
+	return out
+}
+
+// AppendBytes appends the contents of a FmtBytes object to dst.
+func (h *Heap) AppendBytes(dst []byte, o object.OOP) []byte {
+	n, m := len(dst), h.ByteLen(o)
+	if cap(dst)-n < m {
+		// Not slices.Grow: its make-and-append allocates twice under -race.
+		dst = append(make([]byte, 0, n+m), dst...)
+	}
+	dst = dst[:n+m]
+	h.readBytes(o, dst[n:])
+	return dst
+}
+
+// readBytes fills out, which is ByteLen(o) long, from o a word at a time.
+func (h *Heap) readBytes(o object.OOP, out []byte) {
 	base := o.Addr() + object.HeaderWords
 	i := 0
 	for ; i+8 <= len(out); i += 8 {
@@ -725,7 +745,28 @@ func (h *Heap) Bytes(o object.OOP) []byte {
 			w >>= 8
 		}
 	}
-	return out
+}
+
+// CompareBytes orders two FmtBytes objects as bytes.Compare orders their
+// contents, without copying either out of the heap.
+func (h *Heap) CompareBytes(a, b object.OOP) int {
+	na, nb := h.ByteLen(a), h.ByteLen(b)
+	n := min(na, nb)
+	ba, bb := a.Addr()+object.HeaderWords, b.Addr()+object.HeaderWords
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		// Byte-reversed, a little-endian word orders as its bytes do.
+		wa, wb := h.loadWord(ba+uint64(i>>3)), h.loadWord(bb+uint64(i>>3))
+		if wa != wb {
+			return cmp.Compare(bits.ReverseBytes64(wa), bits.ReverseBytes64(wb))
+		}
+	}
+	for ; i < n; i++ {
+		if ca, cb := h.FetchByte(a, i), h.FetchByte(b, i); ca != cb {
+			return cmp.Compare(ca, cb)
+		}
+	}
+	return cmp.Compare(na, nb)
 }
 
 // String answers the contents of a FmtBytes object as a Go string,

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"testing"
 
 	"mst/internal/firefly"
@@ -75,7 +76,7 @@ func TestAllocateBytes(t *testing.T) {
 }
 
 // TestByteCopiesMatchByteAccessors holds the word-at-a-time copies —
-// Bytes, String, WriteBytes, WriteString — to FetchByte and StoreByte:
+// Bytes, AppendBytes, String, WriteBytes, WriteString — to FetchByte and StoreByte:
 // every length from 0 to 17, UTF-8 text, and a short write into a longer
 // object, which must keep the bytes past its end.
 func TestByteCopiesMatchByteAccessors(t *testing.T) {
@@ -103,6 +104,9 @@ func TestByteCopiesMatchByteAccessors(t *testing.T) {
 			if got := h.String(o); got != string(want) {
 				t.Fatalf("String len %d = %q, want %q", n, got, want)
 			}
+			if got := h.AppendBytes([]byte("ab"), o); string(got) != "ab"+string(want) {
+				t.Fatalf("AppendBytes len %d = %x, want 6162%x", n, got, want)
+			}
 			h.WriteBytes(o, []byte(src))
 			if got := h.String(o); got != src {
 				t.Fatalf("WriteBytes len %d read back %q, want %q", n, got, src)
@@ -122,6 +126,29 @@ func TestByteCopiesMatchByteAccessors(t *testing.T) {
 				}
 				if got := h.FetchByte(o, i); got != want {
 					t.Fatalf("write of %d into %d bytes: byte %d = %#x, want %#x", n, long, i, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestCompareBytesMatchesBytesCompare orders pairs that differ in a full
+// word, in the tail, in a byte past 0x7F, or only in length, as
+// bytes.Compare orders their contents.
+func TestCompareBytesMatchesBytesCompare(t *testing.T) {
+	words := []string{"", "a", "b", "ab", "abc", "abcdefgh", "abcdefgi", "abcdefgh\x00",
+		"abcdefghij", "abcdefghik", "abcdefgha", "abcdefgz", "zbcdefgh", "\xffbcdefgh",
+		"abcdefghijklmnopq", "abcdefghijklmnopr", "abcdefghijklmnop", "h\xe9llo", "hello"}
+	testHeap(t, smallConfig(), func(h *Heap, p *firefly.Proc) {
+		oops := make([]object.OOP, len(words))
+		for i, w := range words {
+			oops[i] = h.Allocate(p, object.Nil, len(w), object.FmtBytes)
+			h.WriteString(oops[i], w)
+		}
+		for i, a := range words {
+			for j, b := range words {
+				if got, want := h.CompareBytes(oops[i], oops[j]), bytes.Compare([]byte(a), []byte(b)); got != want {
+					t.Errorf("CompareBytes(%q, %q) = %d, want %d", a, b, got, want)
 				}
 			}
 		}

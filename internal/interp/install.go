@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -596,14 +595,21 @@ func (vm *VM) StartInterpreters() {
 // Disassemble renders a CompiledMethod's bytecode (the decompiler behind
 // the decompile benchmark).
 func (vm *VM) Disassemble(method object.OOP) string {
+	_, text := vm.disassemble(nil, method)
+	return string(text)
+}
+
+// disassemble renders method in buf's storage: the code is copied out
+// first and the text appended after it. It answers the storage, to be
+// passed in again, and the text.
+func (vm *VM) disassemble(buf []byte, method object.OOP) (storage, text []byte) {
 	h := vm.H
-	code := h.Bytes(h.Fetch(method, CMBytes))
+	buf = h.AppendBytes(buf[:0], h.Fetch(method, CMBytes))
+	n := len(buf)
 	lits := h.Fetch(method, CMLiterals)
-	sel := h.Fetch(method, CMSelector)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", vm.SymbolName(sel))
-	b.WriteString(bytecode.Disassemble(code, func(i int) string {
-		return vm.DescribeOOP(h.Fetch(lits, i))
-	}))
-	return b.String()
+	buf = append(h.AppendBytes(buf, h.Fetch(method, CMSelector)), '\n')
+	buf = bytecode.AppendDisassembly(buf, buf[:n:n], func(dst []byte, i int) []byte {
+		return vm.appendDescription(dst, h.Fetch(lits, i))
+	})
+	return buf, buf[n:]
 }

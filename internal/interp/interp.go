@@ -98,6 +98,9 @@ type Interp struct {
 	// only those.
 	planUsed []uint16
 	plans    [planTabSize]plan
+
+	// text is host scratch the decompile primitive renders into.
+	text []byte
 }
 
 func newInterp(vm *VM, p *firefly.Proc) *Interp {
@@ -560,29 +563,32 @@ func (in *Interp) loadContext(ctx object.OOP) {
 }
 
 // DescribeOOP renders an oop for diagnostics (Go-side, no image code).
-func (vm *VM) DescribeOOP(o object.OOP) string {
+func (vm *VM) DescribeOOP(o object.OOP) string { return string(vm.appendDescription(nil, o)) }
+
+// appendDescription appends DescribeOOP's text for o to dst.
+func (vm *VM) appendDescription(dst []byte, o object.OOP) []byte {
 	switch {
 	case o.IsInt():
-		return strconv.FormatInt(o.Int(), 10)
+		return strconv.AppendInt(dst, o.Int(), 10)
 	case o == object.Nil:
-		return "nil"
+		return append(dst, "nil"...)
 	case o == object.True:
-		return "true"
+		return append(dst, "true"...)
 	case o == object.False:
-		return "false"
+		return append(dst, "false"...)
 	case o == object.Invalid:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 	cls := vm.H.ClassOf(o)
 	if cls == vm.Specials.String || cls == vm.Specials.Symbol {
-		return "'" + vm.GoString(o) + "'"
+		return append(vm.H.AppendBytes(append(dst, '\''), o), '\'')
 	}
 	if cls == object.Invalid {
-		return "<unclassed>"
+		return append(dst, "<unclassed>"...)
 	}
 	name := vm.H.Fetch(cls, ClsName)
 	if name != object.Nil && vm.H.Header(name).Format() == object.FmtBytes {
-		return "a " + vm.GoString(name)
+		return vm.H.AppendBytes(append(dst, "a "...), name)
 	}
-	return "<obj>"
+	return append(dst, "<obj>"...)
 }

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"unsafe"
+
 	"mst/internal/jit"
 	"mst/internal/object"
 )
@@ -38,7 +40,7 @@ type plan struct {
 	method object.OOP // Invalid = empty slot
 	bytes  object.OOP
 	lits   object.OOP
-	code   []byte    // host copy of bytes
+	code   []byte    // host copy of bytes; the buffer survives a flush
 	icm    *icMethod // inline-cache state (nil when ICs are off)
 	ntemps int       // temp count from the method header
 	// slots is the context size the method needs: a size class
@@ -74,11 +76,18 @@ func (in *Interp) planFor(method object.OOP) *plan {
 		slots = LargeCtxSlots
 	}
 	bytes := h.Fetch(method, CMBytes)
+	// The slot's code buffer outlives its plan and is refilled in place,
+	// unless it holds the code the interpreter is executing: in.code is
+	// the one other holder of a plan's code.
+	code := p.code[:0]
+	if unsafe.SliceData(code) == unsafe.SliceData(in.code) {
+		code = nil
+	}
 	*p = plan{
 		method: method,
 		bytes:  bytes,
 		lits:   h.Fetch(method, CMLiterals),
-		code:   h.Bytes(bytes),
+		code:   h.AppendBytes(code, bytes),
 		ntemps: ntemps,
 		slots:  slots,
 	}
@@ -105,7 +114,7 @@ func (in *Interp) planFor(method object.OOP) *plan {
 // entries). Not a deopt: no event, no counter.
 func (in *Interp) flushPlans() {
 	for _, i := range in.planUsed {
-		in.plans[i] = plan{}
+		in.plans[i] = plan{code: in.plans[i].code}
 	}
 	in.planUsed = in.planUsed[:0]
 	in.jfns = nil

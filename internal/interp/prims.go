@@ -401,14 +401,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(recv) || !in.isStringy(arg) {
 			return false
 		}
-		a, b := vm.GoString(recv), vm.GoString(arg)
-		r := 0
-		if a < b {
-			r = -1
-		} else if a > b {
-			r = 1
-		}
-		return in.primReturn(nargs, object.FromInt(int64(r)))
+		return in.primReturn(nargs, object.FromInt(int64(vm.H.CompareBytes(recv, arg))))
 
 	case PrimAsSymbol:
 		if !in.isStringy(recv) {
@@ -440,7 +433,10 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		// Decompiler/debugger attach: the method must run interpreted
 		// from here on (per-processor tier — peers keep their copies).
 		in.jitDemote(recv, jit.DeoptDecompile)
-		s := vm.NewString(in.p, vm.Disassemble(recv))
+		var text []byte
+		in.text, text = vm.disassemble(in.text, recv)
+		s := vm.allocBytes(in.p, vm.Specials.String, len(text))
+		vm.H.WriteBytes(s, text)
 		return in.primReturn(nargs, s)
 
 	case PrimRemoveSelector:

@@ -651,14 +651,18 @@ func (vm *VM) SymbolName(sym object.OOP) string {
 }
 
 func (vm *VM) allocString(p *firefly.Proc, class object.OOP, s string) object.OOP {
-	var o object.OOP
-	if p == nil {
-		o = vm.H.AllocateNoGC(class, len(s), object.FmtBytes)
-	} else {
-		o = vm.H.Allocate(p, class, len(s), object.FmtBytes)
-	}
+	o := vm.allocBytes(p, class, len(s))
 	vm.H.WriteString(o, s)
 	return o
+}
+
+// allocBytes allocates a bytes object of n bytes, via the no-GC path
+// during bootstrap (p == nil).
+func (vm *VM) allocBytes(p *firefly.Proc, class object.OOP, n int) object.OOP {
+	if p == nil {
+		return vm.H.AllocateNoGC(class, n, object.FmtBytes)
+	}
+	return vm.H.Allocate(p, class, n, object.FmtBytes)
 }
 
 // NewString allocates a String with the given contents. MAY GC.
