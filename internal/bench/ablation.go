@@ -16,127 +16,115 @@ var ablationBenches = []string{
 	"printClassHierarchy", "createInspectorView", "decompileClass",
 }
 
-// Ablation is one design-alternative experiment: a set of labelled
-// configurations measured on the ablation benchmarks against baseline
-// BS, reporting per-benchmark overheads.
-type Ablation struct {
-	Name    string
-	Claim   string // what the paper says
-	Labels  []string
-	Benches []string
-	// Ms[label][bench], with an extra leading row for baseline BS.
-	Ms [][]int64
+// StrategyRow is one configuration of the strategies section.
+type StrategyRow struct {
+	Config string  `json:"config"`
+	Ms     []int64 `json:"virtual_ms"` // per ablationBenches entry
 }
 
-// busyCase is the ms-busy state under label, its configuration
-// edited by edit.
-func busyCase(label string, edit func(*core.Config)) State {
-	st := StandardStates()[3].with(edit)
-	st.Name = label
-	return st
+// StrategyReport is §3.2's and §4's strategy ablations in one table:
+// baseline BS, the busy state as the paper built it, and the busy state
+// with one structure's strategy changed per row.
+type StrategyReport struct {
+	Benches []string      `json:"benches"`
+	Rows    []StrategyRow `json:"rows"`
+}
+
+// strategyCases are the strategies section's runs: baseline BS, the
+// busy state as the paper built it, and the busy state with one
+// structure's strategy swapped, beside the paper's claim about it.
+var strategyCases = []struct {
+	config, claim string
+	state         int // into StandardStates
+	edit          func(*core.Config)
+}{
+	{"baseline BS", "", 0, unedited},
+	{"MS + 4 busy", "", 3, unedited},
+	{"MS + 4 busy, shared locked free list",
+		"§3.2: replicating the free context list cut the worst-case overhead from 160% to 65%",
+		3, func(c *core.Config) { c.FreeContexts = interp.FreeCtxSharedLocked }},
+	{"MS + 4 busy, shared locked method cache",
+		"§3.2: the serialized cache ran \"much too slowly\"; replicating it solved the problem",
+		3, func(c *core.Config) { c.MethodCache = interp.CacheSharedLocked }},
+	{"MS + 4 busy, per-processor alloc areas",
+		"§4: replicating the new-object space \"should have significant benefits\"",
+		3, func(c *core.Config) { c.Alloc = heap.AllocPerProcessor }},
 }
 
 // unedited keeps a case's configuration as its state builds it.
 func unedited(*core.Config) {}
 
-// runAblation measures baseline BS and then each case, one labelled
-// State apiece.
-func runAblation(name, claim string, cases []State) (*Ablation, error) {
-	a := &Ablation{Name: name, Claim: claim, Benches: ablationBenches}
-	for _, c := range append([]State{{Name: "baseline BS", Config: core.BaselineConfig}}, cases...) {
-		row, err := runState(c, ablationBenches, nil)
+// RunStrategies measures the strategies section, one run per case.
+func RunStrategies() (StrategyReport, error) {
+	r := StrategyReport{Benches: ablationBenches}
+	for _, c := range strategyCases {
+		ms, err := runState(StandardStates()[c.state].with(c.edit), ablationBenches, nil)
 		if err != nil {
-			return nil, fmt.Errorf("bench: ablation %s: %w", name, err)
+			return r, fmt.Errorf("bench: strategies %s: %w", c.config, err)
 		}
-		a.Labels = append(a.Labels, c.Name)
-		a.Ms = append(a.Ms, row)
+		r.Rows = append(r.Rows, StrategyRow{Config: c.config, Ms: ms})
 	}
-	return a, nil
+	return r, nil
 }
 
 // WorstOverhead answers the worst-case fractional overhead of row i
-// (skipping the baseline row 0) versus baseline.
-func (a *Ablation) WorstOverhead(i int) float64 {
+// versus the baseline row 0.
+func (r *StrategyReport) WorstOverhead(i int) float64 {
 	worst := 0.0
-	for j := range a.Benches {
-		over := float64(a.Ms[i][j])/float64(a.Ms[0][j]) - 1
-		if over > worst {
-			worst = over
-		}
+	for j := range r.Benches {
+		worst = max(worst, float64(r.Rows[i].Ms[j])/float64(r.Rows[0].Ms[j])-1)
 	}
 	return worst
 }
 
-// Format renders the ablation as a table plus the worst-case summary.
-func (a *Ablation) Format() string {
+// Format renders the strategies table and the paper's claims.
+func (r *StrategyReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation: %s\nPaper: %s\n\n", a.Name, a.Claim)
-	fmt.Fprintf(&b, "%-34s", "Configuration")
-	for _, bench := range a.Benches {
+	b.WriteString("Strategy ablations (paper §3.2, §4): the busy state with one structure's\n")
+	b.WriteString("strategy changed; worst ovh is the worst overhead versus baseline BS\n\n")
+	fmt.Fprintf(&b, "%-40s", "Configuration")
+	for _, bench := range r.Benches {
 		fmt.Fprintf(&b, "%22s", bench)
 	}
 	fmt.Fprintf(&b, "%12s\n", "worst ovh")
-	b.WriteString(strings.Repeat("-", 34+22*len(a.Benches)+12))
+	b.WriteString(strings.Repeat("-", 40+22*len(r.Benches)+12))
 	b.WriteString("\n")
-	for i, label := range a.Labels {
-		fmt.Fprintf(&b, "%-34s", label)
-		for j := range a.Benches {
-			fmt.Fprintf(&b, "%20dms", a.Ms[i][j])
+	for i, row := range r.Rows {
+		fmt.Fprintf(&b, "%-40s", row.Config)
+		for _, ms := range row.Ms {
+			fmt.Fprintf(&b, "%20dms", ms)
 		}
 		if i == 0 {
 			fmt.Fprintf(&b, "%12s\n", "—")
 		} else {
-			fmt.Fprintf(&b, "%11.0f%%\n", a.WorstOverhead(i)*100)
+			fmt.Fprintf(&b, "%11.0f%%\n", r.WorstOverhead(i)*100)
+		}
+	}
+	b.WriteString("\nPaper:\n")
+	for _, c := range strategyCases {
+		if c.claim != "" {
+			fmt.Fprintf(&b, "  %s\n", c.claim)
 		}
 	}
 	return b.String()
 }
 
-// RunFreeListAblation reproduces the paper's §3.2 free-context-list
-// claim: "Replication of the free context list yielded a reduction in
-// the worst-case overhead from 160% to 65%."
-func RunFreeListAblation() (*Ablation, error) {
-	return runAblation(
-		"free context list (busy state)",
-		"replication reduced worst-case overhead from 160% to 65%",
-		[]State{
-			busyCase("MS + 4 busy, shared locked list", func(c *core.Config) { c.FreeContexts = interp.FreeCtxSharedLocked }),
-			busyCase("MS + 4 busy, replicated lists", unedited),
-		})
-}
-
-// RunMethodCacheAblation reproduces the §3.2 method-cache claim: the
-// serialized cache made the system run "much too slowly" until it was
-// replicated per processor.
-func RunMethodCacheAblation() (*Ablation, error) {
-	return runAblation(
-		"method cache (busy state)",
-		"the serialized cache caused the system to run much too slowly; replication solved it",
-		[]State{
-			busyCase("MS + 4 busy, shared locked cache", func(c *core.Config) { c.MethodCache = interp.CacheSharedLocked }),
-			busyCase("MS + 4 busy, replicated caches", unedited),
-		})
-}
-
-// RunAllocAblation measures the paper's §4 suggestion: "replication of
-// the new-object space should have significant benefits."
-func RunAllocAblation() (*Ablation, error) {
-	return runAblation(
-		"allocation area (busy state)",
-		"future work: replicating the new-object space should have significant benefits",
-		[]State{
-			busyCase("MS + 4 busy, serialized allocation", unedited),
-			busyCase("MS + 4 busy, per-processor areas", func(c *core.Config) { c.Alloc = heap.AllocPerProcessor }),
-		})
-}
-
 // ScavengeRow is one line of the scavenge experiment.
 type ScavengeRow struct {
-	Processors  int
-	EdenWords   int
-	Scavenges   uint64
-	ElapsedMS   int64
-	GCTimeShare float64 // scavenging time / benchmark elapsed time
+	Processors    int          `json:"procs"`
+	EdenWords     int          `json:"eden_words"`
+	Scavenges     uint64       `json:"scavenges"`
+	ElapsedMS     int64        `json:"elapsed_ms"`
+	ScavengeTicks firefly.Time `json:"scavenge_ticks"`
+}
+
+// GCShare answers scavenging's share of the elapsed time, in ticks over
+// ticks: a scavenge time is never rounded to whole milliseconds.
+func (r ScavengeRow) GCShare() float64 {
+	if r.ElapsedMS <= 0 {
+		return 0
+	}
+	return float64(r.ScavengeTicks) / float64(firefly.Time(r.ElapsedMS)*firefly.TicksPerMS)
 }
 
 // RunScavengeExperiment reproduces §3.1's scavenging arithmetic: with a
@@ -177,24 +165,20 @@ func RunScavengeExperiment() ([]ScavengeRow, error) {
 			return nil, err
 		}
 		after := sys.Stats().Heap
-		share := 0.0
-		if elapsed > 0 {
-			share = float64((after.ScavengeTime-before.ScavengeTime)/firefly.TicksPerMS) / float64(elapsed)
-		}
 		rows = append(rows, ScavengeRow{
-			Processors:  k,
-			EdenWords:   cfg.EdenWords,
-			Scavenges:   after.Scavenges - before.Scavenges,
-			ElapsedMS:   elapsed,
-			GCTimeShare: share,
+			Processors:    k,
+			EdenWords:     cfg.EdenWords,
+			Scavenges:     after.Scavenges - before.Scavenges,
+			ElapsedMS:     elapsed,
+			ScavengeTicks: after.ScavengeTime - before.ScavengeTime,
 		})
 		sys.Shutdown()
 	}
 	return rows, nil
 }
 
-// FormatScavenge renders the scavenge experiment.
-func FormatScavenge(rows []ScavengeRow) string {
+// formatScavenge renders the scavenge experiment.
+func formatScavenge(rows []ScavengeRow) string {
 	var b strings.Builder
 	b.WriteString("Scavenge experiment (paper §3.1): eden scaled as k·s with k processors\n")
 	b.WriteString("(k-1 busy allocators + a fixed allocation loop; paper: scavenge\n")
@@ -203,7 +187,7 @@ func FormatScavenge(rows []ScavengeRow) string {
 		"procs", "eden(words)", "scavenges", "elapsed", "gc share")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%6d %12d %12d %10dms %11.1f%%\n",
-			r.Processors, r.EdenWords, r.Scavenges, r.ElapsedMS, r.GCTimeShare*100)
+			r.Processors, r.EdenWords, r.Scavenges, r.ElapsedMS, r.GCShare()*100)
 	}
 	return b.String()
 }

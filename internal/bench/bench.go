@@ -49,6 +49,16 @@ func StandardStates() []State {
 	}
 }
 
+// standardState answers the standard state named name.
+func standardState(name string) (State, bool) {
+	for _, st := range StandardStates() {
+		if st.Name == name {
+			return st, true
+		}
+	}
+	return State{}, false
+}
+
 // NewBenchSystem boots a system with the macro-benchmark sources filed
 // in for the given state, with its background Processes running.
 func NewBenchSystem(st State) (*core.System, error) {
@@ -122,77 +132,4 @@ func macroSelectors() []string {
 		sels[i] = b.Selector
 	}
 	return sels
-}
-
-// Table2 holds the measured matrix: Ms[state][bench] in virtual
-// milliseconds, and each state's metrics registry after its run.
-type Table2 struct {
-	States  []State
-	Benches []string // paper display names
-	Ms      [][]int64
-	Metrics []core.Metrics
-}
-
-// RunTable2 runs the eight macro benchmarks on each standard state,
-// reproducing the paper's Table 2. The latency histograms ride every
-// state, so the metrics carry the pause, dispatch and lock-wait
-// buckets the gate pins.
-func RunTable2() (*Table2, error) {
-	t := &Table2{States: StandardStates()}
-	for _, b := range MacroBenchmarks {
-		t.Benches = append(t.Benches, b.Paper)
-	}
-	for _, st := range t.States {
-		row, err := runState(st.with(histograms), macroSelectors(), func(sys *core.System) error {
-			t.Metrics = append(t.Metrics, sys.Metrics())
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Ms = append(t.Ms, row)
-	}
-	return t, nil
-}
-
-// Normalized returns each state's times divided by the baseline row
-// (Figure 2's series).
-func (t *Table2) Normalized() [][]float64 {
-	out := make([][]float64, len(t.Ms))
-	for i, row := range t.Ms {
-		out[i] = make([]float64, len(row))
-		for j, v := range row {
-			base := t.Ms[0][j]
-			if base == 0 {
-				base = 1
-			}
-			out[i][j] = float64(v) / float64(base)
-		}
-	}
-	return out
-}
-
-// Overheads answers, per non-baseline state, the (worst, average)
-// fractional overhead versus the baseline — the numbers §4 quotes
-// ("the architectural changes cost less than 15% in the worst case",
-// "an additional 30% of overhead... in the worst case" for idle, "65%
-// in the worst case, about 40% on average" for busy).
-func (t *Table2) Overheads() map[string]struct{ Worst, Avg float64 } {
-	norm := t.Normalized()
-	out := map[string]struct{ Worst, Avg float64 }{}
-	for i := 1; i < len(norm); i++ {
-		worst, sum := 0.0, 0.0
-		for _, v := range norm[i] {
-			over := v - 1
-			if over > worst {
-				worst = over
-			}
-			sum += over
-		}
-		out[t.States[i].Name] = struct{ Worst, Avg float64 }{
-			Worst: worst,
-			Avg:   sum / float64(len(norm[i])),
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -98,33 +99,30 @@ func TestStateOrderingHolds(t *testing.T) {
 }
 
 func TestTable2Formatting(t *testing.T) {
-	tbl := &Table2{
-		States:  StandardStates(),
-		Benches: []string{"a", "b"},
-		Ms: [][]int64{
-			{100, 200}, {110, 210}, {120, 240}, {150, 300},
-		},
+	r := &JSONReport{}
+	for i, st := range StandardStates() {
+		js := JSONState{State: st.Name}
+		for j, ms := range [][]int64{{100, 200}, {110, 210}, {120, 240}, {150, 300}}[i] {
+			js.Benches = append(js.Benches, JSONBench{Name: MacroBenchmarks[j].Selector, VirtualMS: ms})
+		}
+		r.Table2 = append(r.Table2, js)
 	}
-	tbl.Benches = nil
-	for _, b := range MacroBenchmarks[:2] {
-		tbl.Benches = append(tbl.Benches, b.Paper)
-	}
-	out := tbl.Format()
+	out := formatTable2(r)
 	if !strings.Contains(out, "Baseline BS on multiprocessor") ||
-		!strings.Contains(out, "MS with four busy Processes") {
+		!strings.Contains(out, "MS with four busy Processes") || !strings.Contains(out, "print def") {
 		t.Errorf("table:\n%s", out)
 	}
-	fig := tbl.FormatFigure2()
-	if !strings.Contains(fig, "normalized") || !strings.Contains(fig, "#") {
+	fig := formatFigure2(r)
+	if !strings.Contains(fig, "print class definition                  1.00      1.05      1.20      1.50") ||
+		!strings.Contains(fig, "four busy Processes:      worst   50%  avg   50%") {
 		t.Errorf("figure:\n%s", fig)
 	}
-	norm := tbl.Normalized()
+	norm := normalized(r.Table2)
 	if norm[0][0] != 1.0 || norm[3][0] != 1.5 {
 		t.Errorf("normalized = %v", norm)
 	}
-	ov := tbl.Overheads()
-	if got := ov["ms-busy"].Worst; got < 0.49 || got > 0.51 {
-		t.Errorf("busy worst overhead = %v", got)
+	if worst, avg := overhead(norm[2]); math.Abs(worst-0.2) > 1e-9 || math.Abs(avg-0.2) > 1e-9 {
+		t.Errorf("idle overhead = %v worst, %v avg; want 0.2, 0.2", worst, avg)
 	}
 }
 
@@ -138,25 +136,40 @@ func TestTable3Static(t *testing.T) {
 	}
 }
 
-func TestFreeListAblationShape(t *testing.T) {
+// TestStrategyAblationClaims pins the strategies section's rows and
+// holds them to the three claims they reproduce: a shared free list and
+// a shared method cache each cost more than replication (the free list
+// at least twice as much overhead: paper 160% -> 65%), and
+// per-processor allocation areas cost less than serialized allocation.
+func TestStrategyAblationClaims(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation is slow")
+		t.Skip("strategy ablations are slow")
 	}
-	a, err := RunFreeListAblation()
+	r, err := RunStrategies()
 	if err != nil {
 		t.Fatal(err)
 	}
-	locked := a.WorstOverhead(1)
-	replicated := a.WorstOverhead(2)
-	if locked <= replicated {
-		t.Errorf("locked free list (%.0f%%) not worse than replicated (%.0f%%)",
-			locked*100, replicated*100)
+	want := []StrategyRow{
+		{"baseline BS", []int64{486, 457, 169}},
+		{"MS + 4 busy", []int64{670, 680, 228}},
+		{"MS + 4 busy, shared locked free list", []int64{1560, 2037, 502}},
+		{"MS + 4 busy, shared locked method cache", []int64{733, 820, 321}},
+		{"MS + 4 busy, per-processor alloc areas", []int64{574, 588, 213}},
 	}
-	if locked < 2*replicated {
-		t.Errorf("replication recovered too little: locked %.0f%%, replicated %.0f%% (paper: 160%% -> 65%%)",
-			locked*100, replicated*100)
+	if !reflect.DeepEqual(r.Rows, want) {
+		t.Fatalf("rows = %v, want %v", r.Rows, want)
 	}
-	if out := a.Format(); !strings.Contains(out, "worst ovh") {
+	busy, freeList, cache, areas := r.WorstOverhead(1), r.WorstOverhead(2), r.WorstOverhead(3), r.WorstOverhead(4)
+	if freeList < 2*busy {
+		t.Errorf("replicating the free list recovered too little: shared %.0f%%, replicated %.0f%%", freeList*100, busy*100)
+	}
+	if cache <= busy {
+		t.Errorf("shared method cache (%.0f%%) not worse than replicated (%.0f%%)", cache*100, busy*100)
+	}
+	if areas >= busy {
+		t.Errorf("per-processor areas (%.0f%%) not better than serialized allocation (%.0f%%)", areas*100, busy*100)
+	}
+	if out := r.Format(); !strings.Contains(out, "worst ovh") || !strings.Contains(out, "160% to 65%") {
 		t.Errorf("format:\n%s", out)
 	}
 }
@@ -174,13 +187,25 @@ func TestScavengeExperimentShape(t *testing.T) {
 	}
 	// GC time share must stay small (paper: ~3%).
 	for _, r := range rows {
-		if r.GCTimeShare > 0.15 {
-			t.Errorf("k=%d: gc share %.1f%% too large", r.Processors, r.GCTimeShare*100)
+		if r.GCShare() > 0.15 {
+			t.Errorf("k=%d: gc share %.1f%% too large", r.Processors, r.GCShare()*100)
 		}
 	}
-	out := FormatScavenge(rows)
+	out := formatScavenge(rows)
 	if !strings.Contains(out, "gc share") {
 		t.Errorf("format:\n%s", out)
+	}
+}
+
+// TestScavengeGCShareCountsTicks: the share divides scavenge ticks by
+// elapsed ticks, so a part of a millisecond counts.
+func TestScavengeGCShareCountsTicks(t *testing.T) {
+	r := ScavengeRow{ElapsedMS: 800, ScavengeTicks: 18_999}
+	if got, want := r.GCShare(), 18_999.0/800_000; got != want {
+		t.Errorf("GCShare = %v, want %v (truncating to whole ms gives %v)", got, want, 18.0/800)
+	}
+	if got := (ScavengeRow{ScavengeTicks: 5}).GCShare(); got != 0 {
+		t.Errorf("GCShare with no elapsed time = %v, want 0", got)
 	}
 }
 
@@ -192,58 +217,50 @@ func TestProcessorSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 || rows[0].Normalized != 1.0 {
+	if len(rows) != 5 || rows[0].Processors != 1 {
 		t.Fatalf("rows = %+v", rows)
 	}
 	// Overhead must be monotonically non-decreasing with processors.
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Normalized < rows[i-1].Normalized-0.02 {
+		if float64(rows[i].ElapsedMS) < float64(rows[i-1].ElapsedMS)*0.98 {
 			t.Fatalf("sweep not monotone: %+v", rows)
 		}
 	}
-	if out := FormatSweep(rows); !strings.Contains(out, "normalized") {
+	if out := formatSweep(rows); !strings.Contains(out, "normalized") || !strings.Contains(out, " 1.00\n") {
 		t.Errorf("format:\n%s", out)
 	}
 }
 
+// TestContentionReportShape reads the contention view off the checked-in
+// report, which the gate holds equal to a fresh run.
 func TestContentionReportShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("contention report is slow")
-	}
-	r, err := RunContentionReport()
+	r, err := LoadBaseline("../../BENCH_pr10.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	locks := r.Locks()
-	if len(r.States) != 4 || len(r.Metrics) != 4 || len(locks) == 0 {
-		t.Fatalf("report shape: states=%v locks=%v", r.States, locks)
+	if len(r.Table2) != 4 || len(r.Table2[0].Metrics.Locks) == 0 {
+		t.Fatalf("report shape: %d states", len(r.Table2))
 	}
 	// Baseline uses no locks at all.
-	for _, l := range r.Metrics[0].Locks {
+	for _, l := range r.Table2[0].Metrics.Locks {
 		if l.Acquisitions != 0 {
 			t.Errorf("baseline acquired lock %s", l.Name)
 		}
 	}
-	// The busy state contends the alloc lock (the paper's suspicion).
-	busy := r.Metrics[len(r.Metrics)-1]
-	allocIdx := -1
-	for i, l := range busy.Locks {
-		if l.Name == "alloc" {
-			allocIdx = i
-		}
+	// The busy state contends the alloc lock (the paper's suspicion),
+	// and its processors spin.
+	busy := r.Table2[3].Metrics
+	contended, spinPct := false, 0.0
+	for _, l := range busy.Locks {
+		contended = contended || (l.Name == "alloc" && l.Contentions > 0)
 	}
-	if allocIdx < 0 || busy.Locks[allocIdx].Contentions == 0 {
-		t.Error("no alloc-lock contention in the busy state")
-	}
-	// The busy state's processors spin; percentages must be derived.
-	var spinPct float64
 	for _, p := range busy.Procs {
 		spinPct += p.SpinPct
 	}
-	if spinPct <= 0 {
-		t.Error("busy state reports no per-processor spin share")
+	if !contended || spinPct <= 0 {
+		t.Errorf("busy state: alloc contended %v, spin share %v", contended, spinPct)
 	}
-	out := r.Format()
+	out := formatContention(r)
 	if !strings.Contains(out, "alloc") || !strings.Contains(out, "spin ") {
 		t.Errorf("format:\n%s", out)
 	}
@@ -253,23 +270,23 @@ func TestMicroSuiteShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro suite is slow")
 	}
-	r, err := RunMicroSuite()
+	rows, err := RunMicroSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Baseline) != len(MicroBenchmarks) || len(r.MS) != len(MicroBenchmarks) {
-		t.Fatalf("result = %+v", r)
+	if len(rows) != len(MicroBenchmarks) {
+		t.Fatalf("rows = %+v", rows)
 	}
-	for i, name := range r.Names {
-		if r.Baseline[i] <= 0 {
-			t.Errorf("%s: zero baseline time", name)
+	for _, r := range rows {
+		if r.BaselineVirtualMS <= 0 {
+			t.Errorf("%s: zero baseline time", r.Name)
 		}
-		over := float64(r.MS[i])/float64(r.Baseline[i]) - 1
+		over := float64(r.MSVirtualMS)/float64(r.BaselineVirtualMS) - 1
 		if over < -0.05 || over > 0.25 {
-			t.Errorf("%s: static overhead %.0f%% outside [-5%%, 25%%]", name, over*100)
+			t.Errorf("%s: static overhead %.0f%% outside [-5%%, 25%%]", r.Name, over*100)
 		}
 	}
-	if out := r.Format(); !strings.Contains(out, "testHanoi") {
+	if out := formatMicro(rows); !strings.Contains(out, "testHanoi") {
 		t.Errorf("format:\n%s", out)
 	}
 }
@@ -282,11 +299,11 @@ func TestParadigmsAgreeAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SharedTotal != r.QueuedTotal || r.SharedTotal == 0 {
-		t.Fatalf("totals: shared=%d queued=%d", r.SharedTotal, r.QueuedTotal)
+	if len(r.Rows) != 2 || r.Rows[0].Total != r.Rows[1].Total || r.Rows[0].Total == 0 {
+		t.Fatalf("rows: %+v", r.Rows)
 	}
-	if r.SharedMS <= 0 || r.QueuedMS <= 0 {
-		t.Fatalf("times: %d / %d", r.SharedMS, r.QueuedMS)
+	if r.Rows[0].VirtualMS <= 0 || r.Rows[1].VirtualMS <= 0 {
+		t.Fatalf("times: %+v", r.Rows)
 	}
 	if out := r.Format(); !strings.Contains(out, "SharedQueue") {
 		t.Errorf("format:\n%s", out)

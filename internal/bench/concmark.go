@@ -10,7 +10,7 @@ import (
 	"mst/internal/trace"
 )
 
-// The concurrent-marking ablation (msbench -ablation concmark): a
+// The concurrent-marking ablation (the report's concmark section): a
 // heap-only workload — a seeded deterministic object graph churned
 // through scavenges and explicit full collections — run once with the
 // stop-the-world mark-compact collector and once with the SATB
@@ -203,8 +203,8 @@ func RunConcMarkAblation() (*ConcMarkReport, error) {
 	return r, nil
 }
 
-// FormatConcMark renders the ablation for terminal output.
-func FormatConcMark(r *ConcMarkReport) string {
+// Format renders the ablation for terminal output.
+func (r *ConcMarkReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Concurrent marking ablation: %d rounds, %d full collections per run\n\n",
 		concMarkRounds, concMarkFulls)

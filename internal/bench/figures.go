@@ -5,71 +5,116 @@ import (
 	"strings"
 )
 
-// shortNames abbreviates benchmark names for table headers, mirroring
-// the paper's two-line column headers.
-var shortNames = []string{
-	"r/w class org", "print def", "print hier", "find calls",
-	"find impl", "inspector", "compile", "decompile",
+// paperLabel is the Table 2 row label of the standard state named name.
+func paperLabel(name string) string {
+	if st, ok := standardState(name); ok {
+		return st.Paper
+	}
+	return name
 }
 
-// Format renders the measured Table 2 in the paper's orientation:
-// states as rows, benchmarks as columns, times in virtual milliseconds.
-func (t *Table2) Format() string {
+// macroNames answers the paper's display name and column header of the
+// macro benchmark selector.
+func macroNames(selector string) (paper, short string) {
+	for _, b := range MacroBenchmarks {
+		if b.Selector == selector {
+			return b.Paper, b.Short
+		}
+	}
+	return selector, selector
+}
+
+// formatTable2 renders Table 2 in the paper's orientation: states as
+// rows, benchmarks as columns, times in virtual milliseconds.
+func formatTable2(r *JSONReport) string {
 	var b strings.Builder
 	b.WriteString("Table 2: Preliminary performance results (reproduction)\n")
 	b.WriteString("All times in virtual milliseconds on the simulated Firefly.\n\n")
 	fmt.Fprintf(&b, "%-34s", "State")
-	for _, n := range shortNames {
-		fmt.Fprintf(&b, "%14s", n)
+	for _, bench := range r.Table2[0].Benches {
+		_, short := macroNames(bench.Name)
+		fmt.Fprintf(&b, "%14s", short)
 	}
 	b.WriteString("\n")
-	b.WriteString(strings.Repeat("-", 34+14*len(shortNames)))
+	b.WriteString(strings.Repeat("-", 34+14*len(r.Table2[0].Benches)))
 	b.WriteString("\n")
-	for i, st := range t.States {
-		fmt.Fprintf(&b, "%-34s", st.Paper)
-		for _, v := range t.Ms[i] {
-			fmt.Fprintf(&b, "%14d", v)
+	for _, st := range r.Table2 {
+		fmt.Fprintf(&b, "%-34s", paperLabel(st.State))
+		for _, bench := range st.Benches {
+			fmt.Fprintf(&b, "%14d", bench.VirtualMS)
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-// FormatFigure2 renders Figure 2: per-benchmark times normalized to the
-// baseline system, as numbers and ASCII bars.
-func (t *Table2) FormatFigure2() string {
-	norm := t.Normalized()
+// normalized answers each state's times divided by the first (baseline)
+// state's: Figure 2's series.
+func normalized(rows []JSONState) [][]float64 {
+	out := make([][]float64, len(rows))
+	for i, st := range rows {
+		for j, bench := range st.Benches {
+			out[i] = append(out[i], float64(bench.VirtualMS)/float64(max(rows[0].Benches[j].VirtualMS, 1)))
+		}
+	}
+	return out
+}
+
+// overhead answers the worst and the average fractional overhead of a
+// normalized series.
+func overhead(series []float64) (worst, avg float64) {
+	for _, v := range series {
+		worst = max(worst, v-1)
+		avg += v - 1
+	}
+	return worst, avg / float64(len(series))
+}
+
+// figure2Claims are §4's overhead claims beside the states they
+// describe: "the architectural changes cost less than 15% in the worst
+// case", "an additional 30% of overhead" for idle, "65% in the worst
+// case, about 40% on average" for busy.
+var figure2Claims = []struct{ state, label, paper string }{
+	{"ms", "MS static overhead:", "<15% worst"},
+	{"ms-idle", "four idle Processes:", "≤ +30% over MS"},
+	{"ms-busy", "four busy Processes:", "65% worst, ~40% avg"},
+}
+
+// formatFigure2 renders Figure 2's series — each benchmark's times
+// normalized to the baseline system — then the §4 overheads.
+func formatFigure2(r *JSONReport) string {
+	norm := normalized(r.Table2)
 	var b strings.Builder
 	b.WriteString("Figure 2: Preliminary overhead measurements — normalized\n")
 	b.WriteString("(each benchmark's time divided by the baseline BS time)\n\n")
-	for j, bench := range t.Benches {
-		fmt.Fprintf(&b, "%s\n", bench)
-		for i, st := range t.States {
-			v := norm[i][j]
-			bar := strings.Repeat("#", int(v*24+0.5))
-			fmt.Fprintf(&b, "  %-14s %5.2f  %s\n", st.Name, v, bar)
+	fmt.Fprintf(&b, "%-34s", "benchmark")
+	for _, st := range r.Table2 {
+		fmt.Fprintf(&b, "%10s", st.State)
+	}
+	b.WriteString("\n")
+	for j, bench := range r.Table2[0].Benches {
+		paper, _ := macroNames(bench.Name)
+		fmt.Fprintf(&b, "%-34s", paper)
+		for i := range r.Table2 {
+			fmt.Fprintf(&b, "%10.2f", norm[i][j])
 		}
 		b.WriteString("\n")
 	}
-	ov := t.Overheads()
+	b.WriteString("\n")
 	b.WriteString("Overheads versus baseline (paper §4 claims in brackets):\n")
-	if o, ok := ov["ms"]; ok {
-		fmt.Fprintf(&b, "  MS static overhead:       worst %4.0f%%  avg %4.0f%%   [paper: <15%% worst]\n",
-			o.Worst*100, o.Avg*100)
-	}
-	if o, ok := ov["ms-idle"]; ok {
-		fmt.Fprintf(&b, "  four idle Processes:      worst %4.0f%%  avg %4.0f%%   [paper: ≤ +30%% over MS]\n",
-			o.Worst*100, o.Avg*100)
-	}
-	if o, ok := ov["ms-busy"]; ok {
-		fmt.Fprintf(&b, "  four busy Processes:      worst %4.0f%%  avg %4.0f%%   [paper: 65%% worst, ~40%% avg]\n",
-			o.Worst*100, o.Avg*100)
+	for _, c := range figure2Claims {
+		for i, st := range r.Table2 {
+			if st.State == c.state {
+				worst, avg := overhead(norm[i])
+				fmt.Fprintf(&b, "  %-25s worst %4.0f%%  avg %4.0f%%   [paper: %s]\n", c.label, worst*100, avg*100, c.paper)
+			}
+		}
 	}
 	return b.String()
 }
 
 // FormatTable3 renders Table 3 — the strategy/application matrix — with
-// pointers to the modules and the ablation that measures each row.
+// pointers to the modules and the report section that measures each row.
 func FormatTable3() string {
 	return `Table 3: Applications of the three strategies (reproduction)
 
@@ -77,15 +122,15 @@ Serialization                 Replication                  Reorganization
 -----------------------------------------------------------------------------
 allocation                    interpretation               active process
   (heap: alloc lock;            (interp: one Interp per      (interp/sched:
-   ablation: -ablation alloc)    virtual processor)           thisProcess and
+   measured: strategies)         virtual processor)           thisProcess and
 garbage collection            method caches                  canRun: primitives;
   (heap: stop-the-world         (interp: per-processor        running Processes
-   scavenger;                    caches; ablation:            stay on the ready
-   -ablation scavenge)           -ablation methodcache)       queue)
+   scavenger;                    caches; measured:            stay on the ready
+   measured: scavenge)           strategies)                  queue)
 entry tables                  free contexts
   (heap: entry-table lock       (interp: per-processor
-   on store checks)              free lists; ablation:
-scheduling                       -ablation freelist)
+   on store checks)              free lists; measured:
+scheduling                       strategies)
   (interp: single ready
    queue under one lock)
 I/O queues

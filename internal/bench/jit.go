@@ -11,15 +11,15 @@ import (
 	"mst/internal/core"
 )
 
-// The msjit ablation (msbench -ablation jit): run send-heavy workloads
-// twice on identically configured systems — once interpreted, once with
-// the template tier on — and report the host-side speedup. Virtual
+// The msjit ablation: run send-heavy workloads twice on identically
+// configured systems — once interpreted, once with the template tier
+// on — and report the host-side speedup. Virtual
 // times are bit-identical between the tiers by construction (the tier
 // charges through the same cost table at the same points), and the
 // runner enforces that: any divergence is an error, which makes the
 // ablation double as a differential correctness check. The virtual
 // columns (virtual ms, compile and deopt counts, compiled-bytecode
-// share) are deterministic and are the jit section of msbench -json.
+// share) are deterministic and are the report's jit section.
 // The host nanoseconds and speedups are machine-bound: they stay off
 // the report, and the gate holds only the fresh run's FusionSpeedup to
 // the floor. They are the one host timing left in this package.

@@ -92,53 +92,53 @@ var MicroBenchmarks = []string{
 	"testHanoi", "testStringCompare",
 }
 
-// MicroResult is the micro suite's times under baseline BS and MS, in
-// virtual milliseconds.
-type MicroResult struct {
-	Names    []string
-	Baseline []int64
-	MS       []int64
+// MicroRow is one micro benchmark under baseline BS and MS, in virtual
+// milliseconds.
+type MicroRow struct {
+	Name              string `json:"name"`
+	BaselineVirtualMS int64  `json:"baseline_virtual_ms"`
+	MSVirtualMS       int64  `json:"ms_virtual_ms"`
 }
 
 // RunMicroSuite measures every micro benchmark under baseline BS and
 // uniprocessor-competition-free MS, exposing the static cost of the
 // multiprocessor support per operation class.
-func RunMicroSuite() (*MicroResult, error) {
-	r := &MicroResult{Names: MicroBenchmarks}
-	for i, cfgFn := range []func() core.Config{core.BaselineConfig, core.DefaultConfig} {
-		cfg := cfgFn()
+func RunMicroSuite() ([]MicroRow, error) {
+	rows := make([]MicroRow, len(MicroBenchmarks))
+	for i, st := range StandardStates()[:2] {
+		cfg := st.Config()
 		cfg.ExtraSources = append(cfg.ExtraSources, microSource)
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		for _, name := range MicroBenchmarks {
+		for j, name := range MicroBenchmarks {
 			ms, err := sys.EvaluateInt(fmt.Sprintf("MicroBenchmark new run: #%s", name))
 			if err != nil {
 				sys.Shutdown()
 				return nil, fmt.Errorf("bench: micro %s: %w", name, err)
 			}
+			rows[j].Name = name
 			if i == 0 {
-				r.Baseline = append(r.Baseline, ms)
+				rows[j].BaselineVirtualMS = ms
 			} else {
-				r.MS = append(r.MS, ms)
+				rows[j].MSVirtualMS = ms
 			}
 		}
 		sys.Shutdown()
 	}
-	return r, nil
+	return rows, nil
 }
 
-// Format renders the micro suite comparison.
-func (r *MicroResult) Format() string {
+// formatMicro renders the micro suite comparison.
+func formatMicro(rows []MicroRow) string {
 	var b strings.Builder
 	b.WriteString("Micro benchmarks (extension: the McCall suite's other half):\n")
 	b.WriteString("per-operation-class static cost of the multiprocessor support\n\n")
 	fmt.Fprintf(&b, "%-22s %12s %12s %10s\n", "benchmark", "baseline", "MS", "overhead")
-	for i, name := range r.Names {
-		over := float64(r.MS[i])/float64(r.Baseline[i]) - 1
-		fmt.Fprintf(&b, "%-22s %10dms %10dms %9.0f%%\n",
-			name, r.Baseline[i], r.MS[i], over*100)
+	for _, r := range rows {
+		over := float64(r.MSVirtualMS)/float64(r.BaselineVirtualMS) - 1
+		fmt.Fprintf(&b, "%-22s %10dms %10dms %9.0f%%\n", r.Name, r.BaselineVirtualMS, r.MSVirtualMS, over*100)
 	}
 	return b.String()
 }

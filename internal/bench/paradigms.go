@@ -95,71 +95,85 @@ consumeQueued: n from: q into: totals at: slot
 		totals at: slot put: (totals at: slot) + (self factorCount: q next)]! !
 `
 
-// ParadigmResult compares the two styles.
-type ParadigmResult struct {
-	Items            int
-	SharedTotal      int64
-	SharedMS         int64
-	SharedSchedOps   uint64 // scheduler-lock acquisitions
-	QueuedTotal      int64
-	QueuedMS         int64
-	QueuedSchedOps   uint64
-	SharedSemSignals uint64
-	QueuedSemSignals uint64
+// paradigmItems is the work items each producer pushes.
+const paradigmItems = 150
+
+// paradigmStyles are the two implementations: the ParadigmJob selector
+// and its label.
+var paradigmStyles = []struct{ selector, style string }{
+	{"runShared", "shared buffer + mutex (polling)"},
+	{"runQueued", "SharedQueue (blocking)"},
+}
+
+// ParadigmRow is one style's run: its answer, its elapsed virtual time
+// and the scheduling pressure it put on the system.
+type ParadigmRow struct {
+	Style      string `json:"style"`
+	Total      int64  `json:"total"`
+	VirtualMS  int64  `json:"virtual_ms"`
+	SchedOps   uint64 `json:"sched_lock_acquisitions"`
+	SemSignals uint64 `json:"sem_signals"`
+}
+
+// ParadigmReport compares the two styles.
+type ParadigmReport struct {
+	Items int           `json:"items"`
+	Rows  []ParadigmRow `json:"rows"`
 }
 
 // RunParadigms runs both implementations on fresh five-processor
 // systems and reports times plus scheduling pressure.
-func RunParadigms() (*ParadigmResult, error) {
-	const items = 150
-	res := &ParadigmResult{Items: items}
-	run := func(selector string) (total, ms int64, sched, signals uint64, err error) {
-		cfg := core.DefaultConfig()
-		cfg.ExtraSources = append(cfg.ExtraSources, paradigmsSource)
-		sys, err := core.NewSystem(cfg)
+func RunParadigms() (ParadigmReport, error) {
+	r := ParadigmReport{Items: paradigmItems}
+	for _, p := range paradigmStyles {
+		row, err := runParadigm(p.selector)
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return r, err
 		}
-		defer sys.Shutdown()
-		out, err := sys.Evaluate(fmt.Sprintf("ParadigmJob new %s: %d", selector, items))
-		if err != nil {
-			return 0, 0, 0, 0, err
+		row.Style = p.style
+		r.Rows = append(r.Rows, row)
+	}
+	if r.Rows[0].Total != r.Rows[1].Total {
+		return r, fmt.Errorf("bench: paradigm results disagree: %d vs %d", r.Rows[0].Total, r.Rows[1].Total)
+	}
+	return r, nil
+}
+
+func runParadigm(selector string) (ParadigmRow, error) {
+	var row ParadigmRow
+	cfg := core.DefaultConfig()
+	cfg.ExtraSources = append(cfg.ExtraSources, paradigmsSource)
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return row, err
+	}
+	defer sys.Shutdown()
+	out, err := sys.Evaluate(fmt.Sprintf("ParadigmJob new %s: %d", selector, paradigmItems))
+	if err != nil {
+		return row, err
+	}
+	if _, err := fmt.Sscanf(out, "(%d %d )", &row.Total, &row.VirtualMS); err != nil {
+		return row, fmt.Errorf("bench: paradigm result %q: %w", out, err)
+	}
+	st := sys.Stats()
+	for _, l := range st.Locks {
+		if l.Name == "scheduler" {
+			row.SchedOps = l.Acquisitions
 		}
-		if _, err := fmt.Sscanf(out, "(%d %d )", &total, &ms); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("bench: paradigm result %q: %w", out, err)
-		}
-		st := sys.Stats()
-		for _, l := range st.Locks {
-			if l.Name == "scheduler" {
-				sched = l.Acquisitions
-			}
-		}
-		return total, ms, sched, st.Interp.SemSignals, nil
 	}
-	var err error
-	if res.SharedTotal, res.SharedMS, res.SharedSchedOps, res.SharedSemSignals, err = run("runShared"); err != nil {
-		return nil, err
-	}
-	if res.QueuedTotal, res.QueuedMS, res.QueuedSchedOps, res.QueuedSemSignals, err = run("runQueued"); err != nil {
-		return nil, err
-	}
-	if res.SharedTotal != res.QueuedTotal {
-		return nil, fmt.Errorf("bench: paradigm results disagree: %d vs %d",
-			res.SharedTotal, res.QueuedTotal)
-	}
-	return res, nil
+	row.SemSignals = st.Interp.SemSignals
+	return row, nil
 }
 
 // Format renders the comparison.
-func (r *ParadigmResult) Format() string {
+func (r *ParadigmReport) Format() string {
 	var b strings.Builder
 	b.WriteString("Concurrent-programming paradigms (extension; paper §6 future work):\n")
 	fmt.Fprintf(&b, "2 producers + 2 consumers, %d items each, 5 processors; both styles\n", r.Items)
-	fmt.Fprintf(&b, "compute the same answer (%d)\n\n", r.SharedTotal)
+	fmt.Fprintf(&b, "compute the same answer (%d)\n\n", r.Rows[0].Total)
 	fmt.Fprintf(&b, "%-34s %10s %14s %14s\n", "style", "elapsed", "sched-lock acq", "sem signals")
-	fmt.Fprintf(&b, "%-34s %8dms %14d %14d\n",
-		"shared buffer + mutex (polling)", r.SharedMS, r.SharedSchedOps, r.SharedSemSignals)
-	fmt.Fprintf(&b, "%-34s %8dms %14d %14d\n",
-		"SharedQueue (blocking)", r.QueuedMS, r.QueuedSchedOps, r.QueuedSemSignals)
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-34s %8dms %14d %14d\n", row.Style, row.VirtualMS, row.SchedOps, row.SemSignals)
+	}
 	return b.String()
 }

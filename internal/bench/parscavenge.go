@@ -10,7 +10,7 @@ import (
 	"mst/internal/trace"
 )
 
-// The parallel-scavenge ablation (msbench -ablation parscavenge): a
+// The parallel-scavenge ablation (the report's parscavenge section): a
 // heap-only workload — a seeded deterministic object graph, mutated
 // and explicitly scavenged over several rounds — run at 1/2/4/8
 // simulated processors, once with the serial scavenger and once with
@@ -149,8 +149,8 @@ func RunParScavengeAblation() (*ParScavReport, error) {
 	return r, nil
 }
 
-// FormatParScavenge renders the ablation for terminal output.
-func FormatParScavenge(r *ParScavReport) string {
+// Format renders the ablation for terminal output.
+func (r *ParScavReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel scavenging ablation: %d rounds x %d allocations, ~%d rooted survivors\n\n",
 		parScavRounds, parScavBatch, parScavKeep)

@@ -62,7 +62,7 @@ func TestParScavengeAblationDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("ablation not deterministic:\n%+v\n%+v", a, b)
 	}
-	out := FormatParScavenge(a)
+	out := a.Format()
 	if !strings.Contains(out, "procs") || !strings.Contains(out, "speedup") {
 		t.Errorf("format output missing columns:\n%s", out)
 	}

@@ -12,8 +12,8 @@ import (
 	"mst/internal/sanitize"
 )
 
-// msbench -sanitize: rerun every state of a measured Table 2 with the
-// mscheck invariant sanitizer on, and report two things per state:
+// The sanitize section: rerun every state of the measured Table 2 with
+// the mscheck invariant sanitizer on, and report two things per state:
 //
 //   - the verdict: zero violations on the real workload;
 //   - the determinism sentinel: the sanitized run's virtual times and
@@ -47,7 +47,7 @@ type SanitizeRow struct {
 	BarrierWords uint64 `json:"barrier_words"`
 }
 
-// SanitizeReport is the full msbench -sanitize result.
+// SanitizeReport is the report's sanitize section.
 type SanitizeReport struct {
 	Benches []string      `json:"benches"`
 	Rows    []SanitizeRow `json:"rows"`
@@ -118,14 +118,19 @@ func flattenJSON(key string, v any, out map[string]string) {
 	}
 }
 
-// RunSanitize reruns every state of t with the sanitizer on (and the
-// histograms, as in t) and holds each run to t's times and metrics.
-// When staticEdges is non-nil (the "a -> b" strings of msvet
-// -lockgraph), every state's observed acquisition-order edges are also
-// verified to be a subgraph of the static graph.
-func RunSanitize(t *Table2, staticEdges []string) (*SanitizeReport, error) {
+// RunSanitize reruns every standard state of the measured Table 2 with
+// the sanitizer on (and the histograms, as in Table 2) and holds each
+// run to its Table 2 row's times and metrics. When staticEdges is
+// non-nil (the "a -> b" strings of msvet -lockgraph), every state's
+// observed acquisition-order edges are also verified to be a subgraph
+// of the static graph.
+func RunSanitize(table2 []JSONState, staticEdges []string) (*SanitizeReport, error) {
 	r := &SanitizeReport{Benches: macroSelectors()}
-	for i, st := range t.States {
+	for _, js := range table2 {
+		st, ok := standardState(js.State)
+		if !ok {
+			return nil, fmt.Errorf("bench: sanitize: no standard state %q", js.State)
+		}
 		row := SanitizeRow{State: st.Name}
 		var m core.Metrics
 		sanitized := st.with(func(cfg *core.Config) {
@@ -153,13 +158,17 @@ func RunSanitize(t *Table2, staticEdges []string) (*SanitizeReport, error) {
 		if err != nil {
 			return nil, err
 		}
+		var plain []int64
+		for _, b := range js.Benches {
+			plain = append(plain, b.VirtualMS)
+		}
 		row.VirtualMS = ms
-		if !reflect.DeepEqual(t.Ms[i], ms) {
+		if !reflect.DeepEqual(plain, ms) {
 			row.Divergences = append(row.Divergences,
-				fmt.Sprintf("virtual times: off=%v on=%v", t.Ms[i], ms))
+				fmt.Sprintf("virtual times: off=%v on=%v", plain, ms))
 		}
 		row.Divergences = append(row.Divergences, sanitize.FingerprintDiff("off", "on",
-			flatten("metrics", t.Metrics[i]), flatten("metrics", m))...)
+			flatten("metrics", js.Metrics), flatten("metrics", m))...)
 		row.Identical = len(row.Divergences) == 0
 		r.Rows = append(r.Rows, row)
 	}

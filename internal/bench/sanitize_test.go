@@ -10,20 +10,22 @@ import (
 
 // One state's Table 2 run and its sanitized rerun: clean checker,
 // identical virtual times, identical metrics fingerprint (the cheap
-// slice of what msbench -sanitize and TestGoldenSanitizeInvariance run
+// slice of what the report's sanitize section and TestGoldenSanitizeInvariance run
 // in full).
 func TestSanitizeRunIdenticalAndClean(t *testing.T) {
 	st := StandardStates()[1] // ms
-	t2 := &Table2{States: []State{st}}
+	js := JSONState{State: st.Name}
 	row, err := runState(st.with(histograms), macroSelectors(), func(sys *core.System) error {
-		t2.Metrics = append(t2.Metrics, sys.Metrics())
+		js.Metrics = sys.Metrics()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2.Ms = append(t2.Ms, row)
-	r, err := RunSanitize(t2, nil)
+	for j, ms := range row {
+		js.Benches = append(js.Benches, JSONBench{Name: MacroBenchmarks[j].Selector, VirtualMS: ms})
+	}
+	r, err := RunSanitize([]JSONState{js}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,17 +115,18 @@ parseOrganization: orgString
 `
 
 // MacroBenchmarks lists the benchmark selectors in Table 2 column order,
-// with the paper's display names.
+// with the paper's display names and Table 2's column headers.
 var MacroBenchmarks = []struct {
 	Selector string
 	Paper    string
+	Short    string
 }{
-	{"readWriteClassOrganization", "read and write class organization"},
-	{"printClassDefinition", "print class definition"},
-	{"printClassHierarchy", "print class hierarchy"},
-	{"findAllCalls", "find all calls"},
-	{"findAllImplementors", "find all implementors"},
-	{"createInspectorView", "create inspector view"},
-	{"compileDummyMethod", "compile dummy method"},
-	{"decompileClass", "decompile class"},
+	{"readWriteClassOrganization", "read and write class organization", "r/w class org"},
+	{"printClassDefinition", "print class definition", "print def"},
+	{"printClassHierarchy", "print class hierarchy", "print hier"},
+	{"findAllCalls", "find all calls", "find calls"},
+	{"findAllImplementors", "find all implementors", "find impl"},
+	{"createInspectorView", "create inspector view", "inspector"},
+	{"compileDummyMethod", "compile dummy method", "compile"},
+	{"decompileClass", "decompile class", "decompile"},
 }

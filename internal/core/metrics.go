@@ -14,7 +14,7 @@ import (
 // that counts it (firefly.ProcStats, firefly.LockStats, heap.Stats,
 // interp.Stats, each carrying its JSON keys); this file adds only the
 // derived shares and the machine, trace and latency sections. Every
-// report (msbench -json, -contention, mst -stats) reads from it.
+// report (msbench and its -json report, mst -stats) reads from it.
 
 // MetricsSchemaVersion versions the Metrics struct and every JSON
 // document embedding it. Bump it whenever a field changes meaning or

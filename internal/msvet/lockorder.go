@@ -58,7 +58,7 @@ var LockorderAnalyzer = &Analyzer{
 }
 
 // LockGraphData is the deterministic JSON shape `msvet -lockgraph`
-// emits and `msbench -sanitize -lockgraph` consumes.
+// emits and `msbench -lockgraph` consumes.
 type LockGraphData struct {
 	Nodes []string       `json:"nodes"`
 	Edges []LockEdgeData `json:"edges"`
