@@ -1,7 +1,7 @@
 // Command msvet runs the repository's custom vet suite (see
-// internal/msvet): seven analyzers (virttime, lockpair, costcharge,
-// stwsafe, atomicguard, barrierflow, lockorder), each applied once to
-// the whole type-checked module, and exits non-zero on any finding.
+// internal/msvet): six analyzers (virttime, lockpair, stwsafe,
+// atomicguard, barrierflow, lockorder), each applied once to the whole
+// type-checked module, and exits non-zero on any finding.
 // A structural rule is a //msvet: annotation, not a source grep:
 // //msvet:defined-once <callee> names the one function that may call
 // <callee>, and lockpair holds it.

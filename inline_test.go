@@ -26,8 +26,6 @@ var mustInline = map[string][]string{
 	"internal/trace": {"(*Recorder).Emit", "(*Histogram).Record"},
 	"internal/sanitize": {
 		"(*Checker).OnAcquire", "(*Checker).OnRelease", "(*Checker).OnAccess",
-		"(*Checker).OnOwnedAccess", "(*Checker).OnGCClaim", "(*Checker).OnGCPublish",
-		"(*Checker).OnMarkGrey",
 	},
 	"internal/interp": {"(*Interp).stackAt"},
 	"internal/heap": {

@@ -129,7 +129,7 @@ func (l *Spinlock) acquired(p *Proc, spin Time, exclusive int64) {
 // released is the epilogue of every release.
 func (l *Spinlock) released(p *Proc, exclusive int64) {
 	p.m.rec.Emit(trace.KLockRelease, p.id, int64(p.clock), 0, exclusive, l.name)
-	p.m.san.OnRelease(p.id, int64(p.clock), l.name)
+	p.m.san.OnRelease(p.id, l.name)
 }
 
 // Acquire takes the lock at the processor's current virtual time,

@@ -101,9 +101,7 @@ func TestSanitizerBackfillsLockRegistration(t *testing.T) {
 }
 
 // Release by a processor that does not hold the lock: the simulator
-// panics (host-atomicity enforcement), and the checker — fed directly,
-// as it would be by a lock implementation without the panic — reports
-// release-not-held.
+// panics (host-atomicity enforcement) before any sanitizer hook runs.
 func TestReleaseByNonHolderPanics(t *testing.T) {
 	m := New(2, DefaultCosts())
 	l := m.NewSpinlock("owned", true)

@@ -152,8 +152,6 @@ func (h *Heap) reserve(p *firefly.Proc, total int) uint64 {
 // reserveTLAB bumps the processor's local chunk, refilling from eden.
 func (h *Heap) reserveTLAB(p *firefly.Proc, total int) uint64 {
 	t := &h.tlabs[p.ID()]
-	// A TLAB is a Table-3 replication row: only its owner bumps it.
-	h.san.OnOwnedAccess(p.ID(), p.ID(), int64(p.Now()), "tlab")
 	if t.fits(total) {
 		return t.take(total)
 	}

@@ -29,8 +29,8 @@ import (
 //     into old space while marking is active are allocated black.
 //   - Finalize window (stop-the-world): the residual grey stack is
 //     drained (SATB guarantees it runs dry — no mutator runs to refill
-//     it), the tri-color invariant is verified, and the entry table is
-//     pruned to marked objects. O(residual + table), not O(old).
+//     it), and the entry table is pruned to marked objects.
+//     O(residual + table), not O(old).
 //   - Lazy sweep (outside the pauses): old space is walked once; live
 //     objects have their mark bit cleared, dead runs are coalesced into
 //     filler pseudo-objects and published as a free list that the
@@ -88,8 +88,6 @@ type concMark struct {
 	shaded uint64 // deletion-barrier shades this cycle
 	slices uint64 // bounded slices drained outside the windows
 
-	proc       int          // initiating processor
-	at         int64        // cycle begin time (trace attribution)
 	work       firefly.Time // collector ticks charged this cycle
 	sweepLimit uint64       // old.next at finalize: the sweep walks [old.base, sweepLimit)
 }
@@ -119,7 +117,7 @@ func (cm *concMark) take(budget int, buf []object.OOP) []object.OOP {
 // outside old space — SmallIntegers, immortals, young pointers — are
 // ignored: young space is covered by the snapshot window and is never
 // traced. Reports whether this call claimed the object.
-func (cm *concMark) shadeRef(proc int, v object.OOP) bool {
+func (cm *concMark) shadeRef(v object.OOP) bool {
 	h := cm.h
 	if !v.IsPtr() || v == object.Invalid {
 		return false
@@ -146,7 +144,6 @@ func (cm *concMark) shadeRef(proc int, v object.OOP) bool {
 		}
 		h.SetHeader(v, hd.SetMarked(true))
 	}
-	h.san.OnMarkGrey(proc, cm.at, a)
 	cm.push(v)
 	return true
 }
@@ -156,36 +153,17 @@ func (cm *concMark) shadeRef(proc int, v object.OOP) bool {
 // slot at idx is overwritten: the old-space object the slot currently
 // references is shaded grey, so a reference that existed at the
 // snapshot stays markable even if the mutator erases every copy of it.
-// p is nil for StoreNoCheck (no processor at that call site);
-// attribution then falls back to the marking processor. The shade
-// itself is charged no virtual time — the cost lands when the slice
-// scan blackens the object.
-func (h *Heap) deletionBarrier(p *firefly.Proc, idx uint64) {
+// The shade itself is charged no virtual time — the cost lands when
+// the slice scan blackens the object.
+func (h *Heap) deletionBarrier(idx uint64) {
 	cm := h.cm
 	if !cm.active.Load() {
 		return
 	}
-	old := object.OOP(h.loadWord(idx))
-	if !old.IsPtr() || old == object.Invalid {
-		return
-	}
-	a := old.Addr()
-	if a < h.old.base || a >= h.newBase {
-		return
-	}
-	proc, at := cm.proc, cm.at
-	if p != nil {
-		proc, at = p.ID(), int64(p.Now())
-	}
-	if !h.skipBarrier {
-		if cm.shadeRef(proc, old) {
-			cm.mu.Lock()
-			cm.shaded++
-			cm.mu.Unlock()
-		}
-	}
-	if san := h.san; san != nil { // skips the header re-read, not a safety test
-		san.OnDeletionBarrier(proc, at, a, object.Header(h.loadWord(a)).Marked())
+	if cm.shadeRef(object.OOP(h.loadWord(idx))) {
+		cm.mu.Lock()
+		cm.shaded++
+		cm.mu.Unlock()
 	}
 }
 
@@ -247,16 +225,15 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	cm.grey = cm.grey[:0]
 	cm.marked, cm.shaded, cm.slices, cm.work = 0, 0, 0, 0
 	cm.mu.Unlock()
-	cm.proc, cm.at = p.ID(), int64(start)
 
 	shaded, words := 0, 0
 	h.visitAllRoots(func(slot *object.OOP) {
-		if cm.shadeRef(p.ID(), *slot) {
+		if cm.shadeRef(*slot) {
 			shaded++
 		}
 	})
 	shadeFrom := func(o object.OOP) {
-		n, s := h.scanBlack(p.ID(), o)
+		n, s := h.scanBlack(o)
 		words, shaded = words+n, shaded+s
 	}
 	// The immortal objects never move and are never collected, but
@@ -287,7 +264,7 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 // parallel host mode the mutators run while it marks, so every load
 // must be atomic. Returns the object's size in words, for cost
 // accounting, and how many objects this call shaded.
-func (h *Heap) scanBlack(proc int, o object.OOP) (words, shaded int) {
+func (h *Heap) scanBlack(o object.OOP) (words, shaded int) {
 	addr := o.Addr()
 	hd := object.Header(h.loadWord(addr))
 	end := addr + object.HeaderWords
@@ -295,7 +272,7 @@ func (h *Heap) scanBlack(proc int, o object.OOP) (words, shaded int) {
 		end = addr + uint64(hd.SizeWords())
 	}
 	for a := addr + 1; a < end; a++ {
-		if h.cm.shadeRef(proc, object.OOP(h.loadWord(a))) {
+		if h.cm.shadeRef(object.OOP(h.loadWord(a))) {
 			shaded++
 		}
 	}
@@ -315,7 +292,7 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int, fromAssist bool) int {
 	}
 	words := 0
 	for _, o := range batch {
-		n, _ := h.scanBlack(p.ID(), o)
+		n, _ := h.scanBlack(o)
 		words += n
 	}
 	c := h.m.Costs()
@@ -347,9 +324,9 @@ func (h *Heap) concAssist(p *firefly.Proc) {
 
 // finishConcMark closes the cycle under a stopped world: the residual
 // grey stack is drained (no mutator runs, so SATB guarantees it
-// empties), the tri-color invariant is verified, the entry table is
-// pruned to marked objects, and the sweep bounds are captured. The
-// lazy sweep itself runs after the world resumes.
+// empties), the entry table is pruned to marked objects, and the
+// sweep bounds are captured. The lazy sweep itself runs after the world
+// resumes.
 func (h *Heap) finishConcMark(p *firefly.Proc) {
 	cm := h.cm
 	if !cm.active.Load() {
@@ -368,7 +345,7 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 			break
 		}
 		for _, o := range batch {
-			n, _ := h.scanBlack(p.ID(), o)
+			n, _ := h.scanBlack(o)
 			words += n
 		}
 		residual += len(batch)
@@ -376,8 +353,6 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	cm.mu.Lock()
 	cm.marked += uint64(residual)
 	cm.mu.Unlock()
-
-	h.verifyTriColor(p)
 
 	// Prune the entry table to marked objects, exactly as the serial
 	// collector does: a dead entry's young referents die with it at
@@ -416,7 +391,6 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	h.stats.ConcMarkShaded += cm.shaded
 
 	runHooks(h.postGC)
-	h.san.ResetMarkClaims()
 }
 
 // closeConcWindow ends a stop-the-world window of the marking cycle

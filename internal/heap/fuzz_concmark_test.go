@@ -3,7 +3,6 @@ package heap
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,8 +165,7 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 // runConcFuzzDet runs one seeded workload deterministically on a
 // four-processor machine (driver on processor 0) and returns the
 // canonical surviving state. The sanitizer rides along and must stay
-// clean — it is watching the deletion barrier and the tri-color
-// invariant in the concurrent runs.
+// clean: its lockset and write-barrier engines watch every run.
 func runConcFuzzDet(t *testing.T, seed int64, conc bool) (fuzzResult, Stats) {
 	t.Helper()
 	cfg := fuzzConfig()
@@ -225,96 +223,6 @@ func TestConcMarkFuzzDifferential(t *testing.T) {
 		t.Fatalf("the deletion barrier never shaded across %d seeds (%d cycles); the SATB case went unexercised",
 			seeds, cycles)
 	}
-}
-
-// assertConcViolation fails unless the sanitizer holds at least one
-// violation of the given kind whose detail contains want, and no
-// violation of any other kind.
-func assertConcViolation(t *testing.T, san *sanitize.Checker, kind sanitize.Kind, want string) {
-	t.Helper()
-	vs := san.Violations()
-	if len(vs) == 0 {
-		t.Fatalf("injected fault not detected (want %v violation containing %q)", kind, want)
-	}
-	found := false
-	for _, v := range vs {
-		if v.Kind != kind {
-			t.Errorf("unexpected violation kind %v (want only %v): %s", v.Kind, kind, v)
-			continue
-		}
-		if strings.Contains(v.Detail, want) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no %v violation mentions %q:\n%s", kind, want, san.Report())
-	}
-}
-
-// TestConcMarkSkippedBarrierCaught is the fault-injection test for the
-// sanitizer's concmark rule: with the deletion barrier disabled (the
-// skipBarrier test knob), overwriting the only reference to a white
-// old-space object during an active cycle must be reported — the
-// checker sees an unshaded snapshot-reachable referent go unmarkable.
-func TestConcMarkSkippedBarrierCaught(t *testing.T) {
-	cfg := fuzzConfig()
-	cfg.ConcMark = true
-	m := firefly.New(2, firefly.DefaultCosts())
-	san := sanitize.New()
-	m.SetSanitizer(san)
-	h := New(m, cfg)
-	m.Start(0, func(p *firefly.Proc) {
-		a := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
-		x := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
-		h.Store(p, a, 1, x)
-		h.AddRoot(&a)
-
-		h.startConcMark(p)
-		// a is grey (shaded as a root), x still white: no slice has
-		// scanned a yet. Erase the only reference to x with the barrier
-		// disabled — the exact bug the rule exists to catch.
-		h.skipBarrier = true
-		h.Store(p, a, 1, object.Nil)
-		h.skipBarrier = false
-		h.finishConcMark(p)
-		h.concMarkSweep(p)
-	})
-	if r := m.Run(nil); r != firefly.StopAllDone {
-		t.Fatalf("machine stopped with %v", r)
-	}
-	assertConcViolation(t, san, sanitize.KindConcMark, "deletion barrier skipped")
-}
-
-// TestConcMarkTriColorViolationCaught is the fault-injection test for
-// the finalize window's verifier: a reachable old-space object whose
-// mark bit is lost mid-cycle (simulating a dropped shade) must be
-// reported by the tri-color check before the sweep would reclaim it.
-func TestConcMarkTriColorViolationCaught(t *testing.T) {
-	cfg := fuzzConfig()
-	cfg.ConcMark = true
-	m := firefly.New(2, firefly.DefaultCosts())
-	san := sanitize.New()
-	m.SetSanitizer(san)
-	h := New(m, cfg)
-	m.Start(0, func(p *firefly.Proc) {
-		a := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
-		x := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
-		h.Store(p, a, 1, x)
-		h.AddRoot(&a)
-
-		h.startConcMark(p)
-		for h.concMarkSlice(p, concMarkSliceObjects, false) > 0 {
-		}
-		// Marking is complete and x is black. Lose its mark — the
-		// injected equivalent of a missed shade — and finalize: the
-		// tri-color verifier must see a reachable white object.
-		h.SetHeader(x, h.Header(x).SetMarked(false))
-		h.finishConcMark(p)
-	})
-	if r := m.Run(nil); r != firefly.StopAllDone {
-		t.Fatalf("machine stopped with %v", r)
-	}
-	assertConcViolation(t, san, sanitize.KindConcMark, "tri-color invariant broken")
 }
 
 // concPauseWorkload tenures a sliding window of keep rooted objects

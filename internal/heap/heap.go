@@ -215,13 +215,9 @@ type Heap struct {
 	// cm is the concurrent old-space marker (nil unless cfg.ConcMark);
 	// the pointer-store funnels consult it for the deletion barrier.
 	// oldFree is the sweep-produced free list of old-space spans that
-	// reserveOld and AllocateNoGC consult before bumping. skipBarrier
-	// is a test-only fault-injection knob: when set, the deletion
-	// barrier reports to the sanitizer but skips the shade, so the
-	// concmark rule can prove it catches a missing barrier.
-	cm          *concMark
-	oldFree     []freeSpan
-	skipBarrier bool
+	// reserveOld and AllocateNoGC consult before bumping.
+	cm      *concMark
+	oldFree []freeSpan
 
 	// gcMu serializes copy-buffer chunk carving from the shared spaces
 	// during a parallel host-mode scavenge. Host machinery only: the
@@ -614,7 +610,7 @@ func (h *Heap) ClassOf(o object.OOP) object.OOP {
 // space referenced from an old object must be remembered).
 func (h *Heap) SetClass(p *firefly.Proc, o, class object.OOP) {
 	if h.cm != nil {
-		h.deletionBarrier(p, o.Addr()+1)
+		h.deletionBarrier(o.Addr() + 1)
 	}
 	h.storeWord(o.Addr()+1, uint64(class))
 	h.storeCheck(p, o, class)
@@ -630,7 +626,7 @@ func (h *Heap) Fetch(o object.OOP, i int) object.OOP {
 // entry table, serialized under the entry-table lock (paper §3.1).
 func (h *Heap) Store(p *firefly.Proc, o object.OOP, i int, v object.OOP) {
 	if h.cm != nil {
-		h.deletionBarrier(p, o.Addr()+object.HeaderWords+uint64(i))
+		h.deletionBarrier(o.Addr() + object.HeaderWords + uint64(i))
 	}
 	h.storeWord(o.Addr()+object.HeaderWords+uint64(i), uint64(v))
 	h.storeCheck(p, o, v)
@@ -641,7 +637,7 @@ func (h *Heap) Store(p *firefly.Proc, o object.OOP, i int, v object.OOP) {
 // is provably in new space.
 func (h *Heap) StoreNoCheck(o object.OOP, i int, v object.OOP) {
 	if h.cm != nil {
-		h.deletionBarrier(nil, o.Addr()+object.HeaderWords+uint64(i))
+		h.deletionBarrier(o.Addr() + object.HeaderWords + uint64(i))
 	}
 	h.storeWord(o.Addr()+object.HeaderWords+uint64(i), uint64(v))
 }

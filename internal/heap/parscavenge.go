@@ -22,8 +22,7 @@ import (
 //     buffer's unused tail is capped with a filler object.
 //   - Claiming: the first worker to CAS an object's header to the busy
 //     sentinel owns the copy and publishes the forwarding pointer, then
-//     the forwarded header; a loser spins until it appears. The
-//     sanitizer models the claim as an ownership transfer.
+//     the forwarded header; a loser spins until it appears.
 //   - Termination: in host mode an active-worker count detects
 //     quiescence; the owner then waits out RunStopped's join barrier.
 //

@@ -28,15 +28,20 @@ func sanHeap(t *testing.T, cfg Config, fn func(h *Heap, p *firefly.Proc)) *sanit
 // under the sanitizer, and the write-barrier verifier must have run.
 func TestSanitizerCleanWorkload(t *testing.T) {
 	san := sanHeap(t, smallConfig(), func(h *Heap, p *firefly.Proc) {
-		// Build an old object, then make it reference new space through
-		// the proper barrier, then scavenge repeatedly.
+		// Build two old objects, then make them reference new space
+		// through the proper barriers (a field store and a class-word
+		// store), then scavenge repeatedly. One object is large enough
+		// to go straight to old space, under the alloc lock.
 		old := h.AllocateNoGC(object.Nil, 4, object.FmtPointers)
+		classed := h.AllocateNoGC(object.Nil, 2, object.FmtPointers)
+		h.Allocate(p, object.Nil, 200, object.FmtPointers)
 		var root object.OOP = object.Nil
 		h.AddRoot(&root)
 		for i := 0; i < 5; i++ {
 			young := h.Allocate(p, object.Nil, 2, object.FmtPointers)
 			root = young
 			h.Store(p, old, 0, young)
+			h.SetClass(p, classed, young)
 			h.Scavenge(p)
 		}
 	})

@@ -322,7 +322,6 @@ func (h *Heap) parForward(w *scavWorker, o object.OOP) object.OOP {
 	w.cost += c.ScavengePerObject + c.ScavengePerWord*firefly.Time(size)
 	copy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])
 	h.mem[dst] = uint64(nh)
-	h.san.OnGCPublish(w.id, h.gcAt, addr)
 	atomic.StoreUint64(&h.mem[addr+1], dst)
 	atomic.StoreUint64(&h.mem[addr], uint64(hd.SetForwarded()))
 	w.wl.push(greyItem{obj: object.FromAddr(dst)})
@@ -345,7 +344,6 @@ func (h *Heap) claim(w *scavWorker, addr uint64) object.Header {
 		case hd.Forwarded():
 			return hd
 		case atomic.CompareAndSwapUint64(&h.mem[addr], uint64(hd), uint64(scavBusyHeader)):
-			h.san.OnGCClaim(w.id, h.gcAt, addr)
 			return hd
 		}
 	}
@@ -422,7 +420,6 @@ func (h *Heap) finishScavenge(s *parScav, p *firefly.Proc, start firefly.Time) {
 		h.rec.Emit(trace.KScavWorkerEnd, i, h.gcAt+int64(w.cost),
 			int64(w.copiedObjects), int64(w.copiedWords), "")
 	}
-	h.san.ResetGCClaims()
 }
 
 // noteCopy tells the allocation-site profiler that the scavenger copied

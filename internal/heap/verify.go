@@ -126,48 +126,3 @@ func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
 	}
 	san.NoteBarrierScan(words)
 }
-
-// verifyTriColor is the concurrent marker's finalize-window check: a
-// read-only traversal from the registered roots (through young objects
-// — young space is not traced by the marker, but its referents were
-// shaded at the snapshot) asserting that every reachable old-space
-// object is marked. A white reachable object here means a deletion
-// barrier was skipped or a shade was lost, and the sweep would turn a
-// live object into a dangling reference. Violations go to the checker;
-// nothing in the heap is written.
-func (h *Heap) verifyTriColor(p *firefly.Proc) {
-	san := h.san
-	if san == nil {
-		return
-	}
-	at := int64(p.Now())
-	seen := make(map[uint64]bool)
-	var stack []uint64
-	visit := func(o object.OOP) {
-		if !o.IsPtr() || o == object.Invalid {
-			return
-		}
-		a := o.Addr()
-		if a < h.old.base {
-			return // the immortals are never collected
-		}
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		if a < h.newBase && !object.Header(h.mem[a]).Marked() {
-			san.ReportConcMark(p.ID(), at, fmt.Sprintf(
-				"tri-color invariant broken: old object %#x is reachable but unmarked at finalize",
-				a))
-		}
-		stack = append(stack, a)
-	}
-	h.visitAllRoots(func(slot *object.OOP) { visit(*slot) })
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range h.refWords(a) {
-			visit(object.OOP(w))
-		}
-	}
-}

@@ -41,9 +41,6 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 		vm.sanAccess(in.p, "shared-method-cache")
 	} else {
 		cache = in.cache
-		// Replicated caches are a Table-3 replication row: each is
-		// only ever probed by its owning processor.
-		vm.san.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "method-cache-replica")
 	}
 	idx := cacheIndex(selector, class)
 	in.p.Advance(in.probeCost)
@@ -407,9 +404,6 @@ func (in *Interp) recycleContext(ctx object.OOP) {
 		vm.freeLock.Release(in.p)
 		return
 	}
-	// Per-processor free context lists are a Table-3 replication
-	// row (the paper's fix for the 160% worst-case overhead).
-	vm.san.OnOwnedAccess(in.p.ID(), in.p.ID(), int64(in.p.Now()), "free-contexts-replica")
 	if len(*list) < freeListMax {
 		*list = append(*list, ctx)
 	}

@@ -498,7 +498,7 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 	// Table-3 serialization rows owned by the interpreter: the
 	// shared ready queue always; the shared method cache and shared
 	// free context lists only under their serialized policies (the
-	// replicated defaults are validated by ownership hooks instead).
+	// replicated defaults have no lock to check).
 	vm.san.RegisterGuard("ready-queue", "scheduler")
 	if cfg.MethodCache == CacheSharedLocked {
 		vm.san.RegisterGuard("shared-method-cache", "method-cache")

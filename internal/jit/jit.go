@@ -11,8 +11,9 @@
 // substrate (Marr et al.): everything that affects virtual time lives
 // here, flows from *firefly.Costs, and is identical to what the
 // interpreter charges — a compiled method is bit-identical in virtual
-// time and pays off only in host nanoseconds. The msvet costcharge rule
-// enforces that no literal tick constant ever enters this package.
+// time and pays off only in host nanoseconds. A literal tick constant
+// here would move TestGoldenJITOn's clocks and fail the JIT
+// differentials.
 package jit
 
 import (
@@ -154,8 +155,7 @@ func Compile(code []byte) (*Program, error) {
 
 // Specialize resolves the per-bytecode dispatch charge from the shared
 // cost table. This is the only place the tier derives a tick value, and
-// it comes exclusively from costs — the msvet costcharge rule rejects
-// any literal constant here.
+// it comes exclusively from costs.
 func (p *Program) Specialize(costs *firefly.Costs) {
 	p.DispatchCost = costs.Bytecode
 }

@@ -2,43 +2,46 @@
 // discipline this repository's virtual-time simulation depends on.
 // Every analyzer runs once over the whole type-checked module (go/types
 // over every package, one loader, one callee-resolution call graph and
-// one hold walk — see loader.go, callgraph.go, annotations.go, held.go):
+// one hold walk — see loader.go, callgraph.go, annotations.go, held.go).
+// Each stays because a row of the catch matrix (catchmatrix_test.go)
+// is caught by it and by no other tool, or because it polices a row of
+// the paper's Table 3; the bracket names which:
 //
 //   - virttime:    no time / math/rand imports in virtual-time packages
 //     — host wall-clock or host randomness anywhere in the simulated
-//     machine would break bit-identical determinism.
+//     machine would break bit-identical determinism. [row 7, alone]
 //   - lockpair:    every Spinlock/RWSpinlock acquire and StopTheWorld is
 //     paired with the matching release — some call in the same function
 //     releases it, and by the hold walk it is never still definitely
 //     held at a return. It also holds //msvet:defined-once: the one
 //     function carrying `//msvet:defined-once <callee>` calls <callee>,
 //     and no other non-test function does (the idle poll's TryAcquire,
-//     the coroutine constructor's iter.Pull).
-//   - costcharge:  internal/jit never invents a virtual-time cost —
-//     nonzero literal firefly.Time values and .Advance calls are
-//     forbidden there; compiled bytecodes must charge through the
-//     interpreter's shared cost table.
+//     the coroutine constructor's iter.Pull). [Table 3's serialization
+//     locks; row 10]
 //   - stwsafe:     computes the set of functions reachable from inside
 //     the stop-the-world window (the world's region in the hold walk,
 //     from a StopTheWorld along every path to its ResumeTheWorld, plus
 //     //msvet:stw-entry roots) and reports any reachable allocation,
 //     channel operation, or acquisition of a lock not annotated
-//     //msvet:stw-safe.
+//     //msvet:stw-safe. [Table 3's serialized scavenge; row 8]
 //   - atomicguard: any struct field accessed through sync/atomic
 //     anywhere in the module must be accessed atomically everywhere —
 //     plain reads/writes are flagged outside STW-reachable code and
-//     //msvet:atomic-excluded functions.
+//     //msvet:atomic-excluded functions. [row 6 alone; row 4 with
+//     barrierflow]
 //   - barrierflow: every raw store into object memory (`.mem[...]`)
 //     must sit in a //msvet:heap-writer-annotated funnel or in
 //     STW-reachable collector code, so helper-function indirection
 //     cannot smuggle an unbarriered store past a file allowlist — and
 //     none at all in the read-only write-barrier verifier. (Outside
 //     internal/heap the Go compiler already enforces it: Heap.mem is
-//     unexported and never returned.)
+//     unexported and never returned.) [Table 3's entry-tables row;
+//     row 4 with atomicguard]
 //   - lockorder:   extracts the static lock-acquisition-order graph
 //     from the lock regions of the hold walk across the call graph,
 //     reports static cycles, and emits the graph as deterministic JSON
 //     (`msvet -lockgraph`) for mscheck's runtime subgraph cross-check.
+//     [Table 3's serialization locks; row 2]
 //
 // The suite is intentionally stdlib-only (go/ast + go/parser +
 // go/types with the source importer): the build environment has no
@@ -93,7 +96,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		VirttimeAnalyzer,
 		LockpairAnalyzer,
-		CostchargeAnalyzer,
 		StwsafeAnalyzer,
 		AtomicguardAnalyzer,
 		BarrierflowAnalyzer,

@@ -346,57 +346,6 @@ func straightline(m *Machine, p *Proc) {
 	wantFindings(t, got, 0, "")
 }
 
-// ---- costcharge ----
-
-func TestCostchargeFlagsInventedCosts(t *testing.T) {
-	got := runOn(t, CostchargeAnalyzer, "internal/jit", map[string]string{
-		"bad.go": `package jit
-import "fixture/internal/firefly"
-func price(p *Proc) {
-	c := firefly.Time(3)
-	p.Advance(c)
-}
-`,
-	})
-	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(got), got)
-	}
-	for _, f := range got {
-		if !strings.Contains(f.Message, "cost") && !strings.Contains(f.Message, "charg") {
-			t.Errorf("finding %q does not mention costs or charging", f.Message)
-		}
-	}
-}
-
-func TestCostchargeAllowsTableDerivedCharges(t *testing.T) {
-	got := runOn(t, CostchargeAnalyzer, "internal/jit", map[string]string{
-		"ok.go": `package jit
-import "fixture/internal/firefly"
-func plan(p *Program, n int) firefly.Time {
-	return firefly.Time(n-1) * p.DispatchCost
-}
-func zero() firefly.Time {
-	return firefly.Time(0)
-}
-`,
-	})
-	wantFindings(t, got, 0, "")
-}
-
-func TestCostchargeScopedToJITPackage(t *testing.T) {
-	got := runOn(t, CostchargeAnalyzer, "internal/interp", map[string]string{
-		"ok.go": `package interp
-import "fixture/internal/firefly"
-func charge(in *Interp) {
-	in.p.Advance(firefly.Time(1))
-}
-`,
-	})
-	wantFindings(t, got, 0, "")
-}
-
-// ---- framework ----
-
 func TestFindingsSortedAndFormatted(t *testing.T) {
 	findings := runOn(t, VirttimeAnalyzer, "internal/firefly", map[string]string{
 		"b.go": `package firefly
@@ -424,14 +373,14 @@ func TestAnalyzersComplete(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"virttime", "lockpair", "costcharge",
-		"stwsafe", "atomicguard", "barrierflow", "lockorder",
+		"virttime", "lockpair", "stwsafe",
+		"atomicguard", "barrierflow", "lockorder",
 	} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
 	}
-	if len(names) != 7 {
-		t.Errorf("suite has %d analyzers, want 7", len(names))
+	if len(names) != 6 {
+		t.Errorf("suite has %d analyzers, want 6", len(names))
 	}
 }

@@ -4,7 +4,9 @@
 // covered by exactly one of serialization, replication, or
 // reorganization — into executable checks.
 //
-// Three engines:
+// Two engines, each kept because it polices a row of Table 3 (the
+// catch matrix in internal/msvet/catchmatrix_test.go decided which
+// engines stay):
 //
 //   - The Eraser-style lockset checker validates the *serialization*
 //     rows: each shared structure (allocation pointer, entry table,
@@ -13,10 +15,6 @@
 //     instrumented access is checked against the locks the accessing
 //     virtual processor currently holds. Acquisition order is tracked
 //     pairwise and potential deadlock cycles are reported.
-//   - The ownership checker validates the *replication* rows: a
-//     replicated structure (per-processor method cache, TLAB, free
-//     context list) may only ever be touched by the processor that
-//     owns it.
 //   - The write-barrier verifier (implemented in internal/heap, which
 //     owns the memory; violations are reported here) independently
 //     rescans old space after every scavenge and cross-checks old→new
@@ -32,7 +30,7 @@
 // Like internal/trace, this package sits below every other layer (it
 // imports nothing from the repository) so that firefly, heap, interp,
 // and display can all feed one checker. Every hook (the Register, On,
-// Reset, Report and Note methods) accepts a nil *Checker, which is the
+// Report and Note methods) accepts a nil *Checker, which is the
 // sanitizer switched off: the per-access and per-object hooks are
 // inlined wrappers, so a detached site costs exactly one pointer test.
 // The checker itself never charges virtual time and never touches the
@@ -51,53 +49,27 @@ type Kind int
 
 const (
 	// KindUnlockedAccess: a serialized structure was accessed by a
-	// processor not holding its guarding lock.
+	// processor not holding its guarding lock. It polices Table 3's
+	// serialization rows, and it alone catches the matrix's row 12
+	// (old space carved without the alloc lock).
 	KindUnlockedAccess Kind = iota
 	// KindUnknownStructure: an access hook fired for a structure that
-	// was never registered with a guard (a wiring bug).
+	// was never registered with a guard (a wiring bug that would let a
+	// serialization row go unchecked).
 	KindUnknownStructure
-	// KindDoubleAcquire: a processor acquired a lock it already holds
-	// (the virtual spinlocks are not recursive).
-	KindDoubleAcquire
-	// KindReleaseNotHeld: a processor released a lock it does not hold.
-	KindReleaseNotHeld
-	// KindLockOrderCycle: the pairwise acquisition-order graph contains
-	// a cycle — a potential deadlock on real hardware.
-	KindLockOrderCycle
-	// KindForeignAccess: a replicated (per-processor) structure was
-	// accessed by a processor other than its owner.
-	KindForeignAccess
 	// KindWriteBarrier: the post-scavenge old-space scan found an
 	// old→new pointer that is not covered by the entry table (a store
 	// that bypassed the store check), or a dangling pointer into
-	// reclaimed new space left behind by such a store.
+	// reclaimed new space left behind by such a store. It polices
+	// Table 3's entry-tables row, and it alone catches the matrix's
+	// row 13 (a block's caller stored with StoreNoCheck).
 	KindWriteBarrier
-	// KindGCClaim: the parallel scavenger's CAS-claimed forwarding
-	// discipline was broken — two workers both claimed the same object
-	// for copying, or a worker published a forwarding pointer for an
-	// object it never claimed. Claiming is the *reorganization* analogue
-	// of lock ownership: the winning CAS transfers the object to exactly
-	// one worker until it publishes the copy.
-	KindGCClaim
-	// KindConcMark: the concurrent-marking discipline was broken — an
-	// object was claimed grey twice in one cycle (the white→grey CAS
-	// failed to serialize the markers), a pointer store overwrote an
-	// old-space reference during active marking without the deletion
-	// barrier shading it (the snapshot-at-the-beginning invariant), or
-	// the finalize-window tri-color scan found a reachable white object.
-	KindConcMark
 )
 
 var kindNames = map[Kind]string{
 	KindUnlockedAccess:   "unlocked-access",
 	KindUnknownStructure: "unknown-structure",
-	KindDoubleAcquire:    "double-acquire",
-	KindReleaseNotHeld:   "release-not-held",
-	KindLockOrderCycle:   "lock-order-cycle",
-	KindForeignAccess:    "foreign-access",
 	KindWriteBarrier:     "write-barrier",
-	KindGCClaim:          "gc-claim",
-	KindConcMark:         "conc-mark",
 }
 
 func (k Kind) String() string {
@@ -149,25 +121,11 @@ type orderWitness struct {
 // the determinism sentinel still holds.
 type Checker struct {
 	//msvet:stw-safe checker bookkeeping lock: held for bounded map updates only, never across a safepoint or while acquiring any simulated lock
-	mu         sync.Mutex
-	locks      map[string]bool   // lock name → enabled
-	guards     map[string]string // structure → guarding lock name
-	replicated map[string]bool   // replicated structure names seen
+	mu     sync.Mutex
+	locks  map[string]bool   // lock name → enabled
+	guards map[string]string // structure → guarding lock name
 
 	held [][]string // per-proc ordered list of held lock names
-
-	// gcClaims maps a from-space object address to the parallel-scavenge
-	// worker that CAS-claimed it for copying. Populated between
-	// OnGCClaim and ResetGCClaims (scavenge end); from-space addresses
-	// are recycled by the next scavenge, so the table must be cleared.
-	gcClaims map[uint64]int
-
-	// markClaims maps an old-space object address to the processor that
-	// won its white→grey claim in the current concurrent-mark cycle.
-	// Populated between OnMarkGrey and ResetMarkClaims (cycle end); old
-	// addresses are reusable after the sweep, so the table must be
-	// cleared.
-	markClaims map[uint64]int
 
 	edges map[orderEdge]orderWitness
 
@@ -183,10 +141,9 @@ type Checker struct {
 // system boots so every lock and structure registers itself.
 func New() *Checker {
 	return &Checker{
-		locks:      map[string]bool{},
-		guards:     map[string]string{},
-		replicated: map[string]bool{},
-		edges:      map[orderEdge]orderWitness{},
+		locks:  map[string]bool{},
+		guards: map[string]string{},
+		edges:  map[orderEdge]orderWitness{},
 	}
 }
 
@@ -224,8 +181,9 @@ func (c *Checker) procHeld(proc int) *[]string {
 
 func (c *Checker) report(v Violation) { c.violations = append(c.violations, v) }
 
-// OnAcquire records that proc now holds lock, validating against
-// double acquisition and recording pairwise acquisition order.
+// OnAcquire records that proc now holds lock, recording pairwise
+// acquisition order. A lock acquired while already held records the
+// one-lock cycle lock -> lock.
 func (c *Checker) OnAcquire(proc int, at int64, lock string) {
 	if c != nil {
 		c.onAcquire(proc, at, lock)
@@ -238,13 +196,6 @@ func (c *Checker) onAcquire(proc int, at int64, lock string) {
 	c.lockEvents++
 	held := c.procHeld(proc)
 	for _, h := range *held {
-		if h == lock {
-			c.report(Violation{Kind: KindDoubleAcquire, Proc: proc, At: at, Lock: lock,
-				Detail: "lock acquired while already held by this processor"})
-			return
-		}
-	}
-	for _, h := range *held {
 		e := orderEdge{a: h, b: lock}
 		if _, ok := c.edges[e]; !ok {
 			c.edges[e] = orderWitness{proc: proc, at: at}
@@ -253,14 +204,15 @@ func (c *Checker) onAcquire(proc int, at int64, lock string) {
 	*held = append(*held, lock)
 }
 
-// OnRelease records that proc dropped lock.
-func (c *Checker) OnRelease(proc int, at int64, lock string) {
+// OnRelease records that proc dropped lock. Releasing a lock that is
+// not held is firefly's to catch: a Spinlock panics first.
+func (c *Checker) OnRelease(proc int, lock string) {
 	if c != nil {
-		c.onRelease(proc, at, lock)
+		c.onRelease(proc, lock)
 	}
 }
 
-func (c *Checker) onRelease(proc int, at int64, lock string) {
+func (c *Checker) onRelease(proc int, lock string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lockEvents++
@@ -271,8 +223,6 @@ func (c *Checker) onRelease(proc int, at int64, lock string) {
 			return
 		}
 	}
-	c.report(Violation{Kind: KindReleaseNotHeld, Proc: proc, At: at, Lock: lock,
-		Detail: "lock released by a processor that does not hold it"})
 }
 
 // OnAccess validates an access to a registered serialized structure:
@@ -305,151 +255,6 @@ func (c *Checker) onAccess(proc int, at int64, structure string) {
 	c.report(Violation{Kind: KindUnlockedAccess, Proc: proc, At: at,
 		Structure: structure, Lock: lock,
 		Detail: "serialized structure accessed without its guard"})
-}
-
-// OnOwnedAccess validates an access to a replicated (per-processor)
-// structure: only the owning processor may touch it.
-func (c *Checker) OnOwnedAccess(proc, owner int, at int64, structure string) {
-	if c != nil {
-		c.onOwnedAccess(proc, owner, at, structure)
-	}
-}
-
-func (c *Checker) onOwnedAccess(proc, owner int, at int64, structure string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accessChecks++
-	c.replicated[structure] = true
-	if proc != owner {
-		c.report(Violation{Kind: KindForeignAccess, Proc: proc, At: at, Structure: structure,
-			Detail: fmt.Sprintf("replicated structure owned by processor %d", owner)})
-	}
-}
-
-// OnGCClaim records that parallel-scavenge worker proc won the CAS
-// claim on the object at addr. Two claims on the same address in one
-// scavenge mean the claim CAS failed to serialize the copiers.
-func (c *Checker) OnGCClaim(proc int, at int64, addr uint64) {
-	if c != nil {
-		c.onGCClaim(proc, at, addr)
-	}
-}
-
-func (c *Checker) onGCClaim(proc int, at int64, addr uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accessChecks++
-	if c.gcClaims == nil {
-		c.gcClaims = map[uint64]int{}
-	}
-	if prev, dup := c.gcClaims[addr]; dup {
-		c.report(Violation{Kind: KindGCClaim, Proc: proc, At: at, Structure: "forwarding-pointer",
-			Detail: fmt.Sprintf("object %#x claimed twice (first by processor %d)", addr, prev)})
-		return
-	}
-	c.gcClaims[addr] = proc
-}
-
-// OnGCPublish records that worker proc published the forwarding pointer
-// for the object at addr; it must be the worker that claimed it.
-func (c *Checker) OnGCPublish(proc int, at int64, addr uint64) {
-	if c != nil {
-		c.onGCPublish(proc, at, addr)
-	}
-}
-
-func (c *Checker) onGCPublish(proc int, at int64, addr uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accessChecks++
-	owner, ok := c.gcClaims[addr]
-	if !ok {
-		c.report(Violation{Kind: KindGCClaim, Proc: proc, At: at, Structure: "forwarding-pointer",
-			Detail: fmt.Sprintf("forwarding pointer for %#x published without a claim", addr)})
-		return
-	}
-	if owner != proc {
-		c.report(Violation{Kind: KindGCClaim, Proc: proc, At: at, Structure: "forwarding-pointer",
-			Detail: fmt.Sprintf("forwarding pointer for %#x published by processor %d, claimed by %d", addr, proc, owner)})
-	}
-}
-
-// ResetGCClaims clears the claim table at the end of a scavenge.
-func (c *Checker) ResetGCClaims() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gcClaims = nil
-}
-
-// OnMarkGrey records that proc won the white→grey claim on the
-// old-space object at addr during a concurrent-mark cycle. Two claims
-// on the same address in one cycle mean the claiming CAS failed to
-// serialize the markers.
-func (c *Checker) OnMarkGrey(proc int, at int64, addr uint64) {
-	if c != nil {
-		c.onMarkGrey(proc, at, addr)
-	}
-}
-
-func (c *Checker) onMarkGrey(proc int, at int64, addr uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accessChecks++
-	if c.markClaims == nil {
-		c.markClaims = map[uint64]int{}
-	}
-	if prev, dup := c.markClaims[addr]; dup {
-		c.report(Violation{Kind: KindConcMark, Proc: proc, At: at, Structure: "mark-state",
-			Detail: fmt.Sprintf("object %#x claimed grey twice (first by processor %d)", addr, prev)})
-		return
-	}
-	c.markClaims[addr] = proc
-}
-
-// OnDeletionBarrier validates one snapshot-at-the-beginning deletion
-// barrier firing: a pointer store during active marking overwrote an
-// old-space reference, and by the time the store completed the
-// overwritten referent must carry the mark bit (the barrier shades it
-// before the old edge is lost). shaded is the referent's mark state as
-// re-read after the barrier ran.
-func (c *Checker) OnDeletionBarrier(proc int, at int64, addr uint64, shaded bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accessChecks++
-	if !shaded {
-		c.report(Violation{Kind: KindConcMark, Proc: proc, At: at, Structure: "mark-state",
-			Detail: fmt.Sprintf("deletion barrier skipped: overwritten old-space referent %#x is unshaded during active marking", addr)})
-	}
-}
-
-// ReportConcMark records one concurrent-marking finding made by the
-// heap's own scans (the tri-color verifier lives in internal/heap,
-// which owns the memory).
-func (c *Checker) ReportConcMark(proc int, at int64, detail string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.report(Violation{Kind: KindConcMark, Proc: proc, At: at,
-		Structure: "mark-state", Detail: detail})
-}
-
-// ResetMarkClaims clears the grey-claim table at the end of a
-// concurrent-mark cycle.
-func (c *Checker) ResetMarkClaims() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.markClaims = nil
 }
 
 // ReportWriteBarrier records one write-barrier verifier finding (the
@@ -485,8 +290,9 @@ func (c *Checker) Violations() []Violation {
 }
 
 // LockOrderCycles detects cycles in the pairwise acquisition-order
-// graph and returns each one once, as a canonical "a -> b -> a"
-// string, in sorted order. The result is deterministic for a given
+// graph of Table 3's serialization locks — each a potential deadlock on
+// real hardware — and returns each one once, as a canonical
+// "a -> b -> a" string, in sorted order. The result is deterministic for a given
 // set of edges regardless of map iteration order.
 func (c *Checker) LockOrderCycles() []string {
 	c.mu.Lock()
@@ -608,7 +414,6 @@ func (c *Checker) Clean() bool {
 type Stats struct {
 	Locks        int
 	Guards       int
-	Replicated   int
 	LockEvents   uint64
 	AccessChecks uint64
 	BarrierScans uint64
@@ -628,7 +433,6 @@ func (c *Checker) stats() Stats {
 	return Stats{
 		Locks:        len(c.locks),
 		Guards:       len(c.guards),
-		Replicated:   len(c.replicated),
 		LockEvents:   c.lockEvents,
 		AccessChecks: c.accessChecks,
 		BarrierScans: c.barrierScans,
@@ -645,8 +449,7 @@ func (c *Checker) Report() string {
 	defer c.mu.Unlock()
 	var b strings.Builder
 	st := c.stats()
-	fmt.Fprintf(&b, "mscheck: %d locks, %d serialized structures, %d replicated structures\n",
-		st.Locks, st.Guards, st.Replicated)
+	fmt.Fprintf(&b, "mscheck: %d locks, %d serialized structures\n", st.Locks, st.Guards)
 	fmt.Fprintf(&b, "mscheck: %d lock events, %d access checks, %d barrier scans (%d words)\n",
 		st.LockEvents, st.AccessChecks, st.BarrierScans, st.BarrierWords)
 

@@ -20,7 +20,7 @@ func TestCleanLockedAccess(t *testing.T) {
 	c.RegisterGuard("ready-queue", "scheduler")
 	c.OnAcquire(0, 10, "scheduler")
 	c.OnAccess(0, 11, "ready-queue")
-	c.OnRelease(0, 12, "scheduler")
+	c.OnRelease(0, "scheduler")
 	if !c.Clean() {
 		t.Fatalf("clean sequence reported violations: %v", c.Violations())
 	}
@@ -77,50 +77,39 @@ func TestUnknownStructure(t *testing.T) {
 	}
 }
 
+// A lock re-acquired by its holder closes a one-lock order cycle:
+// firefly's Spinlock panics first, so only an RWSpinlock gets here.
 func TestDoubleAcquire(t *testing.T) {
 	c := New()
-	c.RegisterLock("alloc", true)
-	c.OnAcquire(2, 1, "alloc")
-	c.OnAcquire(2, 2, "alloc")
-	if !reflect.DeepEqual(kinds(c.Violations()), []Kind{KindDoubleAcquire}) {
-		t.Fatalf("violations = %v", c.Violations())
-	}
-	// The first acquisition must still be tracked.
-	c.OnRelease(2, 3, "alloc")
-	if len(c.Violations()) != 1 {
-		t.Errorf("release after double-acquire report added violations: %v", c.Violations())
+	c.RegisterLock("method-cache", true)
+	c.OnAcquire(2, 1, "method-cache")
+	c.OnAcquire(2, 2, "method-cache")
+	if got := c.LockOrderCycles(); !reflect.DeepEqual(got, []string{"method-cache -> method-cache"}) {
+		t.Fatalf("cycles = %v, want the one-lock cycle", got)
 	}
 }
 
+// A stray release is firefly's to catch (a Spinlock panics first); the
+// checker only keeps its lockset straight.
 func TestReleaseNotHeld(t *testing.T) {
 	c := New()
 	c.RegisterLock("alloc", true)
-	c.OnRelease(0, 1, "alloc")
-	if !reflect.DeepEqual(kinds(c.Violations()), []Kind{KindReleaseNotHeld}) {
-		t.Fatalf("violations = %v", c.Violations())
+	c.OnRelease(0, "alloc")
+	if !c.Clean() || c.Stats().LockEvents != 1 {
+		t.Fatalf("stray release: clean=%v stats=%+v", c.Clean(), c.Stats())
 	}
 }
 
+// A release by another processor leaves the holder's lockset intact.
 func TestReleaseByOtherProcNotHeld(t *testing.T) {
 	c := New()
 	c.RegisterLock("alloc", true)
+	c.RegisterGuard("eden", "alloc")
 	c.OnAcquire(0, 1, "alloc")
-	c.OnRelease(1, 2, "alloc")
-	if !reflect.DeepEqual(kinds(c.Violations()), []Kind{KindReleaseNotHeld}) {
-		t.Fatalf("violations = %v", c.Violations())
-	}
-}
-
-func TestForeignAccess(t *testing.T) {
-	c := New()
-	c.OnOwnedAccess(0, 0, 1, "tlab")
-	c.OnOwnedAccess(1, 0, 2, "tlab")
-	got := kinds(c.Violations())
-	if !reflect.DeepEqual(got, []Kind{KindForeignAccess}) {
-		t.Fatalf("violations = %v, want exactly one foreign-access", c.Violations())
-	}
-	if c.Violations()[0].Proc != 1 {
-		t.Errorf("foreign access attributed to proc %d, want 1", c.Violations()[0].Proc)
+	c.OnRelease(1, "alloc")
+	c.OnAccess(0, 3, "eden")
+	if !c.Clean() {
+		t.Fatalf("holder lost its lock to another processor's release:\n%s", c.Report())
 	}
 }
 
@@ -143,12 +132,12 @@ func TestLockOrderCycleDetection(t *testing.T) {
 	// proc 0: a then b; proc 1: b then a — classic deadlock potential.
 	c.OnAcquire(0, 1, "a")
 	c.OnAcquire(0, 2, "b")
-	c.OnRelease(0, 3, "b")
-	c.OnRelease(0, 4, "a")
+	c.OnRelease(0, "b")
+	c.OnRelease(0, "a")
 	c.OnAcquire(1, 1, "b")
 	c.OnAcquire(1, 2, "a")
-	c.OnRelease(1, 3, "a")
-	c.OnRelease(1, 4, "b")
+	c.OnRelease(1, "a")
+	c.OnRelease(1, "b")
 	cycles := c.LockOrderCycles()
 	if !reflect.DeepEqual(cycles, []string{"a -> b -> a"}) {
 		t.Fatalf("cycles = %v, want [a -> b -> a]", cycles)
@@ -164,8 +153,8 @@ func TestLockOrderNoCycleWhenConsistent(t *testing.T) {
 	for proc := 0; proc < 2; proc++ {
 		c.OnAcquire(proc, 1, "a")
 		c.OnAcquire(proc, 2, "b")
-		c.OnRelease(proc, 3, "b")
-		c.OnRelease(proc, 4, "a")
+		c.OnRelease(proc, "b")
+		c.OnRelease(proc, "a")
 	}
 	if cycles := c.LockOrderCycles(); len(cycles) != 0 {
 		t.Fatalf("consistent order produced cycles: %v", cycles)
@@ -182,16 +171,16 @@ func TestLockOrderCycleDeterminism(t *testing.T) {
 		// that starts DFS from different entry points.
 		c.OnAcquire(0, 1, "c")
 		c.OnAcquire(0, 2, "a")
-		c.OnRelease(0, 3, "a")
-		c.OnRelease(0, 4, "c")
+		c.OnRelease(0, "a")
+		c.OnRelease(0, "c")
 		c.OnAcquire(1, 1, "a")
 		c.OnAcquire(1, 2, "b")
-		c.OnRelease(1, 3, "b")
-		c.OnRelease(1, 4, "a")
+		c.OnRelease(1, "b")
+		c.OnRelease(1, "a")
 		c.OnAcquire(2, 1, "b")
 		c.OnAcquire(2, 2, "c")
-		c.OnRelease(2, 3, "c")
-		c.OnRelease(2, 4, "b")
+		c.OnRelease(2, "c")
+		c.OnRelease(2, "b")
 		return c
 	}
 	want := []string{"a -> b -> c -> a"}
@@ -252,71 +241,6 @@ func TestReportCleanAndDirty(t *testing.T) {
 	}
 }
 
-// ---- GC claim/publish (parallel scavenger forwarding protocol) ----
-
-func TestGCClaimPublishClean(t *testing.T) {
-	c := New()
-	c.OnGCClaim(0, 100, 0x4000)
-	c.OnGCClaim(1, 100, 0x4010)
-	c.OnGCPublish(0, 101, 0x4000)
-	c.OnGCPublish(1, 101, 0x4010)
-	if !c.Clean() {
-		t.Fatalf("clean claim/publish pairs reported violations: %v", c.Violations())
-	}
-}
-
-func TestGCDoubleClaim(t *testing.T) {
-	c := New()
-	c.OnGCClaim(0, 100, 0x4000)
-	c.OnGCClaim(2, 101, 0x4000)
-	got := kinds(c.Violations())
-	if !reflect.DeepEqual(got, []Kind{KindGCClaim}) {
-		t.Fatalf("violations = %v, want exactly [gc-claim]", got)
-	}
-	v := c.Violations()[0]
-	if v.Proc != 2 || !strings.Contains(v.Detail, "claimed twice") ||
-		!strings.Contains(v.Detail, "processor 0") {
-		t.Errorf("violation detail wrong: %+v", v)
-	}
-}
-
-func TestGCPublishWithoutClaim(t *testing.T) {
-	c := New()
-	c.OnGCPublish(1, 50, 0x4000)
-	if !reflect.DeepEqual(kinds(c.Violations()), []Kind{KindGCClaim}) {
-		t.Fatalf("violations = %v, want exactly [gc-claim]", c.Violations())
-	}
-	if !strings.Contains(c.Violations()[0].Detail, "without a claim") {
-		t.Errorf("violation detail wrong: %+v", c.Violations()[0])
-	}
-}
-
-func TestGCPublishByForeignProc(t *testing.T) {
-	c := New()
-	c.OnGCClaim(0, 50, 0x4000)
-	c.OnGCPublish(3, 51, 0x4000)
-	if !reflect.DeepEqual(kinds(c.Violations()), []Kind{KindGCClaim}) {
-		t.Fatalf("violations = %v, want exactly [gc-claim]", c.Violations())
-	}
-	if !strings.Contains(c.Violations()[0].Detail, "claimed by") {
-		t.Errorf("violation detail wrong: %+v", c.Violations()[0])
-	}
-}
-
-func TestGCClaimsResetBetweenScavenges(t *testing.T) {
-	c := New()
-	c.OnGCClaim(0, 100, 0x4000)
-	c.OnGCPublish(0, 101, 0x4000)
-	c.ResetGCClaims()
-	// A fresh scavenge may claim the same address again (new objects
-	// live there now).
-	c.OnGCClaim(1, 200, 0x4000)
-	c.OnGCPublish(1, 201, 0x4000)
-	if !c.Clean() {
-		t.Fatalf("claims across a reset reported violations: %v", c.Violations())
-	}
-}
-
 // TestHooksNilSafe holds the hook rule where it is decided: a nil
 // *Checker is the sanitizer switched off, and every hook on it returns
 // without panicking and without allocating. A hook is any exported
@@ -329,15 +253,7 @@ func TestHooksNilSafe(t *testing.T) {
 		c.RegisterGuard("s", "l")
 		c.OnAcquire(0, 1, "l")
 		c.OnAccess(0, 2, "s")
-		c.OnOwnedAccess(0, 0, 3, "s")
-		c.OnRelease(0, 4, "l")
-		c.OnGCClaim(0, 5, 64)
-		c.OnGCPublish(0, 6, 64)
-		c.ResetGCClaims()
-		c.OnMarkGrey(0, 7, 64)
-		c.OnDeletionBarrier(0, 8, 64, false)
-		c.ResetMarkClaims()
-		c.ReportConcMark(0, 9, "d")
+		c.OnRelease(0, "l")
 		c.ReportWriteBarrier(0, 10, "d")
 		c.NoteBarrierScan(11)
 	}); n != 0 {
