@@ -16,19 +16,10 @@
 //	                           lock order to msvet -lockgraph's static
 //	                           graph
 //
-// The observers share one flight-recorded run of a busy benchmark
-// instead of the report; combine them freely:
+// The observed run (flight recorder, profiles, GC report) is mst's:
 //
-//	msbench -trace out.json    export Chrome trace-event JSON for
-//	                           ui.perfetto.dev
-//	msbench -profile           selector-level virtual-time profile
-//	msbench -allocprofile      allocation-site profile: objects/words per
-//	                           Class>>selector, survivor and tenure rates,
-//	                           object-age census
-//	msbench -gcreport          GC latency rollup: pause/phase percentiles,
-//	                           dispatch latency, lock waits, allocation
-//	                           sites; add -parscavenge for the
-//	                           critical-path table
+//	mst -busy 4 -trace out.json -profile -allocprofile -gcreport \
+//	    -parscavenge -e "MacroBenchmark new run: #printClassHierarchy"
 //
 // All times are virtual milliseconds on the simulated Firefly; runs are
 // deterministic. Only the msjit section's host columns vary by machine.
@@ -48,29 +39,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write the report to this file")
 	gatePath := flag.String("gate", "", "fail unless every leaf of the report equals this baseline json's")
 	lockgraphPath := flag.String("lockgraph", "", "static lock graph JSON (msvet -lockgraph) to cross-check the sanitized states' acquisition order against")
-	tracePath := flag.String("trace", "", "flight-record a busy benchmark and write Perfetto JSON to this file")
-	profile := flag.Bool("profile", false, "print the selector-level virtual-time profile of a busy benchmark")
-	allocProf := flag.Bool("allocprofile", false, "print the allocation-site profile of a busy benchmark (objects/words per Class>>selector, survivor and tenure rates)")
-	gcReport := flag.Bool("gcreport", false, "print the GC latency rollup of a busy benchmark (pause/phase percentiles, lock waits, allocation sites)")
-	parScav := flag.Bool("parscavenge", false, "use the cooperative parallel scavenger for the observed run (adds the critical-path table to -gcreport)")
 	flag.Parse()
-
-	if *tracePath != "" || *profile || *allocProf || *gcReport {
-		fmt.Fprintln(os.Stderr, "running observed benchmark (flight recorder on)...")
-		r, err := bench.RunObserved(bench.Observers{
-			TracePath:    *tracePath,
-			Profile:      *profile,
-			AllocProfile: *allocProf,
-			GCReport:     *gcReport,
-			ParScavenge:  *parScav,
-		})
-		check(err)
-		r.Format(os.Stdout)
-		if *tracePath != "" {
-			fmt.Fprintf(os.Stderr, "wrote %s (open in ui.perfetto.dev)\n", *tracePath)
-		}
-		return
-	}
 
 	// Load the gate's baseline, open the -json output and read the lock
 	// graph first: fail on a bad one before spending time measuring.

@@ -1,11 +1,15 @@
-// Command mst runs Multiprocessor Smalltalk: it boots the image on the
-// simulated Firefly, files in any source files given as arguments, and
-// evaluates an expression (or reads expressions from stdin, one per
-// line).
+// Command mst runs Multiprocessor Smalltalk: it boots the image msbench
+// measures (the kernel plus the macro benchmarks) on the simulated
+// Firefly, files in any source files given as arguments, and evaluates
+// an expression (or reads expressions from stdin, one per line).
 //
 //	mst -e "3 + 4"
 //	mst -e "Transcript show: 'hi'" -transcript
-//	mst -procs 5 -busy 4 -e "MacroBenchmark..." app.st
+//	mst -busy 4 -e "MacroBenchmark new run: #decompileClass" app.st
+//	mst -baseline -msplus -jit -e "..."
+//	                                 the host-cost benchmark's macro_fast
+//	                                 system (macro_uni is -baseline,
+//	                                 macro_busy5 -busy 4)
 //	mst -trace out.json -e "..."     flight-record the run; open the
 //	                                 JSON in ui.perfetto.dev
 //	mst -profile -e "..."            selector-level virtual-time profile
@@ -44,38 +48,57 @@ import (
 	"os"
 
 	"mst"
+	"mst/internal/bench"
 )
 
-func main() {
-	expr := flag.String("e", "", "expression to evaluate")
-	procs := flag.Int("procs", 5, "virtual processors")
-	baseline := flag.Bool("baseline", false, "baseline BS mode (no multiprocessor support)")
-	msplus := flag.Bool("msplus", false, "MS+ mode: inline caches (PIC) and 2-way method cache")
-	ic := flag.String("ic", "", "inline-cache policy: off|mic|pic (overrides config default)")
-	idle := flag.Int("idle", 0, "background idle Processes to fork")
-	busy := flag.Int("busy", 0, "background busy Processes to fork")
-	transcript := flag.Bool("transcript", false, "print the Transcript after evaluation")
-	stats := flag.Bool("stats", false, "print system statistics after evaluation")
-	tracePath := flag.String("trace", "", "flight-record the run and write Perfetto trace JSON to this file")
-	profile := flag.Bool("profile", false, "print the selector-level virtual-time profile after evaluation")
-	allocProf := flag.Bool("allocprofile", false, "print the allocation-site profile (objects/words per Class>>selector, survivor and tenure rates, age census) after evaluation")
-	gcReport := flag.Bool("gcreport", false, "print the GC latency rollup (pause/phase percentiles, dispatch latency, lock waits, critical paths) after evaluation")
-	sanFlag := flag.Bool("sanitize", false, "attach the mscheck invariant sanitizer; report violations and exit non-zero on any")
-	parallel := flag.Bool("parallel", false, "true-parallel host mode: run virtual processors on real goroutines (wall-clock scheduling; virtual times become host-schedule-dependent)")
-	parScav := flag.Bool("parscavenge", false, "cooperative parallel scavenging: all processors copy survivors during the stop-the-world window (works in both the deterministic and -parallel modes)")
-	concMark := flag.Bool("concmark", false, "concurrent old-space marking: full collections run as SATB marking cycles with bounded stop-the-world windows and a lazy free-list sweep (works in both the deterministic and -parallel modes)")
-	jitFlag := flag.Bool("jit", false, "msjit tier: fuse hot methods' straight-line bytecode runs into superinstructions (bit-identical virtual behavior)")
-	flag.Parse()
+// options are mst's flags.
+type options struct {
+	expr, ic, tracePath string
+	procs, idle, busy   int
 
+	baseline, msplus, transcript, stats, profile, allocProf, gcReport,
+	sanitize, parallel, parScav, concMark, jit bool
+}
+
+// parseFlags defines mst's flags on fs and parses args into them.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.expr, "e", "", "expression to evaluate")
+	fs.IntVar(&o.procs, "procs", 0, "virtual processors (default: the mode's, 5 for MS and 1 for -baseline)")
+	fs.BoolVar(&o.baseline, "baseline", false, "baseline BS mode (no multiprocessor support)")
+	fs.BoolVar(&o.msplus, "msplus", false, "MS+ caches on the chosen mode: inline caches (PIC) and 2-way method cache")
+	fs.StringVar(&o.ic, "ic", "", "inline-cache policy: off|mic|pic (overrides config default)")
+	fs.IntVar(&o.idle, "idle", 0, "background idle Processes to fork")
+	fs.IntVar(&o.busy, "busy", 0, "background busy Processes to fork")
+	fs.BoolVar(&o.transcript, "transcript", false, "print the Transcript after evaluation")
+	fs.BoolVar(&o.stats, "stats", false, "print system statistics after evaluation")
+	fs.StringVar(&o.tracePath, "trace", "", "flight-record the run and write Perfetto trace JSON to this file")
+	fs.BoolVar(&o.profile, "profile", false, "print the selector-level virtual-time profile after evaluation")
+	fs.BoolVar(&o.allocProf, "allocprofile", false, "print the allocation-site profile (objects/words per Class>>selector, survivor and tenure rates, age census) after evaluation")
+	fs.BoolVar(&o.gcReport, "gcreport", false, "print the GC latency rollup (pause/phase percentiles, dispatch latency, lock waits, critical paths) after evaluation")
+	fs.BoolVar(&o.sanitize, "sanitize", false, "attach the mscheck invariant sanitizer; report violations and exit non-zero on any")
+	fs.BoolVar(&o.parallel, "parallel", false, "true-parallel host mode: run virtual processors on real goroutines (wall-clock scheduling; virtual times become host-schedule-dependent)")
+	fs.BoolVar(&o.parScav, "parscavenge", false, "cooperative parallel scavenging: all processors copy survivors during the stop-the-world window (works in both the deterministic and -parallel modes)")
+	fs.BoolVar(&o.concMark, "concmark", false, "concurrent old-space marking: full collections run as SATB marking cycles with bounded stop-the-world windows and a lazy free-list sweep (works in both the deterministic and -parallel modes)")
+	fs.BoolVar(&o.jit, "jit", false, "msjit tier: fuse hot methods' straight-line bytecode runs into superinstructions (bit-identical virtual behavior)")
+	return o, fs.Parse(args)
+}
+
+// config is the system configuration the flags choose, with the macro
+// benchmarks filed in after the kernel as bench.NewBenchSystem does.
+func (o *options) config() (mst.Config, error) {
 	cfg := mst.DefaultConfig()
-	if *baseline {
+	if o.baseline {
 		cfg = mst.BaselineConfig()
 	}
-	if *msplus {
-		cfg = mst.MSPlusConfig()
+	if o.msplus {
+		cfg.InlineCache = mst.ICPoly
+		cfg.CacheWays = 2
 	}
-	cfg.Processors = *procs
-	switch *ic {
+	if o.procs != 0 {
+		cfg.Processors = o.procs
+	}
+	switch o.ic {
 	case "":
 	case "off":
 		cfg.InlineCache = mst.ICOff
@@ -84,20 +107,28 @@ func main() {
 	case "pic":
 		cfg.InlineCache = mst.ICPoly
 	default:
-		fmt.Fprintf(os.Stderr, "mst: unknown -ic policy %q (want off|mic|pic)\n", *ic)
-		os.Exit(2)
+		return cfg, fmt.Errorf("unknown -ic policy %q (want off|mic|pic)", o.ic)
 	}
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		cfg.TraceEvents = mst.DefaultTraceEvents
 	}
-	cfg.Profile = *profile
-	cfg.AllocProfile = *allocProf
-	cfg.Histograms = *gcReport
-	cfg.Sanitize = *sanFlag
-	cfg.Parallel = *parallel
-	cfg.ParScavenge = *parScav
-	cfg.ConcMark = *concMark
-	cfg.JIT = *jitFlag
+	cfg.Profile = o.profile
+	cfg.AllocProfile = o.allocProf
+	cfg.Histograms = o.gcReport
+	cfg.Sanitize = o.sanitize
+	cfg.Parallel = o.parallel
+	cfg.ParScavenge = o.parScav
+	cfg.ConcMark = o.concMark
+	cfg.JIT = o.jit
+	cfg.ExtraSources = append(cfg.ExtraSources, bench.MacroSource)
+	return cfg, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	check(err)
+	cfg, err := o.config()
+	check(err)
 	sys, err := mst.NewSystem(cfg)
 	check(err)
 	defer sys.Shutdown()
@@ -107,8 +138,8 @@ func main() {
 		check(err)
 		check(sys.FileIn(path, string(src)))
 	}
-	check(sys.SpawnIdleProcesses(*idle))
-	check(sys.SpawnBusyProcesses(*busy))
+	check(sys.SpawnIdleProcesses(o.idle))
+	check(sys.SpawnBusyProcesses(o.busy))
 
 	eval := func(src string) {
 		out, err := sys.Evaluate(src)
@@ -120,8 +151,8 @@ func main() {
 	}
 
 	switch {
-	case *expr != "":
-		eval(*expr)
+	case o.expr != "":
+		eval(o.expr)
 	case len(flag.Args()) == 0 || stdinPiped():
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -134,32 +165,33 @@ func main() {
 		}
 	}
 
-	if *transcript {
+	if o.transcript {
 		fmt.Print(sys.TranscriptText())
 	}
-	if *profile {
+	if o.profile {
 		rep, err := sys.ProfileReport(25)
 		check(err)
 		fmt.Fprint(os.Stderr, rep)
 	}
-	if *allocProf {
+	if o.allocProf {
 		rep, err := sys.AllocProfileReport(10)
 		check(err)
 		fmt.Fprint(os.Stderr, rep)
 	}
-	if *gcReport {
+	if o.gcReport {
 		rep, err := sys.GCReport()
 		check(err)
 		fmt.Fprint(os.Stderr, rep)
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		check(err)
 		check(sys.WriteTrace(f))
 		check(f.Close())
-		fmt.Fprintf(os.Stderr, "mst: wrote %s (open in ui.perfetto.dev)\n", *tracePath)
+		fmt.Fprintln(os.Stderr, sys.Metrics().Trace)
+		fmt.Fprintf(os.Stderr, "mst: wrote %s (open in ui.perfetto.dev)\n", o.tracePath)
 	}
-	if *sanFlag {
+	if o.sanitize {
 		rep, err := sys.SanitizeReport()
 		check(err)
 		fmt.Fprint(os.Stderr, rep)
@@ -167,7 +199,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *stats {
+	if o.stats {
 		st := sys.Stats()
 		fmt.Fprintf(os.Stderr, "bytecodes=%d sends=%d cacheHits=%d cacheMisses=%d switches=%d\n",
 			st.Interp.Bytecodes, st.Interp.Sends, st.Interp.CacheHits,

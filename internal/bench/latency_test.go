@@ -1,11 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mst/internal/core"
@@ -84,48 +80,5 @@ func TestLatencyParallelHostSane(t *testing.T) {
 	// pin beyond the series being well-formed.
 	if lat.Dispatch.Count < 0 || lat.Dispatch.Sum < 0 {
 		t.Errorf("malformed dispatch series: %+v", lat.Dispatch)
-	}
-}
-
-// TestGCReportRenders: one observed run with every observer writes the
-// trace and renders all four reports; the GC rollup carries every
-// section end-to-end — distributions with percentiles, lock waits, the
-// critical-path table (parallel scavenger on), the allocation-site
-// table, and the age census.
-func TestGCReportRenders(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	r, err := RunObserved(Observers{
-		TracePath: path, Profile: true, AllocProfile: true, GCReport: true, ParScavenge: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Profile == "" || r.GCReport == "" || r.AllocProfile == "" {
-		t.Fatalf("a report is missing: %+v", r)
-	}
-	var b strings.Builder
-	r.Format(&b)
-	rep := b.String()
-	for _, want := range []string{
-		"flight recorder", "latency distributions", "scavenge.pause", "p50", "p99",
-		"lock acquire-wait", "parallel scavenge critical path",
-		"allocation sites", "object demographics",
-	} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("observed report missing %q:\n%s", want, rep)
-		}
-	}
-	if r.Metrics.Trace.Events == 0 {
-		t.Error("flight recorder emitted no events")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &tr); err != nil || len(tr.TraceEvents) == 0 {
-		t.Errorf("trace file holds no events (%d bytes, err %v)", len(data), err)
 	}
 }

@@ -410,16 +410,19 @@ func (s *System) ProfileReport(topN int) (string, error) {
 	return pf.Report(topN), nil
 }
 
-// GCReport renders the latency-distribution rollup: GC pause and
-// scavenge-phase percentiles, dispatch latency, lock waits, and the
-// parallel-scavenge critical paths. It errors when histograms were not
-// enabled.
+// GCReport renders the GC rollup: a header with the collector counts,
+// then the latency distributions — GC pause and scavenge-phase
+// percentiles, dispatch latency, lock waits, and the parallel-scavenge
+// critical paths. It errors when histograms were not enabled.
 func (s *System) GCReport() (string, error) {
 	lh := s.VM.M.LatencyHists()
 	if lh == nil {
 		return "", fmt.Errorf("core: histograms were not enabled (Config.Histograms)")
 	}
-	return lh.Report(), nil
+	hs := s.VM.H.Stats()
+	return fmt.Sprintf("GC report\nscavenges: %d (%d parallel), full collections: %d, max pause %d / %d ticks\n\n",
+		hs.Scavenges, hs.ParScavenges, hs.FullCollections,
+		int64(hs.ScavengeMaxPause), int64(hs.FullGCMaxPause)) + lh.Report(), nil
 }
 
 // AllocProfileReport renders the allocation-site profiler's top-N table

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"mst/internal/firefly"
 	"mst/internal/heap"
 	"mst/internal/interp"
@@ -117,6 +119,11 @@ type MachineMetrics struct {
 type TraceMetrics struct {
 	Events  uint64 `json:"events"`  // events ever emitted
 	Dropped uint64 `json:"dropped"` // overwritten by the ring
+}
+
+// String is the flight-recorder line mst -trace prints.
+func (t TraceMetrics) String() string {
+	return fmt.Sprintf("flight recorder: %d events emitted, %d overwritten by the ring", t.Events, t.Dropped)
 }
 
 // Metrics is the unified snapshot of every simulator counter: the

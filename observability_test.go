@@ -3,6 +3,7 @@ package mst_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mst/internal/bench"
@@ -14,9 +15,10 @@ import (
 // recorder and profiler attached and check the whole pipeline — event
 // stream, Perfetto export, selector profile, metrics registry.
 
-// observedBusySystem boots the ms-busy standard state with both
-// observers on and runs one macro benchmark.
-func observedBusySystem(t *testing.T) *core.System {
+// observedBusySystem boots the ms-busy standard state with the flight
+// recorder on and the observers observe attaches, and runs one macro
+// benchmark.
+func observedBusySystem(t *testing.T, observe func(*core.Config)) *core.System {
 	t.Helper()
 	states := bench.StandardStates()
 	st := states[len(states)-1] // ms-busy
@@ -24,7 +26,7 @@ func observedBusySystem(t *testing.T) *core.System {
 	st.Config = func() core.Config {
 		cfg := base()
 		cfg.TraceEvents = trace.DefaultRingSize
-		cfg.Profile = true
+		observe(&cfg)
 		return cfg
 	}
 	sys, err := bench.NewBenchSystem(st)
@@ -38,8 +40,65 @@ func observedBusySystem(t *testing.T) *core.System {
 	return sys
 }
 
+// profiled attaches the selector profiler.
+func profiled(cfg *core.Config) { cfg.Profile = true }
+
+// TestGCReportRenders: the observed run behind `mst -busy 4 -trace
+// -profile -allocprofile -gcreport -parscavenge` renders every report,
+// and the GC rollup carries every section end-to-end: the collector header,
+// distributions with percentiles, lock waits, the critical-path table
+// (parallel scavenger on), the allocation-site table, and the age
+// census.
+func TestGCReportRenders(t *testing.T) {
+	sys := observedBusySystem(t, func(cfg *core.Config) {
+		cfg.Profile = true
+		cfg.AllocProfile = true
+		cfg.Histograms = true
+		cfg.ParScavenge = true
+	})
+	defer sys.Shutdown()
+
+	var b strings.Builder
+	for _, report := range []func() (string, error){
+		func() (string, error) { return sys.ProfileReport(25) },
+		func() (string, error) { return sys.AllocProfileReport(10) },
+		sys.GCReport,
+	} {
+		rep, err := report()
+		if err != nil || rep == "" {
+			t.Fatalf("a report is missing (err %v)", err)
+		}
+		b.WriteString(rep)
+	}
+	tm := sys.Metrics().Trace
+	b.WriteString(tm.String())
+	rep := b.String()
+	for _, want := range []string{
+		"flight recorder", "GC report\nscavenges: ", "latency distributions",
+		"scavenge.pause", "p50", "p99", "lock acquire-wait",
+		"parallel scavenge critical path", "allocation sites", "object demographics",
+	} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("observed report missing %q:\n%s", want, rep)
+		}
+	}
+	if tm.Events == 0 {
+		t.Error("flight recorder emitted no events")
+	}
+	var buf bytes.Buffer
+	if err := sys.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil || len(tr.TraceEvents) == 0 {
+		t.Errorf("trace holds no events (%d bytes, err %v)", buf.Len(), err)
+	}
+}
+
 func TestTraceEventOrderingPerTrack(t *testing.T) {
-	sys := observedBusySystem(t)
+	sys := observedBusySystem(t, profiled)
 	defer sys.Shutdown()
 
 	events := sys.VM.M.Recorder().Events()
@@ -74,7 +133,7 @@ func TestTraceEventOrderingPerTrack(t *testing.T) {
 }
 
 func TestPerfettoExportWellFormed(t *testing.T) {
-	sys := observedBusySystem(t)
+	sys := observedBusySystem(t, profiled)
 	defer sys.Shutdown()
 
 	var buf bytes.Buffer
@@ -159,7 +218,7 @@ func TestPerfettoExportWellFormed(t *testing.T) {
 }
 
 func TestProfilerCoverage(t *testing.T) {
-	sys := observedBusySystem(t)
+	sys := observedBusySystem(t, profiled)
 	defer sys.Shutdown()
 
 	sys.VM.ProfilerFlush()
@@ -299,7 +358,7 @@ func TestJITObservability(t *testing.T) {
 }
 
 func TestMetricsRegistryMatchesStats(t *testing.T) {
-	sys := observedBusySystem(t)
+	sys := observedBusySystem(t, profiled)
 	defer sys.Shutdown()
 
 	m := sys.Metrics()
