@@ -1,14 +1,87 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"io"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"mst"
 	"mst/internal/bench"
 )
+
+// mainArgsEnv carries mst's arguments into a re-executed test binary,
+// which then runs main instead of the tests.
+const mainArgsEnv = "MST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"mst"}, strings.Split(args, "\x1f")...)
+		flag.CommandLine = flag.NewFlagSet("mst", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMST runs mst with args in a child process, bounded by a timeout so
+// that a hang fails the test, and answers its exit code and output.
+func runMST(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\x1f"))
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("mst %s did not exit within 60 s", strings.Join(args, " "))
+	}
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), out.String(), errOut.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, out.String(), errOut.String()
+}
+
+// TestMSTExits: background Processes that would hold every processor are
+// refused before anything is evaluated (each never yields, and nothing
+// time-slices it against the evaluation at the same priority, so the
+// evaluation would never run), one processor fewer runs, and a failed
+// evaluation names its cause.
+func TestMSTExits(t *testing.T) {
+	const starves = "leave none for an evaluation"
+	for _, tc := range []struct {
+		args           []string
+		code           int
+		stdout, stderr string
+	}{
+		{[]string{"-baseline", "-idle", "1", "-e", "3+4"}, 1, "", starves},
+		{[]string{"-procs", "2", "-idle", "2", "-e", "3+4"}, 1, "", starves},
+		{[]string{"-procs", "2", "-busy", "2", "-e", "3+4"}, 1, "", starves},
+		{[]string{"-procs", "3", "-idle", "2", "-e", "3+4"}, 0, "7\n", ""},
+		{[]string{"-e", "3 foo"}, 0, "", "doesNotUnderstand: #foo sent to 3"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			code, stdout, stderr := runMST(t, tc.args...)
+			if code != tc.code || (tc.stdout != "" && stdout != tc.stdout) || !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("exit %d, stdout %q, stderr %q; want exit %d, stdout %q, stderr containing %q",
+					code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
+			}
+		})
+	}
+}
 
 func parse(t *testing.T, args ...string) *options {
 	t.Helper()

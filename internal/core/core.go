@@ -365,20 +365,27 @@ func (s *System) FileIn(name, source string) error {
 // expression [true] whileTrue, which the compiler translates "into
 // bytecode which neither looks up messages nor allocates memory".
 func (s *System) SpawnIdleProcesses(n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := s.EvaluateRaw("[[true] whileTrue] fork"); err != nil {
-			return err
-		}
-		s.background++
-	}
-	return nil
+	return s.spawnBackground(n, "[[true] whileTrue] fork")
 }
 
 // SpawnBusyProcesses forks n sweep-hand-style busy Processes (sends,
 // allocations, display contention).
 func (s *System) SpawnBusyProcesses(n int) error {
+	return s.spawnBackground(n, "BusyWorker spawn")
+}
+
+// spawnBackground forks n background Processes by evaluating fork. A
+// background Process never yields, and it runs at the evaluation's
+// priority, which Smalltalk-80 does not time-slice, so each one holds a
+// processor for good: with as many as there are processors, nothing is
+// left for an evaluation and it would never return.
+func (s *System) spawnBackground(n int, fork string) error {
+	if procs := s.VM.M.NumProcs(); n > 0 && s.background+n >= procs {
+		return fmt.Errorf("core: %d background Processes on %d processors leave none for an evaluation (at most %d)",
+			s.background+n, procs, procs-1)
+	}
 	for i := 0; i < n; i++ {
-		if _, err := s.EvaluateRaw("BusyWorker spawn"); err != nil {
+		if _, err := s.EvaluateRaw(fork); err != nil {
 			return err
 		}
 		s.background++

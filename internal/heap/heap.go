@@ -765,6 +765,25 @@ func (h *Heap) CompareBytes(a, b object.OOP) int {
 	return cmp.Compare(na, nb)
 }
 
+// EqualString reports whether a FmtBytes object holds exactly s,
+// comparing in place: a name lookup reads no Go string out of the heap.
+func (h *Heap) EqualString(o object.OOP, s string) bool {
+	if h.ByteLen(o) != len(s) {
+		return false
+	}
+	base := o.Addr() + object.HeaderWords
+	for i := 0; i < len(s); i += 8 {
+		w := h.loadWord(base + uint64(i>>3))
+		for j := i; j < min(i+8, len(s)); j++ {
+			if byte(w) != s[j] {
+				return false
+			}
+			w >>= 8
+		}
+	}
+	return true
+}
+
 // String answers the contents of a FmtBytes object as a Go string,
 // copied out of the heap once.
 func (h *Heap) String(o object.OOP) string {

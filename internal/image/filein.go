@@ -150,10 +150,6 @@ func fileInMethods(vm *interp.VM, r *chunkReader, name, header string) error {
 	if err != nil {
 		return err
 	}
-	// One environment serves the section: it holds the class's instance
-	// variable names as Go strings, which no method chunk changes and no
-	// scavenge moves.
-	env := vm.EnvForClass(class)
 	for {
 		startLine := r.line
 		chunk, ok := r.nextRaw()
@@ -164,7 +160,7 @@ func fileInMethods(vm *interp.VM, r *chunkReader, name, header string) error {
 		if body == "" {
 			return nil
 		}
-		if err := vm.InstallSource(class, env, body, category); err != nil {
+		if err := vm.InstallSource(class, body, category); err != nil {
 			return fmt.Errorf("%s:%d: %w", name, startLine, err)
 		}
 	}

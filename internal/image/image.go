@@ -73,7 +73,7 @@ func BootOn(m *firefly.Machine, hcfg heap.Config, vcfg interp.Config, extraSourc
 // evaluated inside a block so that it may open with temporary
 // declarations and contain multiple statements.
 func EvaluateToString(vm *interp.VM, source string) (string, error) {
-	res, err := vm.Evaluate("([" + source + "] value) printString")
+	res, err := vm.EvaluateWrapped("([", source, "] value) printString")
 	if err != nil {
 		return "", err
 	}

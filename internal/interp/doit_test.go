@@ -277,7 +277,7 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 		t.Fatal("compiled an undeclared variable")
 	}
 	sd := vm.Specials.SystemDictionary
-	if err := vm.InstallSource(sd, vm.EnvForClass(sd), "at: key put: value <primitive: 131> ^value", "mini"); err != nil {
+	if err := vm.InstallSource(sd, "at: key put: value <primitive: 131> ^value", "mini"); err != nil {
 		t.Fatal(err)
 	}
 	const define = "Smalltalk at: #answer put: 41"
@@ -306,8 +306,8 @@ func TestDoLeavesNothingQueuedOnTimeLimit(t *testing.T) {
 	if _, err := vm.Evaluate("Smalltalk at: #Stale put: 1"); err == nil {
 		t.Fatal("Evaluate under an expired limit succeeded")
 	}
-	if n := len(vm.pendingWork); n != 0 {
-		t.Fatalf("%d closures left queued", n)
+	if vm.work != nil {
+		t.Fatal("a closure was left queued")
 	}
 	vm.M.SetTimeLimit(60_000_000)
 	if got := evalInt(t, vm, "3 + 4"); got != 7 {

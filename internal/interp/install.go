@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"mst/internal/bytecode"
 	"mst/internal/compiler"
@@ -14,50 +13,53 @@ import (
 )
 
 // classEnv adapts a class to the compiler's name-resolution interface.
+// It answers from the live image, comparing names in the heap, so a
+// question allocates nothing: instance variables from the class's
+// (inherited) declaration order, globals from the system dictionary,
+// with capitalized unknowns auto-declaring as globals so kernel sources
+// may forward-reference classes. class is a raw oop: an env is good
+// until the next allocation, which covers a compile (it allocates no
+// heap object) and the memo's re-asks.
 type classEnv struct {
-	vm       *VM
-	instVars []string
+	vm    *VM
+	class object.OOP
 }
 
-// EnvForClass builds a compiler.Env resolving instance variables from
-// the class's (inherited) declaration order and globals from the system
-// dictionary; capitalized unknowns auto-declare as globals so kernel
-// sources may forward-reference classes.
+// EnvForClass answers class's compiler.Env, to be used before anything
+// allocates in the heap.
 func (vm *VM) EnvForClass(class object.OOP) compiler.Env {
-	return classEnv{vm: vm, instVars: vm.InstVarNamesOf(class)}
+	return &classEnv{vm: vm, class: class}
 }
 
-// InstVarNamesOf returns the full (superclass-first) instance variable
-// list of class.
-func (vm *VM) InstVarNamesOf(class object.OOP) []string {
-	if size, _ := DecodeFormat(vm.H.Fetch(class, ClsFormat)); size == 0 {
-		return nil // no named fields anywhere up the chain (every doIt's class)
+// InstVarIndex answers name's index in the class's full,
+// superclass-first instance variable list.
+func (e *classEnv) InstVarIndex(name string) (int, bool) {
+	h := e.vm.H
+	if size, _ := DecodeFormat(h.Fetch(e.class, ClsFormat)); size == 0 {
+		return 0, false // no named fields anywhere up the chain (every doIt's class)
 	}
-	var chain []object.OOP
-	for c := class; c != object.Nil && c != object.Invalid; c = vm.H.Fetch(c, ClsSuperclass) {
-		chain = append(chain, c)
+	total := 0
+	for c := e.class; c != object.Nil && c != object.Invalid; c = h.Fetch(c, ClsSuperclass) {
+		total += h.FieldCount(h.Fetch(c, ClsInstVarNames))
 	}
-	var names []string
-	for i := len(chain) - 1; i >= 0; i-- {
-		ivn := vm.H.Fetch(chain[i], ClsInstVarNames)
-		n := vm.H.FieldCount(ivn)
+	// Walk up from the class, its own names last in the list: the match
+	// nearest the root is the first in list order, and wins.
+	idx, found := 0, false
+	for c := e.class; c != object.Nil && c != object.Invalid; c = h.Fetch(c, ClsSuperclass) {
+		ivn := h.Fetch(c, ClsInstVarNames)
+		n := h.FieldCount(ivn)
+		total -= n
 		for j := 0; j < n; j++ {
-			names = append(names, vm.GoString(vm.H.Fetch(ivn, j)))
+			if h.EqualString(h.Fetch(ivn, j), name) {
+				idx, found = total+j, true
+				break
+			}
 		}
 	}
-	return names
+	return idx, found
 }
 
-func (e classEnv) InstVarIndex(name string) (int, bool) {
-	for i, n := range e.instVars {
-		if n == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func (e classEnv) IsGlobal(name string) bool {
+func (e *classEnv) IsGlobal(name string) bool {
 	if e.vm.sysDictFind(name) != object.Invalid {
 		return true
 	}
@@ -135,15 +137,13 @@ func (vm *VM) materializeLit(p *firefly.Proc, l compiler.Lit) object.OOP {
 // CompileAndInstall compiles source as a method of class and installs it
 // in the class's method dictionary, flushing the method caches. MAY GC.
 func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, category string) (object.OOP, error) {
-	return vm.compileAndInstall(p, class, vm.EnvForClass(class), source, category)
-}
-
-// compileAndInstall is CompileAndInstall against env, which must be
-// class's (EnvForClass). MAY GC.
-func (vm *VM) compileAndInstall(p *firefly.Proc, class object.OOP, env compiler.Env, source, category string) (object.OOP, error) {
 	hs := vm.H.Handles(p)
 	defer hs.Close()
 	ch := hs.Add(class)
+	// The compile asks p's interpreter's env, so compiles on two
+	// processors (the compile primitive, -parallel) never share one.
+	env := &vm.Interps[p.ID()].env
+	env.class = class
 	m, err := methods.compile(source, env)
 	if err != nil {
 		return object.Nil, err
@@ -230,11 +230,9 @@ func (vm *VM) growMethodDict(p *firefly.Proc, class object.OOP) {
 }
 
 func (vm *VM) flushAllCaches() {
-	if vm.sharedCache != nil {
-		*vm.sharedCache = [cacheSize]mcEntry{}
-	}
+	vm.sharedCache.flush()
 	for _, in := range vm.Interps {
-		in.flushCache()
+		in.cache.flush()
 		// Inline caches bind class→method; a (re)definition makes any
 		// of them stale. Fused bodies bake in IC-site identities and go
 		// with them, and the plans point at both.
@@ -380,41 +378,60 @@ type EvalResult struct {
 // loop. Heap-mutating work initiated from Go (method installation,
 // evaluation setup) must go through Do once the machine has run: the
 // host main goroutine may not touch virtual locks while processors are
-// parked mid-acquisition.
+// parked mid-acquisition. A warm boot calls Do some 560 times, so Do
+// allocates nothing: f is queued as given (the callers on that path pass
+// a method value bound once in New) and the stop predicate is bound once.
 func (vm *VM) Do(f func(p *firefly.Proc)) error {
-	// done is written by interpreter 0 and read by the stop predicate,
-	// which runs at every scheduling decision and in parallel host mode
-	// at every processor's safepoints — hence atomic, and no mutex.
-	var done atomic.Bool
-	vm.pendingWork = append(vm.pendingWork, func(p *firefly.Proc) {
-		f(p)
-		done.Store(true)
-	})
-	reason := vm.M.Run(func() bool { return done.Load() || vm.dead.Load() })
+	vm.work = f
+	vm.workDone.Store(false)
+	reason := vm.M.Run(vm.doStop)
 	if vm.dead.Load() {
 		return fmt.Errorf("interp: machine dead: %s", vm.evalFailed)
 	}
-	if !done.Load() {
-		// Run stopped (time limit) first. A closure interpreter 0 never
-		// reached is still queued, alone (only Do appends): drop it.
-		vm.pendingWork = nil
+	if !vm.workDone.Load() {
+		// Run stopped (time limit) first: interpreter 0 never reached
+		// the work. Drop it.
+		vm.work = nil
 		return fmt.Errorf("interp: queued work did not run: %v", reason)
 	}
 	return nil
 }
 
-// InstallSource compiles method source against env, class's environment
-// (EnvForClass; file-in builds one per methodsFor: section), and
+// runWork runs Do's queued work on interpreter 0's processor p.
+func (vm *VM) runWork(p *firefly.Proc) {
+	w := vm.work
+	vm.work = nil // don't keep the closure reachable
+	w(p)
+	// Read by Do's stop predicate, which runs at every scheduling
+	// decision and in parallel host mode at every processor's safepoints
+	// — hence atomic, and no mutex.
+	vm.workDone.Store(true)
+}
+
+// installReq is the one install InstallSource has in flight.
+type installReq struct {
+	class            object.OOP
+	source, category string
+	err              error
+}
+
+// InstallSource compiles method source against class's environment and
 // installs it into class, safely from Go, through the machine loop.
-func (vm *VM) InstallSource(class object.OOP, env compiler.Env, source, category string) error {
-	var installErr error
-	err := vm.Do(func(p *firefly.Proc) {
-		_, installErr = vm.compileAndInstall(p, class, env, source, category)
-	})
+func (vm *VM) InstallSource(class object.OOP, source, category string) error {
+	vm.install = installReq{class: class, source: source, category: category}
+	err := vm.Do(vm.installFn)
+	installErr := vm.install.err
+	vm.install = installReq{}
 	if err != nil {
 		return err
 	}
 	return installErr
+}
+
+// runInstall is InstallSource's work, bound once as vm.installFn.
+func (vm *VM) runInstall(p *firefly.Proc) {
+	r := &vm.install
+	_, r.err = vm.CompileAndInstall(p, r.class, r.source, r.category)
 }
 
 // Evaluate compiles source as a DoIt, runs it as a Process at
@@ -422,7 +439,16 @@ func (vm *VM) InstallSource(class object.OOP, env compiler.Env, source, category
 // Processes spawned earlier keep running during the evaluation. Only one
 // Evaluate may be active at a time.
 func (vm *VM) Evaluate(source string) (EvalResult, error) {
-	m, err := vm.compileDoIt(source)
+	return vm.EvaluateWrapped("", source, "")
+}
+
+// EvaluateWrapped evaluates prefix+source+suffix as Evaluate does. The
+// text is assembled in host scratch, so a doIt the memo holds costs no
+// Go string.
+func (vm *VM) EvaluateWrapped(prefix, source, suffix string) (EvalResult, error) {
+	vm.src = append(append(append(vm.src[:0], prefix...), source...), suffix...)
+	vm.doitEnv.class = vm.Specials.UndefinedObject
+	m, err := vm.doits.compileBytes(vm.src, &vm.doitEnv)
 	if err != nil {
 		return EvalResult{}, fmt.Errorf("interp: compile DoIt: %w", err)
 	}
@@ -436,18 +462,17 @@ func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
 	vm.evalResult = object.Nil
 	vm.evalDone.Store(false)
 	vm.evalFailed = ""
-	if err := vm.Do(func(p *firefly.Proc) {
-		mo := vm.MaterializeMethod(p, m, vm.Specials.UndefinedObject, "doits")
-		proc := vm.NewProcessForMethod(p, mo, object.Nil, UserPriority)
-		vm.hostMu.Lock()
-		vm.evalProc = proc
-		vm.hostMu.Unlock()
-		vm.scheduleProcess(p, proc)
-	}); err != nil {
+	vm.hostMu.Lock()
+	vm.evalErrSeq = vm.errSeq
+	vm.hostMu.Unlock()
+	vm.doit = m
+	err := vm.Do(vm.startDoItFn)
+	vm.doit = nil
+	if err != nil {
 		return EvalResult{}, err
 	}
 
-	reason := vm.M.Run(vm.evalDone.Load)
+	reason := vm.M.Run(vm.evalStop)
 	res := EvalResult{Value: vm.evalResult, Reason: reason, Failed: vm.evalFailed}
 	vm.evalProc = object.Nil
 	if reason != firefly.StopUntil && !vm.evalDone.Load() {
@@ -457,6 +482,17 @@ func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
 		return res, fmt.Errorf("interp: %s", res.Failed)
 	}
 	return res, nil
+}
+
+// startDoIt is RunDoIt's work, bound once as vm.startDoItFn: materialize
+// the doIt and schedule it as the evaluation's Process.
+func (vm *VM) startDoIt(p *firefly.Proc) {
+	mo := vm.MaterializeMethod(p, vm.doit, vm.Specials.UndefinedObject, "doits")
+	proc := vm.NewProcessForMethod(p, mo, object.Nil, UserPriority)
+	vm.hostMu.Lock()
+	vm.evalProc = proc
+	vm.hostMu.Unlock()
+	vm.scheduleProcess(p, proc)
 }
 
 // ---- The compile memos ----
@@ -553,11 +589,35 @@ func (c *memo) compile(source string, env compiler.Env) (*compiler.Method, error
 	c.mu.Lock()
 	ds := c.table[source]
 	c.mu.Unlock()
+	if m := currentOf(ds, env); m != nil {
+		return m, nil
+	}
+	return c.add(source, env)
+}
+
+// compileBytes is compile of string(src), which it builds only on a miss.
+func (c *memo) compileBytes(src []byte, env compiler.Env) (*compiler.Method, error) {
+	c.mu.Lock()
+	ds := c.table[string(src)]
+	c.mu.Unlock()
+	if m := currentOf(ds, env); m != nil {
+		return m, nil
+	}
+	return c.add(string(src), env)
+}
+
+// currentOf answers the first of ds that env still answers alike, or nil.
+func currentOf(ds []compiled, env compiler.Env) *compiler.Method {
 	for _, d := range ds {
 		if d.current(env) {
-			return d.m, nil
+			return d.m
 		}
 	}
+	return nil
+}
+
+// add compiles source against env and memoizes the compile.
+func (c *memo) add(source string, env compiler.Env) (*compiler.Method, error) {
 	asked := askedEnv{env: env}
 	m, err := c.gen(source, &asked)
 	if err != nil {
@@ -566,7 +626,7 @@ func (c *memo) compile(source string, env compiler.Env) (*compiler.Method, error
 	d := compiled{m, asked.asks}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ds = c.table[source]
+	ds := c.table[source]
 	if slices.ContainsFunc(ds, func(o compiled) bool { return slices.Equal(o.asks, d.asks) }) {
 		return m, nil // a concurrent miss got here first
 	}
@@ -578,10 +638,6 @@ func (c *memo) compile(source string, env compiler.Env) (*compiler.Method, error
 	c.table[source] = append(ds[:len(ds):len(ds)], d)
 	c.n++
 	return m, nil
-}
-
-func (vm *VM) compileDoIt(source string) (*compiler.Method, error) {
-	return vm.doits.compile(source, vm.EnvForClass(vm.Specials.UndefinedObject))
 }
 
 // StartInterpreters installs every interpreter's run loop on its

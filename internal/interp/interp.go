@@ -45,7 +45,7 @@ type Interp struct {
 	busAccum firefly.Time
 
 	// Per-processor replicas (paper §3.2).
-	cache *[cacheSize]mcEntry // method cache (CacheReplicated)
+	cache *methodCache // method cache (CacheReplicated)
 	// free holds the small and large free context lists
 	// (FreeCtxPerProcessor); NOT roots: flushed at every scavenge.
 	free [2][]object.OOP
@@ -99,8 +99,11 @@ type Interp struct {
 	planUsed []uint16
 	plans    [planTabSize]plan
 
-	// text is host scratch the decompile primitive renders into.
+	// text is host scratch the decompile primitive renders into; env is
+	// the compile env CompileAndInstall hands the compiler on this
+	// processor.
 	text []byte
+	env  classEnv
 }
 
 func newInterp(vm *VM, p *firefly.Proc) *Interp {
@@ -122,13 +125,14 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 		in.probeCost += in.costs.CacheReplica
 	}
 	if vm.Cfg.MethodCache == CacheReplicated {
-		in.cache = new([cacheSize]mcEntry)
+		in.cache = new(methodCache)
 	}
 	if in.icPolicy != ICOff {
 		in.ic = map[object.OOP]*icMethod{}
 		vm.H.AddRootFunc(in.icVisitRoots)
 	}
 	in.idleFn = in.idleQuantum
+	in.env.vm = vm
 	h := vm.H
 	h.AddRoot(&in.ctx)
 	h.AddRoot(&in.method)
@@ -156,12 +160,6 @@ func (in *Interp) setProc(o object.OOP) {
 	in.p.SetActive(o != object.Nil)
 }
 
-func (in *Interp) flushCache() {
-	if in.cache != nil {
-		*in.cache = [cacheSize]mcEntry{}
-	}
-}
-
 func (in *Interp) flushFreeContexts() {
 	in.free[0] = in.free[0][:0]
 	in.free[1] = in.free[1][:0]
@@ -176,7 +174,7 @@ func (in *Interp) Run() {
 		if r := recover(); r != nil {
 			msg := fmt.Sprintf("interpreter %d died: %v", in.p.ID(), r)
 			in.vm.hostMu.Lock()
-			in.vm.errors = append(in.vm.errors, msg)
+			in.vm.logError(msg)
 			in.vm.evalFailed = msg
 			in.vm.hostMu.Unlock()
 			in.vm.dead.Store(true)
@@ -192,12 +190,9 @@ func (in *Interp) Run() {
 // run, idles — however many scheduling quanta that takes — until there is
 // a Process, queued Go-side work, or a shutdown.
 func (in *Interp) Quantum() {
-	// Interpreter 0 drains Go-side work queued by VM.Do.
-	if in == in.vm.Interps[0] && len(in.vm.pendingWork) > 0 {
-		w := in.vm.pendingWork[0]
-		in.vm.pendingWork[0] = nil // don't keep the popped closure reachable
-		in.vm.pendingWork = in.vm.pendingWork[1:]
-		w(in.p)
+	// Interpreter 0 runs Go-side work queued by VM.Do.
+	if in == in.vm.Interps[0] && in.vm.work != nil {
+		in.vm.runWork(in.p)
 	}
 	if in.proc == object.Nil {
 		in.p.Idle(in.idleFn)

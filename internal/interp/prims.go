@@ -421,7 +421,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(recv) {
 			return false
 		}
-		return in.primReturn(nargs, object.FromInt(int64(stringHash(vm.GoString(recv)))))
+		return in.primReturn(nargs, object.FromInt(int64(vm.bytesHash(recv))))
 
 	case PrimCompile:
 		return in.primCompile(nargs, recv)
@@ -527,10 +527,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		}
 		vm.Disp.TranscriptShow(in.p, "Error: "+msg+"\n")
 		vm.hostMu.Lock()
-		vm.errors = append(vm.errors, "Smalltalk error: "+msg)
-		if in.proc == vm.evalProc && in.proc != object.Nil {
-			vm.evalFailed = "Smalltalk error: " + msg
-		}
+		vm.logError("Smalltalk error: " + msg)
 		vm.hostMu.Unlock()
 		in.terminateCurrentProcess()
 		return true

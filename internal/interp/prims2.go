@@ -270,7 +270,7 @@ func (in *Interp) primCompile(nargs int, recv object.OOP) bool {
 	mo, err := vm.CompileAndInstall(in.p, recv, vm.GoString(src), vm.GoString(cat))
 	if err != nil {
 		vm.hostMu.Lock()
-		vm.errors = append(vm.errors, "compile: "+err.Error())
+		vm.logError("compile: " + err.Error())
 		vm.hostMu.Unlock()
 		return false
 	}

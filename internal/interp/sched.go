@@ -198,7 +198,7 @@ func (in *Interp) terminateCurrentProcess() {
 	}
 	in.vm.hostMu.Lock()
 	if in.proc == in.vm.evalProc {
-		in.vm.evalFailed = "process terminated by VM error"
+		in.vm.evalFailed = "process terminated by VM error" + in.vm.evalErrorCause()
 		in.vm.evalResult = object.Nil
 		in.vm.evalDone.Store(true)
 	}
@@ -417,7 +417,7 @@ func (in *Interp) idleQuantum() firefly.IdleResult {
 		in.idleYieldAgain = false
 		return firefly.IdleYielded
 	}
-	if in == vm.Interps[0] && len(vm.pendingWork) > 0 {
+	if in == vm.Interps[0] && vm.work != nil {
 		return firefly.IdleResume // Quantum drains it on our own coroutine
 	}
 	for {

@@ -223,12 +223,12 @@ func TestIdleQuantumResults(t *testing.T) {
 	}
 	vm.M.Start(0, func(p *firefly.Proc) {
 		// Queued Go-side work: resume at once, nothing polled or charged.
-		vm.pendingWork = append(vm.pendingWork, func(*firefly.Proc) {})
+		vm.work = func(*firefly.Proc) {}
 		before := p.Stats()
 		if r := in.idleQuantum(); r != firefly.IdleResume || p.Stats() != before {
 			t.Errorf("with work queued: result %v, stats %+v -> %+v", r, before, p.Stats())
 		}
-		vm.pendingWork = nil
+		vm.work = nil
 
 		// The scheduler lock taken by a processor ahead in virtual time:
 		// every poll below the deadline fails and is repeated with no

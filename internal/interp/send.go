@@ -20,6 +20,41 @@ type mcEntry struct {
 	prim     int
 }
 
+// methodCache is one method cache: a processor's replica
+// (CacheReplicated) or the one shared table (CacheSharedLocked). It is
+// flushed at every method install and before every scavenge, yet few
+// slots are filled in between: 4 over a boot's 545 flushes, about ten
+// per flush in a macro pass. So used lists the slots filled since the
+// last flush and a flush clears those alone, as flushPlans does; clearing
+// all 512 entries of every replica was a quarter of a warm 5-processor
+// boot's host time. A slot is listed when a fill finds it empty, so at
+// most cacheSize slots are listed and the fixed array never allocates.
+type methodCache struct {
+	entries [cacheSize]mcEntry
+	used    [cacheSize]uint16
+	n       int // listed slots
+}
+
+// fill writes e into slot idx.
+func (c *methodCache) fill(idx int, e mcEntry) {
+	if c.entries[idx].selector == object.Invalid {
+		c.used[c.n] = uint16(idx)
+		c.n++
+	}
+	c.entries[idx] = e
+}
+
+// flush empties the cache; nil (no cache of this kind) is a no-op.
+func (c *methodCache) flush() {
+	if c == nil {
+		return
+	}
+	for _, i := range c.used[:c.n] {
+		c.entries[i] = mcEntry{}
+	}
+	c.n = 0
+}
+
 func cacheIndex(selector, class object.OOP) int {
 	return int((uint64(selector)>>1 ^ uint64(class)>>3) & (cacheSize - 1))
 }
@@ -30,7 +65,7 @@ func cacheIndex(selector, class object.OOP) int {
 func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 	vm := in.vm
 
-	var cache *[cacheSize]mcEntry
+	var cache *methodCache
 	locked := false
 	if in.sharedLocked {
 		// MS's first design: a shared cache behind a two-level lock
@@ -44,7 +79,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 	}
 	idx := cacheIndex(selector, class)
 	in.p.Advance(in.probeCost)
-	if e := &cache[idx]; e.selector == selector && e.class == class {
+	if e := &cache.entries[idx]; e.selector == selector && e.class == class {
 		m, prim := e.method, e.prim
 		if locked {
 			vm.cacheLock.ReleaseRead(in.p)
@@ -57,7 +92,7 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 		// Extension (CacheWays=2): a second probe of the adjacent entry
 		// turns many conflict misses into hits, at one extra probe cost.
 		in.p.Advance(in.probeCost)
-		if e := &cache[idx^1]; e.selector == selector && e.class == class {
+		if e := &cache.entries[idx^1]; e.selector == selector && e.class == class {
 			m, prim := e.method, e.prim
 			if locked {
 				vm.cacheLock.ReleaseRead(in.p)
@@ -81,16 +116,16 @@ func (in *Interp) lookup(class, selector object.OOP) (object.OOP, int, bool) {
 	}
 	prim := headerPrim(vm.H.Fetch(method, CMHeader))
 
-	if in.twoWay && cache[idx].selector != object.Invalid && cache[idx^1].selector == object.Invalid {
+	if in.twoWay && cache.entries[idx].selector != object.Invalid && cache.entries[idx^1].selector == object.Invalid {
 		idx ^= 1 // fill the empty way instead of evicting
 	}
-	if in.sharedLocked {
+	if locked {
 		vm.cacheLock.AcquireWrite(in.p)
 		vm.sanAccess(in.p, "shared-method-cache")
-		vm.sharedCache[idx] = mcEntry{selector, class, method, prim}
+		cache.fill(idx, mcEntry{selector, class, method, prim})
 		vm.cacheLock.ReleaseWrite(in.p)
 	} else {
-		in.cache[idx] = mcEntry{selector, class, method, prim}
+		cache.fill(idx, mcEntry{selector, class, method, prim})
 	}
 	return method, prim, true
 }
@@ -217,11 +252,11 @@ func (in *Interp) sendDNU(selector object.OOP, nargs int) {
 		// step() already advanced in.pc past the send).
 		in.jitDemote(in.method, jit.DeoptDNU)
 	}
+	// Logged though a DNU may be handled deliberately: when it is not,
+	// it is the cause the failed evaluation reports.
+	report := "doesNotUnderstand: #" + vm.SymbolName(selector) + " sent to " + vm.DescribeOOP(in.stackAt(nargs))
 	vm.hostMu.Lock()
-	if len(vm.errors) < 100 { // diagnostic log; DNU may be handled deliberately
-		vm.errors = append(vm.errors, "doesNotUnderstand: #"+vm.SymbolName(selector)+
-			" sent to "+vm.DescribeOOP(in.stackAt(nargs)))
-	}
+	vm.logError(report)
 	vm.hostMu.Unlock()
 	hs := vm.H.Handles(in.p)
 	defer hs.Close()

@@ -102,7 +102,7 @@ func (in *Interp) primSnapshot(nargs int, recv object.OOP) bool {
 	vm.H.StoreNoCheck(vm.Specials.Scheduler, SchedActive, object.Nil)
 	if err != nil {
 		vm.hostMu.Lock()
-		vm.errors = append(vm.errors, "snapshot: "+err.Error())
+		vm.logError("snapshot: " + err.Error())
 		vm.hostMu.Unlock()
 		// The result is already pushed; report the failure via the
 		// transcript rather than unwinding the stack.

@@ -17,6 +17,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -385,9 +386,9 @@ type VM struct {
 	cacheLock *firefly.RWSpinlock // CacheSharedLocked only (two-level: readers overlap)
 	freeLock  *firefly.Spinlock   // FreeCtxSharedLocked only
 
-	sharedCache   *[cacheSize]mcEntry // CacheSharedLocked only
-	sharedFreeCtx [2][]object.OOP     // small/large shared free lists
-	charTable     []object.OOP        // ASCII characters, roots
+	sharedCache   *methodCache    // CacheSharedLocked only
+	sharedFreeCtx [2][]object.OOP // small/large shared free lists
+	charTable     []object.OOP    // ASCII characters, roots
 
 	// Symbol interning: slice is the root set, map caches name→index.
 	symbolList []object.OOP
@@ -415,14 +416,30 @@ type VM struct {
 	evalDone   atomic.Bool
 	evalFailed string
 
-	// doits memoizes compiled doIts by source (install.go).
-	doits memo
+	// doits memoizes compiled doIts by source (install.go); src is the
+	// scratch EvaluateWrapped assembles a source in, doitEnv the doIt
+	// compile's env, and doit the compiled doIt startDoIt materializes.
+	doits   memo
+	src     []byte
+	doitEnv classEnv
+	doit    *compiler.Method
 
-	// pendingWork holds Go-side mutating operations (method installs,
-	// evaluation setup) to be executed by interpreter 0 *inside* the
-	// machine loop: heap mutation from the host main goroutine would
-	// race the simulated processors when they are suspended mid-lock.
-	pendingWork []func(p *firefly.Proc)
+	// work is the Go-side mutating operation (a method install, an
+	// evaluation's setup) Do queued for interpreter 0 to run *inside* the
+	// machine loop: heap mutation from the host main goroutine would race
+	// the simulated processors when they are suspended mid-lock. Only Do
+	// queues work, and it waits for it, so there is at most one. The
+	// func fields are bound once in New, so a Do allocates nothing:
+	// doStop and evalStop are the predicates Do and RunDoIt run the
+	// machine until, installFn and startDoItFn the work of InstallSource
+	// (its request in install) and RunDoIt.
+	work        func(p *firefly.Proc)
+	workDone    atomic.Bool
+	doStop      func() bool
+	evalStop    func() bool
+	install     installReq
+	installFn   func(p *firefly.Proc)
+	startDoItFn func(p *firefly.Proc)
 	dead        atomic.Bool // an interpreter died (panic)
 
 	// snapshotFunc writes an image snapshot (installed by the image
@@ -458,8 +475,13 @@ type VM struct {
 
 	// stats holds only VM-level counters (VMErrors); the per-activity
 	// counters live on each Interp and are summed by Stats().
-	stats  Stats
-	errors []string
+	// errors is the error log (logError); errSeq counts every report
+	// ever logged, and evalErrSeq is errSeq when the running evaluation
+	// started, so the reports since are its own.
+	stats      Stats
+	errors     []string
+	errSeq     int
+	evalErrSeq int
 }
 
 type delayEntry struct {
@@ -491,8 +513,13 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		par:       cfg.Parallel,
 	}
 	vm.nextWake.Store(math.MaxInt64)
+	vm.doitEnv.vm = vm
+	vm.doStop = func() bool { return vm.workDone.Load() || vm.dead.Load() }
+	vm.evalStop = vm.evalDone.Load
+	vm.installFn = vm.runInstall
+	vm.startDoItFn = vm.startDoIt
 	if cfg.MethodCache == CacheSharedLocked {
-		vm.sharedCache = new([cacheSize]mcEntry)
+		vm.sharedCache = new(methodCache)
 	}
 	// Table-3 serialization rows owned by the interpreter: the
 	// shared ready queue always; the shared method cache and shared
@@ -527,13 +554,9 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 	h.OnPreScavenge(func() {
 		// Method caches and plan tables hold raw oops keyed by address:
 		// flush. The free context lists are not roots; drop them too.
-		if vm.sharedCache != nil {
-			for i := range vm.sharedCache {
-				vm.sharedCache[i] = mcEntry{}
-			}
-		}
+		vm.sharedCache.flush()
 		for _, in := range vm.Interps {
-			in.flushCache()
+			in.cache.flush()
 			in.flushPlans()
 		}
 		vm.sharedFreeCtx[0] = vm.sharedFreeCtx[0][:0]
@@ -588,11 +611,45 @@ func (vm *VM) Stats() Stats {
 	return s
 }
 
-// Errors returns VM-level error reports (empty in a healthy run).
+// Errors returns the most recent VM-level error reports, at most
+// MaxErrors of them, oldest first (empty in a healthy run).
 func (vm *VM) Errors() []string {
 	vm.hostMu.Lock()
 	defer vm.hostMu.Unlock()
-	return vm.errors
+	return slices.Clone(vm.errors)
+}
+
+// MaxErrors bounds the error log: a long-lived tenant answering
+// erroring requests keeps its latest MaxErrors reports, not all of them.
+const MaxErrors = 100
+
+// logError appends msg to the error log, dropping the oldest report at
+// the bound. The caller holds hostMu.
+func (vm *VM) logError(msg string) {
+	if len(vm.errors) == MaxErrors {
+		vm.errors = append(vm.errors[:0], vm.errors[1:]...)
+	}
+	vm.errors = append(vm.errors, msg)
+	vm.errSeq++
+}
+
+// evalErrorCause names what the running evaluation recorded in the error
+// log: the first report and, if there were more, the last (the first is
+// usually the cause, the last what killed the Process). The caller holds
+// hostMu.
+func (vm *VM) evalErrorCause() string {
+	k := min(vm.errSeq-vm.evalErrSeq, len(vm.errors))
+	switch k {
+	case 0:
+		return ""
+	case 1:
+		return ": " + vm.errors[len(vm.errors)-1]
+	}
+	first, last := vm.errors[len(vm.errors)-k], vm.errors[len(vm.errors)-1]
+	if k == 2 {
+		return ": " + first + "; " + last
+	}
+	return fmt.Sprintf(": %s; %d more; %s", first, k-2, last)
 }
 
 // vmError records an internal error; with PanicOnVMError it panics.
@@ -600,7 +657,7 @@ func (vm *VM) vmError(format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	vm.hostMu.Lock()
 	vm.stats.VMErrors++
-	vm.errors = append(vm.errors, msg)
+	vm.logError(msg)
 	vm.hostMu.Unlock()
 	if vm.Cfg.PanicOnVMError {
 		panic("interp: " + msg)
@@ -726,8 +783,7 @@ func (vm *VM) sysDictFind(name string) object.OOP {
 		if slot == object.Nil {
 			return object.Invalid
 		}
-		key := vm.H.Fetch(slot, AsKey)
-		if vm.SymbolName(key) == name {
+		if vm.H.EqualString(vm.H.Fetch(slot, AsKey), name) {
 			return slot
 		}
 	}
@@ -779,9 +835,8 @@ func (vm *VM) SysDictDefine(p *firefly.Proc, name string, value object.OOP) obje
 }
 
 func (vm *VM) sysDictInsert(p *firefly.Proc, arr, assoc object.OOP) {
-	name := vm.SymbolName(vm.H.Fetch(assoc, AsKey))
 	n := vm.H.FieldCount(arr)
-	h := stringHash(name) % uint32(n)
+	h := vm.bytesHash(vm.H.Fetch(assoc, AsKey)) % uint32(n)
 	for i := 0; i < n; i++ {
 		idx := int((int(h) + i) % n)
 		if vm.H.Fetch(arr, idx) == object.Nil {
@@ -825,11 +880,25 @@ func (vm *VM) SysDictDo(f func(assoc object.OOP)) {
 func stringHash(s string) uint32 {
 	var h uint32 = 2166136261
 	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
+		h = fnvStep(h, s[i])
 	}
+	return fnvEnd(h)
+}
+
+// bytesHash is stringHash of a String or Symbol, read in the heap.
+func (vm *VM) bytesHash(o object.OOP) uint32 {
+	var h uint32 = 2166136261
+	for i, n := 0, vm.H.ByteLen(o); i < n; i++ {
+		h = fnvStep(h, vm.H.FetchByte(o, i))
+	}
+	return fnvEnd(h)
+}
+
+func fnvStep(h uint32, b byte) uint32 { return (h ^ uint32(b)) * 16777619 }
+
+func fnvEnd(h uint32) uint32 {
 	if h == 0 {
-		h = 1
+		return 1
 	}
 	return h
 }

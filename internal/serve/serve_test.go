@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mst/internal/core"
+	"mst/internal/interp"
 	"mst/internal/serve/loadgen"
 )
 
@@ -391,5 +392,32 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if err := r2.WriteTrace(&buf); err == nil {
 		t.Fatal("WriteTrace with tracing off succeeded")
+	}
+}
+
+// TestErroringTenantKeepsABoundedErrorLog: a long-lived tenant fed ten
+// thousand erroring requests keeps at most interp.MaxErrors reports in
+// its VM's error log, each failed request names its cause, and the
+// tenant still answers afterwards.
+func TestErroringTenantKeepsABoundedErrorLog(t *testing.T) {
+	s := newTestServer(t, Config{Tenants: 1})
+	for i := 0; i < 10000; i++ {
+		src, cause := "3 foo", "doesNotUnderstand: #foo sent to 3"
+		if i%2 == 1 {
+			src, cause = "1/0", "Smalltalk error: division by zero"
+		}
+		if _, err := s.Eval(0, src); err == nil || !strings.Contains(err.Error(), cause) {
+			t.Fatalf("request %d (%s): error %v, want one naming %q", i, src, err, cause)
+		}
+	}
+	sys, err := s.session(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sys.VM.Errors()); n > interp.MaxErrors {
+		t.Errorf("error log holds %d reports after 10000 erroring requests, bound %d", n, interp.MaxErrors)
+	}
+	if got, err := s.Eval(0, "3 + 4"); err != nil || got != "7" {
+		t.Errorf("after the errors: 3 + 4 answered %q, %v", got, err)
 	}
 }
