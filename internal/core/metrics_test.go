@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mst/internal/firefly"
@@ -62,5 +63,57 @@ func TestStatsHostAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { _ = s.Metrics() }); n > 3 {
 		t.Errorf("Metrics() allocates %v times, want <= 3", n)
+	}
+}
+
+// TestStringPrimitivesAllocateNothing runs each primitive that reads a
+// Smalltalk string in a warm 1000-iteration loop and holds it to the Go
+// allocations of the same loop with an empty body: the primitives read
+// their strings in the heap or through the interpreter's scratch, and
+// the display and the Transcript copy into buffers they reuse. The
+// fewest of five warm evaluations counts, as in the boot pins: a Go GC
+// cycle adds a few allocations to some.
+func TestStringPrimitivesAllocateNothing(t *testing.T) {
+	s := newSystem(t, nil)
+	if _, err := s.Evaluate("Object subclass: #AllocProbe instanceVariableNames: '' category: 'probes'"); err != nil {
+		t.Fatal(err)
+	}
+	loop := func(body string) uint64 {
+		src := "1 to: 1000 do: [:i | " + body + "]"
+		// Warm: the doIt memo, the output queue's ring and arena, the
+		// Transcript's 64 KiB, and the plan slots' code buffers (each
+		// evaluation materializes its doIt at a new address, so it meets
+		// plan slots whose buffers may still be too small for it).
+		for range 20 {
+			if _, err := s.EvaluateRaw(src); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+		}
+		fewest := uint64(math.MaxUint64)
+		for range 5 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := s.EvaluateRaw(src); err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			runtime.ReadMemStats(&m1)
+			fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+		}
+		return fewest
+	}
+	empty := loop("")
+	for _, body := range []string{
+		"Display displayString: 'drawn on the display' at: i at: 3",
+		"Transcript show: 'shown on the Transcript'",
+		"#probeSymbol asString",
+		"'probeSymbol' asSymbol",
+		"AllocProbe compile: 'probe ^1' classified: 'probes'",
+		"Smalltalk at: #ProbeGlobal put: i",
+		"Smalltalk at: #ProbeGlobal",
+		"Smalltalk includesKey: #ProbeGlobal",
+	} {
+		if got := loop(body); got > empty {
+			t.Errorf("[%s] x1000: %d Go allocations, the empty loop %d", body, got, empty)
+		}
 	}
 }

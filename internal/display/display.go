@@ -9,14 +9,12 @@
 package display
 
 import (
-	"strings"
-
 	"mst/internal/firefly"
 	"mst/internal/sanitize"
 	"mst/internal/trace"
 )
 
-// Command is one display output command.
+// Command is one display output command, as Commands reports it.
 type Command struct {
 	Text string
 	X, Y int
@@ -43,12 +41,24 @@ type Event struct {
 
 // Display is the virtual display controller plus the Transcript sink.
 type Display struct {
-	lock       *firefly.Spinlock
-	commands   []Command // the latest, at most maxCommands
-	posted     int       // all ever posted
-	transcript strings.Builder
-	width      int
-	height     int
+	lock *firefly.Spinlock
+
+	// The output queue is a ring of the latest maxCommands commands: post
+	// k lives in cmds[k%maxCommands], its text in text[off:off+n]. The
+	// texts sit in cmds order in one arena that post reuses (see
+	// placeText), so a steady poster allocates nothing.
+	cmds      []queued
+	text      []byte
+	textBytes int // bytes of the live commands' texts
+	posted    int // all ever posted
+
+	// transcript holds the latest MaxTranscript bytes shown; once full it
+	// is a ring whose oldest byte is at transcriptAt.
+	transcript   []byte
+	transcriptAt int
+
+	width  int
+	height int
 
 	// san is the machine's invariant checker (nil when sanitizing is
 	// off), cached like the heap's. Holding it as a field is also what
@@ -57,17 +67,61 @@ type Display struct {
 	san *sanitize.Checker
 }
 
+// queued is one command in the ring, its text in the arena.
+type queued struct {
+	off, n int
+	x, y   int
+	at     firefly.Time
+}
+
 // maxCommands bounds the output queue, so Processes that post for hours
-// do not grow the host heap. post drops the older half of a full queue.
+// do not grow the host heap: post overwrites the oldest command.
 const maxCommands = 4096
 
-func (d *Display) post(p *firefly.Proc, c Command) {
-	if len(d.commands) == maxCommands {
-		d.commands = d.commands[:copy(d.commands, d.commands[maxCommands/2:])]
+// MaxTranscript bounds the Transcript the same way: it keeps the latest
+// MaxTranscript bytes shown, so a long-lived tenant whose requests keep
+// reporting errors does not grow the host heap.
+const MaxTranscript = 64 << 10
+
+func (d *Display) post(p *firefly.Proc, text []byte, x, y int) {
+	slot := d.posted % maxCommands
+	if d.posted >= maxCommands {
+		d.textBytes -= d.cmds[slot].n // the command post overwrites
 	}
-	d.commands = append(d.commands, c)
+	c := queued{off: d.placeText(len(text)), n: len(text), x: x, y: y, at: p.Now()}
+	d.text = append(d.text, text...)
+	d.textBytes += len(text)
+	if slot == len(d.cmds) {
+		d.cmds = append(d.cmds, c)
+	} else {
+		d.cmds[slot] = c
+	}
 	d.posted++
 	p.Machine().Recorder().Emit(trace.KDisplayOp, p.ID(), int64(p.Now()), int64(d.posted), 0, "")
+}
+
+// placeText makes room for n more bytes at the end of the arena and
+// answers where they go. A full arena is compacted: the live texts (all
+// but the command being overwritten) move down over the dead ones, in
+// place when they fill at most half of it and into an arena twice their
+// size otherwise, so compaction costs O(1) per byte posted.
+func (d *Display) placeText(n int) int {
+	if len(d.text)+n <= cap(d.text) {
+		return len(d.text)
+	}
+	need := d.textBytes + n
+	dst := d.text[:0]
+	if 2*need > cap(d.text) {
+		dst = make([]byte, 0, max(2*need, 1024))
+	}
+	for k := max(0, d.posted-maxCommands+1); k < d.posted; k++ {
+		c := &d.cmds[k%maxCommands]
+		off := len(dst)
+		dst = append(dst, d.text[c.off:c.off+c.n]...) // moves down: copy is a memmove
+		c.off = off
+	}
+	d.text = dst
+	return len(d.text)
 }
 
 // NewDisplay creates a display on machine m. locksEnabled selects MS
@@ -89,34 +143,65 @@ func (d *Display) Width() int { return d.width }
 func (d *Display) Height() int { return d.height }
 
 // PostText places a draw-text command on the output queue, serialized
-// under the display lock and charged as one display operation.
-func (d *Display) PostText(p *firefly.Proc, text string, x, y int) {
+// under the display lock and charged as one display operation. The
+// queue copies text: the caller may reuse it.
+func (d *Display) PostText(p *firefly.Proc, text []byte, x, y int) {
 	d.lock.Acquire(p)
 	d.san.OnAccess(p.ID(), int64(p.Now()), "display-queue")
 	p.Advance(p.Machine().Costs().DisplayOp)
-	d.post(p, Command{Text: text, X: x, Y: y, At: p.Now()})
+	d.post(p, text, x, y)
 	d.lock.Release(p)
 }
 
 // TranscriptShow appends text to the Transcript, through the same
-// serialized output queue.
-func (d *Display) TranscriptShow(p *firefly.Proc, text string) {
+// serialized output queue. Both copy text: the caller may reuse it.
+func (d *Display) TranscriptShow(p *firefly.Proc, text []byte) {
 	d.lock.Acquire(p)
 	d.san.OnAccess(p.ID(), int64(p.Now()), "display-queue")
 	p.Advance(p.Machine().Costs().DisplayOp)
-	d.transcript.WriteString(text)
-	d.post(p, Command{Text: text, X: -1, Y: -1, At: p.Now()})
+	d.show(text)
+	d.post(p, text, -1, -1)
 	d.lock.Release(p)
 }
 
-// Commands returns the latest commands posted, at most maxCommands.
-func (d *Display) Commands() []Command { return d.commands }
+// show appends text to the Transcript ring.
+func (d *Display) show(text []byte) {
+	if len(text) > MaxTranscript {
+		text = text[len(text)-MaxTranscript:]
+	}
+	if room := MaxTranscript - len(d.transcript); room > 0 {
+		n := min(room, len(text))
+		d.transcript = append(d.transcript, text[:n]...)
+		text = text[n:]
+	}
+	for len(text) > 0 {
+		n := copy(d.transcript[d.transcriptAt:], text)
+		text = text[n:]
+		d.transcriptAt = (d.transcriptAt + n) % MaxTranscript
+	}
+}
+
+// Commands returns the latest commands posted, at most maxCommands,
+// oldest first. It builds each command's Text string on every call.
+func (d *Display) Commands() []Command {
+	first := max(0, d.posted-maxCommands)
+	out := make([]Command, 0, d.posted-first)
+	for k := first; k < d.posted; k++ {
+		c := d.cmds[k%maxCommands]
+		out = append(out, Command{Text: string(d.text[c.off : c.off+c.n]), X: c.x, Y: c.y, At: c.at})
+	}
+	return out
+}
 
 // CommandCount returns the number of commands posted so far.
 func (d *Display) CommandCount() int { return d.posted }
 
-// TranscriptText returns everything shown on the Transcript.
-func (d *Display) TranscriptText() string { return d.transcript.String() }
+// TranscriptText returns the latest MaxTranscript bytes shown on the
+// Transcript (all of it, until that much has been shown). The cut may
+// fall inside a UTF-8 sequence.
+func (d *Display) TranscriptText() string {
+	return string(d.transcript[d.transcriptAt:]) + string(d.transcript[:d.transcriptAt])
+}
 
 // Sensor is the input device. Injection happens at the device level (from
 // machine event callbacks, no virtual processor); interpreters transfer

@@ -137,9 +137,6 @@ func (vm *VM) materializeLit(p *firefly.Proc, l compiler.Lit) object.OOP {
 // CompileAndInstall compiles source as a method of class and installs it
 // in the class's method dictionary, flushing the method caches. MAY GC.
 func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, category string) (object.OOP, error) {
-	hs := vm.H.Handles(p)
-	defer hs.Close()
-	ch := hs.Add(class)
 	// The compile asks p's interpreter's env, so compiles on two
 	// processors (the compile primitive, -parallel) never share one.
 	env := &vm.Interps[p.ID()].env
@@ -148,10 +145,18 @@ func (vm *VM) CompileAndInstall(p *firefly.Proc, class object.OOP, source, categ
 	if err != nil {
 		return object.Nil, err
 	}
-	mo := vm.MaterializeMethod(p, m, ch.Get(), category)
-	moH := hs.Add(mo)
+	return vm.installMethod(p, class, m, category), nil
+}
+
+// installMethod materializes m as a method of class and installs it.
+// MAY GC.
+func (vm *VM) installMethod(p *firefly.Proc, class object.OOP, m *compiler.Method, category string) object.OOP {
+	hs := vm.H.Handles(p)
+	defer hs.Close()
+	ch := hs.Add(class)
+	moH := hs.Add(vm.MaterializeMethod(p, m, ch.Get(), category))
 	vm.installInDict(p, ch, moH)
-	return moH.Get(), nil
+	return moH.Get()
 }
 
 // installInDict inserts the method into the class's method dictionary

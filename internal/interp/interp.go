@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 
 	"mst/internal/bytecode"
 	"mst/internal/firefly"
@@ -95,15 +96,33 @@ type Interp struct {
 
 	// The per-processor plan table (plan.go; raw oops, flushed with the
 	// method cache). planUsed lists the occupied slots, so a flush visits
-	// only those.
-	planUsed []uint16
-	plans    [planTabSize]plan
+	// only those. spareCode is the code buffer planFor trades for a
+	// slot's when that one holds the executing code.
+	planUsed  []uint16
+	plans     [planTabSize]plan
+	spareCode []byte
 
-	// text is host scratch the decompile primitive renders into; env is
-	// the compile env CompileAndInstall hands the compiler on this
+	// text is host scratch: the string primitives copy a String's bytes
+	// into it (bytesOf) and the decompile primitive renders into it. env
+	// is the compile env CompileAndInstall hands the compiler on this
 	// processor.
 	text []byte
 	env  classEnv
+}
+
+// bytesOf copies the bytes of the String or Symbol o into the
+// interpreter's scratch and answers them. They are valid until the
+// scratch is next used, and they do not move when a collection moves o.
+func (in *Interp) bytesOf(o object.OOP) []byte {
+	in.text = in.vm.H.AppendBytes(in.text[:0], o)
+	return in.text
+}
+
+// stringOf is bytesOf as a string that aliases the scratch: for a
+// callee that copies or compares the name and keeps nothing of it.
+func (in *Interp) stringOf(o object.OOP) string {
+	b := in.bytesOf(o)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 func newInterp(vm *VM, p *firefly.Proc) *Interp {
@@ -118,6 +137,14 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 		twoWay:       vm.Cfg.CacheWays == 2,
 		icPolicy:     vm.Cfg.InlineCache,
 	}
+	// Every plan slot, and the spare, starts with a planCodeMin-byte code
+	// buffer cut from one block, so no slot's first plan allocates; a
+	// method with more code gets a buffer of its own.
+	block := make([]byte, (planTabSize+1)*planCodeMin)
+	for i := range in.plans {
+		in.plans[i].code = block[i*planCodeMin : i*planCodeMin : (i+1)*planCodeMin]
+	}
+	in.spareCode = block[planTabSize*planCodeMin : planTabSize*planCodeMin]
 	in.probeCost = in.costs.CacheProbe
 	if vm.Cfg.MSMode && vm.Cfg.MethodCache == CacheReplicated {
 		// The paper notes replication's drawback: "more overhead is

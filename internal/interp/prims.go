@@ -407,14 +407,16 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(recv) {
 			return false
 		}
-		sym := vm.InternSymbol(in.p, vm.GoString(recv))
+		sym := vm.InternSymbol(in.p, in.stringOf(recv))
 		return in.primReturn(nargs, sym)
 
 	case PrimSymAsString:
 		if !in.isStringy(recv) {
 			return false
 		}
-		s := vm.NewString(in.p, vm.GoString(recv))
+		b := in.bytesOf(recv)
+		s := vm.allocBytes(in.p, vm.Specials.String, len(b))
+		vm.H.WriteBytes(s, b)
 		return in.primReturn(nargs, s)
 
 	case PrimStringHash:
@@ -468,7 +470,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(arg) {
 			return false
 		}
-		vm.Disp.TranscriptShow(in.p, vm.GoString(arg))
+		vm.Disp.TranscriptShow(in.p, in.bytesOf(arg))
 		return in.primReturn(nargs, recv)
 
 	case PrimDisplayText:
@@ -478,7 +480,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(s) || !x.IsInt() || !y.IsInt() {
 			return false
 		}
-		vm.Disp.PostText(in.p, vm.GoString(s), int(x.Int()), int(y.Int()))
+		vm.Disp.PostText(in.p, in.bytesOf(s), int(x.Int()), int(y.Int()))
 		return in.primReturn(nargs, recv)
 
 	case PrimSensorNext:
@@ -525,7 +527,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if in.isStringy(arg) {
 			msg = vm.GoString(arg)
 		}
-		vm.Disp.TranscriptShow(in.p, "Error: "+msg+"\n")
+		vm.Disp.TranscriptShow(in.p, []byte("Error: "+msg+"\n"))
 		vm.hostMu.Lock()
 		vm.logError("Smalltalk error: " + msg)
 		vm.hostMu.Unlock()
@@ -551,7 +553,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(key) {
 			return false
 		}
-		vm.SysDictDefine(in.p, vm.GoString(key), val)
+		vm.SysDictDefine(in.p, in.stringOf(key), val)
 		return in.primReturn(nargs, in.stackAt(0))
 
 	case PrimSysDictAt:
@@ -559,7 +561,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 		if !in.isStringy(key) {
 			return false
 		}
-		v := vm.SysDictAt(vm.GoString(key))
+		v := vm.SysDictAt(in.stringOf(key))
 		if v == object.Invalid {
 			return false
 		}
@@ -571,7 +573,7 @@ func (in *Interp) callPrimitive(prim, nargs int) bool {
 			return false
 		}
 		return in.primReturn(nargs,
-			object.FromBool(vm.sysDictFind(vm.GoString(key)) != object.Invalid))
+			object.FromBool(vm.sysDictFind(in.stringOf(key)) != object.Invalid))
 
 	case PrimSysDictAssoc:
 		count := 0

@@ -267,14 +267,15 @@ func (in *Interp) primCompile(nargs int, recv object.OOP) bool {
 	if !in.isStringy(src) || !in.isStringy(cat) {
 		return false
 	}
-	mo, err := vm.CompileAndInstall(in.p, recv, vm.GoString(src), vm.GoString(cat))
+	in.env.class = recv
+	m, err := methods.compileBytes(in.bytesOf(src), &in.env)
 	if err != nil {
 		vm.hostMu.Lock()
 		vm.logError("compile: " + err.Error())
 		vm.hostMu.Unlock()
 		return false
 	}
-	return in.primReturn(nargs, mo)
+	return in.primReturn(nargs, vm.installMethod(in.p, recv, m, in.stringOf(cat)))
 }
 
 // primRemoveSelector rebuilds the method dictionary without the

@@ -39,13 +39,16 @@ func RestoreVM(m *firefly.Machine, h *heap.Heap, cfg Config, t *VMTables) (*VM, 
 	vm.symbolList = append([]object.OOP(nil), t.SymbolList...)
 	vm.charTable = append([]object.OOP(nil), t.CharTable...)
 	vm.specialSelectors = append([]object.OOP(nil), t.SpecialSelectors...)
-	vm.symbolIdx = make(map[string]int, len(vm.symbolList))
 	for i, sym := range vm.symbolList {
 		if !sym.IsPtr() || sym == object.Nil {
 			return nil, fmt.Errorf("interp: snapshot symbol %d is not an object", i)
 		}
-		vm.symbolIdx[vm.SymbolName(sym)] = i
 	}
+	n := len(vm.symbolIdx)
+	for 2*len(vm.symbolList) > n {
+		n *= 2
+	}
+	vm.indexSymbols(n)
 	// The paper empties the activeProcess slot after a snapshot; a
 	// loaded MS image ignores it, but keep the invariant anyway.
 	h.StoreNoCheck(vm.Specials.Scheduler, SchedActive, object.Nil)
@@ -106,7 +109,7 @@ func (in *Interp) primSnapshot(nargs int, recv object.OOP) bool {
 		vm.hostMu.Unlock()
 		// The result is already pushed; report the failure via the
 		// transcript rather than unwinding the stack.
-		vm.Disp.TranscriptShow(in.p, "snapshot failed: "+err.Error()+"\n")
+		vm.Disp.TranscriptShow(in.p, []byte("snapshot failed: "+err.Error()+"\n"))
 		return true
 	}
 	// Continue running: our own Process was parked; resume it.

@@ -390,9 +390,13 @@ type VM struct {
 	sharedFreeCtx [2][]object.OOP // small/large shared free lists
 	charTable     []object.OOP    // ASCII characters, roots
 
-	// Symbol interning: slice is the root set, map caches name→index.
+	// Symbol interning: symbolList is the root set, and symbolIdx indexes
+	// it by name, open-addressed from the name's stringHash: 1 + the
+	// symbol's place in symbolList, 0 when empty. Its length is a power
+	// of two at least twice the symbols'. It holds no oop, so a collection
+	// leaves it alone, and a lookup compares names in the heap.
 	symbolList []object.OOP
-	symbolIdx  map[string]int
+	symbolIdx  []int32
 
 	// Pre-interned special-send selectors, indexed by op-FirstSpecialSend.
 	specialSelectors []object.OOP
@@ -507,7 +511,7 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		schedLock: m.NewSpinlock("scheduler", cfg.MSMode),
 		cacheLock: m.NewRWSpinlock("method-cache", cfg.MSMode && cfg.MethodCache == CacheSharedLocked),
 		freeLock:  m.NewSpinlock("free-contexts", cfg.MSMode && cfg.FreeContexts == FreeCtxSharedLocked),
-		symbolIdx: map[string]int{},
+		symbolIdx: make([]int32, symbolIdxMin),
 		doits:     memo{gen: compiler.CompileExpression, max: doitMemoMax},
 		san:       m.Sanitizer(),
 		par:       cfg.Parallel,
@@ -683,22 +687,61 @@ func (vm *VM) ClassOf(o object.OOP) object.OOP {
 // allocation and the table insert, so the raw oop cannot go stale.
 func (vm *VM) InternSymbol(p *firefly.Proc, name string) object.OOP {
 	vm.symMu.Lock()
-	if i, ok := vm.symbolIdx[name]; ok {
-		sym := vm.symbolList[i]
+	if e := vm.symbolIdx[vm.symbolSlot(name)]; e != 0 {
+		sym := vm.symbolList[e-1]
 		vm.symMu.Unlock()
 		return sym
 	}
 	vm.symMu.Unlock()
 	sym := vm.allocString(p, vm.Specials.Symbol, name)
 	vm.symMu.Lock()
-	if i, ok := vm.symbolIdx[name]; ok {
-		sym = vm.symbolList[i]
+	if i := vm.symbolSlot(name); vm.symbolIdx[i] != 0 {
+		sym = vm.symbolList[vm.symbolIdx[i]-1]
 	} else {
-		vm.symbolIdx[name] = len(vm.symbolList)
 		vm.symbolList = append(vm.symbolList, sym)
+		vm.symbolIdx[i] = int32(len(vm.symbolList))
+		if 2*len(vm.symbolList) > len(vm.symbolIdx) {
+			vm.indexSymbols(2 * len(vm.symbolIdx))
+		}
 	}
 	vm.symMu.Unlock()
 	return sym
+}
+
+// symbolIdxMin is symbolIdx's starting length: room for 512 symbols (a
+// kernel boot with the macro or the session sources interns 466-485),
+// so a boot never rebuilds the index and a clone reuses it.
+const symbolIdxMin = 1024
+
+// symbolSlot answers the slot of symbolIdx that holds name's symbol, or
+// the empty slot where it would go. The caller holds symMu.
+func (vm *VM) symbolSlot(name string) int {
+	mask := len(vm.symbolIdx) - 1
+	for i := int(stringHash(name)) & mask; ; i = (i + 1) & mask {
+		if e := vm.symbolIdx[i]; e == 0 || vm.H.EqualString(vm.symbolList[e-1], name) {
+			return i
+		}
+	}
+}
+
+// indexSymbols rebuilds symbolIdx with n slots from the symbols' own
+// bytes, reusing the index when it already has n.
+func (vm *VM) indexSymbols(n int) {
+	idx := vm.symbolIdx
+	if len(idx) == n {
+		clear(idx)
+	} else {
+		idx = make([]int32, n)
+	}
+	mask := n - 1
+	for k, sym := range vm.symbolList {
+		i := int(vm.bytesHash(sym)) & mask
+		for idx[i] != 0 {
+			i = (i + 1) & mask
+		}
+		idx[i] = int32(k + 1)
+	}
+	vm.symbolIdx = idx
 }
 
 // SymbolName returns the Go string of a Symbol (or String).

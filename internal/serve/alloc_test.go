@@ -129,29 +129,42 @@ func TestCompileHostAllocations(t *testing.T) {
 // TestBootHostAllocations pins the Go allocations of a warm boot, every
 // method already in the process-wide method memo, as
 // TestCompileHostAllocations pins a compile: the bound is the measured
-// count. Two boots are pinned: BootCheckpoint (one processor, the serve
-// image) and the 5-processor MS system, whose method-cache replicas
-// every install flushes. An install or a doIt allocates nothing of its
-// own (Do queues a bound method value, and a compile's questions compare
-// names in the heap), so most of what is left is the parse of each
-// file-in expression chunk, the boot's machine, heap and interpreter
-// tables, and the plans' code buffers. Some boots allocate a few objects
-// more, depending on when the Go GC ran (with GOGC=off nearly every boot
-// reads the floor), so the pinned count is the fewest of thirty.
+// count. Three systems are pinned: BootCheckpoint (one processor, the
+// serve image), the 5-processor MS system, whose method-cache replicas
+// every install flushes, and one tenant clone of the serve checkpoint.
+// An install or a doIt allocates nothing of its own (Do queues a bound
+// method value, a compile's questions compare names in the heap, and a
+// symbol is interned by its bytes), so most of what a boot has left is
+// the parse of each file-in expression chunk and the boot's machine,
+// heap and interpreter tables; a clone has only the tables. Some boots
+// allocate a few objects more, depending on when the Go GC ran (with
+// GOGC=off nearly every boot reads the floor), so the pinned count is
+// the fewest of thirty.
 func TestBootHostAllocations(t *testing.T) {
+	cp, err := BootCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range []struct {
 		name  string
 		boot  func() error
 		bound uint64
 	}{
-		{"checkpoint", func() error { _, err := BootCheckpoint(); return err }, 1213},
+		{"checkpoint", func() error { _, err := BootCheckpoint(); return err }, 633},
 		{"ms5", func() error {
 			s, err := core.NewSystem(core.DefaultConfig())
 			if err == nil {
 				s.Shutdown()
 			}
 			return err
-		}, 1227},
+		}, 667},
+		{"clone", func() error {
+			s, err := core.NewFromCheckpoint(1, cp)
+			if err == nil {
+				s.Shutdown()
+			}
+			return err
+		}, 70},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if err := row.boot(); err != nil {

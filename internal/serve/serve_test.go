@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mst/internal/core"
+	"mst/internal/display"
 	"mst/internal/interp"
 	"mst/internal/serve/loadgen"
 )
@@ -397,8 +398,9 @@ func TestWriteTrace(t *testing.T) {
 
 // TestErroringTenantKeepsABoundedErrorLog: a long-lived tenant fed ten
 // thousand erroring requests keeps at most interp.MaxErrors reports in
-// its VM's error log, each failed request names its cause, and the
-// tenant still answers afterwards.
+// its VM's error log and the latest display.MaxTranscript bytes of its
+// Transcript, each failed request names its cause, and the tenant still
+// answers afterwards.
 func TestErroringTenantKeepsABoundedErrorLog(t *testing.T) {
 	s := newTestServer(t, Config{Tenants: 1})
 	for i := 0; i < 10000; i++ {
@@ -416,6 +418,12 @@ func TestErroringTenantKeepsABoundedErrorLog(t *testing.T) {
 	}
 	if n := len(sys.VM.Errors()); n > interp.MaxErrors {
 		t.Errorf("error log holds %d reports after 10000 erroring requests, bound %d", n, interp.MaxErrors)
+	}
+	// Each error: also shows a line on the Transcript, which keeps only
+	// its latest display.MaxTranscript bytes.
+	if tr := sys.TranscriptText(); len(tr) != display.MaxTranscript || !strings.HasSuffix(tr, "Error: division by zero\n") {
+		t.Errorf("Transcript after 10000 erroring requests: %d bytes ending %q, want the latest %d ending with the last error",
+			len(tr), tr[max(0, len(tr)-40):], display.MaxTranscript)
 	}
 	if got, err := s.Eval(0, "3 + 4"); err != nil || got != "7" {
 		t.Errorf("after the errors: 3 + 4 answered %q, %v", got, err)
