@@ -2,8 +2,8 @@
 // evaluation section (Pallas & Ungar, PLDI 1988) and the extensions. It
 // measures the report once, prints every section of it (Table 2, Figure
 // 2, Table 3, the §3.2/§4 strategy ablations, §3.1 scavenging, the §6
-// extensions, the inline-cache, parallel-scavenge, concurrent-marking,
-// serve and msjit ablations, the mscheck sanitizer), and exits 1 if the
+// extensions, the inline-cache, parallel-scavenge, concurrent-marking
+// and serve ablations, the mscheck sanitizer), and exits 1 if the
 // sanitizer is not clean or the gate fails:
 //
 //	msbench                    measure and print every section
@@ -11,7 +11,7 @@
 //	                           exact, so two runs are byte-identical
 //	msbench -gate BENCH.json   also require every leaf of the report to
 //	                           equal the checked-in baseline's (and the
-//	                           concmark pause bound and msjit floor)
+//	                           concmark pause bound)
 //	msbench -lockgraph G.json  also hold the sanitized states' observed
 //	                           lock order to msvet -lockgraph's static
 //	                           graph
@@ -22,7 +22,7 @@
 //	    -parscavenge -e "MacroBenchmark new run: #printClassHierarchy"
 //
 // All times are virtual milliseconds on the simulated Firefly; runs are
-// deterministic. Only the msjit section's host columns vary by machine.
+// deterministic, so msbench prints what its report file prints.
 package main
 
 import (

@@ -1,7 +1,8 @@
 // Command mst runs Multiprocessor Smalltalk: it boots the image msbench
 // measures (the kernel plus the macro benchmarks) on the simulated
 // Firefly, files in any source files given as arguments, and evaluates
-// an expression (or reads expressions from stdin, one per line).
+// an expression (or reads expressions from stdin, one per line). It
+// exits 1 if the -e expression fails.
 //
 //	mst -e "3 + 4"
 //	mst -e "Transcript show: 'hi'" -transcript
@@ -141,18 +142,21 @@ func main() {
 	check(sys.SpawnIdleProcesses(o.idle))
 	check(sys.SpawnBusyProcesses(o.busy))
 
-	eval := func(src string) {
+	eval := func(src string) bool {
 		out, err := sys.Evaluate(src)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return
+			return false
 		}
 		fmt.Println(out)
+		return true
 	}
 
+	// A failed -e evaluation exits 1 once the reports are out.
+	failed := false
 	switch {
 	case o.expr != "":
-		eval(o.expr)
+		failed = !eval(o.expr)
 	case len(flag.Args()) == 0 || stdinPiped():
 		sc := bufio.NewScanner(os.Stdin)
 		sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -195,9 +199,7 @@ func main() {
 		rep, err := sys.SanitizeReport()
 		check(err)
 		fmt.Fprint(os.Stderr, rep)
-		if !sys.Sanitizer().Clean() {
-			os.Exit(1)
-		}
+		failed = failed || !sys.Sanitizer().Clean()
 	}
 	if o.stats {
 		st := sys.Stats()
@@ -221,6 +223,9 @@ func main() {
 					l.Name, l.Acquisitions, l.Contentions, l.SpinTime)
 			}
 		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

@@ -59,7 +59,7 @@ func runMST(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // refused before anything is evaluated (each never yields, and nothing
 // time-slices it against the evaluation at the same priority, so the
 // evaluation would never run), one processor fewer runs, and a failed
-// evaluation names its cause.
+// evaluation names its cause, exits 1, and kills no interpreter.
 func TestMSTExits(t *testing.T) {
 	const starves = "leave none for an evaluation"
 	for _, tc := range []struct {
@@ -71,11 +71,13 @@ func TestMSTExits(t *testing.T) {
 		{[]string{"-procs", "2", "-idle", "2", "-e", "3+4"}, 1, "", starves},
 		{[]string{"-procs", "2", "-busy", "2", "-e", "3+4"}, 1, "", starves},
 		{[]string{"-procs", "3", "-idle", "2", "-e", "3+4"}, 0, "7\n", ""},
-		{[]string{"-e", "3 foo"}, 0, "", "doesNotUnderstand: #foo sent to 3"},
+		{[]string{"-e", "3 foo"}, 1, "", "doesNotUnderstand: #foo sent to 3"},
+		{[]string{"-e", "3 ifTrue: [1]"}, 1, "", "mustBeBoolean: jump on 3"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			code, stdout, stderr := runMST(t, tc.args...)
-			if code != tc.code || (tc.stdout != "" && stdout != tc.stdout) || !strings.Contains(stderr, tc.stderr) {
+			if code != tc.code || (tc.stdout != "" && stdout != tc.stdout) || !strings.Contains(stderr, tc.stderr) ||
+				strings.Contains(stderr, "died") {
 				t.Errorf("exit %d, stdout %q, stderr %q; want exit %d, stdout %q, stderr containing %q",
 					code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
 			}

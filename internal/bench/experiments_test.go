@@ -7,10 +7,9 @@ import (
 )
 
 // TestExperimentsIsGenerated holds EXPERIMENTS.md to msbench's printout:
-// every section but jit sits between its markers exactly as msbench
-// prints it from the checked-in report, and the gate holds that report
-// equal to a fresh run. The jit section's host columns are in no
-// report file, so it has no block.
+// every section sits between its markers exactly as msbench prints it
+// from the checked-in report, and the gate holds that report equal to a
+// fresh run.
 func TestExperimentsIsGenerated(t *testing.T) {
 	r, err := LoadBaseline("../../BENCH_pr10.json")
 	if err != nil {
@@ -22,9 +21,6 @@ func TestExperimentsIsGenerated(t *testing.T) {
 	}
 	doc := string(data)
 	for _, s := range Sections {
-		if s.Name == "jit" {
-			continue
-		}
 		begin, end := "<!-- msbench "+s.Name+" -->\n```text\n", "```\n<!-- /msbench -->\n"
 		want := s.Format(r)
 		got, ok := "", false

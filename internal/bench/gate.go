@@ -20,9 +20,9 @@ import (
 // use (sanitize.FingerprintDiff), so a new report section is gated the
 // moment it exists. Host cost is benchmark/'s, in calibration units.
 //
-// Beside the diff stand the two properties the fresh run must have
+// Beside the diff stands the one property the fresh run must have
 // whatever the baseline says, so a mechanical baseline refresh cannot
-// erode them: the concmark pause bound and the msjit speedup floor.
+// erode it: the concmark pause bound.
 
 // maxPrintedFindings caps Format's listing: a drifted histogram is one
 // cause, not a thousand lines.
@@ -61,8 +61,8 @@ func LoadBaseline(path string) (*JSONReport, error) {
 }
 
 // RunGate compares a fresh report against the baseline. The fresh
-// run's own properties lead the findings so Format's cap never hides
-// them; the leaf diff follows, sorted by leaf path.
+// run's own property leads the findings so Format's cap never hides
+// it; the leaf diff follows, sorted by leaf path.
 func RunGate(baseline, fresh *JSONReport, baselinePath string) *GateReport {
 	g := &GateReport{BaselinePath: baselinePath}
 
@@ -75,15 +75,6 @@ func RunGate(baseline, fresh *JSONReport, baselinePath string) *GateReport {
 					"concmark/keep=%d: pause bound broken: concurrent max pause %d ticks >= serial max pause %d ticks",
 					r.Keep, r.ConcMaxPause, r.SerialMaxPause))
 			}
-		}
-	}
-	// The msjit tier's host speedup is machine-bound, so instead of
-	// comparing it to the baseline the fresh run's fusion kernels are
-	// held to the floor.
-	if fresh.JIT != nil {
-		if s := fresh.JIT.FusionSpeedup(); s < JITSpeedupFloor {
-			g.Findings = append(g.Findings, fmt.Sprintf(
-				"jit/fusion_speedup: fused tier %.2fx on its kernels, floor %.2fx", s, JITSpeedupFloor))
 		}
 	}
 

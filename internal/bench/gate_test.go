@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 
 // sampleReport is a small synthetic report touching every section the
 // gate has to understand: a float leaf, a uint64 above 2^53, omitempty
-// sections, nested arrays, and the jit speedup only the floor reads.
+// sections and nested arrays.
 func sampleReport() *JSONReport {
 	r := &JSONReport{
 		Schema:        "msbench/3",
@@ -33,11 +32,6 @@ func sampleReport() *JSONReport {
 			Benches: []string{"compileMethod"},
 			Rows: []SanitizeRow{
 				{State: "ms", VirtualMS: []int64{310}, Identical: true, LockEvents: 1 << 53},
-			},
-		},
-		JIT: &JITReport{
-			Rows: []JITRow{
-				{Workload: "intLoops", VirtualMS: 40, Speedup: 2, Compiles: 7, JITShare: 0.8},
 			},
 		},
 		ConcMark: &ConcMarkReport{
@@ -128,18 +122,16 @@ func TestGateFindings(t *testing.T) {
 			-1, "table2[0].benches[#]: baseline=2 fresh=1", "table2[0].benches["},
 		{"section removed", func(_, f *JSONReport) { f.ConcMark = nil },
 			-1, "concmark.rows[#]: missing in fresh run", "concmark."},
-		{"section the baseline lacks", func(b, _ *JSONReport) { b.JIT = nil },
-			-1, "jit.rows[#]: missing in baseline run", "jit."},
+		{"section the baseline lacks", func(b, _ *JSONReport) { b.ConcMark = nil },
+			-1, "concmark.rows[#]: missing in baseline run", "concmark."},
 		{"key added on the fresh side", func(_, f *JSONReport) { f.Sanitize.Rows[0].Cycles = []string{"a -> b"} },
 			2, "sanitize.rows[0].lock_order_cycles[#]: missing in baseline run (fresh=1)", "lock_order_cycles"},
-		// The two properties of the fresh run itself: doctoring the
-		// baseline identically silences the diff but not the property.
+		// The property of the fresh run itself: doctoring the baseline
+		// identically silences the diff but not the property.
 		{"pause bound broken", func(b, f *JSONReport) {
 			b.ConcMark.Rows[0].ConcMaxPause = 900
 			f.ConcMark.Rows[0].ConcMaxPause = 900
 		}, 1, "concmark/keep=1000: pause bound broken", ""},
-		{"jit floor missed (a host leaf: only the property sees it)", func(_, f *JSONReport) { f.JIT.Rows[0].Speedup = JITSpeedupFloor - 0.01 },
-			1, fmt.Sprintf("jit/fusion_speedup: fused tier %.2fx on its kernels, floor %.2fx", JITSpeedupFloor-0.01, JITSpeedupFloor), ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,8 +16,7 @@ import (
 // fingerprint and the gate diffs it whole against the checked-in
 // baseline (BENCH_pr10.json). Every table msbench prints is rendered
 // from the report alone (Sections), so a baseline file prints the same
-// tables as the run that wrote it; only the jit section's host columns
-// are not in the file.
+// tables as the run that wrote it.
 
 // JSONBench is one benchmark on one state.
 type JSONBench struct {
@@ -47,9 +46,6 @@ type JSONReport struct {
 	Sanitize *SanitizeReport `json:"sanitize,omitempty"`
 	// ParScavenge is the parallel-scavenging ablation.
 	ParScavenge *ParScavReport `json:"parscavenge,omitempty"`
-	// JIT is the msjit ablation: its virtual columns only; the host
-	// timings behind the fusion floor stay off the report.
-	JIT *JITReport `json:"jit,omitempty"`
 	// ConcMark is the concurrent-marking ablation; the gate also holds
 	// the fresh run to its pause bound (concurrent max pause strictly
 	// below the serial one).
@@ -89,9 +85,6 @@ func RunJSONReport(staticEdges []string) (*JSONReport, error) {
 		return nil, err
 	}
 	if r.Serve, err = RunServeBench(); err != nil {
-		return nil, err
-	}
-	if r.JIT, err = RunJITAblation(); err != nil {
 		return nil, err
 	}
 	if r.ConcMark, err = RunConcMarkAblation(); err != nil {
@@ -144,8 +137,7 @@ func runTable2() ([]JSONState, error) {
 }
 
 // Sections are the report's printed sections in print order. msbench
-// prints every one; EXPERIMENTS.md holds every one but jit, whose host
-// columns no report file carries, between markers.
+// prints every one; EXPERIMENTS.md holds every one between markers.
 var Sections = []struct {
 	Name   string
 	Format func(*JSONReport) string
@@ -163,7 +155,6 @@ var Sections = []struct {
 	{"parscavenge", func(r *JSONReport) string { return r.ParScavenge.Format() }},
 	{"concmark", func(r *JSONReport) string { return r.ConcMark.Format() }},
 	{"serve", func(r *JSONReport) string { return r.Serve.Format() }},
-	{"jit", func(r *JSONReport) string { return r.JIT.Format() }},
 	{"sanitize", func(r *JSONReport) string { return r.Sanitize.Format() }},
 }
 

@@ -73,7 +73,8 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-const binaryChars = "+-*/~<>=&|@%,?!\\"
+// BinaryChars are the characters binary selectors are made of.
+const BinaryChars = "+-*/~<>=&|@%,?!\\"
 
 // The character classes answer as unicode's do. ASCII is a lookup in
 // asciiClass, which is built from unicode; above it, unicode is asked.
@@ -97,7 +98,7 @@ var asciiClass = func() (t [utf8.RuneSelf]uint8) {
 		if unicode.IsSpace(r) {
 			t[c] |= classSpace
 		}
-		if strings.ContainsRune(binaryChars, r) {
+		if strings.ContainsRune(BinaryChars, r) {
 			t[c] |= classBinary
 		}
 	}

@@ -209,14 +209,13 @@ func NewSystem(cfg Config) (*System, error) {
 	sources := append([]string{BusyWorkerSource}, cfg.ExtraSources...)
 	return assemble(cfg, func(m *firefly.Machine) (*interp.VM, error) {
 		return image.BootOn(m, cfg.heapConfig(), interp.Config{
-			MSMode:         cfg.Mode == ModeMS,
-			MethodCache:    cfg.MethodCache,
-			CacheWays:      cfg.CacheWays,
-			InlineCache:    cfg.InlineCache,
-			FreeContexts:   cfg.FreeContexts,
-			PanicOnVMError: true,
-			Parallel:       cfg.Parallel,
-			JIT:            cfg.JIT,
+			MSMode:       cfg.Mode == ModeMS,
+			MethodCache:  cfg.MethodCache,
+			CacheWays:    cfg.CacheWays,
+			InlineCache:  cfg.InlineCache,
+			FreeContexts: cfg.FreeContexts,
+			Parallel:     cfg.Parallel,
+			JIT:          cfg.JIT,
 		}, sources...)
 	})
 }

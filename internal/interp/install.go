@@ -129,8 +129,7 @@ func (vm *VM) materializeLit(p *firefly.Proc, l compiler.Lit) object.OOP {
 		}
 		return ah.Get()
 	default:
-		vm.vmError("unknown literal kind %d", l.Kind)
-		return object.Nil
+		panic(fmt.Sprintf("interp: unknown literal kind %d", l.Kind))
 	}
 }
 

@@ -70,7 +70,6 @@ type Interp struct {
 	ic map[object.OOP]*icMethod
 
 	// Configuration and cost constants hoisted out of the dispatch loop.
-	quantum      int // Config.QuantumBytecodes
 	costs        *firefly.Costs
 	probeCost    firefly.Time // per method-cache probe, replication included
 	sharedLocked bool         // MethodCache == CacheSharedLocked
@@ -130,7 +129,6 @@ func newInterp(vm *VM, p *firefly.Proc) *Interp {
 		method: object.Nil, receiver: object.Nil, bytes: object.Nil, home: object.Nil,
 		lits:         object.Nil,
 		jitOn:        vm.Cfg.JIT,
-		quantum:      vm.Cfg.QuantumBytecodes,
 		costs:        vm.M.Costs(),
 		rec:          vm.M.Recorder(),
 		sharedLocked: vm.Cfg.MethodCache == CacheSharedLocked,
@@ -193,7 +191,7 @@ func (in *Interp) flushFreeContexts() {
 }
 
 // Run is the interpreter's work function: quanta until shutdown. A
-// panic (VM error in strict mode, heap exhaustion) stops this
+// panic (a corrupt image's VM error, heap exhaustion) stops this
 // interpreter and fails any pending evaluation instead of crashing the
 // host process.
 func (in *Interp) Run() {
@@ -232,7 +230,7 @@ func (in *Interp) Quantum() {
 		in.abandonCurrent()
 		return
 	}
-	n := in.quantum
+	n := quantumBytecodes
 	// Both loops charge each bytecode themselves (count, dispatch cost,
 	// bus share) and then make exactly one call, to step() or to a fused
 	// closure. The duplication is measured, not accidental (PR 13, paired
@@ -247,7 +245,7 @@ func (in *Interp) Quantum() {
 		// definition of the singleton bytecodes. A fused group proves up
 		// front that none of its internal safepoints could fire, batches
 		// the identical charges, and draws its extra bytecodes from jleft,
-		// so the quantum covers exactly QuantumBytecodes either way.
+		// so the quantum covers exactly quantumBytecodes either way.
 		in.jleft = n
 		for in.jleft > 0 {
 			in.p.CheckYield()
@@ -477,8 +475,7 @@ func (in *Interp) step() {
 			in.specialSend(op, in.pc-1)
 			return
 		}
-		vm.vmError("bad bytecode %d at pc %d", op, in.pc-1)
-		in.terminateCurrentProcess()
+		panic(fmt.Sprintf("interp: bad bytecode %d at pc %d", op, in.pc-1))
 	}
 }
 

@@ -69,6 +69,7 @@ func installMiniKernel(t *testing.T, vm *VM) {
 	install(s.Object, "instVarAt: i <primitive: 52> ^self error: 'instVarAt: failed'")
 	install(s.Object, "perform: sel <primitive: 65> ^self error: 'perform failed'")
 	install(s.Object, "perform: sel with: a <primitive: 66> ^self error: 'perform failed'")
+	install(s.Object, "perform: sel with: a with: b <primitive: 67> ^self error: 'perform failed'")
 	install(s.Object, "perform: sel withArguments: args <primitive: 68> ^self error: 'perform failed'")
 	install(s.BlockContext, "value <primitive: 60> ^self error: 'wrong block arity'")
 	install(s.BlockContext, "value: a <primitive: 61> ^self error: 'wrong block arity'")
@@ -677,9 +678,7 @@ func TestDeepRecursionGrowsAndCollects(t *testing.T) {
 }
 
 func TestVMErrorTerminatesProcessInLenientMode(t *testing.T) {
-	vm := testVM(t, 1, func(cfg *Config, hcfg *heap.Config) {
-		cfg.PanicOnVMError = false
-	})
+	vm := testVM(t, 1, nil)
 	// Jump on a non-Boolean is a VM-level error: the process dies, the
 	// machine survives.
 	if _, err := vm.Evaluate("3 ifTrue: [1]"); err == nil {
@@ -730,10 +729,46 @@ func TestPerformWithArguments(t *testing.T) {
 	}
 }
 
+// TestPerformChecksArity: a perform primitive fails when the argument
+// count is not the selector's arity (a keyword selector takes one per
+// colon, a binary selector 1, a unary selector 0), so the image's
+// "perform failed" fallback runs; at the right arity it answers what
+// the send answers.
+func TestPerformChecksArity(t *testing.T) {
+	vm := testVM(t, 1, nil)
+	for _, src := range []string{
+		"3 perform: #+",
+		"3 perform: #yourself with: 4",
+		"3 perform: #+ with: 4 with: 5",
+		"(Array new: 2) perform: #at:put:",
+		"(Array new: 2) perform: #at:put: with: 1",
+		"3 perform: #yourself withArguments: #(4)",
+		"3 perform: #+ withArguments: #()",
+		"(Array new: 2) perform: #at:put: withArguments: #(1)",
+	} {
+		if _, err := vm.Evaluate(src); err == nil || !strings.Contains(err.Error(), "perform failed") {
+			t.Errorf("%s: error %v, want the perform fallback's failure", src, err)
+		}
+	}
+	for _, c := range []struct {
+		src  string
+		want int64
+	}{
+		{"3 perform: #yourself", 3},
+		{"3 perform: #+ with: 4", 7},
+		{"| a | a := Array new: 2. a perform: #at:put: with: 1 with: 5. a at: 1", 5},
+		{"3 perform: #yourself withArguments: #()", 3},
+		{"3 perform: #- withArguments: #(4)", -1},
+		{"| a | a := Array new: 2. a perform: #at:put: withArguments: #(2 6). a at: 2", 6},
+	} {
+		if got := evalInt(t, vm, c.src); got != c.want {
+			t.Errorf("%s = %d, want %d", c.src, got, c.want)
+		}
+	}
+}
+
 func TestContextStackOverflowIsAnError(t *testing.T) {
-	vm := testVM(t, 1, func(cfg *Config, hcfg *heap.Config) {
-		cfg.PanicOnVMError = false
-	})
+	vm := testVM(t, 1, nil)
 	p := vm.Interps[0].p
 	cls := vm.CreateClass(p, "Deep2", vm.Specials.Object, nil, KindFixed, "Tests")
 	if _, err := vm.CompileAndInstall(p, cls, "down ^self down", "tests"); err != nil {

@@ -82,13 +82,13 @@ func (in *Interp) primValueWithArgs(nargs int, recv object.OOP) bool {
 
 // primPerform implements perform:, perform:with:, perform:with:with:.
 // The stack [recv, sel, a1..ak] is reshaped to [recv, a1..ak] and the
-// message is re-dispatched.
+// message is re-dispatched; it fails unless k is the selector's arity.
 func (in *Interp) primPerform(nargs int) bool {
 	sel := in.stackAt(nargs - 1)
-	if !in.isStringy(sel) {
+	k := nargs - 1 // real argument count
+	if !in.isStringy(sel) || in.selectorArity(sel) != k {
 		return false
 	}
-	k := nargs - 1 // real argument count
 	// Shift arguments down over the selector.
 	for i := 0; i < k; i++ {
 		in.setStackAt(nargs-1-i, in.stackAt(k-1-i))
@@ -108,7 +108,7 @@ func (in *Interp) primPerformWithArgs(nargs int) bool {
 	sel := in.stackAt(1)
 	args := in.stackAt(0)
 	if !in.isStringy(sel) || args.IsInt() || args == object.Nil ||
-		h.Header(args).Format() != object.FmtPointers {
+		h.Header(args).Format() != object.FmtPointers || in.selectorArity(sel) != h.FieldCount(args) {
 		return false
 	}
 	n := h.FieldCount(args)

@@ -121,9 +121,7 @@ func (in *Interp) switchToProcess(proc object.OOP) {
 	in.setProc(proc)
 	ctx := vm.H.Fetch(proc, PrSuspendedContext)
 	if ctx == object.Nil {
-		vm.vmError("process with no suspended context")
-		in.setProc(object.Nil)
-		return
+		panic("interp: process with no suspended context")
 	}
 	in.loadContext(ctx)
 }

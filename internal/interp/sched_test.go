@@ -294,9 +294,9 @@ func TestIdleQuantumResults(t *testing.T) {
 
 // TestIdleInterpreterPanicNamesItself: an idle interpreter's poll runs on
 // whichever coroutine is making scheduling decisions; when it dies there
-// (a VM error in strict mode), the death is still that interpreter's own
-// — its Run recovers it, under its id — and the interpreter whose yield
-// was executing the poll carries on.
+// (on a Process with no context, which only a corrupt image holds), the
+// death is still that interpreter's own — its Run recovers it, under its
+// id — and the interpreter whose yield was executing the poll carries on.
 func TestIdleInterpreterPanicNamesItself(t *testing.T) {
 	vm := testVM(t, 2, nil)
 	if got := evalInt(t, vm, "3 + 4"); got != 7 { // both interpreters have run; 1 is parked idle

@@ -1,7 +1,10 @@
 package interp
 
 import (
+	"strings"
+
 	"mst/internal/bytecode"
+	"mst/internal/compiler"
 	"mst/internal/heap"
 	"mst/internal/jit"
 	"mst/internal/object"
@@ -824,4 +827,22 @@ func (in *Interp) blockValue(blk object.OOP, nargs int) bool {
 	in.loadContext(blk)
 	in.p.Advance(in.costs.SendExtra)
 	return true
+}
+
+// selectorArity answers how many arguments the selector sel takes,
+// reading its bytes in place: a keyword selector one per colon, a binary
+// selector 1, a unary selector 0. The perform primitives fail, as the
+// Blue Book's do, when the arguments supplied are not that many.
+func (in *Interp) selectorArity(sel object.OOP) int {
+	h := in.vm.H
+	colons := 0
+	for i := range h.ByteLen(sel) {
+		switch c := h.FetchByte(sel, i); {
+		case c == ':':
+			colons++
+		case i == 0 && strings.IndexByte(compiler.BinaryChars, c) >= 0:
+			return 1
+		}
+	}
+	return colons
 }

@@ -112,17 +112,12 @@ type Config struct {
 	InlineCache ICPolicy
 	// FreeContexts selects the free-list strategy (paper §3.2).
 	FreeContexts FreeCtxPolicy
-	// QuantumBytecodes bounds one interpreter quantum.
-	QuantumBytecodes int
 	// JIT enables the msjit tier (an extension; off by default): the
 	// profitable straight-line bytecode runs of hot methods are fused
 	// into superinstruction closures that charge the identical virtual
 	// costs through the same cost table, so every virtual time and
 	// counter is bit-identical — only host time changes.
 	JIT bool
-	// PanicOnVMError makes internal VM errors panic (tests); otherwise
-	// they are recorded and the offending Process is terminated.
-	PanicOnVMError bool
 	// Parallel prepares the VM for parallel host mode (the machine's
 	// SetParallel): per-interpreter statistics are read locally by the
 	// stat primitive, symbol interning allocates outside the intern
@@ -130,14 +125,15 @@ type Config struct {
 	Parallel bool
 }
 
+// quantumBytecodes bounds one interpreter quantum.
+const quantumBytecodes = 400
+
 // DefaultConfig returns the MS production configuration.
 func DefaultConfig() Config {
 	return Config{
-		MSMode:           true,
-		MethodCache:      CacheReplicated,
-		FreeContexts:     FreeCtxPerProcessor,
-		QuantumBytecodes: 400,
-		PanicOnVMError:   true,
+		MSMode:       true,
+		MethodCache:  CacheReplicated,
+		FreeContexts: FreeCtxPerProcessor,
 	}
 }
 
@@ -496,9 +492,6 @@ type delayEntry struct {
 // New creates a virtual machine on m with the given heap. Call Genesis
 // before use.
 func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
-	if cfg.QuantumBytecodes <= 0 {
-		cfg.QuantumBytecodes = 400
-	}
 	if cfg.CacheWays != 2 {
 		cfg.CacheWays = 1
 	}
@@ -656,16 +649,14 @@ func (vm *VM) evalErrorCause() string {
 	return fmt.Sprintf(": %s; %d more; %s", first, k-2, last)
 }
 
-// vmError records an internal error; with PanicOnVMError it panics.
+// vmError records an internal error; the caller then terminates the
+// erring Process, and the machine runs on.
 func (vm *VM) vmError(format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	vm.hostMu.Lock()
 	vm.stats.VMErrors++
 	vm.logError(msg)
 	vm.hostMu.Unlock()
-	if vm.Cfg.PanicOnVMError {
-		panic("interp: " + msg)
-	}
 }
 
 // ---- Object construction helpers ----

@@ -397,17 +397,21 @@ func TestWriteTrace(t *testing.T) {
 }
 
 // TestErroringTenantKeepsABoundedErrorLog: a long-lived tenant fed ten
-// thousand erroring requests keeps at most interp.MaxErrors reports in
-// its VM's error log and the latest display.MaxTranscript bytes of its
+// thousand erroring requests (a Smalltalk error, a VM error, a perform:
+// of the wrong arity) keeps at most interp.MaxErrors reports in its VM's
+// error log and the latest display.MaxTranscript bytes of its
 // Transcript, each failed request names its cause, and the tenant still
 // answers afterwards.
 func TestErroringTenantKeepsABoundedErrorLog(t *testing.T) {
 	s := newTestServer(t, Config{Tenants: 1})
+	shapes := []struct{ src, cause string }{
+		{"3 foo", "doesNotUnderstand: #foo sent to 3"},
+		{"3 ifTrue: [1]", "mustBeBoolean: jump on 3"},
+		{"3 perform: #+", "Smalltalk error: perform: failed"},
+		{"1/0", "Smalltalk error: division by zero"},
+	}
 	for i := 0; i < 10000; i++ {
-		src, cause := "3 foo", "doesNotUnderstand: #foo sent to 3"
-		if i%2 == 1 {
-			src, cause = "1/0", "Smalltalk error: division by zero"
-		}
+		src, cause := shapes[i%len(shapes)].src, shapes[i%len(shapes)].cause
 		if _, err := s.Eval(0, src); err == nil || !strings.Contains(err.Error(), cause) {
 			t.Fatalf("request %d (%s): error %v, want one naming %q", i, src, err, cause)
 		}
