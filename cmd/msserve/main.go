@@ -9,7 +9,8 @@
 //	                                          virtual results bit-identical
 //	msserve -trace serve.json                 per-tenant Perfetto tracks
 //	msserve -stdin                            interactive: "TENANT<TAB>EXPR"
-//	                                          lines, one response per line
+//	                                          lines, one "TENANT<TAB>ANSWER"
+//	                                          or "TENANT<TAB>error: ..." each
 //
 // The run report on stdout is purely virtual-time derived: two runs
 // with the same flags produce byte-identical stdout (TestDetReportStable
@@ -21,6 +22,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -73,7 +75,9 @@ func main() {
 	defer srv.Shutdown()
 
 	if *stdin {
-		serveStdin(srv)
+		if err := serveStdin(srv, os.Stdin, os.Stdout); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -115,9 +119,10 @@ func main() {
 
 // serveStdin is the interactive request/response loop: each input line
 // is "TENANT<TAB>EXPR" (or just "EXPR" for tenant 0); each output line
-// is the tenant's printString response.
-func serveStdin(srv *serve.Server) {
-	sc := bufio.NewScanner(os.Stdin)
+// is "TENANT<TAB>" and the tenant's printString response, or "error: "
+// and why the request failed.
+func serveStdin(srv *serve.Server, in io.Reader, out io.Writer) error {
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -130,16 +135,13 @@ func serveStdin(srv *serve.Server) {
 				tenant, expr = n, rest
 			}
 		}
-		out, err := srv.Eval(tenant, expr)
+		res, err := srv.Eval(tenant, expr)
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			continue
+			res = "error: " + err.Error()
 		}
-		fmt.Printf("%d\t%s\n", tenant, out)
+		fmt.Fprintf(out, "%d\t%s\n", tenant, res)
 	}
-	if err := sc.Err(); err != nil {
-		fatal(err)
-	}
+	return sc.Err()
 }
 
 func fatal(err error) {

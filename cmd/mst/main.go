@@ -2,7 +2,7 @@
 // measures (the kernel plus the macro benchmarks) on the simulated
 // Firefly, files in any source files given as arguments, and evaluates
 // an expression (or reads expressions from stdin, one per line). It
-// exits 1 if the -e expression fails.
+// exits 1 if any expression fails, once every line has been evaluated.
 //
 //	mst -e "3 + 4"
 //	mst -e "Transcript show: 'hi'" -transcript
@@ -28,7 +28,7 @@
 //	                                 goroutines (results match, virtual
 //	                                 times become schedule-dependent)
 //	mst -parscavenge -e "..."        cooperative parallel scavenging:
-//	                                 every processor copies survivors
+//	                                 every processor is a copy worker
 //	                                 during the stop-the-world window
 //	mst -concmark -e "..."           concurrent old-space marking: full
 //	                                 collections mark in bounded slices
@@ -79,7 +79,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.gcReport, "gcreport", false, "print the GC latency rollup (pause/phase percentiles, dispatch latency, lock waits, critical paths) after evaluation")
 	fs.BoolVar(&o.sanitize, "sanitize", false, "attach the mscheck invariant sanitizer; report violations and exit non-zero on any")
 	fs.BoolVar(&o.parallel, "parallel", false, "true-parallel host mode: run virtual processors on real goroutines (wall-clock scheduling; virtual times become host-schedule-dependent)")
-	fs.BoolVar(&o.parScav, "parscavenge", false, "cooperative parallel scavenging: all processors copy survivors during the stop-the-world window (works in both the deterministic and -parallel modes)")
+	fs.BoolVar(&o.parScav, "parscavenge", false, "cooperative parallel scavenging: every processor is a copy worker during the stop-the-world window, simulated by the processor that stopped it (works in both the deterministic and -parallel modes)")
 	fs.BoolVar(&o.concMark, "concmark", false, "concurrent old-space marking: full collections run as SATB marking cycles with bounded stop-the-world windows and a lazy free-list sweep (works in both the deterministic and -parallel modes)")
 	fs.BoolVar(&o.jit, "jit", false, "msjit tier: fuse hot methods' straight-line bytecode runs into superinstructions (bit-identical virtual behavior)")
 	return o, fs.Parse(args)
@@ -152,7 +152,7 @@ func main() {
 		return true
 	}
 
-	// A failed -e evaluation exits 1 once the reports are out.
+	// A failed evaluation exits 1 once the reports are out.
 	failed := false
 	switch {
 	case o.expr != "":
@@ -165,7 +165,9 @@ func main() {
 			if line == "" {
 				continue
 			}
-			eval(line)
+			if !eval(line) {
+				failed = true
+			}
 		}
 	}
 

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +25,10 @@ const mainArgsEnv = "MST_MAIN_ARGS"
 
 func TestMain(m *testing.M) {
 	if args, ok := os.LookupEnv(mainArgsEnv); ok {
-		os.Args = append([]string{"mst"}, strings.Split(args, "\x1f")...)
+		os.Args = []string{"mst"}
+		if args != "" {
+			os.Args = append(os.Args, strings.Split(args, "\x1f")...)
+		}
 		flag.CommandLine = flag.NewFlagSet("mst", flag.ExitOnError)
 		main()
 		os.Exit(0)
@@ -31,16 +36,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runMST runs mst with args in a child process, bounded by a timeout so
-// that a hang fails the test, and answers its exit code and output.
-func runMST(t *testing.T, args ...string) (code int, stdout, stderr string) {
+// runMST runs mst with args and stdin in a child process, bounded by a
+// timeout so that a hang fails the test, and answers its exit code and
+// output.
+func runMST(t *testing.T, stdin string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\x1f"))
 	var out, errOut bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errOut
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = strings.NewReader(stdin), &out, &errOut
 	err := cmd.Run()
 	if ctx.Err() != nil {
 		t.Fatalf("mst %s did not exit within 60 s", strings.Join(args, " "))
@@ -59,26 +65,41 @@ func runMST(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // refused before anything is evaluated (each never yields, and nothing
 // time-slices it against the evaluation at the same priority, so the
 // evaluation would never run), one processor fewer runs, and a failed
-// evaluation names its cause, exits 1, and kills no interpreter.
+// evaluation names its cause, exits 1, and kills no interpreter; read
+// from stdin, the later lines are still evaluated first. -parallel runs
+// each collector extension to an answer.
 func TestMSTExits(t *testing.T) {
 	const starves = "leave none for an evaluation"
+	macro := []string{"-parallel", "-procs", "4", "-busy", "2", "-e", "MacroBenchmark new run: #printClassHierarchy"}
 	for _, tc := range []struct {
-		args           []string
-		code           int
-		stdout, stderr string
+		args   []string
+		stdin  string
+		code   int
+		stdout string // a pattern the whole of stdout matches
+		stderr string
 	}{
-		{[]string{"-baseline", "-idle", "1", "-e", "3+4"}, 1, "", starves},
-		{[]string{"-procs", "2", "-idle", "2", "-e", "3+4"}, 1, "", starves},
-		{[]string{"-procs", "2", "-busy", "2", "-e", "3+4"}, 1, "", starves},
-		{[]string{"-procs", "3", "-idle", "2", "-e", "3+4"}, 0, "7\n", ""},
-		{[]string{"-e", "3 foo"}, 1, "", "doesNotUnderstand: #foo sent to 3"},
-		{[]string{"-e", "3 ifTrue: [1]"}, 1, "", "mustBeBoolean: jump on 3"},
+		{[]string{"-baseline", "-idle", "1", "-e", "3+4"}, "", 1, "", starves},
+		{[]string{"-procs", "2", "-idle", "2", "-e", "3+4"}, "", 1, "", starves},
+		{[]string{"-procs", "2", "-busy", "2", "-e", "3+4"}, "", 1, "", starves},
+		{[]string{"-procs", "3", "-idle", "2", "-e", "3+4"}, "", 0, "^7\n$", ""},
+		{[]string{"-e", "3 foo"}, "", 1, "", "doesNotUnderstand: #foo sent to 3"},
+		{[]string{"-e", "3 ifTrue: [1]"}, "", 1, "", "mustBeBoolean: jump on 3"},
+		{nil, "3 + 4\n3 foo\n", 1, "^7\n$", "doesNotUnderstand: #foo sent to 3"},
+		{nil, "3 +\n3 + 4\n", 1, "^7\n$", "error:"},
+		{nil, "3 + 4\n\n4 * 5\n", 0, "^7\n20\n$", ""},
+		{append([]string{"-parscavenge"}, macro...), "", 0, "^[0-9]+\n$", ""},
+		{append([]string{"-concmark"}, macro...), "", 0, "^[0-9]+\n$", ""},
+		{append([]string{"-parscavenge", "-concmark"}, macro...), "", 0, "^[0-9]+\n$", ""},
 	} {
-		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
-			code, stdout, stderr := runMST(t, tc.args...)
-			if code != tc.code || (tc.stdout != "" && stdout != tc.stdout) || !strings.Contains(stderr, tc.stderr) ||
+		name := strings.Join(tc.args, " ")
+		if tc.stdin != "" {
+			name = fmt.Sprintf("stdin %q", tc.stdin)
+		}
+		t.Run(name, func(t *testing.T) {
+			code, stdout, stderr := runMST(t, tc.stdin, tc.args...)
+			if code != tc.code || !regexp.MustCompile(tc.stdout).MatchString(stdout) || !strings.Contains(stderr, tc.stderr) ||
 				strings.Contains(stderr, "died") {
-				t.Errorf("exit %d, stdout %q, stderr %q; want exit %d, stdout %q, stderr containing %q",
+				t.Errorf("exit %d, stdout %q, stderr %q; want exit %d, stdout matching %q, stderr containing %q",
 					code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
 			}
 		})

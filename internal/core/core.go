@@ -85,10 +85,12 @@ type Config struct {
 	Sanitize bool
 
 	// ParScavenge enables the cooperative parallel scavenger: during the
-	// stop-the-world window every processor copies survivors through a
-	// per-worker buffer, feeding a work-stealing grey deque. Off by
-	// default; off, or on one processor, the scavenger has one worker:
-	// the paper's serial scavenge, which every golden number pins.
+	// stop-the-world window every processor is a worker that copies
+	// survivors through its own buffer, feeding a work-stealing grey
+	// deque, and the processor that stopped the world simulates them
+	// all, under Parallel too. Off by default; off, or on one
+	// processor, the scavenger has one worker: the paper's serial
+	// scavenge, which every golden number pins.
 	ParScavenge bool
 
 	// ConcMark enables the concurrent old-space marker: full

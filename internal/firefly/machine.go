@@ -379,27 +379,10 @@ type Machine struct {
 	stwEnd      Time // virtual end time of the last stop-the-world pause
 	shutdownPar bool
 
-	// GC-assist handoff (RunStopped): while the world is stopped the
-	// owner may publish a worker function; processors parked at the
-	// rendezvous pick it up once per generation instead of idling.
-	gcAssist        func(*Proc)
-	gcAssistGen     uint64
-	gcAssistSeen    []uint64 // per processor: last assist generation joined
-	gcAssistRunning int      // processors currently inside the assist function
-
 	// parFlag is the parallel safepoint fast path: true whenever any
 	// processor must divert into parSlow (stop requested, world being
 	// stopped, or shutdown).
 	parFlag atomic.Bool
-
-	// Concurrent-mark assist (heap Config.ConcMark): while a concurrent
-	// mark cycle is active (concMarkOn), every processor reaching a
-	// parallel-mode safepoint drains one bounded mark slice through
-	// concAssist before resuming its quantum. Both stay nil/false unless
-	// the feature is configured, so the safepoint fast paths are
-	// unchanged — and virtual times bit-identical — when it is off.
-	concAssist func(*Proc)
-	concMarkOn atomic.Bool
 }
 
 // New creates a machine with n processors and the given cost model.
@@ -413,7 +396,6 @@ func New(n int, costs Costs) *Machine {
 	for i := 0; i < n; i++ {
 		m.procs = append(m.procs, &Proc{id: i, m: m})
 	}
-	m.gcAssistSeen = make([]uint64, n)
 	return m
 }
 
@@ -478,18 +460,6 @@ func (m *Machine) SetLatencyHists(l *trace.LatencyHists) {
 
 // LatencyHists returns the attached latency registry, or nil.
 func (m *Machine) LatencyHists() *trace.LatencyHists { return m.lat }
-
-// SetConcAssist installs the concurrent-marking assist function. The
-// heap registers it once at construction when Config.ConcMark is on;
-// it runs at parallel-mode safepoints while SetConcMarkActive(true)
-// holds, letting every processor drain bounded mark slices
-// cooperatively. nil detaches it.
-func (m *Machine) SetConcAssist(fn func(p *Proc)) { m.concAssist = fn }
-
-// SetConcMarkActive flips the safepoint-visible "a concurrent mark
-// cycle is in progress" flag. The collector sets it after the snapshot
-// window and clears it before the finalize window.
-func (m *Machine) SetConcMarkActive(on bool) { m.concMarkOn.Store(on) }
 
 // Start installs fn as processor i's work function: a coroutine,
 // suspended until the driver first schedules it. The function should

@@ -105,11 +105,6 @@ func (p *Proc) parYield() {
 		m.parPark(p, true)
 		m.parMu.Unlock()
 	}
-	if m.concMarkOn.Load() {
-		if f := m.concAssist; f != nil {
-			f(p)
-		}
-	}
 	m.rec.Emit(trace.KQuantumStart, p.id, int64(p.clock), 0, 0, "")
 }
 
@@ -134,9 +129,7 @@ func (m *Machine) parPark(p *Proc, runEnd bool) (collected bool) {
 		*parked++
 		m.parCond.Broadcast()
 		for *gen == was && !m.shutdownPar {
-			if !m.parAssist(p) {
-				m.parCond.Wait()
-			}
+			m.parCond.Wait()
 		}
 		*parked--
 		// The world ran again at stwEnd; the pause was a real GC stall,
@@ -273,63 +266,6 @@ func (m *Machine) ResumeTheWorld(p *Proc) {
 	}
 	m.recomputeParFlag()
 	m.parCond.Broadcast()
-	m.parMu.Unlock()
-}
-
-// parAssist lets a processor parked at a rendezvous join the
-// stop-the-world owner's published worker function (RunStopped) instead
-// of idling through the pause. Called with parMu held from the park
-// loop; returns true after running the function (the caller re-checks
-// its wait condition). Each processor joins a given assist generation
-// at most once.
-func (m *Machine) parAssist(p *Proc) bool {
-	fn := m.gcAssist
-	if fn == nil || m.gcAssistSeen[p.id] == m.gcAssistGen {
-		return false
-	}
-	m.gcAssistSeen[p.id] = m.gcAssistGen
-	m.gcAssistRunning++
-	m.parMu.Unlock()
-	fn(p)
-	m.parMu.Lock()
-	m.gcAssistRunning--
-	m.parCond.Broadcast()
-	return true
-}
-
-// RunStopped runs fn on the stop-the-world owner p and, in parallel
-// host mode, publishes it to every processor parked at the rendezvous:
-// each parked processor runs fn(q) on its own goroutine exactly once,
-// concurrently with the owner. RunStopped returns only after the owner
-// and every joined helper have finished, so callers may rely on fn's
-// effects being complete and on running alone again. Correctness must
-// never depend on helpers joining: a processor that reaches its park
-// loop late (or not at all, in deterministic mode) simply never runs
-// fn, and the owner's own invocation must be able to finish the whole
-// job. In deterministic mode the world is stopped by
-// construction and RunStopped is just fn(p).
-func (m *Machine) RunStopped(p *Proc, fn func(q *Proc)) {
-	if !m.parallel {
-		fn(p)
-		return
-	}
-	m.parMu.Lock()
-	if m.stwOwner != p {
-		m.parMu.Unlock()
-		panic("firefly: RunStopped without owning the stopped world")
-	}
-	m.gcAssist = fn
-	m.gcAssistGen++
-	m.parCond.Broadcast()
-	m.parMu.Unlock()
-
-	fn(p)
-
-	m.parMu.Lock()
-	m.gcAssist = nil
-	for m.gcAssistRunning > 0 {
-		m.parCond.Wait()
-	}
 	m.parMu.Unlock()
 }
 

@@ -19,10 +19,8 @@ import (
 //     space is never traced after this point, so the window is O(young
 //     + roots), not O(old).
 //   - Concurrent phase: grey old objects are blackened in bounded
-//     slices. In deterministic mode the initiating processor drains one
-//     slice per quantum, yielding between slices so the mutators'
-//     quanta interleave; in parallel host mode every processor also
-//     drains a slice at its safepoint (the machine's conc-assist hook).
+//     slices. The initiating processor drains one slice per quantum,
+//     yielding between slices so the mutators' quanta interleave.
 //     A deletion barrier in the pointer-store funnels shades the old
 //     referent a store is about to overwrite, which keeps every
 //     snapshot-reachable object markable; objects allocated or tenured
@@ -69,8 +67,7 @@ type concMark struct {
 	// lost-the-race path.
 	cycle atomic.Bool
 	// active is true between the snapshot and finalize windows; the
-	// store funnels, the allocators, and the machine's assist hook
-	// read it from any processor.
+	// store funnels and the allocators read it from any processor.
 	active atomic.Bool
 	// sweepPending is true from the finalize window until the lazy
 	// sweep publishes its free list: old space then holds dead
@@ -78,9 +75,9 @@ type concMark struct {
 	// and the write-barrier verifier skips unmarked objects.
 	sweepPending atomic.Bool
 
-	// mu guards the grey stack and the cycle counters: the deletion
-	// barrier and the parallel-mode assists push and drain from any
-	// processor. Uncontended in deterministic mode.
+	// mu guards the grey stack and the cycle counters: under -parallel
+	// the deletion barrier pushes from any processor while the
+	// initiating one drains. Uncontended in deterministic mode.
 	//msvet:stw-safe grey-stack lock: shades and slice batches hold it for bounded straight-line work with no safepoint inside, so no mutator is ever parked holding it
 	mu     sync.Mutex
 	grey   []object.OOP
@@ -254,7 +251,6 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 
 	cm.active.Store(true)
-	h.m.SetConcMarkActive(true)
 }
 
 // scanBlack blackens one grey old object — or, in the snapshot window,
@@ -281,10 +277,8 @@ func (h *Heap) scanBlack(o object.OOP) (words, shaded int) {
 
 // concMarkSlice drains up to budget grey objects as one bounded slice,
 // charging p for the scan. Returns the number of objects blackened
-// (0 = the stack was empty). fromAssist suppresses the histogram
-// record: only the initiating processor's slices are recorded, so the
-// deterministic distributions never race with host-mode assists.
-func (h *Heap) concMarkSlice(p *firefly.Proc, budget int, fromAssist bool) int {
+// (0 = the stack was empty).
+func (h *Heap) concMarkSlice(p *firefly.Proc, budget int) int {
 	cm := h.cm
 	batch := cm.take(budget, nil)
 	if len(batch) == 0 {
@@ -304,22 +298,9 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int, fromAssist bool) int {
 	cm.slices++
 	cm.work += cost
 	cm.mu.Unlock()
-	if !fromAssist {
-		h.lat.Record(trace.ConcMarkSlice, int64(cost))
-	}
+	h.lat.Record(trace.ConcMarkSlice, int64(cost))
 	h.rec.Emit(trace.KConcMarkSlice, p.ID(), int64(p.Now()), int64(len(batch)), int64(cost), "")
 	return len(batch)
-}
-
-// concAssist is the machine's safepoint hook in parallel host mode:
-// a processor passing its quantum boundary while marking is active
-// donates one bounded slice, charged to its own clock.
-func (h *Heap) concAssist(p *firefly.Proc) {
-	cm := h.cm
-	if cm == nil || !cm.active.Load() {
-		return
-	}
-	h.concMarkSlice(p, concMarkSliceObjects, true)
 }
 
 // finishConcMark closes the cycle under a stopped world: the residual
@@ -334,10 +315,8 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	}
 	start := p.Now()
 	cm.active.Store(false)
-	h.m.SetConcMarkActive(false)
 
-	// Residual drain: barrier shades and in-flight assists may have
-	// left grey objects behind.
+	// Residual drain: barrier shades may have left grey objects behind.
 	residual, words := 0, 0
 	for {
 		batch := cm.take(concMarkSliceObjects, nil)
@@ -521,7 +500,7 @@ func (h *Heap) fullCollectConc(p *firefly.Proc) {
 		h.m.ResumeTheWorld(p)
 	}
 
-	for h.concMarkSlice(p, concMarkSliceObjects, false) > 0 {
+	for h.concMarkSlice(p, concMarkSliceObjects) > 0 {
 		p.Yield()
 	}
 

@@ -79,7 +79,7 @@ func fuzzConcOps(h *Heap, p *firefly.Proc, seed int64, conc bool) (young, olds [
 		}
 		if conc && h.cm.active.Load() && op%2 == 0 {
 			// One bounded slice between mutator quanta.
-			h.concMarkSlice(p, 8, false)
+			h.concMarkSlice(p, 8)
 		}
 		switch r := rng.Intn(100); {
 		case r < 36: // allocate a young object, wiring some edges
@@ -309,11 +309,11 @@ func TestConcMarkPauseBound(t *testing.T) {
 
 // TestConcMarkHostParallelStress replays a fuzzer workload in parallel
 // host mode (real goroutine processors, ConcMark on): the driver
-// mutates and full-collects while the other processors spin through
-// their safepoints, donating mark-assist slices whenever a cycle is
-// active. Under -race this is the data-race certificate for the
-// barrier, the assist hook, and the sweep's publication protocol; the
-// surviving graph must match the deterministic serial collector's.
+// mutates, full-collects and drains every mark slice while the other
+// processors spin through their safepoints. Under -race this is the
+// data-race certificate for the barrier, the two stop-the-world
+// windows and the sweep's publication protocol; the surviving graph
+// must match the deterministic serial collector's.
 func TestConcMarkHostParallelStress(t *testing.T) {
 	seed := int64(7)
 	want, _ := runConcFuzzDet(t, seed, false)
@@ -337,8 +337,8 @@ func TestConcMarkHostParallelStress(t *testing.T) {
 			for !p.Stopped() {
 				p.AdvanceIdle(10)
 				p.Yield()
-				// Give the host scheduler room to interleave the
-				// assists with the driver's slices.
+				// Give the host scheduler room to interleave these
+				// safepoints with the driver's slices.
 				time.Sleep(time.Microsecond)
 			}
 		})

@@ -82,23 +82,21 @@ type Config struct {
 	// barrier instead of assuming the deterministic driver stopped it.
 	Parallel bool
 	// ParScavenge enables the parallel generation scavenger: during the
-	// stop-the-world window every processor cooperatively copies
-	// survivors from per-processor work-stealing deques into
-	// per-processor copy buffers, with CAS-claimed forwarding pointers.
-	// In deterministic mode the parallel scan is simulated (scavenge
-	// wall time = max over workers of their charged copy costs); in
-	// parallel host mode the deques and the forwarding CAS are real.
-	// Off by default, or on one processor, one worker scavenges: the
-	// paper serializes GC (Table 3).
+	// stop-the-world window every processor is a worker that copies
+	// survivors from its own work-stealing deque into its own copy
+	// buffers. The processor that stopped the world simulates the
+	// workers, in parallel host mode too (scavenge time = max over
+	// workers of their charged copy costs). Off by default, or on one
+	// processor, one worker scavenges: the paper serializes GC (Table 3).
 	ParScavenge bool
 	// ConcMark enables the concurrent old-space marker: FullCollect
 	// becomes a snapshot-at-the-beginning marking cycle whose tracing
-	// work runs in bounded slices interleaved with mutator quanta (or
-	// by cooperative assist in parallel host mode), bracketed by two
-	// short stop-the-world windows (snapshot and finalize), followed
-	// by a lazy sweep that turns dead old objects into reusable
-	// free-list space instead of compacting. A Dijkstra-style deletion
-	// barrier in the pointer-store funnels keeps the snapshot sound.
+	// work runs in bounded slices interleaved with mutator quanta,
+	// bracketed by two short stop-the-world windows (snapshot and
+	// finalize), followed by a lazy sweep that turns dead old objects
+	// into reusable free-list space instead of compacting. A
+	// Dijkstra-style deletion barrier in the pointer-store funnels
+	// keeps the snapshot sound.
 	// Off by default: the paper stops the world for every collection.
 	ConcMark bool
 }
@@ -218,18 +216,6 @@ type Heap struct {
 	// reserveOld and AllocateNoGC consult before bumping.
 	cm      *concMark
 	oldFree []freeSpan
-
-	// gcMu serializes copy-buffer chunk carving from the shared spaces
-	// during a parallel host-mode scavenge. Host machinery only: the
-	// virtual cost of a refill is charged separately (ScavengeChunk).
-	//msvet:stw-safe collector-only lock: carveChunk runs exclusively inside the scavenge window, where every mutator is parked at the rendezvous and cannot hold it
-	gcMu sync.Mutex
-
-	// scavDelay, when non-nil, is called by each parallel-scavenge
-	// worker as it joins the drain loop. Test hook: the
-	// schedule-exploration test injects per-worker host delays through
-	// it to perturb the work-stealing interleaving.
-	scavDelay func(worker int)
 
 	hashSeed uint32
 	// hashMu serializes lazy identity-hash assignment in parallel mode
@@ -436,7 +422,6 @@ func New(m *firefly.Machine, cfg Config) *Heap {
 	}
 	if cfg.ConcMark {
 		h.cm = &concMark{h: h}
-		m.SetConcAssist(h.concAssist)
 	}
 
 	// The immortal objects live below old space at fixed addresses.

@@ -19,11 +19,11 @@ func TestParallelScavengeRendezvous(t *testing.T) {
 	testParallelRendezvous(t, false)
 }
 
-// The same rendezvous workload with the cooperative parallel scavenger
-// engaged: scavenges are triggered by whichever processor fills eden,
-// and the parked processors join the copy through the GC-assist
-// handoff. Under -race this exercises the claim/publish protocol with
-// genuinely concurrent workers.
+// The same rendezvous workload with the parallel scavenger engaged:
+// whichever processor fills eden stops the world and runs every
+// worker's share of the drain itself. Under -race this checks that the
+// owner's drain shares no word with the parked processors outside the
+// rendezvous.
 func TestParallelScavengeRendezvousParScavenge(t *testing.T) {
 	testParallelRendezvous(t, true)
 }
@@ -80,6 +80,9 @@ func testParallelRendezvous(t *testing.T, parScav bool) {
 	}
 	if h.Stats().Scavenges == 0 {
 		t.Fatal("eden never filled; the rendezvous went unexercised")
+	}
+	if parScav && h.Stats().ParScavenges == 0 {
+		t.Fatal("no parallel scavenge ran; the shared drain went unexercised")
 	}
 	h.CheckInvariants()
 	for i := range roots {

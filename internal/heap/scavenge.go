@@ -2,9 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
-	"unsafe"
 
 	"mst/internal/firefly"
 	"mst/internal/object"
@@ -16,15 +13,15 @@ import (
 // serialization to garbage collection: "all of the processes are
 // synchronized with a global flag and the V interprocess communication
 // mechanism"); with Config.ParScavenge every processor is a scavenge
-// worker (parscavenge.go).
+// worker, all of them simulated on p (parscavenge.go).
 //
 // Live new-space objects are copied to the future survivor space (or
 // tenured into old space once they have survived TenureAge scavenges, or
 // when the survivor space overflows); eden and the past survivor space
 // are then reset. Every registered root slot, root function, and handle
 // is updated; pre/post hooks let the interpreter flush caches of raw
-// oops. On return, every other processor's clock has been advanced to
-// the scavenge end, modelling the rendezvous stall.
+// oops. Every other processor stalls to the scavenge end: on return on
+// a deterministic machine, as it wakes under -parallel.
 func (h *Heap) Scavenge(p *firefly.Proc) {
 	if h.par {
 		// Parallel host mode: really stop the world. A false return
@@ -64,23 +61,10 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 	w := s.ws[0]
 	toScan, oldScan := w.to.next, w.old.next // where a lone worker's Cheney scan starts
 	s.seed(h)
-	switch {
-	case !s.shared:
-		s.cheney(h, w, toScan, oldScan)
-	case h.par:
-		h.m.RunStopped(p, func(q *firefly.Proc) {
-			w := s.ws[q.ID()]
-			if h.scavDelay != nil {
-				h.scavDelay(w.id)
-			}
-			s.drainHost(h, w)
-			q.Advance(w.cost)
-		})
-		if s.err != nil {
-			panic(s.err)
-		}
-	default:
+	if s.shared {
 		s.drainDet(h)
+	} else {
+		s.cheney(h, w, toScan, oldScan)
 	}
 	h.finishScavenge(s, p, start)
 
@@ -129,10 +113,6 @@ func (s *parScav) start(h *Heap, p *firefly.Proc) {
 	s.ws, s.shared, s.dealt = s.crew[:nw], nw > 1, 0
 	s.to = &h.surv[1-h.past]
 	s.to.next = s.to.base
-	s.active.Store(0)
-	s.done.Store(false)
-	s.aborted.Store(false)
-	s.err = nil
 	for i, w := range s.ws {
 		w.id, w.to, w.old, w.tally = i, bump{}, bump{}, tally{}
 		w.wl.head, w.wl.buf = 0, w.wl.buf[:0]
@@ -219,10 +199,7 @@ func (s *parScav) cheney(h *Heap, w *scavWorker, toScan, oldScan uint64) {
 // table exactly while it still references new space.
 func (h *Heap) scanGrey(w *scavWorker, it greyItem) {
 	if it.slot != nil {
-		// A slot registered twice is dealt twice, perhaps to two host
-		// workers at once; both store the one address it was copied to.
-		slot := (*uint64)(unsafe.Pointer(it.slot))
-		atomic.StoreUint64(slot, uint64(h.parForward(w, object.OOP(atomic.LoadUint64(slot)))))
+		*it.slot = h.parForward(w, *it.slot)
 		return
 	}
 	refsNew := false
@@ -253,26 +230,21 @@ func (h *Heap) scanGrey(w *scavWorker, it greyItem) {
 
 // parForward returns o's new location for worker w, copying it out of
 // from-space on its first visit (an address already in the future
-// survivor space is a copy: a root slot registered twice). A lone worker
-// claims nothing and leaves the copy to its Cheney scan; workers that
-// share the drain claim the header by CAS and queue the copy.
+// survivor space is a copy: a root slot registered twice). A lone
+// worker leaves the copy to its Cheney scan; workers that share the
+// drain charge it to their own cost and queue it.
 func (h *Heap) parForward(w *scavWorker, o object.OOP) object.OOP {
 	addr := o.Addr()
 	if !o.IsPtr() || addr < h.newBase {
 		return o
 	}
-	hd := object.Header(atomic.LoadUint64(&h.mem[addr]))
+	hd := object.Header(h.mem[addr])
 	if hd.Forwarded() {
-		return object.OOP(atomic.LoadUint64(&h.mem[addr+1]))
+		return object.OOP(h.mem[addr+1])
 	}
 	s := &h.scav
 	if s.to.contains(addr) {
 		return o
-	}
-	if s.shared {
-		if hd = h.claim(w, addr); hd.Forwarded() {
-			return object.OOP(atomic.LoadUint64(&h.mem[addr+1]))
-		}
 	}
 	size := hd.SizeWords()
 	age := hd.Age() + 1
@@ -311,50 +283,24 @@ func (h *Heap) parForward(w *scavWorker, o object.OOP) object.OOP {
 	}
 	w.copiedObjects++
 	w.copiedWords += uint64(size)
-	if !s.shared { // its cost is charged from these counts when it finishes
-		copy(h.mem[dst:dst+uint64(size)], h.mem[addr:addr+uint64(size)])
-		h.mem[dst], h.mem[addr+1], h.mem[addr] = uint64(nh), dst, uint64(hd.SetForwarded())
-		return object.FromAddr(dst)
+	copy(h.mem[dst:dst+uint64(size)], h.mem[addr:addr+uint64(size)])
+	h.mem[dst], h.mem[addr+1], h.mem[addr] = uint64(nh), dst, uint64(hd.SetForwarded())
+	if s.shared { // a lone worker's cost is charged from its counts when it finishes
+		c := h.m.Costs()
+		w.cost += c.ScavengePerObject + c.ScavengePerWord*firefly.Time(size)
+		w.wl.push(greyItem{obj: object.FromAddr(dst)})
 	}
-	// The claimed header reads busy: copy the body, then publish the
-	// forwarding pointer and then the forwarded header.
-	c := h.m.Costs()
-	w.cost += c.ScavengePerObject + c.ScavengePerWord*firefly.Time(size)
-	copy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])
-	h.mem[dst] = uint64(nh)
-	atomic.StoreUint64(&h.mem[addr+1], dst)
-	atomic.StoreUint64(&h.mem[addr], uint64(hd.SetForwarded()))
-	w.wl.push(greyItem{obj: object.FromAddr(dst)})
 	return object.FromAddr(dst)
-}
-
-// claim swaps the header at addr for the busy sentinel and returns the
-// header it replaced, or the forwarded header of the worker that got
-// there first; a loser spins while the winner copies (host mode only —
-// the deterministic simulation never contends).
-func (h *Heap) claim(w *scavWorker, addr uint64) object.Header {
-	for {
-		hd := object.Header(atomic.LoadUint64(&h.mem[addr]))
-		switch {
-		case hd == scavBusyHeader:
-			if h.scav.aborted.Load() {
-				panic(errParScavAbort)
-			}
-			runtime.Gosched()
-		case hd.Forwarded():
-			return hd
-		case atomic.CompareAndSwapUint64(&h.mem[addr], uint64(hd), uint64(scavBusyHeader)):
-			return hd
-		}
-	}
 }
 
 // finishScavenge retires the copy buffers, merges the workers' results
 // into the statistics and the rebuilt entry table (worker order), and
-// charges ScavengeBase + max(worker costs) + ScavengeTerm, each worker's
-// processor paying its own cost (in host mode, inside RunStopped). A
-// lone worker pays no termination barrier: base + per-object +
-// per-word, the paper's serial scavenge.
+// charges ScavengeBase + max(worker costs) + ScavengeTerm. On a
+// deterministic machine each worker's processor pays its own cost and
+// the others stall to the end; under -parallel p, which ran every
+// worker, pays the whole pause and the parked processors account it as
+// stall when they wake. A lone worker pays no termination barrier:
+// base + per-object + per-word, the paper's serial scavenge.
 func (h *Heap) finishScavenge(s *parScav, p *firefly.Proc, start firefly.Time) {
 	c := h.m.Costs()
 	longPole, maxCost := 0, firefly.Time(0)
@@ -389,8 +335,8 @@ func (h *Heap) finishScavenge(s *parScav, p *firefly.Proc, start firefly.Time) {
 	if s.shared {
 		term = c.ScavengeTerm
 	}
-	if h.par && s.shared {
-		p.Advance(c.ScavengeBase + term)
+	if h.par {
+		p.Advance(c.ScavengeBase + maxCost + term)
 	} else {
 		for _, w := range s.ws {
 			h.m.Proc(w.id).Advance(w.cost)

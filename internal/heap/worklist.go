@@ -1,21 +1,12 @@
 package heap
 
-import (
-	"sync"
-
-	"mst/internal/object"
-)
+import "mst/internal/object"
 
 // The parallel scavenger's grey-object work lists. Each worker owns one
 // deque; it pushes and pops at the tail (LIFO, for locality with the
 // Cheney copy it just made) while thieves take from the head (FIFO, so
-// a steal grabs the oldest — typically largest-subgraph — item). A
-// host mutex per deque keeps the implementation simple and obviously
-// correct; the deques are short-lived (one stop-the-world window) and
-// uncontended except when a worker runs dry, so the lock is not a
-// scalability concern at the simulated processor counts (≤ 8). In
-// deterministic mode the same structure is driven by a single
-// goroutine and the mutex is never contended.
+// a steal grabs the oldest — typically largest-subgraph — item). One
+// goroutine drives every deque (drainDet), so none needs a lock.
 //
 // This file deliberately contains no h.mem writes: work items carry
 // OOPs and root-slot pointers, never raw heap words, so there is no raw
@@ -32,23 +23,17 @@ type greyItem struct {
 
 // worklist is one worker's grey deque.
 type worklist struct {
-	//msvet:stw-safe grey-deque lock: the deques exist only while the world is stopped, shared solely among scavenge workers; no mutator can be parked holding it
-	mu   sync.Mutex
 	head int // index of the oldest unconsumed item
 	buf  []greyItem
 }
 
 // push appends an item at the tail. Only the owning worker pushes.
 func (w *worklist) push(it greyItem) {
-	w.mu.Lock()
 	w.buf = append(w.buf, it)
-	w.mu.Unlock()
 }
 
 // pop removes the newest item (tail). Owner only.
 func (w *worklist) pop() (greyItem, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.head >= len(w.buf) {
 		return greyItem{}, false
 	}
@@ -61,10 +46,8 @@ func (w *worklist) pop() (greyItem, bool) {
 	return it, true
 }
 
-// steal removes the oldest item (head); any worker may call it.
+// steal removes the oldest item (head), for a thief.
 func (w *worklist) steal() (greyItem, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.head >= len(w.buf) {
 		return greyItem{}, false
 	}
@@ -86,7 +69,5 @@ func (w *worklist) steal() (greyItem, bool) {
 
 // size returns the current item count.
 func (w *worklist) size() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return len(w.buf) - w.head
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // atomicguard: a struct field that is accessed through sync/atomic
-// anywhere in the module (the CAS-claimed forwarding words in
-// h.mem, for example) must be accessed atomically *everywhere* — one
-// plain read racing one atomic write is still a data race, and the
-// det-mode-only "it's single-threaded there" argument must be written
-// down, not implied.
+// anywhere in the module (the heap words h.mem, which loadWord reads
+// atomically under -parallel, for example) must be accessed
+// atomically *everywhere* — one plain read racing one atomic write is
+// still a data race, and the det-mode-only "it's single-threaded
+// there" argument must be written down, not implied.
 //
 // Exemptions, in decreasing order of preference:
 //   - STW-reachable functions (Module.STWReachable): the world is

@@ -10,8 +10,8 @@ import (
 // module with a body*. Function literals are merged into the enclosing
 // declared function — a closure's calls are attributed to the function
 // that lexically contains it, which matches how the STW analyses need
-// to see `RunStopped(p, func(q) { ... })`: the closure body belongs to
-// the caller's window.
+// to see `h.visitAllRoots(func(slot) { ... })`: the closure body
+// belongs to the caller's window.
 //
 // Edges are static calls only, resolved through the type-checker:
 // plain identifiers (go/types Uses), qualified identifiers, and

@@ -107,15 +107,10 @@ var catalog = []mutation{
 		old: "\t\tcache = in.cache\n",
 		new: "\t\tcache = vm.Interps[0].cache\n",
 	},
-	{ // 16: ParScavenge claims by check-then-store instead of CAS
-		name: "16-claim-check-then-store", file: "internal/heap/scavenge.go",
-		old: "\t\tcase atomic.CompareAndSwapUint64(&h.mem[addr], uint64(hd), uint64(scavBusyHeader)):",
-		new: "\t\tdefault:\n\t\t\tatomic.StoreUint64(&h.mem[addr], uint64(scavBusyHeader))",
-	},
-	{ // 17: ParScavenge publishes the forwarding pointer before the body copy
+	{ // 17: the scavenger publishes the forwarding pointer before the body copy (row 16, the CAS claim, went with its site)
 		name: "17-publish-before-copy", file: "internal/heap/scavenge.go",
-		old: "\tcopy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])\n\th.mem[dst] = uint64(nh)\n",
-		new: "\tatomic.StoreUint64(&h.mem[addr+1], dst)\n\tatomic.StoreUint64(&h.mem[addr], uint64(hd.SetForwarded()))\n\tcopy(h.mem[dst+1:dst+uint64(size)], h.mem[addr+1:addr+uint64(size)])\n\th.mem[dst] = uint64(nh)\n",
+		old: "\tcopy(h.mem[dst:dst+uint64(size)], h.mem[addr:addr+uint64(size)])\n\th.mem[dst], h.mem[addr+1], h.mem[addr] = uint64(nh), dst, uint64(hd.SetForwarded())\n",
+		new: "\th.mem[addr+1], h.mem[addr] = dst, uint64(hd.SetForwarded())\n\tcopy(h.mem[dst:dst+uint64(size)], h.mem[addr:addr+uint64(size)])\n\th.mem[dst] = uint64(nh)\n",
 	},
 	{ // 18: Store skips ConcMark's deletion barrier
 		name: "18-store-no-deletion-barrier", file: "internal/heap/heap.go",
