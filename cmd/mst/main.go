@@ -80,7 +80,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.sanitize, "sanitize", false, "attach the mscheck invariant sanitizer; report violations and exit non-zero on any")
 	fs.BoolVar(&o.parallel, "parallel", false, "true-parallel host mode: run virtual processors on real goroutines (wall-clock scheduling; virtual times become host-schedule-dependent)")
 	fs.BoolVar(&o.parScav, "parscavenge", false, "cooperative parallel scavenging: every processor is a copy worker during the stop-the-world window, simulated by the processor that stopped it (works in both the deterministic and -parallel modes)")
-	fs.BoolVar(&o.concMark, "concmark", false, "concurrent old-space marking: full collections run as SATB marking cycles with bounded stop-the-world windows and a lazy free-list sweep (works in both the deterministic and -parallel modes)")
+	fs.BoolVar(&o.concMark, "concmark", false, "concurrent old-space marking: full collections run as SATB marking cycles with bounded stop-the-world windows and a lazy free-list sweep (deterministic mode only: refused with -parallel)")
 	fs.BoolVar(&o.jit, "jit", false, "msjit tier: fuse hot methods' straight-line bytecode runs into superinstructions (bit-identical virtual behavior)")
 	return o, fs.Parse(args)
 }

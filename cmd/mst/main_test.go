@@ -66,10 +66,13 @@ func runMST(t *testing.T, stdin string, args ...string) (code int, stdout, stder
 // time-slices it against the evaluation at the same priority, so the
 // evaluation would never run), one processor fewer runs, and a failed
 // evaluation names its cause, exits 1, and kills no interpreter; read
-// from stdin, the later lines are still evaluated first. -parallel runs
-// each collector extension to an answer.
+// from stdin, the later lines are still evaluated first. A parse error
+// is placed in the user's text, never in the doIt's wrapper (no "]").
+// -parallel runs the parallel scavenger to an answer and refuses the
+// deterministic-only concurrent marker.
 func TestMSTExits(t *testing.T) {
 	const starves = "leave none for an evaluation"
+	const concPar = "-concmark requires the deterministic mode (drop -parallel)"
 	macro := []string{"-parallel", "-procs", "4", "-busy", "2", "-e", "MacroBenchmark new run: #printClassHierarchy"}
 	for _, tc := range []struct {
 		args   []string
@@ -84,12 +87,14 @@ func TestMSTExits(t *testing.T) {
 		{[]string{"-procs", "3", "-idle", "2", "-e", "3+4"}, "", 0, "^7\n$", ""},
 		{[]string{"-e", "3 foo"}, "", 1, "", "doesNotUnderstand: #foo sent to 3"},
 		{[]string{"-e", "3 ifTrue: [1]"}, "", 1, "", "mustBeBoolean: jump on 3"},
+		{[]string{"-e", "3 +"}, "", 1, "", "compile DoIt: 1:4: expected expression, found end of input"},
+		{[]string{"-e", "3 + )"}, "", 1, "", `compile DoIt: 1:5: expected expression, found ")"`},
 		{nil, "3 + 4\n3 foo\n", 1, "^7\n$", "doesNotUnderstand: #foo sent to 3"},
 		{nil, "3 +\n3 + 4\n", 1, "^7\n$", "error:"},
 		{nil, "3 + 4\n\n4 * 5\n", 0, "^7\n20\n$", ""},
 		{append([]string{"-parscavenge"}, macro...), "", 0, "^[0-9]+\n$", ""},
-		{append([]string{"-concmark"}, macro...), "", 0, "^[0-9]+\n$", ""},
-		{append([]string{"-parscavenge", "-concmark"}, macro...), "", 0, "^[0-9]+\n$", ""},
+		{append([]string{"-concmark"}, macro...), "", 1, "^$", concPar},
+		{append([]string{"-parscavenge", "-concmark"}, macro...), "", 1, "^$", concPar},
 	} {
 		name := strings.Join(tc.args, " ")
 		if tc.stdin != "" {
@@ -98,7 +103,7 @@ func TestMSTExits(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			code, stdout, stderr := runMST(t, tc.stdin, tc.args...)
 			if code != tc.code || !regexp.MustCompile(tc.stdout).MatchString(stdout) || !strings.Contains(stderr, tc.stderr) ||
-				strings.Contains(stderr, "died") {
+				strings.Contains(stderr, "died") || strings.Contains(stderr, `"]"`) {
 				t.Errorf("exit %d, stdout %q, stderr %q; want exit %d, stdout matching %q, stderr containing %q",
 					code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
 			}

@@ -97,7 +97,8 @@ type Config struct {
 	// collections become snapshot-at-the-beginning marking cycles with
 	// two short stop-the-world windows, mark slices interleaved with
 	// mutator quanta, and a lazy free-list sweep in place of
-	// compaction. Off by default; with it off the serial mark-compact
+	// compaction. Deterministic mode only: NewSystem refuses it with
+	// Parallel. Off by default; with it off the serial mark-compact
 	// runs and every golden number is bit-identical.
 	ConcMark bool
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mst/internal/firefly"
@@ -62,10 +63,53 @@ func TestNewSystemRejectsWhatCannotRun(t *testing.T) {
 		{"no old space", func(c *Config) { c.OldWords = 0 }},
 		{"an eden too small", func(c *Config) { c.EdenWords = 16 }},
 		{"addresses past a uint32", func(c *Config) { c.OldWords = 1 << 32 }},
-		{"a parallel profile", func(c *Config) { c.Parallel, c.Profile = true, true }},
 	} {
 		if _, err := NewSystem(smallConfig(c.mutate)); err == nil {
 			t.Errorf("%s accepted", c.what)
+		}
+	}
+}
+
+// TestParallelRefusesDetOnlyFeatures: each feature that runs in the
+// deterministic mode only is refused with Parallel, by an error that
+// names both flags (heap.New panics with the heap's), and boots without
+// Parallel.
+func TestParallelRefusesDetOnlyFeatures(t *testing.T) {
+	heapNew := func(cfg Config) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%v", r)
+			}
+		}()
+		heap.New(firefly.New(cfg.Processors, firefly.DefaultCosts()), cfg.heapConfig())
+		return nil
+	}
+	boot := func(cfg Config) error {
+		s, err := NewSystem(cfg)
+		if err == nil {
+			s.Shutdown()
+		}
+		return err
+	}
+	for _, c := range []struct {
+		flag  string
+		set   func(*Config)
+		build func(Config) error
+	}{
+		{"-profile", func(c *Config) { c.Profile = true }, boot},
+		{"-allocprofile", func(c *Config) { c.AllocProfile = true }, boot},
+		{"-concmark", func(c *Config) { c.ConcMark = true }, boot},
+		{"-concmark", func(c *Config) { c.ConcMark = true }, heapNew},
+	} {
+		det := smallConfig(c.set)
+		if err := c.build(det); err != nil {
+			t.Errorf("%s without -parallel: %v", c.flag, err)
+		}
+		par := det
+		par.Parallel = true
+		err := c.build(par)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" requires the deterministic mode (drop -parallel)") {
+			t.Errorf("%s with -parallel: %v; want the error naming both flags", c.flag, err)
 		}
 	}
 }

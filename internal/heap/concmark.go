@@ -1,9 +1,6 @@
 package heap
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"mst/internal/firefly"
 	"mst/internal/object"
 	"mst/internal/trace"
@@ -20,7 +17,8 @@ import (
 //     + roots), not O(old).
 //   - Concurrent phase: grey old objects are blackened in bounded
 //     slices. The initiating processor drains one slice per quantum,
-//     yielding between slices so the mutators' quanta interleave.
+//     yielding between slices so the other processors' quanta
+//     interleave at safepoints.
 //     A deletion barrier in the pointer-store funnels shades the old
 //     referent a store is about to overwrite, which keeps every
 //     snapshot-reachable object markable; objects allocated or tenured
@@ -38,6 +36,10 @@ import (
 // The recorded full-GC pause under ConcMark is the longest single
 // stop-the-world window, which stays bounded as old space grows; the
 // serial collector's pause is O(live old data).
+//
+// The marker runs in the deterministic mode only (Config.Validate
+// refuses it with Parallel): the windows are stopped by construction,
+// and every mark, shade and sweep step is plain straight-line code.
 
 // concMarkSliceObjects bounds one concurrent mark slice; at the default
 // costs a slice is the same order as a scheduling quantum.
@@ -62,24 +64,18 @@ type concMark struct {
 	h *Heap
 
 	// cycle is true for the whole fullCollectConc span (marking and
-	// sweep); a second processor requesting a full collection while a
-	// cycle runs skips its own, like the parallel scavenger's
-	// lost-the-race path.
-	cycle atomic.Bool
+	// sweep); another processor that asks for a full collection
+	// between two of the cycle's slices skips its own.
+	cycle bool
 	// active is true between the snapshot and finalize windows; the
-	// store funnels and the allocators read it from any processor.
-	active atomic.Bool
+	// store funnels and the allocators read it.
+	active bool
 	// sweepPending is true from the finalize window until the lazy
 	// sweep publishes its free list: old space then holds dead
 	// objects awaiting reclamation, so free-list carving is disabled
 	// and the write-barrier verifier skips unmarked objects.
-	sweepPending atomic.Bool
+	sweepPending bool
 
-	// mu guards the grey stack and the cycle counters: under -parallel
-	// the deletion barrier pushes from any processor while the
-	// initiating one drains. Uncontended in deterministic mode.
-	//msvet:stw-safe grey-stack lock: shades and slice batches hold it for bounded straight-line work with no safepoint inside, so no mutator is ever parked holding it
-	mu     sync.Mutex
 	grey   []object.OOP
 	marked uint64 // objects blackened this cycle
 	shaded uint64 // deletion-barrier shades this cycle
@@ -89,25 +85,13 @@ type concMark struct {
 	sweepLimit uint64       // old.next at finalize: the sweep walks [old.base, sweepLimit)
 }
 
-// push appends o to the grey stack.
-func (cm *concMark) push(o object.OOP) {
-	cm.mu.Lock()
-	cm.grey = append(cm.grey, o)
-	cm.mu.Unlock()
-}
-
 // take removes up to budget grey objects (newest first, for locality
 // with the slice that pushed them).
-func (cm *concMark) take(budget int, buf []object.OOP) []object.OOP {
-	cm.mu.Lock()
-	n := len(cm.grey)
-	if n > budget {
-		n = budget
-	}
-	buf = append(buf[:0], cm.grey[len(cm.grey)-n:]...)
+func (cm *concMark) take(budget int) []object.OOP {
+	n := min(len(cm.grey), budget)
+	batch := append([]object.OOP(nil), cm.grey[len(cm.grey)-n:]...)
 	cm.grey = cm.grey[:len(cm.grey)-n]
-	cm.mu.Unlock()
-	return buf
+	return batch
 }
 
 // shadeRef shades v grey if it is an unmarked old-space object. Values
@@ -123,25 +107,14 @@ func (cm *concMark) shadeRef(v object.OOP) bool {
 	if a < h.old.base || a >= h.newBase {
 		return false
 	}
-	// White → grey claim. The mark bit is the claim token: exactly one
-	// shader wins, so an object is pushed (and later scanned) once.
-	if h.par {
-		claimed := false
-		h.casHeader(v, func(hd object.Header) object.Header {
-			claimed = !hd.Marked()
-			return hd.SetMarked(true)
-		})
-		if !claimed {
-			return false
-		}
-	} else {
-		hd := h.Header(v)
-		if hd.Marked() {
-			return false
-		}
-		h.SetHeader(v, hd.SetMarked(true))
+	// White → grey: the mark bit records the push, so an object is
+	// pushed (and later scanned) once.
+	hd := h.Header(v)
+	if hd.Marked() {
+		return false
 	}
-	cm.push(v)
+	h.SetHeader(v, hd.SetMarked(true))
+	cm.grey = append(cm.grey, v)
 	return true
 }
 
@@ -151,16 +124,15 @@ func (cm *concMark) shadeRef(v object.OOP) bool {
 // references is shaded grey, so a reference that existed at the
 // snapshot stays markable even if the mutator erases every copy of it.
 // The shade itself is charged no virtual time — the cost lands when
-// the slice scan blackens the object.
+// the slice scan blackens the object. It stays out of line: only a
+// ConcMark heap calls it, and inlined it would grow every store funnel.
+//
+//msvet:atomic-excluded a ConcMark heap runs in the deterministic mode only (Config.Validate refuses Parallel), where every access to h.mem is plain
+//go:noinline
 func (h *Heap) deletionBarrier(idx uint64) {
 	cm := h.cm
-	if !cm.active.Load() {
-		return
-	}
-	if cm.shadeRef(object.OOP(h.loadWord(idx))) {
-		cm.mu.Lock()
+	if cm.active && cm.shadeRef(object.OOP(h.mem[idx])) {
 		cm.shaded++
-		cm.mu.Unlock()
 	}
 }
 
@@ -169,7 +141,7 @@ func (h *Heap) deletionBarrier(idx uint64) {
 // object cannot be reached by the tracer (it was not in the snapshot),
 // so it is born black to survive the sweep.
 func (h *Heap) allocBlack(addr uint64) bool {
-	return addr < h.newBase && h.cm != nil && h.cm.active.Load()
+	return addr < h.newBase && h.cm != nil && h.cm.active
 }
 
 // carveOldFree carves total words from the sweep's free list,
@@ -179,7 +151,7 @@ func (h *Heap) allocBlack(addr uint64) bool {
 // only). Carving is disabled while a sweep is rebuilding the list.
 func (h *Heap) carveOldFree(total int) (uint64, bool) {
 	cm := h.cm
-	if cm == nil || cm.sweepPending.Load() {
+	if cm == nil || cm.sweepPending {
 		return 0, false
 	}
 	for i := range h.oldFree {
@@ -200,17 +172,17 @@ func (h *Heap) carveOldFree(total int) (uint64, bool) {
 	return 0, false
 }
 
-// startConcMark opens a marking cycle. The world is stopped (parallel
-// host mode: by the caller; deterministic mode: by construction). One
-// scavenge empties eden and the future survivor space, so the only
-// young objects are a linear walk of the past survivor space; their
+// startConcMark opens a marking cycle. The world is stopped by
+// construction (the marker is deterministic-mode only). One scavenge
+// empties eden and the future survivor space, so the only young
+// objects are a linear walk of the past survivor space; their
 // old-space referents — and the roots' and the immortals' — are shaded
 // grey. This conservative young shade closes the SATB hole where a
 // young holder of the only young→old edge dies mid-mark: the edge was
 // captured here. The remembered set is not a marking root.
 func (h *Heap) startConcMark(p *firefly.Proc) {
 	cm := h.cm
-	if cm.active.Load() {
+	if cm.active {
 		panic("heap: concurrent mark cycle already active")
 	}
 	start := p.Now()
@@ -218,10 +190,8 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	h.Scavenge(p)
 	runHooks(h.preGC)
 
-	cm.mu.Lock()
 	cm.grey = cm.grey[:0]
 	cm.marked, cm.shaded, cm.slices, cm.work = 0, 0, 0, 0
-	cm.mu.Unlock()
 
 	shaded, words := 0, 0
 	h.visitAllRoots(func(slot *object.OOP) {
@@ -239,7 +209,7 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 		shadeFrom(fixed)
 	}
 	past := &h.surv[h.past]
-	for a := past.base; a < past.next; a += uint64(object.Header(h.loadWord(a)).SizeWords()) {
+	for a := past.base; a < past.next; a += uint64(h.Header(object.FromAddr(a)).SizeWords()) {
 		if !h.isFiller(a) {
 			shadeFrom(object.FromAddr(a))
 		}
@@ -250,29 +220,20 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	h.rec.Emit(trace.KConcMarkBegin, p.ID(), int64(p.Now()), int64(shaded), 0, "")
 	h.rec.Emit(trace.KGCPause, p.ID(), int64(p.Now()), int64(pause), 1, "")
 
-	cm.active.Store(true)
+	cm.active = true
 }
 
 // scanBlack blackens one grey old object — or, in the snapshot window,
-// walks an immortal or a past survivor: the old-space referents of the
-// words refWords would hand out are shaded. It loads them one at a time
-// through loadWord instead of taking the refWords view because in
-// parallel host mode the mutators run while it marks, so every load
-// must be atomic. Returns the object's size in words, for cost
+// walks an immortal or a past survivor: the old-space referents of its
+// refWords are shaded. Returns the object's size in words, for cost
 // accounting, and how many objects this call shaded.
 func (h *Heap) scanBlack(o object.OOP) (words, shaded int) {
-	addr := o.Addr()
-	hd := object.Header(h.loadWord(addr))
-	end := addr + object.HeaderWords
-	if hd.Format() == object.FmtPointers {
-		end = addr + uint64(hd.SizeWords())
-	}
-	for a := addr + 1; a < end; a++ {
-		if h.cm.shadeRef(object.OOP(h.loadWord(a))) {
+	for _, w := range h.refWords(o.Addr()) {
+		if h.cm.shadeRef(object.OOP(w)) {
 			shaded++
 		}
 	}
-	return hd.SizeWords(), shaded
+	return h.Header(o).SizeWords(), shaded
 }
 
 // concMarkSlice drains up to budget grey objects as one bounded slice,
@@ -280,7 +241,7 @@ func (h *Heap) scanBlack(o object.OOP) (words, shaded int) {
 // (0 = the stack was empty).
 func (h *Heap) concMarkSlice(p *firefly.Proc, budget int) int {
 	cm := h.cm
-	batch := cm.take(budget, nil)
+	batch := cm.take(budget)
 	if len(batch) == 0 {
 		return 0
 	}
@@ -293,11 +254,9 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int) int {
 	cost := c.ConcMarkPerObject*firefly.Time(len(batch)) +
 		c.ConcMarkPerWord*firefly.Time(words)
 	p.Advance(cost)
-	cm.mu.Lock()
 	cm.marked += uint64(len(batch))
 	cm.slices++
 	cm.work += cost
-	cm.mu.Unlock()
 	h.lat.Record(trace.ConcMarkSlice, int64(cost))
 	h.rec.Emit(trace.KConcMarkSlice, p.ID(), int64(p.Now()), int64(len(batch)), int64(cost), "")
 	return len(batch)
@@ -310,16 +269,16 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int) int {
 // resumes.
 func (h *Heap) finishConcMark(p *firefly.Proc) {
 	cm := h.cm
-	if !cm.active.Load() {
+	if !cm.active {
 		panic("heap: finishConcMark without an active cycle")
 	}
 	start := p.Now()
-	cm.active.Store(false)
+	cm.active = false
 
 	// Residual drain: barrier shades may have left grey objects behind.
 	residual, words := 0, 0
 	for {
-		batch := cm.take(concMarkSliceObjects, nil)
+		batch := cm.take(concMarkSliceObjects)
 		if len(batch) == 0 {
 			break
 		}
@@ -329,9 +288,7 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 		}
 		residual += len(batch)
 	}
-	cm.mu.Lock()
 	cm.marked += uint64(residual)
-	cm.mu.Unlock()
 
 	// Prune the entry table to marked objects, exactly as the serial
 	// collector does: a dead entry's young referents die with it at
@@ -353,7 +310,7 @@ func (h *Heap) finishConcMark(p *firefly.Proc) {
 	// list is rebuilt from scratch — carving stays disabled until the
 	// sweep publishes the new spans.
 	cm.sweepLimit = h.old.next
-	cm.sweepPending.Store(true)
+	cm.sweepPending = true
 	h.oldFree = h.oldFree[:0]
 
 	c := h.m.Costs()
@@ -389,20 +346,6 @@ func (h *Heap) closeConcWindow(p *firefly.Proc, start, cost firefly.Time) firefl
 	return pause
 }
 
-// clearMark resets o's mark bit for the next cycle. In parallel host
-// mode the sweep runs concurrently with mutators that may be setting
-// the remembered bit or assigning an identity hash, so the update must
-// CAS.
-func (h *Heap) clearMark(o object.OOP) {
-	if h.par {
-		h.casHeader(o, func(hd object.Header) object.Header {
-			return hd.SetMarked(false)
-		})
-		return
-	}
-	h.SetHeader(o, h.Header(o).SetMarked(false))
-}
-
 // concMarkSweep walks old space once, outside the pauses: marked
 // objects have their bit cleared; dead runs (unmarked objects and
 // stale fillers) are coalesced into fresh fillers and published as the
@@ -426,11 +369,19 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 	}
 
 	batch := 0
+	charge := func() {
+		cost := c.ConcMarkSweepObj * firefly.Time(batch)
+		p.Advance(cost)
+		cm.work += cost
+		batch = 0
+	}
 	for a := h.old.base; a < cm.sweepLimit; {
-		hd := object.Header(h.loadWord(a))
+		o := object.FromAddr(a)
+		hd := h.Header(o)
 		size := uint64(hd.SizeWords())
 		if hd.Marked() {
-			h.clearMark(object.FromAddr(a))
+			// Clear the mark for the next cycle.
+			h.SetHeader(o, hd.SetMarked(false))
 			flush()
 		} else {
 			if runLen == 0 {
@@ -445,28 +396,20 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 		a += size
 		batch++
 		if batch >= concMarkSweepBatch {
-			p.Advance(c.ConcMarkSweepObj * firefly.Time(batch))
-			cm.mu.Lock()
-			cm.work += c.ConcMarkSweepObj * firefly.Time(batch)
-			cm.mu.Unlock()
-			batch = 0
+			charge()
 			p.Yield()
 		}
 	}
 	flush()
 	if batch > 0 {
-		p.Advance(c.ConcMarkSweepObj * firefly.Time(batch))
-		cm.mu.Lock()
-		cm.work += c.ConcMarkSweepObj * firefly.Time(batch)
-		cm.mu.Unlock()
+		charge()
 	}
 
-	// Publish the rebuilt free list and re-enable carving. The
-	// allocation lock orders the publication against concurrent
-	// old-space carves in parallel host mode.
+	// Publish the rebuilt free list and re-enable carving under the
+	// allocation lock, which every old-space carve holds.
 	h.allocLock.Acquire(p)
 	h.oldFree = spans
-	cm.sweepPending.Store(false)
+	cm.sweepPending = false
 	h.allocLock.Release(p)
 
 	h.stats.ReclaimedOldWords += reclaimedWords
@@ -483,38 +426,19 @@ func (h *Heap) concMarkSweep(p *firefly.Proc) {
 // slices and the sweep instead of stalling for the whole collection.
 func (h *Heap) fullCollectConc(p *firefly.Proc) {
 	cm := h.cm
-	if !cm.cycle.CompareAndSwap(false, true) {
-		// Another processor's cycle is in flight (parallel host mode);
-		// it will reclaim the space this caller wanted.
+	if cm.cycle {
+		// Another processor asked between two of this cycle's slices;
+		// the cycle will reclaim the space that caller wanted.
 		return
 	}
-	defer cm.cycle.Store(false)
+	cm.cycle = true
+	defer func() { cm.cycle = false }()
 
-	if h.par {
-		if !h.m.StopTheWorld(p) {
-			return
-		}
-	}
 	h.startConcMark(p)
-	if h.par {
-		h.m.ResumeTheWorld(p)
-	}
-
 	for h.concMarkSlice(p, concMarkSliceObjects) > 0 {
 		p.Yield()
 	}
-
-	if h.par {
-		for !h.m.StopTheWorld(p) {
-			// A scavenge ran while we waited — legal mid-cycle; we
-			// still own the marking cycle and must finalize it.
-		}
-	}
 	h.finishConcMark(p)
-	if h.par {
-		h.m.ResumeTheWorld(p)
-	}
-
 	h.concMarkSweep(p)
 
 	h.stats.FullCollections++

@@ -96,7 +96,8 @@ type Config struct {
 	// finalize), followed by a lazy sweep that turns dead old objects
 	// into reusable free-list space instead of compacting. A
 	// Dijkstra-style deletion barrier in the pointer-store funnels
-	// keeps the snapshot sound.
+	// keeps the snapshot sound. Deterministic mode only: Validate
+	// refuses it with Parallel.
 	// Off by default: the paper stops the world for every collection.
 	ConcMark bool
 }
@@ -121,15 +122,20 @@ func (c Config) words() int {
 	return object.FirstFreeAddress + c.OldWords + 2*c.SurvivorWords + c.EdenWords
 }
 
-// Validate reports a geometry New refuses: a space too small to be
-// usable, or an address range past what a forwarding-table entry
-// (slide.to, a uint32 word address) can hold.
+// Validate reports a configuration New refuses: a space too small to be
+// usable, an address range past what a forwarding-table entry
+// (slide.to, a uint32 word address) can hold, or the concurrent marker
+// in parallel host mode.
 func (c Config) Validate() error {
-	if c.OldWords < 1024 || c.EdenWords < 256 || c.SurvivorWords < 128 {
+	switch {
+	case c.OldWords < 1024 || c.EdenWords < 256 || c.SurvivorWords < 128:
 		return fmt.Errorf("heap: configuration too small")
-	}
-	if uint64(c.words()) > math.MaxUint32+1 {
+	case uint64(c.words()) > math.MaxUint32+1:
 		return fmt.Errorf("heap: configuration too large")
+	case c.Parallel && c.ConcMark:
+		// The marker's grey stack, flags and sweep are plain host data
+		// that only the deterministic scheduler serializes.
+		return fmt.Errorf("heap: -concmark requires the deterministic mode (drop -parallel)")
 	}
 	return nil
 }
@@ -496,8 +502,8 @@ func (h *Heap) InOldSpace(o object.OOP) bool {
 // stores through the view is moving or re-pointing objects with the
 // world stopped.
 //
-//msvet:heap-writer the view is handed only to stop-the-world collector loops (serial and parallel scavenge scans, mark, compactor fix-up) and to the read-only walks of verify.go and CheckInvariants; no mutator path can reach it
-//msvet:atomic-excluded every caller runs with the world stopped or on a caller-quiesced heap; in a host-parallel scavenge a grey object is scanned by exactly one worker, the one that copied it or was seeded with it (or a thief that stole its item, ordered after the copy by the deque lock), and other workers touch only from-space headers and forwarding words
+//msvet:heap-writer the view is handed only to collector loops that read it or store through it with the world stopped (the scavenge scan, mark, compactor fix-up), to the concurrent marker's scans, which only read it, and to the read-only walks of verify.go and CheckInvariants; no mutator path can reach it
+//msvet:atomic-excluded every caller runs with the world stopped (the scavenge, whose one drain runs on the processor that stopped it; mark-compact; the marker's two windows), on a caller-quiesced heap (the verifiers), or in a concurrent marker slice, which runs in the deterministic mode only, where no other host goroutine touches h.mem
 func (h *Heap) refWords(addr uint64) []uint64 {
 	n := uint64(object.HeaderWords)
 	if hd := object.Header(h.mem[addr]); hd.Format() == object.FmtPointers {

@@ -115,7 +115,7 @@ func (h *Heap) verifyWriteBarrier(p *firefly.Proc) {
 	// to be overwritten with fillers, not fixed. Skip unmarked objects
 	// in that interim — the next scavenge after the sweep verifies the
 	// full space again.
-	sweepPending := h.cm != nil && h.cm.sweepPending.Load()
+	sweepPending := h.cm != nil && h.cm.sweepPending
 	a := h.old.base
 	for a < h.old.next {
 		o := object.FromAddr(a)

@@ -448,12 +448,17 @@ func (vm *VM) Evaluate(source string) (EvalResult, error) {
 
 // EvaluateWrapped evaluates prefix+source+suffix as Evaluate does. The
 // text is assembled in host scratch, so a doIt the memo holds costs no
-// Go string.
+// Go string. When the source does not compile on its own either, the
+// error is the bare source's, so its position and token are the
+// caller's text, not the wrapper's.
 func (vm *VM) EvaluateWrapped(prefix, source, suffix string) (EvalResult, error) {
 	vm.src = append(append(append(vm.src[:0], prefix...), source...), suffix...)
 	vm.doitEnv.class = vm.Specials.UndefinedObject
 	m, err := vm.doits.compileBytes(vm.src, &vm.doitEnv)
 	if err != nil {
+		if _, berr := compiler.CompileExpression(source, &vm.doitEnv); berr != nil {
+			err = berr
+		}
 		return EvalResult{}, fmt.Errorf("interp: compile DoIt: %w", err)
 	}
 	return vm.RunDoIt(m)

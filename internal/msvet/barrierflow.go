@@ -19,7 +19,7 @@ import (
 //
 //   - a `//msvet:heap-writer` funnel: storeWord (the barrier API's
 //     single exit point), the allocator writing fresh unpublished
-//     words, the CAS-claimed header updater, the snapshot restorer,
+//     words, the header-bit CAS loop (casHeader), the snapshot restorer,
 //     the register window (heap.Frame: Bind and its in-place stores);
 //   - STW-reachable collector code (Module.STWReachable): while the
 //     world is stopped there are no concurrent mutators and the

@@ -119,8 +119,8 @@ var catalog = []mutation{
 	},
 	{ // 19: ConcMark greys an already marked object again
 		name: "19-grey-twice", file: "internal/heap/concmark.go",
-		old: "\t\thd := h.Header(v)\n\t\tif hd.Marked() {\n\t\t\treturn false\n\t\t}\n",
-		new: "\t\thd := h.Header(v)\n",
+		old: "\thd := h.Header(v)\n\tif hd.Marked() {\n\t\treturn false\n\t}\n",
+		new: "\thd := h.Header(v)\n",
 	},
 	{ // 20: a method-cache fill takes the write side twice (CacheSharedLocked)
 		name: "20-cache-double-acquirewrite", file: "internal/interp/send.go",
