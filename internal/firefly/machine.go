@@ -374,9 +374,7 @@ type Machine struct {
 	runGen      uint64
 	stopPending bool
 	stwOwner    *Proc
-	stwDepth    int // re-entrant StopTheWorld nesting by the owner
 	gcGen       uint64
-	stwEnd      Time // virtual end time of the last stop-the-world pause
 	shutdownPar bool
 
 	// parFlag is the parallel safepoint fast path: true whenever any
@@ -618,14 +616,10 @@ func (m *Machine) settle(prev, next *Proc, reason StopReason) *Proc {
 }
 
 // StallOthers advances every processor except p to time t, accounting the
-// gap as stop-the-world stall. The scavenger calls this when it finishes.
-// In parallel host mode the stall is real (the rendezvous barrier in
-// StopTheWorld); each processor accounts its own pause as it wakes, so
-// this cross-processor clock write must not happen.
+// gap as stop-the-world stall. A collector calls this from inside its
+// window when it finishes; in parallel host mode the other processors
+// are parked at the rendezvous (StopTheWorld), so p writes their clocks.
 func (m *Machine) StallOthers(p *Proc, t Time) {
-	if m.parallel {
-		return
-	}
 	for _, q := range m.procs {
 		if q != p && !q.done {
 			q.StallUntil(t)

@@ -25,15 +25,16 @@
 //     some processor's safepoint sees the predicate become true (or
 //     the time limit pass) and every other processor has parked.
 //   - StopTheWorld/ResumeTheWorld implement the paper's serialized-GC
-//     strategy for real: the scavenging processor sets parFlag and
+//     strategy for real: the collecting processor sets parFlag and
 //     waits until every other live processor is parked at a
-//     safepoint, runs alone, then releases the world. Waking
-//     processors account the pause against their own clocks as stall
-//     time, mirroring what StallOthers does in the deterministic mode.
-//     The handover rule: a processor that wakes from one window
-//     re-examines stwOwner before it runs any code of its own, because
-//     a third processor may already own the next window and have
-//     counted the sleeper as parked.
+//     safepoint, runs alone, then releases the world. Every collection
+//     enters its window this way in both modes (the deterministic arm
+//     returns at once), windows do not nest, and the owner books the
+//     pause on the parked processors' clocks with StallOthers, the one
+//     stall ledger. The handover rule: a processor that wakes from one
+//     window re-examines stwOwner before it runs any code of its own,
+//     because a third processor may already own the next window and
+//     have counted the sleeper as parked.
 package firefly
 
 import (
@@ -132,12 +133,6 @@ func (m *Machine) parPark(p *Proc, runEnd bool) (collected bool) {
 			m.parCond.Wait()
 		}
 		*parked--
-		// The world ran again at stwEnd; the pause was a real GC stall,
-		// accounted on this processor's own clock.
-		if stw && m.stwEnd > p.clock {
-			p.stall += m.stwEnd - p.clock
-			p.clock = m.stwEnd
-		}
 		collected = collected || stw
 	}
 	return collected
@@ -213,20 +208,18 @@ func (m *Machine) shutdownParCheck() {
 // parks it there; on return the calling processor runs alone. It
 // reports false when another processor's collection ran while the
 // caller was waiting its turn — the caller should then skip its own
-// collection and re-examine the heap. In deterministic mode the world
-// is always stopped by construction and the call is a no-op returning
-// true.
+// collection and re-examine the heap. Windows do not nest: a stop by
+// the processor that already owns the world panics. In deterministic
+// mode the world is always stopped by construction and the call is a
+// no-op returning true.
 func (m *Machine) StopTheWorld(p *Proc) bool {
 	if !m.parallel {
 		return true
 	}
 	m.parMu.Lock()
 	if m.stwOwner == p {
-		// Nested stop by the owner (a full collection scavenges first):
-		// the world is already stopped.
-		m.stwDepth++
 		m.parMu.Unlock()
-		return true
+		panic("firefly: StopTheWorld by the processor that already stopped it")
 	}
 	if m.parPark(p, false) || m.stwOwner != nil {
 		// Lost the race: every window that opened meanwhile has closed
@@ -244,8 +237,8 @@ func (m *Machine) StopTheWorld(p *Proc) bool {
 }
 
 // ResumeTheWorld releases the processors parked by StopTheWorld. The
-// caller's current virtual time is published as the pause's end; each
-// waking processor advances its own clock to it as stall time.
+// pause is already on their clocks: the owner stalled them with
+// StallOthers before it resumed.
 func (m *Machine) ResumeTheWorld(p *Proc) {
 	if !m.parallel {
 		return
@@ -254,16 +247,8 @@ func (m *Machine) ResumeTheWorld(p *Proc) {
 	if m.stwOwner != p {
 		panic("firefly: ResumeTheWorld by a processor that did not stop it")
 	}
-	if m.stwDepth > 0 {
-		m.stwDepth--
-		m.parMu.Unlock()
-		return
-	}
 	m.stwOwner = nil
 	m.gcGen++
-	if p.clock > m.stwEnd {
-		m.stwEnd = p.clock
-	}
 	m.recomputeParFlag()
 	m.parCond.Broadcast()
 	m.parMu.Unlock()

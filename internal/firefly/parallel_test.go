@@ -1,7 +1,9 @@
 package firefly
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -277,6 +279,35 @@ func TestStopTheWorldHandover(t *testing.T) {
 		t.Fatalf("word=%d after %d owned windows", word, owned.Load())
 	}
 	m.Shutdown()
+}
+
+// TestStopTheWorldDoesNotNest: a stop by the processor that already owns
+// the world panics. Without the panic, parPark would report a lost race
+// and the owner's nested collection would be skipped silently.
+func TestStopTheWorldDoesNotNest(t *testing.T) {
+	var nested atomic.Value
+	var finished atomic.Bool
+	m := startParallel(t, 2, func(p *Proc) {
+		if p.ID() == 0 && p.m.StopTheWorld(p) {
+			func() {
+				defer func() { nested.Store(fmt.Sprint(recover())) }()
+				p.m.StopTheWorld(p)
+			}()
+			p.m.ResumeTheWorld(p)
+			finished.Store(true)
+		}
+		for !p.Stopped() {
+			p.AdvanceIdle(10)
+			p.Yield()
+		}
+	})
+	if r := m.Run(finished.Load); r != StopUntil {
+		t.Fatalf("Run returned %v", r)
+	}
+	m.Shutdown()
+	if got, _ := nested.Load().(string); !strings.Contains(got, "already stopped it") {
+		t.Fatalf("nested StopTheWorld recovered %q, want the owner's panic", got)
+	}
 }
 
 // TestIdleParallelReachesRendezvousAndShutdown: the parallel twin of the

@@ -77,6 +77,7 @@ type concMark struct {
 	sweepPending bool
 
 	grey   []object.OOP
+	pushes uint64 // grey pushes this cycle; shadeRef bounds them
 	marked uint64 // objects blackened this cycle
 	shaded uint64 // deletion-barrier shades this cycle
 	slices uint64 // bounded slices drained outside the windows
@@ -108,12 +109,16 @@ func (cm *concMark) shadeRef(v object.OOP) bool {
 		return false
 	}
 	// White → grey: the mark bit records the push, so an object is
-	// pushed (and later scanned) once.
+	// pushed (and later scanned) once, and a cycle pushes no more
+	// objects than old space can hold.
 	hd := h.Header(v)
 	if hd.Marked() {
 		return false
 	}
 	h.SetHeader(v, hd.SetMarked(true))
+	if cm.pushes++; cm.pushes > (h.old.limit-h.old.base)/object.HeaderWords {
+		panic("heap: grey-once invariant broken: the concurrent mark pushed more objects than old space can hold")
+	}
 	cm.grey = append(cm.grey, v)
 	return true
 }
@@ -187,11 +192,11 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	}
 	start := p.Now()
 	h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
-	h.Scavenge(p)
+	h.scavenge(p)
 	runHooks(h.preGC)
 
 	cm.grey = cm.grey[:0]
-	cm.marked, cm.shaded, cm.slices, cm.work = 0, 0, 0, 0
+	cm.pushes, cm.marked, cm.shaded, cm.slices, cm.work = 0, 0, 0, 0, 0
 
 	shaded, words := 0, 0
 	h.visitAllRoots(func(slot *object.OOP) {

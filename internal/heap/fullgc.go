@@ -25,21 +25,19 @@ func (h *Heap) FullCollect(p *firefly.Proc) {
 		h.fullCollectConc(p)
 		return
 	}
-	if h.par {
-		if !h.m.StopTheWorld(p) {
-			// Another processor collected while we waited; whatever
-			// space pressure prompted this call has been relieved.
-			return
-		}
-		defer h.m.ResumeTheWorld(p)
+	if !h.m.StopTheWorld(p) {
+		// Another processor collected while we waited; whatever
+		// space pressure prompted this call has been relieved.
+		return
 	}
+	defer h.m.ResumeTheWorld(p)
 	start := p.Now()
 	h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
 
 	// Empty eden and one survivor space first, so new space holds only
 	// the past-survivor objects and every other live object is in old
 	// space.
-	h.Scavenge(p)
+	h.scavenge(p)
 	runHooks(h.preGC)
 	h.inGC = true
 	defer func() { h.inGC = false }()

@@ -144,24 +144,17 @@ func TestFullCollectChained(t *testing.T) {
 }
 
 func TestFullCollectStallsOthers(t *testing.T) {
-	m := firefly.New(2, firefly.DefaultCosts())
-	h := New(m, smallConfig())
-	m.Start(0, func(p *firefly.Proc) {
-		for i := 0; i < 40; i++ {
-			h.AllocateNoGC(object.Nil, 16, object.FmtPointers)
+	for _, parallel := range []bool{false, true} {
+		stall := stallBeside(parallel, 3000, 1, func(h *Heap, p *firefly.Proc) {
+			for i := 0; i < 40; i++ {
+				h.AllocateNoGC(object.Nil, 16, object.FmtPointers)
+			}
+			p.Advance(100)
+			h.FullCollect(p)
+		})
+		if stall == 0 {
+			t.Errorf("parallel=%v: full collection did not stall the other processor", parallel)
 		}
-		p.Advance(100)
-		h.FullCollect(p)
-	})
-	m.Start(1, func(p *firefly.Proc) {
-		for i := 0; i < 3000; i++ {
-			p.Advance(1)
-			p.CheckYield()
-		}
-	})
-	m.Run(nil)
-	if m.Proc(1).Stats().Stall == 0 {
-		t.Fatal("full collection did not stall the other processor")
 	}
 }
 

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"mst/internal/firefly"
@@ -546,28 +547,53 @@ func TestPrePostScavengeHooks(t *testing.T) {
 }
 
 func TestScavengeStallsOtherProcessors(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		stall := stallBeside(parallel, 5000, 3, func(h *Heap, p *firefly.Proc) {
+			var root object.OOP
+			h.AddRoot(&root)
+			for i := 0; i < 40; i++ {
+				root = h.Allocate(p, object.Nil, 40, object.FmtPointers)
+				p.CheckYield()
+			}
+			h.Scavenge(p)
+		})
+		if stall == 0 {
+			t.Errorf("parallel=%v: processor 1 never stalled for the scavenge", parallel)
+		}
+	}
+}
+
+// stallBeside runs collect on processor 0 of a two-processor machine and
+// returns processor 1's stall. On the deterministic machine processor 1
+// takes steps steps of tick ticks each. Under -parallel it only yields
+// until collect returns, so it is parked at every rendezvous with its
+// clock behind processor 0's, and any stall on it was booked by the
+// collecting processor.
+func stallBeside(parallel bool, steps int, tick firefly.Time, collect func(h *Heap, p *firefly.Proc)) firefly.Time {
 	m := firefly.New(2, firefly.DefaultCosts())
 	cfg := smallConfig()
+	cfg.Parallel = parallel
 	h := New(m, cfg)
+	var collected atomic.Bool
 	m.Start(0, func(p *firefly.Proc) {
-		var root object.OOP
-		h.AddRoot(&root)
-		for i := 0; i < 40; i++ {
-			root = h.Allocate(p, object.Nil, 40, object.FmtPointers)
-			p.CheckYield()
-		}
-		h.Scavenge(p)
+		collect(h, p)
+		collected.Store(true)
 	})
 	m.Start(1, func(p *firefly.Proc) {
-		for i := 0; i < 5000; i++ {
-			p.Advance(3)
+		if parallel {
+			for !collected.Load() {
+				p.Yield()
+			}
+			return
+		}
+		for i := 0; i < steps; i++ {
+			p.Advance(tick)
 			p.CheckYield()
 		}
 	})
+	m.SetParallel(parallel)
 	m.Run(nil)
-	if m.Proc(1).Stats().Stall == 0 {
-		t.Fatal("processor 1 never stalled for the scavenge")
-	}
+	return m.Proc(1).Stats().Stall
 }
 
 func TestChainedScavengesDeepGraph(t *testing.T) {

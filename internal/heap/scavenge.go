@@ -20,19 +20,21 @@ import (
 // when the survivor space overflows); eden and the past survivor space
 // are then reset. Every registered root slot, root function, and handle
 // is updated; pre/post hooks let the interpreter flush caches of raw
-// oops. Every other processor stalls to the scavenge end: on return on
-// a deterministic machine, as it wakes under -parallel.
+// oops. Every other processor is stalled to the scavenge end before the
+// world resumes.
 func (h *Heap) Scavenge(p *firefly.Proc) {
-	if h.par {
-		// Parallel host mode: really stop the world. A false return
-		// means another processor collected while we waited our turn;
-		// our allocation failure is resolved, so skip the collection
-		// and let the caller retry.
-		if !h.m.StopTheWorld(p) {
-			return
-		}
-		defer h.m.ResumeTheWorld(p)
+	// A false return means another processor collected while we waited
+	// our turn; our allocation failure is resolved, so skip the
+	// collection and let the caller retry.
+	if !h.m.StopTheWorld(p) {
+		return
 	}
+	defer h.m.ResumeTheWorld(p)
+	h.scavenge(p)
+}
+
+// scavenge is Scavenge inside a window its caller already holds.
+func (h *Heap) scavenge(p *firefly.Proc) {
 	if h.inGC {
 		panic("heap: recursive scavenge")
 	}
@@ -295,12 +297,10 @@ func (h *Heap) parForward(w *scavWorker, o object.OOP) object.OOP {
 
 // finishScavenge retires the copy buffers, merges the workers' results
 // into the statistics and the rebuilt entry table (worker order), and
-// charges ScavengeBase + max(worker costs) + ScavengeTerm. On a
-// deterministic machine each worker's processor pays its own cost and
-// the others stall to the end; under -parallel p, which ran every
-// worker, pays the whole pause and the parked processors account it as
-// stall when they wake. A lone worker pays no termination barrier:
-// base + per-object + per-word, the paper's serial scavenge.
+// charges ScavengeBase + max(worker costs) + ScavengeTerm: each
+// worker's processor pays its own cost and the others stall to the end.
+// A lone worker pays no termination barrier: base + per-object +
+// per-word, the paper's serial scavenge.
 func (h *Heap) finishScavenge(s *parScav, p *firefly.Proc, start firefly.Time) {
 	c := h.m.Costs()
 	longPole, maxCost := 0, firefly.Time(0)
@@ -335,16 +335,12 @@ func (h *Heap) finishScavenge(s *parScav, p *firefly.Proc, start firefly.Time) {
 	if s.shared {
 		term = c.ScavengeTerm
 	}
-	if h.par {
-		p.Advance(c.ScavengeBase + maxCost + term)
-	} else {
-		for _, w := range s.ws {
-			h.m.Proc(w.id).Advance(w.cost)
-		}
-		p.Advance(c.ScavengeBase + term)
-		p.StallUntil(start + c.ScavengeBase + maxCost + term)
-		h.m.StallOthers(p, p.Now())
+	for _, w := range s.ws {
+		h.m.Proc(w.id).Advance(w.cost)
 	}
+	p.Advance(c.ScavengeBase + term)
+	p.StallUntil(start + c.ScavengeBase + maxCost + term)
+	h.m.StallOthers(p, p.Now())
 	// Phase split: rendezvous, copy until the long pole, termination.
 	h.lat.Record(trace.ScavRendezvous, int64(c.ScavengeBase))
 	h.lat.Record(trace.ScavCopy, int64(maxCost))

@@ -132,6 +132,11 @@ var catalog = []mutation{
 		old: "\t\tvm.cacheLock.AcquireRead(in.p)\n",
 		new: "",
 	},
+	{ // 22: Scavenge collects without stopping the world
+		name: "22-scavenge-no-stw", file: "internal/heap/scavenge.go",
+		old: "\tif !h.m.StopTheWorld(p) {\n\t\treturn\n\t}\n\tdefer h.m.ResumeTheWorld(p)\n\th.scavenge(p)\n",
+		new: "\th.scavenge(p)\n",
+	},
 }
 
 // TestCatchMatrix applies each row to its own copy of the module and

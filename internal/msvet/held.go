@@ -29,21 +29,17 @@ import (
 //   - stwsafe's stop-the-world window is the world's region: the keys
 //     ResumeTheWorld releases.
 //
-// Beyond straight-line code the walk knows three idioms:
+// Beyond straight-line code the walk knows two idioms:
 //
 //   - a conditional acquire (TryAcquire; StopTheWorld, whose false means
 //     another processor stopped the world first) holds its key only
 //     where it succeeded: after `if !X.TryAcquire(p) { bail }`, inside
-//     `if X.TryAcquire(p) { ... }`, and after `for !X.StopTheWorld(p) {}`;
+//     `if X.TryAcquire(p) { ... }`, and after `for !X.StopTheWorld(p) {}`
+//     (TenureAll's spin);
 //   - a deferred release keeps its key held to every exit, and no exit
-//     reports it;
-//   - a branch guard: a hold taken under `if c` alone (c a variable or
-//     field, possibly negated) is maybe held after the if, certain under
-//     a later `if c`, and absent under `if !c` — FullCollect's
-//     `if h.par { StopTheWorld }` ... `if h.par { ResumeTheWorld }`.
-//     Guards match by text; nothing checks that c is unchanged between.
+//     reports it.
 //
-// Soundness: no other boolean correlation is tracked (the shared method
+// Soundness: no boolean correlation is tracked (the shared method
 // cache's `locked` flag leaves its lock maybe held: lockpair does not
 // report it, and its region over-approximates), and a break ends its
 // path, so what a loop still holds after breaking out is missed.
@@ -190,9 +186,8 @@ const (
 
 // hold is one key's state on one path.
 type hold struct {
-	level    int    // heldMaybe or heldDefinite
-	guard    string // held exactly when this condition is true; "" for none
-	deferred bool   // a deferred release covers every exit
+	level    int  // heldMaybe or heldDefinite
+	deferred bool // a deferred release covers every exit
 }
 
 type holdState map[string]hold
@@ -216,15 +211,13 @@ func (s holdState) replace(src holdState) {
 	}
 }
 
-// merge joins two paths, split by an if on guard ("" for any other
-// split). A key both hold the same way keeps its hold; any other key is
+// merge joins two paths. A key both hold the same way keeps its hold;
+// any other key (one path's missing key reads as the zero hold) is
 // maybe held.
-func merge(a, b holdState, guard string) holdState {
+func merge(a, b holdState) holdState {
 	out := holdState{}
 	for k, h := range a {
-		if other, in := b[k]; !in {
-			out[k] = oneSided(h, guard)
-		} else if h != other {
+		if other := b[k]; h != other {
 			out[k] = hold{level: heldMaybe, deferred: h.deferred || other.deferred}
 		} else {
 			out[k] = h
@@ -232,43 +225,10 @@ func merge(a, b holdState, guard string) holdState {
 	}
 	for k, h := range b {
 		if _, in := a[k]; !in {
-			out[k] = oneSided(h, negate(guard))
+			out[k] = hold{level: heldMaybe, deferred: h.deferred}
 		}
 	}
 	return out
-}
-
-// oneSided is a hold only one path of an if has: maybe held, and held
-// exactly when guard is true if that path took it outright.
-func oneSided(h hold, guard string) hold {
-	if h.level != heldDefinite {
-		guard = ""
-	}
-	return hold{level: heldMaybe, guard: guard, deferred: h.deferred}
-}
-
-// guardText renders a condition a branch guard can key on — a variable
-// or field, possibly negated — or "" for anything else.
-func guardText(cond ast.Expr) string {
-	e := unparen(cond)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		e = unparen(u.X)
-	}
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-		return exprString(cond)
-	}
-	return ""
-}
-
-func negate(guard string) string {
-	if guard == "" {
-		return ""
-	}
-	if rest, ok := strings.CutPrefix(guard, "!"); ok {
-		return rest
-	}
-	return "!" + guard
 }
 
 // condHold decomposes a condition that is a conditional acquire,
@@ -426,19 +386,6 @@ func (f *heldFacts) ifStmt(state holdState, st *ast.IfStmt) bool {
 		}
 		won[key] = hold{level: heldDefinite}
 	}
-	guard := guardText(st.Cond)
-	for k, h := range state {
-		certain := hold{level: heldDefinite, deferred: h.deferred}
-		switch {
-		case guard == "" || h.guard == "":
-		case h.guard == guard:
-			then[k] = certain
-			delete(els, k)
-		case h.guard == negate(guard):
-			delete(then, k)
-			els[k] = certain
-		}
-	}
 	thenEnds := f.block(then, st.Body.List)
 	elseEnds := st.Else != nil && f.stmt(els, st.Else)
 	switch {
@@ -449,7 +396,7 @@ func (f *heldFacts) ifStmt(state holdState, st *ast.IfStmt) bool {
 	case elseEnds:
 		state.replace(then)
 	default:
-		state.replace(merge(then, els, guard))
+		state.replace(merge(then, els))
 	}
 	return false
 }
@@ -459,7 +406,7 @@ func (f *heldFacts) ifStmt(state holdState, st *ast.IfStmt) bool {
 func (f *heldFacts) loop(state holdState, body *ast.BlockStmt) {
 	pass := state.clone()
 	if !f.block(pass, body.List) {
-		state.replace(merge(state, pass, ""))
+		state.replace(merge(state, pass))
 	}
 }
 
@@ -497,7 +444,7 @@ func (f *heldFacts) cases(state holdState, init ast.Stmt, header token.Pos, body
 	}
 	acc := outs[0]
 	for _, o := range outs[1:] {
-		acc = merge(acc, o, "")
+		acc = merge(acc, o)
 	}
 	state.replace(acc)
 }

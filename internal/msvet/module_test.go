@@ -60,9 +60,8 @@ func TestStwsafeFixtureFlagsReachableAllocation(t *testing.T) {
 	// The allocation is one call away from the window: the finding is
 	// inside refill, proving the check follows the call graph.
 	wantFixtureFinding(t, got[:1], 27, 9, "allocation h.Allocate", "STW window")
-	// Finalize's window is opened by spinning on StopTheWorld under a
-	// guard, and closed under the same guard.
-	wantFixtureFinding(t, got[1:], 46, 2, "allocation h.Allocate", "STW window")
+	// Finalize's window is opened by spinning on StopTheWorld.
+	wantFixtureFinding(t, got[1:], 43, 2, "allocation h.Allocate", "STW window")
 }
 
 // The hole both pairing shortcuts shared: a release on an early-out
@@ -86,10 +85,10 @@ func TestEarlyReleaseFixtures(t *testing.T) {
 	}
 }
 
-// The concurrent collector's two idioms, in the clean twin's Cycle: the
-// guard closes the first window at the guarded resume (the allocation
-// between the windows is not in one — TestStwsafeFixtureCleanTwin), and
-// the spin on StopTheWorld opens the second, so finish is in the STW set.
+// The two window shapes in the clean twin's Cycle: the first closes at
+// its plain resume (the allocation between the windows is not in one —
+// TestStwsafeFixtureCleanTwin), and the spin on StopTheWorld opens the
+// second, so finish is in the STW set.
 func TestStwsafeFixtureIdioms(t *testing.T) {
 	mod := loadFixture(t, "stwsafe_ok")
 	for node := range mod.STWReachable() {

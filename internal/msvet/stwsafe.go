@@ -24,11 +24,7 @@ import (
 // Soundness: dynamic calls (interface methods, function-typed fields
 // such as the heap's preGC/postGC hooks, stored closures) are not in
 // the call graph, so code reachable only through them is not checked —
-// the hook registrars are the audit points for those. Conversely the
-// window over-approximates det-mode runs (where StopTheWorld
-// is a no-op): code on the det-only side of an `h.par` branch inside
-// the window is still held to the STW rules, which is what we want —
-// the same code runs in parallel mode.
+// the hook registrars are the audit points for those.
 //
 // The walk does not descend into: lock acquire/release methods and
 // StopTheWorld/ResumeTheWorld themselves (the synchronization

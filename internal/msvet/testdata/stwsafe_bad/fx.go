@@ -35,16 +35,11 @@ func (h *Heap) Collect(p *Proc) {
 	h.refill(p)
 }
 
-// Finalize allocates inside the concurrent collector's second window:
-// the spin on StopTheWorld opens it under par, and the allocation comes
-// before the resume under the same guard.
-func (h *Heap) Finalize(p *Proc, par bool) {
-	if par {
-		for !h.m.StopTheWorld(p) {
-		}
+// Finalize allocates inside a window opened by spinning on
+// StopTheWorld, before the resume.
+func (h *Heap) Finalize(p *Proc) {
+	for !h.m.StopTheWorld(p) {
 	}
 	h.Allocate(p, 8)
-	if par {
-		h.m.ResumeTheWorld(p)
-	}
+	h.m.ResumeTheWorld(p)
 }

@@ -20,7 +20,6 @@ func (l *Spinlock) Release(p *Proc) {}
 
 type Heap struct {
 	m    *Machine
-	par  bool
 	next uint64
 	//msvet:stw-safe collector bookkeeping lock: taken only by the collector inside the window, never held by a parked mutator
 	gcMu *Spinlock
@@ -60,26 +59,18 @@ func (h *Heap) finish(p *Proc) {
 	h.next = 0
 }
 
-// Cycle is the concurrent collector's shape: a window opened and closed
-// under h.par, an allocation between the windows, and a second window
-// opened by spinning until StopTheWorld succeeds.
+// Cycle has two windows: one that bails when StopTheWorld loses the
+// race and resumes without a defer, an allocation between the windows,
+// and a second window opened by spinning until StopTheWorld succeeds.
 func (h *Heap) Cycle(p *Proc) {
-	if h.par {
-		if !h.m.StopTheWorld(p) {
-			return
-		}
+	if !h.m.StopTheWorld(p) {
+		return
 	}
 	h.refill(p)
-	if h.par {
-		h.m.ResumeTheWorld(p)
-	}
+	h.m.ResumeTheWorld(p)
 	h.Allocate(p, 8)
-	if h.par {
-		for !h.m.StopTheWorld(p) {
-		}
+	for !h.m.StopTheWorld(p) {
 	}
 	h.finish(p)
-	if h.par {
-		h.m.ResumeTheWorld(p)
-	}
+	h.m.ResumeTheWorld(p)
 }
