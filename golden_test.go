@@ -200,10 +200,21 @@ var goldenTraceDigest = map[string]string{
 	"ms-busy":  "ceea4c8587eb13bf1673bfb91f12c85e2441a30809e2451b7eedcdb3805f2a5b",
 }
 
+// goldenPerfettoDigest pins the Perfetto export of the same streams:
+// the bytes System.WriteTrace writes, so a change to the exporter's
+// track declaration or slice pairing shows even where the events do not
+// move.
+var goldenPerfettoDigest = map[string]string{
+	"baseline": "b968cdd8138c658b8c1450aa7641ae13e6565c662e6faa73936c651b2c6c6fbc",
+	"ms":       "88f21a06f0aeb4e611366f65968e80c7e945c7be47f90949abf770f510c4db91",
+	"ms-idle":  "06f6d5b7d9ab48852dff680a836620ab1bc374f7605e1862fff8a397d046564e",
+	"ms-busy":  "cae5d4191366b3550d12624273f847deb81efc6b473618a56d27eea24357555e",
+}
+
 // TestGoldenTraceDigest: the virtual results are compared traced against
 // untraced above; this holds what those comparisons cannot see — which
 // events are emitted, for which processor, at what virtual time and in
-// what order.
+// what order — and the export built from them.
 func TestGoldenTraceDigest(t *testing.T) {
 	eachState(t, func(t *testing.T, st bench.State) {
 		runGolden(t, st, func(cfg *core.Config) { cfg.TraceEvents = 1 << 19 },
@@ -217,6 +228,14 @@ func TestGoldenTraceDigest(t *testing.T) {
 				if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenTraceDigest[st.Name] {
 					t.Errorf("%s: trace digest %s over %d events, want %s",
 						st.Name, got, rec.Total(), goldenTraceDigest[st.Name])
+				}
+				h.Reset()
+				if err := sys.WriteTrace(h); err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenPerfettoDigest[st.Name] {
+					t.Errorf("%s: Perfetto export digest %s, want %s",
+						st.Name, got, goldenPerfettoDigest[st.Name])
 				}
 			})
 	})

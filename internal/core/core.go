@@ -217,7 +217,6 @@ func NewSystem(cfg Config) (*System, error) {
 			CacheWays:    cfg.CacheWays,
 			InlineCache:  cfg.InlineCache,
 			FreeContexts: cfg.FreeContexts,
-			Parallel:     cfg.Parallel,
 			JIT:          cfg.JIT,
 		}, sources...)
 	})

@@ -375,9 +375,9 @@ func TestImageRecordsNoHostMode(t *testing.T) {
 	}
 	defer clone.Shutdown()
 	for name, r := range map[string]*System{"loaded": loaded, "clone": clone} {
-		if r.Cfg.Parallel || r.VM.Cfg.Parallel || r.VM.H.Config().Parallel {
-			t.Errorf("%s: Cfg.Parallel=%v VM.Cfg.Parallel=%v heap Parallel=%v", name,
-				r.Cfg.Parallel, r.VM.Cfg.Parallel, r.VM.H.Config().Parallel)
+		if r.Cfg.Parallel || r.VM.H.Config().Parallel {
+			t.Errorf("%s: Cfg.Parallel=%v heap Parallel=%v", name,
+				r.Cfg.Parallel, r.VM.H.Config().Parallel)
 		}
 		if n, err := r.EvaluateInt("Marker"); err != nil || n != 77 {
 			t.Errorf("%s marker = %d, %v", name, n, err)

@@ -177,9 +177,10 @@ func (h *Heap) carveOldFree(total int) (uint64, bool) {
 	return 0, false
 }
 
-// startConcMark opens a marking cycle. The world is stopped by
-// construction (the marker is deterministic-mode only). One scavenge
-// empties eden and the future survivor space, so the only young
+// startConcMark opens a marking cycle in a stop-the-world window,
+// entered as every collection enters one (the marker runs in the
+// deterministic mode only, where entering charges nothing). One
+// scavenge empties eden and the future survivor space, so the only young
 // objects are a linear walk of the past survivor space; their
 // old-space referents — and the roots' and the immortals' — are shaded
 // grey. This conservative young shade closes the SATB hole where a
@@ -190,6 +191,9 @@ func (h *Heap) startConcMark(p *firefly.Proc) {
 	if cm.active {
 		panic("heap: concurrent mark cycle already active")
 	}
+	for !h.m.StopTheWorld(p) {
+	}
+	defer h.m.ResumeTheWorld(p)
 	start := p.Now()
 	h.rec.Emit(trace.KFullGCBegin, p.ID(), int64(start), 0, 0, "")
 	h.scavenge(p)
@@ -267,16 +271,19 @@ func (h *Heap) concMarkSlice(p *firefly.Proc, budget int) int {
 	return len(batch)
 }
 
-// finishConcMark closes the cycle under a stopped world: the residual
-// grey stack is drained (no mutator runs, so SATB guarantees it
-// empties), the entry table is pruned to marked objects, and the
-// sweep bounds are captured. The lazy sweep itself runs after the world
-// resumes.
+// finishConcMark closes the cycle in a second stop-the-world window,
+// entered like the first: the residual grey stack is drained (no
+// mutator runs, so SATB guarantees it empties), the entry table is
+// pruned to marked objects, and the sweep bounds are captured. The lazy
+// sweep itself runs after the world resumes.
 func (h *Heap) finishConcMark(p *firefly.Proc) {
 	cm := h.cm
 	if !cm.active {
 		panic("heap: finishConcMark without an active cycle")
 	}
+	for !h.m.StopTheWorld(p) {
+	}
+	defer h.m.ResumeTheWorld(p)
 	start := p.Now()
 	cm.active = false
 

@@ -34,6 +34,8 @@ func (h *Heap) Scavenge(p *firefly.Proc) {
 }
 
 // scavenge is Scavenge inside a window its caller already holds.
+//
+//msvet:stw-entry every caller holds the world stopped: Scavenge, FullCollect, TenureAll and startConcMark open the window around the call
 func (h *Heap) scavenge(p *firefly.Proc) {
 	if h.inGC {
 		panic("heap: recursive scavenge")

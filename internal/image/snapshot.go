@@ -63,7 +63,6 @@ func CaptureState(vm *interp.VM) *State {
 		VMCfg:  vm.Cfg,
 	}
 	s.Heap.Config.Parallel = false
-	s.VMCfg.Parallel = false
 	return s
 }
 

@@ -385,7 +385,7 @@ func (in *Interp) statAt(i int) int64 {
 	vm := in.vm
 	hs := vm.H.Stats()
 	is := in.stats
-	if !vm.par {
+	if !vm.M.Parallel() {
 		is = vm.Stats()
 	}
 	switch i {

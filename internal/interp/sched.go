@@ -420,7 +420,7 @@ func (in *Interp) idleQuantum() firefly.IdleResult {
 	}
 	for {
 		in.pollDevices()
-		if vm.par {
+		if vm.M.Parallel() {
 			runtime.Gosched()
 		}
 		in.p.AdvanceIdle(in.costs.IdlePoll)

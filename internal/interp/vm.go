@@ -118,11 +118,6 @@ type Config struct {
 	// costs through the same cost table, so every virtual time and
 	// counter is bit-identical — only host time changes.
 	JIT bool
-	// Parallel prepares the VM for parallel host mode (the machine's
-	// SetParallel): per-interpreter statistics are read locally by the
-	// stat primitive, symbol interning allocates outside the intern
-	// mutex, and idle interpreters yield the OS thread.
-	Parallel bool
 }
 
 // quantumBytecodes bounds one interpreter quantum.
@@ -461,14 +456,13 @@ type VM struct {
 	// off), cached like each interpreter's rec.
 	san *sanitize.Checker
 
-	// par mirrors Cfg.Parallel. The three host mutexes below are pure
-	// host machinery (they never touch virtual time, so the sanitizer's
-	// determinism sentinel holds); they exist because in parallel host
-	// mode the interpreters really do run concurrently. Their critical
-	// sections are brief and never allocate — allocation can stop the
-	// world, and a processor blocked on a host mutex is not at a
-	// safepoint, so allocating under one would deadlock the rendezvous.
-	par    bool
+	// The three host mutexes are pure host machinery (they never touch
+	// virtual time, so the sanitizer's determinism sentinel holds); they
+	// exist because in parallel host mode the interpreters really do run
+	// concurrently. Their critical sections are brief and never
+	// allocate — allocation can stop the world, and a processor blocked
+	// on a host mutex is not at a safepoint, so allocating under one
+	// would deadlock the rendezvous.
 	hostMu sync.Mutex // evaluation rendezvous (evalProc/Result/Failed), errors
 	devMu  sync.Mutex // delays, inputQueue
 	symMu  sync.Mutex // symbolList, symbolIdx
@@ -507,7 +501,6 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		symbolIdx: make([]int32, symbolIdxMin),
 		doits:     memo{gen: compiler.CompileExpression, max: doitMemoMax},
 		san:       m.Sanitizer(),
-		par:       cfg.Parallel,
 	}
 	vm.nextWake.Store(math.MaxInt64)
 	vm.doitEnv.vm = vm

@@ -136,6 +136,8 @@ var catalog = []mutation{
 		name: "22-scavenge-no-stw", file: "internal/heap/scavenge.go",
 		old: "\tif !h.m.StopTheWorld(p) {\n\t\treturn\n\t}\n\tdefer h.m.ResumeTheWorld(p)\n\th.scavenge(p)\n",
 		new: "\th.scavenge(p)\n",
+
+		want: []string{"stwsafe"},
 	},
 }
 

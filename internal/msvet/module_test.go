@@ -54,14 +54,16 @@ func wantFixtureFinding(t *testing.T, got []Finding, line, col int, fragments ..
 
 func TestStwsafeFixtureFlagsReachableAllocation(t *testing.T) {
 	got := fixtureFindings(t, StwsafeAnalyzer, "stwsafe_bad")
-	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(got), got)
+	if len(got) != 3 {
+		t.Fatalf("got %d findings, want 3: %v", len(got), got)
 	}
 	// The allocation is one call away from the window: the finding is
 	// inside refill, proving the check follows the call graph.
-	wantFixtureFinding(t, got[:1], 27, 9, "allocation h.Allocate", "STW window")
+	wantFixtureFinding(t, got[:1], 29, 9, "allocation h.Allocate", "STW window")
 	// Finalize's window is opened by spinning on StopTheWorld.
-	wantFixtureFinding(t, got[1:], 43, 2, "allocation h.Allocate", "STW window")
+	wantFixtureFinding(t, got[1:2], 45, 2, "allocation h.Allocate", "STW window")
+	// A stw-entry function called with the world running.
+	wantFixtureFinding(t, got[2:], 58, 2, "call to fixture.(*Heap).sweep", "stw-entry", "outside the STW window")
 }
 
 // The hole both pairing shortcuts shared: a release on an early-out

@@ -21,6 +21,11 @@ import (
 // window (plus `//msvet:stw-entry` roots) is STW-reachable in its
 // entirety; the walk is a fixpoint over the module call graph.
 //
+// A `//msvet:stw-entry` function assumes a window its caller holds, so
+// every call to one must sit inside a window or in an STW-reachable
+// function; any other call is reported (a collection that forgot to
+// stop the world).
+//
 // Soundness: dynamic calls (interface methods, function-typed fields
 // such as the heap's preGC/postGC hooks, stored closures) are not in
 // the call graph, so code reachable only through them is not checked —
@@ -146,13 +151,16 @@ func (m *Module) stwCompute() *stwResult {
 	}
 
 	// Violation scan: whole bodies, and the windows of functions not
-	// covered whole.
+	// covered whole, plus the stw-entry callers outside any window.
 	for _, node := range g.Nodes {
 		if res.whole[node] {
 			m.stwScan(res, node, wholeBody(node))
-		} else if w := res.windows[node]; w != nil {
+			continue
+		}
+		if w := res.windows[node]; w != nil {
 			m.stwScan(res, node, w)
 		}
+		m.stwEntryCalls(res, node)
 	}
 	m.stw = res
 	return res
@@ -216,6 +224,24 @@ func (m *Module) stwScan(res *stwResult, node *FuncNode, r region) {
 			if r.contains(n.Pos()) && m.isChanType(n.X) {
 				report(n.Pos(), "range over channel inside the STW window (the rendezvous must not touch channels)")
 			}
+		}
+		return true
+	})
+}
+
+// stwEntryCalls reports every call in node, which is not STW-reachable,
+// to a //msvet:stw-entry function from outside node's own window.
+func (m *Module) stwEntryCalls(res *stwResult, node *FuncNode) {
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || res.windows[node].contains(call.Pos()) {
+			return true
+		}
+		fn := m.Callee(call)
+		if _, entry := m.Ann.StwEntry[fn]; entry {
+			res.findings = append(res.findings, stwFinding{call.Pos(), fmt.Sprintf(
+				"call to %s, a //msvet:stw-entry function, outside the STW window (stop the world around it)",
+				funcDisplayName(fn))})
 		}
 		return true
 	})

@@ -1,6 +1,8 @@
-// Package fixture injects one stwsafe violation: refill allocates and
-// is statically reachable (through one call) from inside the
-// stop-the-world window in Collect.
+// Package fixture injects three stwsafe violations: refill allocates
+// and is statically reachable (through one call) from inside the
+// stop-the-world window in Collect; Finalize allocates inside its own
+// window; and Reset calls the //msvet:stw-entry function sweep with the
+// world running.
 package fixture
 
 type Proc struct{ id int }
@@ -42,4 +44,16 @@ func (h *Heap) Finalize(p *Proc) {
 	}
 	h.Allocate(p, 8)
 	h.m.ResumeTheWorld(p)
+}
+
+// sweep assumes the window its caller holds.
+//
+//msvet:stw-entry called only with the world stopped
+func (h *Heap) sweep(p *Proc) {
+	h.next = 0
+}
+
+// Reset calls sweep without stopping the world.
+func (h *Heap) Reset(p *Proc) {
+	h.sweep(p)
 }

@@ -1,7 +1,8 @@
 // Package fixture is the clean twin of stwsafe_bad: the helper called
 // from the window does not allocate, the one lock acquired inside the
-// window carries a //msvet:stw-safe annotation, and Cycle allocates
-// between two windows, in neither.
+// window carries a //msvet:stw-safe annotation, Cycle allocates
+// between two windows, in neither, and the //msvet:stw-entry function
+// sweep is called only inside a window.
 package fixture
 
 type Proc struct{ id int }
@@ -51,6 +52,14 @@ func (h *Heap) Collect(p *Proc) {
 	h.gcMu.Acquire(p)
 	h.refill(p)
 	h.gcMu.Release(p)
+	h.sweep(p)
+}
+
+// sweep assumes the window its caller holds.
+//
+//msvet:stw-entry called only with the world stopped
+func (h *Heap) sweep(p *Proc) {
+	h.next = 0
 }
 
 // finish runs only in Cycle's second window, which the spin on

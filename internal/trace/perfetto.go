@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Chrome trace-event / Perfetto export. The recorder's virtual-tick
@@ -29,9 +30,17 @@ import (
 //	      latency args) and admission-rejection instants (declared
 //	      lazily, so non-server traces are unchanged).
 //
-// The ring buffer may have overwritten the oldest events, so pairing is
-// tolerant: an end with no matching begin is dropped, and a begin with
-// no end is closed at the last recorded timestamp.
+// Every slice is paired by one rule, track by track. Processor tracks
+// and the collector track nest: a begin pushes a slice, so a lock hold
+// sits inside its quantum and a full collection contains its scavenge.
+// Every other track (locks, scavenge workers, tenants) holds one slice
+// at a time: a begin first closes whatever is open, so its slices stay
+// disjoint when an end fell off the ring. An end closes the newest open
+// slice of its name, and with it everything opened above that slice (a
+// tenant's done has no name and matches any open slice); an end with no
+// begin is dropped. The ring buffer may have overwritten the oldest
+// events, so a begin with no end is closed at the last recorded
+// timestamp.
 
 const (
 	pidProcs = 1
@@ -40,6 +49,14 @@ const (
 	pidJIT   = 4
 	pidServe = 5
 )
+
+var processNames = [...]string{
+	pidProcs: "virtual processors",
+	pidLocks: "locks",
+	pidGC:    "gc",
+	pidJIT:   "jit",
+	pidServe: "serve",
+}
 
 type pfEvent struct {
 	Name  string         `json:"name"`
@@ -62,33 +79,77 @@ type openSlice struct {
 	ts   int64
 }
 
-// pfBuilder accumulates trace-event JSON objects.
+// pfTrack is one (pid, tid) thread of the export and its open slices,
+// oldest first.
+type pfTrack struct {
+	pid, tid int
+	nest     bool
+	open     []openSlice
+}
+
+type pfKey struct{ pid, tid int }
+
+// pfBuilder accumulates trace-event JSON objects and the tracks they
+// are on.
 type pfBuilder struct {
-	out []pfEvent
+	out    []pfEvent
+	named  map[int]bool
+	tracks map[pfKey]*pfTrack
+	locks  map[string]int // lock name -> tid, in registration order
 }
 
-func (b *pfBuilder) meta(pid int, name string) {
-	b.out = append(b.out, pfEvent{Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": name}})
+// process declares pid's process name, once.
+func (b *pfBuilder) process(pid int) {
+	if !b.named[pid] {
+		b.named[pid] = true
+		b.out = append(b.out, pfEvent{Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": processNames[pid]}})
+	}
 }
 
-func (b *pfBuilder) thread(pid, tid int, name string) {
+// track returns the (pid, tid) track, declaring it on first use: the
+// process name once, then the thread name.
+func (b *pfBuilder) track(pid, tid int, name string) *pfTrack {
+	k := pfKey{pid, tid}
+	if t := b.tracks[k]; t != nil {
+		return t
+	}
+	b.process(pid)
 	b.out = append(b.out, pfEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": name}})
+	t := &pfTrack{pid: pid, tid: tid, nest: pid == pidProcs || k == pfKey{pidGC, 0}}
+	b.tracks[k] = t
+	return t
 }
 
-func (b *pfBuilder) slice(pid, tid int, name string, ts, dur int64, args map[string]any) {
-	if dur < 0 {
-		dur = 0
+// lock returns the lock's track; tids follow the order locks are first
+// seen.
+func (b *pfBuilder) lock(name string) *pfTrack {
+	tid, ok := b.locks[name]
+	if !ok {
+		tid = len(b.locks)
+		b.locks[name] = tid
 	}
-	d := dur
-	b.out = append(b.out, pfEvent{Name: name, Ph: "X", Ts: ts, Dur: &d,
-		Pid: pid, Tid: tid, Args: args})
+	return b.track(pidLocks, tid, name)
 }
 
-func (b *pfBuilder) instant(pid, tid int, name string, ts int64, args map[string]any) {
-	b.out = append(b.out, pfEvent{Name: name, Ph: "i", Ts: ts, Pid: pid, Tid: tid,
-		Scope: "t", Args: args})
+// emit appends e on t; a nil t (a processor past numProcs) drops it.
+func (b *pfBuilder) emit(t *pfTrack, e pfEvent) {
+	if t != nil {
+		e.Pid, e.Tid = t.pid, t.tid
+		b.out = append(b.out, e)
+	}
+}
+
+// slice emits a complete slice on t.
+func (b *pfBuilder) slice(t *pfTrack, name string, ts, dur int64, args map[string]any) {
+	dur = max(dur, 0)
+	b.emit(t, pfEvent{Name: name, Ph: "X", Ts: ts, Dur: &dur, Args: args})
+}
+
+// instant emits a thread-scoped instant on t.
+func (b *pfBuilder) instant(t *pfTrack, name string, ts int64, args map[string]any) {
+	b.emit(t, pfEvent{Name: name, Ph: "i", Ts: ts, Scope: "t", Args: args})
 }
 
 // counter emits one sample on a Perfetto counter track (phase "C"):
@@ -98,40 +159,44 @@ func (b *pfBuilder) counter(pid int, name string, ts, value int64) {
 		Args: map[string]any{"value": value}})
 }
 
-// procTrack pairs begin/end events on one processor's thread with a
-// name-matched stack; mismatches from ring truncation are dropped.
-type procTrack struct {
-	b    *pfBuilder
-	tid  int
-	open []openSlice
-}
-
-func (t *procTrack) begin(name string, ts int64) {
+// begin opens a slice on t; a track that does not nest first closes
+// whatever it has open.
+func (b *pfBuilder) begin(t *pfTrack, name string, ts int64) {
+	if t == nil {
+		return
+	}
+	if !t.nest {
+		b.close(t, 0, ts, nil)
+	}
 	t.open = append(t.open, openSlice{name: name, ts: ts})
 }
 
-func (t *procTrack) end(name string, ts int64) {
+// end closes the newest open slice of t named name (any slice when name
+// is empty) with args, and everything opened above it without; an end
+// with no begin is dropped.
+func (b *pfBuilder) end(t *pfTrack, name string, ts int64, args map[string]any) {
+	if t == nil {
+		return
+	}
 	for i := len(t.open) - 1; i >= 0; i-- {
-		if t.open[i].name == name {
-			// Anything opened above the match was orphaned by ring
-			// truncation; close it here too.
-			for j := len(t.open) - 1; j >= i; j-- {
-				s := t.open[j]
-				t.b.slice(pidProcs, t.tid, s.name, s.ts, ts-s.ts, nil)
-			}
-			t.open = t.open[:i]
+		if name == "" || t.open[i].name == name {
+			b.close(t, i, ts, args)
 			return
 		}
 	}
-	// End with no begin: the begin fell off the ring; drop it.
 }
 
-func (t *procTrack) closeAll(ts int64) {
-	for j := len(t.open) - 1; j >= 0; j-- {
-		s := t.open[j]
-		t.b.slice(pidProcs, t.tid, s.name, s.ts, ts-s.ts, nil)
+// close ends t's open slices from the newest down to open[i] at ts;
+// args go on open[i].
+func (b *pfBuilder) close(t *pfTrack, i int, ts int64, args map[string]any) {
+	for j := len(t.open) - 1; j >= i; j-- {
+		s, a := t.open[j], map[string]any(nil)
+		if j == i {
+			a = args
+		}
+		b.slice(t, s.name, s.ts, ts-s.ts, a)
 	}
-	t.open = nil
+	t.open = t.open[:i]
 }
 
 // WritePerfetto exports events (oldest first, as returned by
@@ -139,235 +204,96 @@ func (t *procTrack) closeAll(ts int64) {
 // ui.perfetto.dev. numProcs fixes the processor-track count so empty
 // processors still get a named track.
 func WritePerfetto(w io.Writer, events []Event, numProcs int) error {
-	b := &pfBuilder{}
-	b.meta(pidProcs, "virtual processors")
-	b.meta(pidLocks, "locks")
-	b.meta(pidGC, "gc")
+	b := &pfBuilder{named: map[int]bool{}, tracks: map[pfKey]*pfTrack{}, locks: map[string]int{}}
+	b.process(pidProcs)
+	b.process(pidLocks)
+	b.process(pidGC)
 	for i := 0; i < numProcs; i++ {
-		b.thread(pidProcs, i, "cpu "+itoa(i))
+		b.track(pidProcs, i, "cpu "+itoa(i))
 	}
-	b.thread(pidGC, 0, "collector")
+	// The collector's scavenge and full-gc slices nest: a full gc
+	// contains its eden-emptying scavenge.
+	gc := b.track(pidGC, 0, "collector")
+	// Parallel-scavenge workers sit under the gc process at tid
+	// 1+worker; they, the tenants and the template tier's processors are
+	// declared on first use, so traces without them are unchanged.
+	worker := func(w int32) *pfTrack {
+		return b.track(pidGC, 1+int(w), "scavenge worker "+itoa(int(w)))
+	}
+	tenant := func(t int64) *pfTrack { return b.track(pidServe, int(t), "tenant "+itoa(int(t))) }
+	jit := func(p int32) *pfTrack { return b.track(pidJIT, int(p), "cpu "+itoa(int(p))) }
 
 	var maxTs int64
 	for i := range events {
-		if events[i].At > maxTs {
-			maxTs = events[i].At
-		}
-	}
-
-	tracks := make([]*procTrack, numProcs)
-	for i := range tracks {
-		tracks[i] = &procTrack{b: b, tid: i}
-	}
-	track := func(proc int32) *procTrack {
-		if int(proc) < len(tracks) {
-			return tracks[proc]
-		}
-		return nil
-	}
-
-	// Lock tracks: exclusive holds per lock, in ring order (which is
-	// virtual-time order per lock: an acquire can only follow the
-	// release that freed the lock).
-	lockTids := map[string]int{}
-	lockOpen := map[string]int64{} // name -> hold start ts, -1 when free
-	lockTid := func(name string) int {
-		tid, ok := lockTids[name]
-		if !ok {
-			tid = len(lockTids)
-			lockTids[name] = tid
-			b.thread(pidLocks, tid, name)
-			lockOpen[name] = -1
-		}
-		return tid
-	}
-
-	// GC track: scavenge and full-gc slices (stop-the-world, so they
-	// never overlap themselves; a full gc contains its eden-emptying
-	// scavenge, which nests).
-	gcOpen := map[Kind]int64{KScavengeBegin: -1, KFullGCBegin: -1}
-
-	// Parallel-scavenge worker tracks nest under the gc process, one
-	// thread per worker (tid = 1 + worker, the collector keeps tid 0).
-	// Threads are declared lazily so serial traces stay unchanged.
-	scavWorkerSeen := map[int32]bool{}
-	scavWorkerOpen := map[int32]int64{}
-	scavWorkerTid := func(worker int32) int {
-		if !scavWorkerSeen[worker] {
-			scavWorkerSeen[worker] = true
-			b.thread(pidGC, 1+int(worker), "scavenge worker "+itoa(int(worker)))
-		}
-		return 1 + int(worker)
-	}
-
-	// Image-server tracks: one thread per tenant, declared lazily like
-	// the template-tier tracks. A request opens at KServeStart and
-	// closes at the tenant's next KServeDone — a tenant's requests never
-	// overlap (one conflict class runs one request at a time), so the
-	// pairing needs no stack.
-	serveSeen := map[int64]bool{}
-	serveMeta := false
-	serveOpen := map[int64]openSlice{}
-	serveTid := func(tenant int64) int {
-		if !serveMeta {
-			serveMeta = true
-			b.meta(pidServe, "serve")
-		}
-		if !serveSeen[tenant] {
-			serveSeen[tenant] = true
-			b.thread(pidServe, int(tenant), "tenant "+itoa(int(tenant)))
-		}
-		return int(tenant)
-	}
-
-	// Template-tier tracks: compile/deopt instants per processor,
-	// declared lazily like the scavenge workers.
-	jitSeen := map[int32]bool{}
-	jitMeta := false
-	jitTid := func(proc int32) int {
-		if !jitMeta {
-			jitMeta = true
-			b.meta(pidJIT, "jit")
-		}
-		if !jitSeen[proc] {
-			jitSeen[proc] = true
-			b.thread(pidJIT, int(proc), "cpu "+itoa(int(proc)))
-		}
-		return int(proc)
-	}
-
-	for i := range events {
 		e := &events[i]
-		pt := track(e.Proc)
+		maxTs = max(maxTs, e.At)
+		pt := b.tracks[pfKey{pidProcs, int(e.Proc)}] // nil past numProcs
 		switch e.Kind {
 		case KQuantumStart:
-			if pt != nil {
-				pt.begin("quantum", e.At)
-			}
+			b.begin(pt, "quantum", e.At)
 		case KQuantumEnd:
-			if pt != nil {
-				pt.end("quantum", e.At)
-			}
+			b.end(pt, "quantum", e.At, nil)
 		case KHandoff:
-			if pt != nil {
-				b.instant(pidProcs, pt.tid, "handoff", e.At, map[string]any{"to": e.Arg1})
-			}
+			b.instant(pt, "handoff", e.At, map[string]any{"to": e.Arg1})
 		case KLockAcquire:
-			if pt != nil {
-				pt.begin("hold "+e.Str, e.At)
-			}
+			b.begin(pt, "hold "+e.Str, e.At)
+			// Exclusive holds also go on the lock's own track, in ring
+			// order (which is virtual-time order per lock: an acquire can
+			// only follow the release that freed the lock).
 			if e.Arg2 == 1 {
-				tid := lockTid(e.Str)
-				if prev := lockOpen[e.Str]; prev >= 0 {
-					// Release lost to ring truncation: close at this
-					// acquire so holds stay disjoint.
-					b.slice(pidLocks, tid, "held", prev, e.At-prev, nil)
-				}
-				lockOpen[e.Str] = e.At
+				b.begin(b.lock(e.Str), "held", e.At)
 			}
 		case KLockRelease:
-			if pt != nil {
-				pt.end("hold "+e.Str, e.At)
-			}
+			b.end(pt, "hold "+e.Str, e.At, nil)
 			if e.Arg2 == 1 {
-				tid := lockTid(e.Str)
-				if start := lockOpen[e.Str]; start >= 0 {
-					b.slice(pidLocks, tid, "held", start, e.At-start,
-						map[string]any{"proc": e.Proc})
-					lockOpen[e.Str] = -1
-				}
+				b.end(b.lock(e.Str), "held", e.At, map[string]any{"proc": e.Proc})
 			}
 		case KLockContend:
-			if pt == nil {
-				break
-			}
 			if e.Arg1 > 0 {
-				b.slice(pidProcs, pt.tid, "spin "+e.Str, e.At, e.Arg1, nil)
+				b.slice(pt, "spin "+e.Str, e.At, e.Arg1, nil)
 			} else {
-				b.instant(pidProcs, pt.tid, "try-fail "+e.Str, e.At, nil)
+				b.instant(pt, "try-fail "+e.Str, e.At, nil)
 			}
 		case KStall:
-			if pt != nil {
-				b.slice(pidProcs, pt.tid, "gc-stall", e.At, e.Arg1, nil)
-			}
+			b.slice(pt, "gc-stall", e.At, e.Arg1, nil)
 		case KScavengeBegin:
-			if pt != nil {
-				pt.begin("scavenge", e.At)
-			}
-			gcOpen[KScavengeBegin] = e.At
+			b.begin(pt, "scavenge", e.At)
+			b.begin(gc, "scavenge", e.At)
 		case KScavengeEnd:
-			if pt != nil {
-				pt.end("scavenge", e.At)
-			}
-			if start := gcOpen[KScavengeBegin]; start >= 0 {
-				b.slice(pidGC, 0, "scavenge", start, e.At-start,
-					map[string]any{"objects": e.Arg1, "words": e.Arg2})
-				gcOpen[KScavengeBegin] = -1
-			}
+			b.end(pt, "scavenge", e.At, nil)
+			b.end(gc, "scavenge", e.At, map[string]any{"objects": e.Arg1, "words": e.Arg2})
 		case KFullGCBegin:
-			gcOpen[KFullGCBegin] = e.At
+			b.begin(gc, "full-gc", e.At)
 		case KFullGCEnd:
-			if start := gcOpen[KFullGCBegin]; start >= 0 {
-				b.slice(pidGC, 0, "full-gc", start, e.At-start,
-					map[string]any{"reclaimed_words": e.Arg1})
-				gcOpen[KFullGCBegin] = -1
-			}
+			b.end(gc, "full-gc", e.At, map[string]any{"reclaimed_words": e.Arg1})
 		case KScavWorkerBegin:
-			scavWorkerTid(e.Proc)
-			scavWorkerOpen[e.Proc] = e.At
+			b.begin(worker(e.Proc), "copy", e.At)
 		case KScavWorkerEnd:
-			tid := scavWorkerTid(e.Proc)
-			if start, ok := scavWorkerOpen[e.Proc]; ok {
-				b.slice(pidGC, tid, "copy", start, e.At-start,
-					map[string]any{"objects": e.Arg1, "words": e.Arg2})
-				delete(scavWorkerOpen, e.Proc)
-			}
+			b.end(worker(e.Proc), "copy", e.At, map[string]any{"objects": e.Arg1, "words": e.Arg2})
 		case KScavSteal:
-			b.instant(pidGC, scavWorkerTid(e.Proc), "steal", e.At,
-				map[string]any{"victim": e.Arg1})
+			b.instant(worker(e.Proc), "steal", e.At, map[string]any{"victim": e.Arg1})
 		case KEdenFull:
-			b.instant(pidGC, 0, "eden-full", e.At, map[string]any{"need_words": e.Arg1})
+			b.instant(gc, "eden-full", e.At, map[string]any{"need_words": e.Arg1})
 		case KTenure:
-			b.instant(pidGC, 0, "tenure", e.At, map[string]any{"words": e.Arg1})
+			b.instant(gc, "tenure", e.At, map[string]any{"words": e.Arg1})
 		case KSend:
-			if pt != nil {
-				name := e.Str
-				if name == "" {
-					name = "send"
-				}
-				b.instant(pidProcs, pt.tid, name, e.At, nil)
-			}
+			b.instant(pt, cmp.Or(e.Str, "send"), e.At, nil)
 		case KServeStart:
-			tid := serveTid(e.Arg1)
-			if prev, ok := serveOpen[e.Arg1]; ok {
-				// Done lost to ring truncation: close at this pickup so
-				// a tenant's request slices stay disjoint.
-				b.slice(pidServe, tid, prev.name, prev.ts, e.At-prev.ts, nil)
-			}
-			name := e.Str
-			if name == "" {
-				name = "request"
-			}
-			serveOpen[e.Arg1] = openSlice{name: name, ts: e.At}
+			// A request runs from pickup to the tenant's next done; one
+			// tenant runs one request at a time.
+			b.begin(tenant(e.Arg1), cmp.Or(e.Str, "request"), e.At)
 		case KServeDone:
-			tid := serveTid(e.Arg1)
-			if start, ok := serveOpen[e.Arg1]; ok {
-				b.slice(pidServe, tid, start.name, start.ts, e.At-start.ts,
-					map[string]any{"executor": e.Proc, "latency_ticks": e.Arg2})
-				delete(serveOpen, e.Arg1)
-			}
+			b.end(tenant(e.Arg1), "", e.At, map[string]any{"executor": e.Proc, "latency_ticks": e.Arg2})
 		case KServeReject:
 			why := "queue-full"
 			if e.Arg2 == 1 {
 				why = "tenant-share"
 			}
-			b.instant(pidServe, serveTid(e.Arg1), "rejected: "+why, e.At,
-				map[string]any{"executor": e.Proc})
+			b.instant(tenant(e.Arg1), "rejected: "+why, e.At, map[string]any{"executor": e.Proc})
 		case KJITCompile:
-			b.instant(pidJIT, jitTid(e.Proc), "compile "+e.Str, e.At,
-				map[string]any{"instrs": e.Arg1})
+			b.instant(jit(e.Proc), "compile "+e.Str, e.At, map[string]any{"instrs": e.Arg1})
 		case KJITDeopt:
-			b.instant(pidJIT, jitTid(e.Proc), "deopt: "+e.Str, e.At, nil)
+			b.instant(jit(e.Proc), "deopt: "+e.Str, e.At, nil)
 		case KHeapOccupancy:
 			b.counter(pidGC, "eden words", e.At, e.Arg1)
 			b.counter(pidGC, "old words", e.At, e.Arg2)
@@ -378,51 +304,22 @@ func WritePerfetto(w io.Writer, events []Event, numProcs int) error {
 				b.counter(pidGC, "scavenge pause ticks", e.At, e.Arg1)
 			}
 		default:
-			if pt != nil {
-				var args map[string]any
-				if e.Str != "" {
-					args = map[string]any{"str": e.Str}
-				}
-				b.instant(pidProcs, pt.tid, e.Kind.String(), e.At, args)
+			var args map[string]any
+			if e.Str != "" {
+				args = map[string]any{"str": e.Str}
 			}
+			b.instant(pt, e.Kind.String(), e.At, args)
 		}
 	}
 
-	for _, pt := range tracks {
-		pt.closeAll(maxTs)
+	// Close trailing opens track by track, in (pid, tid) order.
+	keys := make([]pfKey, 0, len(b.tracks))
+	for k := range b.tracks {
+		keys = append(keys, k)
 	}
-	// Close trailing opens in deterministic (registration) order.
-	lockNames := make([]string, len(lockTids))
-	for name, tid := range lockTids {
-		lockNames[tid] = name
-	}
-	for tid, name := range lockNames {
-		if start := lockOpen[name]; start >= 0 {
-			b.slice(pidLocks, tid, "held", start, maxTs-start, nil)
-		}
-	}
-	if start := gcOpen[KScavengeBegin]; start >= 0 {
-		b.slice(pidGC, 0, "scavenge", start, maxTs-start, nil)
-	}
-	if start := gcOpen[KFullGCBegin]; start >= 0 {
-		b.slice(pidGC, 0, "full-gc", start, maxTs-start, nil)
-	}
-	var openWorkers []int32
-	for w := range scavWorkerOpen {
-		openWorkers = append(openWorkers, w)
-	}
-	sort.Slice(openWorkers, func(i, j int) bool { return openWorkers[i] < openWorkers[j] })
-	for _, w := range openWorkers {
-		b.slice(pidGC, scavWorkerTid(w), "copy", scavWorkerOpen[w], maxTs-scavWorkerOpen[w], nil)
-	}
-	var openTenants []int64
-	for t := range serveOpen {
-		openTenants = append(openTenants, t)
-	}
-	sort.Slice(openTenants, func(i, j int) bool { return openTenants[i] < openTenants[j] })
-	for _, t := range openTenants {
-		s := serveOpen[t]
-		b.slice(pidServe, serveTid(t), s.name, s.ts, maxTs-s.ts, nil)
+	slices.SortFunc(keys, func(x, y pfKey) int { return cmp.Or(cmp.Compare(x.pid, y.pid), cmp.Compare(x.tid, y.tid)) })
+	for _, k := range keys {
+		b.close(b.tracks[k], 0, maxTs, nil)
 	}
 
 	enc := json.NewEncoder(w)

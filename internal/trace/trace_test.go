@@ -82,6 +82,71 @@ func decodePerfetto(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	return doc.TraceEvents
 }
 
+// pfSlice is one exported "X" event, for the pairing tests.
+type pfSlice struct {
+	pid, tid int
+	ts, dur  int64
+	args     map[string]any
+}
+
+// perfettoSlices exports events on numProcs processors and groups the
+// output's slices by name, in output order; it also returns every
+// output event.
+func perfettoSlices(t *testing.T, events []Event, numProcs int) (map[string][]pfSlice, []map[string]any) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, events, numProcs); err != nil {
+		t.Fatal(err)
+	}
+	out := decodePerfetto(t, &buf)
+	slices := map[string][]pfSlice{}
+	for _, e := range out {
+		if e["ph"] != "X" {
+			continue
+		}
+		args, _ := e["args"].(map[string]any)
+		key := e["name"].(string)
+		slices[key] = append(slices[key], pfSlice{
+			pid:  int(e["pid"].(float64)),
+			tid:  int(e["tid"].(float64)),
+			ts:   int64(e["ts"].(float64)),
+			dur:  int64(e["dur"].(float64)),
+			args: args,
+		})
+	}
+	return slices, out
+}
+
+// wantSlice checks one slice's track, extent and (when want is not nil)
+// args.
+func wantSlice(t *testing.T, what string, got pfSlice, pid, tid int, ts, dur int64, args map[string]any) {
+	t.Helper()
+	if got.pid != pid || got.tid != tid || got.ts != ts || got.dur != dur {
+		t.Errorf("%s = pid %d tid %d [%d +%d], want pid %d tid %d [%d +%d]",
+			what, got.pid, got.tid, got.ts, got.dur, pid, tid, ts, dur)
+	}
+	for k, v := range args {
+		if got.args[k] != v {
+			t.Errorf("%s arg %s = %v, want %v", what, k, got.args[k], v)
+		}
+	}
+	if args == nil && got.args != nil {
+		t.Errorf("%s has args %v, want none", what, got.args)
+	}
+}
+
+// threadNames maps "pid/tid" to each declared thread's name.
+func threadNames(out []map[string]any) map[string]string {
+	names := map[string]string{}
+	for _, e := range out {
+		if e["name"] == "thread_name" {
+			key := itoa(int(e["pid"].(float64))) + "/" + itoa(int(e["tid"].(float64)))
+			names[key] = e["args"].(map[string]any)["name"].(string)
+		}
+	}
+	return names
+}
+
 func TestPerfettoSyntheticPairing(t *testing.T) {
 	events := []Event{
 		{Kind: KQuantumStart, Proc: 0, At: 10},
@@ -92,89 +157,154 @@ func TestPerfettoSyntheticPairing(t *testing.T) {
 		{Kind: KLockContend, Proc: 1, At: 13, Str: "alloc", Arg1: 4},
 		{Kind: KLockAcquire, Proc: 1, At: 17, Str: "alloc", Arg2: 1},
 		// Release lost to ring truncation; quantum 1 left open.
+		{Kind: KServeStart, Proc: 0, At: 21, Arg1: 3, Str: "eval"},
+		{Kind: KServeDone, Proc: 1, At: 25, Arg1: 3, Arg2: 9},
+		{Kind: KJITCompile, Proc: 1, At: 26, Str: "foo", Arg1: 12},
+		// A full collection containing its scavenge, with one parallel
+		// scavenge worker's copy inside the scavenge.
+		{Kind: KFullGCBegin, Proc: 0, At: 28},
 		{Kind: KScavengeBegin, Proc: 0, At: 30},
+		{Kind: KScavWorkerBegin, Proc: 2, At: 31},
+		{Kind: KScavWorkerEnd, Proc: 2, At: 40, Arg1: 3, Arg2: 30},
 		{Kind: KScavengeEnd, Proc: 0, At: 42, Arg1: 7, Arg2: 70},
+		{Kind: KFullGCEnd, Proc: 0, At: 42, Arg1: 100},
 	}
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, events, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := decodePerfetto(t, &buf)
-
-	type slice struct{ ts, dur int64 }
-	slices := map[string][]slice{} // name@pid/tid
-	for _, e := range out {
-		if e["ph"] != "X" {
-			continue
-		}
-		key := e["name"].(string)
-		slices[key] = append(slices[key], slice{
-			ts:  int64(e["ts"].(float64)),
-			dur: int64(e["dur"].(float64)),
-		})
-	}
+	slices, out := perfettoSlices(t, events, 2)
 
 	// Proc 0's quantum closed normally; proc 1's closed at maxTs (42).
 	q := slices["quantum"]
 	if len(q) != 2 {
 		t.Fatalf("quantum slices = %d, want 2: %+v", len(q), q)
 	}
-	if q[0].ts != 10 || q[0].dur != 10 {
-		t.Fatalf("quantum[0] = %+v", q[0])
-	}
-	if q[1].ts != 11 || q[1].dur != 42-11 {
-		t.Fatalf("quantum[1] (trailing-open) = %+v", q[1])
-	}
+	wantSlice(t, "quantum[0]", q[0], pidProcs, 0, 10, 10, nil)
+	wantSlice(t, "quantum[1] (trailing-open)", q[1], pidProcs, 1, 11, 42-11, nil)
 	// Lock holds: proc 0's [12,15]; proc 1's acquire closed at maxTs.
 	held := slices["held"]
 	if len(held) != 2 {
 		t.Fatalf("held slices = %d, want 2: %+v", len(held), held)
 	}
-	if held[0].ts != 12 || held[0].dur != 3 {
-		t.Fatalf("held[0] = %+v", held[0])
-	}
-	if held[1].ts != 17 || held[1].dur != 42-17 {
-		t.Fatalf("held[1] = %+v", held[1])
-	}
+	wantSlice(t, "held[0]", held[0], pidLocks, 0, 12, 3, map[string]any{"proc": 0.0})
+	wantSlice(t, "held[1]", held[1], pidLocks, 0, 17, 42-17, nil)
 	// Spin slice from the contend event.
 	spin := slices["spin alloc"]
-	if len(spin) != 1 || spin[0].ts != 13 || spin[0].dur != 4 {
+	if len(spin) != 1 {
 		t.Fatalf("spin = %+v", spin)
 	}
-	// Scavenge shows on both the proc track and the gc track.
+	wantSlice(t, "spin", spin[0], pidProcs, 1, 13, 4, nil)
+	// Scavenge shows on both the proc track and the gc track, and the
+	// full collection contains it.
 	scav := slices["scavenge"]
 	if len(scav) != 2 {
 		t.Fatalf("scavenge slices = %d, want 2: %+v", len(scav), scav)
+	}
+	wantSlice(t, "scavenge (proc)", scav[0], pidProcs, 0, 30, 12, nil)
+	wantSlice(t, "scavenge (gc)", scav[1], pidGC, 0, 30, 12,
+		map[string]any{"objects": 7.0, "words": 70.0})
+	full := slices["full-gc"]
+	if len(full) != 1 {
+		t.Fatalf("full-gc slices = %d, want 1: %+v", len(full), full)
+	}
+	wantSlice(t, "full-gc", full[0], pidGC, 0, 28, 14, map[string]any{"reclaimed_words": 100.0})
+	// Worker 2's copy sits on the gc process at tid 1+2.
+	cp := slices["copy"]
+	if len(cp) != 1 {
+		t.Fatalf("copy slices = %d, want 1: %+v", len(cp), cp)
+	}
+	wantSlice(t, "copy", cp[0], pidGC, 3, 31, 9, map[string]any{"objects": 3.0, "words": 30.0})
+	// Tenant 3's request is named by its kind and carries the done's
+	// executor and latency.
+	req := slices["eval"]
+	if len(req) != 1 {
+		t.Fatalf("request slices = %d, want 1: %+v", len(req), req)
+	}
+	wantSlice(t, "request", req[0], pidServe, 3, 21, 4,
+		map[string]any{"executor": 1.0, "latency_ticks": 9.0})
+
+	// The jit instant, and the lazily declared tracks' names.
+	var compiles int
+	for _, e := range out {
+		if e["ph"] == "i" && e["name"] == "compile foo" {
+			compiles++
+			if e["pid"] != float64(pidJIT) || e["tid"] != 1.0 || e["ts"] != 26.0 ||
+				e["args"].(map[string]any)["instrs"] != 12.0 {
+				t.Errorf("jit instant = %v", e)
+			}
+		}
+	}
+	if compiles != 1 {
+		t.Errorf("jit compile instants = %d, want 1", compiles)
+	}
+	names := threadNames(out)
+	for track, want := range map[string]string{
+		"1/0": "cpu 0", "1/1": "cpu 1", "2/0": "alloc", "3/0": "collector",
+		"3/3": "scavenge worker 2", "4/1": "cpu 1", "5/3": "tenant 3",
+	} {
+		if names[track] != want {
+			t.Errorf("thread %s = %q, want %q", track, names[track], want)
+		}
+	}
+	if len(names) != 7 {
+		t.Errorf("declared threads = %v, want 7", names)
 	}
 }
 
 func TestPerfettoUnmatchedEndDropped(t *testing.T) {
 	events := []Event{
-		// Ring truncation left a bare quantum-end and lock-release.
+		// Ring truncation left a bare quantum-end, lock-release,
+		// full-collection end, worker end and tenant done.
 		{Kind: KQuantumEnd, Proc: 0, At: 5},
 		{Kind: KLockRelease, Proc: 0, At: 6, Str: "sched", Arg2: 1},
+		{Kind: KFullGCEnd, Proc: 0, At: 6, Arg1: 1},
+		{Kind: KScavWorkerEnd, Proc: 1, At: 6},
+		{Kind: KServeDone, Proc: 0, At: 7, Arg1: 2},
 		{Kind: KQuantumStart, Proc: 0, At: 8},
 		{Kind: KQuantumEnd, Proc: 0, At: 9},
+		// A lock re-acquired after its release fell off the ring: the
+		// lock track's holds stay disjoint.
+		{Kind: KLockAcquire, Proc: 0, At: 10, Str: "sched", Arg2: 1},
+		{Kind: KLockAcquire, Proc: 0, At: 12, Str: "sched", Arg2: 1},
+		{Kind: KLockRelease, Proc: 0, At: 14, Str: "sched", Arg2: 1},
+		// A tenant's pickup after its previous done was lost.
+		{Kind: KServeStart, Proc: 0, At: 20, Arg1: 2, Str: "eval"},
+		{Kind: KServeStart, Proc: 0, At: 22, Arg1: 2, Str: "compile"},
+		{Kind: KServeDone, Proc: 0, At: 25, Arg1: 2, Arg2: 3},
 	}
-	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, events, 1); err != nil {
-		t.Fatal(err)
+	slices, out := perfettoSlices(t, events, 1)
+	q := slices["quantum"]
+	if len(q) != 1 {
+		t.Fatalf("quantum slices = %d, want 1: %+v", len(q), q)
 	}
-	out := decodePerfetto(t, &buf)
-	quanta := 0
-	for _, e := range out {
-		if e["ph"] == "X" && e["name"] == "quantum" {
-			quanta++
-			if ts := int64(e["ts"].(float64)); ts != 8 {
-				t.Fatalf("quantum ts = %d, want 8", ts)
-			}
+	wantSlice(t, "quantum", q[0], pidProcs, 0, 8, 1, nil)
+	for _, name := range []string{"full-gc", "copy", "request"} {
+		if len(slices[name]) != 0 {
+			t.Errorf("an orphan end produced a %s slice: %+v", name, slices[name])
 		}
-		if e["ph"] == "X" && e["name"] == "held" {
-			t.Fatalf("orphan release produced a hold slice: %+v", e)
-		}
 	}
-	if quanta != 1 {
-		t.Fatalf("quantum slices = %d, want 1", quanta)
+	held := slices["held"]
+	if len(held) != 2 {
+		t.Fatalf("held slices = %d, want 2 (the orphan release makes none): %+v", len(held), held)
+	}
+	wantSlice(t, "held[0] (release lost)", held[0], pidLocks, 0, 10, 2, nil)
+	wantSlice(t, "held[1]", held[1], pidLocks, 0, 12, 2, map[string]any{"proc": 0.0})
+	if e, c := slices["eval"], slices["compile"]; len(e) != 1 || len(c) != 1 {
+		t.Fatalf("tenant slices: eval %+v compile %+v, want one each", e, c)
+	} else {
+		wantSlice(t, "eval (done lost)", e[0], pidServe, 2, 20, 2, nil)
+		wantSlice(t, "compile", c[0], pidServe, 2, 22, 3,
+			map[string]any{"executor": 0.0, "latency_ticks": 3.0})
+	}
+	// The processor track nests its holds: the inner acquire's hold
+	// ends at the release and the outer one at the last timestamp.
+	hold := slices["hold sched"]
+	if len(hold) != 2 {
+		t.Fatalf("processor hold slices = %d, want 2: %+v", len(hold), hold)
+	}
+	wantSlice(t, "inner hold", hold[0], pidProcs, 0, 12, 2, nil)
+	wantSlice(t, "outer hold", hold[1], pidProcs, 0, 10, 15, nil)
+	// Even an orphan end declares its track.
+	names := threadNames(out)
+	if names["3/2"] != "scavenge worker 1" || names["5/2"] != "tenant 2" {
+		t.Errorf("declared threads = %v", names)
 	}
 }
 
