@@ -1,11 +1,9 @@
 package image
 
 import (
-	"fmt"
-	"strings"
-
 	"mst/internal/compiler"
 	"mst/internal/interp"
+	"mst/internal/object"
 )
 
 // CompileChunks reads source as FileIn does and compiles every chunk
@@ -13,34 +11,35 @@ import (
 // chunk against its methodsFor: section's class. vm must already define
 // the classes the source names.
 func CompileChunks(vm *interp.VM, source string, each func(*compiler.Method, error)) error {
-	r := newChunkReader(source)
-	for {
-		chunk, command, ok := r.next()
-		if !ok {
-			return nil
-		}
-		header := strings.TrimSpace(chunk)
-		if header == "" {
+	for _, s := range readPlan(source).(plan) {
+		if s.header == "" {
+			if s.expr == nil {
+				each(nil, s.err)
+			} else {
+				each(compiler.Generate(s.expr, vm.EnvForClass(vm.Specials.UndefinedObject), s.body))
+			}
 			continue
 		}
-		if !command {
-			each(compiler.CompileExpression(header, vm.EnvForClass(vm.Specials.UndefinedObject)))
-			continue
-		}
-		class, _, err := parseMethodsFor(vm, header)
+		class, _, err := parseMethodsFor(vm, s.header)
 		if err != nil {
 			return err
 		}
-		for {
-			chunk, ok := r.nextRaw()
-			if !ok {
-				return fmt.Errorf("unterminated methodsFor: %q", header)
-			}
-			body := strings.TrimSpace(chunk)
-			if body == "" {
-				break
-			}
-			each(compiler.CompileMethod(body, vm.EnvForClass(class)))
+		for _, m := range s.methods {
+			each(compiler.CompileMethod(m.body, vm.EnvForClass(class)))
+		}
+		if s.err != nil {
+			return s.err
 		}
 	}
+	return nil
+}
+
+// parseMethodsFor reads a methodsFor: header and finds its class in vm.
+func parseMethodsFor(vm *interp.VM, header string) (object.OOP, string, error) {
+	name, meta, category, err := lexMethodsFor(header)
+	if err != nil {
+		return object.Nil, "", err
+	}
+	class, err := classNamed(vm, name, meta)
+	return class, category, err
 }

@@ -118,94 +118,168 @@ func (r *chunkReader) nextRaw() (string, bool) {
 }
 
 // FileIn reads Smalltalk source in chunk format into the image. name is
-// used in error messages.
+// used in error messages. A source is read once per process, into a plan
+// (interp.FileInPlan); every FileIn of the same text replays that plan
+// against vm.
 func FileIn(vm *interp.VM, name, source string) error {
+	pl := interp.FileInPlan(source, readPlan).(plan)
+	for i := range pl {
+		s := &pl[i]
+		if s.header == "" {
+			if err := s.fileInExpression(vm, name); err != nil {
+				return err
+			}
+		} else if err := s.fileInMethods(vm, name); err != nil {
+			return fmt.Errorf("%s:%d: %w", name, s.line, err)
+		}
+	}
+	return nil
+}
+
+// plan is what reading a source yields: its top-level chunks in order, up
+// to the first error the text alone decides. It holds no oop, so every
+// image replays it alike.
+type plan []step
+
+// step is one top-level chunk, starting at line: a methodsFor: section
+// (header set) or an expression.
+type step struct {
+	line int
+	err  error // the text's own error: a bad header or expression, or a section with no end
+
+	// A section: its header, lexed, and its method chunks.
+	header, class, category string
+	meta                    bool
+	methods                 []methodChunk
+
+	// An expression: its text, its parse, and the class definition it
+	// is, if it is one. compiler.Generate never writes the parse, so
+	// every replay shares it.
+	body string
+	expr *compiler.MethodNode
+	def  *compiler.SendNode
+}
+
+// methodChunk is one method body of a section, starting at line.
+type methodChunk struct {
+	line int
+	body string
+}
+
+// readPlan reads source into its plan: the chunk split, each methodsFor:
+// header lexed and each expression chunk parsed.
+func readPlan(source string) any {
 	r := newChunkReader(source)
+	var pl plan
 	for {
-		startLine := r.line
+		s := step{line: r.line}
 		chunk, command, ok := r.next()
 		if !ok {
-			return nil
+			return pl
 		}
 		body := strings.TrimSpace(chunk)
-		if body == "" {
+		switch {
+		case body == "":
 			continue
-		}
-		if command {
-			if err := fileInMethods(vm, r, name, body); err != nil {
-				return fmt.Errorf("%s:%d: %w", name, startLine, err)
+		case command:
+			s.header = body
+			if s.class, s.meta, s.category, s.err = lexMethodsFor(body); s.err == nil {
+				s.methods, s.err = readMethods(r, body)
 			}
-			continue
+		default:
+			s.body = body
+			if s.expr, s.err = compiler.ParseExpression(body); s.err == nil {
+				s.def = classDefSend(s.expr)
+			}
 		}
-		if err := fileInExpression(vm, name, startLine, body); err != nil {
-			return err
+		pl = append(pl, s)
+		if s.err != nil {
+			return pl
 		}
 	}
 }
 
-// fileInMethods handles `Class methodsFor: 'cat'` followed by method
-// chunks up to an empty chunk.
-func fileInMethods(vm *interp.VM, r *chunkReader, name, header string) error {
-	class, category, err := parseMethodsFor(vm, header)
+// readMethods reads a section's method chunks up to the empty chunk that
+// ends it.
+func readMethods(r *chunkReader, header string) ([]methodChunk, error) {
+	var ms []methodChunk
+	for {
+		line := r.line
+		chunk, ok := r.nextRaw()
+		if !ok {
+			return ms, fmt.Errorf("unterminated methodsFor: %q", header)
+		}
+		body := strings.TrimSpace(chunk)
+		if body == "" {
+			return ms, nil
+		}
+		ms = append(ms, methodChunk{line, body})
+	}
+}
+
+// fileInMethods installs a section's methods into its class.
+func (s *step) fileInMethods(vm *interp.VM, name string) error {
+	if s.class == "" {
+		return s.err // the header did not lex
+	}
+	class, err := classNamed(vm, s.class, s.meta)
 	if err != nil {
 		return err
 	}
-	for {
-		startLine := r.line
-		chunk, ok := r.nextRaw()
-		if !ok {
-			return fmt.Errorf("unterminated methodsFor: %q", header)
-		}
-		body := strings.TrimSpace(chunk)
-		if body == "" {
-			return nil
-		}
-		if err := vm.InstallSource(class, body, category); err != nil {
-			return fmt.Errorf("%s:%d: %w", name, startLine, err)
+	for _, m := range s.methods {
+		if err := vm.InstallSource(class, m.body, s.category); err != nil {
+			return fmt.Errorf("%s:%d: %w", name, m.line, err)
 		}
 	}
+	return s.err // nil, or the section's missing end
 }
 
-// parseMethodsFor reads `Name methodsFor: 'cat'` and
+// lexMethodsFor reads `Name methodsFor: 'cat'` and
 // `Name class methodsFor: 'cat'` with the lexer: four tokens at most.
-func parseMethodsFor(vm *interp.VM, header string) (object.OOP, string, error) {
+func lexMethodsFor(header string) (class string, meta bool, category string, err error) {
 	var buf [4]compiler.Token
 	toks := buf[:0]
 	lx := compiler.NewLexer(header)
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return object.Nil, "", fmt.Errorf("bad methodsFor header %q: %v", header, err)
+			return "", false, "", fmt.Errorf("bad methodsFor header %q: %v", header, err)
 		}
 		if t.Kind == compiler.TokEOF {
 			break
 		}
 		if len(toks) == len(buf) {
-			return object.Nil, "", fmt.Errorf("bad methodsFor header %q", header)
+			return "", false, "", fmt.Errorf("bad methodsFor header %q", header)
 		}
 		toks = append(toks, t)
 	}
-	meta := len(toks) == 4 && toks[1].Kind == compiler.TokIdent && toks[1].Text == "class"
+	meta = len(toks) == 4 && toks[1].Kind == compiler.TokIdent && toks[1].Text == "class"
 	if meta {
 		toks = append(toks[:1], toks[2:]...)
 	}
 	if len(toks) != 3 || toks[1].Kind != compiler.TokKeyword || toks[1].Text != "methodsFor:" {
-		return object.Nil, "", fmt.Errorf("expected `Class methodsFor: 'category'`, got %q", header)
+		return "", false, "", fmt.Errorf("expected `Class methodsFor: 'category'`, got %q", header)
 	}
 	if toks[2].Kind != compiler.TokString {
-		return object.Nil, "", fmt.Errorf("methodsFor: category must be a string in %q", header)
+		return "", false, "", fmt.Errorf("methodsFor: category must be a string in %q", header)
 	}
 	if toks[0].Kind != compiler.TokIdent {
-		return object.Nil, "", fmt.Errorf("bad class reference in %q", header)
+		return "", false, "", fmt.Errorf("bad class reference in %q", header)
 	}
-	cls := vm.SysDictAt(toks[0].Text)
+	return toks[0].Text, meta, toks[2].Text, nil
+}
+
+// classNamed answers the class a methodsFor: header names, or its
+// metaclass.
+func classNamed(vm *interp.VM, name string, meta bool) (object.OOP, error) {
+	cls := vm.SysDictAt(name)
 	if cls == object.Invalid || cls == object.Nil {
-		return object.Nil, "", fmt.Errorf("unknown class %q", toks[0].Text)
+		return object.Nil, fmt.Errorf("unknown class %q", name)
 	}
 	if meta {
 		cls = vm.H.ClassOf(cls)
 	}
-	return cls, toks[2].Text, nil
+	return cls, nil
 }
 
 // classDefSelectors maps class-definition message selectors to layouts.
@@ -216,26 +290,26 @@ var classDefSelectors = map[string]interp.ClassKind{
 	"variableWordSubclass:instanceVariableNames:category:": interp.KindIdxWords,
 }
 
-// fileInExpression evaluates one expression chunk: class definitions
-// are interpreted structurally, everything else runs as a DoIt generated
-// from the one parse. A chunk runs once, so it stays out of the doIt memo.
-func fileInExpression(vm *interp.VM, name string, line int, body string) error {
-	node, err := compiler.ParseExpression(body)
-	if err != nil {
-		return fmt.Errorf("%s:%d: %v", name, line, err)
+// fileInExpression runs one expression chunk: a class definition is
+// interpreted structurally, everything else runs as a DoIt generated
+// from the plan's parse. A chunk runs once per boot, so it stays out of
+// the doIt memo.
+func (s *step) fileInExpression(vm *interp.VM, name string) error {
+	if s.expr == nil {
+		return fmt.Errorf("%s:%d: %v", name, s.line, s.err)
 	}
-	if send := classDefSend(node); send != nil {
-		if err := defineClass(vm, send); err != nil {
-			return fmt.Errorf("%s:%d: %w", name, line, err)
+	if s.def != nil {
+		if err := defineClass(vm, s.def); err != nil {
+			return fmt.Errorf("%s:%d: %w", name, s.line, err)
 		}
 		return nil
 	}
-	m, err := compiler.Generate(node, vm.EnvForClass(vm.Specials.UndefinedObject), body)
+	m, err := compiler.Generate(s.expr, vm.EnvForClass(vm.Specials.UndefinedObject), s.body)
 	if err != nil {
-		return fmt.Errorf("%s:%d: compile DoIt: %w", name, line, err)
+		return fmt.Errorf("%s:%d: compile DoIt: %w", name, s.line, err)
 	}
 	if _, err := vm.RunDoIt(m); err != nil {
-		return fmt.Errorf("%s:%d: %w", name, line, err)
+		return fmt.Errorf("%s:%d: %w", name, s.line, err)
 	}
 	return nil
 }

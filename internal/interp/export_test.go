@@ -35,6 +35,22 @@ func (vm *VM) DoItMemoLen() int { return len(vm.doits.table) }
 // boot compiles every method: the cold half of a cold-vs-warm twin.
 func DropMethodMemo() { methods.drop() }
 
+// DropFileInPlans empties the process-wide file-in plans, so that the
+// next boot reads every source: with DropMethodMemo, a cold boot.
+func DropFileInPlans() {
+	plans.mu.Lock()
+	plans.table = nil
+	plans.mu.Unlock()
+}
+
+// FileInPlanReads reports how many sources FileInPlan has read in this
+// process. Reading a source is the only place file-in lexes or parses.
+func FileInPlanReads() int {
+	plans.mu.Lock()
+	defer plans.mu.Unlock()
+	return plans.reads
+}
+
 // methodCompiles counts the compiles the method memo has run in this
 // test process, failed ones included: every one passes through the
 // counting gen installed below.

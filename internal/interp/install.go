@@ -382,9 +382,12 @@ type EvalResult struct {
 // loop. Heap-mutating work initiated from Go (method installation,
 // evaluation setup) must go through Do once the machine has run: the
 // host main goroutine may not touch virtual locks while processors are
-// parked mid-acquisition. A warm boot calls Do some 560 times, so Do
-// allocates nothing: f is queued as given (the callers on that path pass
-// a method value bound once in New) and the stop predicate is bound once.
+// parked mid-acquisition. An idle interpreter 0 runs f in its idle
+// quantum, on whichever coroutine scheduled it, so f may not yield: a
+// Yield there kills interpreter 0 and Do reports its death. A warm boot
+// calls Do some 560 times, so Do allocates nothing: f is queued as given
+// (the callers on that path pass a method value bound once in New) and
+// the stop predicate is bound once.
 func (vm *VM) Do(f func(p *firefly.Proc)) error {
 	vm.work = f
 	vm.workDone.Store(false)
@@ -523,16 +526,50 @@ func (vm *VM) startDoIt(p *firefly.Proc) {
 //     compile:classified:). Serialized: one per process, so every boot
 //     after the first compiles nothing.
 
-// doitMemoMax and methodMemoMax bound the memos: a miss at the bound
-// drops the whole table, so a process fed unique sources cannot grow
-// without limit. The kernel, macro and session sources are some 540.
+// doitMemoMax, methodMemoMax and planMemoMax bound the memos: a miss at
+// the bound drops the whole table, so a process fed unique sources cannot
+// grow without limit. The kernel, macro and session sources are some 540
+// methods in 15 files.
 const (
 	doitMemoMax   = 256
 	methodMemoMax = 4096
+	planMemoMax   = 64
 )
 
 // methods is the process-wide memo of installed methods.
 var methods = memo{gen: compiler.CompileMethod, max: methodMemoMax}
+
+// plans is the process-wide memo of file-in plans: a source's chunks,
+// methodsFor: headers and expression parses, as image.FileIn reads them,
+// keyed by the source text. A plan is host data, never written once
+// published; serialized like methods, so every boot after the first
+// reads no source.
+var plans struct {
+	mu    sync.Mutex
+	table map[string]any
+	reads int // sources read, for the cold/warm twin
+}
+
+// FileInPlan answers the plan read makes of source: read's answer on the
+// first ask in the process (or after a miss at the bound), the same one
+// ever since.
+func FileInPlan(source string, read func(string) any) any {
+	plans.mu.Lock()
+	pl, ok := plans.table[source]
+	plans.mu.Unlock()
+	if ok {
+		return pl
+	}
+	pl = read(source)
+	plans.mu.Lock()
+	defer plans.mu.Unlock()
+	if len(plans.table) >= planMemoMax || plans.table == nil {
+		plans.table = map[string]any{}
+	}
+	plans.table[source] = pl
+	plans.reads++
+	return pl
+}
 
 // envAsk is one question a compile put to its Env — IsGlobal(name) when
 // global, else InstVarIndex(name) — and the answer it got.

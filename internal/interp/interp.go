@@ -213,9 +213,10 @@ func (in *Interp) Run() {
 
 // Quantum executes a bounded batch of bytecodes or, with no Process to
 // run, idles — however many scheduling quanta that takes — until there is
-// a Process, queued Go-side work, or a shutdown.
+// a Process or a shutdown.
 func (in *Interp) Quantum() {
-	// Interpreter 0 runs Go-side work queued by VM.Do.
+	// Interpreter 0 runs Go-side work queued by VM.Do (when idle, in its
+	// idle quantum).
 	if in == in.vm.Interps[0] && in.vm.work != nil {
 		in.vm.runWork(in.p)
 	}

@@ -31,10 +31,11 @@ func snapshotOf(t *testing.T, sys *core.System) bootSnapshot {
 }
 
 // TestMethodMemoColdWarmTwin boots each of Table 2's four states and the
-// serve checkpoint twice: cold, with the process-wide method memo
-// emptied, then warm. The warm boot compiles nothing, and the two boots
-// leave the same image bytes, counters and virtual clock: a memo hit
-// skips host work only.
+// serve checkpoint twice: cold, with the process-wide method memo and
+// file-in plans emptied, then warm. The warm boot compiles nothing and
+// reads no source (so lexes and parses no chunk), and the two boots
+// leave the same image bytes, counters and virtual clock: a memo or plan
+// hit skips host work only.
 func TestMethodMemoColdWarmTwin(t *testing.T) {
 	type boot struct {
 		name string
@@ -54,22 +55,27 @@ func TestMethodMemoColdWarmTwin(t *testing.T) {
 	for _, b := range boots {
 		t.Run(b.name, func(t *testing.T) {
 			interp.DropMethodMemo()
+			interp.DropFileInPlans()
 			var snaps [2]bootSnapshot
-			var misses [2]int
+			var misses, reads [2]int
 			for i := range snaps {
-				before := interp.MethodMemoMisses()
+				before, readBefore := interp.MethodMemoMisses(), interp.FileInPlanReads()
 				sys, err := b.run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				misses[i] = interp.MethodMemoMisses() - before
+				reads[i] = interp.FileInPlanReads() - readBefore
 				snaps[i] = snapshotOf(t, sys)
 				sys.Shutdown()
 			}
 			if misses[0] == 0 || misses[1] != 0 {
 				t.Fatalf("cold boot compiled %d methods, warm boot %d; want some, then none", misses[0], misses[1])
 			}
-			t.Logf("cold boot compiled %d methods", misses[0])
+			if reads[0] == 0 || reads[1] != 0 {
+				t.Fatalf("cold boot read %d sources, warm boot %d; want some, then none", reads[0], reads[1])
+			}
+			t.Logf("cold boot compiled %d methods from %d sources", misses[0], reads[0])
 			cold, warm := snaps[0], snaps[1]
 			if cold.clock != warm.clock {
 				t.Errorf("virtual clock: cold %d, warm %d", cold.clock, warm.clock)
@@ -85,13 +91,14 @@ func TestMethodMemoColdWarmTwin(t *testing.T) {
 }
 
 // TestMethodMemoConcurrentBoots: four goroutines boot the serve
-// checkpoint at once, first into an empty method memo (every one misses,
-// racing to fill it) and then warm, and each then compiles methods into
+// checkpoint at once, first into an empty method memo and no file-in
+// plans (every one misses, racing to fill them) and then warm, and each then compiles methods into
 // its own clone through compile:classified: — one source all four share,
 // one source of its own. Every boot leaves the same image, and every
 // compiled method answers what its own source says.
 func TestMethodMemoConcurrentBoots(t *testing.T) {
 	interp.DropMethodMemo()
+	interp.DropFileInPlans()
 	const workers = 4
 	var want []byte
 	for round := 0; round < 2; round++ {
@@ -135,5 +142,49 @@ func TestMethodMemoConcurrentBoots(t *testing.T) {
 				t.Fatalf("round %d, worker %d: image differs (%d and %d bytes)", round, w, len(img), len(want))
 			}
 		}
+	}
+}
+
+// TestFileInPlanErrorTwin files each broken source in twice, cold (its
+// plan not yet read) and then warm: both times the error names the same
+// file and lines, in the same words, as file-in gave before it kept
+// plans. The header and expression errors are the text's own and come
+// from the plan; the unknown class, the method that does not compile and
+// the doIt that fails come from the image at replay.
+func TestFileInPlanErrorTwin(t *testing.T) {
+	sys, err := core.NewSystem(core.BaselineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Shutdown()
+	const prefix = "\"Two chunks first.\"\n3 + 4!\n\n4 + 5!\n\n"
+	for _, c := range []struct{ name, source, want string }{
+		{"unknown class", prefix + "!NoSuchClass methodsFor: 'twin'!\ntwinA ^1! !\n",
+			`broken.st:4: unknown class "NoSuchClass"`},
+		{"malformed header", prefix + "!Object methodsFor 'twin'!\ntwinA ^1! !\n",
+			"broken.st:4: expected `Class methodsFor: 'category'`, got \"Object methodsFor 'twin'\""},
+		{"unterminated methodsFor", prefix + "!Object methodsFor: 'twin'!\ntwinA ^1!\n\ntwinB ^2!",
+			`broken.st:4: unterminated methodsFor: "Object methodsFor: 'twin'"`},
+		{"method does not compile", prefix + "!Object methodsFor: 'twin'!\ntwinC ^3!\n\ntwinD ^^^! !",
+			`broken.st:4: broken.st:7: 1:8: expected expression, found "^"`},
+		{"expression does not parse", prefix + "3 + + 4!",
+			`broken.st:4: 1:5: expected expression, found "+"`},
+		{"doIt fails", prefix + "3 twinFoo!",
+			"broken.st:4: interp: process terminated by VM error: doesNotUnderstand: #twinFoo sent to 3; " +
+				"Smalltalk error: does not understand twinFoo"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			interp.DropFileInPlans()
+			for i, when := range []string{"cold", "warm"} {
+				before := interp.FileInPlanReads()
+				err := sys.FileIn("broken.st", c.source)
+				if err == nil || err.Error() != c.want {
+					t.Errorf("%s: %v\nwant %s", when, err, c.want)
+				}
+				if reads := interp.FileInPlanReads() - before; reads != 1-i {
+					t.Errorf("%s: read the source %d times, want %d", when, reads, 1-i)
+				}
+			}
+		})
 	}
 }

@@ -399,9 +399,10 @@ func (in *Interp) canRun(target object.OOP) bool {
 // idleQuantum is one scheduling quantum of an interpreter with no
 // Process — the function Quantum hands to Proc.Idle, which calls it each
 // time this processor is scheduled, in deterministic mode on whichever
-// coroutine made that decision: poll the devices and the ready queue
-// cheaply, with the V kernel Delay equivalent between polls, and report
-// whether the quantum is over and whether there is now something to run.
+// coroutine made that decision: run Do's queued work (interpreter 0),
+// poll the devices and the ready queue cheaply, with the V kernel Delay
+// equivalent between polls, and report whether the quantum is over and
+// whether there is now something to run.
 // In parallel host mode an idle interpreter also yields its OS thread so
 // busy processors (and single-core hosts) get the cycles.
 //
@@ -416,7 +417,7 @@ func (in *Interp) idleQuantum() firefly.IdleResult {
 		return firefly.IdleYielded
 	}
 	if in == vm.Interps[0] && vm.work != nil {
-		return firefly.IdleResume // Quantum drains it on our own coroutine
+		vm.runWork(in.p) // Do's work, in place: it may not yield
 	}
 	for {
 		in.pollDevices()

@@ -222,13 +222,16 @@ func TestIdleQuantumResults(t *testing.T) {
 		return 0
 	}
 	vm.M.Start(0, func(p *firefly.Proc) {
-		// Queued Go-side work: resume at once, nothing polled or charged.
-		vm.work = func(*firefly.Proc) {}
-		before := p.Stats()
-		if r := in.idleQuantum(); r != firefly.IdleResume || p.Stats() != before {
-			t.Errorf("with work queued: result %v, stats %+v -> %+v", r, before, p.Stats())
+		// Queued Go-side work: run in place, then one poll as usual, which
+		// finds nothing to run.
+		ran := false
+		vm.work = func(*firefly.Proc) { ran = true }
+		idle := p.Stats().Idle
+		if r := in.idleQuantum(); r != firefly.IdleYielded || !ran || vm.work != nil || !vm.workDone.Load() ||
+			p.Stats().Idle-idle != costs.IdlePoll || in.idleYieldAgain {
+			t.Errorf("with work queued: result %v, ran %v, left queued %v, polled for %v, again=%v",
+				r, ran, vm.work != nil, p.Stats().Idle-idle, in.idleYieldAgain)
 		}
-		vm.work = nil
 
 		// The scheduler lock taken by a processor ahead in virtual time:
 		// every poll below the deadline fails and is repeated with no
@@ -297,33 +300,44 @@ func TestIdleQuantumResults(t *testing.T) {
 // (on a Process with no context, which only a corrupt image holds), the
 // death is still that interpreter's own — its Run recovers it, under its
 // id — and the interpreter whose yield was executing the poll carries on.
+// Interpreter 0 runs a Smalltalk loop that wakes the context-less Process
+// part way through, so interpreter 1 polls it up under one of interpreter
+// 0's Yields.
 func TestIdleInterpreterPanicNamesItself(t *testing.T) {
 	vm := testVM(t, 2, nil)
-	if got := evalInt(t, vm, "3 + 4"); got != 7 { // both interpreters have run; 1 is parked idle
+	if got := evalInt(t, vm, "Gate := Semaphore new. 3 + 4"); got != 7 { // both interpreters have run; 1 is parked idle
 		t.Fatalf("3 + 4 = %d", got)
 	}
 	var bad object.OOP
-	finished := false
-	err := vm.Do(func(p *firefly.Proc) {
-		// A ready Process with no context kills whoever switches to it.
+	if err := vm.Do(func(p *firefly.Proc) {
+		// A Process with no context, waiting on Gate, kills whoever
+		// switches to it once Gate is signalled.
 		bad = vm.allocFields(p, vm.Specials.Process, ProcessInstSize)
 		vm.H.StoreNoCheck(bad, PrPriority, object.FromInt(UserPriority))
-		vm.scheduleProcess(p, bad)
-		for !p.Stopped() {
-			p.Advance(100)
-			p.Yield() // interpreter 1 polls in place, under this yield
-		}
-		finished = true
-	})
+		vm.H.StoreNoCheck(bad, PrState, object.FromInt(StateBlocked))
+		vm.listAppendSem(p, vm.SysDictAt("Gate"), bad)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := vm.Evaluate("1 to: 3000 do: [:i | ]. Gate signal. 1 to: 300000 do: [:i | ]. 0")
 	if err == nil || !strings.Contains(err.Error(), "interpreter 1 died") ||
 		!strings.Contains(err.Error(), "no suspended context") {
-		t.Fatalf("Do returned %v, want interpreter 1's death", err)
+		t.Fatalf("Evaluate returned %v, %v; want interpreter 1's death", vm.DescribeOOP(res.Value), err)
 	}
-	if vm.Interps[1].proc != bad || vm.Interps[0].proc == bad {
-		t.Errorf("the context-less Process is not on the interpreter that died")
+	if vm.Interps[1].proc != bad || vm.Interps[0].proc == object.Nil || vm.Interps[0].proc == bad {
+		t.Errorf("the context-less Process is not on the interpreter that died, or the loop is not on the other")
 	}
-	vm.M.Shutdown()
-	if !finished {
-		t.Errorf("interpreter 0's work was unwound with interpreter 1")
+}
+
+// TestDoWorkMayNotYield: an idle interpreter 0 runs Do's work in its idle
+// quantum, where there is no coroutine to suspend. Work that yields kills
+// interpreter 0, and Do returns that death instead of hanging.
+func TestDoWorkMayNotYield(t *testing.T) {
+	vm := testVM(t, 2, nil)
+	evalInt(t, vm, "3 + 4") // both interpreters have run and are idle
+	err := vm.Do(func(p *firefly.Proc) { p.Yield() })
+	if err == nil || !strings.Contains(err.Error(), "interpreter 0 died") ||
+		!strings.Contains(err.Error(), "yielded inside its idle quantum") {
+		t.Fatalf("Do with yielding work returned %v, want interpreter 0's death", err)
 	}
 }
