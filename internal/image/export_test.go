@@ -13,10 +13,10 @@ import (
 func CompileChunks(vm *interp.VM, source string, each func(*compiler.Method, error)) error {
 	for _, s := range readPlan(source).(plan) {
 		if s.header == "" {
-			if s.expr == nil {
+			if s.err != nil {
 				each(nil, s.err)
 			} else {
-				each(compiler.Generate(s.expr, vm.EnvForClass(vm.Specials.UndefinedObject), s.body))
+				each(compiler.CompileExpression(s.body, vm.EnvForClass(vm.Specials.UndefinedObject)))
 			}
 			continue
 		}

@@ -6,8 +6,10 @@
 package image
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"mst/internal/compiler"
@@ -47,11 +49,12 @@ func newChunkReader(src string) *chunkReader {
 	return &chunkReader{src: src, line: 1}
 }
 
-// next returns the next top-level chunk, whether it was introduced by
-// '!' (a reader command), and whether a chunk was available at all.
-// Inside a method-reading section use nextRaw, where a bang never means
-// "command" and a whitespace-only chunk terminates the section.
-func (r *chunkReader) next() (chunk string, command bool, ok bool) {
+// next returns the next top-level chunk, the line of its first non-blank
+// byte, whether it was introduced by '!' (a reader command), and whether
+// a chunk was available at all. Inside a method-reading section use
+// nextRaw, where a bang never means "command" and a whitespace-only
+// chunk terminates the section.
+func (r *chunkReader) next() (chunk string, line int, command, ok bool) {
 	// Skip whitespace (between top-level chunks only).
 	for r.pos < len(r.src) {
 		c := r.src[r.pos]
@@ -64,26 +67,28 @@ func (r *chunkReader) next() (chunk string, command bool, ok bool) {
 		r.pos++
 	}
 	if r.pos >= len(r.src) {
-		return "", false, false
+		return "", 0, false, false
 	}
 	if r.src[r.pos] == '!' {
 		command = true
 		r.pos++
 	}
-	chunk, ok = r.nextRaw()
-	return chunk, command, ok
+	chunk, line, ok = r.nextRaw()
+	return chunk, line, command, ok
 }
 
 // nextRaw reads one raw chunk: text up to an unescaped '!' ("!!" is a
-// literal bang). A whitespace-only result is the empty chunk that ends
-// a method-reading section.
-func (r *chunkReader) nextRaw() (string, bool) {
+// literal bang), and the line of its first non-blank byte. A
+// whitespace-only result is the empty chunk that ends a method-reading
+// section.
+func (r *chunkReader) nextRaw() (chunk string, line int, ok bool) {
 	if r.pos >= len(r.src) {
-		return "", false
+		return "", 0, false
 	}
 	var b strings.Builder // the chunk so far, once a "!!" is in it
 	escaped := false
 	start := r.pos
+	line = r.line
 	for {
 		end := strings.IndexByte(r.src[r.pos:], '!')
 		if end < 0 {
@@ -105,32 +110,35 @@ func (r *chunkReader) nextRaw() (string, bool) {
 			b.WriteString(s)
 			s = b.String()
 		}
+		line += strings.Count(s[:len(s)-len(strings.TrimLeftFunc(s, unicode.IsSpace))], "\n")
 		if end < len(r.src) {
 			r.pos++ // past the bang
-			return s, true
+			return s, line, true
 		}
 		// Trailing text without a bang: a final chunk (or nothing).
 		if strings.TrimSpace(s) == "" {
-			return "", false
+			return "", 0, false
 		}
-		return s, true
+		return s, line, true
 	}
 }
 
-// FileIn reads Smalltalk source in chunk format into the image. name is
-// used in error messages. A source is read once per process, into a plan
-// (interp.FileInPlan); every FileIn of the same text replays that plan
-// against vm.
+// FileIn reads Smalltalk source in chunk format into the image. An error
+// names the file and the line at fault once. A source is read once per
+// process, into a plan (interp.FileInPlan); every FileIn of the same text
+// replays that plan against vm.
 func FileIn(vm *interp.VM, name, source string) error {
 	pl := interp.FileInPlan(source, readPlan).(plan)
 	for i := range pl {
 		s := &pl[i]
+		line, err := s.line, error(nil)
 		if s.header == "" {
-			if err := s.fileInExpression(vm, name); err != nil {
-				return err
-			}
-		} else if err := s.fileInMethods(vm, name); err != nil {
-			return fmt.Errorf("%s:%d: %w", name, s.line, err)
+			err = s.fileInExpression(vm)
+		} else {
+			line, err = s.fileInMethods(vm)
+		}
+		if err != nil {
+			return fmt.Errorf("%s:%d: %w", name, line, err)
 		}
 	}
 	return nil
@@ -141,8 +149,8 @@ func FileIn(vm *interp.VM, name, source string) error {
 // image replays it alike.
 type plan []step
 
-// step is one top-level chunk, starting at line: a methodsFor: section
-// (header set) or an expression.
+// step is one top-level chunk whose text starts at line: a methodsFor:
+// section (header set) or an expression.
 type step struct {
 	line int
 	err  error // the text's own error: a bad header or expression, or a section with no end
@@ -152,31 +160,31 @@ type step struct {
 	meta                    bool
 	methods                 []methodChunk
 
-	// An expression: its text, its parse, and the class definition it
-	// is, if it is one. compiler.Generate never writes the parse, so
-	// every replay shares it.
+	// An expression: its text and the class definition it is, if it is
+	// one. A doIt keeps no parse: it runs through vm.Evaluate, whose memo
+	// holds its compile.
 	body string
-	expr *compiler.MethodNode
 	def  *compiler.SendNode
 }
 
-// methodChunk is one method body of a section, starting at line.
+// methodChunk is one method body of a section, its text starting at line.
 type methodChunk struct {
 	line int
 	body string
 }
 
 // readPlan reads source into its plan: the chunk split, each methodsFor:
-// header lexed and each expression chunk parsed.
+// header lexed and each expression chunk parsed for its own errors and
+// class definition.
 func readPlan(source string) any {
 	r := newChunkReader(source)
 	var pl plan
 	for {
-		s := step{line: r.line}
-		chunk, command, ok := r.next()
+		chunk, line, command, ok := r.next()
 		if !ok {
 			return pl
 		}
+		s := step{line: line}
 		body := strings.TrimSpace(chunk)
 		switch {
 		case body == "":
@@ -188,8 +196,9 @@ func readPlan(source string) any {
 			}
 		default:
 			s.body = body
-			if s.expr, s.err = compiler.ParseExpression(body); s.err == nil {
-				s.def = classDefSend(s.expr)
+			var expr *compiler.MethodNode
+			if expr, s.err = compiler.ParseExpression(body); s.err == nil {
+				s.def = classDefSend(expr)
 			}
 		}
 		pl = append(pl, s)
@@ -204,8 +213,7 @@ func readPlan(source string) any {
 func readMethods(r *chunkReader, header string) ([]methodChunk, error) {
 	var ms []methodChunk
 	for {
-		line := r.line
-		chunk, ok := r.nextRaw()
+		chunk, line, ok := r.nextRaw()
 		if !ok {
 			return ms, fmt.Errorf("unterminated methodsFor: %q", header)
 		}
@@ -217,21 +225,22 @@ func readMethods(r *chunkReader, header string) ([]methodChunk, error) {
 	}
 }
 
-// fileInMethods installs a section's methods into its class.
-func (s *step) fileInMethods(vm *interp.VM, name string) error {
+// fileInMethods installs a section's methods into its class. With an
+// error it answers the line at fault: the method's, else the header's.
+func (s *step) fileInMethods(vm *interp.VM) (int, error) {
 	if s.class == "" {
-		return s.err // the header did not lex
+		return s.line, s.err // the header did not lex
 	}
 	class, err := classNamed(vm, s.class, s.meta)
 	if err != nil {
-		return err
+		return s.line, err
 	}
 	for _, m := range s.methods {
 		if err := vm.InstallSource(class, m.body, s.category); err != nil {
-			return fmt.Errorf("%s:%d: %w", name, m.line, err)
+			return m.line, err
 		}
 	}
-	return s.err // nil, or the section's missing end
+	return s.line, s.err // nil, or the section's missing end
 }
 
 // lexMethodsFor reads `Name methodsFor: 'cat'` and
@@ -291,27 +300,20 @@ var classDefSelectors = map[string]interp.ClassKind{
 }
 
 // fileInExpression runs one expression chunk: a class definition is
-// interpreted structurally, everything else runs as a DoIt generated
-// from the plan's parse. A chunk runs once per boot, so it stays out of
-// the doIt memo.
-func (s *step) fileInExpression(vm *interp.VM, name string) error {
-	if s.expr == nil {
-		return fmt.Errorf("%s:%d: %v", name, s.line, s.err)
+// interpreted structurally, everything else is evaluated as a request
+// is, so a boot after the first compiles no doIt.
+func (s *step) fileInExpression(vm *interp.VM) error {
+	switch {
+	case s.err != nil:
+		return s.err // the chunk does not parse
+	case s.def != nil:
+		return defineClass(vm, s.def)
 	}
-	if s.def != nil {
-		if err := defineClass(vm, s.def); err != nil {
-			return fmt.Errorf("%s:%d: %w", name, s.line, err)
-		}
-		return nil
+	_, err := vm.Evaluate(s.body)
+	if cerr := errors.Unwrap(err); cerr != nil {
+		return cerr // "compile DoIt: …", without the package's prefix
 	}
-	m, err := compiler.Generate(s.expr, vm.EnvForClass(vm.Specials.UndefinedObject), s.body)
-	if err != nil {
-		return fmt.Errorf("%s:%d: compile DoIt: %w", name, s.line, err)
-	}
-	if _, err := vm.RunDoIt(m); err != nil {
-		return fmt.Errorf("%s:%d: %w", name, s.line, err)
-	}
-	return nil
+	return err
 }
 
 // classDefSend returns the class-definition send when the parsed chunk
@@ -360,10 +362,6 @@ func defineClass(vm *interp.VM, send *compiler.SendNode) error {
 		return fmt.Errorf("class %q already defined", nameLit.Str)
 	}
 	return vm.Do(func(p *firefly.Proc) {
-		vm.CreateClass(p, nameLit.Str, super, fieldsOf(ivLit.Str), kind, catLit.Str)
+		vm.CreateClass(p, nameLit.Str, super, strings.Fields(ivLit.Str), kind, catLit.Str)
 	})
-}
-
-func fieldsOf(s string) []string {
-	return strings.Fields(s)
 }

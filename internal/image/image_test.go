@@ -1,6 +1,7 @@
 package image
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -335,37 +336,63 @@ func TestFileInErrors(t *testing.T) {
 	}
 }
 
-func TestChunkReader(t *testing.T) {
-	r := newChunkReader("first chunk!\n!command!\nmethod one!  !\nlast")
-	c, cmd, ok := r.next()
-	if !ok || cmd || strings.TrimSpace(c) != "first chunk" {
-		t.Fatalf("chunk 1 = %q cmd=%v", c, cmd)
+// TestInstanceVariableSplitting: a class definition filed in and one
+// made by the subclass primitive split an instance-variable string alike,
+// at every whitespace byte.
+func TestInstanceVariableSplitting(t *testing.T) {
+	vm := testImage(t, 1)
+	const ivs = "a\tb\nc\vd\fe"
+	if err := FileIn(vm, "ivs.st", "Object subclass: #ByFileIn instanceVariableNames: '"+ivs+"' category: 'Tests'!"); err != nil {
+		t.Fatal(err)
 	}
-	c, cmd, ok = r.next()
-	if !ok || !cmd || strings.TrimSpace(c) != "command" {
-		t.Fatalf("chunk 2 = %q cmd=%v", c, cmd)
+	if _, err := vm.Evaluate("Object subclass: #ByPrimitive instanceVariableNames: '" + ivs + "' category: 'Tests'"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "b", "c", "d", "e"}
+	for _, name := range []string{"ByFileIn", "ByPrimitive"} {
+		names := vm.H.Fetch(vm.SysDictAt(name), interp.ClsInstVarNames)
+		var got []string
+		for i := range vm.H.FieldCount(names) {
+			got = append(got, vm.GoString(vm.H.Fetch(names, i)))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: instance variables %q, want %q", name, got, want)
+		}
+	}
+}
+
+func TestChunkReader(t *testing.T) {
+	r := newChunkReader("first chunk!\n!command!\nmethod one!  !\n\nlast")
+	c, line, cmd, ok := r.next()
+	if !ok || cmd || strings.TrimSpace(c) != "first chunk" || line != 1 {
+		t.Fatalf("chunk 1 = %q line %d cmd=%v", c, line, cmd)
+	}
+	c, line, cmd, ok = r.next()
+	if !ok || !cmd || strings.TrimSpace(c) != "command" || line != 2 {
+		t.Fatalf("chunk 2 = %q line %d cmd=%v", c, line, cmd)
 	}
 	// Method-mode reading: raw chunks, whitespace-only ends the section.
-	c, ok = r.nextRaw()
-	if !ok || strings.TrimSpace(c) != "method one" {
-		t.Fatalf("chunk 3 = %q", c)
+	// A chunk's line is its first non-blank byte's.
+	c, line, ok = r.nextRaw()
+	if !ok || strings.TrimSpace(c) != "method one" || line != 3 {
+		t.Fatalf("chunk 3 = %q line %d", c, line)
 	}
-	c, ok = r.nextRaw() // the empty terminator chunk
+	c, _, ok = r.nextRaw() // the empty terminator chunk
 	if !ok || strings.TrimSpace(c) != "" {
 		t.Fatalf("chunk 4 = %q", c)
 	}
-	c, cmd, ok = r.next()
-	if !ok || cmd || strings.TrimSpace(c) != "last" {
-		t.Fatalf("chunk 5 = %q", c)
+	c, line, cmd, ok = r.next()
+	if !ok || cmd || strings.TrimSpace(c) != "last" || line != 5 {
+		t.Fatalf("chunk 5 = %q line %d", c, line)
 	}
-	if _, _, ok = r.next(); ok {
+	if _, _, _, ok = r.next(); ok {
 		t.Fatal("extra chunk")
 	}
 }
 
 func TestBangEscape(t *testing.T) {
 	r := newChunkReader("a !! b!")
-	c, _, _ := r.next()
+	c, _, _, _ := r.next()
 	if strings.TrimSpace(c) != "a ! b" {
 		t.Fatalf("chunk = %q", c)
 	}

@@ -226,7 +226,7 @@ func TestDoItMemoSharedMethodIsNeverMutated(t *testing.T) {
 		if got := evalInt(t, vm, src); got != 1000006 {
 			t.Fatalf("run %d = %d", i, got)
 		}
-		if m := vm.doits.latest(src).m; shared == nil {
+		if m := doits.latest(src).m; shared == nil {
 			shared = m
 		} else if m != shared {
 			t.Fatalf("run %d recompiled", i)
@@ -240,22 +240,23 @@ func TestDoItMemoSharedMethodIsNeverMutated(t *testing.T) {
 	}
 }
 
-// TestDoItMemoIsBoundedAndLive: one source more than the bound drops the
-// map instead of growing it, every answer stays right, a source that
-// fails to compile fails every time, and a global defined from image
-// code — which no Go-side hook sees — is picked up by the next evaluation
-// of a memoized source.
+// TestDoItMemoIsBoundedAndLive: from an empty memo, one source more than
+// the bound drops the map instead of growing it, every answer stays
+// right, a source that fails to compile fails every time, and a global
+// defined from image code — which no Go-side hook sees — is picked up by
+// the next evaluation of a memoized source.
 func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 	vm := testVM(t, 1, nil)
+	doits.drop() // the memo is the process's: count from empty
 	for i := 0; i <= doitMemoMax; i++ {
 		if got := evalInt(t, vm, fmt.Sprintf("%d + 1", i+1000)); got != int64(i+1001) {
 			t.Fatalf("source %d = %d", i, got)
 		}
-		if len(vm.doits.table) > doitMemoMax {
-			t.Fatalf("memo holds %d entries after %d sources, bound %d", len(vm.doits.table), i+1, doitMemoMax)
+		if len(doits.table) > doitMemoMax {
+			t.Fatalf("memo holds %d entries after %d sources, bound %d", len(doits.table), i+1, doitMemoMax)
 		}
 	}
-	if n := len(vm.doits.table); n != 1 {
+	if n := len(doits.table); n != 1 {
 		t.Fatalf("memo holds %d entries after the drop, want 1", n)
 	}
 	if got := evalInt(t, vm, "1000 + 1"); got != 1001 {
@@ -267,7 +268,7 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 			t.Fatalf("bad source, run %d: %v", i, err)
 		}
 	}
-	if vm.doits.latest("3 + + 4").m != nil {
+	if doits.latest("3 + + 4").m != nil {
 		t.Fatal("a compile error was memoized")
 	}
 
@@ -287,7 +288,7 @@ func TestDoItMemoIsBoundedAndLive(t *testing.T) {
 			t.Fatalf("%s, run %d = %d", src, i, got)
 		}
 	}
-	if vm.doits.latest(src).m == nil || vm.doits.latest(define).m == nil {
+	if doits.latest(src).m == nil || doits.latest(define).m == nil {
 		t.Fatal("the sources were not memoized")
 	}
 }

@@ -24,12 +24,10 @@ func (c *memo) latest(source string) compiled {
 	return ds[len(ds)-1]
 }
 
-// DropDoItMemo empties the doIt memo, for the external twin test that
-// holds a memoizing system against one that compiles every request.
-func (vm *VM) DropDoItMemo() { vm.doits.drop() }
-
-// DoItMemoLen reports how many compiled doIts the VM holds.
-func (vm *VM) DoItMemoLen() int { return len(vm.doits.table) }
+// DropDoItMemo empties the process-wide doIt memo, for the external twin
+// test that holds a memoizing system against one that compiles every
+// request.
+func DropDoItMemo() { doits.drop() }
 
 // DropMethodMemo empties the process-wide method memo, so that the next
 // boot compiles every method: the cold half of a cold-vs-warm twin.
@@ -51,15 +49,21 @@ func FileInPlanReads() int {
 	return plans.reads
 }
 
-// methodCompiles counts the compiles the method memo has run in this
-// test process, failed ones included: every one passes through the
-// counting gen installed below.
-var methodCompiles atomic.Int64
+// methodCompiles and doitCompiles count the compiles the method and doIt
+// memos have run in this test process, failed ones included: every one
+// passes through the counting gen installed below.
+var methodCompiles, doitCompiles atomic.Int64
 
 func init() {
-	gen := methods.gen
-	methods.gen = func(source string, env compiler.Env) (*compiler.Method, error) {
-		methodCompiles.Add(1)
+	countCompiles(&methods, &methodCompiles)
+	countCompiles(&doits, &doitCompiles)
+}
+
+// countCompiles makes every compile c runs add one to n.
+func countCompiles(c *memo, n *atomic.Int64) {
+	gen := c.gen
+	c.gen = func(source string, env compiler.Env) (*compiler.Method, error) {
+		n.Add(1)
 		return gen(source, env)
 	}
 }
@@ -67,3 +71,7 @@ func init() {
 // MethodMemoMisses reports how many compiles the method memo has run in
 // this process, failed ones included.
 func MethodMemoMisses() int { return int(methodCompiles.Load()) }
+
+// DoItMemoMisses reports how many compiles the doIt memo has run in this
+// process, failed ones included.
+func DoItMemoMisses() int { return int(doitCompiles.Load()) }

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"mst/internal/bytecode"
@@ -169,34 +170,49 @@ func (vm *VM) installInDict(p *firefly.Proc, classH, moH heap.Handle) {
 	n := h.FieldCount(keys)
 	tally := int(h.Fetch(dict, MDTally).Int())
 	if (tally+1)*2 > n {
-		vm.growMethodDict(p, classH.Get())
+		vm.rehashMethodDict(p, classH.Get(), 2*n, -1)
 		dict = h.Fetch(classH.Get(), ClsMethodDict)
 		keys = h.Fetch(dict, MDKeys)
-		n = h.FieldCount(keys)
 	}
 	sel := h.Fetch(moH.Get(), CMSelector)
-	values := h.Fetch(dict, MDValues)
+	j := vm.methodDictSlot(keys, sel)
+	if j < 0 {
+		vm.vmError("method dictionary full after grow")
+		return
+	}
+	if h.Fetch(keys, j) != sel { // else a redefinition
+		h.Store(p, keys, j, sel)
+		h.StoreNoCheck(dict, MDTally, object.FromInt(int64(tally+1)))
+	}
+	h.Store(p, h.Fetch(dict, MDValues), j, moH.Get())
+	vm.flushAllCaches()
+}
+
+// methodDictSlot probes a method dictionary's keys for sel: it answers the
+// slot that holds sel, else the empty slot where sel would go, else -1
+// (keys full or empty).
+func (vm *VM) methodDictSlot(keys, sel object.OOP) int {
+	h := vm.H
+	n := h.FieldCount(keys)
+	if n == 0 {
+		return -1 // before IdentityHash, which may assign sel a hash
+	}
 	idx := int(h.IdentityHash(sel)) & (n - 1)
 	for i := 0; i < n; i++ {
 		j := (idx + i) & (n - 1)
-		k := h.Fetch(keys, j)
-		if k == sel {
-			h.Store(p, values, j, moH.Get()) // redefinition
-			vm.flushAllCaches()
-			return
-		}
-		if k == object.Nil {
-			h.Store(p, keys, j, sel)
-			h.Store(p, values, j, moH.Get())
-			h.StoreNoCheck(dict, MDTally, object.FromInt(int64(tally+1)))
-			vm.flushAllCaches()
-			return
+		if k := h.Fetch(keys, j); k == sel || k == object.Nil {
+			return j
 		}
 	}
-	vm.vmError("method dictionary full after grow")
+	return -1
 }
 
-func (vm *VM) growMethodDict(p *firefly.Proc, class object.OOP) {
+// rehashMethodDict gives class a new method dictionary of n slots that
+// holds every entry of its current one except the one in slot drop (-1
+// drops none): a grow passes twice the size, a removal the same size.
+// drop is a slot, not the selector, because a slot does not move when the
+// allocations here scavenge. It answers class, which may have moved. MAY GC.
+func (vm *VM) rehashMethodDict(p *firefly.Proc, class object.OOP, n, drop int) object.OOP {
 	h := vm.H
 	hs := h.Handles(p)
 	defer hs.Close()
@@ -205,32 +221,28 @@ func (vm *VM) growMethodDict(p *firefly.Proc, class object.OOP) {
 	oldDict := h.Fetch(class, ClsMethodDict)
 	oldKeysH := hs.Add(h.Fetch(oldDict, MDKeys))
 	oldValsH := hs.Add(h.Fetch(oldDict, MDValues))
-	n := h.FieldCount(oldKeysH.Get())
 
-	newKeysH := hs.Add(vm.NewArray(p, n*2))
-	newValsH := hs.Add(vm.NewArray(p, n*2))
-	dictH := hs.Add(vm.allocFields(p, vm.Specials.MethodDictionary, MethodDictInstSize))
-	h.StoreNoCheck(dictH.Get(), MDTally, h.Fetch(oldDict, MDTally))
-	h.Store(p, dictH.Get(), MDKeys, newKeysH.Get())
-	h.Store(p, dictH.Get(), MDValues, newValsH.Get())
-
-	for i := 0; i < n; i++ {
-		k := h.Fetch(oldKeysH.Get(), i)
-		if k == object.Nil {
+	newKeysH := hs.Add(vm.NewArray(p, n))
+	newValsH := hs.Add(vm.NewArray(p, n))
+	dict := vm.allocFields(p, vm.Specials.MethodDictionary, MethodDictInstSize)
+	// Nothing below allocates: raw oops hold.
+	oldKeys, oldVals, keys, vals := oldKeysH.Get(), oldValsH.Get(), newKeysH.Get(), newValsH.Get()
+	h.Store(p, dict, MDKeys, keys)
+	h.Store(p, dict, MDValues, vals)
+	tally := 0
+	for i := range h.FieldCount(oldKeys) {
+		k := h.Fetch(oldKeys, i)
+		if k == object.Nil || i == drop {
 			continue
 		}
-		v := h.Fetch(oldValsH.Get(), i)
-		idx := int(h.IdentityHash(k)) & (2*n - 1)
-		for j := 0; j < 2*n; j++ {
-			s := (idx + j) & (2*n - 1)
-			if h.Fetch(newKeysH.Get(), s) == object.Nil {
-				h.Store(p, newKeysH.Get(), s, k)
-				h.Store(p, newValsH.Get(), s, v)
-				break
-			}
-		}
+		j := vm.methodDictSlot(keys, k)
+		h.Store(p, keys, j, k)
+		h.Store(p, vals, j, h.Fetch(oldVals, i))
+		tally++
 	}
-	h.Store(p, ch.Get(), ClsMethodDict, dictH.Get())
+	h.StoreNoCheck(dict, MDTally, object.FromInt(int64(tally)))
+	h.Store(p, ch.Get(), ClsMethodDict, dict)
+	return ch.Get()
 }
 
 func (vm *VM) flushAllCaches() {
@@ -325,6 +337,32 @@ func (vm *VM) CreateClass(p *firefly.Proc, name string, super object.OOP,
 
 	vm.SysDictDefine(p, name, clsH.Get())
 	return clsH.Get()
+}
+
+// primNewSubclass implements the subclass-creation primitive behind
+// `subclass:instanceVariableNames:category:`. It splits the instance
+// variables with strings.Fields, as file-in's class definitions do.
+func (in *Interp) primNewSubclass(nargs int, recv object.OOP) bool {
+	vm := in.vm
+	if nargs != 3 || recv.IsInt() {
+		return false
+	}
+	nameO := in.stackAt(2)
+	ivO := in.stackAt(1)
+	catO := in.stackAt(0)
+	if !in.isStringy(nameO) || !in.isStringy(ivO) || !in.isStringy(catO) {
+		return false
+	}
+	name := vm.GoString(nameO)
+	ivs := strings.Fields(vm.GoString(ivO))
+	cat := vm.GoString(catO)
+	if existing := vm.SysDictAt(name); existing != object.Invalid && existing != object.Nil {
+		// Redefinition: keep it simple, fail the primitive so image
+		// code can decide (kernel sources never redefine).
+		return false
+	}
+	cls := vm.CreateClass(in.p, name, recv, ivs, KindFixed, cat)
+	return in.primReturn(nargs, cls)
 }
 
 // newMethodDict allocates an empty method dictionary at runtime.
@@ -453,24 +491,24 @@ func (vm *VM) Evaluate(source string) (EvalResult, error) {
 // text is assembled in host scratch, so a doIt the memo holds costs no
 // Go string. When the source does not compile on its own either, the
 // error is the bare source's, so its position and token are the
-// caller's text, not the wrapper's.
+// caller's text, not the wrapper's. A compile error is the one error
+// that wraps another: "interp: " around "compile DoIt: " and the
+// compiler's words, which errors.Unwrap answers (file-in reports those).
 func (vm *VM) EvaluateWrapped(prefix, source, suffix string) (EvalResult, error) {
 	vm.src = append(append(append(vm.src[:0], prefix...), source...), suffix...)
 	vm.doitEnv.class = vm.Specials.UndefinedObject
-	m, err := vm.doits.compileBytes(vm.src, &vm.doitEnv)
+	m, err := doits.compileBytes(vm.src, &vm.doitEnv)
 	if err != nil {
 		if _, berr := compiler.CompileExpression(source, &vm.doitEnv); berr != nil {
 			err = berr
 		}
-		return EvalResult{}, fmt.Errorf("interp: compile DoIt: %w", err)
+		return EvalResult{}, fmt.Errorf("interp: %w", fmt.Errorf("compile DoIt: %w", err))
 	}
-	return vm.RunDoIt(m)
+	return vm.runDoIt(m)
 }
 
-// RunDoIt runs a compiled DoIt as Evaluate does, past the doIt memo: for
-// a caller that generated m from a parse it already had (file-in), against
-// the DoIt environment (EnvForClass of UndefinedObject).
-func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
+// runDoIt runs a compiled DoIt: EvaluateWrapped's run half.
+func (vm *VM) runDoIt(m *compiler.Method) (EvalResult, error) {
 	vm.evalResult = object.Nil
 	vm.evalDone.Store(false)
 	vm.evalFailed = ""
@@ -496,7 +534,7 @@ func (vm *VM) RunDoIt(m *compiler.Method) (EvalResult, error) {
 	return res, nil
 }
 
-// startDoIt is RunDoIt's work, bound once as vm.startDoItFn: materialize
+// startDoIt is runDoIt's work, bound once as vm.startDoItFn: materialize
 // the doIt and schedule it as the evaluation's Process.
 func (vm *VM) startDoIt(p *firefly.Proc) {
 	mo := vm.MaterializeMethod(p, vm.doit, vm.Specials.UndefinedObject, "doits")
@@ -518,13 +556,16 @@ func (vm *VM) startDoIt(p *firefly.Proc) {
 // keeps one compile per distinct answer list: an accessor such as
 // `value ^value` compiles to a different field index in each class of a
 // different shape, and a global defined and removed again answers the
-// compile made before. The memo has two instances (Table 3's terms):
-//   - vm.doits holds the doIts Evaluate compiles. Replicated: per VM, so
-//     a tenant's one executor never contends for its lock; empty in a
-//     clone, absent from a snapshot.
+// compile made before. The memo has two instances, both serialized
+// (Table 3's terms): one per process behind one mutex, never contended
+// for long (a lookup copies an entry list out and asks unlocked).
+//   - doits holds the doIts Evaluate compiles, file-in's included.
+//     Per VM it would compile every request again in each fresh clone:
+//     serve_mixed clones 16 tenants a pass, each sent the same 5 catalog
+//     requests, and a boot files in the same doIts as the last.
 //   - methods holds the methods compileAndInstall installs (file-in,
-//     compile:classified:). Serialized: one per process, so every boot
-//     after the first compiles nothing.
+//     compile:classified:), so every boot after the first compiles
+//     nothing.
 
 // doitMemoMax, methodMemoMax and planMemoMax bound the memos: a miss at
 // the bound drops the whole table, so a process fed unique sources cannot
@@ -536,11 +577,14 @@ const (
 	planMemoMax   = 64
 )
 
-// methods is the process-wide memo of installed methods.
-var methods = memo{gen: compiler.CompileMethod, max: methodMemoMax}
+// doits and methods are the process-wide memos of doIts and methods.
+var (
+	doits   = memo{gen: compiler.CompileExpression, max: doitMemoMax}
+	methods = memo{gen: compiler.CompileMethod, max: methodMemoMax}
+)
 
 // plans is the process-wide memo of file-in plans: a source's chunks,
-// methodsFor: headers and expression parses, as image.FileIn reads them,
+// methodsFor: headers and class definitions, as image.FileIn reads them,
 // keyed by the source text. A plan is host data, never written once
 // published; serialized like methods, so every boot after the first
 // reads no source.

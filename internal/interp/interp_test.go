@@ -439,6 +439,60 @@ func TestTortureGCExecution(t *testing.T) {
 	}
 }
 
+// TestRemoveSelectorSurvivesScavenge: removing a method whose selector
+// Symbol is young, on a heap that scavenges before every allocation, so
+// the rehash's own allocations move the Symbol and the dictionary being
+// rebuilt. The method is gone, and every other selector still answers.
+func TestRemoveSelectorSurvivesScavenge(t *testing.T) {
+	vm := testVM(t, 1, func(cfg *Config, hcfg *heap.Config) {
+		hcfg.TortureGC = true
+		hcfg.SurvivorWords = 64 << 10 // the Symbol stays young: no overflow,
+		hcfg.TenureAge = 1 << 20      // and no promotion by age
+	})
+	p := vm.Interps[0].p
+	install := func(cls object.OOP, src string) {
+		t.Helper()
+		if err := vm.InstallSource(cls, src, "tests"); err != nil {
+			t.Fatalf("install %q: %v", src, err)
+		}
+	}
+	install(vm.Specials.Behavior, "removeSelector: sel <primitive: 87> ^nil")
+	if err := vm.Do(func(p *firefly.Proc) {
+		vm.CreateClass(p, "Removal", vm.Specials.Object, nil, KindFixed, "Tests")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const keep = 10 // two grows past the 8-slot start
+	for i := 0; i < keep; i++ {
+		install(vm.SysDictAt("Removal"), fmt.Sprintf("keep%d ^%d", i, i))
+	}
+	install(vm.SysDictAt("Removal"), "doomed ^-1")
+	if sym := vm.InternSymbol(p, "doomed"); !vm.H.InNewSpace(sym) {
+		t.Fatal("the doomed selector was tenured before the removal")
+	}
+	scavenges := vm.H.Stats().Scavenges
+	res, err := vm.Evaluate("Removal removeSelector: #doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := vm.SysDictAt("Removal")
+	if res.Value != cls || vm.H.Stats().Scavenges == scavenges {
+		t.Fatalf("removeSelector: answered %s, %d scavenges", vm.DescribeOOP(res.Value), vm.H.Stats().Scavenges-scavenges)
+	}
+	dict := vm.H.Fetch(cls, ClsMethodDict)
+	if _, ok := vm.methodDictLookup(dict, vm.InternSymbol(p, "doomed")); ok {
+		t.Fatal("the removed method is still in the dictionary")
+	}
+	if n := vm.H.Fetch(dict, MDTally).Int(); n != keep {
+		t.Fatalf("tally %d, want %d", n, keep)
+	}
+	for i := 0; i < keep; i++ {
+		if got := evalInt(t, vm, fmt.Sprintf("Removal new keep%d", i)); got != int64(i) {
+			t.Fatalf("keep%d = %d", i, got)
+		}
+	}
+}
+
 func TestSharedLockedPoliciesStillCorrect(t *testing.T) {
 	vm := testVM(t, 2, func(cfg *Config, hcfg *heap.Config) {
 		cfg.MethodCache = CacheSharedLocked

@@ -146,11 +146,12 @@ func TestMethodMemoConcurrentBoots(t *testing.T) {
 }
 
 // TestFileInPlanErrorTwin files each broken source in twice, cold (its
-// plan not yet read) and then warm: both times the error names the same
-// file and lines, in the same words, as file-in gave before it kept
-// plans. The header and expression errors are the text's own and come
-// from the plan; the unknown class, the method that does not compile and
-// the doIt that fails come from the image at replay.
+// plan not yet read) and then warm: both times the error names the file
+// once and the line where the chunk at fault starts (the header's, the
+// method's or the expression's, past the blank lines before it). The
+// header and expression errors are the text's own and come from the
+// plan; the unknown class, the method that does not compile and the doIt
+// that does not compile or fails come from the image at replay.
 func TestFileInPlanErrorTwin(t *testing.T) {
 	sys, err := core.NewSystem(core.BaselineConfig())
 	if err != nil {
@@ -160,17 +161,19 @@ func TestFileInPlanErrorTwin(t *testing.T) {
 	const prefix = "\"Two chunks first.\"\n3 + 4!\n\n4 + 5!\n\n"
 	for _, c := range []struct{ name, source, want string }{
 		{"unknown class", prefix + "!NoSuchClass methodsFor: 'twin'!\ntwinA ^1! !\n",
-			`broken.st:4: unknown class "NoSuchClass"`},
+			`broken.st:6: unknown class "NoSuchClass"`},
 		{"malformed header", prefix + "!Object methodsFor 'twin'!\ntwinA ^1! !\n",
-			"broken.st:4: expected `Class methodsFor: 'category'`, got \"Object methodsFor 'twin'\""},
+			"broken.st:6: expected `Class methodsFor: 'category'`, got \"Object methodsFor 'twin'\""},
 		{"unterminated methodsFor", prefix + "!Object methodsFor: 'twin'!\ntwinA ^1!\n\ntwinB ^2!",
-			`broken.st:4: unterminated methodsFor: "Object methodsFor: 'twin'"`},
+			`broken.st:6: unterminated methodsFor: "Object methodsFor: 'twin'"`},
 		{"method does not compile", prefix + "!Object methodsFor: 'twin'!\ntwinC ^3!\n\ntwinD ^^^! !",
-			`broken.st:4: broken.st:7: 1:8: expected expression, found "^"`},
+			`broken.st:9: 1:8: expected expression, found "^"`},
 		{"expression does not parse", prefix + "3 + + 4!",
-			`broken.st:4: 1:5: expected expression, found "+"`},
+			`broken.st:6: 1:5: expected expression, found "+"`},
+		{"doIt does not compile", prefix + "x foo!",
+			`broken.st:6: compile DoIt: 1:1: undeclared variable "x"`},
 		{"doIt fails", prefix + "3 twinFoo!",
-			"broken.st:4: interp: process terminated by VM error: doesNotUnderstand: #twinFoo sent to 3; " +
+			"broken.st:6: interp: process terminated by VM error: doesNotUnderstand: #twinFoo sent to 3; " +
 				"Smalltalk error: does not understand twinFoo"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -287,90 +287,14 @@ func (in *Interp) primRemoveSelector(nargs int, recv object.OOP) bool {
 	if recv.IsInt() || !in.isStringy(sel) {
 		return false
 	}
-	dict := h.Fetch(recv, ClsMethodDict)
-	if _, ok := vm.methodDictLookup(dict, sel); !ok {
+	keys := h.Fetch(h.Fetch(recv, ClsMethodDict), MDKeys)
+	j := vm.methodDictSlot(keys, sel)
+	if j < 0 || h.Fetch(keys, j) != sel {
 		return false
 	}
-	hs := h.Handles(in.p)
-	defer hs.Close()
-	clsH := hs.Add(recv)
-	selH := hs.Add(sel)
-	oldKeysH := hs.Add(h.Fetch(dict, MDKeys))
-	oldValsH := hs.Add(h.Fetch(dict, MDValues))
-	n := h.FieldCount(oldKeysH.Get())
-
-	newKeysH := hs.Add(vm.NewArray(in.p, n))
-	newValsH := hs.Add(vm.NewArray(in.p, n))
-	dictH := hs.Add(vm.allocFields(in.p, vm.Specials.MethodDictionary, MethodDictInstSize))
-	tally := 0
-	for i := 0; i < n; i++ {
-		k := h.Fetch(oldKeysH.Get(), i)
-		if k == object.Nil || k == selH.Get() {
-			continue
-		}
-		v := h.Fetch(oldValsH.Get(), i)
-		idx := int(h.IdentityHash(k)) & (n - 1)
-		for j := 0; j < n; j++ {
-			s := (idx + j) & (n - 1)
-			if h.Fetch(newKeysH.Get(), s) == object.Nil {
-				h.Store(in.p, newKeysH.Get(), s, k)
-				h.Store(in.p, newValsH.Get(), s, v)
-				break
-			}
-		}
-		tally++
-	}
-	h.StoreNoCheck(dictH.Get(), MDTally, object.FromInt(int64(tally)))
-	h.Store(in.p, dictH.Get(), MDKeys, newKeysH.Get())
-	h.Store(in.p, dictH.Get(), MDValues, newValsH.Get())
-	h.Store(in.p, clsH.Get(), ClsMethodDict, dictH.Get())
+	recv = vm.rehashMethodDict(in.p, recv, h.FieldCount(keys), j)
 	vm.flushAllCaches()
-	return in.primReturn(nargs, clsH.Get())
-}
-
-// primNewSubclass implements the subclass-creation primitive behind
-// `subclass:instanceVariableNames:category:`.
-func (in *Interp) primNewSubclass(nargs int, recv object.OOP) bool {
-	vm := in.vm
-	if nargs != 3 || recv.IsInt() {
-		return false
-	}
-	nameO := in.stackAt(2)
-	ivO := in.stackAt(1)
-	catO := in.stackAt(0)
-	if !in.isStringy(nameO) || !in.isStringy(ivO) || !in.isStringy(catO) {
-		return false
-	}
-	name := vm.GoString(nameO)
-	ivs := splitWords(vm.GoString(ivO))
-	cat := vm.GoString(catO)
-	if existing := vm.SysDictAt(name); existing != object.Invalid && existing != object.Nil {
-		// Redefinition: keep it simple, fail the primitive so image
-		// code can decide (kernel sources never redefine).
-		return false
-	}
-	cls := vm.CreateClass(in.p, name, recv, ivs, KindFixed, cat)
-	return in.primReturn(nargs, cls)
-}
-
-func splitWords(s string) []string {
-	var out []string
-	start := -1
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
+	return in.primReturn(nargs, recv)
 }
 
 // statAt exposes VM statistics to the image (primitive 92). In

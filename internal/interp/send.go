@@ -153,20 +153,8 @@ func (in *Interp) walkLookup(class, selector object.OOP) (object.OOP, bool) {
 func (vm *VM) methodDictLookup(dict, selector object.OOP) (object.OOP, bool) {
 	h := vm.H
 	keys := h.Fetch(dict, MDKeys)
-	n := h.FieldCount(keys)
-	if n == 0 {
-		return object.Nil, false
-	}
-	idx := int(h.IdentityHash(selector)) & (n - 1)
-	for i := 0; i < n; i++ {
-		k := h.Fetch(keys, (idx+i)&(n-1))
-		if k == selector {
-			values := h.Fetch(dict, MDValues)
-			return h.Fetch(values, (idx+i)&(n-1)), true
-		}
-		if k == object.Nil {
-			return object.Nil, false
-		}
+	if j := vm.methodDictSlot(keys, selector); j >= 0 && h.Fetch(keys, j) == selector {
+		return h.Fetch(h.Fetch(dict, MDValues), j), true
 	}
 	return object.Nil, false
 }

@@ -411,10 +411,9 @@ type VM struct {
 	evalDone   atomic.Bool
 	evalFailed string
 
-	// doits memoizes compiled doIts by source (install.go); src is the
-	// scratch EvaluateWrapped assembles a source in, doitEnv the doIt
-	// compile's env, and doit the compiled doIt startDoIt materializes.
-	doits   memo
+	// src is the scratch EvaluateWrapped assembles a source in, doitEnv
+	// the doIt compile's env, and doit the compiled doIt startDoIt
+	// materializes.
 	src     []byte
 	doitEnv classEnv
 	doit    *compiler.Method
@@ -425,9 +424,9 @@ type VM struct {
 	// the simulated processors when they are suspended mid-lock. Only Do
 	// queues work, and it waits for it, so there is at most one. The
 	// func fields are bound once in New, so a Do allocates nothing:
-	// doStop and evalStop are the predicates Do and RunDoIt run the
+	// doStop and evalStop are the predicates Do and runDoIt run the
 	// machine until, installFn and startDoItFn the work of InstallSource
-	// (its request in install) and RunDoIt.
+	// (its request in install) and runDoIt.
 	work        func(p *firefly.Proc)
 	workDone    atomic.Bool
 	doStop      func() bool
@@ -499,7 +498,6 @@ func New(m *firefly.Machine, h *heap.Heap, cfg Config) *VM {
 		cacheLock: m.NewRWSpinlock("method-cache", cfg.MSMode && cfg.MethodCache == CacheSharedLocked),
 		freeLock:  m.NewSpinlock("free-contexts", cfg.MSMode && cfg.FreeContexts == FreeCtxSharedLocked),
 		symbolIdx: make([]int32, symbolIdxMin),
-		doits:     memo{gen: compiler.CompileExpression, max: doitMemoMax},
 		san:       m.Sanitizer(),
 	}
 	vm.nextWake.Store(math.MaxInt64)

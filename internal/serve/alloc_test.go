@@ -134,10 +134,11 @@ func TestCompileHostAllocations(t *testing.T) {
 // every install flushes, and one tenant clone of the serve checkpoint.
 // An install or a doIt allocates nothing of its own (Do queues a bound
 // method value, a compile's questions compare names in the heap, and a
-// symbol is interned by its bytes), and a warm boot reads no source (the
-// file-in plans), so what a boot has left is Genesis, the generate and
-// run of each file-in doIt and class definition, and the boot's machine,
-// heap and interpreter tables; a clone has only the tables. Some boots
+// symbol is interned by its bytes), a warm boot reads no source (the
+// file-in plans) and compiles no doIt (the process-wide doIt memo), so
+// what a boot has left is Genesis, the run of each file-in doIt, each
+// class definition, and the boot's machine, heap and interpreter tables;
+// a clone has only the tables. Some boots
 // allocate a few objects more, depending on when the Go GC ran (with
 // GOGC=off nearly every boot reads the floor), so the pinned count is
 // the fewest of thirty.
@@ -151,14 +152,14 @@ func TestBootHostAllocations(t *testing.T) {
 		boot  func() error
 		bound uint64
 	}{
-		{"checkpoint", func() error { _, err := BootCheckpoint(); return err }, 348},
+		{"checkpoint", func() error { _, err := BootCheckpoint(); return err }, 256},
 		{"ms5", func() error {
 			s, err := core.NewSystem(core.DefaultConfig())
 			if err == nil {
 				s.Shutdown()
 			}
 			return err
-		}, 397},
+		}, 339},
 		{"clone", func() error {
 			s, err := core.NewFromCheckpoint(1, cp)
 			if err == nil {
